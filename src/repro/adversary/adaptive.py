@@ -87,12 +87,16 @@ class AdaptiveAdversary(Adversary):
         self._last_round_processed = round_number
         self._bucket.start_round()
         injections: List[Injection] = []
+        num_nodes = self.topology.num_nodes
         for source, destination in self.choose_routes(round_number, occupancy):
             if destination <= source:
                 continue
-            crossed = list(range(source, destination))
-            if self._bucket.can_inject(crossed):
-                self._bucket.inject(crossed)
+            if source < 0 or destination > num_nodes:
+                raise ConfigurationError(
+                    f"{type(self).__name__} chose route ({source}, {destination}) "
+                    f"outside the line's buffers [0, {num_nodes})"
+                )
+            if self._bucket.admit_line(source, destination):
                 injection = make_injection(round_number, source, destination)
                 injections.append(injection)
                 self._realized.append(injection)

@@ -10,15 +10,20 @@ Two equivalent views are implemented:
   for an explicit pattern, using the leaky-bucket recurrence (the maximum of
   ``N_{[s,t]}(v) - rho (t - s + 1)`` over ``s`` equals the excess of Def. 2.2,
   maintained incrementally in O(T n) instead of the naive O(T^2 n)).
-* :class:`TokenBucket` is the constructive counterpart used by the random
-  adversary generators: a per-buffer bucket that tells the generator how many
-  more crossings it may emit in the current round without breaking the bound.
+* :class:`TokenBucket` is the constructive counterpart used by every
+  bucket-driven generator: per-buffer token levels in one numpy array that
+  tell the generator, one array operation per refill or proposal, whether a
+  route may be emitted in the current round without breaking the bound.
+  Line routes are addressed as slices and pre-checked at their last buffer,
+  so most rejections cost O(1) rather than a walk over the path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from ..core.packet import Injection
 from ..network.errors import BoundednessViolationError
@@ -154,6 +159,11 @@ def tightest_sigma(
     return tightest_bound(pattern, topology, rho)
 
 
+#: The buffers a route crosses: a ``slice`` for a line route
+#: (``slice(source, destination)``) or an index array / list for a tree route.
+Span = Union[slice, Sequence[int], np.ndarray]
+
+
 class TokenBucket:
     """Per-buffer leaky buckets for *constructing* bounded patterns.
 
@@ -167,6 +177,12 @@ class TokenBucket:
     token-bucket cap is ``sigma + rho`` *immediately after refill* so that a
     steady stream at exactly rate ``rho`` is admissible.  This matches the
     excess recurrence ``xi_t = max(xi_{t-1} + N_t - rho, 0) <= sigma``.
+
+    The levels live in one float64 array, and a route is addressed as a
+    :data:`Span`, so a refill, an admission check and a charge are each one
+    array operation.  Every operation is the same IEEE arithmetic, in the
+    same order per buffer, as the scalar recurrence, so the token levels (and
+    hence every admission decision) do not depend on the representation.
     """
 
     def __init__(self, num_nodes: int, rho: float, sigma: float) -> None:
@@ -177,8 +193,9 @@ class TokenBucket:
         self.num_nodes = num_nodes
         self.rho = float(rho)
         self.sigma = float(sigma)
+        self._cap = self.sigma + self.rho
         # tokens[v] = sigma - xi(v): remaining crossings admissible at v.
-        self._tokens: List[float] = [float(sigma)] * num_nodes
+        self._tokens = np.full(num_nodes, self.sigma, dtype=np.float64)
         self._refilled_this_round = False
 
     def start_round(self) -> None:
@@ -188,39 +205,73 @@ class TokenBucket:
         constraint allows ``N_t(v) <= sigma - xi_{t-1}(v) + rho`` crossings in
         round ``t`` (Lemma 2.3, part 2).
         """
-        cap = self.sigma + self.rho
-        self._tokens = [min(tokens + self.rho, cap) for tokens in self._tokens]
+        tokens = self._tokens
+        np.add(tokens, self.rho, out=tokens)
+        np.minimum(tokens, self._cap, out=tokens)
         self._refilled_this_round = True
 
-    def can_inject(self, buffers_crossed: List[int]) -> bool:
-        """Whether one more packet crossing the given buffers is admissible."""
-        return all(self._tokens[v] >= 1.0 for v in buffers_crossed)
+    def can_inject(self, span: Span) -> bool:
+        """Whether one more packet crossing ``span`` is admissible."""
+        levels = self._tokens[span]
+        return levels.size == 0 or bool(levels.min() >= 1.0)
 
-    def inject(self, buffers_crossed: List[int]) -> None:
-        """Consume one token on every crossed buffer (caller checked admissibility)."""
-        for v in buffers_crossed:
-            self._tokens[v] -= 1.0
+    def inject(self, span: Span) -> None:
+        """Consume one token on every buffer of ``span`` (caller checked
+        admissibility; a span never lists a buffer twice)."""
+        self._tokens[span] -= 1.0
+
+    def admit(self, span: Span) -> bool:
+        """:meth:`can_inject` then :meth:`inject`: whether the packet was admitted."""
+        if not self.can_inject(span):
+            return False
+        self.inject(span)
+        return True
+
+    def admit_line(self, source: int, destination: int) -> bool:
+        """:meth:`admit` for the line route ``source -> destination``
+        (``0 <= source < destination <= num_nodes``, checked by the caller).
+
+        Every route into ``destination`` crosses buffer ``destination - 1``,
+        so that buffer runs dry first under a destination-concentrated load;
+        reading it before the span rejects most proposals in O(1).  The
+        early exit only skips work: the span check still decides.
+        """
+        tokens = self._tokens
+        if tokens[destination - 1] < 1.0:
+            return False
+        levels = tokens[source:destination]
+        if levels.min() < 1.0:
+            return False
+        levels -= 1.0
+        return True
+
+    def last_exhausted(self, stop: int) -> int:
+        """The largest buffer ``v < stop`` with less than one token, or -1."""
+        dry = np.flatnonzero(self._tokens[:stop] < 1.0)
+        return int(dry[-1]) if dry.size else -1
 
     def available(self, buffer: int) -> float:
         """Remaining tokens at ``buffer`` this round."""
-        return self._tokens[buffer]
+        return float(self._tokens[buffer])
 
-    def headroom(self, buffers_crossed: List[int]) -> int:
+    def headroom(self, span: Span) -> int:
         """How many more packets with this route are admissible right now."""
-        if not buffers_crossed:
+        levels = self._tokens[span]
+        if levels.size == 0:
             return 0
-        return int(min(self._tokens[v] for v in buffers_crossed))
+        return int(levels.min())
 
     # -- checkpoint support -------------------------------------------------------
 
     def state(self) -> dict:
         """JSON-serialisable snapshot of the per-buffer token levels.
 
-        Floats round-trip exactly through :mod:`json` (``repr`` of a double),
-        so restoring the state reproduces admission decisions bit for bit.
+        The levels are emitted as plain Python floats, which round-trip
+        exactly through :mod:`json` (``repr`` of a double), so restoring the
+        state reproduces admission decisions bit for bit.
         """
         return {
-            "tokens": list(self._tokens),
+            "tokens": self._tokens.tolist(),
             "refilled": self._refilled_this_round,
         }
 
@@ -232,8 +283,18 @@ class TokenBucket:
                 f"token-bucket state has {len(tokens)} buffers, "
                 f"expected {self.num_nodes}"
             )
-        self._tokens = tokens
+        self._tokens = np.array(tokens, dtype=np.float64)
         self._refilled_this_round = bool(state.get("refilled", False))
+
+
+def tree_span(
+    tree: Topology, node_index: Dict[int, int], source: int, destination: int
+) -> np.ndarray:
+    """The bucket indices of the buffers the tree route ``source ->
+    destination`` crosses: every node on its path except the destination."""
+    return np.array(
+        [node_index[v] for v in tree.path(source, destination)[:-1]], dtype=np.intp
+    )
 
 
 def injections_crossings(

@@ -36,7 +36,11 @@ is what lets :mod:`repro.checkpoint` snapshot a mid-flight streaming run.
 from __future__ import annotations
 
 import random
-from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Union
+from typing import (
+    Any, Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union,
+)
+
+import numpy as np
 
 from ..api.registry import register_adversary
 from ..core.packet import Injection, make_injection
@@ -50,7 +54,7 @@ from .base import (
     decode_rng_state,
     encode_rng_state,
 )
-from .bounded import TokenBucket
+from .bounded import TokenBucket, tree_span
 
 __all__ = [
     "random_line_adversary",
@@ -121,6 +125,17 @@ def _validate_envelope(rho: float, sigma: float) -> None:
         raise ConfigurationError(f"sigma must be >= 0, got {sigma}")
 
 
+def _validate_destination(topology: LineTopology, destination: int) -> None:
+    """Refuse a destination no route on this line can reach."""
+    max_destination = (
+        topology.num_nodes if topology.allow_virtual_sink else topology.num_nodes - 1
+    )
+    if not (1 <= destination <= max_destination):
+        raise ConfigurationError(
+            f"destination {destination} outside [1, {max_destination}]"
+        )
+
+
 # ---------------------------------------------------------------------------
 # Line generators
 # ---------------------------------------------------------------------------
@@ -182,9 +197,7 @@ class _RandomLineRows(_BucketRows):
                 continue
             destination = rng.choice(self.destinations)
             source = rng.randrange(0, destination)
-            crossed = list(range(source, destination))
-            if bucket.can_inject(crossed):
-                bucket.inject(crossed)
+            if bucket.admit_line(source, destination):
                 row.append((source, destination))
         return row
 
@@ -248,23 +261,16 @@ class _SaturatingLineRows(_BucketRows):
             progress = False
             for destination in self.destinations:
                 # Longest admissible route into this destination.
-                crossed_full = list(range(0, destination))
-                if bucket.can_inject(crossed_full):
-                    bucket.inject(crossed_full)
+                if bucket.admit_line(0, destination):
                     row.append((0, destination))
                     progress = True
                     continue
-                # Otherwise try a shorter route starting after the first
-                # exhausted buffer.
-                exhausted = [v for v in crossed_full if bucket.available(v) < 1.0]
-                if not exhausted:
-                    continue
-                start = max(exhausted) + 1
+                # Otherwise try a shorter route starting after the last
+                # exhausted buffer on the way.
+                start = bucket.last_exhausted(destination) + 1
                 if start >= destination:
                     continue
-                crossed = list(range(start, destination))
-                if crossed and bucket.can_inject(crossed):
-                    bucket.inject(crossed)
+                if bucket.admit_line(start, destination):
                     row.append((start, destination))
                     progress = True
         return row
@@ -319,9 +325,7 @@ class _SingleDestinationRows(_BucketRows):
         row: RouteRow = []
         for _ in range(self.attempts):
             source = rng.randrange(0, destination)
-            crossed = list(range(source, destination))
-            if bucket.can_inject(crossed):
-                bucket.inject(crossed)
+            if bucket.admit_line(source, destination):
                 row.append((source, destination))
         return row
 
@@ -342,6 +346,7 @@ def single_destination_adversary(
     the right end of the line.
     """
     destination = destination if destination is not None else topology.num_nodes - 1
+    _validate_destination(topology, destination)
     return _front_end(
         lambda: _SingleDestinationRows(
             topology, rho, sigma, num_rounds, destination, seed
@@ -376,9 +381,7 @@ class _BurstyRows(_BucketRows):
                 progress = False
                 for destination in self.destinations:
                     source = rng.randrange(0, destination)
-                    crossed = list(range(source, destination))
-                    if bucket.can_inject(crossed):
-                        bucket.inject(crossed)
+                    if bucket.admit_line(source, destination):
                         row.append((source, destination))
                         progress = True
         return row
@@ -469,10 +472,10 @@ def trickle_adversary(
     set) per whole unit.  Any window of ``T`` rounds therefore carries at
     most ``rho * T + 1`` packets in total, and each packet crosses a given
     buffer at most once, so the pattern is ``(rho, 1)``-bounded *without* a
-    per-buffer token bucket — unlike the other generators, whose admission
-    check walks the packet's whole path, this one never touches a
-    per-node structure and scales to million-node lines.  The declared sigma
-    is ``max(sigma, 1)``.
+    per-buffer token bucket — unlike the other generators, whose bucket
+    holds one level per buffer and refills all ``n`` of them every round,
+    this one never touches a per-node structure and scales to million-node
+    lines.  The declared sigma is ``max(sigma, 1)``.
 
     The intended use is horizon-scale streaming runs (``stream=True``); the
     eager path exists so small instances can be audited with
@@ -488,12 +491,8 @@ def trickle_adversary(
     destinations = list(destinations)
     if not destinations:
         raise ConfigurationError("trickle adversary needs at least one destination")
-    max_destination = (
-        topology.num_nodes if topology.allow_virtual_sink else topology.num_nodes - 1
-    )
     for w in destinations:
-        if not (1 <= w <= max_destination):
-            raise ConfigurationError(f"destination {w} outside [1, {max_destination}]")
+        _validate_destination(topology, w)
     return _front_end(
         lambda: _TrickleRows(rho, num_rounds, destinations, seed),
         num_rounds, rho=rho, sigma=max(float(sigma), 1.0), stream=stream,
@@ -532,19 +531,21 @@ class _RandomTreeRows(_BucketRows):
         self.eligible_sources = eligible_sources
         self.node_index = node_index
         self.attempts = max(4, int(rho + sigma) * len(usable_destinations) + 4)
+        self._spans: Dict[Tuple[int, int], np.ndarray] = {}
 
     def row(self, round_number: int) -> RouteRow:
-        rng, bucket = self.rng, self.bucket
+        rng, bucket, spans = self.rng, self.bucket, self._spans
         bucket.start_round()
         row: RouteRow = []
         for _ in range(self.attempts):
             destination = rng.choice(self.usable_destinations)
             source = rng.choice(self.eligible_sources[destination])
-            crossed = [
-                self.node_index[v] for v in self.tree.path(source, destination)[:-1]
-            ]
-            if bucket.can_inject(crossed):
-                bucket.inject(crossed)
+            span = spans.get((source, destination))
+            if span is None:
+                span = spans[source, destination] = tree_span(
+                    self.tree, self.node_index, source, destination
+                )
+            if bucket.admit(span):
                 row.append((source, destination))
         return row
 

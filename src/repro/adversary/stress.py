@@ -34,7 +34,7 @@ from ..core.packet import Injection, make_injection
 from ..network.errors import ConfigurationError
 from ..network.topology import LineTopology, TreeTopology
 from .base import InjectionPattern
-from .bounded import TokenBucket
+from .bounded import TokenBucket, tree_span
 
 __all__ = [
     "pts_burst_stress",
@@ -102,11 +102,9 @@ def pts_burst_stress(
     topology.validate_route(0, destination)
     bucket = TokenBucket(topology.num_nodes, rho, sigma)
     injections: List[Injection] = []
-    crossed = list(range(0, destination))
     for t in range(num_rounds):
         bucket.start_round()
-        while bucket.can_inject(crossed):
-            bucket.inject(crossed)
+        while bucket.admit_line(0, destination):
             injections.append(make_injection(t, 0, destination))
     return InjectionPattern(injections, rho=rho, sigma=sigma)
 
@@ -142,9 +140,7 @@ def round_robin_destination_stress(
         while injected:
             injected = False
             destination = destinations[next_destination % len(destinations)]
-            crossed = list(range(source, destination))
-            if bucket.can_inject(crossed):
-                bucket.inject(crossed)
+            if bucket.admit_line(source, destination):
                 injections.append(make_injection(t, source, destination))
                 next_destination += 1
                 injected = True
@@ -170,24 +166,18 @@ def nested_route_stress(
     """
     destinations = evenly_spaced_destinations(topology.num_nodes, num_destinations)
     sources = [0] + destinations[:-1]
+    wave = list(zip(sources, destinations))
+    # The wave's routes tile [0, w_d) edge-disjointly, so admitting the whole
+    # wave atomically (which preserves the nested structure) is admitting one
+    # packet across the tiled span.
+    tiled = slice(0, destinations[-1])
     bucket = TokenBucket(topology.num_nodes, rho, sigma)
     injections: List[Injection] = []
     for t in range(num_rounds):
         bucket.start_round()
-        progress = True
-        while progress:
-            progress = False
-            # A whole wave is admitted or skipped atomically so the nested
-            # structure is preserved.
-            wave = list(zip(sources, destinations))
-            if all(
-                bucket.can_inject(list(range(src, dst))) for src, dst in wave
-            ):
-                for src, dst in wave:
-                    crossed = list(range(src, dst))
-                    bucket.inject(crossed)
-                    injections.append(make_injection(t, src, dst))
-                progress = True
+        while bucket.admit(tiled):
+            for src, dst in wave:
+                injections.append(make_injection(t, src, dst))
     return InjectionPattern(injections, rho=rho, sigma=sigma)
 
 
@@ -225,9 +215,7 @@ def hierarchy_stress(
         while injected:
             injected = False
             destination = destinations[next_destination % len(destinations)]
-            crossed = list(range(0, destination))
-            if bucket.can_inject(crossed):
-                bucket.inject(crossed)
+            if bucket.admit_line(0, destination):
                 injections.append(make_injection(t, 0, destination))
                 next_destination += 1
                 injected = True
@@ -260,6 +248,11 @@ def tree_convergecast_stress(
         leaf: [w for w in destinations if w != leaf and tree.is_upstream(leaf, w)]
         for leaf in leaves
     }
+    spans = {
+        (leaf, w): tree_span(tree, node_index, leaf, w)
+        for leaf, options in per_leaf_destinations.items()
+        for w in options
+    }
     counters = {leaf: 0 for leaf in leaves}
     for t in range(num_rounds):
         bucket.start_round()
@@ -271,9 +264,7 @@ def tree_convergecast_stress(
                 if not options:
                     continue
                 destination = options[counters[leaf] % len(options)]
-                crossed = [node_index[v] for v in tree.path(leaf, destination)[:-1]]
-                if bucket.can_inject(crossed):
-                    bucket.inject(crossed)
+                if bucket.admit(spans[leaf, destination]):
                     injections.append(make_injection(t, leaf, destination))
                     counters[leaf] += 1
                     progress = True

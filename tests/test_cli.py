@@ -132,6 +132,25 @@ class TestSpecAndJsonFlags:
         assert main(["simulate", "--spec", str(tmp_path / "nope.json")]) == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("destination", [0, -3, 40])
+    def test_simulate_out_of_range_destination_exits_2(
+        self, tmp_path, capsys, destination
+    ):
+        from repro.api import Scenario
+
+        spec = (
+            Scenario.line(16)
+            .algorithm("pts")
+            .adversary("single", rho=1.0, sigma=2, rounds=20, destination=destination)
+            .build()
+        )
+        spec_file = tmp_path / "stray.json"
+        spec_file.write_text(spec.to_json())
+        assert main(["simulate", "--spec", str(spec_file)]) == 2
+        err = capsys.readouterr().err
+        assert f"destination {destination} outside [1, 16]" in err
+        assert "Traceback" not in err
+
     def test_simulate_exits_nonzero_when_bound_exceeded(self, tmp_path, capsys):
         import json
 
