@@ -612,7 +612,8 @@ def restore_into(simulator: "Simulator", checkpoint: Checkpoint) -> "Simulator":
     simulator.packets = packets
 
     # -- buffers (replaying stores rebuilds occupancy, BufferIndex and any
-    #    on_buffer_change structures such as HPTS's level-destination sets) ----
+    #    on_key_presence_change structures such as HPTS's level-destination
+    #    sets) ----------------------------------------------------------------
     buffer_ids = checkpoint.section("buffers/packet_ids")
     position = 0
     for node, entry in checkpoint.header["buffers"]:

@@ -74,6 +74,15 @@ __all__ = ["main", "build_parser"]
 ALGORITHMS = ("pts", "ppts", "hpts", "local", "downhill", "greedy")
 
 
+class _StoreExplicit(argparse.Action):
+    """Store the option's value and record that it was given explicitly
+    (``<dest>_explicit``), so a default can depend on other options."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        setattr(namespace, f"{self.dest}_explicit", True)
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The argparse parser for the ``repro`` command."""
     parser = argparse.ArgumentParser(
@@ -91,7 +100,15 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--algorithm", choices=ALGORITHMS, default="ppts")
     simulate.add_argument("--nodes", type=int, default=64, help="line length n")
     simulate.add_argument("--destinations", type=int, default=8, help="number of destinations d")
-    simulate.add_argument("--rho", type=float, default=1.0)
+    simulate.add_argument(
+        "--rho",
+        type=float,
+        default=1.0,
+        action=_StoreExplicit,
+        help="adversary rate (default 1.0; 1/levels for --algorithm hpts, "
+        "the largest rate Theorem 4.1 allows)",
+    )
+    simulate.set_defaults(rho_explicit=False)
     simulate.add_argument("--sigma", type=float, default=2.0)
     simulate.add_argument("--rounds", type=int, default=200)
     simulate.add_argument("--levels", type=int, default=2, help="HPTS hierarchy levels")
@@ -403,17 +420,18 @@ def _build_spec(args: argparse.Namespace) -> ScenarioSpec:
         branching = max(2, round(args.nodes ** (1.0 / args.levels)))
         num_nodes = branching**args.levels
         kind = args.workload if args.workload in ("hierarchy", "random") else "hierarchy"
+        rho = args.rho if args.rho_explicit else 1.0 / args.levels
         scenario = Scenario.line(num_nodes).algorithm(
-            "hpts", levels=args.levels, branching=branching, rho=args.rho
+            "hpts", levels=args.levels, branching=branching, rho=rho
         )
         if kind == "hierarchy":
             scenario.adversary(
-                "hierarchy", rho=args.rho, sigma=args.sigma, rounds=args.rounds,
+                "hierarchy", rho=rho, sigma=args.sigma, rounds=args.rounds,
                 branching=branching, levels=args.levels,
             )
         else:
             scenario.adversary(
-                "bounded", rho=args.rho, sigma=args.sigma, rounds=args.rounds,
+                "bounded", rho=rho, sigma=args.sigma, rounds=args.rounds,
                 num_destinations=hierarchy_random_destinations(
                     num_nodes, branching, args.levels
                 ),

@@ -120,7 +120,7 @@ class HierarchicalPartition:
         ``num_nodes`` and ``levels``.
     """
 
-    __slots__ = ("num_nodes", "levels", "branching")
+    __slots__ = ("num_nodes", "levels", "branching", "_blocks")
 
     def __init__(
         self,
@@ -148,6 +148,12 @@ class HierarchicalPartition:
         self.num_nodes = num_nodes
         self.levels = levels
         self.branching = branching
+        #: ``(j, m**j)`` for ``j = ell-1 .. 1``: the digit positions in the
+        #: order :meth:`pseudo_buffer_key` compares them (two indices that
+        #: agree on all of them differ in digit 0).
+        self._blocks: Tuple[Tuple[int, int], ...] = tuple(
+            (j, branching**j) for j in range(levels - 1, 0, -1)
+        )
 
     # -- digit helpers -----------------------------------------------------------
 
@@ -208,40 +214,44 @@ class HierarchicalPartition:
 
     # -- segments and intermediate destinations (Definition 4.2) --------------------
 
-    def segment_level(self, position: int, destination: int) -> int:
-        """``lv(i, w)``: the most significant digit position where ``i`` and ``w`` differ."""
-        self._check_index(position)
-        self._check_destination(destination)
-        if destination <= position:
-            raise ConfigurationError(
-                f"destination {destination} must be to the right of position {position}"
-            )
+    def pseudo_buffer_key(self, position: int, destination: int) -> Tuple[int, int]:
+        """The ``(level, intermediate destination)`` key of a packet at ``position``.
+
+        This is the ``(j, k)``-pseudo-buffer assignment of Definition 4.3,
+        with the intermediate destination spelled out as a node index rather
+        than a rank ``k`` (the two are in bijection within an interval):
+        ``j = lv(i, w)`` is the most significant base-``m`` digit position in
+        which ``i`` and ``w`` differ, i.e. the largest ``j`` with
+        ``i // m**j != w // m**j``, and ``x(i, w) = (w // m**j) * m**j``.
+
+        HPTS calls this on every packet move, so it works on the block sizes
+        ``m**j`` precomputed at construction instead of digit lists, and pays
+        for the detailed argument checks only when the one range test fails.
+        """
+        if not 0 <= position < destination <= self.num_nodes:
+            self._check_segment_arguments(position, destination)
         if destination == self.num_nodes:
             # Virtual sink one past the end of the line: treat as differing in
             # the most significant digit (the packet must leave the top-level
             # interval), matching the lower-bound construction's type-1 packets.
-            return self.levels - 1
-        position_digits = self.digits(position)
-        destination_digits = self.digits(destination)
-        for j in range(self.levels - 1, -1, -1):
-            if position_digits[j] != destination_digits[j]:
-                return j
-        raise ConfigurationError(
-            f"position {position} and destination {destination} are identical"
-        )
+            return (self.levels - 1, destination)
+        for level, block in self._blocks:
+            head = destination // block
+            if position // block != head:
+                return (level, head * block)
+        return (0, destination)
+
+    def segment_level(self, position: int, destination: int) -> int:
+        """``lv(i, w)``: the most significant digit position where ``i`` and ``w`` differ."""
+        return self.pseudo_buffer_key(position, destination)[0]
 
     def intermediate_destination(self, position: int, destination: int) -> int:
         """``x(i, w) = floor(w / m**j) * m**j`` where ``j = lv(i, w)``."""
-        if destination == self.num_nodes:
-            return self.num_nodes
-        level = self.segment_level(position, destination)
-        block = self.branching**level
-        return (destination // block) * block
+        return self.pseudo_buffer_key(position, destination)[1]
 
     def segment(self, position: int, destination: int) -> Segment:
         """The current segment of a packet at ``position`` heading to ``destination``."""
-        level = self.segment_level(position, destination)
-        end = self.intermediate_destination(position, destination)
+        level, end = self.pseudo_buffer_key(position, destination)
         return Segment(start=position, end=end, level=level)
 
     def virtual_trajectory(self, source: int, destination: int) -> List[Segment]:
@@ -269,16 +279,6 @@ class HierarchicalPartition:
                 )
             position = seg.end
         return segments
-
-    def pseudo_buffer_key(self, position: int, destination: int) -> Tuple[int, int]:
-        """The ``(level, intermediate destination)`` key of a packet at ``position``.
-
-        This is the ``(j, k)``-pseudo-buffer assignment of Definition 4.3,
-        with the intermediate destination spelled out as a node index rather
-        than a rank ``k`` (the two are in bijection within an interval).
-        """
-        seg = self.segment(position, destination)
-        return (seg.level, seg.end)
 
     # -- figure 1 support -----------------------------------------------------------
 
@@ -320,6 +320,16 @@ class HierarchicalPartition:
         if not (0 <= destination <= self.num_nodes):
             raise ConfigurationError(
                 f"destination {destination} outside [0, {self.num_nodes}]"
+            )
+
+    def _check_segment_arguments(self, position: int, destination: int) -> None:
+        """Raise the specific error for a ``(position, destination)`` pair
+        that fails ``0 <= position < destination <= n``."""
+        self._check_index(position)
+        self._check_destination(destination)
+        if destination <= position:
+            raise ConfigurationError(
+                f"destination {destination} must be to the right of position {position}"
             )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -114,6 +114,10 @@ class HierarchicalPeakToSink(ForwardingAlgorithm):
         #: Per hierarchy level, the intermediate destinations with at least
         #: one nonempty ``(level, w)`` pseudo-buffer somewhere on the line.
         self._level_destinations: Dict[int, set] = {}
+        #: ``m**(j+1)``: the length of every level-``j`` interval.
+        self._interval_size: Tuple[int, ...] = tuple(
+            self.branching ** (level + 1) for level in range(self.levels)
+        )
 
     #: Debug/equivalence switch: ``False`` restores the seed engine's
     #: per-round interval scans (the indices stay maintained either way).
@@ -124,16 +128,12 @@ class HierarchicalPeakToSink(ForwardingAlgorithm):
     def classify(self, packet: Packet, node: int) -> Hashable:
         return self.partition.pseudo_buffer_key(node, packet.destination)
 
-    def on_buffer_change(
-        self, node: int, key: Hashable, old_len: int, new_len: int
-    ) -> None:
+    def on_key_presence_change(self, key: Hashable, present: bool) -> None:
         level, intermediate = key  # keys are (level, intermediate destination)
-        if new_len > 0 and old_len == 0:
+        if present:
             self._level_destinations.setdefault(level, set()).add(intermediate)
-        elif new_len == 0 and old_len > 0 and not self._index.nonempty(key):
-            existing = self._level_destinations.get(level)
-            if existing is not None:
-                existing.discard(intermediate)
+        else:
+            self._level_destinations[level].discard(intermediate)
 
     def on_inject(self, round_number: int, packets: List[Packet]) -> None:
         if self.batch_acceptance:
@@ -158,7 +158,7 @@ class HierarchicalPeakToSink(ForwardingAlgorithm):
 
     def checkpoint_state(self) -> Dict:
         # The per-level destination sets are derived state, rebuilt by
-        # on_buffer_change while the checkpoint layer replays the buffers;
+        # on_key_presence_change while the checkpoint layer replays the buffers;
         # only the staged (injected-but-unaccepted) packets need recording.
         return {"staged": [packet.packet_id for packet in self._staged]}
 
@@ -171,9 +171,15 @@ class HierarchicalPeakToSink(ForwardingAlgorithm):
         current_level = self._level_for_round(round_number)
         active: Dict[int, Tuple[int, int]] = {}
         activations: List[Activation] = []
-        # Lines 6-8 of Algorithm 3: FormPaths on every level-lambda interval.
-        for start, end in self.partition.level_partition(current_level):
-            self._form_paths(start, end, current_level, active, activations)
+        # Lines 6-8 of Algorithm 3: FormPaths on every level-lambda interval
+        # (intervals holding no level-lambda packet activate nothing).
+        size = self._interval_size[current_level]
+        for rank, destinations in self._occupied_intervals(current_level):
+            start = rank * size
+            self._form_paths(
+                start, start + size - 1, current_level, destinations, active,
+                activations,
+            )
         # Lines 9-11: cascade pre-bad activations down the remaining levels.
         if self.activate_pre_bad:
             for level in range(current_level - 1, -1, -1):
@@ -212,15 +218,13 @@ class HierarchicalPeakToSink(ForwardingAlgorithm):
 
     def boundary_view(self, round_number, lo, hi):
         level = self._level_for_round(round_number)
-        size = self.branching ** (level + 1)
+        size = self._interval_size[level]
         intervals: Dict[int, Dict[int, int]] = {}
-        candidates = self._level_destinations.get(level, ())
-        for rank in range(lo // size, hi // size + 1):
+        for rank, destinations in self._destination_buckets(level):
             start = rank * size
-            end = start + size - 1
-            overlap_lo, overlap_hi = max(start, lo), min(end, hi)
+            overlap_lo, overlap_hi = max(start, lo), min(start + size - 1, hi)
             entry: Dict[int, int] = {}
-            for w in sorted(candidates):
+            for w in destinations:
                 position = self._index.bad((level, w)).first_in(
                     overlap_lo, overlap_hi
                 )
@@ -238,22 +242,25 @@ class HierarchicalPeakToSink(ForwardingAlgorithm):
         phase: Dict[int, int] = {}
         activations: List[Activation] = []
 
-        # FormPaths on every current-level interval overlapping this segment.
-        size = self.branching ** (current_level + 1)
-        for rank in range(lo // size, hi // size + 1):
-            start = rank * size
-            end = start + size - 1
+        # FormPaths on every current-level interval overlapping this segment
+        # that some segment reported a bad position in.
+        size = self._interval_size[current_level]
+        ranks = sorted(
+            {
+                rank
+                for view in views
+                for rank in view["intervals"]
+                if lo // size <= rank <= hi // size
+            }
+        )
+        for rank in ranks:
+            end = rank * size + size - 1
             merged: Dict[int, int] = {}
             for view in views:
-                entry = view["intervals"].get(rank)
-                if not entry:
-                    continue
-                for w, position in entry.items():
+                for w, position in view["intervals"].get(rank, {}).items():
                     current = merged.get(w)
                     if current is None or position < current:
                         merged[w] = position
-            if not merged:
-                continue
             destinations = sorted(merged)
             frontier = max(destinations)
             for w in reversed(destinations):
@@ -290,7 +297,7 @@ class HierarchicalPeakToSink(ForwardingAlgorithm):
                         i += 1
                     if i > hi and limit > hi:
                         open_out[level] = (key, limit)
-                level_size = self.branching ** (level + 1)
+                level_size = self._interval_size[level]
                 first_start = ((lo + level_size - 1) // level_size) * level_size
                 for start in range(first_start, hi + 1, level_size):
                     if start == 0 or start in active:
@@ -304,8 +311,7 @@ class HierarchicalPeakToSink(ForwardingAlgorithm):
                     if pre_bad_key is None:
                         continue
                     _, intermediate = pre_bad_key
-                    end = self.partition.interval_containing(level, start)[1]
-                    limit = min(intermediate, end)
+                    limit = min(intermediate, start + level_size - 1)
                     i = start
                     while i <= min(limit, hi) and i not in active:
                         activations.append(Activation(node=i, key=pre_bad_key))
@@ -338,7 +344,7 @@ class HierarchicalPeakToSink(ForwardingAlgorithm):
         Sibling segments' :meth:`checkpoint_state` payloads only carry
         staged packet ids, which are strictly segment-local; the per-level
         destination sets are derived state rebuilt from this instance's own
-        buffers via ``on_buffer_change``, and :meth:`theoretical_bound`
+        buffers via ``on_key_presence_change``, and :meth:`theoretical_bound`
         depends only on construction parameters (``n``, ``ell``).  The
         override is deliberate (RPR004): it records that the question "does
         HPTS learn anything global from its siblings?" was answered, rather
@@ -380,22 +386,31 @@ class HierarchicalPeakToSink(ForwardingAlgorithm):
             return offset
         return self.levels - 1 - offset
 
-    def _form_paths(
-        self,
-        start: int,
-        end: int,
-        level: int,
-        active: Dict[int, Tuple[int, int]],
-        activations: List[Activation],
-    ) -> None:
-        """Algorithm 4 restricted to the level-``level`` interval ``[start, end]``."""
+    def _destination_buckets(self, level: int) -> List[Tuple[int, List[int]]]:
+        """``_level_destinations[level]`` grouped by level-``level`` interval.
+
+        Every ``(level, w)`` packet sits in the level-``level`` interval that
+        contains ``w`` (the virtual sink ``w = n`` belongs to the last one),
+        so the interval of rank ``min(w // m**(level+1), last rank)`` is the
+        only one where ``w`` can take part in FormPaths.  Ranks come out
+        ascending, each bucket's destinations ascending.
+        """
+        size = self._interval_size[level]
+        last_rank = self.topology.num_nodes // size - 1
+        buckets: Dict[int, List[int]] = {}
+        # Sorted destinations give non-decreasing ranks, so the dict's
+        # insertion order is already the ascending rank order.
+        for w in sorted(self._level_destinations.get(level, ())):
+            buckets.setdefault(min(w // size, last_rank), []).append(w)
+        return list(buckets.items())
+
+    def _occupied_intervals(self, level: int) -> List[Tuple[int, List[int]]]:
+        """``(rank, destinations)`` per level-``level`` interval holding
+        level-``level`` packets, ranks and destinations ascending."""
         if self.use_incremental_selection:
-            destinations = sorted(
-                w
-                for w in self._level_destinations.get(level, ())
-                if self._index.has_nonempty_in((level, w), start, end)
-            )
-        else:
+            return self._destination_buckets(level)
+        occupied = []
+        for rank, (start, end) in enumerate(self.partition.level_partition(level)):
             destinations = sorted(
                 {
                     key[1]
@@ -404,9 +419,22 @@ class HierarchicalPeakToSink(ForwardingAlgorithm):
                     if isinstance(key, tuple) and key[0] == level
                 }
             )
-        if not destinations:
-            return
-        frontier = max(destinations)
+            if destinations:
+                occupied.append((rank, destinations))
+        return occupied
+
+    def _form_paths(
+        self,
+        start: int,
+        end: int,
+        level: int,
+        destinations: List[int],
+        active: Dict[int, Tuple[int, int]],
+        activations: List[Activation],
+    ) -> None:
+        """Algorithm 4 restricted to the level-``level`` interval ``[start, end]``,
+        whose level-``level`` packets head for ``destinations`` (ascending)."""
+        frontier = destinations[-1]
         for w in reversed(destinations):
             key = (level, w)
             last = min(frontier - 1, w - 1, end)
@@ -434,15 +462,17 @@ class HierarchicalPeakToSink(ForwardingAlgorithm):
         activations: List[Activation],
     ) -> None:
         """Algorithm 5 for one level: extend activations across segment hand-offs."""
-        for start, end in self.partition.level_partition(level):
-            if start in active or start == 0:
+        size = self._interval_size[level]
+        # Every level-``level`` interval start except 0 (nothing precedes it).
+        for start in range(size, self.topology.num_nodes, size):
+            if start in active:
                 continue
             pre_bad_key = self._pre_bad_key(start, level, active)
             if pre_bad_key is None:
                 continue
             _, intermediate = pre_bad_key
             # w <- max{i in I : i <= w_k and [start, i] is inactive}
-            limit = min(intermediate, end)
+            limit = min(intermediate, start + size - 1)
             last_inactive = start
             i = start
             while i <= limit and i not in active:

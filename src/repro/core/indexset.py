@@ -14,8 +14,11 @@ crosses the relevant thresholds:
 insertions shift the underlying list, but the sets track only nonempty/bad
 positions so they stay small, and updates happen only when a threshold is
 actually crossed — O(packets moved), not O(n), per round).
-:class:`BufferIndex` groups one pair of index sets per pseudo-buffer key and
-is fed from :meth:`repro.core.scheduler.ForwardingAlgorithm.on_buffer_change`.
+:class:`BufferIndex` groups one pair of index sets per pseudo-buffer key.
+:meth:`repro.core.scheduler.ForwardingAlgorithm._buffer_changed` feeds it
+every pseudo-buffer length change, once, and forwards the rare transitions
+where a key's whole nonempty set turns empty or nonempty to
+:meth:`~repro.core.scheduler.ForwardingAlgorithm.on_key_presence_change`.
 """
 
 from __future__ import annotations
@@ -114,21 +117,38 @@ class BufferIndex:
 
     # -- maintenance -----------------------------------------------------------
 
-    def update(self, node: int, key: Hashable, old_len: int, new_len: int) -> None:
-        """Fold one pseudo-buffer length change into the indices."""
-        if old_len == 0 and new_len > 0:
-            self._set_for(self._nonempty, key).add(node)
-        elif new_len == 0 and old_len > 0:
-            existing = self._nonempty.get(key)
-            if existing is not None:
-                existing.discard(node)
+    def update(
+        self, node: int, key: Hashable, old_len: int, new_len: int
+    ) -> Optional[bool]:
+        """Fold one pseudo-buffer length change into the indices.
+
+        Returns ``True`` when ``key``'s nonempty set just turned nonempty,
+        ``False`` when it just turned empty, and ``None`` otherwise — the
+        only transitions per-key structures layered on top of the index
+        (HPTS's per-level destination sets) need to hear about.
+        """
+        presence = None
+        if old_len == 0:
+            if new_len:
+                index_set = self._set_for(self._nonempty, key)
+                if not index_set:
+                    presence = True
+                index_set.add(node)
+        elif not new_len:
+            index_set = self._nonempty.get(key)
+            if index_set is not None:
+                index_set.discard(node)
+                if not index_set:
+                    presence = False
         threshold = self.bad_threshold
-        if old_len < threshold <= new_len:
-            self._set_for(self._bad, key).add(node)
-        elif new_len < threshold <= old_len:
-            existing = self._bad.get(key)
-            if existing is not None:
-                existing.discard(node)
+        if old_len < threshold:
+            if new_len >= threshold:
+                self._set_for(self._bad, key).add(node)
+        elif new_len < threshold:
+            index_set = self._bad.get(key)
+            if index_set is not None:
+                index_set.discard(node)
+        return presence
 
     def _set_for(
         self, table: Dict[Hashable, SortedIndexSet], key: Hashable

@@ -66,9 +66,10 @@ class ForwardingAlgorithm(ABC):
     The same notifications feed ``self._index``, a
     :class:`~repro.core.indexset.BufferIndex` of sorted nonempty/bad buffer
     positions per pseudo-buffer key, which the peak-to-sink algorithms
-    select activations from in O(log n).  Subclasses needing further
-    incremental structures override :meth:`on_buffer_change` (e.g. HPTS's
-    per-level destination sets).
+    select activations from in O(log n).  Subclasses keeping per-key
+    structures on top of it override :meth:`on_key_presence_change`, which
+    fires only when a key's nonempty set turns empty or nonempty (e.g.
+    HPTS's per-level destination sets).
     """
 
     #: Human-readable identifier used in result tables.
@@ -127,16 +128,18 @@ class ForwardingAlgorithm(ABC):
             self._dirty_nodes.add(node)
             if self._occupancy_dense is not None:
                 self._occupancy_dense[node] = load
-        self._index.update(node, key, old_len, new_len)
-        self.on_buffer_change(node, key, old_len, new_len)
+        presence = self._index.update(node, key, old_len, new_len)
+        if presence is not None:
+            self.on_key_presence_change(key, presence)
 
-    def on_buffer_change(
-        self, node: int, key: Hashable, old_len: int, new_len: int
-    ) -> None:
-        """Hook: pseudo-buffer ``key`` at ``node`` went ``old_len -> new_len``.
+    def on_key_presence_change(self, key: Hashable, present: bool) -> None:
+        """Hook: the ``key`` pseudo-buffers just turned nonempty at some node
+        while empty at every other (``present``), or the last nonempty one
+        just emptied (``not present``).
 
-        Called on every push/pop/remove, after the occupancy map and the
-        position index have been updated.  The default does nothing.
+        Fires only on those transitions of the key's nonempty position set,
+        after the occupancy map and the position index have been updated —
+        not on every push/pop.  The default does nothing.
         """
 
     # -- packet placement --------------------------------------------------------
@@ -342,10 +345,10 @@ class ForwardingAlgorithm(ABC):
         The checkpoint layer (:mod:`repro.checkpoint`) serialises the buffers
         itself (per-node pseudo-buffer keys and packet ids, in queue order)
         and rebuilds the occupancy map, the :class:`BufferIndex` and any
-        structures maintained through :meth:`on_buffer_change` by replaying
-        the stores.  Algorithms carrying extra mutable state — staged packets,
-        discovered destination sets, per-packet bookkeeping — override this
-        pair of hooks to round-trip it.  The returned mapping must be
+        structures maintained through :meth:`on_key_presence_change` by
+        replaying the stores.  Algorithms carrying extra mutable state —
+        staged packets, discovered destination sets, per-packet bookkeeping —
+        override this pair of hooks to round-trip it.  The returned mapping must be
         JSON-serialisable; packets are referenced by id.
         """
         return {}

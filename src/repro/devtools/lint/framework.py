@@ -152,7 +152,7 @@ class LintConfig:
         "on_inject",
         "on_arrival",
         "on_round_end",
-        "on_buffer_change",
+        "on_key_presence_change",
         "injections_for_round",
         "directives_for",
         "drop_next_send",

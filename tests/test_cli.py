@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -69,6 +71,29 @@ class TestSimulateCommand:
             ]
         ) == 0
         assert "HPTS" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("levels, rho", [(2, 0.5), (3, 1 / 3)])
+    def test_hpts_default_rho_is_one_over_levels(self, capsys, levels, rho):
+        # --rho defaults to 1.0 for the other algorithms, which Theorem 4.1
+        # refuses for ell > 1; without --rho, HPTS runs at rho = 1/ell.
+        assert main(
+            [
+                "simulate", "--algorithm", "hpts", "--nodes", "25",
+                "--levels", str(levels), "--rounds", "40", "--json",
+            ]
+        ) == 0
+        row = json.loads(capsys.readouterr().out)
+        assert row["rho"] == rho
+        assert row["within_bound"]
+
+    def test_hpts_explicit_rho_above_one_over_levels_exits_2(self, capsys):
+        assert main(
+            [
+                "simulate", "--algorithm", "hpts", "--nodes", "25",
+                "--rho", "1.0", "--rounds", "40",
+            ]
+        ) == 2
+        assert "rho * ell <= 1" in capsys.readouterr().err
 
     def test_local_and_downhill_runs(self, capsys):
         assert main(

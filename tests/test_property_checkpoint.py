@@ -11,9 +11,11 @@ the algorithm family; for every example:
   an untouched restored engine is **byte-identical** to the file it was
   loaded from (snapshot idempotence: restoring is lossless and the format is
   deterministic);
-* the incremental :class:`~repro.core.indexset.BufferIndex` sets rebuilt
-  during restore match a from-scratch recomputation over the restored
-  buffers, position for position and in sorted order.
+* the incremental :class:`~repro.core.indexset.BufferIndex` sets — and,
+  for HPTS, the per-level destination sets layered on them — match a
+  from-scratch recomputation over the buffers after random traffic, after
+  empty-queue GC and after a restore, position for position and in sorted
+  order.
 """
 
 from __future__ import annotations
@@ -61,11 +63,19 @@ def _build_simulator(session: Session, spec: ScenarioSpec) -> Simulator:
 
 
 def _index_views(algorithm):
-    """(nonempty, bad) as ``{key: sorted positions}``, from the live index."""
+    """(nonempty, bad) as ``{key: sorted positions}``, from the live index,
+    plus HPTS's ``{level: sorted destinations}`` (``{}`` for the others)."""
     index = algorithm._index
     nonempty = {key: list(s) for key, s in index._nonempty.items() if len(s)}
     bad = {key: list(s) for key, s in index._bad.items() if len(s)}
-    return nonempty, bad
+    level_destinations = {
+        level: sorted(destinations)
+        for level, destinations in getattr(
+            algorithm, "_level_destinations", {}
+        ).items()
+        if destinations
+    }
+    return nonempty, bad, level_destinations
 
 
 def _index_from_scratch(algorithm):
@@ -80,7 +90,15 @@ def _index_from_scratch(algorithm):
             if load >= threshold:
                 bad.setdefault(key, []).append(node)
     # Buffers iterate in node order, so the lists arrive sorted.
-    return nonempty, bad
+    level_destinations = {}
+    if hasattr(algorithm, "_level_destinations"):
+        # HPTS keys are (level, intermediate destination).
+        for level, destination in nonempty:
+            level_destinations.setdefault(level, []).append(destination)
+    return nonempty, bad, {
+        level: sorted(destinations)
+        for level, destinations in level_destinations.items()
+    }
 
 
 @settings(max_examples=25, deadline=None)
@@ -164,8 +182,14 @@ def test_restored_indexsets_match_from_scratch_rebuild(tmp_path_factory,
     with packet_id_scope():
         simulator = _build_simulator(session, spec)
         simulator.run(min(k, simulator.adversary.horizon), drain=False)
-        save_checkpoint(simulator, path, spec=spec)
         live_views = _index_views(simulator.algorithm)
+        assert live_views == _index_from_scratch(simulator.algorithm)
+        save_checkpoint(simulator, path, spec=spec)
+        # Empty-queue GC drops pseudo-buffers without notifications; the
+        # derived structures must not notice.
+        for node_buffer in simulator.algorithm.buffers.values():
+            node_buffer.drop_empty()
+        assert _index_views(simulator.algorithm) == live_views
     with packet_id_scope():
         restored = _build_simulator(Session(), spec)
         restore_into(restored, load_checkpoint(path))
@@ -173,3 +197,4 @@ def test_restored_indexsets_match_from_scratch_rebuild(tmp_path_factory,
         assert _index_views(restored.algorithm) == _index_from_scratch(
             restored.algorithm
         )
+

@@ -8,7 +8,8 @@ Three layers of cached state must exactly track a from-scratch recount after
 * ``ForwardingAlgorithm``'s live occupancy map, dirty-node set and
   ``total_stored`` counter,
 * the sorted nonempty/bad position indices (``repro.core.indexset``) the
-  peak-to-sink algorithms select activations from.
+  peak-to-sink algorithms select activations from, and HPTS's per-level
+  destination sets layered on them.
 
 And the incremental ``select_activations`` paths must produce exactly the
 activation lists of the seed engine's linear scans on the same configuration.
@@ -17,12 +18,13 @@ activation lists of the seed engine's linear scans on the same configuration.
 from __future__ import annotations
 
 import random
-from typing import Hashable, List
+from typing import Callable, Hashable, List, Optional
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.hpts import HierarchicalPeakToSink
 from repro.core.indexset import BufferIndex, SortedIndexSet
 from repro.core.packet import Packet, make_injection, packet_id_scope
 from repro.core.pseudobuffer import NodeBuffer
@@ -169,8 +171,17 @@ def test_occupancy_delta_matches_full_snapshots(seed):
 # ---------------------------------------------------------------------------
 
 
-def _drive_and_compare(algorithm, inject, rounds: int, seed: int) -> None:
-    """Run random inject/forward traffic; compare both selection paths."""
+def _drive_and_compare(
+    algorithm,
+    inject,
+    rounds: int,
+    seed: int,
+    check: Optional[Callable[[ForwardingAlgorithm], None]] = None,
+) -> None:
+    """Run random inject/forward traffic; compare both selection paths.
+
+    ``check`` runs on the algorithm after every round's forwarding step.
+    """
     rng = random.Random(seed)
     with packet_id_scope():
         for round_number in range(rounds):
@@ -199,6 +210,8 @@ def _drive_and_compare(algorithm, inject, rounds: int, seed: int) -> None:
                 if next_hop != packet.destination:
                     algorithm.on_arrival(packet, next_hop, round_number)
             algorithm.on_round_end(round_number)
+            if check is not None:
+                check(algorithm)
         algorithm.use_incremental_selection = True
 
 
@@ -273,3 +286,64 @@ def test_tree_ppts_incremental_selection_equals_scan(seed):
     _drive_and_compare(
         algorithm, _tree_injector(tree, interior[:3] or [tree.root]), rounds=120, seed=seed
     )
+
+
+def _check_level_destinations(algorithm) -> None:
+    """HPTS's per-level destination sets equal a recount from the buffers."""
+    recount = {}
+    for node_buffer in algorithm.buffers.values():
+        for level, destination in node_buffer.nonempty_keys():
+            recount.setdefault(level, set()).add(destination)
+    live = {
+        level: destinations
+        for level, destinations in algorithm._level_destinations.items()
+        if destinations
+    }
+    assert live == recount
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("levels, branching", [(2, 5), (3, 3)])
+def test_hpts_incremental_selection_equals_scan(seed, levels, branching):
+    line = LineTopology(branching**levels)
+    algorithm = HierarchicalPeakToSink(line, levels, branching)
+    _drive_and_compare(
+        algorithm,
+        # Every destination, the virtual sink n included.
+        _line_injector(list(range(1, line.num_nodes + 1))),
+        rounds=150,
+        seed=seed,
+        check=_check_level_destinations,
+    )
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_hpts_level_destinations_track_random_stores_and_pops(seed):
+    """The destination sets change only when a key's nonempty set turns
+    empty or nonempty; random stores, pops, removes and GC (which strand no
+    packets, unlike forwarding) must keep them equal to a recount."""
+    rng = random.Random(seed)
+    line = LineTopology(27)
+    algorithm = HierarchicalPeakToSink(line, 3, 3)
+    stored: List[tuple] = []  # (node, key, packet)
+    with packet_id_scope():
+        for _ in range(400):
+            action = rng.random()
+            if action < 0.5 or not stored:
+                destination = rng.randrange(1, line.num_nodes + 1)  # incl. sink
+                node = rng.randrange(destination)
+                packet = Packet.from_injection(make_injection(0, node, destination))
+                key = algorithm.classify(packet, node)
+                algorithm.buffers[node].store(packet, key)
+                stored.append((node, key, packet))
+            elif action < 0.8:
+                node, key, _ = stored[rng.randrange(len(stored))]
+                popped = algorithm.buffers[node].pop_from(key)
+                stored.remove((node, key, popped))
+            else:
+                node, key, packet = stored.pop(rng.randrange(len(stored)))
+                algorithm.buffers[node].pseudo_buffer(key).remove(packet)
+            if rng.random() < 0.05:
+                for node_buffer in algorithm.buffers.values():
+                    node_buffer.drop_empty()
+            _check_level_destinations(algorithm)
