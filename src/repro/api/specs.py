@@ -284,19 +284,29 @@ class RunPolicy(_SpecBase):
     batch_rounds: int = 64
 
     def __post_init__(self) -> None:
-        if self.rounds is not None and (not isinstance(self.rounds, int) or self.rounds < 0):
+        if self.rounds is not None and (
+            not isinstance(self.rounds, int)
+            or isinstance(self.rounds, bool)
+            or self.rounds < 0
+        ):
             raise SpecError(f"RunPolicy.rounds must be None or int >= 0, got {self.rounds!r}")
         if self.max_drain_rounds is not None and (
-            not isinstance(self.max_drain_rounds, int) or self.max_drain_rounds < 0
+            not isinstance(self.max_drain_rounds, int)
+            or isinstance(self.max_drain_rounds, bool)
+            or self.max_drain_rounds < 0
         ):
             raise SpecError(
                 f"RunPolicy.max_drain_rounds must be None or int >= 0, "
                 f"got {self.max_drain_rounds!r}"
             )
-        if self.seed is not None and not isinstance(self.seed, int):
+        if self.seed is not None and (
+            not isinstance(self.seed, int) or isinstance(self.seed, bool)
+        ):
             raise SpecError(f"RunPolicy.seed must be None or int, got {self.seed!r}")
         if self.checkpoint_every is not None and (
-            not isinstance(self.checkpoint_every, int) or self.checkpoint_every < 1
+            not isinstance(self.checkpoint_every, int)
+            or isinstance(self.checkpoint_every, bool)
+            or self.checkpoint_every < 1
         ):
             raise SpecError(
                 f"RunPolicy.checkpoint_every must be None or int >= 1, "

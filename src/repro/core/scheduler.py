@@ -19,6 +19,8 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Any, Dict, Hashable, List, Optional, Sequence, Set, Tuple
 
+import numpy as np
+
 from ..network.errors import ConfigurationError
 from ..network.topology import Topology
 from .indexset import BufferIndex
@@ -278,12 +280,10 @@ class ForwardingAlgorithm(ABC):
         """Maintain a dense per-node occupancy vector alongside the dict.
 
         Requires the node set to be the contiguous range ``0..n-1`` (lines).
-        The mirror is a numpy ``int64`` array when numpy is importable and a
-        pure-python ``array('q')`` otherwise; either way
-        :meth:`occupancy_array` afterwards returns index-addressable loads
-        that :class:`~repro.network.events.OccupancyTimeline` can fold in
-        bulk.  Existing loads are copied in, so enabling mid-life (e.g. just
-        before a checkpoint restore replays its stores) is safe.
+        The mirror is a numpy ``int64`` array, which
+        :class:`~repro.network.events.OccupancyTimeline` folds in bulk.
+        Existing loads are copied in, so enabling mid-life (e.g. just before
+        a checkpoint restore replays its stores) is safe.
         """
         num_nodes = self.topology.num_nodes
         nodes = self.topology.nodes
@@ -292,14 +292,7 @@ class ForwardingAlgorithm(ABC):
                 "dense occupancy needs contiguous node ids 0..n-1 "
                 f"(got {type(self.topology).__name__})"
             )
-        try:
-            import numpy
-
-            dense = numpy.zeros(num_nodes, dtype=numpy.int64)
-        except ImportError:  # pragma: no cover - numpy is normally present
-            from array import array
-
-            dense = array("q", bytes(8 * num_nodes))
+        dense = np.zeros(num_nodes, dtype=np.int64)
         for node, load in self._occupancy.items():
             if load:
                 dense[node] = load

@@ -21,17 +21,17 @@ round in the ``dlv`` column, and the objects are materialised — in row
 order, which is injection order — only at batch boundaries.
 
 The columns and maxima live in flat ``array('q')`` buffers — already the
-int64 layout numpy wants — and when numpy is importable the kernel views
-them zero-copy (``numpy.frombuffer``) for the batch-level work: whole-pattern
-route/destination pre-validation and the batch-boundary maxima folds.  When
-numpy is absent (or ``backend="python"`` forces the fallback) the same work
-runs as scalar integer loops over the same buffers, which is why the
-fallback is bit-identical by construction rather than by re-implementation.
+int64 layout numpy wants — and numpy views them zero-copy
+(``numpy.frombuffer``) for the batch-level work: whole-pattern
+route/destination pre-validation and the batch-boundary maxima folds.
 
 Forwarding is a single fused left-to-right scan per round: each active node
 pops its own packet *before* the carry from its predecessor lands, so the
 carry travels exactly one hop and the per-queue outcome equals the object
-engine's pop-all-then-place-all two-phase round.
+engine's pop-all-then-place-all two-phase round.  Every round runs this one
+scan — injection rounds, drain rounds and full-history rounds alike; a
+full-history run builds each :class:`~repro.network.events.RoundRecord` from
+O(n) load snapshots taken around the scan.
 
 Scope (everything else raises :class:`UnbatchableScenarioError`, which
 ``RunPolicy.engine="auto"`` catches to fall back to the object engine):
@@ -60,10 +60,7 @@ from array import array
 from collections import deque
 from typing import Dict, List, Optional, Tuple, Union
 
-try:  # pragma: no cover - numpy is normally present
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
+import numpy as np
 
 from ..adversary.base import InjectionPattern
 from ..baselines.greedy import GreedyForwarding
@@ -80,11 +77,7 @@ from ..network.errors import (
     UnbatchableScenarioError,
 )
 from ..network.events import HistoryPolicy, RoundRecord
-from ..network.simulator import (
-    Simulator,
-    default_max_drain_rounds,
-    quiescence_window,
-)
+from ..network.simulator import DrainStop, Simulator
 from ..network.topology import LineTopology, Topology
 
 __all__ = ["BatchSimulator", "DEFAULT_BATCH_ROUNDS"]
@@ -135,9 +128,6 @@ class BatchSimulator(Simulator):
         Rounds advanced per batch window (>= 1).  Purely a sync cadence —
         results do not depend on it; ``batch_rounds=1`` degenerates to
         per-round syncing.
-    backend:
-        ``None`` (use numpy if importable), ``"numpy"`` (require it) or
-        ``"python"`` (force the pure ``array('q')`` fallback).
     """
 
     __slots__ = ()
@@ -149,7 +139,6 @@ class BatchSimulator(Simulator):
         adversary: "object",
         *,
         batch_rounds: int = DEFAULT_BATCH_ROUNDS,
-        backend: Optional[str] = None,
         record_history: bool = False,
         record_occupancy_vectors: bool = False,
         history: Optional[Union[HistoryPolicy, str]] = None,
@@ -162,14 +151,6 @@ class BatchSimulator(Simulator):
         if batch_rounds < 1:
             raise ConfigurationError(
                 f"batch_rounds must be >= 1, got {batch_rounds}"
-            )
-        if backend not in (None, "numpy", "python"):
-            raise ConfigurationError(
-                f"backend must be 'numpy', 'python' or None, got {backend!r}"
-            )
-        if backend == "numpy" and _np is None:
-            raise ConfigurationError(
-                "backend='numpy' requested but numpy is not importable"
             )
         # Batchability checks, before super().__init__ touches anything.
         if not isinstance(topology, LineTopology):
@@ -206,7 +187,6 @@ class BatchSimulator(Simulator):
         )
 
         self.batch_rounds = batch_rounds
-        self._vec = _np if backend != "python" else None
         self._kind = kind
         self._n = topology.num_nodes
         self._max_dest = (
@@ -262,7 +242,7 @@ class BatchSimulator(Simulator):
     # -- batch-level pre-validation ------------------------------------------------
 
     def _prevalidate_pattern(self) -> None:
-        """Whole-pattern route/destination check (vectorized under numpy).
+        """Whole-pattern route/destination check (vectorized).
 
         Only ever *clears* work from the hot loop: when the check cannot
         prove every injection valid, the per-injection scalar checks stay on
@@ -272,41 +252,33 @@ class BatchSimulator(Simulator):
         """
         if type(self.adversary) is not InjectionPattern:
             return
-        store = self.adversary._store
-        if not len(store):
-            self._routes_prevalidated = True
-            self._dests_prevalidated = True
+        if self._check_store(self.adversary._store):
             self._fast_rows = self.adversary._by_round
-            return
-        n = self._n
-        max_dest = self._max_dest
+
+    def _check_store(self, store) -> bool:
+        """Validate a pattern's columnar store in one vectorized pass.
+
+        Sets the ``_routes_prevalidated``/``_dests_prevalidated`` flags and,
+        when the fast path may use the store, binds its columns and returns
+        ``True``.
+        """
         sources = store.sources
         destinations = store.destinations
-        np = self._vec
-        if np is not None:
-            s = np.frombuffer(sources, dtype=np.int64)
-            d = np.frombuffer(destinations, dtype=np.int64)
-            routes_ok = bool(
-                ((s >= 0) & (s < n) & (d > s) & (d <= max_dest)).all()
-            )
-            dests_ok = bool((d == self._dest).all())
-        else:
-            routes_ok = all(
-                0 <= source < n and source < destination <= max_dest
-                for source, destination in zip(sources, destinations)
-            )
-            dests_ok = all(
-                destination == self._dest for destination in destinations
-            )
+        s = np.frombuffer(sources, dtype=np.int64)
+        d = np.frombuffer(destinations, dtype=np.int64)
+        routes_ok = bool(
+            ((s >= 0) & (s < self._n) & (d > s) & (d <= self._max_dest)).all()
+        )
+        dests_ok = bool((d == self._dest).all())
         self._routes_prevalidated = routes_ok
-        if self._kind != _GREEDY:
-            self._dests_prevalidated = dests_ok
-        if routes_ok and (self._kind == _GREEDY or dests_ok):
-            self._fast_rows = self.adversary._by_round
-        if self._fast_rows is not None:
-            self._pat_src = sources
-            self._pat_dst = destinations
-            self._pat_ids = store.packet_ids
+        # Greedy is multi-destination: its destinations are never checked.
+        self._dests_prevalidated = dests_ok
+        if not (routes_ok and (self._kind == _GREEDY or dests_ok)):
+            return False
+        self._pat_src = sources
+        self._pat_dst = destinations
+        self._pat_ids = store.packet_ids
+        return True
 
     # -- kernel state <-> object state ---------------------------------------------
 
@@ -467,17 +439,11 @@ class BatchSimulator(Simulator):
                 for row in queue
             }
         # Timeline maxima: numpy views the flat maxima buffer zero-copy for
-        # the nonzero scan; the fallback is the same scan in scalar python.
-        mx = self._mx
-        if self._vec is not None:
-            np = self._vec
-            view = np.frombuffer(mx, dtype=np.int64)
-            maxima = {
-                int(node): int(view[node]) for node in np.nonzero(view)[0]
-            }
-        else:
-            maxima = {node: peak for node, peak in enumerate(mx) if peak}
-        self._timeline.load_maxima(maxima)
+        # the nonzero scan.
+        view = np.frombuffer(self._mx, dtype=np.int64)
+        self._timeline.load_maxima(
+            {int(node): int(view[node]) for node in np.nonzero(view)[0]}
+        )
         self._timeline.max_occupancy = self._gmax
         # GC cadence: the object engine decrements once per executed round
         # and resets (dropping empty pseudo-buffers) at zero.
@@ -508,8 +474,6 @@ class BatchSimulator(Simulator):
                 )
         horizon = num_rounds if num_rounds is not None else self.adversary.horizon
         self._load_kernel()
-        use_window = not self.record_history
-        drained = True
         try:
             t = self._round
             batch = self.batch_rounds
@@ -520,11 +484,7 @@ class BatchSimulator(Simulator):
                     # mid-batch: the next cut is the window's far edge.
                     next_cut = (t // checkpoint_every + 1) * checkpoint_every
                     stop = min(stop, next_cut)
-                if use_window:
-                    self._window(t, stop)
-                else:
-                    for round_number in range(t, stop):
-                        self._kernel_round(round_number, inject=True)
+                self._window(t, stop)
                 t = stop
                 if checkpoint_every is not None and t % checkpoint_every == 0:
                     self._sync_objects()
@@ -542,30 +502,18 @@ class BatchSimulator(Simulator):
     def _kernel_drain(
         self, start_round: int, max_drain_rounds: Optional[int]
     ) -> bool:
-        pending = self._stored
-        if max_drain_rounds is None:
-            max_drain_rounds = default_max_drain_rounds(self._n, pending)
-        window = quiescence_window(self._n)
+        # staged_count() is 0 for the whole vectorized family, so the stop
+        # rule's quiet test degenerates to "forwarded nothing".
+        rule = DrainStop(self._n, self._stored, max_drain_rounds)
         round_number = start_round
-        rounds_drained = 0
-        quiet_rounds = 0
-        # staged_count() is 0 for the whole vectorized family, so the object
-        # engine's "quiet" test degenerates to forwarded == 0.
-        while self._stored > 0 and rounds_drained < max_drain_rounds:
-            forwarded = self._kernel_round(round_number, inject=False)
+        while self._stored > 0 and not rule.stopped:
+            rule.step(self._window(round_number, round_number + 1, inject=False))
             round_number += 1
-            rounds_drained += 1
-            if forwarded == 0:
-                quiet_rounds += 1
-                if quiet_rounds >= window:
-                    break
-            else:
-                quiet_rounds = 0
         return self._stored == 0
 
-    # -- fused batch window (delta-history hot path) ---------------------------------
+    # -- the fused scan (every round runs here) --------------------------------------
 
-    def _window(self, t0: int, t1: int) -> None:
+    def _window(self, t0: int, t1: int, *, inject: bool = True) -> bool:
         """Advance rounds ``t0 .. t1-1`` on flat state, one fused scan each.
 
         Selection and forwarding run in a single left-to-right pass: a node
@@ -576,6 +524,19 @@ class BatchSimulator(Simulator):
         whose load *grew* since the previous measurement (carry landings on
         a new node, injection sites) are maxima candidates, so the fold
         touches O(moves), not O(n).
+
+        ``inject=False`` runs drain rounds: nothing is injected, even where
+        the pattern still has rows (a run stopped short of its horizon).
+        Under ``record_history`` each round also appends its
+        :class:`RoundRecord` (see :meth:`_record_round`).
+
+        Returns whether the last round forwarded any packet — the drain's
+        quiet-round signal.  A round forwards nothing exactly when the scan
+        is skipped: nothing is stored, or no buffer is bad under
+        local-threshold or non-work-conserving PTS.  Otherwise something
+        pops: a bad buffer (PTS, local), every nonempty buffer (greedy,
+        work-conserving PTS), or the rightmost nonempty buffer, whose
+        successor is empty (downhill).
         """
         kind = self._kind
         occ = self._occ
@@ -612,10 +573,16 @@ class BatchSimulator(Simulator):
         gmax = self._gmax
         num_bad = self._num_bad
         stored = self._stored
+        record = self.record_history
+        idle_unless_bad = kind == _LOCAL or (
+            kind == _PTS and not work_conserving
+        )
+        moved = False
         try:
             for rn in range(t0, t1):
                 # -- injection ----------------------------------------------
-                if get_rows is not None:
+                injected = 0
+                if inject and get_rows is not None:
                     rows_in = get_rows(rn)
                     if rows_in is not None:
                         row = len(row_packet)
@@ -635,18 +602,18 @@ class BatchSimulator(Simulator):
                             touch_append(source)
                             if load == threshold:
                                 num_bad += 1
-                        count = len(rows_in)
-                        stored += count
-                        self._injected += count
+                        injected = len(rows_in)
+                        stored += injected
+                        self._injected += injected
                         if packet_store is not None:
                             for r in rows_in:
                                 packet_store.append(
                                     rn, pat_src[r], pat_dst[r], pat_ids[r]
                                 )
-                else:
+                elif inject:
                     self._stored = stored
                     self._num_bad = num_bad
-                    self._inject_round(rn)
+                    injected = self._inject_round(rn)
                     stored = self._stored
                     num_bad = self._num_bad
                 # -- measurement fold (L^t, after injection) ----------------
@@ -658,177 +625,213 @@ class BatchSimulator(Simulator):
                             if load > gmax:
                                 gmax = load
                     del touch[:]
-                if stored == 0:
-                    self._round = rn + 1
-                    continue
+                if record:
+                    before = occ.tolist()
+                    delivered_before = self._delivered
                 # -- selection + forwarding (fused carry chain) -------------
-                carry = -1
-                if kind == _PTS:
-                    if num_bad == 0:
-                        if not work_conserving:
-                            self._round = rn + 1
-                            continue
+                moved = stored > 0 and (num_bad > 0 or not idle_unless_bad)
+                if moved:
+                    carry = -1
+                    if kind == _PTS:
                         start = 0
-                    else:
-                        start = 0
-                        while occ[start] < threshold:
-                            start += 1
-                    for v in range(start, last + 1):
-                        load = occ[v]
-                        if load:
-                            queue = queues[v]
-                            row = queue.pop() if lifo else queue.popleft()
-                            if carry >= 0:
-                                queue.append(carry)
-                            else:
-                                occ[v] = load - 1
-                                if load == threshold:
-                                    num_bad -= 1
-                            carry = row
-                        elif carry >= 0:
-                            queues[v].append(carry)
-                            occ[v] = 1
-                            touch_append(v)
-                            carry = -1
-                elif kind == _LOCAL:
-                    if num_bad == 0:
-                        self._round = rn + 1
-                        continue
-                    # Pass 1: the active set from the pristine loads (the
-                    # r-neighbourhood test must not see this round's moves).
-                    last_bad = -locality - 1
-                    active: List[int] = []
-                    active_append = active.append
-                    for v in range(last + 1):
-                        load = occ[v]
-                        if load >= threshold:
-                            last_bad = v
-                        if load and last_bad >= v - locality:
-                            active_append(v)
-                    # Pass 2: carry transport over the active nodes only.
-                    num_active = len(active)
-                    i = 0
-                    while i < num_active:
-                        v = active[i]
-                        queue = queues[v]
-                        row = queue.pop() if lifo else queue.popleft()
-                        if carry >= 0:
-                            queue.append(carry)
-                        else:
-                            load = occ[v] - 1
-                            occ[v] = load
-                            if load == bad_minus:
-                                num_bad -= 1
-                        i += 1
-                        if i < num_active and active[i] == v + 1:
-                            carry = row
-                        else:
-                            receiver = v + 1
-                            if receiver > last:
-                                # Single-destination invariant: last+1 == w.
-                                self._deliver_row(row, rn)
-                                self._delivered += 1
-                                stored -= 1
-                            else:
-                                queues[receiver].append(row)
-                                load = occ[receiver] + 1
-                                occ[receiver] = load
-                                touch_append(receiver)
-                                if load == threshold:
-                                    num_bad += 1
-                            carry = -1
-                elif kind == _DOWNHILL:
-                    for v in range(last + 1):
-                        load = occ[v]
-                        if load:
-                            successor_load = occ[v + 1] if v != last else 0
-                            queue = queues[v]
-                            if load >= successor_load:
+                        if num_bad:
+                            while occ[start] < threshold:
+                                start += 1
+                        for v in range(start, last + 1):
+                            load = occ[v]
+                            if load:
+                                queue = queues[v]
                                 row = queue.pop() if lifo else queue.popleft()
                                 if carry >= 0:
                                     queue.append(carry)
                                 else:
                                     occ[v] = load - 1
+                                    if load == threshold:
+                                        num_bad -= 1
                                 carry = row
                             elif carry >= 0:
-                                queue.append(carry)
-                                occ[v] = load + 1
+                                queues[v].append(carry)
+                                occ[v] = 1
                                 touch_append(v)
                                 carry = -1
-                        elif carry >= 0:
-                            queues[v].append(carry)
-                            occ[v] = 1
-                            touch_append(v)
-                            carry = -1
-                else:  # _GREEDY
-                    for v in range(n):
-                        load = occ[v]
-                        if load:
+                    elif kind == _LOCAL:
+                        # Pass 1: the active set from the pristine loads (the
+                        # r-neighbourhood test must not see this round's moves).
+                        last_bad = -locality - 1
+                        active: List[int] = []
+                        active_append = active.append
+                        for v in range(last + 1):
+                            load = occ[v]
+                            if load >= threshold:
+                                last_bad = v
+                            if load and last_bad >= v - locality:
+                                active_append(v)
+                        # Pass 2: carry transport over the active nodes only.
+                        num_active = len(active)
+                        i = 0
+                        while i < num_active:
+                            v = active[i]
                             queue = queues[v]
-                            if load == 1:
-                                row = queue.popleft()
-                            else:
-                                best = -1
-                                best_k1 = best_k2 = 0
-                                for r in queue:
-                                    if policy == _POL_FIFO:
-                                        k1 = col_arr[r]
-                                    elif policy == _POL_LIFO:
-                                        k1 = -col_arr[r]
-                                    elif policy == _POL_LIS:
-                                        k1 = col_injr[r]
-                                    elif policy == _POL_SIS:
-                                        k1 = -col_injr[r]
-                                    elif policy == _POL_NTG:
-                                        k1 = col_dst[r] - v
-                                    else:  # _POL_FTG
-                                        k1 = v - col_dst[r]
-                                    k2 = col_pid[r]
-                                    if (
-                                        best < 0
-                                        or k1 < best_k1
-                                        or (k1 == best_k1 and k2 < best_k2)
-                                    ):
-                                        best = r
-                                        best_k1 = k1
-                                        best_k2 = k2
-                                queue.remove(best)
-                                row = best
+                            row = queue.pop() if lifo else queue.popleft()
                             if carry >= 0:
+                                queue.append(carry)
+                            else:
+                                load = occ[v] - 1
+                                occ[v] = load
+                                if load == bad_minus:
+                                    num_bad -= 1
+                            i += 1
+                            if i < num_active and active[i] == v + 1:
+                                carry = row
+                            else:
+                                receiver = v + 1
+                                if receiver > last:
+                                    # Single-destination invariant: last+1 == w.
+                                    self._deliver_row(row, rn)
+                                    self._delivered += 1
+                                    stored -= 1
+                                else:
+                                    queues[receiver].append(row)
+                                    load = occ[receiver] + 1
+                                    occ[receiver] = load
+                                    touch_append(receiver)
+                                    if load == threshold:
+                                        num_bad += 1
+                                carry = -1
+                    elif kind == _DOWNHILL:
+                        for v in range(last + 1):
+                            load = occ[v]
+                            if load:
+                                successor_load = occ[v + 1] if v != last else 0
+                                queue = queues[v]
+                                if load >= successor_load:
+                                    row = queue.pop() if lifo else queue.popleft()
+                                    if carry >= 0:
+                                        queue.append(carry)
+                                    else:
+                                        occ[v] = load - 1
+                                    carry = row
+                                elif carry >= 0:
+                                    queue.append(carry)
+                                    occ[v] = load + 1
+                                    touch_append(v)
+                                    carry = -1
+                            elif carry >= 0:
+                                queues[v].append(carry)
+                                occ[v] = 1
+                                touch_append(v)
+                                carry = -1
+                    else:  # _GREEDY
+                        for v in range(n):
+                            load = occ[v]
+                            if load:
+                                queue = queues[v]
+                                if load == 1:
+                                    row = queue.popleft()
+                                else:
+                                    best = -1
+                                    best_k1 = best_k2 = 0
+                                    for r in queue:
+                                        if policy == _POL_FIFO:
+                                            k1 = col_arr[r]
+                                        elif policy == _POL_LIFO:
+                                            k1 = -col_arr[r]
+                                        elif policy == _POL_LIS:
+                                            k1 = col_injr[r]
+                                        elif policy == _POL_SIS:
+                                            k1 = -col_injr[r]
+                                        elif policy == _POL_NTG:
+                                            k1 = col_dst[r] - v
+                                        else:  # _POL_FTG
+                                            k1 = v - col_dst[r]
+                                        k2 = col_pid[r]
+                                        if (
+                                            best < 0
+                                            or k1 < best_k1
+                                            or (k1 == best_k1 and k2 < best_k2)
+                                        ):
+                                            best = r
+                                            best_k1 = k1
+                                            best_k2 = k2
+                                    queue.remove(best)
+                                    row = best
+                                if carry >= 0:
+                                    if col_dst[carry] == v:
+                                        self._deliver_row(carry, rn)
+                                        self._delivered += 1
+                                        stored -= 1
+                                        occ[v] = load - 1
+                                    else:
+                                        col_arr[carry] = rn
+                                        queue.append(carry)
+                                else:
+                                    occ[v] = load - 1
+                                carry = row
+                            elif carry >= 0:
                                 if col_dst[carry] == v:
                                     self._deliver_row(carry, rn)
                                     self._delivered += 1
                                     stored -= 1
-                                    occ[v] = load - 1
                                 else:
                                     col_arr[carry] = rn
-                                    queue.append(carry)
-                            else:
-                                occ[v] = load - 1
-                            carry = row
-                        elif carry >= 0:
-                            if col_dst[carry] == v:
-                                self._deliver_row(carry, rn)
-                                self._delivered += 1
-                                stored -= 1
-                            else:
-                                col_arr[carry] = rn
-                                queues[v].append(carry)
-                                occ[v] = 1
-                                touch_append(v)
-                            carry = -1
-                if carry >= 0:
-                    # The trailing carry lands at last+1 == w (single-dest)
-                    # or, for greedy, at the virtual sink n — a delivery in
-                    # either case.
-                    self._deliver_row(carry, rn)
-                    self._delivered += 1
-                    stored -= 1
+                                    queues[v].append(carry)
+                                    occ[v] = 1
+                                    touch_append(v)
+                                carry = -1
+                    if carry >= 0:
+                        # The trailing carry lands at last+1 == w (single-dest)
+                        # or, for greedy, at the virtual sink n — a delivery in
+                        # either case.
+                        self._deliver_row(carry, rn)
+                        self._delivered += 1
+                        stored -= 1
+                if record:
+                    self._record_round(rn, injected, before, delivered_before)
                 self._round = rn + 1
         finally:
             self._gmax = gmax
             self._num_bad = num_bad
             self._stored = stored
+        return moved
+
+    def _record_round(
+        self,
+        round_number: int,
+        injected: int,
+        before: List[int],
+        delivered_before: int,
+    ) -> None:
+        """Append the round's :class:`RoundRecord` from its load snapshots.
+
+        ``before`` is ``L^t`` (after injection, before forwarding) and the
+        kernel's loads are now ``L^{t+}``.  The forwarded count follows from
+        the two: greedy pops once at every nonempty buffer; the
+        single-destination families deliver only at ``w = last + 1``, so by
+        flow conservation the flow over edge ``(v, v+1)`` is what left the
+        prefix ``[0, v]``.
+        """
+        occ = self._occ
+        if self._kind == _GREEDY:
+            forwarded = len(before) - before.count(0)
+        else:
+            forwarded = flow = 0
+            for v in range(self._last + 1):
+                flow += before[v] - occ[v]
+                forwarded += flow
+        self._history.append(
+            RoundRecord(
+                round=round_number,
+                injected=injected,
+                forwarded=forwarded,
+                delivered=self._delivered - delivered_before,
+                max_occupancy=max(before),
+                max_occupancy_after_forwarding=max(occ),
+                staged=0,
+                occupancy=dict(enumerate(before))
+                if self.record_occupancy_vectors
+                else None,
+            )
+        )
 
     def _deliver_row(self, row: int, round_number: int) -> None:
         """Absorb one row at its destination (latency folds + object parity)."""
@@ -851,78 +854,11 @@ class BatchSimulator(Simulator):
         else:
             self._col_dlv[row] = round_number
 
-    # -- one round on flat state (full-history and drain path) -----------------------
-
-    def _kernel_round(self, round_number: int, *, inject: bool) -> int:
-        if inject:
-            self._inject_round(round_number)
-        occ = self._occ
-        if self.record_history:
-            # Full-history path: the round record needs the whole L^t
-            # snapshot anyway, so fold every node like observe() does.
-            mx = self._mx
-            gmax = self._gmax
-            occupancy_before: Optional[Dict[int, int]] = {}
-            max_before = 0
-            for node in range(self._n):
-                load = occ[node]
-                occupancy_before[node] = load
-                if load > max_before:
-                    max_before = load
-                if load > mx[node]:
-                    mx[node] = load
-                    if load > gmax:
-                        gmax = load
-            self._gmax = gmax
-            del self._touch[:]
-        else:
-            # Delta path: only nodes whose load grew since the previous
-            # measurement (last round's receivers, this round's injection
-            # sites) can set a new maximum.
-            mx = self._mx
-            gmax = self._gmax
-            for node in self._touch:
-                load = occ[node]
-                if load > mx[node]:
-                    mx[node] = load
-                    if load > gmax:
-                        gmax = load
-            self._gmax = gmax
-            del self._touch[:]
-            occupancy_before = None
-            max_before = 0
-
-        forwarded, delivered, injected = self._forward_round(round_number)
-        self._delivered += delivered
-
-        if self.record_history:
-            max_after = 0
-            for node in range(self._n):
-                load = occ[node]
-                if load > max_after:
-                    max_after = load
-            self._history.append(
-                RoundRecord(
-                    round=round_number,
-                    injected=injected if inject else 0,
-                    forwarded=forwarded,
-                    delivered=delivered,
-                    max_occupancy=max_before,
-                    max_occupancy_after_forwarding=max_after,
-                    staged=0,
-                    occupancy=occupancy_before
-                    if self.record_occupancy_vectors
-                    else None,
-                )
-            )
-        self._round = round_number + 1
-        return forwarded
-
-    def _inject_round(self, round_number: int) -> None:
+    def _inject_round(self, round_number: int) -> int:
+        """Inject one round through the adversary's API; returns the count."""
         injections = self.adversary.injections_for_round(round_number)
         if not injections:
-            self._last_injected = 0
-            return
+            return 0
         n = self._n
         max_dest = self._max_dest
         check_routes = not self._routes_prevalidated
@@ -950,7 +886,6 @@ class BatchSimulator(Simulator):
                 packet_store.append_injection(injection)
             created.append((injection, packet))
         self._injected += len(created)
-        self._last_injected = len(created)
         # Acceptance + classification (the on_inject step), one packet at a
         # time so a rejected destination leaves exactly the object engine's
         # partial state behind.
@@ -992,138 +927,4 @@ class BatchSimulator(Simulator):
             touch.append(source)
             if load == bad_threshold:
                 self._num_bad += 1
-
-    def _forward_round(self, round_number: int) -> Tuple[int, int, int]:
-        """Selection + simultaneous forwarding; returns (forwarded,
-        delivered, injected-this-round)."""
-        injected = self._last_injected
-        kind = self._kind
-        occ = self._occ
-        last = self._last
-        active: List[int]
-        chosen_rows: Optional[List[int]] = None
-        if kind == _PTS:
-            if self._num_bad == 0:
-                if not self._work_conserving:
-                    return 0, 0, injected
-                start = 0
-            else:
-                start = 0
-                while occ[start] < 2:
-                    start += 1
-            active = [v for v in range(start, last + 1) if occ[v]]
-        elif kind == _LOCAL:
-            if self._num_bad == 0:
-                return 0, 0, injected
-            locality = self._locality
-            threshold = self._bad_threshold
-            last_bad = -(locality + 1)
-            active = []
-            for v in range(last + 1):
-                load = occ[v]
-                if load >= threshold:
-                    last_bad = v
-                if load and last_bad >= v - locality:
-                    active.append(v)
-        elif kind == _DOWNHILL:
-            active = []
-            for v in range(last + 1):
-                load = occ[v]
-                if load == 0:
-                    continue
-                successor_load = occ[v + 1] if v != last else 0
-                if load >= successor_load:
-                    active.append(v)
-        else:  # _GREEDY
-            active = []
-            chosen_rows = []
-            queues = self._queues
-            policy = self._policy_code
-            pid = self._col_pid
-            injr = self._col_injr
-            arr = self._col_arr
-            dst = self._col_dst
-            for v in range(self._n):
-                queue = queues[v]
-                if not queue:
-                    continue
-                best_row = -1
-                best_k1 = 0
-                best_k2 = 0
-                for row in queue:
-                    if policy == _POL_FIFO:
-                        k1 = arr[row]
-                    elif policy == _POL_LIFO:
-                        k1 = -arr[row]
-                    elif policy == _POL_LIS:
-                        k1 = injr[row]
-                    elif policy == _POL_SIS:
-                        k1 = -injr[row]
-                    elif policy == _POL_NTG:
-                        k1 = dst[row] - v
-                    else:  # _POL_FTG
-                        k1 = v - dst[row]
-                    k2 = pid[row]
-                    if (
-                        best_row < 0
-                        or k1 < best_k1
-                        or (k1 == best_k1 and k2 < best_k2)
-                    ):
-                        best_row = row
-                        best_k1 = k1
-                        best_k2 = k2
-                active.append(v)
-                chosen_rows.append(best_row)
-
-        if not active:
-            return 0, 0, injected
-
-        # Pop every activated packet first, then place them — a packet never
-        # crosses two edges in one round.
-        queues = self._queues
-        bad_minus = self._bad_threshold - 1
-        moves: List[Tuple[int, int]] = []
-        if chosen_rows is not None:
-            for v, row in zip(active, chosen_rows):
-                queues[v].remove(row)
-                moves.append((row, v + 1))
-                load = occ[v] - 1
-                occ[v] = load
-                if load == bad_minus:
-                    self._num_bad -= 1
-        else:
-            lifo = self._lifo
-            for v in active:
-                queue = queues[v]
-                row = queue.pop() if lifo else queue.popleft()
-                moves.append((row, v + 1))
-                load = occ[v] - 1
-                occ[v] = load
-                if load == bad_minus:
-                    self._num_bad -= 1
-
-        delivered = 0
-        dst = self._col_dst
-        arr = self._col_arr
-        touch = self._touch
-        greedy = kind == _GREEDY
-        bad_threshold = self._bad_threshold
-        for row, receiver in moves:
-            if receiver == dst[row]:
-                self._deliver_row(row, round_number)
-                delivered += 1
-                self._stored -= 1
-            else:
-                if greedy:
-                    arr[row] = round_number
-                queues[receiver].append(row)
-                load = occ[receiver] + 1
-                occ[receiver] = load
-                touch.append(receiver)
-                if load == bad_threshold:
-                    self._num_bad += 1
-        return len(moves), delivered, injected
-
-    #: Injections materialised by the current round (consumed by
-    #: :meth:`_forward_round` for the round record).
-    _last_injected = 0
+        return len(created)

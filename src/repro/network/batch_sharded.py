@@ -127,37 +127,9 @@ class BatchSegmentSimulator(BatchSimulator):
         base = adversary.base
         if type(base) is not InjectionPattern:
             return
-        store = base._store
-        if not len(store):
-            self._routes_prevalidated = True
-            self._dests_prevalidated = True
-            self._seg_fast_rows = {}
-            return
-        n = self._n
-        max_dest = self._max_dest
-        sources = store.sources
-        destinations = store.destinations
-        np = self._vec
-        if np is not None:
-            s = np.frombuffer(sources, dtype=np.int64)
-            d = np.frombuffer(destinations, dtype=np.int64)
-            routes_ok = bool(
-                ((s >= 0) & (s < n) & (d > s) & (d <= max_dest)).all()
-            )
-            dests_ok = bool((d == self._dest).all())
-        else:
-            routes_ok = all(
-                0 <= source < n and source < destination <= max_dest
-                for source, destination in zip(sources, destinations)
-            )
-            dests_ok = all(
-                destination == self._dest for destination in destinations
-            )
-        self._routes_prevalidated = routes_ok
-        if self._kind != _GREEDY:
-            self._dests_prevalidated = dests_ok
-        if routes_ok and (self._kind == _GREEDY or dests_ok):
+        if self._check_store(base._store):
             lo, hi = self.lo, self.hi
+            sources = self._pat_src
             filtered: Dict[int, array] = {}
             for round_number, rows in base._by_round.items():
                 keep = array(
@@ -166,9 +138,6 @@ class BatchSegmentSimulator(BatchSimulator):
                 if keep:
                     filtered[round_number] = keep
             self._seg_fast_rows = filtered
-            self._pat_src = sources
-            self._pat_dst = destinations
-            self._pat_ids = store.packet_ids
 
     # -- kernel lifecycle ----------------------------------------------------------
 
@@ -269,8 +238,7 @@ class BatchSegmentSimulator(BatchSimulator):
                                 round_number, pat_src[r], pat_dst[r], pat_ids[r]
                             )
             else:
-                self._inject_round(round_number)
-                injected = self._last_injected
+                injected = self._inject_round(round_number)
         # Measurement fold (post-injection = L^t, before any forwarding).
         occ = self._occ
         mx = self._mx

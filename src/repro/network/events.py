@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, List, Optional, Union
 
+import numpy as np
+
 __all__ = ["HistoryPolicy", "RoundRecord", "SimulationResult", "OccupancyTimeline"]
 
 
@@ -150,35 +152,25 @@ class OccupancyTimeline:
       previous measurement.  A node absent from the delta had the same load
       as at the previous measurement, which is already folded into the
       maxima, so skipping it cannot lose a peak;
-    * :meth:`observe_bulk` folds a dense per-node load vector (numpy array or
-      ``array('q')``) — the vectorized path ``record_occupancy_vectors``
+    * :meth:`observe_bulk` folds a dense per-node numpy load vector with
+      one ``numpy.maximum`` — the vectorized path ``record_occupancy_vectors``
       runs use, backed by a dense maxima vector when the timeline was built
-      with ``dense_size`` (numpy ``maximum`` when available, a pure-python
-      loop otherwise).
+      with ``dense_size``.
 
     However fed, :meth:`per_node_maxima` only ever contains nodes whose load
     exceeded zero at some measurement (a maximum is recorded only when a load
     strictly exceeds the running value, which starts at 0).
     """
 
-    __slots__ = ("max_occupancy", "max_per_node", "max_staged", "_dense", "_numpy")
+    __slots__ = ("max_occupancy", "max_per_node", "max_staged", "_dense")
 
     def __init__(self, dense_size: Optional[int] = None) -> None:
         self.max_occupancy = 0
         self.max_per_node: Dict[int, int] = {}
         self.max_staged = 0
-        self._dense = None
-        self._numpy = None
-        if dense_size is not None:
-            try:
-                import numpy
-
-                self._numpy = numpy
-                self._dense = numpy.zeros(dense_size, dtype=numpy.int64)
-            except ImportError:  # pragma: no cover - numpy is normally present
-                from array import array
-
-                self._dense = array("q", bytes(8 * dense_size))
+        self._dense = (
+            None if dense_size is None else np.zeros(dense_size, dtype=np.int64)
+        )
 
     def observe(self, occupancy: Dict[int, int], staged: int = 0) -> None:
         """Fold one occupancy snapshot into the running maxima."""
@@ -224,28 +216,20 @@ class OccupancyTimeline:
     def observe_bulk(self, loads, staged: int = 0) -> None:
         """Fold a dense per-node load vector into the running maxima.
 
-        ``loads`` must be indexable by node id and cover every node (a numpy
-        array or ``array('q')`` of length ``dense_size``).  Requires the
-        timeline to have been built with ``dense_size``.
+        ``loads`` must be a numpy array covering every node (length
+        ``dense_size``).  Requires the timeline to have been built with
+        ``dense_size``.
         """
         if staged > self.max_staged:
             self.max_staged = staged
         dense = self._dense
         if dense is None:
             raise ValueError("observe_bulk() requires OccupancyTimeline(dense_size=n)")
-        numpy = self._numpy
-        if numpy is not None and isinstance(loads, numpy.ndarray):
-            numpy.maximum(dense, loads, out=dense)
-            if len(loads):
-                peak = int(loads.max())
-                if peak > self.max_occupancy:
-                    self.max_occupancy = peak
-            return
-        for node, load in enumerate(loads):
-            if load > dense[node]:
-                dense[node] = load
-                if load > self.max_occupancy:
-                    self.max_occupancy = load
+        np.maximum(dense, loads, out=dense)
+        if len(loads):
+            peak = int(loads.max())
+            if peak > self.max_occupancy:
+                self.max_occupancy = peak
 
     def per_node_maxima(self) -> Dict[int, int]:
         """``{node: max load}`` over all measurements (nodes that exceeded 0).
@@ -253,24 +237,16 @@ class OccupancyTimeline:
         This is the read-side API — in dense mode :attr:`max_per_node` stays
         empty and the dict is materialised from the maxima vector on demand.
         """
-        if self._dense is None:
+        dense = self._dense
+        if dense is None:
             return dict(self.max_per_node)
-        if self._numpy is not None:
-            nonzero = self._numpy.nonzero(self._dense)[0]
-            return {int(node): int(self._dense[node]) for node in nonzero}
-        return {
-            node: load for node, load in enumerate(self._dense) if load
-        }
+        return {int(node): int(dense[node]) for node in np.nonzero(dense)[0]}
 
     def load_maxima(self, maxima: Dict[int, int]) -> None:
         """Overwrite the per-node maxima (checkpoint restore)."""
         if self._dense is None:
             self.max_per_node = dict(maxima)
             return
-        if self._numpy is not None:
-            self._dense[:] = 0
-        else:
-            for node in range(len(self._dense)):
-                self._dense[node] = 0
+        self._dense[:] = 0
         for node, load in maxima.items():
             self._dense[node] = load

@@ -94,7 +94,7 @@ from .errors import (
 from .events import RoundRecord, SimulationResult
 from .faults import FAULT_PHASES, FaultInjector, FaultPlan
 from .shm import BoundaryRing, shared_memory_available
-from .simulator import Simulator, default_max_drain_rounds, quiescence_window
+from .simulator import DrainStop, Simulator
 from .topology import LineTopology
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -1302,45 +1302,27 @@ class _ShardedCoordinator:
 
         Workers cannot evaluate the stop conditions (they see only their
         segment), so each drain window runs to completion and the
-        coordinator replays :meth:`_drain`'s exact loop over the summed
+        coordinator steps the shared :class:`DrainStop` rule over the summed
         per-round counters; a mid-window stop truncates the workers'
         overshoot, which is provably side-effect-free (module docstring of
         :mod:`repro.network.batch_sharded`).  The batch family never stages
-        packets, so the relay path's ``staged == previous_staged`` clause is
-        vacuously true and quiescence degenerates to ``forwarded == 0``.
+        packets, so quiescence degenerates to ``forwarded == 0``.
         """
-        max_drain_rounds = policy.max_drain_rounds
-        if max_drain_rounds is None:
-            max_drain_rounds = default_max_drain_rounds(self.num_nodes, pending)
-        window = quiescence_window(self.num_nodes)
-        quiet_rounds = 0
-        rounds_drained = 0
+        rule = DrainStop(self.num_nodes, pending, policy.max_drain_rounds)
         t = start_round
-        while pending > 0 and rounds_drained < max_drain_rounds:
-            width = min(policy.batch_rounds, max_drain_rounds - rounds_drained)
+        while pending > 0 and not rule.stopped:
+            width = min(policy.batch_rounds, rule.cap - rule.rounds)
             self._send_window(t, t + width, inject=False)
             _last, forwarded, stored = self._collect_window(t, t + width)
             executed = 0
-            stop = False
             for j in range(width):
                 pending = stored[j]
                 executed += 1
-                rounds_drained += 1
-                if forwarded[j] == 0:
-                    quiet_rounds += 1
-                    if quiet_rounds >= window:
-                        stop = True
-                        break
-                else:
-                    quiet_rounds = 0
-                if pending == 0:
-                    stop = True
+                if rule.step(forwarded[j]) or pending == 0:
                     break
             if executed < width:
                 self._truncate(t + executed)
             t += executed
-            if stop and (pending == 0 or quiet_rounds >= window):
-                break
         return pending == 0
 
     # -- recovery ----------------------------------------------------------------
@@ -1596,27 +1578,14 @@ class _ShardedCoordinator:
     # -- drain (mirrors Simulator._drain) ------------------------------------------
 
     def _drain(self, start_round: int, pending: int, staged: int, policy) -> bool:
-        max_drain_rounds = policy.max_drain_rounds
-        if max_drain_rounds is None:
-            max_drain_rounds = default_max_drain_rounds(self.num_nodes, pending)
-        window = quiescence_window(self.num_nodes)
-        quiet_rounds = 0
-        previous_staged = staged
+        rule = DrainStop(self.num_nodes, pending, policy.max_drain_rounds, staged)
         round_number = start_round
-        rounds_drained = 0
-        while pending > 0 and rounds_drained < max_drain_rounds:
+        while pending > 0 and not rule.stopped:
             forwarded, staged, pending = self._superstep(
                 round_number, inject=False
             )
             round_number += 1
-            rounds_drained += 1
-            if forwarded == 0 and staged == previous_staged:
-                quiet_rounds += 1
-                if quiet_rounds >= window:
-                    break
-            else:
-                quiet_rounds = 0
-            previous_staged = staged
+            rule.step(forwarded, staged)
         return pending == 0
 
     # -- checkpointing ---------------------------------------------------------------

@@ -32,6 +32,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle avoidance, typing only
     from ..adversary.base import Adversary
 
 __all__ = [
+    "DrainStop",
     "HistoryPolicy",
     "Simulator",
     "run_simulation",
@@ -45,8 +46,8 @@ def default_max_drain_rounds(num_nodes: int, pending: int) -> int:
 
     Every packet needs at most ``num_nodes`` hops and at most one packet
     leaves each buffer per round, so ``pending * n`` is a safe cap even for
-    very lazy algorithms; slack added for phase-based algorithms.  Shared by
-    the single-process drain loop and the sharded coordinator — the two must
+    very lazy algorithms; slack added for phase-based algorithms.  Every
+    engine's drain applies it through :class:`DrainStop` — the engines must
     agree bit for bit on how long a drain may run.
     """
     return (pending + 1) * (num_nodes + 2) + 64
@@ -56,10 +57,51 @@ def quiescence_window(num_nodes: int) -> int:
     """Consecutive no-progress rounds before a drain declares a fixed point.
 
     The paper's algorithms are not work-conserving: a configuration with no
-    bad (pseudo-)buffer never changes once injections stop.  Shared with the
-    sharded coordinator for the same bit-identity reason as the drain cap.
+    bad (pseudo-)buffer never changes once injections stop.  Applied through
+    :class:`DrainStop` for the same bit-identity reason as the drain cap.
     """
     return 2 * num_nodes + 8
+
+
+class DrainStop:
+    """The drain stop rule every engine applies, one round at a time.
+
+    A drain runs while packets are pending and this rule has not stopped:
+    it stops after ``cap`` drain rounds (``None`` = the
+    :func:`default_max_drain_rounds` cap for ``pending`` packets) or after
+    :func:`quiescence_window` consecutive rounds that forwarded nothing and
+    left the staged count unchanged.  ``staged`` is the staged count before
+    the first drain round.
+    """
+
+    __slots__ = ("cap", "window", "rounds", "quiet", "staged", "stopped")
+
+    def __init__(
+        self,
+        num_nodes: int,
+        pending: int,
+        cap: Optional[int] = None,
+        staged: int = 0,
+    ) -> None:
+        if cap is None:
+            cap = default_max_drain_rounds(num_nodes, pending)
+        self.cap = cap
+        self.window = quiescence_window(num_nodes)
+        self.rounds = 0
+        self.quiet = 0
+        self.staged = staged
+        self.stopped = cap <= 0
+
+    def step(self, forwarded: int, staged: int = 0) -> bool:
+        """Count one executed drain round; returns whether the drain stops."""
+        self.rounds += 1
+        if not forwarded and staged == self.staged:
+            self.quiet += 1
+        else:
+            self.quiet = 0
+        self.staged = staged
+        self.stopped = self.quiet >= self.window or self.rounds >= self.cap
+        return self.stopped
 
 
 class Simulator:
@@ -140,7 +182,7 @@ class Simulator:
         )
         #: Bulk-snapshot mode: occupancy-vector runs on contiguous node ids
         #: fold a dense per-round load vector into a dense maxima vector
-        #: (numpy when available) instead of walking a dict of n entries.
+        #: (numpy) instead of walking a dict of n entries.
         nodes = topology.nodes
         self._bulk_occupancy = record_occupancy_vectors and (
             isinstance(nodes, range) and nodes == range(topology.num_nodes)
@@ -412,31 +454,17 @@ class Simulator:
         return self.algorithm.pending_packets()
 
     def _drain(self, start_round: int, max_drain_rounds: Optional[int]) -> bool:
-        pending = self._pending()
-        if max_drain_rounds is None:
-            max_drain_rounds = default_max_drain_rounds(
-                self.topology.num_nodes, pending
-            )
+        rule = DrainStop(
+            self.topology.num_nodes,
+            self._pending(),
+            max_drain_rounds,
+            self.algorithm.staged_count(),
+        )
         round_number = start_round
-        rounds_drained = 0
-        # Detect quiescence (several consecutive rounds with no forwarding
-        # and no change in staged packets) and stop early instead of
-        # spinning until the cap.
-        window = quiescence_window(self.topology.num_nodes)
-        quiet_rounds = 0
-        previous_staged = self.algorithm.staged_count()
-        while self._pending() > 0 and rounds_drained < max_drain_rounds:
+        while self._pending() > 0 and not rule.stopped:
             forwarded = self._execute_round(round_number, inject=False)
             round_number += 1
-            rounds_drained += 1
-            staged = self.algorithm.staged_count()
-            if forwarded == 0 and staged == previous_staged:
-                quiet_rounds += 1
-                if quiet_rounds >= window:
-                    break
-            else:
-                quiet_rounds = 0
-            previous_staged = staged
+            rule.step(forwarded, self.algorithm.staged_count())
         return self._pending() == 0
 
     # -- result assembly -----------------------------------------------------------

@@ -67,6 +67,16 @@ class TestValidation:
         with pytest.raises(SpecError):
             RunPolicy(seed="abc")  # type: ignore[arg-type]
 
+    @pytest.mark.parametrize(
+        "field", ("rounds", "max_drain_rounds", "checkpoint_every", "seed")
+    )
+    def test_policy_integer_fields_reject_booleans(self, field):
+        extra = {"checkpoint_path": "run.ckpt"} if field == "checkpoint_every" else {}
+        with pytest.raises(SpecError, match=f"RunPolicy.{field}"):
+            RunPolicy(**{field: True}, **extra)
+        with pytest.raises(SpecError, match=f"RunPolicy.{field}"):
+            RunPolicy.from_dict({field: True, **extra})
+
     def test_scenario_requires_spec_components(self):
         with pytest.raises(SpecError):
             ScenarioSpec(topology={"kind": "line"})  # type: ignore[arg-type]

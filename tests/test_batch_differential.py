@@ -7,9 +7,11 @@ Every scenario here runs twice from identical seeds — once on
 records), the retained packet table (insertion order and every field), and
 the streamed injection log.  The matrix covers the whole vectorized family
 ({PTS, local, downhill, greedy} x {trickle, bounded, explicit} x three
-history modes) on both kernel backends, plus the edges that historically
-break lockstep engines: round-0 injections, drain tails, the minimal line,
-and the error paths (invalid routes, wrong destinations).
+history modes, each run straight and split into ``run(h, drain=False)`` then
+a drain-only ``run(h)``), plus the edges that historically break lockstep engines:
+round-0 injections, drain tails (a run stopped short of its pattern, a
+drain cap hit mid-drain, a drain that ends on the quiescence window), the
+minimal line, and the error paths (invalid routes, wrong destinations).
 """
 
 from __future__ import annotations
@@ -33,14 +35,12 @@ from repro.network.errors import (
     TopologyError,
     UnbatchableScenarioError,
 )
-from repro.network.simulator import Simulator
+from repro.network.simulator import Simulator, quiescence_window
 from repro.network.topology import LineTopology
 
 N = 16
 ROUNDS = 150
 SEED = 23
-
-BACKENDS = ("numpy", "python")
 
 
 # -- scenario construction ---------------------------------------------------------
@@ -152,34 +152,53 @@ def _run_delta(make, sim_kwargs, run_kwargs):
     return simulator, result
 
 
-def _run_batch(make, backend, sim_kwargs, run_kwargs, batch_rounds=64):
+def _run_batch(make, sim_kwargs, run_kwargs, batch_rounds=64, split=False):
+    """Run the batch kernel; ``split`` runs the injection phase with
+    ``run(h, drain=False)`` first, so the second ``run(h)`` resumes at round
+    ``h`` and only drains (the split the per-layer tracer times)."""
     with packet_id_scope():
-        simulator = BatchSimulator(
-            *make(), backend=backend, batch_rounds=batch_rounds, **sim_kwargs
-        )
+        simulator = BatchSimulator(*make(), batch_rounds=batch_rounds, **sim_kwargs)
+        if split:
+            horizon = run_kwargs.get("num_rounds", simulator.adversary.horizon)
+            simulator.run(**{**run_kwargs, "num_rounds": horizon, "drain": False})
+            run_kwargs = {**run_kwargs, "num_rounds": horizon}
         result = simulator.run(**run_kwargs)
     return simulator, result
 
 
-def _assert_identical(make, backend, sim_kwargs=None, run_kwargs=None, **batch_opts):
+def _assert_identical(make, sim_kwargs=None, run_kwargs=None, **batch_opts):
     sim_kwargs = dict(sim_kwargs or {})
     run_kwargs = dict(run_kwargs or {})
     oracle_sim, oracle = _run_delta(make, sim_kwargs, run_kwargs)
-    batch_sim, result = _run_batch(make, backend, sim_kwargs, run_kwargs, **batch_opts)
+    batch_sim, result = _run_batch(make, sim_kwargs, run_kwargs, **batch_opts)
     assert result == oracle
     assert _packet_table(batch_sim) == _packet_table(oracle_sim)
     assert _stream_log(batch_sim) == _stream_log(oracle_sim)
     return oracle
 
 
+def _trickle(algorithm):
+    """The ``make`` factory for ``algorithm`` against the trickle adversary."""
+
+    def make():
+        topology = _make_topology(algorithm)
+        return (
+            topology,
+            _make_algorithm(algorithm, topology),
+            _make_adversary("trickle", algorithm, topology),
+        )
+
+    return make
+
+
 # -- the full matrix ---------------------------------------------------------------
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("run", ("straight", "split"))
 @pytest.mark.parametrize("history", sorted(HISTORY_MODES))
 @pytest.mark.parametrize("adversary", ("trickle", "bounded", "explicit"))
 @pytest.mark.parametrize("algorithm", ("pts", "local", "downhill", "greedy"))
-def test_matrix_bit_identical(algorithm, adversary, history, backend):
+def test_matrix_bit_identical(algorithm, adversary, history, run):
     def make():
         topology = _make_topology(algorithm, adversary=adversary)
         return (
@@ -189,7 +208,7 @@ def test_matrix_bit_identical(algorithm, adversary, history, backend):
         )
 
     result = _assert_identical(
-        make, backend, sim_kwargs=HISTORY_MODES[history]
+        make, sim_kwargs=HISTORY_MODES[history], split=run == "split"
     )
     assert result.packets_injected > 0
 
@@ -197,9 +216,8 @@ def test_matrix_bit_identical(algorithm, adversary, history, backend):
 # -- edges -------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("algorithm", ("pts", "local", "downhill", "greedy"))
-def test_minimal_line(algorithm, backend):
+def test_minimal_line(algorithm):
     """n=2 — the smallest LineTopology — with a round-0 burst."""
 
     def make():
@@ -215,28 +233,77 @@ def test_minimal_line(algorithm, backend):
         )
         return topology, _make_algorithm(algorithm, topology), adversary
 
-    _assert_identical(make, backend)
+    _assert_identical(make)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("algorithm", ("pts", "local", "downhill", "greedy"))
-def test_no_drain_leaves_identical_flight_state(algorithm, backend):
+def test_no_drain_leaves_identical_flight_state(algorithm):
     """drain=False: undelivered packets, locations and counters must agree."""
-
-    def make():
-        topology = _make_topology(algorithm)
-        return (
-            topology,
-            _make_algorithm(algorithm, topology),
-            _make_adversary("trickle", algorithm, topology),
-        )
-
-    result = _assert_identical(make, backend, run_kwargs={"drain": False})
+    result = _assert_identical(_trickle(algorithm), run_kwargs={"drain": False})
     assert result.packets_undelivered > 0
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_empty_pattern(backend):
+# -- drain edges: every drain round runs the same fused scan -----------------------
+
+
+DRAIN_HISTORY_MODES = ("summary", "full")
+
+
+@pytest.mark.parametrize("history", DRAIN_HISTORY_MODES)
+@pytest.mark.parametrize("algorithm", ("pts", "local", "downhill", "greedy"))
+def test_drain_after_short_run_never_injects_the_rest(algorithm, history):
+    """run(h // 2) drains without injecting the pattern's later rows."""
+    make = _trickle(algorithm)
+    adversary = make()[2]
+    first_half = sum(
+        len(adversary.injections_for_round(t)) for t in range(ROUNDS // 2)
+    )
+    assert adversary.total_packets > first_half
+    result = _assert_identical(
+        make,
+        sim_kwargs=HISTORY_MODES[history],
+        run_kwargs={"num_rounds": ROUNDS // 2},
+    )
+    assert result.packets_injected == first_half
+    assert result.rounds_executed > ROUNDS // 2
+
+
+@pytest.mark.parametrize("history", DRAIN_HISTORY_MODES)
+@pytest.mark.parametrize("algorithm", ("pts", "local", "downhill", "greedy"))
+def test_drain_cap_hit_mid_drain(algorithm, history):
+    """max_drain_rounds stops the drain with packets still in flight."""
+    make = _trickle(algorithm)
+    result = _assert_identical(
+        make,
+        sim_kwargs=HISTORY_MODES[history],
+        run_kwargs={"max_drain_rounds": 3},
+    )
+    assert not result.drained
+    assert result.rounds_executed == make()[2].horizon + 3
+
+
+@pytest.mark.parametrize("history", DRAIN_HISTORY_MODES)
+@pytest.mark.parametrize("algorithm", ("pts", "local"))
+def test_drain_ends_on_quiescence_window(algorithm, history):
+    """Packets stranded below the threshold: the drain stops after the
+    quiescence window of rounds that forward nothing."""
+
+    def make():
+        topology = _make_topology(algorithm)
+        w = _destinations(algorithm, topology)[0]
+        adversary = build_explicit_adversary(
+            topology, rho=1.0, sigma=2.0, rounds=4,
+            routes=[(0, 2, w), (0, 5, w), (1, 9, w)],
+        )
+        return topology, _make_algorithm(algorithm, topology), adversary
+
+    result = _assert_identical(make, sim_kwargs=HISTORY_MODES[history])
+    assert not result.drained
+    assert result.packets_undelivered == 3
+    assert result.rounds_executed == make()[2].horizon + quiescence_window(N)
+
+
+def test_empty_pattern():
     def make():
         topology = LineTopology(N)
         adversary = build_explicit_adversary(
@@ -244,13 +311,12 @@ def test_empty_pattern(backend):
         )
         return topology, PeakToSink(topology), adversary
 
-    result = _assert_identical(make, backend)
+    result = _assert_identical(make)
     assert result.packets_injected == 0
     assert result.drained
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_batch_window_size_does_not_change_results(backend):
+def test_batch_window_size_does_not_change_results():
     def make():
         topology = _make_topology("pts")
         return (
@@ -259,16 +325,15 @@ def test_batch_window_size_does_not_change_results(backend):
             _make_adversary("trickle", "pts", topology),
         )
 
-    baseline = _run_batch(make, backend, {}, {}, batch_rounds=64)[1]
+    baseline = _run_batch(make, {}, {}, batch_rounds=64)[1]
     for batch_rounds in (1, 7, 1024):
         assert (
-            _run_batch(make, backend, {}, {}, batch_rounds=batch_rounds)[1]
+            _run_batch(make, {}, {}, batch_rounds=batch_rounds)[1]
             == baseline
         )
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_variant_knobs(backend):
+def test_variant_knobs():
     """Work-conserving PTS, FIFO PTS, threshold-1 local, locality-0 local."""
 
     def pts_wc():
@@ -296,19 +361,18 @@ def test_variant_knobs(backend):
         return topology, algorithm, _make_adversary("trickle", "local", topology)
 
     for make in (pts_wc, pts_fifo, local_t1, local_r0):
-        _assert_identical(make, backend)
+        _assert_identical(make)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("policy", sorted(ALL_POLICIES, key=lambda p: p.name),
                          ids=lambda p: p.name)
-def test_greedy_policies(policy, backend):
+def test_greedy_policies(policy):
     def make():
         topology = LineTopology(N, allow_virtual_sink=True)
         algorithm = GreedyForwarding(topology, policy)
         return topology, algorithm, _make_adversary("trickle", "greedy", topology)
 
-    _assert_identical(make, backend)
+    _assert_identical(make)
 
 
 # -- error-path parity -------------------------------------------------------------
@@ -321,7 +385,7 @@ def _raises_identically(make, exc_type, run_kwargs=None):
         with pytest.raises(exc_type) as delta_error:
             oracle.run(**run_kwargs)
     with packet_id_scope():
-        batch = BatchSimulator(*make(), backend="python")
+        batch = BatchSimulator(*make())
         with pytest.raises(exc_type) as batch_error:
             batch.run(**run_kwargs)
     assert str(batch_error.value) == str(delta_error.value)

@@ -1,8 +1,7 @@
 """Numpy-backed bulk occupancy snapshots (``record_occupancy_vectors`` runs).
 
 ``OccupancyTimeline`` grows a dense maxima vector fed by
-``observe_bulk`` (numpy ``maximum`` when available, a pure-python
-``array('q')`` loop otherwise), and ``ForwardingAlgorithm`` maintains a dense
+``observe_bulk`` (one numpy ``maximum``), and ``ForwardingAlgorithm`` maintains a dense
 occupancy mirror so the per-round fold is vectorized.  The contract is
 bit-identical results: the dense paths must report exactly the maxima the
 sparse dict paths report.
@@ -10,9 +9,9 @@ sparse dict paths report.
 
 from __future__ import annotations
 
-import builtins
 import random
 
+import numpy
 import pytest
 
 from repro.api import Scenario, Session
@@ -44,7 +43,6 @@ def test_dense_and_sparse_timelines_agree_on_random_feeds():
 
 
 def test_observe_bulk_matches_observe_with_numpy():
-    numpy = pytest.importorskip("numpy")
     sparse = OccupancyTimeline()
     dense = OccupancyTimeline(dense_size=24)
     for snapshot, staged in _random_snapshots(24, 200, seed=13):
@@ -60,37 +58,6 @@ def test_observe_bulk_matches_observe_with_numpy():
 def test_observe_bulk_requires_dense_mode():
     with pytest.raises(ValueError):
         OccupancyTimeline().observe_bulk([0, 1, 2])
-
-
-def test_pure_python_fallback_without_numpy(monkeypatch):
-    """Timeline and algorithm mirror degrade to array('q') when numpy is
-    absent — results identical to the numpy path."""
-    real_import = builtins.__import__
-
-    def no_numpy(name, *args, **kwargs):
-        if name == "numpy":
-            raise ImportError("numpy disabled for this test")
-        return real_import(name, *args, **kwargs)
-
-    monkeypatch.setattr(builtins, "__import__", no_numpy)
-    dense = OccupancyTimeline(dense_size=24)
-    assert dense._numpy is None
-    sparse = OccupancyTimeline()
-    from array import array
-
-    for snapshot, staged in _random_snapshots(24, 100, seed=17):
-        sparse.observe(snapshot, staged)
-        loads = array("q", bytes(8 * 24))
-        for node, load in snapshot.items():
-            loads[node] = load
-        dense.observe_bulk(loads, staged)
-    assert dense.max_occupancy == sparse.max_occupancy
-    assert dense.per_node_maxima() == sparse.per_node_maxima()
-
-    topology = LineTopology(8)
-    algorithm = PeakToSink(topology)
-    algorithm.enable_dense_occupancy()
-    assert type(algorithm.occupancy_array()).__name__ == "array"
 
 
 def test_dense_mirror_tracks_buffer_mutations():

@@ -62,18 +62,16 @@ def _build(scenario, engine, *, batch_rounds=64):
         algo = GreedyForwarding(topology)
     if engine == "delta":
         return Simulator(topology, algo, adversary)
-    return BatchSimulator(
-        topology, algo, adversary, backend=engine, batch_rounds=batch_rounds
-    )
+    return BatchSimulator(topology, algo, adversary, batch_rounds=batch_rounds)
 
 
 @settings(max_examples=40, deadline=None)
-@given(scenario=scenarios(), backend=st.sampled_from(("numpy", "python")))
-def test_batch_window_of_one_equals_delta(scenario, backend):
+@given(scenario=scenarios())
+def test_batch_window_of_one_equals_delta(scenario):
     with packet_id_scope():
         expected = _build(scenario, "delta").run()
     with packet_id_scope():
-        actual = _build(scenario, backend, batch_rounds=1).run()
+        actual = _build(scenario, "batch", batch_rounds=1).run()
     assert actual == expected
 
 
@@ -83,7 +81,7 @@ def test_batch_window_of_one_equals_delta(scenario, backend):
     batch_rounds=st.integers(min_value=1, max_value=16),
     cut_fraction=st.floats(min_value=0.0, max_value=1.0),
     pairing=st.sampled_from(
-        (("numpy", "delta"), ("delta", "numpy"), ("numpy", "numpy"), ("python", "python"))
+        (("batch", "delta"), ("delta", "batch"), ("batch", "batch"))
     ),
 )
 def test_checkpoint_resume_equals_straight_run(

@@ -11,7 +11,13 @@ from repro.core.packet import Packet
 from repro.core.scheduler import Activation, ForwardingAlgorithm
 from repro.core.pts import PeakToSink
 from repro.network.errors import CapacityViolationError, SchedulingError, TopologyError
-from repro.network.simulator import Simulator, run_simulation
+from repro.network.simulator import (
+    DrainStop,
+    Simulator,
+    default_max_drain_rounds,
+    quiescence_window,
+    run_simulation,
+)
 from repro.network.topology import LineTopology
 
 
@@ -176,6 +182,62 @@ class TestCapacityEnforcement:
         pattern = InjectionPattern.from_tuples([(0, 0, 1)])
         result = run_simulation(line, ActivatesEmpty(line), pattern, drain=False)
         assert result.packets_delivered == 0
+
+
+class TestDrainStop:
+    """The one drain stop rule every engine steps, round by round."""
+
+    def test_default_cap_is_default_max_drain_rounds(self):
+        rule = DrainStop(10, 7)
+        assert rule.cap == default_max_drain_rounds(10, 7)
+        assert rule.window == quiescence_window(10)
+        assert not rule.stopped
+
+    @pytest.mark.parametrize("cap", (0, -3))
+    def test_non_positive_cap_stops_before_any_round(self, cap):
+        assert DrainStop(10, 7, cap).stopped
+
+    def test_stops_at_cap_while_forwarding(self):
+        rule = DrainStop(10, 7, 4)
+        assert [rule.step(1) for _ in range(4)] == [False, False, False, True]
+        assert rule.rounds == 4 and rule.quiet == 0
+
+    @pytest.mark.parametrize("num_nodes", (2, 10))
+    def test_stops_after_quiescence_window(self, num_nodes):
+        window = quiescence_window(num_nodes)
+        rule = DrainStop(num_nodes, 1)
+        steps = [rule.step(0) for _ in range(window)]
+        assert steps == [False] * (window - 1) + [True]
+        assert rule.rounds == rule.quiet == window
+
+    def test_forwarding_round_resets_the_quiet_count(self):
+        window = quiescence_window(4)
+        rule = DrainStop(4, 1)
+        for _ in range(window - 1):
+            rule.step(0)
+        assert not rule.step(2)
+        assert rule.quiet == 0
+        assert not any(rule.step(0) for _ in range(window - 1))
+        assert rule.step(0)
+
+    def test_staged_change_is_progress(self):
+        window = quiescence_window(4)
+        rule = DrainStop(4, 1, staged=3)
+        assert not rule.step(0, 3)
+        assert rule.quiet == 1
+        assert not rule.step(0, 2)
+        assert rule.quiet == 0 and rule.staged == 2
+        steps = [rule.step(0, 2) for _ in range(window)]
+        assert steps == [False] * (window - 1) + [True]
+
+    def test_initial_staged_count_is_the_baseline(self):
+        assert DrainStop(4, 1, staged=5).step(0, 5) is False
+        moved = DrainStop(4, 1, staged=5)
+        moved.step(0, 0)
+        assert moved.quiet == 0
+        unmoved = DrainStop(4, 1, staged=5)
+        unmoved.step(0, 5)
+        assert unmoved.quiet == 1
 
 
 class TestDraining:
