@@ -189,8 +189,9 @@ def _stream_spec(n: int, rounds: int) -> ScenarioSpec:
 def _sharded_smoke_spec(
     n: int, rounds: int, extra_policy: Optional[Dict[str, Any]] = None
 ) -> ScenarioSpec:
-    """The sharded smoke workload: enough per-round move work (greedy visits
-    every nonempty buffer) that superstep coordination is a small fraction."""
+    """The batch x shards smoke workload: enough per-round move work (greedy
+    visits every nonempty buffer) that boundary exchange is a small
+    fraction."""
     policy: Dict[str, Any] = {"seed": 7, "drain": False, "history": "streaming"}
     if extra_policy:
         policy.update(extra_policy)
@@ -212,30 +213,6 @@ def _sharded_smoke_spec(
             "policy": policy,
         }
     )
-
-
-def _time_sharded(spec: ScenarioSpec, shards: int, repeats: int) -> Dict[str, Any]:
-    """Time one sharded run (worker spawn + superstep loop), best of N."""
-    from repro.network.sharded import run_sharded
-
-    rounds = spec.adversary.rounds
-    elapsed = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        result, _extras = run_sharded(spec, shards=shards, transport="processes")
-        elapsed = min(elapsed, time.perf_counter() - start)
-    return {
-        "case": f"sharded{shards}/{spec.label}",
-        "kind": "sharded",
-        "n": result.num_nodes,
-        "algorithm": spec.algorithm.name,
-        "topology": spec.topology.kind,
-        "shards": shards,
-        "rounds": rounds,
-        "repeats": repeats,
-        "elapsed_sec": elapsed,
-        "rounds_per_sec": rounds / elapsed if elapsed > 0 else float("inf"),
-    }
 
 
 def _batch_sharded_spec(n: int, rounds: int,
@@ -279,7 +256,7 @@ def _time_batch_sharded(
     only meaningful as a *parallel* speedup when the machine has at least
     ``shards`` cores: on fewer cores the workers timeshare one CPU and the
     ring waits dominate, so :func:`check_regression` skips these rows
-    there (mirroring the sharded smoke's no-wall-clock-gate stance).
+    there (the smokes likewise gate memory, never wall-clock).
     """
     from repro.network.sharded import run_sharded
 
@@ -307,63 +284,6 @@ def _time_batch_sharded(
     if batch_rounds_per_sec:
         case["speedup_vs_batch"] = rounds_per_sec / batch_rounds_per_sec
     return case
-
-
-def _time_chaos(n: int, rounds: int, shards: int, repeats: int) -> Dict[str, Any]:
-    """Time worker-crash recovery: one injected kill mid-run, restart mode.
-
-    Publishes ``recovery_time_s`` — the supervisor's teardown + restitch +
-    respawn + rewind cost, measured with an injected perf_counter clock —
-    alongside the chaos run's overall rounds/sec.  The recovered result is
-    asserted identical to the fault-free run, so this case doubles as an
-    end-to-end recovery check in every perf run.
-    """
-    import tempfile
-
-    from repro.network.faults import FaultEvent, FaultPlan
-    from repro.network.sharded import run_sharded
-
-    plan = FaultPlan(events=(
-        FaultEvent(kind="crash", round=rounds // 2, segment=0, phase="begin"),
-    ))
-    recovery_sec = float("inf")
-    elapsed = float("inf")
-    with tempfile.TemporaryDirectory() as scratch:
-        spec = _sharded_smoke_spec(n, rounds, {
-            "checkpoint_every": max(rounds // 4, 1),
-            "checkpoint_path": os.path.join(scratch, "chaos.ckpt"),
-            "recovery": "restart",
-            "max_worker_restarts": 2,
-        })
-        baseline, _ = run_sharded(spec, shards=shards, transport="processes")
-        for _ in range(repeats):
-            start = time.perf_counter()
-            result, extras = run_sharded(
-                spec, shards=shards, transport="processes", faults=plan,
-                clock=time.perf_counter,
-            )
-            elapsed = min(elapsed, time.perf_counter() - start)
-            recovery = extras["recovery"]
-            if recovery["restarts"] != 1 or result != baseline:
-                raise RuntimeError(
-                    f"chaos case broke: restarts={recovery['restarts']}, "
-                    f"identical={result == baseline}"
-                )
-            recovery_sec = min(recovery_sec, recovery["recovery_time_s"])
-    return {
-        "case": f"chaos/sharded{shards}/{spec.label}",
-        "kind": "chaos",
-        "n": n,
-        "algorithm": spec.algorithm.name,
-        "topology": spec.topology.kind,
-        "shards": shards,
-        "rounds": rounds,
-        "repeats": repeats,
-        "elapsed_sec": elapsed,
-        "rounds_per_sec": rounds / elapsed if elapsed > 0 else float("inf"),
-        "recovery_time_s": recovery_sec,
-        "restarts": 1,
-    }
 
 
 def _specs(sizes: List[tuple]) -> List[ScenarioSpec]:
@@ -632,31 +552,6 @@ def run_suite(quick: bool, repeats: int) -> Dict[str, Any]:
         f"{case['case']:<40} {case['ckpt_bytes'] / 1e3:>12.1f} KB ckpt  "
         f"(save {case['save_sec'] * 1e3:.1f} ms, load {case['load_sec'] * 1e3:.1f} ms)"
     )
-    # Sharded engine on the smallest streaming tier: publishes the superstep
-    # protocol's throughput (spawn + per-round coordination included) so a
-    # regression in the hand-off path shows up like any engine case.  The
-    # wall-clock *speedup* story depends on core count, so it is measured by
-    # the standalone --smoke-mem --smoke-shards mode, not gated here.
-    case = _time_sharded(
-        _sharded_smoke_spec(n_stream, max(rounds_stream // 4, 64)), 2, repeats
-    )
-    case["normalized_throughput"] = case["rounds_per_sec"] / (calibration / 1e6)
-    cases.append(case)
-    print(
-        f"{case['case']:<40} {case['rounds_per_sec']:>12.0f} rounds/s "
-        f"({case['normalized_throughput']:.1f} norm, 2 workers)"
-    )
-    # Worker-crash recovery on the same tier: publishes recovery_time_s (the
-    # restitch + respawn + rewind cost) and proves chaos == fault-free on
-    # every perf run.  Throughput is published unnormalized only — recovery
-    # cost is dominated by process spawn, which the calibration loop does
-    # not model, so the gate sticks to the regular sharded case above.
-    case = _time_chaos(n_stream, max(rounds_stream // 4, 64), 2, repeats)
-    cases.append(case)
-    print(
-        f"{case['case']:<40} {case['recovery_time_s'] * 1e3:>12.1f} ms recovery "
-        f"({case['rounds_per_sec']:.0f} rounds/s with 1 injected kill)"
-    )
     # End-to-end Session timing on the smallest tier only: it exists to catch
     # regressions in resolution/drain/result assembly, not to re-time the loop.
     n0, rounds0 = sizes[0]
@@ -709,9 +604,8 @@ def check_regression(
             if cpus < shards:
                 # Fewer cores than workers: the workers timeshare one CPU
                 # and ring waits dominate wall-clock, so neither the
-                # throughput nor the parallel speedup is meaningful.  Same
-                # stance as the sharded smoke (wall-clock is not gated on
-                # single-core containers).
+                # throughput nor the parallel speedup is meaningful (the
+                # smokes likewise never gate wall-clock).
                 print(f"note: skipping gate for {case['case']} "
                       f"({cpus} cpus < {shards} workers)")
                 continue
@@ -852,121 +746,6 @@ def run_smoke(limit_mb: float, nodes: int = SMOKE_NODES,
     return 0
 
 
-def run_smoke_sharded(limit_mb: float, nodes: int, rounds: int,
-                      shards: int) -> int:
-    """The sharded-engine smoke: a horizon-scale line split across worker
-    processes, gated on whole-tree peak RSS.
-
-    Runs the greedy/trickle streaming workload (heavy per-round move work,
-    O(packets-in-flight) memory) sharded over ``shards`` worker processes
-    and gates a *whole-tree* peak-RSS estimate: the coordinator's own peak
-    plus ``shards`` times the largest worker peak (``ru_maxrss`` for
-    children reports the max over reaped workers, not a sum, so the gate
-    conservatively assumes every worker hit that max simultaneously).
-    Wall-clock is reported — per-round coordination overhead is a few
-    percent of the single-process round cost (see docs/SHARDING.md), so on
-    a multi-core machine the supersteps overlap into real speedup — but not
-    gated, because this smoke also runs on single-core containers.
-    """
-    import resource
-
-    from repro.network.sharded import run_sharded
-
-    spec = _sharded_smoke_spec(nodes, rounds)
-    start = time.perf_counter()
-    result, extras = run_sharded(spec, shards=shards, transport="processes")
-    elapsed = time.perf_counter() - start
-    print(f"sharded smoke: n={nodes} rounds={rounds} shards={shards} "
-          f"segments={extras['segments'][:2]}...")
-    print(f"sharded smoke: injected={result.packets_injected} "
-          f"delivered={result.packets_delivered} "
-          f"max_occupancy={result.max_occupancy}")
-    print(f"sharded smoke: total {elapsed:.1f}s, "
-          f"{rounds / max(elapsed, 1e-9):.0f} rounds/s across {shards} workers")
-
-    rss_divisor = 1024.0 ** 2 if sys.platform == "darwin" else 1024.0
-    peak_self = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / rss_divisor
-    peak_worker = (
-        resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / rss_divisor
-    )
-    tree_estimate = peak_self + shards * peak_worker
-    print(f"sharded smoke: peak RSS coordinator {peak_self:.0f} MB, "
-          f"largest worker {peak_worker:.0f} MB -> whole-tree estimate "
-          f"{tree_estimate:.0f} MB (limit {limit_mb:.0f} MB)")
-    if tree_estimate > limit_mb:
-        print("SMOKE FAILURE: estimated whole-tree peak RSS exceeds the "
-              "documented memory bound")
-        return 1
-    print("smoke ok: sharded run stayed within the memory bound")
-    return 0
-
-
-def run_smoke_chaos(limit_mb: float, nodes: int, rounds: int,
-                    shards: int) -> int:
-    """The chaos smoke: a horizon-scale sharded streaming run that loses a
-    worker mid-flight and must finish anyway, inside the same RSS budget.
-
-    One ``crash`` fault kills a worker process halfway through; the
-    supervisor restitches the surviving per-segment checkpoints, respawns a
-    replacement and resumes.  The gate: exactly one restart, a result
-    identical to the fault-free twin, and the whole-tree peak-RSS estimate
-    (coordinator + ``shards`` x largest worker, as in the sharded smoke)
-    under the limit — recovery must not double-buffer the line.
-    """
-    import resource
-    import tempfile
-
-    from repro.network.faults import FaultEvent, FaultPlan
-    from repro.network.sharded import run_sharded
-
-    plan = FaultPlan(events=(
-        FaultEvent(kind="crash", round=rounds // 2, segment=0, phase="begin"),
-    ))
-    with tempfile.TemporaryDirectory() as scratch:
-        spec = _sharded_smoke_spec(nodes, rounds, {
-            "checkpoint_every": max(rounds // 4, 1),
-            "checkpoint_path": os.path.join(scratch, "chaos.ckpt"),
-            "recovery": "restart",
-            "max_worker_restarts": 2,
-        })
-        baseline, _ = run_sharded(spec, shards=shards, transport="processes")
-        start = time.perf_counter()
-        result, extras = run_sharded(
-            spec, shards=shards, transport="processes", faults=plan,
-            clock=time.perf_counter,
-        )
-        elapsed = time.perf_counter() - start
-    recovery = extras["recovery"]
-    print(f"chaos smoke: n={nodes} rounds={rounds} shards={shards}, "
-          f"1 worker killed at round {rounds // 2}")
-    print(f"chaos smoke: total {elapsed:.1f}s, restarts={recovery['restarts']}, "
-          f"recovery {recovery['recovery_time_s']:.2f}s")
-    if recovery["restarts"] != 1:
-        print(f"SMOKE FAILURE: expected exactly 1 worker restart, got "
-              f"{recovery['restarts']}")
-        return 1
-    if result != baseline:
-        print("SMOKE FAILURE: recovered result differs from the fault-free run")
-        return 1
-    print("chaos smoke: recovered result is identical to the fault-free run")
-
-    rss_divisor = 1024.0 ** 2 if sys.platform == "darwin" else 1024.0
-    peak_self = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / rss_divisor
-    peak_worker = (
-        resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / rss_divisor
-    )
-    tree_estimate = peak_self + shards * peak_worker
-    print(f"chaos smoke: peak RSS coordinator {peak_self:.0f} MB, "
-          f"largest worker {peak_worker:.0f} MB -> whole-tree estimate "
-          f"{tree_estimate:.0f} MB (limit {limit_mb:.0f} MB)")
-    if tree_estimate > limit_mb:
-        print("SMOKE FAILURE: estimated whole-tree peak RSS exceeds the "
-              "documented memory bound")
-        return 1
-    print("smoke ok: recovery stayed within the memory bound")
-    return 0
-
-
 def run_smoke_batch_shards(limit_mb: float, nodes: int = 100_000,
                            rounds: int = 2_000, shards: int = 2) -> int:
     """The batch x shards smoke: a streaming n=1e5 line split across batch
@@ -978,8 +757,10 @@ def run_smoke_batch_shards(limit_mb: float, nodes: int = 100_000,
     checkpoint cut — so recovery has to rewind to the previous cut and
     re-run the torn window.  Gates: exactly one restart, a recovered result
     identical to the fault-free run, and the whole-tree peak-RSS estimate
-    (coordinator + ``shards`` x largest worker, as in the sharded smoke)
-    under ``limit_mb``.
+    (coordinator + ``shards`` x largest worker: ``ru_maxrss`` for children
+    reports the max over reaped workers, not a sum, so the gate
+    conservatively assumes every worker hit that max at once) under
+    ``limit_mb``.
     """
     import resource
     import tempfile
@@ -1079,16 +860,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="with --smoke-mem: also run a save/restore round "
                              "trip at the halfway round and require the "
                              "resumed result to be identical (same RSS budget)")
-    parser.add_argument("--smoke-shards", type=int, default=None, metavar="K",
-                        help="with --smoke-mem: run the sharded-engine smoke "
-                             "(K worker processes) instead of the "
-                             "single-process streaming smoke, gating peak RSS "
-                             "across coordinator and workers")
-    parser.add_argument("--smoke-chaos", action="store_true",
-                        help="with --smoke-mem --smoke-shards K: kill one "
-                             "worker mid-run and require restitch-recovery to "
-                             "finish with an identical result inside the same "
-                             "RSS budget")
     parser.add_argument("--smoke-batch-shards", action="store_true",
                         help="run the batch x shards smoke instead of the case "
                              "table: an n=1e5 streaming line on 2 batch "
@@ -1115,18 +886,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return run_smoke_batch_shards(limit)
 
     if args.smoke_mem:
-        if args.smoke_chaos:
-            if args.smoke_shards is None:
-                parser.error("--smoke-chaos needs --smoke-shards K")
-            return run_smoke_chaos(
-                args.smoke_limit_mb, args.smoke_nodes, args.smoke_rounds,
-                args.smoke_shards,
-            )
-        if args.smoke_shards is not None:
-            return run_smoke_sharded(
-                args.smoke_limit_mb, args.smoke_nodes, args.smoke_rounds,
-                args.smoke_shards,
-            )
         return run_smoke(args.smoke_limit_mb, args.smoke_nodes, args.smoke_rounds,
                          checkpoint=args.smoke_checkpoint)
 

@@ -2,10 +2,12 @@
 """Sharded execution: split one line across worker processes, identically.
 
 The sharded engine (``docs/SHARDING.md``) partitions a line scenario into
-contiguous segments, runs one engine per worker process, and exchanges
-boundary packets once per round through a compact columnar hand-off record.
-The headline property is *bit-identical results*: ``shards=k`` computes
-exactly what ``shards=1`` computes.  This example
+contiguous segments, runs the batch kernel over each segment in its own
+worker process, and hands at most one boundary packet per segment edge per
+round to the right neighbour.  The batch kernel is the only segment engine,
+so a sharded run asks for ``engine="auto"`` (or ``"batch"``).  The headline
+property is *bit-identical results*: ``shards=k`` computes exactly what
+``shards=1`` computes.  This example
 
 1. runs a multi-destination streaming scenario single-process,
 2. re-runs it with ``shards=2`` and ``shards=4`` — same spec, one policy
@@ -17,7 +19,7 @@ exactly what ``shards=1`` computes.  This example
 The same switch is available from the shell::
 
     python -m repro simulate --algorithm greedy --nodes 4096 \
-        --rounds 1500 --seed 7 --shards 4
+        --rounds 1500 --seed 7 --shards 4 --engine auto
 
 Run with::
 
@@ -42,7 +44,7 @@ def build_scenario(shards: int | None = None, checkpoint_path: str | None = None
             "trickle", rho=1.0, sigma=1.0, rounds=1200, stream=True,
             destinations=[512, 1024, 2047],
         )
-        .policy(history="streaming", drain=False, seed=7)
+        .policy(history="streaming", drain=False, seed=7, engine="auto")
         .named("sharded-demo")
     )
     if shards is not None:

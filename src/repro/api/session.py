@@ -274,9 +274,10 @@ class Session:
     ) -> RunReport:
         """Execute one scenario and report the measured-vs-bound outcome.
 
-        A spec whose policy sets ``shards > 1`` routes transparently to the
-        sharded engine (:mod:`repro.network.sharded`) — the report is built
-        from the merged result, which is bit-identical to ``shards=1``.
+        A spec whose policy sets ``shards > 1`` routes to the sharded batch
+        kernel (:mod:`repro.network.sharded`; ``engine`` must be
+        ``"batch"`` or ``"auto"``) — the report is built from the merged
+        result, which is bit-identical to ``shards=1``.
         Sharded runs are supervised: worker failures are handled per the
         spec's ``policy.recovery`` / ``max_worker_restarts`` /
         ``heartbeat_timeout`` knobs, and ``faults`` optionally threads a
@@ -444,10 +445,9 @@ class Session:
         """Execute a spec on the sharded engine and assemble the report.
 
         The merged :class:`SimulationResult` comes back from the segment
-        workers; only the bound comparison needs a local algorithm instance,
-        which is given every worker's discovered state first (PPTS learns
-        its destination set from the packets it stores, and each worker only
-        saw its own segment's).
+        workers; only the bound comparison needs a local algorithm instance.
+        Every algorithm the sharded batch kernel runs has a bound that
+        depends on construction parameters alone, so a fresh one suffices.
         """
         from ..network.sharded import run_sharded
 
@@ -457,7 +457,6 @@ class Session:
         algorithm = algorithm_builder(
             topology, **_coerce_discipline(spec.algorithm.params)
         )
-        algorithm.fold_sibling_state(extras["algorithm_states"])
         # Mirror _execute's sigma source exactly: the *built* adversary's
         # declared sigma (workers report it), with no spec fallback — an
         # adversary that claims no envelope gets no bound, sharded or not.
@@ -475,14 +474,9 @@ class Session:
             params=self._report_params(spec, topology),
             spec=spec,
             recovery=extras.get("recovery"),
-            # Same visibility rule as _execute: routing telemetry surfaces
-            # only when the policy actually routed (engine="batch"/"auto");
-            # a plain delta run reports none, sharded or not.
-            engine=(
-                extras.get("engine")
-                if spec.policy.engine in ("batch", "auto")
-                else None
-            ),
+            # A sharded run always routed (engine="batch"/"auto"), so its
+            # routing telemetry always surfaces, as in _execute.
+            engine=extras["engine"],
         )
 
     def _execute(

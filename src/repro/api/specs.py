@@ -226,12 +226,14 @@ class RunPolicy(_SpecBase):
         Where the periodic snapshots go; required when ``checkpoint_every``
         is set.
     shards:
-        Partition the line into this many contiguous segments and run one
-        engine per worker process (:mod:`repro.network.sharded`).  ``None``
-        or ``1`` means single-process.  Sharding never changes what the
-        simulation computes — results are bit-identical to ``shards=1`` —
-        so, like the checkpoint fields, it is excluded from the
-        resume-identity hash.
+        Partition the line into this many contiguous segments and run the
+        batch kernel over each in its own worker process
+        (:mod:`repro.network.sharded`); ``engine`` must then be ``"batch"``
+        or ``"auto"``, and a scenario the batch kernel refuses cannot be
+        sharded.  ``None`` or ``1`` means single-process.  Sharding never
+        changes what the simulation computes — results are bit-identical
+        to ``shards=1`` — so, like the checkpoint fields, it is excluded
+        from the resume-identity hash.
     recovery:
         What the sharded coordinator does when a segment worker dies or
         stops answering: ``"fail"`` (default) raises the typed

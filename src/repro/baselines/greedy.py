@@ -36,11 +36,6 @@ class GreedyForwarding(ForwardingAlgorithm):
         The greedy priority rule (defaults to FIFO).
     """
 
-    #: Greedy decisions are per-node (each nonempty buffer forwards by its
-    #: own priority rule), so the base class's filter-own-selection segment
-    #: path is already exact.
-    supports_sharding = True
-
     def __init__(
         self,
         topology: Topology,
@@ -125,24 +120,6 @@ class GreedyForwarding(ForwardingAlgorithm):
                 Activation(node=node, key=_SINGLE_QUEUE, packet=chosen)
             )
         return activations
-
-    # -- segment (sharded) selection -----------------------------------------------
-
-    def boundary_view(self, round_number: int, lo: int, hi: int) -> Dict:
-        """Greedy needs no remote state: each node's choice reads only its
-        own buffer and the arrival rounds of the packets it holds, so the
-        empty view is exact (RPR004 proof obligation, made explicit)."""
-        return super().boundary_view(round_number, lo, hi)
-
-    def select_segment_activations(self, round_number, segment_index, segments,
-                                   views, carry):
-        """Exact by per-node locality: restricting the global
-        :meth:`select_activations` sweep to this segment's nodes selects the
-        same packets the single-process engine would, because no activation
-        depends on a node outside the segment."""
-        return super().select_segment_activations(
-            round_number, segment_index, segments, views, carry
-        )
 
 
 @register_algorithm("greedy")

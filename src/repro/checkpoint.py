@@ -815,9 +815,7 @@ def _concat_sorted_rows(
     }
 
 
-def stitch_checkpoints(
-    checkpoints: List[Checkpoint], *, max_staged: Optional[int] = None
-) -> Checkpoint:
+def stitch_checkpoints(checkpoints: List[Checkpoint]) -> Checkpoint:
     """Merge per-segment snapshots of one sharded run into a global checkpoint.
 
     ``checkpoints`` must be the segments of a single
@@ -826,12 +824,7 @@ def stitch_checkpoints(
     and injection-log tables are concatenated and re-sorted into packet-id
     order, buffer directories (already node-ascending per segment) are
     concatenated, counters are summed and maxima maxed, and per-round history
-    records are merged element-wise.  ``max_staged`` overrides the timeline's
-    staged maximum — per-segment engines only ever saw their own staged
-    packets, so the coordinator, which tracked the global per-round sum,
-    must supply it whenever the algorithm stages (HPTS); for non-staging
-    algorithms the per-segment maxima are all zero and the override may be
-    omitted.
+    records are merged element-wise.
 
     The stitched checkpoint resumes bit-identically in a single-process
     engine (:meth:`repro.api.session.Session.resume`).
@@ -945,12 +938,6 @@ def stitch_checkpoints(
         engine["latency_max"] for engine in engines
         if engine["latency_max"] is not None
     ]
-    staged_maximum = max_staged
-    if staged_maximum is None:
-        staged_maximum = max(
-            checkpoint.header["timeline"]["max_staged"]
-            for checkpoint in checkpoints
-        )
     header: Dict[str, Any] = {
         "format": "repro-checkpoint",
         "spec": first.spec,
@@ -967,7 +954,10 @@ def stitch_checkpoints(
                 checkpoint.header["timeline"]["max_occupancy"]
                 for checkpoint in checkpoints
             ),
-            "max_staged": staged_maximum,
+            "max_staged": max(
+                checkpoint.header["timeline"]["max_staged"]
+                for checkpoint in checkpoints
+            ),
         },
         "next_packet_id": first.header["next_packet_id"],
         "algorithm": {
@@ -989,11 +979,9 @@ def stitch_checkpoints(
     return _decode(blob, source="<stitched>")
 
 
-def save_stitched(
-    checkpoints: List[Checkpoint], path: str, *, max_staged: Optional[int] = None
-) -> int:
+def save_stitched(checkpoints: List[Checkpoint], path: str) -> int:
     """Stitch per-segment snapshots and write the global checkpoint to ``path``."""
-    stitched = stitch_checkpoints(checkpoints, max_staged=max_staged)
+    stitched = stitch_checkpoints(checkpoints)
     blob = _encode(
         {
             key: value

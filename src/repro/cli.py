@@ -160,10 +160,12 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="partition the line into N contiguous segments and run one "
-        "engine per worker process (results are bit-identical to a "
-        "single-process run; line topologies and non-adaptive adversaries "
-        "only)",
+        help="partition the line into N contiguous segments and run the "
+        "batch kernel over each in its own worker process (results are "
+        "bit-identical to a single-process run); needs --engine batch or "
+        "auto and a scenario the batch kernel accepts (line topology, "
+        "non-adaptive adversary, PTS/local/downhill/built-in greedy), "
+        "anything else exits with code 2",
     )
     simulate.add_argument(
         "--engine",

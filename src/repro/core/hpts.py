@@ -77,10 +77,6 @@ class HierarchicalPeakToSink(ForwardingAlgorithm):
     """
 
     name = "HPTS"
-    supports_sharding = True
-    #: Pre-bad activation scans propagate rightward along the line within a
-    #: round, so segment selection runs left-to-right with a carry token.
-    sharding_needs_carry = True
 
     def __init__(
         self,
@@ -189,194 +185,6 @@ class HierarchicalPeakToSink(ForwardingAlgorithm):
     def theoretical_bound(self, sigma: float) -> float:
         """Theorem 4.1: ``ell * n**(1/ell) + sigma + 1``."""
         return bounds.hpts_upper_bound(self.topology.num_nodes, self.levels, sigma)
-
-    # -- segment (sharded) selection -----------------------------------------------
-    #
-    # HPTS selection has two cross-segment information flows:
-    #
-    # * FormPaths runs a PPTS-style frontier cascade inside every interval of
-    #   the round's level — intervals (whose sizes reach n at the top level)
-    #   freely span segment boundaries.  As with PPTS, each cascade query has
-    #   a fixed lower end (the interval start), so the per-(interval,
-    #   destination) global left-most bad position — the min over segments,
-    #   shipped in `boundary_view` — is sufficient to replay the cascade
-    #   exactly on every segment.
-    # * ActivatePreBad looks one node to the *left* of each interval start
-    #   (possibly across a boundary) and extends activations *rightward*
-    #   while nodes are inactive (possibly across boundaries).  Both flows
-    #   are strictly left-to-right, so they thread through the `carry` token:
-    #   the left neighbour exports its last node's activation (with the phase
-    #   at which it was activated and the peeked head packet of the activated
-    #   pseudo-buffer) plus any scan still open at its right edge per level.
-    #
-    # Phase bookkeeping: FormPaths activations carry phase `level_of_round`;
-    # a pre-bad activation at level L carries phase L.  A predecessor is
-    # visible to the level-L pre-bad check iff its phase is >= L — exactly
-    # the set of entries the single-process `active` map holds when level L
-    # is processed (left-of-`start` same-level entries included, since
-    # intervals are swept left to right).
-
-    def boundary_view(self, round_number, lo, hi):
-        level = self._level_for_round(round_number)
-        size = self._interval_size[level]
-        intervals: Dict[int, Dict[int, int]] = {}
-        for rank, destinations in self._destination_buckets(level):
-            start = rank * size
-            overlap_lo, overlap_hi = max(start, lo), min(start + size - 1, hi)
-            entry: Dict[int, int] = {}
-            for w in destinations:
-                position = self._index.bad((level, w)).first_in(
-                    overlap_lo, overlap_hi
-                )
-                if position is not None:
-                    entry[w] = position
-            if entry:
-                intervals[rank] = entry
-        return {"intervals": intervals}
-
-    def select_segment_activations(self, round_number, segment_index, segments,
-                                   views, carry):
-        lo, hi = segments[segment_index]
-        current_level = self._level_for_round(round_number)
-        active: Dict[int, Tuple[int, int]] = {}
-        phase: Dict[int, int] = {}
-        activations: List[Activation] = []
-
-        # FormPaths on every current-level interval overlapping this segment
-        # that some segment reported a bad position in.
-        size = self._interval_size[current_level]
-        ranks = sorted(
-            {
-                rank
-                for view in views
-                for rank in view["intervals"]
-                if lo // size <= rank <= hi // size
-            }
-        )
-        for rank in ranks:
-            end = rank * size + size - 1
-            merged: Dict[int, int] = {}
-            for view in views:
-                for w, position in view["intervals"].get(rank, {}).items():
-                    current = merged.get(w)
-                    if current is None or position < current:
-                        merged[w] = position
-            destinations = sorted(merged)
-            frontier = max(destinations)
-            for w in reversed(destinations):
-                key = (current_level, w)
-                last = min(frontier - 1, w - 1, end)
-                bad = merged[w]
-                if bad > last:
-                    continue
-                for i in self._index.nonempty_in(key, max(bad, lo), min(last, hi)):
-                    if i in active:
-                        continue
-                    activations.append(Activation(node=i, key=key))
-                    active[i] = key
-                    phase[i] = current_level
-                frontier = bad
-
-        open_out: Dict[int, Tuple[Tuple[int, int], int]] = {}
-        if self.activate_pre_bad:
-            open_in = carry["open"] if carry else {}
-            last_info = carry["last"] if carry else None
-            for level in range(current_level - 1, -1, -1):
-                # First, continue any scan the left neighbour left open at
-                # this level — it originates at an interval start left of
-                # `lo`, so its activations precede this segment's own
-                # interval starts in the single-process sweep order.
-                open_scan = open_in.get(level)
-                if open_scan is not None:
-                    key, limit = open_scan
-                    i = lo
-                    while i <= min(limit, hi) and i not in active:
-                        activations.append(Activation(node=i, key=key))
-                        active[i] = key
-                        phase[i] = level
-                        i += 1
-                    if i > hi and limit > hi:
-                        open_out[level] = (key, limit)
-                level_size = self._interval_size[level]
-                first_start = ((lo + level_size - 1) // level_size) * level_size
-                for start in range(first_start, hi + 1, level_size):
-                    if start == 0 or start in active:
-                        continue
-                    if start == lo and segment_index > 0:
-                        pre_bad_key = self._pre_bad_key_from_carry(
-                            start, level, last_info
-                        )
-                    else:
-                        pre_bad_key = self._pre_bad_key(start, level, active)
-                    if pre_bad_key is None:
-                        continue
-                    _, intermediate = pre_bad_key
-                    limit = min(intermediate, start + level_size - 1)
-                    i = start
-                    while i <= min(limit, hi) and i not in active:
-                        activations.append(Activation(node=i, key=pre_bad_key))
-                        active[i] = pre_bad_key
-                        phase[i] = level
-                        i += 1
-                    if i > hi and limit > hi:
-                        open_out[level] = (pre_bad_key, limit)
-
-        # Export the right-edge state for the next segment.
-        last_key = active.get(hi)
-        peek = None
-        if last_key is not None:
-            pseudo = self.buffers[hi].existing(last_key)
-            peek = pseudo.peek() if pseudo is not None else None
-        carry_out = {
-            "last": {
-                "phase": phase.get(hi),
-                "key": last_key,
-                "peek_nonempty": peek is not None,
-                "peek_destination": None if peek is None else peek.destination,
-            },
-            "open": open_out,
-        }
-        return activations, carry_out
-
-    def fold_sibling_state(self, states) -> None:
-        """Nothing to fold: HPTS discovers no global state worth keeping.
-
-        Sibling segments' :meth:`checkpoint_state` payloads only carry
-        staged packet ids, which are strictly segment-local; the per-level
-        destination sets are derived state rebuilt from this instance's own
-        buffers via ``on_key_presence_change``, and :meth:`theoretical_bound`
-        depends only on construction parameters (``n``, ``ell``).  The
-        override is deliberate (RPR004): it records that the question "does
-        HPTS learn anything global from its siblings?" was answered, rather
-        than silently inheriting the base no-op.
-        """
-
-    def _pre_bad_key_from_carry(
-        self, node: int, level: int, last_info: Optional[Dict]
-    ) -> Optional[Tuple[int, int]]:
-        """Definition 4.6 across a segment boundary: the predecessor's state
-        arrives in the left neighbour's carry instead of being peeked."""
-        if last_info is None or last_info["phase"] is None:
-            return None
-        if last_info["phase"] < level:
-            # Activated at a lower level than the one being processed — the
-            # single-process `active` map would not contain it yet.
-            return None
-        if not last_info["peek_nonempty"]:
-            return None
-        predecessor_key = last_info["key"]
-        _, current_intermediate = predecessor_key
-        if current_intermediate != node:
-            return None
-        destination = last_info["peek_destination"]
-        if destination == node:
-            return None
-        new_key = self.partition.pseudo_buffer_key(node, destination)
-        if new_key[0] != level:
-            return None
-        if self.buffers[node].load_of(new_key) < 1:
-            return None
-        return new_key
 
     # -- internals ----------------------------------------------------------------
 

@@ -23,7 +23,7 @@ where a key's whole nonempty set turns empty or nonempty to
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, insort
 from typing import Dict, Hashable, Iterator, List, Optional
 
 __all__ = ["SortedIndexSet", "BufferIndex"]
@@ -80,13 +80,6 @@ class SortedIndexSet:
         index = bisect_left(self._items, lo)
         if index < len(self._items) and self._items[index] <= hi:
             return self._items[index]
-        return None
-
-    def last_in(self, lo: int, hi: int) -> Optional[int]:
-        """The largest position in ``[lo, hi]``, or ``None``."""
-        index = bisect_right(self._items, hi)
-        if index > 0 and self._items[index - 1] >= lo:
-            return self._items[index - 1]
         return None
 
     def range_iter(self, lo: int, hi: int) -> Iterator[int]:
@@ -164,10 +157,6 @@ class BufferIndex:
     def nonempty(self, key: Hashable) -> SortedIndexSet:
         """Positions whose ``key`` pseudo-buffer holds >= 1 packet."""
         return self._nonempty.get(key) or _EMPTY
-
-    def bad_keys(self) -> List[Hashable]:
-        """Keys with at least one bad position anywhere (any order)."""
-        return [key for key, index_set in self._bad.items() if index_set]
 
     def bad(self, key: Hashable) -> SortedIndexSet:
         """Positions whose ``key`` pseudo-buffer holds >= ``bad_threshold``."""

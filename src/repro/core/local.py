@@ -106,8 +106,6 @@ class LocalThresholdForwarding(ForwardingAlgorithm):
             )
         return self.destination
 
-    supports_sharding = True
-
     def select_activations(self, round_number: int) -> List[Activation]:
         last_buffer = min(self.destination - 1, self.topology.num_nodes - 1)
         activations: List[Activation] = []
@@ -116,39 +114,6 @@ class LocalThresholdForwarding(ForwardingAlgorithm):
             if self._index.leftmost_bad(self.destination, window_start, i) is not None:
                 activations.append(Activation(node=i, key=self.destination))
         return activations
-
-    # -- segment (sharded) selection -----------------------------------------------
-
-    def boundary_view(self, round_number, lo, hi):
-        """The segment's right-most congested buffer.
-
-        Node ``i`` activates iff some buffer in ``[i - r, i]`` is congested,
-        i.e. iff the right-most congested position at or left of ``i`` is
-        within ``r``.  Congestion to the left of a segment is therefore fully
-        summarised by one number: the prefix maximum of the per-segment
-        right-most congested positions.
-        """
-        return {"rb": self._index.bad(self.destination).last_in(lo, hi)}
-
-    def select_segment_activations(self, round_number, segment_index, segments,
-                                   views, carry):
-        lo, hi = segments[segment_index]
-        last_buffer = min(self.destination - 1, self.topology.num_nodes - 1)
-        prefix_rb = None
-        for view in views[:segment_index]:
-            position = view["rb"]
-            if position is not None and (prefix_rb is None or position > prefix_rb):
-                prefix_rb = position
-        bad = self._index.bad(self.destination)
-        activations: List[Activation] = []
-        for i in self._index.nonempty_in(self.destination, lo, min(last_buffer, hi)):
-            window_start = max(0, i - self.locality)
-            congested = bad.first_in(max(window_start, lo), i) is not None or (
-                prefix_rb is not None and prefix_rb >= window_start
-            )
-            if congested:
-                activations.append(Activation(node=i, key=self.destination))
-        return activations, None
 
     def theoretical_bound(self, sigma: float) -> Optional[float]:
         """The PTS bound when the view is global; no claimed bound otherwise."""
@@ -170,7 +135,6 @@ class DownhillForwarding(ForwardingAlgorithm):
     """
 
     name = "Downhill"
-    supports_sharding = True
 
     def __init__(
         self,
@@ -207,35 +171,3 @@ class DownhillForwarding(ForwardingAlgorithm):
             if load >= successor_load:
                 activations.append(Activation(node=i, key=self.destination))
         return activations
-
-    # -- segment (sharded) selection -----------------------------------------------
-
-    def boundary_view(self, round_number, lo, hi):
-        """The load of the segment's first node — the left neighbour's
-        successor load at the boundary edge."""
-        return {"first_load": self._occupancy[lo]}
-
-    def select_segment_activations(self, round_number, segment_index, segments,
-                                   views, carry):
-        lo, hi = segments[segment_index]
-        last_buffer = min(self.destination - 1, self.topology.num_nodes - 1)
-        boundary_successor_load = (
-            views[segment_index + 1]["first_load"]
-            if segment_index + 1 < len(views)
-            else 0
-        )
-        occupancy = self._occupancy
-        activations: List[Activation] = []
-        for i in range(lo, min(last_buffer, hi) + 1):
-            load = occupancy[i]
-            if load == 0:
-                continue
-            if i == last_buffer:
-                successor_load = 0
-            elif i == hi:
-                successor_load = boundary_successor_load
-            else:
-                successor_load = occupancy[i + 1]
-            if load >= successor_load:
-                activations.append(Activation(node=i, key=self.destination))
-        return activations, None

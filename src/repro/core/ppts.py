@@ -44,7 +44,6 @@ class ParallelPeakToSink(ForwardingAlgorithm):
     """
 
     name = "PPTS"
-    supports_sharding = True
 
     def __init__(
         self,
@@ -128,66 +127,6 @@ class ParallelPeakToSink(ForwardingAlgorithm):
         if not destinations:
             return None
         return bounds.ppts_upper_bound(len(destinations), sigma)
-
-    # -- segment (sharded) selection -----------------------------------------------
-
-    def boundary_view(self, round_number, lo, hi):
-        """Per destination, the segment's left-most bad pseudo-buffer.
-
-        Destinations with no bad pseudo-buffer anywhere never activate and
-        never move the frontier (the cascade skips them without effect), so
-        the view only carries destinations that are bad *somewhere in this
-        segment* — O(congested destinations), not O(d) or O(n).
-        """
-        bad_map = {}
-        for key in self._index.bad_keys():
-            position = self._index.bad(key).first_in(lo, hi)
-            if position is not None:
-                bad_map[key] = position
-        return {"bad": bad_map}
-
-    def select_segment_activations(self, round_number, segment_index, segments,
-                                   views, carry):
-        """Exact PPTS restricted to one segment.
-
-        Replays Algorithm 2's right-to-left frontier cascade over the merged
-        per-destination left-most-bad positions.  Because every
-        ``leftmost_bad`` query in the cascade has a fixed lower end (0), the
-        global minimum bad position per destination is all that is needed:
-        it either lies inside the query window (and is the answer) or past
-        it (and the window holds no bad position at all).
-        """
-        lo, hi = segments[segment_index]
-        merged: dict = {}
-        for view in views:
-            for w, position in view["bad"].items():
-                current = merged.get(w)
-                if current is None or position < current:
-                    merged[w] = position
-        if self._declared_destinations is not None:
-            # With an explicit destination set the cascade only serves those
-            # destinations, exactly like the single-process selection.
-            declared = set(self._declared_destinations)
-            merged = {w: p for w, p in merged.items() if w in declared}
-        destinations = sorted(merged)
-        activations: List[Activation] = []
-        frontier = self.topology.num_nodes
-        if destinations:
-            frontier = max(frontier, max(destinations))
-        for w in reversed(destinations):
-            last = min(frontier - 1, w - 1, self.topology.num_nodes - 1)
-            bad = merged[w]
-            if bad > last:
-                continue
-            for i in self._index.nonempty_in(w, max(bad, lo), min(last, hi)):
-                activations.append(Activation(node=i, key=w))
-            frontier = bad
-        return activations, None
-
-    def fold_sibling_state(self, states) -> None:
-        """Union sibling segments' observed destinations (the Prop. 3.2 ``d``)."""
-        for state in states:
-            self._observed_destinations.update(state.get("observed", ()))
 
     # -- queries ------------------------------------------------------------------
 

@@ -43,7 +43,6 @@ class PeakToSink(ForwardingAlgorithm):
     """
 
     name = "PTS"
-    supports_sharding = True
 
     #: Debug/equivalence switch: ``False`` restores the seed engine's
     #: per-round linear scans (the indices stay maintained either way).
@@ -99,41 +98,6 @@ class PeakToSink(ForwardingAlgorithm):
     def theoretical_bound(self, sigma: float) -> float:
         """Proposition 3.1: ``2 + sigma``."""
         return bounds.pts_upper_bound(sigma)
-
-    # -- segment (sharded) selection -----------------------------------------------
-
-    def boundary_view(self, round_number, lo, hi):
-        """The segment's left-most bad buffer — all PTS selection needs."""
-        return {"bad": self._index.bad(self.destination).first_in(lo, hi)}
-
-    def select_segment_activations(self, round_number, segment_index, segments,
-                                   views, carry):
-        """Exact PTS restricted to one segment.
-
-        The global left-most bad buffer is the minimum of the per-segment
-        left-most bad positions; everything non-empty from there to ``w - 1``
-        activates, so this segment contributes its own non-empty positions in
-        the intersection with ``[leftmost, w - 1]``.
-        """
-        lo, hi = segments[segment_index]
-        last_buffer = min(self.destination - 1, self.topology.num_nodes - 1)
-        bad_positions = [
-            view["bad"] for view in views if view["bad"] is not None
-        ]
-        leftmost_bad = min(bad_positions) if bad_positions else None
-        if leftmost_bad is None or leftmost_bad > last_buffer:
-            if not self.work_conserving:
-                return [], None
-            start = 0
-        else:
-            start = leftmost_bad
-        activations = [
-            Activation(node=i, key=self.destination)
-            for i in self._index.nonempty_in(
-                self.destination, max(start, lo), min(last_buffer, hi)
-            )
-        ]
-        return activations, None
 
     # -- internals ----------------------------------------------------------------
 

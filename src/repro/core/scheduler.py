@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Any, Dict, Hashable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Hashable, List, Optional, Set
 
 import numpy as np
 
@@ -76,20 +76,6 @@ class ForwardingAlgorithm(ABC):
 
     #: Human-readable identifier used in result tables.
     name: str = "abstract"
-
-    #: Whether this algorithm implements segment-exact selection — i.e. its
-    #: :meth:`boundary_view` / :meth:`select_segment_activations` pair
-    #: reproduces the *global* activation set restricted to a line segment,
-    #: bit for bit.  The sharded engine refuses algorithms that have not
-    #: opted in, rather than silently diverging from the single-process run.
-    supports_sharding: bool = False
-
-    #: Whether segment selection must run left-to-right with a carry token
-    #: threaded between neighbours (:meth:`select_segment_activations`'s
-    #: ``carry``).  Only algorithms whose per-round decision propagates
-    #: sequentially along the line (HPTS's pre-bad cascade) need this; for
-    #: everything else the coordinator fans selection out in parallel.
-    sharding_needs_carry: bool = False
 
     def __init__(
         self,
@@ -172,67 +158,6 @@ class ForwardingAlgorithm(ABC):
     @abstractmethod
     def select_activations(self, round_number: int) -> List[Activation]:
         """The family ``A`` of pseudo-buffers that forward this round."""
-
-    # -- segment (sharded) selection -----------------------------------------------
-    #
-    # The sharded engine (repro.network.sharded) runs one algorithm instance
-    # per contiguous line segment; each instance stores only its own segment's
-    # packets.  Per round every instance publishes a compact summary of its
-    # segment (`boundary_view`) and then computes the *global* activation set
-    # restricted to its own nodes from everyone's summaries
-    # (`select_segment_activations`).  An algorithm that sets
-    # ``supports_sharding = True`` guarantees this pair is exact: the union of
-    # segment activations equals the single-process `select_activations`.
-
-    def boundary_view(self, round_number: int, lo: int, hi: int) -> Dict[str, Any]:
-        """Selection-relevant summary of this engine's segment ``[lo, hi]``.
-
-        Must be small (O(keys with congestion), never O(n)) and picklable —
-        it crosses a process boundary every superstep.  The default empty
-        view suits algorithms whose per-node decision needs no remote state
-        (greedy baselines).
-        """
-        return {}
-
-    def select_segment_activations(
-        self,
-        round_number: int,
-        segment_index: int,
-        segments: Sequence[Tuple[int, int]],
-        views: Sequence[Dict[str, Any]],
-        carry: Any,
-    ) -> Tuple[List[Activation], Any]:
-        """The global activation set restricted to this engine's segment.
-
-        ``segments`` lists every segment's inclusive ``(lo, hi)`` bounds in
-        line order and ``views`` the matching :meth:`boundary_view` results;
-        this engine owns ``segments[segment_index]``.  ``carry`` is the token
-        returned by the left neighbour when :attr:`sharding_needs_carry` is
-        set (``None`` otherwise / for the left-most segment); the returned
-        second element is handed to the right neighbour.
-
-        The default filters the engine's own global selection to its segment
-        — exact for algorithms whose activation at a node depends only on
-        that node's buffers, since every packet this instance stores lives
-        inside its segment.
-        """
-        lo, hi = segments[segment_index]
-        activations = [
-            activation
-            for activation in self.select_activations(round_number)
-            if lo <= activation.node <= hi
-        ]
-        return activations, None
-
-    def fold_sibling_state(self, states: Sequence[Dict]) -> None:
-        """Fold sibling segment engines' :meth:`checkpoint_state` payloads in.
-
-        After a sharded run the coordinator gives one representative instance
-        every worker's state so globally *discovered* facts (PPTS's observed
-        destination set) are complete before :meth:`theoretical_bound` is
-        consulted.  The default does nothing — most algorithms' bounds depend
-        only on construction parameters.
-        """
 
     def on_round_end(self, round_number: int) -> None:
         """Hook called after the forwarding step completes.

@@ -84,9 +84,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         prog="python -m repro.devtools.lint",
         description=(
             "Contract linter for the repro engine: determinism (RPR001), "
-            "__slots__ (RPR002), checkpoint coverage (RPR003), sharding hooks "
-            "(RPR004), registry hygiene (RPR005), error discipline (RPR006) "
-            "and frozen-spec mutation (RPR007).  See docs/LINTING.md."
+            "__slots__ (RPR002), checkpoint coverage (RPR003), registry "
+            "hygiene (RPR005), error discipline (RPR006) and frozen-spec "
+            "mutation (RPR007).  See docs/LINTING.md."
         ),
     )
     parser.add_argument("paths", nargs="+", help="files or directories to lint")

@@ -144,9 +144,6 @@ class LintConfig:
     #: the bit-identical determinism contract (RPR001).
     order_critical_functions: Tuple[str, ...] = (
         "select_activations",
-        "select_segment_activations",
-        "boundary_view",
-        "fold_sibling_state",
         "checkpoint_state",
         "classify",
         "on_inject",
@@ -176,8 +173,8 @@ class LintConfig:
         "repro/network/faults.py",
     )
     #: Root class of the forwarding-algorithm hierarchy.  Hook defaults on
-    #: the root itself do not satisfy RPR003/RPR004 — each algorithm owns
-    #: its segment-exactness and checkpoint proof obligations.
+    #: the root itself do not satisfy RPR003 — each algorithm owns its
+    #: checkpoint proof obligations.
     algorithm_root: str = "ForwardingAlgorithm"
     #: Root class adversary row tables must derive from (RPR003b).
     rows_root: str = "ResumableRows"
@@ -253,9 +250,6 @@ class ClassInfo:
     #: True when the body assigns ``__slots__`` or a dataclass decorator
     #: passes ``slots=True``.
     declares_slots: bool
-    #: ``{flag: value}`` for boolean class attributes like
-    #: ``supports_sharding = True``.
-    bool_flags: Dict[str, bool]
     #: ``self.<attr>`` assignments in ``__init__`` whose value is a mutable
     #: container literal/constructor, as ``(attr, lineno)`` pairs.
     mutable_init_attrs: Tuple[Tuple[str, int], ...]
@@ -317,7 +311,6 @@ def _collect_class(node: ast.ClassDef, module: ModuleInfo) -> ClassInfo:
     methods: List[str] = []
     decorators: List[str] = []
     declares_slots = False
-    bool_flags: Dict[str, bool] = {}
     mutable_init: List[Tuple[str, int]] = []
     annotations: Dict[str, ast.expr] = {}
 
@@ -371,24 +364,13 @@ def _collect_class(node: ast.ClassDef, module: ModuleInfo) -> ClassInfo:
                             mutable_init.append((target.attr, sub.lineno))
         elif isinstance(item, ast.Assign):
             for target in item.targets:
-                if isinstance(target, ast.Name):
-                    if target.id == "__slots__":
-                        declares_slots = True
-                    elif isinstance(item.value, ast.Constant) and isinstance(
-                        item.value.value, bool
-                    ):
-                        bool_flags[target.id] = item.value.value
+                if isinstance(target, ast.Name) and target.id == "__slots__":
+                    declares_slots = True
         elif isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
             if item.target.id == "__slots__":
                 declares_slots = True
             else:
                 annotations.setdefault(item.target.id, item.annotation)
-            if (
-                item.value is not None
-                and isinstance(item.value, ast.Constant)
-                and isinstance(item.value.value, bool)
-            ):
-                bool_flags[item.target.id] = item.value.value
 
     return ClassInfo(
         name=node.name,
@@ -399,7 +381,6 @@ def _collect_class(node: ast.ClassDef, module: ModuleInfo) -> ClassInfo:
         methods=tuple(methods),
         decorators=tuple(decorators),
         declares_slots=declares_slots,
-        bool_flags=bool_flags,
         mutable_init_attrs=tuple(mutable_init),
         attr_annotations=annotations,
     )

@@ -422,57 +422,6 @@ def check_checkpoint_coverage(
 
 
 # --------------------------------------------------------------------------
-# RPR004 — sharding hooks
-# --------------------------------------------------------------------------
-
-
-@rule(
-    "RPR004",
-    "sharding-hooks",
-    "supports_sharding=True requires boundary_view + select_segment_activations; "
-    "sharding_needs_carry=True additionally requires fold_sibling_state",
-)
-def check_sharding_hooks(model: ProjectModel, config: LintConfig) -> Iterable[Finding]:
-    findings: List[Finding] = []
-    root = config.algorithm_root
-    for name, info in model.classes.items():
-        if name == root:
-            continue
-        if not info.bool_flags.get("supports_sharding", False):
-            continue
-        required = ["boundary_view", "select_segment_activations"]
-        needs_carry = info.bool_flags.get("sharding_needs_carry", False) or any(
-            a.bool_flags.get("sharding_needs_carry", False)
-            for a in model.ancestors(name)
-        )
-        if needs_carry:
-            required.append("fold_sibling_state")
-        missing = [
-            hook
-            for hook in required
-            if not model.defines_below_root(name, hook, root)
-        ]
-        if missing:
-            findings.append(
-                Finding(
-                    code="RPR004",
-                    path=info.module.display_path,
-                    line=info.lineno,
-                    col=info.node.col_offset,
-                    symbol=name,
-                    message=(
-                        f"{name} declares supports_sharding=True but does not define "
-                        f"{' / '.join(missing)} — segment-exactness is a per-algorithm "
-                        "proof obligation; inheriting the root default is not a proof "
-                        "(override explicitly, even if only to delegate, and document "
-                        "why it is exact; see docs/SHARDING.md)"
-                    ),
-                )
-            )
-    return findings
-
-
-# --------------------------------------------------------------------------
 # RPR005 — registry hygiene
 # --------------------------------------------------------------------------
 

@@ -13,7 +13,7 @@ from .errors import (
 )
 from .events import HistoryPolicy, OccupancyTimeline, RoundRecord, SimulationResult
 from .forest import ForestTopology, forest_of
-from .sharded import ExecutionPolicy, SegmentSimulator, plan_segments, run_sharded
+from .sharded import ExecutionPolicy, plan_segments, run_sharded
 from .simulator import Simulator, run_simulation
 from .topology import (
     LineTopology,
@@ -36,7 +36,6 @@ __all__ = [
     "TopologyError",
     "UnshardableScenarioError",
     "ExecutionPolicy",
-    "SegmentSimulator",
     "plan_segments",
     "run_sharded",
     "HistoryPolicy",

@@ -12,11 +12,11 @@ most one row crosses each segment edge each round).
 The engine exposes two drive modes over the same per-round internals
 (:meth:`_begin` / :meth:`_scan` / :meth:`_ingest` / :meth:`_close`):
 
-* **relay mode** — the classic three-phase superstep
-  (:meth:`begin_round` / :meth:`select_round` / :meth:`finish_round`) with
-  payload shapes identical to :class:`~repro.network.sharded.SegmentSimulator`,
-  so the existing coordinator and both transports drive it unchanged.  This
-  is the portable fallback and what the ``"local"`` transport uses.
+* **relay mode** — the three-phase superstep
+  (:meth:`begin_round` / :meth:`select_round` / :meth:`finish_round`) that
+  the coordinator in :mod:`repro.network.sharded` drives over either
+  transport.  This is the portable fallback and what the ``"local"``
+  transport uses.
 * **window mode** — :meth:`run_window` free-runs ``k`` rounds, exchanging
   the per-round boundary facts directly with neighbour workers through
   :class:`~repro.network.shm.BoundaryRing` shared-memory rings instead of
@@ -77,9 +77,8 @@ class BatchSegmentSimulator(BatchSimulator):
 
     Built on the *full* topology and algorithm (same index structures and
     bound parameters as the single-process engines) with a
-    :class:`~repro.adversary.segmented.SegmentFilteredAdversary`, exactly
-    like :class:`~repro.network.sharded.SegmentSimulator`; only nodes in
-    ``[lo, hi]`` ever hold rows.  The round loop is driven externally —
+    :class:`~repro.adversary.segmented.SegmentFilteredAdversary`; only nodes
+    in ``[lo, hi]`` ever hold rows.  The round loop is driven externally —
     through the superstep phases or through :meth:`run_window`.
     """
 
@@ -585,15 +584,15 @@ class BatchSegmentSimulator(BatchSimulator):
             )
         self._round = round_number + 1
 
-    # -- relay mode: SegmentSimulator-shaped superstep phases -----------------------
+    # -- relay mode: coordinator-driven superstep phases ----------------------------
 
     def begin_round(self, round_number: int, *, inject: bool) -> Dict[str, Any]:
         self.ensure_kernel()
         view, _injected = self._begin(round_number, inject)
-        return {"view": view, "staged": 0}
+        return {"view": view}
 
     def select_round(
-        self, round_number: int, views: Sequence[Dict[str, Any]], carry: Any
+        self, round_number: int, views: Sequence[Dict[str, Any]]
     ) -> Dict[str, Any]:
         index = self.segment_index
         prefix_leftmost = -1
@@ -620,7 +619,6 @@ class BatchSegmentSimulator(BatchSimulator):
         handoff = None if block is None else {"block": array("q", block)}
         return {
             "handoff": handoff,
-            "carry": None,
             "forwarded": forwarded,
             "delivered": delivered,
         }
@@ -631,7 +629,7 @@ class BatchSegmentSimulator(BatchSimulator):
         block = tuple(handoff_in["block"]) if handoff_in else None
         self._ingest(round_number, block)
         self._close(round_number)
-        return {"pending": self._stored, "staged": 0}
+        return {"pending": self._stored}
 
     # -- window mode: free-running rounds over shared-memory rings ------------------
 

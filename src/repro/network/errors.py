@@ -163,8 +163,10 @@ class UnshardableScenarioError(ShardingError):
     Examples: a tree topology (only :class:`~repro.network.topology.LineTopology`
     segments have the contiguous left-to-right structure the hand-off protocol
     relies on), an adaptive adversary (its injections observe the *global*
-    configuration, which no single segment can see), an algorithm that has not
-    declared segment-exact selection (``supports_sharding``), or a
+    configuration, which no single segment can see), a policy that does not
+    select the batch kernel (``engine`` ``None`` or ``"delta"``) or a
+    scenario the batch kernel refuses (PPTS, HPTS, a custom greedy policy) —
+    the batch kernel is the only segment engine — or a
     :class:`~repro.api.session.PreparedRun` whose live ingredients cannot be
     shipped to worker processes.
     """

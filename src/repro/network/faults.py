@@ -26,7 +26,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import ConfigurationError
 
@@ -297,12 +297,19 @@ class FaultInjector:
         ]
 
     def directives_for(
-        self, round_number: int, segment: int, phase: str
+        self,
+        round_number: int,
+        segment: int,
+        phase: str,
+        fired: Optional[List[int]] = None,
     ) -> Optional[Dict[str, Any]]:
         """Worker-bound directives (crash / slow) for one phase command.
 
         Returns ``None`` when nothing fires, else a payload dict shipped to
-        the worker inside the phase command.  Matching events are consumed.
+        the worker inside the phase command.  Matching events are consumed;
+        their plan indices are appended to ``fired`` when it is given, so a
+        caller that ships directives ahead of execution can :meth:`rearm`
+        the ones that never ran.
         """
         crash = False
         delay = 0.0
@@ -312,6 +319,8 @@ class FaultInjector:
             if (event.round == round_number and event.segment == segment
                     and event.phase == phase):
                 self._remaining[index] = 0
+                if fired is not None:
+                    fired.append(index)
                 if event.kind == "crash":
                     crash = True
                 else:
@@ -319,6 +328,11 @@ class FaultInjector:
         if not crash and delay == 0.0:
             return None
         return {"crash": crash, "delay": delay}
+
+    def rearm(self, indices: Iterable[int]) -> None:
+        """Make consumed crash / slow events fire again at their coordinate."""
+        for index in indices:
+            self._remaining[index] = 1
 
     def drop_next_send(
         self, round_number: int, segment: int, phase: str

@@ -2,30 +2,34 @@
 
 The single-process engine tops out at one core.  This module splits a
 :class:`~repro.network.topology.LineTopology` scenario into ``k`` contiguous
-segments, runs one :class:`SegmentSimulator` per worker, and drives them in
-lock-step *supersteps* — one superstep per simulated round — so the combined
-execution is **bit-identical** to the single-process run (the differential
-suite in ``tests/test_sharded_differential.py`` proves it for every bundled
-line algorithm x adversary x history mode).
+segments and runs one
+:class:`~repro.network.batch_sharded.BatchSegmentSimulator` — the batch
+kernel restricted to its segment — per worker, so the combined execution is
+**bit-identical** to the single-process run (the differential suites in
+``tests/test_batch_sharded_differential.py`` and
+``tests/test_sharded_differential.py`` prove it against the delta oracle).
+The batch kernel is the only segment engine: a scenario it refuses (PPTS,
+HPTS, a custom greedy policy, an adaptive adversary), or a policy that does
+not ask for it (``engine`` ``None`` or ``"delta"``), raises
+:class:`~repro.network.errors.UnshardableScenarioError` before any worker
+process or shared-memory ring exists.
 
-How a superstep works (see ``docs/SHARDING.md`` for the full protocol):
+Workers advance in one of two modes (see ``docs/SHARDING.md``):
 
-1. **begin** — every worker materialises its segment's injections (each
-   worker drives the *full* row stream through its own packet-id allocator
-   and keeps only its own sources, so ids match the single-process run; see
-   :class:`~repro.adversary.segmented.SegmentFilteredAdversary`), measures
-   ``L^t`` and publishes a compact
-   :meth:`~repro.core.scheduler.ForwardingAlgorithm.boundary_view`.
-2. **select** — every worker replays the *global* activation selection
-   restricted to its own nodes from the merged views
-   (:meth:`~repro.core.scheduler.ForwardingAlgorithm.select_segment_activations`);
-   algorithms whose decision propagates along the line (HPTS pre-bad) thread
-   a carry token left-to-right.  Workers then pop and place their own moves;
-   a packet crossing the segment's right edge joins a columnar *hand-off
-   record* (the :class:`~repro.core.packet.PacketStore` column layout).
-3. **finish** — each worker ingests the hand-off from its left neighbour
-   (still inside the round: the move happened simultaneously with its own),
-   measures ``L^{t+}`` and runs end-of-round hooks.
+* **relay** — one *superstep* per simulated round, driven by the
+  coordinator over the transport: **begin** (inject this segment's sources —
+  each worker drives the *full* row stream through its own packet-id
+  allocator and keeps only its own sources, see
+  :class:`~repro.adversary.segmented.SegmentFilteredAdversary` — measure
+  ``L^t`` and publish a tiny boundary view), **select** (scan the segment
+  with the merged prefix/suffix facts; at most one packet crosses the right
+  edge as a columnar hand-off block) and **finish** (ingest the left
+  neighbour's hand-off and close the round).  The ``"local"`` transport and
+  the pipe fallback use it.
+* **window** — on the process transport with shared memory, every worker
+  free-runs ``batch_rounds``-round windows and exchanges the same per-round
+  boundary facts with its neighbours through
+  :class:`~repro.network.shm.BoundaryRing` rings.
 
 The coordinator mirrors the single-process drain loop (same caps, same
 quiescence window, fed by globally summed per-round counters), merges the
@@ -36,10 +40,9 @@ stitches them into a single global checkpoint file
 ``Session.resume`` continues bit-identically.
 
 Two transports share all of the above: ``"processes"`` (the default — one OS
-process per segment, talking over pipes; this is what actually buys
-multi-core wall-clock) and ``"local"`` (same workers, same protocol, driven
-in-process — deterministic, fork-free, and what the differential test matrix
-uses).
+process per segment; this is what actually buys multi-core wall-clock) and
+``"local"`` (same workers, same protocol, driven in-process — deterministic,
+fork-free, and what most of the differential test matrix uses).
 
 **Supervision and recovery.**  The coordinator doubles as a worker
 supervisor: every phase reply is awaited under ``RunPolicy.heartbeat_timeout``
@@ -67,7 +70,6 @@ import multiprocessing
 import os
 import pickle
 import time
-from array import array
 from collections import deque
 from dataclasses import dataclass
 from typing import (
@@ -81,7 +83,7 @@ from typing import (
     Tuple,
 )
 
-from ..core.packet import Injection, Packet, PacketState, packet_id_scope
+from ..core.packet import packet_id_scope
 from .batch_sharded import BatchSegmentSimulator
 from .errors import (
     CheckpointError,
@@ -94,7 +96,7 @@ from .errors import (
 from .events import RoundRecord, SimulationResult
 from .faults import FAULT_PHASES, FaultInjector, FaultPlan
 from .shm import BoundaryRing, shared_memory_available
-from .simulator import DrainStop, Simulator
+from .simulator import DrainStop
 from .topology import LineTopology
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -102,7 +104,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = [
     "ExecutionPolicy",
-    "SegmentSimulator",
     "plan_segments",
     "run_sharded",
 ]
@@ -112,13 +113,12 @@ __all__ = [
 #: (no unwind, no pickled traceback, just a dead pipe).
 _CRASH_EXIT_CODE = 70
 
-#: Hand-off record column order — the in-flight extension of the columnar
-#: :class:`~repro.core.packet.PacketStore` layout (same first four columns,
-#: plus the mutable engine fields a mid-flight packet carries).
-_HANDOFF_COLUMNS = (
-    "ids", "sources", "destinations", "rounds",
-    "locations", "accepted_rounds", "hops",
-)
+#: The superstep phases a window merges into one per-round directive, in
+#: the order the relay path sends them.
+_WINDOW_PHASES = ("begin", "select", "finish")
+
+#: perfbench/tracing.py reads this name; remove with the next benchmark change.
+SegmentSimulator = BatchSegmentSimulator
 
 
 @dataclass(frozen=True)
@@ -222,183 +222,6 @@ def plan_segments(num_nodes: int, shards: int) -> List[Tuple[int, int]]:
 
 
 # ---------------------------------------------------------------------------
-# Hand-off records (columnar, PacketStore-style)
-# ---------------------------------------------------------------------------
-
-
-def encode_handoff(packets: Sequence[Packet]) -> Optional[Dict[str, array]]:
-    """Encode boundary-crossing packets as flat int64 columns."""
-    if not packets:
-        return None
-    columns = {name: array("q") for name in _HANDOFF_COLUMNS}
-    for packet in packets:
-        columns["ids"].append(packet.packet_id)
-        columns["sources"].append(packet.source)
-        columns["destinations"].append(packet.destination)
-        columns["rounds"].append(packet.injected_round)
-        columns["locations"].append(packet.location)
-        columns["accepted_rounds"].append(
-            -1 if packet.accepted_round is None else packet.accepted_round
-        )
-        columns["hops"].append(packet.hops)
-    return columns
-
-
-def decode_handoff(columns: Optional[Dict[str, array]]) -> List[Packet]:
-    """Rebuild the in-flight :class:`Packet` objects of a hand-off record."""
-    if not columns:
-        return []
-    packets: List[Packet] = []
-    for row in range(len(columns["ids"])):
-        injection = Injection(
-            columns["rounds"][row],
-            columns["sources"][row],
-            columns["destinations"][row],
-            columns["ids"][row],
-        )
-        accepted = columns["accepted_rounds"][row]
-        packets.append(
-            Packet(
-                injection,
-                location=columns["locations"][row],
-                state=PacketState.IN_TRANSIT,
-                accepted_round=None if accepted < 0 else accepted,
-                hops=columns["hops"][row],
-            )
-        )
-    return packets
-
-
-# ---------------------------------------------------------------------------
-# The per-worker engine
-# ---------------------------------------------------------------------------
-
-
-class SegmentSimulator(Simulator):
-    """A :class:`Simulator` that owns one contiguous segment of the line.
-
-    Built on the *full* topology (so every algorithm's index structures,
-    hierarchy partitions and bound parameters are identical to the
-    single-process engine's) but stores packets only for nodes in
-    ``[lo, hi]``.  The round loop is driven externally through the
-    begin/select/finish superstep methods instead of :meth:`run`.
-    """
-
-    def __init__(
-        self,
-        topology: LineTopology,
-        algorithm,
-        adversary,
-        segment_index: int,
-        segments: Sequence[Tuple[int, int]],
-        **simulator_kwargs,
-    ) -> None:
-        super().__init__(topology, algorithm, adversary, **simulator_kwargs)
-        self.segment_index = segment_index
-        self.segments = list(segments)
-        self.lo, self.hi = self.segments[segment_index]
-        self._outbox: List[Packet] = []
-        #: (injected, staged, occupancy_before) captured by begin_round for
-        #: the round record assembled in finish_round.
-        self._round_scratch: Tuple[int, int, Optional[Dict[int, int]]] = (0, 0, None)
-        self._round_moves: Tuple[int, int] = (0, 0)
-
-    # -- engine hooks ------------------------------------------------------------
-
-    def _place_packet(self, packet: Packet, next_hop: int, round_number: int) -> None:
-        if next_hop > self.hi:
-            # Ownership transfers with the packet: the right neighbour stores
-            # it and, in retaining modes, keeps its delivered record too.
-            self._outbox.append(packet)
-            del self.packets[packet.packet_id]
-        else:
-            self.algorithm.on_arrival(packet, next_hop, round_number)
-
-    def _segment_occupancy(self) -> Dict[int, int]:
-        occupancy = self.algorithm._occupancy
-        return {node: occupancy[node] for node in range(self.lo, self.hi + 1)}
-
-    # -- superstep phases --------------------------------------------------------
-
-    def begin_round(self, round_number: int, *, inject: bool) -> Dict[str, Any]:
-        """Injection + ``L^t`` measurement; returns the boundary view."""
-        new_packets = self._materialize_injections(round_number, inject=inject)
-        staged = self.algorithm.staged_count()
-        occupancy_before: Optional[Dict[int, int]] = None
-        if self.record_history:
-            occupancy_before = self._segment_occupancy()
-            if self._bulk_occupancy:
-                self._timeline.observe_bulk(self.algorithm.occupancy_array(), staged)
-            else:
-                self._timeline.observe(occupancy_before, staged)
-        else:
-            self._timeline.observe_delta(self.algorithm.occupancy_delta(), staged)
-        self._round_scratch = (len(new_packets), staged, occupancy_before)
-        return {
-            "view": self.algorithm.boundary_view(round_number, self.lo, self.hi),
-            "staged": staged,
-        }
-
-    def select_round(
-        self, round_number: int, views: Sequence[Dict[str, Any]], carry: Any
-    ) -> Dict[str, Any]:
-        """Global selection restricted to this segment, then apply own moves."""
-        activations, carry_out = self.algorithm.select_segment_activations(
-            round_number, self.segment_index, self.segments, views, carry
-        )
-        if self.validate_capacity:
-            self._validate_activations(activations, round_number)
-        self._outbox = []
-        forwarded, delivered = self._apply_activations(activations, round_number)
-        self._delivered += delivered
-        self._round_moves = (forwarded, delivered)
-        handoff = encode_handoff(self._outbox)
-        self._outbox = []
-        return {
-            "handoff": handoff,
-            "carry": carry_out,
-            "forwarded": forwarded,
-            "delivered": delivered,
-        }
-
-    def finish_round(
-        self, round_number: int, handoff_in: Optional[Dict[str, array]]
-    ) -> Dict[str, Any]:
-        """Ingest the left neighbour's hand-off and close the round."""
-        for packet in decode_handoff(handoff_in):
-            self.packets[packet.packet_id] = packet
-            self.algorithm.on_arrival(packet, packet.location, round_number)
-        occupancy_after = (
-            self._segment_occupancy() if self.record_history else None
-        )
-        self.algorithm.on_round_end(round_number)
-        if self.record_history:
-            injected, staged, occupancy_before = self._round_scratch
-            forwarded, delivered = self._round_moves
-            self._history.append(
-                RoundRecord(
-                    round=round_number,
-                    injected=injected,
-                    forwarded=forwarded,
-                    delivered=delivered,
-                    max_occupancy=max(occupancy_before.values(), default=0),
-                    max_occupancy_after_forwarding=max(
-                        occupancy_after.values(), default=0
-                    ),
-                    staged=staged,
-                    occupancy=dict(occupancy_before)
-                    if self.record_occupancy_vectors
-                    else None,
-                )
-            )
-        self._round = round_number + 1
-        return {
-            "pending": self._pending(),
-            "staged": self.algorithm.staged_count(),
-        }
-
-
-# ---------------------------------------------------------------------------
 # Worker wrapper (shared by both transports)
 # ---------------------------------------------------------------------------
 
@@ -434,49 +257,29 @@ class _SegmentWorker:
                 f"sharded execution needs a LineTopology, got "
                 f"{type(topology).__name__}; run with shards=1"
             )
-        algorithm = prepared.algorithm
-        if not algorithm.supports_sharding:
-            raise UnshardableScenarioError(
-                f"algorithm {algorithm.name!r} has not declared segment-exact "
-                f"selection (supports_sharding); run with shards=1"
-            )
         lo, hi = segments[segment_index]
         adversary = SegmentFilteredAdversary(prepared.adversary, lo, hi)
         policy = spec.policy
         self.spec = spec
         self.base_adversary = prepared.adversary
-        engine_kwargs = dict(
-            record_history=policy.record_history,
-            record_occupancy_vectors=policy.record_occupancy_vectors,
-            history=policy.history,
-            validate_capacity=policy.validate_capacity,
-        )
-        self.engine_selected = "delta"
-        self.engine_fallback: Optional[str] = None
-        self.simulator: SegmentSimulator
-        if policy.engine in ("batch", "auto"):
-            try:
-                self.simulator = BatchSegmentSimulator(
-                    topology,
-                    algorithm,
-                    adversary,
-                    segment_index,
-                    segments,
-                    batch_rounds=policy.batch_rounds,
-                    **engine_kwargs,
-                )
-                self.engine_selected = "batch"
-            except UnbatchableScenarioError as refusal:
-                if policy.engine == "batch":
-                    raise
-                # engine="auto": outside the vectorized family — the object
-                # engine computes the same thing; record why for telemetry.
-                self.engine_fallback = str(refusal)
-        if self.engine_selected != "batch":
-            self.simulator = SegmentSimulator(
-                topology, algorithm, adversary, segment_index, segments,
-                **engine_kwargs,
+        try:
+            self.simulator = BatchSegmentSimulator(
+                topology,
+                prepared.algorithm,
+                adversary,
+                segment_index,
+                segments,
+                batch_rounds=policy.batch_rounds,
+                record_history=policy.record_history,
+                record_occupancy_vectors=policy.record_occupancy_vectors,
+                history=policy.history,
+                validate_capacity=policy.validate_capacity,
             )
+        except UnbatchableScenarioError as refusal:
+            raise UnshardableScenarioError(
+                f"sharded execution runs only the batch kernel, which "
+                f"refuses this scenario ({refusal}); run with shards=1"
+            ) from refusal
         #: Whether an injected crash fault should kill the whole process
         #: (``os._exit``) instead of raising; set by the process transport so
         #: a chaos crash is indistinguishable from a real worker death.
@@ -485,29 +288,17 @@ class _SegmentWorker:
             from ..checkpoint import load_checkpoint, restore_into
 
             restore_into(self.simulator, load_checkpoint(restore_path))
-        if self.engine_selected == "batch":
-            # Load the flat kernel after any checkpoint restore so it
-            # projects the restored object state, not the empty line.
-            self.simulator.ensure_kernel()
+        # Load the flat kernel after any checkpoint restore so it projects
+        # the restored object state, not the empty line.
+        self.simulator.ensure_kernel()
         #: Shared-memory boundary rings attached for window mode, keyed as
         #: in the coordinator's "rings" payload.
         self._rings: Dict[str, Any] = {}
 
     def init_info(self) -> Dict[str, Any]:
-        algorithm = self.simulator.algorithm
-        simulator = self.simulator
-        batch = self.engine_selected == "batch"
         return {
             "horizon": self.base_adversary.horizon,
-            # The batch segment engine replays global selection from boundary
-            # views alone; only the object engine threads HPTS-style carries.
-            "needs_carry": algorithm.sharding_needs_carry and not batch,
-            "algorithm_name": algorithm.name,
-            "engine": self.engine_selected,
-            "engine_fallback": self.engine_fallback,
-            "needs_reverse_lane": (
-                simulator.needs_reverse_lane if batch else False
-            ),
+            "needs_reverse_lane": self.simulator.needs_reverse_lane,
         }
 
     def dispatch(self, command: str, payload: Dict[str, Any]) -> Dict[str, Any]:
@@ -520,7 +311,7 @@ class _SegmentWorker:
             )
         if command == "select":
             return self.simulator.select_round(
-                payload["round"], payload["views"], payload["carry"]
+                payload["round"], payload["views"]
             )
         if command == "finish":
             return self.simulator.finish_round(
@@ -535,26 +326,18 @@ class _SegmentWorker:
             self.simulator.truncate_to(payload["round"])
             return {"round": payload["round"]}
         if command == "checkpoint":
-            self._sync_batch_state()
+            self.simulator.sync_for_snapshot()
             size = self.simulator.save_checkpoint(payload["path"], spec=self.spec)
             return {"bytes": size}
         if command == "status":
             # Queried after a recovery respawn: the restored engines know
-            # their pending/staged counts, the (new) coordinator does not.
-            self._sync_batch_state()
-            return {
-                "pending": self.simulator._pending(),
-                "staged": self.simulator.algorithm.staged_count(),
-            }
+            # their pending counts, the (new) coordinator does not.
+            self.simulator.sync_for_snapshot()
+            return {"pending": self.simulator._pending()}
         if command == "result":
-            self._sync_batch_state()
+            self.simulator.sync_for_snapshot()
             return self._result_payload()
         raise ShardingProtocolError(f"unknown worker command {command!r}")
-
-    def _sync_batch_state(self) -> None:
-        """Project batch kernel state into objects at a round boundary."""
-        if self.engine_selected == "batch":
-            self.simulator.sync_for_snapshot()
 
     def _attach_rings(self, names: Dict[str, str]) -> None:
         """Attach the coordinator-created boundary rings this worker uses."""
@@ -627,12 +410,8 @@ class _SegmentWorker:
             "max_per_node": simulator._timeline.per_node_maxima(),
             "history": history,
             "algorithm_name": simulator.algorithm.name,
-            "algorithm_state": simulator.algorithm.checkpoint_state(),
             "adversary_sigma": getattr(self.base_adversary, "sigma", None),
-            "handoff_trace": (
-                simulator._handoff_trace
-                if self.engine_selected == "batch" else None
-            ),
+            "handoff_trace": simulator._handoff_trace,
         }
 
 
@@ -743,7 +522,13 @@ class _ProcessHandle:
         )
         self._process.start()
         child_conn.close()
-        self.init_payload = self._recv_checked()
+        try:
+            self.init_payload = self._recv_checked()
+        except BaseException:
+            # A worker that refused its scenario has already exited; reap it
+            # so a refused run leaves no process behind.
+            self.kill()
+            raise
 
     def send(self, command: str, payload: Dict[str, Any]) -> None:
         try:
@@ -890,17 +675,21 @@ class _ShardedCoordinator:
                 f"sharded execution needs a line topology, got "
                 f"{spec.topology.kind!r}; run with shards=1"
             )
+        if spec.policy.engine not in ("batch", "auto"):
+            raise UnshardableScenarioError(
+                f"sharded execution runs only the batch kernel, but the "
+                f"policy asks for engine={spec.policy.engine!r}; set "
+                f"engine='batch' or 'auto', or run with shards=1"
+            )
         self.spec = spec
         self.execution = execution
         self.num_nodes = topology.num_nodes
         self.segments = plan_segments(self.num_nodes, execution.shards)
         self.handles: List[Any] = []
-        self.needs_carry = False
-        self.max_staged = 0
         self._executed = 0
-        # -- batch×shards state -------------------------------------------------
-        #: Engine telemetry merged into extras["engine"] (None until workers
-        #: report which engine they actually built).
+        # -- engine and ring state ---------------------------------------------
+        #: Engine-routing telemetry for extras["engine"] (built per attempt,
+        #: which is when the transport is decided).
         self._engine_info: Optional[Dict[str, Any]] = None
         #: Coordinator ends of the shared-memory boundary rings (window mode).
         self._rings: List[BoundaryRing] = []
@@ -914,17 +703,18 @@ class _ShardedCoordinator:
             FaultInjector(execution.faults) if execution.faults else None
         )
         self._clock = execution.clock
+        #: ``(round, phase rank, event index)`` of every crash/slow event a
+        #: window shipped whose window has not been collected yet.
+        self._window_fired: List[Tuple[int, int, int]] = []
         # -- recovery state -----------------------------------------------------
         self._restarts = 0
         self._recovery_seconds = 0.0
         self._resume_round = 0
         self._restore_paths: Optional[List[Optional[str]]] = None
-        #: The last *complete* per-segment checkpoint cut: rounds executed,
-        #: the coordinator's global staged maximum at that point, and one
-        #: restore file per current segment (kept aligned with
+        #: The last *complete* per-segment checkpoint cut: rounds executed
+        #: and one restore file per current segment (kept aligned with
         #: ``self.segments`` even across folds).
         self._cut_rounds: Optional[int] = None
-        self._cut_max_staged = 0
         self._cut_paths: List[str] = []
         #: Recovery scaffolding currently on disk (per-segment snapshots and
         #: fold merges); refreshed — and stale members unlinked — at every
@@ -939,6 +729,7 @@ class _ShardedCoordinator:
                 return self._run_attempt()
             except WorkerFailedError as failure:
                 self._teardown()
+                self._rearm_unrun_faults(failure)
                 self._plan_recovery(failure)
             except BaseException:
                 # An error is already propagating — close best-effort and let
@@ -960,22 +751,14 @@ class _ShardedCoordinator:
                 raise ShardingProtocolError(
                     "segment workers disagree on the adversary horizon"
                 )
-        engines = {info.get("engine", "delta") for info in infos}
-        if len(engines) != 1:
-            raise ShardingProtocolError(
-                f"segment workers disagree on the engine: {sorted(engines)}"
-            )
-        engine = engines.pop()
         self._engine_info = {
-            "requested": policy.engine if policy.engine is not None else "delta",
-            "selected": engine,
-            "fallback_reason": infos[0].get("engine_fallback"),
+            "requested": policy.engine,
+            "selected": "batch",
+            "fallback_reason": None,
         }
-        self.needs_carry = any(info["needs_carry"] for info in infos)
         num_rounds = policy.rounds if policy.rounds is not None else horizon
         window_mode = (
-            engine == "batch"
-            and self.execution.transport == "processes"
+            self.execution.transport == "processes"
             and self.execution.shm is not False
             and self._setup_rings(infos, policy)
         )
@@ -985,15 +768,13 @@ class _ShardedCoordinator:
 
         start_round = self._resume_round
         pending = 0
-        staged = 0
         if start_round:
-            # Restored engines know their pending/staged counts; the
-            # coordinator's were lost with the failed attempt.  Matters when
-            # the cut sits exactly at the horizon (crash during drain): the
-            # injection loop below is empty and drain needs real counters.
+            # Restored engines know their pending counts; the coordinator's
+            # were lost with the failed attempt.  Matters when the cut sits
+            # exactly at the horizon (crash during drain): the injection
+            # loop below is empty and drain needs real counters.
             status = self._broadcast("status", {}, start_round)
             pending = sum(reply["pending"] for reply in status)
-            staged = sum(reply["staged"] for reply in status)
         if window_mode:
             pending = self._run_windows(start_round, num_rounds, policy, pending)
             drained = (
@@ -1002,16 +783,14 @@ class _ShardedCoordinator:
             )
         else:
             for round_number in range(start_round, num_rounds):
-                _forwarded, staged, pending = self._superstep(
-                    round_number, inject=True
-                )
+                _forwarded, pending = self._superstep(round_number, inject=True)
                 if (
                     policy.checkpoint_every is not None
                     and (round_number + 1) % policy.checkpoint_every == 0
                 ):
                     self._checkpoint(policy.checkpoint_path, round_number + 1)
             drained = self._drain(
-                num_rounds, pending, staged, policy
+                num_rounds, pending, policy
             ) if policy.drain else pending == 0
         result, extras = self._collect(drained)
         # Success path: a worker that crashed or hung at shutdown invalidates
@@ -1123,9 +902,13 @@ class _ShardedCoordinator:
         for round_number in range(t0, t1):
             crash = False
             delay = 0.0
-            for phase in ("begin", "select", "finish"):
+            for rank, phase in enumerate(_WINDOW_PHASES):
+                fired: List[int] = []
                 directive = self._injector.directives_for(
-                    round_number, segment, phase
+                    round_number, segment, phase, fired
+                )
+                self._window_fired.extend(
+                    (round_number, rank, index) for index in fired
                 )
                 if directive is not None:
                     crash = crash or directive.get("crash", False)
@@ -1140,7 +923,7 @@ class _ShardedCoordinator:
         if self._injector is None:
             return
         for round_number in range(t0, t1):
-            for phase in ("begin", "select", "finish"):
+            for phase in _WINDOW_PHASES:
                 attempts = 0
                 while self._injector.drop_next_send(
                     round_number, segment, phase
@@ -1251,8 +1034,44 @@ class _ShardedCoordinator:
             for j in range(width)
         ]
         self._executed = t1
+        self._window_fired = [
+            record for record in self._window_fired if record[0] >= t1
+        ]
         pending = stored[-1] if stored else 0
         return pending, forwarded, stored
+
+    def _rearm_unrun_faults(self, failure: WorkerFailedError) -> None:
+        """Give back the crash/slow events of windows that never ran.
+
+        A window's directives are consumed when the window is sent, up to
+        two windows ahead of execution, but the workers stop at the first
+        disruptive event: a crash, or a delay that outlasts the heartbeat
+        timeout — or earlier, at the failure's own ``(round, phase)`` when
+        the supervisor raised it (a send that kept dropping).  Events past
+        that point never ran; they are re-armed, so the replay fires them
+        exactly as the relay path, which sends one phase at a time, would.
+        """
+        shipped, self._window_fired = self._window_fired, []
+        if not shipped:
+            return
+        events = self.execution.faults.events
+        timeout = self._heartbeat_timeout
+        stops = [
+            (round_number, rank)
+            for round_number, rank, index in shipped
+            if events[index].kind == "crash"
+            or (timeout is not None and events[index].delay >= timeout)
+        ]
+        if failure.phase in _WINDOW_PHASES and failure.round_number is not None:
+            stops.append(
+                (failure.round_number, _WINDOW_PHASES.index(failure.phase))
+            )
+        if stops:
+            stop = min(stops)
+            self._injector.rearm(
+                index for round_number, rank, index in shipped
+                if (round_number, rank) > stop
+            )
 
     def _truncate(self, to_round: int) -> None:
         """Rewind every worker's drain overshoot to ``to_round``."""
@@ -1363,12 +1182,10 @@ class _ShardedCoordinator:
             # round 0 with fresh workers.  Deterministic, just slower.
             self._resume_round = 0
             self._restore_paths = None
-            self.max_staged = 0
             self._executed = 0
         else:
             self._resume_round = self._cut_rounds or 0
             self._restore_paths = list(self._cut_paths)
-            self.max_staged = self._cut_max_staged
             self._executed = self._resume_round
         if started is not None:
             self._recovery_seconds += self._clock() - started
@@ -1392,9 +1209,7 @@ class _ShardedCoordinator:
             return None
         try:
             checkpoints = [load_checkpoint(path) for path in self._cut_paths]
-            stitched = stitch_checkpoints(
-                checkpoints, max_staged=self._cut_max_staged
-            )
+            stitched = stitch_checkpoints(checkpoints)
         except (OSError, CheckpointError):
             self._forget_cut()
             return None
@@ -1405,7 +1220,6 @@ class _ShardedCoordinator:
 
     def _forget_cut(self) -> None:
         self._cut_rounds = None
-        self._cut_max_staged = 0
         self._cut_paths = []
 
     def _fold_segment(self, dead: int, cut: Optional[List[Any]]) -> None:
@@ -1522,36 +1336,15 @@ class _ShardedCoordinator:
             for handle in self.handles
         ]
 
-    def _superstep(self, round_number: int, *, inject: bool) -> Tuple[int, int, int]:
+    def _superstep(self, round_number: int, *, inject: bool) -> Tuple[int, int]:
+        """One relay round; returns the global ``(forwarded, pending)``."""
         begin = self._broadcast(
             "begin", {"round": round_number, "inject": inject}, round_number
         )
-        staged_now = sum(reply["staged"] for reply in begin)
-        if staged_now > self.max_staged:
-            self.max_staged = staged_now
         views = [reply["view"] for reply in begin]
-
-        if self.needs_carry:
-            # Selection information flows strictly left-to-right: thread the
-            # carry token through the workers in segment order.
-            selections = []
-            carry = None
-            for handle in self.handles:
-                self._send(
-                    handle,
-                    "select",
-                    {"round": round_number, "views": views, "carry": carry},
-                    round_number,
-                )
-                reply = self._recv(handle, "select", round_number)
-                carry = reply["carry"]
-                selections.append(reply)
-        else:
-            selections = self._broadcast(
-                "select",
-                {"round": round_number, "views": views, "carry": None},
-                round_number,
-            )
+        selections = self._broadcast(
+            "select", {"round": round_number, "views": views}, round_number
+        )
         forwarded = sum(reply["forwarded"] for reply in selections)
         if selections[-1]["handoff"] is not None:
             raise ShardingProtocolError(
@@ -1571,21 +1364,20 @@ class _ShardedCoordinator:
             for handle in self.handles
         ]
         pending = sum(reply["pending"] for reply in finishes)
-        staged_after = sum(reply["staged"] for reply in finishes)
         self._executed = round_number + 1
-        return forwarded, staged_after, pending
+        return forwarded, pending
 
     # -- drain (mirrors Simulator._drain) ------------------------------------------
 
-    def _drain(self, start_round: int, pending: int, staged: int, policy) -> bool:
-        rule = DrainStop(self.num_nodes, pending, policy.max_drain_rounds, staged)
+    def _drain(self, start_round: int, pending: int, policy) -> bool:
+        # The batch family never stages packets, so quiescence is
+        # ``forwarded == 0``.
+        rule = DrainStop(self.num_nodes, pending, policy.max_drain_rounds)
         round_number = start_round
         while pending > 0 and not rule.stopped:
-            forwarded, staged, pending = self._superstep(
-                round_number, inject=False
-            )
+            forwarded, pending = self._superstep(round_number, inject=False)
             round_number += 1
-            rule.step(forwarded, staged)
+            rule.step(forwarded)
         return pending == 0
 
     # -- checkpointing ---------------------------------------------------------------
@@ -1618,7 +1410,6 @@ class _ShardedCoordinator:
         save_stitched(
             [load_checkpoint(segment_path) for segment_path in segment_paths],
             path,
-            max_staged=self.max_staged,
         )
         if keep:
             # The per-segment snapshots ARE the recovery cut: retain them,
@@ -1633,7 +1424,6 @@ class _ShardedCoordinator:
                     pass
             self._disk_paths = set(segment_paths)
             self._cut_rounds = rounds_done
-            self._cut_max_staged = self.max_staged
             self._cut_paths = list(segment_paths)
             return
         # The stitched file is the product; the per-segment snapshots are
@@ -1700,7 +1490,7 @@ class _ShardedCoordinator:
             rounds_executed=self._executed,
             max_occupancy=max(reply["max_occupancy"] for reply in replies),
             max_occupancy_per_node=max_per_node,
-            max_staged=self.max_staged,
+            max_staged=0,  # the batch family never stages packets
             packets_injected=injected,
             packets_delivered=delivered,
             packets_undelivered=injected - delivered,
@@ -1710,7 +1500,6 @@ class _ShardedCoordinator:
             history=history,
         )
         extras = {
-            "algorithm_states": [reply["algorithm_state"] for reply in replies],
             "adversary_sigma": replies[0]["adversary_sigma"],
             "segments": list(self.segments),
             "recovery": {
@@ -1740,10 +1529,15 @@ def run_sharded(
 
     ``shards`` defaults to the spec's ``policy.shards``.  Returns the merged
     :class:`SimulationResult` — bit-identical to the ``shards=1`` run — plus
-    an extras mapping (per-segment algorithm states for bound folding, the
-    adversary's declared sigma, the segment plan, and the recovery stats:
-    how many worker restarts the run absorbed and, when a ``clock`` was
-    injected, the seconds spent restitching/respawning).
+    an extras mapping (the adversary's declared sigma, the segment plan, the
+    engine-routing record, each segment's hand-off trace, and the recovery
+    stats: how many worker restarts the run absorbed and, when a ``clock``
+    was injected, the seconds spent restitching/respawning).
+
+    The batch kernel is the only segment engine, so ``spec.policy.engine``
+    must be ``"batch"`` or ``"auto"`` and the scenario must be one the
+    kernel accepts; anything else raises
+    :class:`~repro.network.errors.UnshardableScenarioError`.
 
     ``faults`` threads a deterministic
     :class:`~repro.network.faults.FaultPlan` through the supervisor for

@@ -25,7 +25,7 @@ import pytest
 
 from repro.api import Scenario, ScenarioSpec, Session
 from repro.checkpoint import load_checkpoint
-from repro.network.errors import UnbatchableScenarioError
+from repro.network.errors import UnshardableScenarioError
 from repro.network.faults import FaultEvent, FaultPlan
 from repro.network.sharded import run_sharded
 
@@ -270,9 +270,10 @@ def test_injected_crash_fold_recovery_matches():
 # ---------------------------------------------------------------------------
 
 
-def test_auto_engine_falls_back_with_reason():
-    """engine=auto on an unbatchable algorithm runs delta workers and
-    surfaces the refusal verbatim in extras['engine']."""
+def test_auto_engine_refuses_unbatchable_scenario():
+    """engine=auto on an unbatchable algorithm has no segment engine to fall
+    back to: the batch kernel's refusal comes back verbatim, typed as an
+    unshardable scenario."""
     spec = (
         Scenario.line(N)
         .algorithm("hpts", levels=2)
@@ -281,14 +282,9 @@ def test_auto_engine_falls_back_with_reason():
         .policy(seed=17, engine="auto")
         .build()
     )
-    baseline_spec = Scenario.from_spec(spec).policy(engine="delta").build()
-    baseline = Session().run(baseline_spec).result
-    sharded, extras = run_sharded(spec, shards=3, transport="local")
-    assert sharded == baseline
-    engine = extras["engine"]
-    assert engine["requested"] == "auto"
-    assert engine["selected"] == "delta"
-    assert "batch kernel" in engine["fallback_reason"]
+    with pytest.raises(UnshardableScenarioError,
+                       match="outside the regular family"):
+        run_sharded(spec, shards=3, transport="local")
 
 
 def test_batch_engine_refuses_unbatchable_scenario():
@@ -300,7 +296,7 @@ def test_batch_engine_refuses_unbatchable_scenario():
         .policy(seed=17, engine="batch")
         .build()
     )
-    with pytest.raises(UnbatchableScenarioError):
+    with pytest.raises(UnshardableScenarioError, match="batch kernel"):
         run_sharded(spec, shards=3, transport="local")
 
 

@@ -286,7 +286,8 @@ def _case_recovery_exhausted(tmp_path):
     )
     return (
         ["simulate", "--algorithm", "pts", "--nodes", "16", "--rounds", "20",
-         "--shards", "2", "--recovery", "restart", "--max-worker-restarts", "0",
+         "--shards", "2", "--engine", "batch",
+         "--recovery", "restart", "--max-worker-restarts", "0",
          "--checkpoint-every", "5", "--checkpoint", str(tmp_path / "s.ckpt"),
          "--faults", str(plan)],
         "max_worker_restarts=0",
@@ -349,7 +350,7 @@ class TestServiceRecoveryTelemetry:
 
         assert main(
             ["simulate", "--algorithm", "pts", "--nodes", "16", "--rounds",
-             "30", "--shards", "2", "--json"]
+             "30", "--shards", "2", "--engine", "batch", "--json"]
         ) == 0
         row = json.loads(capsys.readouterr().out)
         assert "recovery" in row

@@ -8,19 +8,26 @@ plan lives in :class:`~repro.network.sharded.ExecutionPolicy`, never in the
 spec, so the two runs share specs, spec hashes and checkpoint headers by
 construction; everything that could diverge is the recovery machinery.
 
-The matrix covers every bundled line algorithm x two adversary families x
-two history modes x both elastic recovery strategies (``restart`` respawns
-the dead worker, ``fold`` merges its segment into a neighbour), all on the
-in-process transport.  The process-transport crash/heartbeat paths are
-exercised in ``test_sharded_engine.py``.
+The matrix covers every bundled line algorithm the batch kernel runs x two
+adversary families x two history modes x both elastic recovery strategies
+(``restart`` respawns the dead worker, ``fold`` merges its segment into a
+neighbour), all on the in-process transport, and checks each fault-free
+twin against the single-process delta oracle as well.  PPTS and HPTS, which
+the batch kernel (the only segment engine) refuses, assert the typed
+refusal instead.  The process-transport crash/heartbeat paths are exercised
+in ``test_sharded_engine.py`` and ``test_batch_sharded_differential.py``.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.api import Scenario, ScenarioSpec
-from repro.network.errors import RecoveryExhaustedError, WorkerFailedError
+from repro.api import Scenario, ScenarioSpec, Session
+from repro.network.errors import (
+    RecoveryExhaustedError,
+    UnshardableScenarioError,
+    WorkerFailedError,
+)
 from repro.network.faults import FaultEvent, FaultPlan
 from repro.network.sharded import run_sharded
 
@@ -40,6 +47,9 @@ ALGORITHMS = {
 }
 
 ADVERSARIES = ("saturating", "bursty")
+
+#: Algorithms the batch kernel refuses, so sharded runs refuse them too.
+UNBATCHABLE = ("ppts", "hpts")
 
 
 def _build_spec(algorithm: str, adversary: str, history: str, *,
@@ -63,6 +73,7 @@ def _build_spec(algorithm: str, adversary: str, history: str, *,
         "checkpoint_path": checkpoint_path,
         "recovery": recovery,
         "max_worker_restarts": max_worker_restarts,
+        "engine": "batch",
     }
     if history == "streaming":
         policy["history"] = "streaming"
@@ -86,13 +97,24 @@ def _crash(round_number: int, segment: int, phase: str = "select") -> FaultPlan:
 @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
 def test_recovered_runs_are_bit_identical(algorithm, adversary, tmp_path):
     """One mid-run worker crash, recovered, == the fault-free twin — same
-    result fields and byte-identical final stitched checkpoint."""
+    result fields and byte-identical final stitched checkpoint — and the
+    twin == the single-process delta oracle."""
     for history in HISTORIES:
         for mode in MODES:
             path = str(tmp_path / f"{algorithm}-{adversary}-{history}-{mode}.ckpt")
             spec = _build_spec(algorithm, adversary, history,
                                recovery=mode, checkpoint_path=path)
+            if algorithm in UNBATCHABLE:
+                with pytest.raises(UnshardableScenarioError,
+                                   match="batch kernel"):
+                    run_sharded(spec, transport="local", faults=_crash(11, 1))
+                continue
             baseline, _ = run_sharded(spec, transport="local")
+            oracle_spec = Scenario.from_spec(spec).policy(
+                engine="delta", shards=None, checkpoint_every=None,
+                checkpoint_path=None,
+            ).build()
+            assert baseline == Session().run(oracle_spec).result
             baseline_bytes = (tmp_path / f"{algorithm}-{adversary}-{history}-{mode}.ckpt").read_bytes()
             recovered, extras = run_sharded(
                 spec, transport="local", faults=_crash(11, 1)
@@ -107,7 +129,7 @@ def test_recovered_runs_are_bit_identical(algorithm, adversary, tmp_path):
 def test_fold_recovery_runs_the_tail_on_fewer_segments(tmp_path):
     """fold shrinks the segment plan by one and still matches."""
     path = str(tmp_path / "fold.ckpt")
-    spec = _build_spec("ppts", "bursty", "summary", recovery="fold",
+    spec = _build_spec("greedy", "bursty", "summary", recovery="fold",
                        checkpoint_path=path)
     baseline, base_extras = run_sharded(spec, transport="local")
     recovered, extras = run_sharded(spec, transport="local",
@@ -126,12 +148,12 @@ def _small_spec(recovery: str, checkpoint_path: str,
                 max_worker_restarts: int = 4) -> ScenarioSpec:
     return (
         Scenario.line(12)
-        .algorithm("ppts")
+        .algorithm("greedy")
         .adversary("round-robin", rho=0.9, sigma=3.0, rounds=10,
                    num_destinations=3)
         .policy(seed=3, shards=3, checkpoint_every=4,
                 checkpoint_path=checkpoint_path, recovery=recovery,
-                max_worker_restarts=max_worker_restarts)
+                max_worker_restarts=max_worker_restarts, engine="batch")
         .build()
     )
 
@@ -182,7 +204,8 @@ def test_crash_without_checkpointing_replays_from_round_zero(tmp_path):
         .algorithm("greedy")
         .adversary("round-robin", rho=0.8, sigma=2.0, rounds=12,
                    num_destinations=3)
-        .policy(seed=5, shards=3, recovery="restart", max_worker_restarts=2)
+        .policy(seed=5, shards=3, recovery="restart", max_worker_restarts=2,
+                engine="batch")
         .build()
     )
     baseline, _ = run_sharded(spec, transport="local")
@@ -243,10 +266,11 @@ def test_fold_with_single_segment_exhausts_immediately(tmp_path):
     """fold needs a surviving neighbour; a one-segment plan cannot shrink."""
     spec = (
         Scenario.line(8)
-        .algorithm("ppts")
+        .algorithm("greedy")
         .adversary("round-robin", rho=0.8, sigma=2.0, rounds=8,
                    num_destinations=2)
-        .policy(seed=2, shards=2, recovery="fold", max_worker_restarts=5)
+        .policy(seed=2, shards=2, recovery="fold", max_worker_restarts=5,
+                engine="batch")
         .build()
     )
     baseline, _ = run_sharded(spec, transport="local")

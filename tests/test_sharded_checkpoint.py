@@ -4,9 +4,10 @@ bit-identically.
 A sharded run with ``checkpoint_every`` saves one snapshot per segment plus
 the stitched global file.  The acceptance property: resuming the stitched
 file in a plain single-process engine finishes with exactly the result the
-uninterrupted run produces — across algorithms (including HPTS, whose staged
-packets live scattered over segments) and history modes (including
-streaming, whose injection log is re-sorted into global id order).
+uninterrupted delta run produces — across history modes (including
+streaming, whose injection log is re-sorted into global id order).  Sharded
+runs use the batch kernel, so PPTS and HPTS cells assert the typed refusal
+— before any checkpoint file is written — instead.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from repro.checkpoint import (
     resume_spec_hash,
     stitch_checkpoints,
 )
+from repro.network.errors import UnshardableScenarioError
 from repro.network.sharded import run_sharded
 
 N = 16
@@ -30,7 +32,8 @@ ROUNDS = 30
 
 
 def _spec(algorithm: str, history: str, *, checkpoint_path=None,
-          checkpoint_every=None, seed: int = 41) -> ScenarioSpec:
+          checkpoint_every=None, seed: int = 41,
+          engine: str = "batch") -> ScenarioSpec:
     scenario = Scenario.line(N)
     if algorithm == "hpts":
         scenario.algorithm("hpts", levels=2)
@@ -45,7 +48,7 @@ def _spec(algorithm: str, history: str, *, checkpoint_path=None,
     if history == "streaming":
         params["stream"] = True
     scenario.adversary("bounded", rho=rho, sigma=3.0, rounds=ROUNDS, **params)
-    policy = {"seed": seed}
+    policy = {"seed": seed, "engine": engine}
     if history == "streaming":
         policy["history"] = "streaming"
     elif history == "full":
@@ -62,11 +65,17 @@ def _spec(algorithm: str, history: str, *, checkpoint_path=None,
 def test_stitched_checkpoint_resumes_bit_identically(tmp_path, algorithm,
                                                      history):
     path = str(tmp_path / "global.ckpt")
-    uninterrupted = Session().run(_spec(algorithm, history)).result
-
     checkpointed = _spec(
         algorithm, history, checkpoint_path=path, checkpoint_every=7
     )
+    if algorithm != "greedy":
+        with pytest.raises(UnshardableScenarioError, match="batch kernel"):
+            run_sharded(checkpointed, shards=3, transport="local")
+        assert not os.path.exists(path)
+        return
+    uninterrupted = Session().run(
+        _spec(algorithm, history, engine="delta")
+    ).result
     sharded, _ = run_sharded(checkpointed, shards=3, transport="local")
     assert sharded == uninterrupted
 
@@ -84,29 +93,29 @@ def test_stitched_checkpoint_resumes_bit_identically(tmp_path, algorithm,
 
 
 def test_stitched_checkpoint_resumes_mid_staging_phase(tmp_path):
-    """HPTS stages injected packets across a phase boundary: a checkpoint at
-    a round where staging is non-empty must stitch the scattered staged
-    packets back together in global injection order."""
+    """HPTS, the one algorithm that stages injected packets across a phase
+    boundary, cannot run sharded: the refusal comes before any per-segment
+    snapshot or stitched file is written, whatever the engine."""
     path = str(tmp_path / "staged.ckpt")
-    uninterrupted = Session().run(_spec("hpts", "summary")).result
-    # checkpoint_every=3 lands between the levels=2 phase boundaries, so
-    # some snapshots catch packets mid-staging.
-    checkpointed = _spec(
-        "hpts", "summary", checkpoint_path=path, checkpoint_every=3
-    )
-    run_sharded(checkpointed, shards=4, transport="local")
-    assert Session().resume(path).result == uninterrupted
+    for engine in ("delta", "batch", "auto"):
+        checkpointed = _spec(
+            "hpts", "summary", checkpoint_path=path, checkpoint_every=3,
+            engine=engine,
+        )
+        with pytest.raises(UnshardableScenarioError):
+            run_sharded(checkpointed, shards=4, transport="local")
+    assert os.listdir(tmp_path) == []
 
 
 def test_stitch_validates_segment_agreement(tmp_path):
     path_a = str(tmp_path / "a.ckpt")
     path_b = str(tmp_path / "b.ckpt")
     run_sharded(
-        _spec("ppts", "summary", checkpoint_path=path_a, checkpoint_every=7),
+        _spec("greedy", "summary", checkpoint_path=path_a, checkpoint_every=7),
         shards=2, transport="local",
     )
     run_sharded(
-        _spec("ppts", "summary", checkpoint_path=path_b, checkpoint_every=5,
+        _spec("greedy", "summary", checkpoint_path=path_b, checkpoint_every=5,
               seed=99),
         shards=2, transport="local",
     )
@@ -130,10 +139,12 @@ def test_stitch_mismatched_rounds_is_a_typed_format_error(tmp_path):
     # Same scenario, checkpointed at different cadences: final snapshots
     # land at rounds 28 (every 7) and 25 (every 5).
     Session().run(
-        _spec("ppts", "summary", checkpoint_path=early_path, checkpoint_every=5)
+        _spec("ppts", "summary", checkpoint_path=early_path, checkpoint_every=5,
+              engine="delta")
     )
     Session().run(
-        _spec("ppts", "summary", checkpoint_path=late_path, checkpoint_every=7)
+        _spec("ppts", "summary", checkpoint_path=late_path, checkpoint_every=7,
+              engine="delta")
     )
     early = load_checkpoint(early_path)
     late = load_checkpoint(late_path)
@@ -148,7 +159,7 @@ def test_recovery_mode_retains_per_segment_cut(tmp_path):
     file.  (With recovery='fail' the scaffolding is removed; see
     test_stitched_checkpoint_resumes_bit_identically.)"""
     path = str(tmp_path / "kept.ckpt")
-    base = _spec("ppts", "summary", checkpoint_path=path, checkpoint_every=7)
+    base = _spec("greedy", "summary", checkpoint_path=path, checkpoint_every=7)
     spec = Scenario.from_spec(base).policy(
         shards=3, recovery="restart", max_worker_restarts=2
     ).build()
@@ -163,7 +174,7 @@ def test_resume_hash_ignores_recovery_knobs(tmp_path):
     """The recovery knobs decide how a run survives failures, not what it
     computes: they are normalized out of the resume-identity hash, so a
     checkpoint taken under one recovery policy resumes under any other."""
-    base = _spec("ppts", "summary")
+    base = _spec("greedy", "summary")
     tuned = Scenario.from_spec(base).policy(
         recovery="fold", max_worker_restarts=9, heartbeat_timeout=2.5
     ).build()
@@ -174,7 +185,9 @@ def test_resume_hash_ignores_recovery_knobs(tmp_path):
         checkpoint_every=7, checkpoint_path=path, shards=3,
         recovery="restart", max_worker_restarts=2,
     ).build()
-    uninterrupted = Session().run(base).result
+    uninterrupted = Session().run(
+        Scenario.from_spec(base).policy(engine="delta").build()
+    ).result
     run_sharded(ckpt_spec, transport="local")
     # Resume under the default (recovery='fail') policy: same run.
     assert Session().resume(path).result == uninterrupted
@@ -186,7 +199,7 @@ def test_stitched_file_is_a_plain_checkpoint(tmp_path):
     loader fully validates (magic, CRC, sections)."""
     path = str(tmp_path / "plain.ckpt")
     run_sharded(
-        _spec("ppts", "streaming", checkpoint_path=path, checkpoint_every=7),
+        _spec("greedy", "streaming", checkpoint_path=path, checkpoint_every=7),
         shards=3, transport="local",
     )
     checkpoint = load_checkpoint(path)

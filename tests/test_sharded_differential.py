@@ -1,15 +1,18 @@
 """Differential proof for the sharded engine.
 
 The acceptance claim of the sharded execution layer is *bit-identical
-results*: for every bundled line algorithm x adversary family x history mode,
-``shards=k`` (k in {2, 3, 4}) produces a :class:`SimulationResult` equal —
-field for field, including per-round history records and per-node occupancy
-maxima — to the ``shards=1`` single-process run.
+results*: for every bundled line algorithm the batch kernel runs x adversary
+family x history mode, ``engine="batch"`` with ``shards=k`` (k in
+{2, 3, 4}) produces a :class:`SimulationResult` equal — field for field,
+including per-round history records and per-node occupancy maxima — to the
+single-process delta oracle.  PPTS and HPTS are outside the batch kernel,
+the only segment engine, so their cells assert the typed refusal instead.
 
 The matrix runs on the in-process transport (same segment engines, same
 superstep protocol, no pipes) so it stays fast and deterministic; a
 representative slice re-runs on real worker processes in
-``test_sharded_engine.py``.
+``test_sharded_engine.py``.  The random and trickle adversaries of the
+batch family are covered by ``test_batch_sharded_differential.py``.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from __future__ import annotations
 import pytest
 
 from repro.api import Scenario, ScenarioSpec, Session
+from repro.network.errors import UnshardableScenarioError
 from repro.network.sharded import run_sharded
 
 N = 16
@@ -40,6 +44,20 @@ ALGORITHMS = {
 #: pattern, silence-then-burst, and the bucketless O(1)-per-round trickle.
 ADVERSARIES = ("random", "saturating", "bursty", "trickle")
 
+#: Algorithms the batch kernel refuses, so sharded runs refuse them too.
+UNBATCHABLE = ("ppts", "hpts")
+
+#: The (algorithm, adversary) cells run here: every unbatchable cell (as a
+#: refusal) and every batchable cell that
+#: ``test_batch_sharded_differential.py`` does not already run with the
+#: same histories and shard counts.
+MATRIX = [
+    (algorithm, adversary)
+    for algorithm in sorted(ALGORITHMS)
+    for adversary in ADVERSARIES
+    if algorithm in UNBATCHABLE or adversary not in ("random", "trickle")
+]
+
 
 def _adversary_call(name: str, multi: bool, stream: bool):
     params = {"stream": True} if stream else {}
@@ -58,7 +76,8 @@ def _adversary_call(name: str, multi: bool, stream: bool):
 
 
 def _build_spec(algorithm: str, adversary: str, history: str, *,
-                shards=None, seed: int = 17) -> ScenarioSpec:
+                shards=None, seed: int = 17,
+                engine: str = "batch") -> ScenarioSpec:
     config = ALGORITHMS[algorithm]
     name, algo_params = config["spec"]
     stream = history == "streaming"
@@ -70,7 +89,7 @@ def _build_spec(algorithm: str, adversary: str, history: str, *,
         adversary_name, rho=config["rho"], sigma=3.0, rounds=ROUNDS,
         **adversary_params,
     )
-    policy = {"seed": seed}
+    policy = {"seed": seed, "engine": engine}
     if history == "full":
         policy["record_history"] = True
     elif history == "streaming":
@@ -81,13 +100,29 @@ def _build_spec(algorithm: str, adversary: str, history: str, *,
     return scenario.build()
 
 
-@pytest.mark.parametrize("adversary", ADVERSARIES)
-@pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+def _delta_oracle(spec: ScenarioSpec):
+    return Session().run(
+        Scenario.from_spec(spec).policy(engine="delta", shards=None).build()
+    ).result
+
+
+@pytest.mark.parametrize(
+    "algorithm, adversary",
+    [pytest.param(algorithm, adversary, id=f"{algorithm}-{adversary}")
+     for algorithm, adversary in MATRIX],
+)
 def test_sharded_results_are_bit_identical(algorithm, adversary):
-    """shards in {2, 3, 4} x histories == shards=1, field for field."""
+    """shards in {2, 3, 4} x histories == the delta oracle, field for field
+    (a typed refusal for the algorithms the batch kernel refuses)."""
     for history in HISTORIES:
         spec = _build_spec(algorithm, adversary, history)
-        baseline = Session().run(spec).result
+        if algorithm in UNBATCHABLE:
+            for shards in SHARD_COUNTS:
+                with pytest.raises(UnshardableScenarioError,
+                                   match="batch kernel"):
+                    run_sharded(spec, shards=shards, transport="local")
+            continue
+        baseline = _delta_oracle(spec)
         for shards in SHARD_COUNTS:
             sharded, _extras = run_sharded(
                 spec, shards=shards, transport="local"
@@ -98,16 +133,17 @@ def test_sharded_results_are_bit_identical(algorithm, adversary):
 
 
 def test_full_history_with_occupancy_vectors_matches():
-    """Per-round occupancy vectors (the numpy bulk path) merge exactly."""
+    """Per-round occupancy vectors merge exactly."""
     spec = (
         Scenario.line(N)
-        .algorithm("ppts")
+        .algorithm("greedy")
         .adversary("bounded", rho=0.8, sigma=3.0, rounds=ROUNDS,
                    num_destinations=3)
-        .policy(seed=23, record_history=True, record_occupancy_vectors=True)
+        .policy(seed=23, record_history=True, record_occupancy_vectors=True,
+                engine="batch")
         .build()
     )
-    baseline = Session().run(spec).result
+    baseline = _delta_oracle(spec)
     for shards in SHARD_COUNTS:
         sharded, _ = run_sharded(spec, shards=shards, transport="local")
         assert sharded == baseline
@@ -116,13 +152,13 @@ def test_full_history_with_occupancy_vectors_matches():
 
 def test_session_routes_shards_and_reports_identical_bounds():
     """policy.shards > 1 routes through Session transparently: same result,
-    same bound (PPTS's discovered destination set is folded globally)."""
-    sharded_spec = _build_spec("ppts", "random", "summary", shards=3)
-    single_spec = _build_spec("ppts", "random", "summary")
+    same bound as the single-process delta run."""
+    sharded_spec = _build_spec("pts", "random", "summary", shards=3)
+    single_spec = _build_spec("pts", "random", "summary", engine="delta")
     sharded = Session().run(sharded_spec)
     single = Session().run(single_spec)
     assert sharded.result == single.result
-    assert sharded.bound == single.bound
+    assert sharded.bound == single.bound is not None
     assert sharded.within_bound == single.within_bound
 
 
@@ -130,7 +166,7 @@ def test_policy_rounds_override_and_no_drain_match():
     """rounds overrides and drain=False flow through the coordinator."""
     base = _build_spec("greedy", "bursty", "summary")
     spec = Scenario.from_spec(base).policy(rounds=11, drain=False).build()
-    baseline = Session().run(spec).result
+    baseline = _delta_oracle(spec)
     sharded, _ = run_sharded(spec, shards=3, transport="local")
     assert sharded == baseline
     assert sharded.rounds_executed == 11
@@ -141,14 +177,16 @@ def test_policy_rounds_override_and_no_drain_match():
 # ---------------------------------------------------------------------------
 
 
-def _explicit_spec(num_nodes: int, routes, *, algorithm=("ppts", {}),
-                   shards=None) -> ScenarioSpec:
-    name, params = algorithm
-    scenario = Scenario.line(num_nodes).algorithm(name, **params)
+def _explicit_spec(num_nodes: int, routes, *, shards=None) -> ScenarioSpec:
+    # Greedy is work-conserving, so every packet actually traverses its
+    # boundary-crossing route (PTS would quiesce: isolated packets never
+    # make a buffer bad).
+    scenario = Scenario.line(num_nodes).algorithm("greedy")
     scenario.adversary(
         "explicit", rho=1.0, sigma=4.0, rounds=max(r for r, _s, _d in routes) + 1,
         routes=[list(route) for route in routes],
     )
+    scenario.policy(engine="batch")
     if shards is not None:
         scenario.policy(shards=shards)
     return scenario.build()
@@ -165,11 +203,8 @@ def test_packets_injected_exactly_at_shard_boundaries():
         (3, 0, 4),
         (4, 3, 8),   # boundary node to the virtual sink
     ]
-    # Greedy is work-conserving, so every one of these packets actually
-    # traverses its boundary-crossing route (PPTS would quiesce: isolated
-    # packets never make a buffer bad).
-    spec = _explicit_spec(8, routes, algorithm=("greedy", {}))
-    baseline = Session().run(spec).result
+    spec = _explicit_spec(8, routes)
+    baseline = _delta_oracle(spec)
     for shards in (2, 4, 8):
         sharded, _ = run_sharded(spec, shards=shards, transport="local")
         assert sharded == baseline
@@ -179,8 +214,8 @@ def test_packets_injected_exactly_at_shard_boundaries():
 def test_width_one_segments():
     """Every segment one node wide: each round every packet is a hand-off."""
     routes = [(0, 0, 5), (0, 1, 4), (1, 0, 3), (2, 2, 5), (3, 0, 5)]
-    spec = _explicit_spec(6, routes, algorithm=("greedy", {}))
-    baseline = Session().run(spec).result
+    spec = _explicit_spec(6, routes)
+    baseline = _delta_oracle(spec)
     sharded, _ = run_sharded(spec, shards=6, transport="local")
     assert sharded == baseline
     assert baseline.drained
@@ -189,12 +224,11 @@ def test_width_one_segments():
 def test_more_shards_than_nodes_degrades_gracefully():
     """shards > n clamps to one node per worker instead of failing."""
     routes = [(0, 0, 3), (1, 1, 4), (2, 0, 2)]
-    spec = _explicit_spec(4, routes, algorithm=("greedy", {}))
-    baseline = Session().run(spec).result
+    spec = _explicit_spec(4, routes)
+    baseline = _delta_oracle(spec)
     sharded, extras = run_sharded(spec, shards=9, transport="local")
     assert sharded == baseline
     assert len(extras["segments"]) == 4
     # And through the Session front door too.
-    report = Session().run(_explicit_spec(4, routes, algorithm=("greedy", {}),
-                                          shards=9))
+    report = Session().run(_explicit_spec(4, routes, shards=9))
     assert report.result == baseline

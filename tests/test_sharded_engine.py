@@ -2,11 +2,15 @@
 
 The bit-identical differential matrix lives in
 ``test_sharded_differential.py``; this file covers the pieces around it: the
-segment planner, the segment-filtered adversary, the typed error family, the
-process transport, Session/CLI integration, and the run_many error fix.
+segment planner, the segment-filtered adversary, the typed error family and
+the refusals (the batch kernel is the only segment engine), the process
+transport, Session/CLI integration, and the run_many error fix.
 """
 
 from __future__ import annotations
+
+import multiprocessing
+import os
 
 import pytest
 
@@ -21,7 +25,6 @@ from repro.api import (
 )
 from repro.api.session import build_topology
 from repro.core.packet import packet_id_scope
-from repro.core.pts import PeakToSink
 from repro.network.errors import (
     RecoveryExhaustedError,
     ReproError,
@@ -41,11 +44,22 @@ from repro.network.topology import LineTopology
 def _line_spec(**policy) -> ScenarioSpec:
     scenario = (
         Scenario.line(16)
-        .algorithm("ppts")
+        .algorithm("greedy")
         .adversary("bounded", rho=0.8, sigma=3.0, rounds=25, num_destinations=3)
     )
-    scenario.policy(seed=7, **policy)
+    scenario.policy(seed=7, engine="batch", **policy)
     return scenario.build()
+
+
+def _delta_oracle(spec: ScenarioSpec):
+    """The single-process delta-engine result for ``spec``."""
+    return Session().run(
+        Scenario.from_spec(spec).policy(engine="delta", shards=None).build()
+    ).result
+
+
+#: Algorithms the batch kernel refuses, so sharded runs refuse them too.
+UNBATCHABLE = ("ppts", "hpts")
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +170,7 @@ def test_adaptive_adversary_scenario_is_refused():
         Scenario.line(16)
         .algorithm("greedy")
         .adversary("hotspot", rho=0.5, sigma=2.0, rounds=10)
-        .policy(seed=1)
+        .policy(seed=1, engine="batch")
     )
     with pytest.raises(UnshardableScenarioError):
         run_sharded(scenario.build(), shards=2, transport="local")
@@ -173,16 +187,91 @@ def test_tree_topology_is_refused():
         Session().run(scenario.build())
 
 
-def test_algorithm_without_segment_selection_is_refused(monkeypatch):
-    monkeypatch.setattr(PeakToSink, "supports_sharding", False)
-    scenario = (
+# ---------------------------------------------------------------------------
+# Refusals: the batch kernel is the only segment engine
+# ---------------------------------------------------------------------------
+
+ENGINES = (None, "delta", "batch", "auto")
+REFUSAL_ALGORITHMS = {
+    "pts": ({}, "single", {}, 1.0),
+    "ppts": ({}, "bounded", {"num_destinations": 3}, 0.8),
+    "hpts": ({"levels": 2}, "bounded", {"num_destinations": 3}, 0.5),
+}
+
+
+def _refusal_spec(algorithm: str, engine) -> ScenarioSpec:
+    params, adversary, adversary_params, rho = REFUSAL_ALGORITHMS[algorithm]
+    return (
         Scenario.line(16)
-        .algorithm("pts")
-        .adversary("single", rho=1.0, sigma=2.0, rounds=10)
-        .policy(seed=1)
+        .algorithm(algorithm, **params)
+        .adversary(adversary, rho=rho, sigma=2.0, rounds=20, **adversary_params)
+        .policy(seed=1, shards=2, engine=engine)
+        .build()
     )
-    with pytest.raises(UnshardableScenarioError):
-        run_sharded(scenario.build(), shards=2, transport="local")
+
+
+def _runs_sharded(algorithm: str, engine) -> bool:
+    """Only a batchable algorithm on engine batch/auto runs sharded."""
+    return algorithm == "pts" and engine in ("batch", "auto")
+
+
+def _shm_segments() -> set:
+    """Names in /dev/shm (where BoundaryRing segments live), if any."""
+    try:
+        return set(os.listdir("/dev/shm"))
+    except OSError:
+        return set()
+
+
+def _assert_nothing_left_behind(shm_before: set) -> None:
+    assert multiprocessing.active_children() == []
+    leaked = _shm_segments() - shm_before
+    assert not leaked, f"shared-memory segments left behind: {sorted(leaked)}"
+
+
+@pytest.mark.parametrize("algorithm", sorted(REFUSAL_ALGORITHMS))
+@pytest.mark.parametrize("engine", ENGINES)
+def test_session_refuses_unshardable_engine_or_algorithm(engine, algorithm):
+    """shards > 1 with engine None/"delta", or an algorithm the batch kernel
+    refuses, raises the typed error with its reason; a refused run leaves
+    no worker process and no shared-memory ring behind."""
+    spec = _refusal_spec(algorithm, engine)
+    shm_before = _shm_segments()
+    if _runs_sharded(algorithm, engine):
+        report = Session().run(spec)
+        assert report.result == _delta_oracle(spec)
+        assert report.engine["selected"] == "batch"
+    else:
+        with pytest.raises(UnshardableScenarioError) as excinfo:
+            Session().run(spec)
+        message = str(excinfo.value)
+        if engine in (None, "delta"):
+            assert f"engine={engine!r}" in message
+        else:
+            assert "batch kernel" in message
+    _assert_nothing_left_behind(shm_before)
+
+
+@pytest.mark.parametrize("algorithm", sorted(REFUSAL_ALGORITHMS))
+@pytest.mark.parametrize("engine", ENGINES)
+def test_cli_refuses_unshardable_engine_or_algorithm(
+    engine, algorithm, tmp_path, capsys
+):
+    """`repro simulate --shards 2` exits 2 with the refusal on stderr."""
+    from repro.cli import main
+
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(_refusal_spec(algorithm, engine).to_json())
+    shm_before = _shm_segments()
+    exit_code = main(["simulate", "--spec", str(spec_path), "--shards", "2"])
+    captured = capsys.readouterr()
+    if _runs_sharded(algorithm, engine):
+        assert exit_code == 0
+    else:
+        assert exit_code == 2
+        assert "sharded execution runs only the batch kernel" in captured.err
+        assert "Traceback" not in captured.err
+    _assert_nothing_left_behind(shm_before)
 
 
 def test_prepared_run_with_shards_is_refused():
@@ -252,12 +341,16 @@ def test_process_transport_matches_single_process(
         Scenario.line(16)
         .algorithm(algorithm, **params)
         .adversary(adversary, rho=rho, sigma=3.0, rounds=25, **adversary_params)
-        .policy(seed=29)
+        .policy(seed=29, engine="batch")
     )
     spec = scenario.build()
-    baseline = Session().run(spec).result
+    if algorithm in UNBATCHABLE:
+        with pytest.raises(UnshardableScenarioError, match="batch kernel"):
+            run_sharded(spec, shards=2, transport="processes")
+        assert multiprocessing.active_children() == []
+        return
     sharded, _ = run_sharded(spec, shards=2, transport="processes")
-    assert sharded == baseline
+    assert sharded == _delta_oracle(spec)
 
 
 def test_worker_build_errors_propagate_across_processes():
@@ -265,7 +358,7 @@ def test_worker_build_errors_propagate_across_processes():
         Scenario.line(16)
         .algorithm("greedy")
         .adversary("hotspot", rho=0.5, sigma=2.0, rounds=10)
-        .policy(seed=1)
+        .policy(seed=1, engine="batch")
     )
     with pytest.raises(UnshardableScenarioError):
         run_sharded(scenario.build(), shards=2, transport="processes")
@@ -283,7 +376,7 @@ def test_cli_simulate_with_shards(capsys):
         [
             "simulate", "--algorithm", "pts", "--nodes", "24",
             "--rho", "1.0", "--sigma", "2.0", "--rounds", "40",
-            "--seed", "3", "--shards", "2", "--json",
+            "--seed", "3", "--shards", "2", "--engine", "batch", "--json",
         ]
     )
     captured = capsys.readouterr()
@@ -317,20 +410,22 @@ def test_cli_shards_matches_unsharded_row(capsys):
     from repro.cli import main
 
     argv = [
-        "simulate", "--algorithm", "ppts", "--nodes", "20",
+        "simulate", "--algorithm", "greedy", "--nodes", "20",
         "--destinations", "4", "--rho", "0.8", "--sigma", "2.0",
         "--rounds", "30", "--seed", "5", "--json",
     ]
     main(argv)
     single_row = json.loads(capsys.readouterr().out)
-    main(argv + ["--shards", "3"])
+    main(argv + ["--shards", "3", "--engine", "batch"])
     sharded_row = json.loads(capsys.readouterr().out)
     # Sharded rows additionally surface the supervisor's recovery telemetry
-    # (a fault-free run reports zero restarts); the result itself must stay
-    # bit-identical to the single-process row.
+    # (a fault-free run reports zero restarts) and the engine routing
+    # record; the result itself must stay bit-identical to the
+    # single-process delta row.
     assert sharded_row.pop("recovery") == {
         "restarts": 0, "recovery_time_s": None
     }
+    assert sharded_row.pop("engine")["selected"] == "batch"
     assert sharded_row == single_row
     assert "recovery" not in single_row
 
@@ -340,15 +435,16 @@ def test_cli_shards_matches_unsharded_row(capsys):
 # ---------------------------------------------------------------------------
 
 
-def test_extras_carry_segments_and_states():
+def test_extras_carry_segments_and_routing():
     spec = _line_spec()
     result, extras = run_sharded(spec, shards=3, transport="local")
     assert extras["segments"] == plan_segments(16, 3)
-    assert len(extras["algorithm_states"]) == 3
-    observed = set()
-    for state in extras["algorithm_states"]:
-        observed.update(state["observed"])
-    assert observed  # PPTS discovered destinations, globally non-empty
+    assert extras["engine"] == {
+        "requested": "batch", "selected": "batch", "fallback_reason": None,
+        "transport": "local",
+    }
+    assert len(extras["handoff_traces"]) == 3
+    assert extras["adversary_sigma"] == 3.0
     assert result.packets_injected > 0
 
 
@@ -443,6 +539,28 @@ def test_drop_exhaustion_escalates_to_recovery():
     recovered, extras = run_sharded(spec, transport="local", faults=drops)
     assert recovered == baseline
     assert extras["recovery"]["restarts"] == 1
+
+
+@pytest.mark.parametrize("first", [
+    FaultEvent(kind="crash", round=3, segment=0),
+    FaultEvent(kind="slow", round=3, segment=1, delay=5.0),
+], ids=["crash", "hang"])
+@pytest.mark.parametrize("shm", [False, None], ids=["relay", "window"])
+def test_each_failure_in_one_window_costs_its_own_restart(first, shm):
+    """A window ships its rounds' directives before it runs, but the events
+    past the first failure never ran: the replay must fire them, so two
+    failures inside one window cost two restarts, as on the relay path."""
+    spec = _line_spec(shards=3, recovery="restart", max_worker_restarts=3,
+                      heartbeat_timeout=0.25)
+    baseline, _ = run_sharded(spec, transport="local")
+    plan = FaultPlan(events=(
+        first, FaultEvent(kind="crash", round=6, segment=1, phase="finish"),
+    ))
+    recovered, extras = run_sharded(
+        spec, transport="processes", shm=shm, faults=plan
+    )
+    assert recovered == baseline
+    assert extras["recovery"]["restarts"] == 2
 
 
 def test_recovery_extras_report_wall_clock_time():
