@@ -487,13 +487,13 @@ def run_suite(quick: bool, repeats: int) -> Dict[str, Any]:
             f"({case['normalized_throughput']:.1f} norm, "
             f"{case['peak_mem_bytes'] / 1e6:.1f} MB peak)"
         )
-    # Batch-kernel cases: the vectorized engine on the batchable line specs,
-    # one row per (algorithm, n) next to its engine/ twin so the speedup is
-    # visible in the JSON and the kernel's throughput is gated like any
-    # other case.
+    # Batch-kernel cases: the batch kernel on every line spec (the fused
+    # scan for pts/greedy, the pseudo-buffer kind for ppts/hpts), one row
+    # per (algorithm, n) next to its engine/ twin so the speedup is visible
+    # in the JSON and the kernel's throughput is gated like any other case.
     delta_by_case = {case["case"]: case for case in cases}
     for n, rounds in sizes:
-        for algorithm in ("pts", "greedy"):
+        for algorithm in ("pts", "ppts", "hpts", "greedy"):
             spec = _line_spec(algorithm, n, rounds)
             case = _time_batch(session, spec, repeats)
             case["normalized_throughput"] = (

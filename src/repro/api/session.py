@@ -512,8 +512,8 @@ class Session:
             except UnbatchableScenarioError as refusal:
                 if policy.engine == "batch":
                     raise
-                # engine="auto": the scenario is outside the vectorized
-                # family; the object engine computes the same thing.
+                # engine="auto": the scenario is outside what the batch
+                # kernel runs; the object engine computes the same thing.
                 engine_info["selected"] = "delta"
                 engine_info["fallback_reason"] = str(refusal)
         if simulator is None:

@@ -229,8 +229,8 @@ class RunPolicy(_SpecBase):
         Partition the line into this many contiguous segments and run the
         batch kernel over each in its own worker process
         (:mod:`repro.network.sharded`); ``engine`` must then be ``"batch"``
-        or ``"auto"``, and a scenario the batch kernel refuses cannot be
-        sharded.  ``None`` or ``1`` means single-process.  Sharding never
+        or ``"auto"``, and neither PPTS, HPTS nor a scenario the batch
+        kernel refuses can be sharded.  ``None`` or ``1`` means single-process.  Sharding never
         changes what the simulation computes — results are bit-identical
         to ``shards=1`` — so, like the checkpoint fields, it is excluded
         from the resume-identity hash.

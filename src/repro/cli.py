@@ -173,9 +173,10 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="execution engine: 'delta' is the per-round object engine, "
         "'batch' the vectorized batch-round kernel (line topologies, "
-        "non-adaptive adversaries and the regular algorithm family only; "
-        "anything else exits with code 2), 'auto' tries the batch kernel "
-        "and silently falls back (results are bit-identical either way)",
+        "non-adaptive adversaries and PTS/PPTS/HPTS/local/downhill/built-in "
+        "greedy only; anything else exits with code 2), 'auto' tries the "
+        "batch kernel and silently falls back (results are bit-identical "
+        "either way)",
     )
     simulate.add_argument(
         "--batch-rounds",

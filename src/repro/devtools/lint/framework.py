@@ -155,6 +155,10 @@ class LintConfig:
         "drop_next_send",
         "select_next",
         "replay",
+        # The batch kernel's PPTS/HPTS selection (repro/network/batch.py):
+        # per-level destination sets feed FormPaths and the cascade.
+        "_select_pseudo",
+        "_activate_pre_bad",
         # Boundary-ring transport: block layout and publish order feed the
         # hand-off protocol directly (repro/network/shm.py).
         "send_block",

@@ -44,7 +44,22 @@ Scope (everything else raises :class:`UnbatchableScenarioError`, which
   :class:`~repro.core.local.LocalThresholdForwarding`,
   :class:`~repro.core.local.DownhillForwarding` and
   :class:`~repro.baselines.greedy.GreedyForwarding` with a stock policy
-  (:data:`~repro.baselines.policies.ALL_POLICIES`).
+  (:data:`~repro.baselines.policies.ALL_POLICIES`);
+* the pseudo-buffer kind, with any number of destinations:
+  :class:`~repro.core.ppts.ParallelPeakToSink` and
+  :class:`~repro.core.hpts.HierarchicalPeakToSink` with both of its
+  mechanisms on (``activate_pre_bad`` and ``batch_acceptance``; either
+  ablation switch off is refused).
+
+The pseudo-buffer kind has its own round (:meth:`BatchSimulator._pseudo_window`):
+each node keeps one row stack per pseudo-buffer under a flat integer key
+``level * (n + 1) + w`` (PPTS is the one-level case, ``key == w``), each key
+keeps the set of nodes where its stack is bad, and each level the set of
+destinations with a nonempty stack somewhere.  A round selects from the
+state before the round (FormPaths, then the ``ActivatePreBad`` cascade),
+pops every activated nonempty stack, then places the packets.  Every node
+pops at most one packet and receives at most one, so each stack's order is
+the object engine's.
 
 Object state (``Simulator.packets``, the algorithm's buffers, the occupancy
 timeline) is materialised only at *batch boundaries* — end of run and
@@ -58,15 +73,17 @@ from __future__ import annotations
 
 from array import array
 from collections import deque
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..adversary.base import InjectionPattern
 from ..baselines.greedy import GreedyForwarding
 from ..baselines.policies import ALL_POLICIES
+from ..core.hpts import HierarchicalPeakToSink
 from ..core.local import DownhillForwarding, LocalThresholdForwarding
 from ..core.packet import Injection, Packet, PacketState
+from ..core.ppts import ParallelPeakToSink
 from ..core.pseudobuffer import QueueDiscipline
 from ..core.pts import PeakToSink
 from ..core.scheduler import ForwardingAlgorithm
@@ -85,14 +102,16 @@ __all__ = ["BatchSimulator", "DEFAULT_BATCH_ROUNDS"]
 #: Default batch window (rounds advanced between object-state syncs).
 DEFAULT_BATCH_ROUNDS = 64
 
-# Kernel codes for the vectorized algorithm family.
-_PTS, _LOCAL, _DOWNHILL, _GREEDY = 0, 1, 2, 3
+# Kernel codes: the fused-scan family, then the pseudo-buffer kind.
+_PTS, _LOCAL, _DOWNHILL, _GREEDY, _PSEUDO = 0, 1, 2, 3, 4
 
 _KERNEL_KINDS = {
     PeakToSink: _PTS,
     LocalThresholdForwarding: _LOCAL,
     DownhillForwarding: _DOWNHILL,
     GreedyForwarding: _GREEDY,
+    ParallelPeakToSink: _PSEUDO,
+    HierarchicalPeakToSink: _PSEUDO,
 }
 
 # Greedy policy key codes (see repro.baselines.policies): the composite sort
@@ -168,12 +187,21 @@ class BatchSimulator(Simulator):
         if kind is None:
             raise UnbatchableScenarioError(
                 f"{type(algorithm).__name__} is outside the regular family "
-                f"the batch kernel vectorizes (PTS, local, downhill, greedy)"
+                f"(PTS, local, downhill, greedy) and the pseudo-buffer kind "
+                f"(PPTS, HPTS) the batch kernel runs"
             )
         if kind == _GREEDY and algorithm.policy not in ALL_POLICIES:
             raise UnbatchableScenarioError(
                 f"greedy policy {algorithm.policy!r} is not one of the "
                 f"built-in policies the batch kernel encodes"
+            )
+        if isinstance(algorithm, HierarchicalPeakToSink) and not (
+            algorithm.activate_pre_bad and algorithm.batch_acceptance
+        ):
+            raise UnbatchableScenarioError(
+                "the batch kernel runs HPTS only with activate_pre_bad and "
+                "batch_acceptance on (the E9 ablations run on the object "
+                "engine)"
             )
 
         super().__init__(
@@ -195,11 +223,14 @@ class BatchSimulator(Simulator):
             else topology.num_nodes - 1
         )
         self._lifo = algorithm.discipline is QueueDiscipline.LIFO
-        if kind == _GREEDY:
+        if kind in (_GREEDY, _PSEUDO):
+            # Multi-destination kinds: no single w, no threshold knobs.
             self._dest = -1
             self._last = self._n - 1
             self._store_key: object = "queue"
-            self._policy_code = _POLICY_CODES[algorithm.policy.name]
+            self._policy_code = (
+                _POLICY_CODES[algorithm.policy.name] if kind == _GREEDY else -1
+            )
             self._work_conserving = False
             self._bad_threshold = 2
             self._locality = 0
@@ -238,6 +269,23 @@ class BatchSimulator(Simulator):
         self._stored = 0
         self._num_bad = 0
         self._gmax = 0
+        # Pseudo-buffer kind (PPTS, HPTS): the static layout, then the state
+        # _load_kernel fills (see _load_pseudo).
+        self._ell = 1
+        self._hierarchical = False
+        self._ascending = False
+        self._blocks: Tuple[Tuple[int, int], ...] = ()
+        self._interval_size: Tuple[int, ...] = (self._n,)
+        self._allowed: Optional[frozenset] = None
+        if kind == _PSEUDO:
+            self._configure_pseudo(algorithm)
+        self._stacks: List[Dict[int, deque]] = []
+        self._bad_nodes: Dict[int, set] = {}
+        self._holders: Dict[int, int] = {}
+        self._present: List[set] = []
+        self._staged_rows: List[int] = []
+        self._observed: set = set()
+        self._max_staged = 0
 
     # -- batch-level pre-validation ------------------------------------------------
 
@@ -271,14 +319,41 @@ class BatchSimulator(Simulator):
         )
         dests_ok = bool((d == self._dest).all())
         self._routes_prevalidated = routes_ok
-        # Greedy is multi-destination: its destinations are never checked.
+        # Greedy and the pseudo-buffer kind are multi-destination: their
+        # destinations are never checked.
         self._dests_prevalidated = dests_ok
-        if not (routes_ok and (self._kind == _GREEDY or dests_ok)):
+        if not (routes_ok and (self._dest < 0 or dests_ok)):
             return False
         self._pat_src = sources
         self._pat_dst = destinations
         self._pat_ids = store.packet_ids
         return True
+
+    def _configure_pseudo(self, algorithm: ForwardingAlgorithm) -> None:
+        """The static layout of PPTS (one level, one interval) or HPTS."""
+        if isinstance(algorithm, HierarchicalPeakToSink):
+            self._ell = algorithm.levels
+            self._hierarchical = True
+            self._ascending = algorithm.level_schedule == "ascending"
+            self._blocks = algorithm.partition._blocks
+            self._interval_size = algorithm._interval_size
+        elif algorithm._declared_destinations is not None:
+            self._allowed = frozenset(algorithm._declared_destinations)
+
+    def _pseudo_key(self, position: int, destination: int) -> int:
+        """The flat key ``level * (n + 1) + w`` of a row at ``position``.
+
+        :meth:`HierarchicalPartition.pseudo_buffer_key` on the same block
+        sizes; PPTS (no blocks, one level) keys by the destination itself.
+        """
+        n = self._n
+        if destination == n:
+            return (self._ell - 1) * (n + 1) + n
+        for level, block in self._blocks:
+            head = destination // block
+            if position // block != head:
+                return level * (n + 1) + head * block
+        return destination
 
     # -- kernel state <-> object state ---------------------------------------------
 
@@ -305,8 +380,12 @@ class BatchSimulator(Simulator):
         self._stored = 0
         self._num_bad = 0
         self._gmax = self._timeline.max_occupancy
+        self._max_staged = self._timeline.max_staged
         for node, peak in self._timeline.per_node_maxima().items():
             mx[node] = peak
+        if self._kind == _PSEUDO:
+            self._load_pseudo()
+            return
         arrival = (
             self.algorithm._arrival_round if self._kind == _GREEDY else None
         )
@@ -344,6 +423,47 @@ class BatchSimulator(Simulator):
                 # candidates at the first measurement.
                 touch.append(node)
 
+    def _load_pseudo(self) -> None:
+        """The pseudo-buffer kind's half of :meth:`_load_kernel`: row stacks
+        per ``(node, key)``, bad nodes per key, present destinations per
+        level, HPTS's staged rows and PPTS's observed destinations."""
+        n = self._n
+        stride = n + 1
+        algorithm = self.algorithm
+        self._stacks = stacks = [{} for _ in range(n)]
+        self._bad_nodes = {}
+        self._holders = {}
+        self._present = [set() for _ in range(self._ell)]
+        self._staged_rows = []
+
+        def add_row(packet: Packet) -> int:
+            accepted = packet.accepted_round
+            return self._append_row(
+                packet.injection, packet, -1 if accepted is None else accepted
+            )
+
+        for node in range(n):
+            load = 0
+            for pseudo in algorithm.buffers[node].pseudo_buffers():
+                if not pseudo:
+                    continue
+                key = pseudo.key
+                flat = key[0] * stride + key[1] if type(key) is tuple else key
+                stack = deque(add_row(packet) for packet in pseudo.packets())
+                stacks[node][flat] = stack
+                load += len(stack)
+                self._claim(flat)
+                if len(stack) >= 2:
+                    self._bad_nodes.setdefault(flat, set()).add(node)
+            if load:
+                self._occ[node] = load
+                self._stored += load
+                self._touch.append(node)
+        if self._hierarchical:
+            self._staged_rows = [add_row(packet) for packet in algorithm._staged]
+        else:
+            self._observed = set(algorithm._observed_destinations)
+
     def _sync_objects(self) -> None:
         """Materialise kernel state back into the object world.
 
@@ -356,20 +476,40 @@ class BatchSimulator(Simulator):
         queues = self._queues
         row_packet = self._row_packet
         n = self._n
+        pseudo = self._kind == _PSEUDO
+        # (node, object-world key, rows in queue order) per nonempty queue.
+        if pseudo:
+            stride = n + 1
+            hierarchical = self._hierarchical
+            placements = [
+                (node, (key // stride, key % stride) if hierarchical else key, rows)
+                for node in range(n)
+                for key, rows in self._stacks[node].items()
+                if rows
+            ]
+        else:
+            store_key = self._store_key
+            placements = [
+                (node, store_key, queues[node]) for node in range(n) if queues[node]
+            ]
         total_rows = len(row_packet)
         if total_rows:
             # Deferred rows materialise in row order — injection order — so
             # ``self.packets`` keeps the object engine's insertion order.
-            live_node: Dict[int, int] = {}
-            for node in range(n):
-                for row in queues[node]:
-                    live_node[row] = node
+            live_node: Dict[int, int] = {
+                row: node for node, _key, rows in placements for row in rows
+            }
             packets = self.packets
             retain = self.retain_packets
             col_pid = self._col_pid
             col_src = self._col_src
             col_dst = self._col_dst
             col_injr = self._col_injr
+            # Staged HPTS rows wait unaccepted at their source; the pseudo
+            # kind records acceptance rounds (-1 = staged) in the arr column.
+            for row in self._staged_rows:
+                live_node[row] = col_src[row]
+            col_accepted = self._col_arr if pseudo else col_injr
             dlv = self._col_dlv
             for row in range(total_rows):
                 if row_packet[row] is not None:
@@ -393,7 +533,7 @@ class BatchSimulator(Simulator):
                             ),
                             destination,
                             PacketState.DELIVERED,
-                            accepted_round=col_injr[row],
+                            accepted_round=col_accepted[row],
                             delivered_round=delivered_round,
                             hops=destination - col_src[row],
                         )
@@ -401,31 +541,28 @@ class BatchSimulator(Simulator):
                         row_packet[row] = packet
                     continue
                 node = live_node[row]
+                accepted = col_accepted[row]
                 packet = Packet(
                     Injection(
                         col_injr[row], col_src[row], col_dst[row], col_pid[row]
                     ),
                     node,
                     PacketState.IN_TRANSIT,
-                    accepted_round=col_injr[row],
+                    accepted_round=accepted if accepted >= 0 else None,
                     hops=node - col_src[row],
                 )
                 packets[col_pid[row]] = packet
                 row_packet[row] = packet
         for node_buffer in algorithm.buffers.values():
             pseudos = list(node_buffer.pseudo_buffers())
-            for pseudo in pseudos:
-                while pseudo:
-                    pseudo.pop()
+            for pseudo_buffer in pseudos:
+                while pseudo_buffer:
+                    pseudo_buffer.pop()
             if pseudos:
                 node_buffer.drop_empty()
-        key = self._store_key
-        for node in range(n):
-            queue = queues[node]
-            if not queue:
-                continue
+        for node, key, rows in placements:
             node_buffer = algorithm.buffers[node]
-            for row in queue:
+            for row in rows:
                 packet = row_packet[row]
                 packet.location = node
                 packet.hops = node - packet.source
@@ -438,6 +575,11 @@ class BatchSimulator(Simulator):
                 for queue in queues
                 for row in queue
             }
+        elif self._hierarchical:
+            algorithm._staged = [row_packet[row] for row in self._staged_rows]
+        elif pseudo:
+            algorithm._observed_destinations = set(self._observed)
+        self._timeline.max_staged = self._max_staged
         # Timeline maxima: numpy views the flat maxima buffer zero-copy for
         # the nonzero scan.
         view = np.frombuffer(self._mx, dtype=np.int64)
@@ -474,6 +616,7 @@ class BatchSimulator(Simulator):
                 )
         horizon = num_rounds if num_rounds is not None else self.adversary.horizon
         self._load_kernel()
+        window = self._pseudo_window if self._kind == _PSEUDO else self._window
         try:
             t = self._round
             batch = self.batch_rounds
@@ -484,7 +627,7 @@ class BatchSimulator(Simulator):
                     # mid-batch: the next cut is the window's far edge.
                     next_cut = (t // checkpoint_every + 1) * checkpoint_every
                     stop = min(stop, next_cut)
-                self._window(t, stop)
+                window(t, stop)
                 t = stop
                 if checkpoint_every is not None and t % checkpoint_every == 0:
                     self._sync_objects()
@@ -494,7 +637,7 @@ class BatchSimulator(Simulator):
                     max(horizon, self._round), max_drain_rounds
                 )
             else:
-                drained = self._stored == 0
+                drained = self._stored + len(self._staged_rows) == 0
         finally:
             self._sync_objects()
         return self._build_result(drained)
@@ -502,14 +645,22 @@ class BatchSimulator(Simulator):
     def _kernel_drain(
         self, start_round: int, max_drain_rounds: Optional[int]
     ) -> bool:
-        # staged_count() is 0 for the whole vectorized family, so the stop
-        # rule's quiet test degenerates to "forwarded nothing".
-        rule = DrainStop(self._n, self._stored, max_drain_rounds)
+        # Simulator._drain's rule on kernel counts: pending is stored plus
+        # staged (HPTS only; the fused-scan family never stages, so its
+        # quiet test degenerates to "forwarded nothing").
+        window = self._pseudo_window if self._kind == _PSEUDO else self._window
+        staged = self._staged_rows
+        rule = DrainStop(
+            self._n, self._stored + len(staged), max_drain_rounds, len(staged)
+        )
         round_number = start_round
-        while self._stored > 0 and not rule.stopped:
-            rule.step(self._window(round_number, round_number + 1, inject=False))
+        while self._stored + len(staged) > 0 and not rule.stopped:
+            rule.step(
+                window(round_number, round_number + 1, inject=False),
+                len(staged),
+            )
             round_number += 1
-        return self._stored == 0
+        return self._stored + len(staged) == 0
 
     # -- the fused scan (every round runs here) --------------------------------------
 
@@ -794,26 +945,366 @@ class BatchSimulator(Simulator):
             self._stored = stored
         return moved
 
+    # -- the pseudo-buffer kind (PPTS, HPTS) -----------------------------------------
+
+    def _pseudo_window(self, t0: int, t1: int, *, inject: bool = True) -> int:
+        """Advance rounds ``t0 .. t1-1`` of PPTS or HPTS on flat state.
+
+        Per round, in the object engine's order:
+
+        1. injection — rows join HPTS's staged list, or PPTS's stacks at
+           once; HPTS first accepts the rows staged in earlier rounds when
+           ``t % ell == 0`` (drain rounds included);
+        2. measurement — ``L^t`` into the maxima, the staged count into
+           ``max_staged``;
+        3. selection (:meth:`_select_pseudo`) on the state before the round;
+        4. forwarding — every activated nonempty stack pops and its row is
+           delivered or placed at ``v + 1``, under a new key only where it
+           reaches its segment's intermediate destination.  The activated
+           ranges are disjoint and run right to left, so every node pops
+           before its predecessor's packet lands: the same stacks as the
+           object engine's pop-all-then-place-all round.
+
+        Returns how many packets the last round forwarded — the drain's
+        quiet-round signal.
+        """
+        n = self._n
+        stride = n + 1
+        occ = self._occ
+        mx = self._mx
+        touch = self._touch
+        touch_append = touch.append
+        stacks = self._stacks
+        bad_nodes = self._bad_nodes
+        holders = self._holders
+        present = self._present
+        staged = self._staged_rows
+        hierarchical = self._hierarchical
+        ell = self._ell
+        pop = deque.pop if self._lifo else deque.popleft
+        pseudo_key = self._pseudo_key
+        accept_row = self._accept_row
+        deliver_row = self._deliver_row
+        claim = self._claim
+        release = self._release
+        select = self._select_pseudo
+        col_dst = self._col_dst
+        col_injr = self._col_injr
+        append_pid = self._col_pid.append
+        append_src = self._col_src.append
+        append_dst = col_dst.append
+        append_injr = col_injr.append
+        append_arr = self._col_arr.append
+        append_dlv = self._col_dlv.append
+        row_packet = self._row_packet
+        row_append = row_packet.append
+        fast_rows = self._fast_rows
+        get_rows = fast_rows.get if fast_rows is not None else None
+        pat_src = self._pat_src
+        pat_dst = self._pat_dst
+        pat_ids = self._pat_ids
+        packet_store = self.packet_store
+        record = self.record_history
+        gmax = self._gmax
+        max_staged = self._max_staged
+        stored = self._stored
+        delivered = self._delivered
+        forwarded = 0
+        try:
+            for rn in range(t0, t1):
+                # -- injection and acceptance ---------------------------------
+                new_rows: Sequence[int] = ()
+                if inject and get_rows is not None:
+                    rows_in = get_rows(rn)
+                    if rows_in is not None:
+                        first = len(row_packet)
+                        for r in rows_in:
+                            append_pid(pat_ids[r])
+                            append_src(pat_src[r])
+                            append_dst(pat_dst[r])
+                            append_injr(rn)
+                            append_arr(-1)
+                            append_dlv(_LIVE)
+                            row_append(None)
+                        new_rows = range(first, len(row_packet))
+                        self._injected += len(rows_in)
+                        if packet_store is not None:
+                            for r in rows_in:
+                                packet_store.append(
+                                    rn, pat_src[r], pat_dst[r], pat_ids[r]
+                                )
+                elif inject:
+                    new_rows = [
+                        self._append_row(injection, packet, -1)
+                        for injection, packet in self._create_packets(rn)
+                    ]
+                if hierarchical:
+                    if staged and rn % ell == 0:
+                        waiting = [row for row in staged if col_injr[row] >= rn]
+                        for row in staged:
+                            if col_injr[row] < rn:
+                                accept_row(row, rn)
+                        stored += len(staged) - len(waiting)
+                        staged[:] = waiting
+                    staged.extend(new_rows)
+                else:
+                    for row in new_rows:
+                        accept_row(row, rn)
+                    stored += len(new_rows)
+                # -- measurement (L^t, after injection) -----------------------
+                if touch:
+                    for node in touch:
+                        load = occ[node]
+                        if load > mx[node]:
+                            mx[node] = load
+                            if load > gmax:
+                                gmax = load
+                    del touch[:]
+                num_staged = len(staged)
+                if num_staged > max_staged:
+                    max_staged = num_staged
+                if record:
+                    before = occ.tolist()
+                    delivered_before = delivered
+                # -- selection, then forwarding right to left -----------------
+                # ``popped`` is the last node that popped, its occupancy
+                # decrement deferred: when its left neighbour's packet lands
+                # there, its load is unchanged (no update, no maxima
+                # candidate).  A stack that empties and the one its packet
+                # starts under the same key likewise leave the key's holder
+                # count unchanged.
+                forwarded = 0
+                popped = -1
+                for lo, hi, key in select(rn) if stored else ():
+                    intermediate = key % stride
+                    for node in range(hi, lo - 1, -1):
+                        stack = stacks[node].get(key)
+                        if not stack:
+                            continue
+                        row = pop(stack)
+                        left = len(stack)
+                        if left == 1:
+                            bad_nodes[key].discard(node)
+                        forwarded += 1
+                        receiver = node + 1
+                        destination = col_dst[row]
+                        if receiver == destination:
+                            deliver_row(row, rn)
+                            delivered += 1
+                            stored -= 1
+                            if not left:
+                                release(key)
+                        else:
+                            landing = key
+                            if receiver == intermediate:
+                                # The segment ends here: re-key (HPTS only; a
+                                # PPTS key is the destination, where rows
+                                # deliver).
+                                landing = pseudo_key(receiver, destination)
+                            node_stacks = stacks[receiver]
+                            stack = node_stacks.get(landing)
+                            if stack is None:
+                                node_stacks[landing] = stack = deque()
+                            stack.append(row)
+                            load = len(stack)
+                            if landing != key:
+                                if not left:
+                                    release(key)
+                                if load == 1:
+                                    claim(landing)
+                            elif load == 1:
+                                if left:
+                                    claim(key)
+                            elif not left:
+                                release(key)
+                            if load == 2:
+                                bad = bad_nodes.get(landing)
+                                if bad is None:
+                                    bad_nodes[landing] = bad = set()
+                                bad.add(receiver)
+                            if receiver == popped:
+                                popped = -1
+                            else:
+                                occ[receiver] += 1
+                                touch_append(receiver)
+                        if popped >= 0:
+                            occ[popped] -= 1
+                        popped = node
+                if popped >= 0:
+                    occ[popped] -= 1
+                if record:
+                    self._delivered = delivered
+                    self._record_round(
+                        rn, len(new_rows), before, delivered_before,
+                        forwarded, num_staged,
+                    )
+                self._round = rn + 1
+        finally:
+            self._gmax = gmax
+            self._max_staged = max_staged
+            self._stored = stored
+            self._delivered = delivered
+        return forwarded
+
+    def _accept_row(self, row: int, round_number: int) -> None:
+        """Store one injected (PPTS) or staged (HPTS) row at its source.
+
+        The caller counts the row into ``stored``."""
+        source = self._col_src[row]
+        destination = self._col_dst[row]
+        self._col_arr[row] = round_number
+        packet = self._row_packet[row]
+        if packet is not None:
+            packet.accept(round_number)
+        if not self._hierarchical:
+            self._observed.add(destination)
+        key = self._pseudo_key(source, destination)
+        node_stacks = self._stacks[source]
+        stack = node_stacks.get(key)
+        if stack is None:
+            node_stacks[key] = stack = deque()
+        stack.append(row)
+        load = len(stack)
+        if load == 1:
+            self._claim(key)
+        elif load == 2:
+            self._bad_nodes.setdefault(key, set()).add(source)
+        self._occ[source] += 1
+        self._touch.append(source)
+
+    def _claim(self, key: int) -> None:
+        """One more node holds a nonempty ``key`` stack."""
+        count = self._holders.get(key, 0) + 1
+        self._holders[key] = count
+        if count == 1:
+            stride = self._n + 1
+            self._present[key // stride].add(key % stride)
+
+    def _release(self, key: int) -> None:
+        """One node fewer holds a nonempty ``key`` stack."""
+        count = self._holders[key] - 1
+        self._holders[key] = count
+        if not count:
+            stride = self._n + 1
+            self._present[key // stride].discard(key % stride)
+
+    def _select_pseudo(self, round_number: int) -> List[Tuple[int, int, int]]:
+        """The round's activations as disjoint ``(lo, hi, flat key)`` node
+        ranges, right to left, read from the state before the round.
+
+        FormPaths runs on every interval of the round's level that holds a
+        destination, each interval's destinations descending (the intervals
+        are disjoint, so their order does not matter): a key's bad stacks
+        all lie in its destination's interval, left of the destination, so
+        its leftmost bad node is ``min`` of its bad set, and ``[bad, last]``
+        is activated whole (HPTS's empty activations count as active in the
+        cascade; they pop nothing).  Then HPTS's ``ActivatePreBad`` cascade
+        runs down the lower levels.  PPTS is the one-level case with one
+        interval and no cascade; packets for a destination outside its
+        declared set never move.
+        """
+        n = self._n
+        stride = n + 1
+        ell = self._ell
+        offset = round_number % ell
+        level = offset if self._ascending else ell - 1 - offset
+        size = self._interval_size[level]
+        base = level * stride
+        bad_nodes = self._bad_nodes
+        allowed = self._allowed
+        ranges: List[Tuple[int, int, int]] = []
+        present: set = self._present[level]
+        destinations = sorted(present)
+        if allowed is not None:
+            destinations = [w for w in destinations if w in allowed]
+        rank = -1
+        frontier = 0
+        for w in reversed(destinations):
+            # The virtual sink w = n belongs to the last interval.
+            w_rank = (w if w < n else n - 1) // size
+            if w_rank != rank:
+                rank = w_rank
+                frontier = w
+            bad = bad_nodes.get(base + w)
+            if not bad:
+                continue
+            leftmost = min(bad)
+            last = (frontier if frontier < w else w) - 1
+            if leftmost > last:
+                continue
+            # Disjoint from every range so far: intervals of one level are
+            # disjoint, and the frontier keeps ranges apart.
+            ranges.append((leftmost, last, base + w))
+            frontier = leftmost
+        if level:
+            self._activate_pre_bad(level, ranges)
+        ranges.sort(reverse=True)
+        return ranges
+
+    def _activate_pre_bad(
+        self, level: int, ranges: List[Tuple[int, int, int]]
+    ) -> None:
+        """HPTS's ``ActivatePreBad`` cascade (Algorithm 5) below ``level``,
+        appending its ranges to the round's FormPaths ``ranges``."""
+        n = self._n
+        stride = n + 1
+        active: Dict[int, int] = {}
+        for lo, hi, key in ranges:
+            for v in range(lo, hi + 1):
+                active[v] = key
+        stacks = self._stacks
+        col_dst = self._col_dst
+        lifo = self._lifo
+        for lower in range(level - 1, -1, -1):
+            size = self._interval_size[lower]
+            for start in range(size, n, size):
+                if start in active:
+                    continue
+                # Definition 4.6: the active predecessor's outgoing packet
+                # ends its segment here and joins an occupied level-``lower``
+                # stack.
+                predecessor_key = active.get(start - 1)
+                if predecessor_key is None or predecessor_key % stride != start:
+                    continue
+                stack = stacks[start - 1].get(predecessor_key)
+                if not stack:
+                    continue
+                destination = col_dst[stack[-1] if lifo else stack[0]]
+                if destination == start:
+                    continue
+                key = self._pseudo_key(start, destination)
+                if key // stride != lower or not stacks[start].get(key):
+                    continue
+                limit = min(key % stride, start + size - 1)
+                v = start
+                while v <= limit and v not in active:
+                    active[v] = key
+                    v += 1
+                ranges.append((start, v - 1, key))
+
     def _record_round(
         self,
         round_number: int,
         injected: int,
         before: List[int],
         delivered_before: int,
+        forwarded: Optional[int] = None,
+        staged: int = 0,
     ) -> None:
         """Append the round's :class:`RoundRecord` from its load snapshots.
 
         ``before`` is ``L^t`` (after injection, before forwarding) and the
-        kernel's loads are now ``L^{t+}``.  The forwarded count follows from
-        the two: greedy pops once at every nonempty buffer; the
-        single-destination families deliver only at ``w = last + 1``, so by
-        flow conservation the flow over edge ``(v, v+1)`` is what left the
-        prefix ``[0, v]``.
+        kernel's loads are now ``L^{t+}``.  The pseudo-buffer kind counts its
+        moves and passes ``forwarded`` (and its staged count); otherwise the
+        count follows from the two snapshots: greedy pops once at every
+        nonempty buffer; the single-destination families deliver only at
+        ``w = last + 1``, so by flow conservation the flow over edge
+        ``(v, v+1)`` is what left the prefix ``[0, v]``.
         """
         occ = self._occ
-        if self._kind == _GREEDY:
+        if forwarded is None and self._kind == _GREEDY:
             forwarded = len(before) - before.count(0)
-        else:
+        elif forwarded is None:
             forwarded = flow = 0
             for v in range(self._last + 1):
                 flow += before[v] - occ[v]
@@ -826,7 +1317,7 @@ class BatchSimulator(Simulator):
                 delivered=self._delivered - delivered_before,
                 max_occupancy=max(before),
                 max_occupancy_after_forwarding=max(occ),
-                staged=0,
+                staged=staged,
                 occupancy=dict(enumerate(before))
                 if self.record_occupancy_vectors
                 else None,
@@ -856,15 +1347,63 @@ class BatchSimulator(Simulator):
 
     def _inject_round(self, round_number: int) -> int:
         """Inject one round through the adversary's API; returns the count."""
+        created = self._create_packets(round_number)
+        if not created:
+            return 0
+        # Acceptance + classification (the on_inject step), one packet at a
+        # time so a rejected destination leaves exactly the object engine's
+        # partial state behind.
+        kind = self._kind
+        dest = self._dest
+        check_dests = kind != _GREEDY and not self._dests_prevalidated
+        occ = self._occ
+        queues = self._queues
+        touch = self._touch
+        bad_threshold = self._bad_threshold
+        for injection, packet in created:
+            packet.accept(round_number)
+            destination = injection.destination
+            if check_dests and destination != dest:
+                raise SchedulingError(
+                    f"{self.algorithm.name} is single-destination "
+                    f"(w={dest}); got a packet for {destination}"
+                )
+            source = injection.source
+            row = self._append_row(injection, packet, round_number)
+            queues[source].append(row)
+            load = occ[source] + 1
+            occ[source] = load
+            self._stored += 1
+            touch.append(source)
+            if load == bad_threshold:
+                self._num_bad += 1
+        return len(created)
+
+    def _append_row(
+        self, injection: Injection, packet: Packet, arrival: int
+    ) -> int:
+        """Append one object-backed row; returns its row id."""
+        self._col_pid.append(injection.packet_id)
+        self._col_src.append(injection.source)
+        self._col_dst.append(injection.destination)
+        self._col_injr.append(injection.round)
+        self._col_arr.append(arrival)
+        self._col_dlv.append(_LIVE)
+        self._row_packet.append(packet)
+        return len(self._row_packet) - 1
+
+    def _create_packets(self, round_number: int) -> List[Tuple[Injection, Packet]]:
+        """The injection step's first half, as the object engine runs it:
+        validate every route, create the packets and log them."""
         injections = self.adversary.injections_for_round(round_number)
         if not injections:
-            return 0
+            return []
         n = self._n
         max_dest = self._max_dest
         check_routes = not self._routes_prevalidated
         packets = self.packets
         packet_store = self.packet_store
-        created: List[Tuple[object, Packet]] = []
+        created: List[Tuple[Injection, Packet]] = []
         for injection in injections:
             source = injection.source
             destination = injection.destination
@@ -886,45 +1425,4 @@ class BatchSimulator(Simulator):
                 packet_store.append_injection(injection)
             created.append((injection, packet))
         self._injected += len(created)
-        # Acceptance + classification (the on_inject step), one packet at a
-        # time so a rejected destination leaves exactly the object engine's
-        # partial state behind.
-        kind = self._kind
-        dest = self._dest
-        check_dests = kind != _GREEDY and not self._dests_prevalidated
-        occ = self._occ
-        queues = self._queues
-        touch = self._touch
-        bad_threshold = self._bad_threshold
-        append_pid = self._col_pid.append
-        append_src = self._col_src.append
-        append_dst = self._col_dst.append
-        append_injr = self._col_injr.append
-        append_arr = self._col_arr.append
-        append_dlv = self._col_dlv.append
-        row_packet = self._row_packet
-        for injection, packet in created:
-            packet.accept(round_number)
-            destination = injection.destination
-            if check_dests and destination != dest:
-                raise SchedulingError(
-                    f"{self.algorithm.name} is single-destination "
-                    f"(w={dest}); got a packet for {destination}"
-                )
-            source = injection.source
-            row = len(row_packet)
-            append_pid(injection.packet_id)
-            append_src(source)
-            append_dst(destination)
-            append_injr(injection.round)
-            append_arr(round_number)
-            append_dlv(_LIVE)
-            row_packet.append(packet)
-            queues[source].append(row)
-            load = occ[source] + 1
-            occ[source] = load
-            self._stored += 1
-            touch.append(source)
-            if load == bad_threshold:
-                self._num_bad += 1
-        return len(created)
+        return created

@@ -52,6 +52,7 @@ from ..adversary.segmented import SegmentFilteredAdversary
 from .batch import (
     _DOWNHILL,
     _GREEDY,
+    _KERNEL_KINDS,
     _LIVE,
     _LOCAL,
     _POL_FIFO,
@@ -59,17 +60,34 @@ from .batch import (
     _POL_LIS,
     _POL_NTG,
     _POL_SIS,
+    _PSEUDO,
     _PTS,
     BatchSimulator,
 )
-from .errors import ShardingProtocolError
+from .errors import ShardingProtocolError, UnshardableScenarioError
 from .events import RoundRecord
 
-__all__ = ["BatchSegmentSimulator", "HANDOFF_WORDS"]
+__all__ = ["BatchSegmentSimulator", "HANDOFF_WORDS", "check_segment_scan"]
 
 #: Columns of a boundary hand-off block, in wire order: packet id, source,
 #: destination, injection round, arrival round at the current node.
 HANDOFF_WORDS = 5
+
+
+def check_segment_scan(algorithm_type: type) -> None:
+    """Refuse an algorithm the batch kernel runs without a segment scan.
+
+    The segment scans cover the fused-scan family only; the pseudo-buffer
+    kind (PPTS, HPTS) runs single-process.  The coordinator calls this with
+    the registered class before any worker or shared-memory ring exists.
+    """
+    if _KERNEL_KINDS.get(algorithm_type) == _PSEUDO:
+        raise UnshardableScenarioError(
+            f"sharded execution runs only the batch kernel's segment scans, "
+            f"which cover its regular family (PTS, local, downhill, greedy); "
+            f"{algorithm_type.__name__} is outside the regular family; run "
+            f"with shards=1"
+        )
 
 
 class BatchSegmentSimulator(BatchSimulator):
@@ -93,6 +111,7 @@ class BatchSegmentSimulator(BatchSimulator):
         segments: Sequence[Tuple[int, int]],
         **batch_kwargs,
     ) -> None:
+        check_segment_scan(type(algorithm))
         super().__init__(topology, algorithm, adversary, **batch_kwargs)
         self.segment_index = segment_index
         self.segments = list(segments)

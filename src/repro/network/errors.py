@@ -164,9 +164,10 @@ class UnshardableScenarioError(ShardingError):
     segments have the contiguous left-to-right structure the hand-off protocol
     relies on), an adaptive adversary (its injections observe the *global*
     configuration, which no single segment can see), a policy that does not
-    select the batch kernel (``engine`` ``None`` or ``"delta"``) or a
-    scenario the batch kernel refuses (PPTS, HPTS, a custom greedy policy) —
-    the batch kernel is the only segment engine — or a
+    select the batch kernel (``engine`` ``None`` or ``"delta"``), PPTS or
+    HPTS (the batch kernel's segment scans cover only its regular family),
+    a scenario the batch kernel refuses (a custom greedy policy) — the batch
+    kernel is the only segment engine — or a
     :class:`~repro.api.session.PreparedRun` whose live ingredients cannot be
     shipped to worker processes.
     """
@@ -243,8 +244,9 @@ class UnbatchableScenarioError(BatchingError):
     ``i -> i+1`` structure directly in index arithmetic), an adaptive
     adversary (its injections observe the global configuration between
     rounds, which a k-round batch cannot replay), an algorithm outside the
-    regular family the kernel vectorizes (PTS, local, downhill, greedy with
-    a stock policy), or a greedy priority that is not one of the built-in
+    kernel's regular family (PTS, local, downhill, greedy with a stock
+    policy) and its pseudo-buffer kind (PPTS, HPTS), HPTS with an ablation
+    switch off, or a greedy priority that is not one of the built-in
     :data:`~repro.baselines.policies.ALL_POLICIES`.
 
     ``RunPolicy.engine="auto"`` catches this error and falls back to the

@@ -8,11 +8,13 @@ kernel restricted to its segment — per worker, so the combined execution is
 **bit-identical** to the single-process run (the differential suites in
 ``tests/test_batch_sharded_differential.py`` and
 ``tests/test_sharded_differential.py`` prove it against the delta oracle).
-The batch kernel is the only segment engine: a scenario it refuses (PPTS,
-HPTS, a custom greedy policy, an adaptive adversary), or a policy that does
-not ask for it (``engine`` ``None`` or ``"delta"``), raises
-:class:`~repro.network.errors.UnshardableScenarioError` before any worker
-process or shared-memory ring exists.
+The batch kernel is the only segment engine, and its segment scans cover
+only its regular family.  PPTS and HPTS (the kernel's pseudo-buffer kind),
+a scenario the kernel refuses (a custom greedy policy, an adaptive
+adversary), or a policy that does not ask for the kernel (``engine``
+``None`` or ``"delta"``) raise
+:class:`~repro.network.errors.UnshardableScenarioError`; the first and the
+last before any worker process or shared-memory ring exists.
 
 Workers advance in one of two modes (see ``docs/SHARDING.md``):
 
@@ -84,7 +86,7 @@ from typing import (
 )
 
 from ..core.packet import packet_id_scope
-from .batch_sharded import BatchSegmentSimulator
+from .batch_sharded import BatchSegmentSimulator, check_segment_scan
 from .errors import (
     CheckpointError,
     RecoveryExhaustedError,
@@ -667,6 +669,7 @@ class _ShardedCoordinator:
     """
 
     def __init__(self, spec: "ScenarioSpec", execution: ExecutionPolicy) -> None:
+        from ..api.registry import ALGORITHMS
         from ..api.session import build_topology
 
         topology = build_topology(spec.topology)
@@ -681,6 +684,8 @@ class _ShardedCoordinator:
                 f"policy asks for engine={spec.policy.engine!r}; set "
                 f"engine='batch' or 'auto', or run with shards=1"
             )
+        if spec.algorithm.name in ALGORITHMS:
+            check_segment_scan(ALGORITHMS.get(spec.algorithm.name))
         self.spec = spec
         self.execution = execution
         self.num_nodes = topology.num_nodes

@@ -5,19 +5,23 @@ Every scenario here runs twice from identical seeds — once on
 :class:`repro.network.batch.BatchSimulator` — and the results must be
 *bit-identical*: the full :class:`SimulationResult` (including per-round
 records), the retained packet table (insertion order and every field), and
-the streamed injection log.  The matrix covers the whole vectorized family
-({PTS, local, downhill, greedy} x {trickle, bounded, explicit} x three
-history modes, each run straight and split into ``run(h, drain=False)`` then
-a drain-only ``run(h)``), plus the edges that historically break lockstep engines:
-round-0 injections, drain tails (a run stopped short of its pattern, a
-drain cap hit mid-drain, a drain that ends on the quiescence window), the
-minimal line, and the error paths (invalid routes, wrong destinations).
+the streamed injection log.  The matrix covers every kernel kind
+({PTS, local, downhill, greedy, PPTS, HPTS} x {trickle, bounded, explicit}
+x three history modes, each run straight and split into
+``run(h, drain=False)`` then a drain-only ``run(h)``), plus the edges that
+historically break lockstep engines: round-0 injections, drain tails (a run
+stopped short of its pattern, a drain cap hit mid-drain, a drain that ends
+on the quiescence window), the minimal line, the error paths (invalid
+routes, wrong destinations), and for the pseudo-buffer kind: HPTS with one,
+two and three levels and each of its variants, PPTS with a declared
+destination set, and drains that stop with HPTS packets still staged.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.adversary.adaptive import HotspotAdversary
 from repro.adversary.generators import (
     build_explicit_adversary,
     random_line_adversary,
@@ -25,8 +29,10 @@ from repro.adversary.generators import (
 )
 from repro.baselines.greedy import GreedyForwarding
 from repro.baselines.policies import ALL_POLICIES
+from repro.core.hpts import HierarchicalPeakToSink
 from repro.core.local import DownhillForwarding, LocalThresholdForwarding
 from repro.core.packet import packet_id_scope
+from repro.core.ppts import ParallelPeakToSink
 from repro.core.pseudobuffer import QueueDiscipline
 from repro.core.pts import PeakToSink
 from repro.network.batch import BatchSimulator
@@ -42,6 +48,11 @@ N = 16
 ROUNDS = 150
 SEED = 23
 
+#: Every kernel kind: the fused-scan family, then the pseudo-buffer kind.
+ALGORITHMS = ("pts", "local", "downhill", "greedy", "ppts", "hpts")
+#: The multi-destination algorithms.
+MULTI_DESTINATION = ("greedy", "ppts", "hpts")
+
 
 # -- scenario construction ---------------------------------------------------------
 
@@ -55,14 +66,18 @@ def _make_algorithm(name, topology):
         return LocalThresholdForwarding(topology, 2, destination=n - 1)
     if name == "downhill":
         return DownhillForwarding(topology, destination=n - 1)
+    if name == "ppts":
+        return ParallelPeakToSink(topology)
+    if name == "hpts":
+        return HierarchicalPeakToSink(topology, levels=2)
     return GreedyForwarding(topology)
 
 
 def _make_topology(name, n=N, adversary="trickle"):
-    # PTS and greedy exercise the virtual sink; local and downhill the
-    # ordinary last-node destination.  The bounded generator always targets
-    # node n-1, so its single-destination runs use a sink-free line.
-    with_sink = name in ("pts", "greedy") and adversary != "bounded"
+    # PTS and the multi-destination algorithms exercise the virtual sink;
+    # local and downhill the ordinary last-node destination.  The bounded
+    # generator never draws the sink, so its runs use a sink-free line.
+    with_sink = name in ("pts",) + MULTI_DESTINATION and adversary != "bounded"
     return LineTopology(n, allow_virtual_sink=with_sink)
 
 
@@ -70,8 +85,8 @@ def _destinations(name, topology):
     n = topology.num_nodes
     if name == "pts":
         return [n if topology.allow_virtual_sink else n - 1]
-    if name == "greedy":
-        # Multi-destination: interior nodes plus the virtual sink.
+    if name in MULTI_DESTINATION:
+        # Interior nodes plus the virtual sink.
         return [n // 3, (2 * n) // 3, n]
     return [n - 1]
 
@@ -91,12 +106,14 @@ def _make_adversary(kind, name, topology, rounds=ROUNDS, seed=SEED):
             topology, 0.9, 2.0, rounds, destinations=destinations, seed=seed
         )
     if kind == "bounded":
+        # Several destinations for the multi-destination algorithms.
+        num_destinations = 3 if name in MULTI_DESTINATION else 1
         return random_line_adversary(
-            topology, 0.8, 3.0, rounds, 1, seed=seed
+            topology, 0.8, 3.0, rounds, num_destinations, seed=seed
         )
     routes = (
         _EXPLICIT_GREEDY
-        if name == "greedy"
+        if name in MULTI_DESTINATION
         else [
             (t, s, destinations[0])
             for (t, s, _w) in _EXPLICIT_GREEDY
@@ -197,7 +214,7 @@ def _trickle(algorithm):
 @pytest.mark.parametrize("run", ("straight", "split"))
 @pytest.mark.parametrize("history", sorted(HISTORY_MODES))
 @pytest.mark.parametrize("adversary", ("trickle", "bounded", "explicit"))
-@pytest.mark.parametrize("algorithm", ("pts", "local", "downhill", "greedy"))
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_matrix_bit_identical(algorithm, adversary, history, run):
     def make():
         topology = _make_topology(algorithm, adversary=adversary)
@@ -416,17 +433,177 @@ def test_wrong_destination_raises_identical_error():
     _raises_identically(make, SchedulingError)
 
 
+# -- the pseudo-buffer kind: HPTS shapes, PPTS destination sets, staging -----------
+
+
+def _hpts_variant(n, levels, variant):
+    def make():
+        topology = LineTopology(n, allow_virtual_sink=True)
+        options = {
+            "default": {},
+            "branching": {"branching": round(n ** (1 / levels))},
+            "ascending": {"level_schedule": "ascending"},
+            "fifo": {"discipline": QueueDiscipline.FIFO},
+        }[variant]
+        algorithm = HierarchicalPeakToSink(topology, levels=levels, **options)
+        adversary = trickle_adversary(
+            topology, 0.9, 3.0, 10 * n,
+            destinations=[n // 3, (2 * n) // 3, n - 1, n], seed=SEED,
+        )
+        return topology, algorithm, adversary
+
+    return make
+
+
+@pytest.mark.parametrize("variant", ("default", "branching", "ascending", "fifo"))
+@pytest.mark.parametrize("n, levels", ((8, 1), (16, 2), (27, 3)))
+def test_hpts_levels_and_variants(n, levels, variant):
+    make = _hpts_variant(n, levels, variant)
+    for history in ("summary", "full"):
+        result = _assert_identical(make, sim_kwargs=HISTORY_MODES[history])
+    assert result.packets_delivered > 0
+    assert result.max_staged > 0
+
+
+def test_ppts_declared_destinations_strand_undeclared_packet():
+    """Declared W = {5, 10}: the bad stack for undeclared 12 is never
+    selected, so its packets stay at their source while the declared ones
+    move, and the drain ends on the quiescence window."""
+
+    def make():
+        topology = LineTopology(N)
+        algorithm = ParallelPeakToSink(topology, destinations=[5, 10])
+        adversary = build_explicit_adversary(
+            topology, rho=1.0, sigma=4.0, rounds=12,
+            routes=[(0, 4, 5), (0, 8, 10), (1, 2, 12), (1, 2, 12)]
+            + [(t, 4, 5) for t in range(6)]
+            + [(t, 8, 10) for t in range(2, 9)],
+        )
+        return topology, algorithm, adversary
+
+    for history in ("summary", "full", "streaming"):
+        result = _assert_identical(make, sim_kwargs=HISTORY_MODES[history])
+    assert not result.drained
+    assert result.packets_delivered > 0
+    oracle_sim, _ = _run_delta(make, {}, {})
+    stranded = [
+        packet for packet in oracle_sim.packets.values()
+        if packet.destination == 12
+    ]
+    assert [packet.location for packet in stranded] == [2, 2]
+
+
+def _hpts_staged_tail(rounds):
+    """HPTS (ell=2): packets injected in round ``r`` wait staged until the
+    first even round after ``r``; the last three, injected in the final
+    (even) round, are still staged two drain rounds later."""
+
+    def make():
+        topology = LineTopology(N)
+        algorithm = HierarchicalPeakToSink(topology, levels=2)
+        adversary = build_explicit_adversary(
+            topology, rho=1.0, sigma=3.0, rounds=rounds,
+            routes=[(1, 0, 15), (1, 1, 15), (1, 2, 9), (3, 4, 15),
+                    (rounds - 1, 3, 12), (rounds - 1, 6, 13),
+                    (rounds - 1, 9, 14)],
+        )
+        return topology, algorithm, adversary
+
+    return make
+
+
+@pytest.mark.parametrize("history", DRAIN_HISTORY_MODES)
+def test_hpts_drain_ends_on_quiescence_window_with_staged_packets(history):
+    """The drain starts with three packets staged; the second drain round
+    accepts them (the staged count's change resets the quiet count), they
+    and the earlier packets sit stranded below the bad threshold, and the
+    drain stops on the quiescence window."""
+    make = _hpts_staged_tail(11)
+    with packet_id_scope():
+        probe = Simulator(*make())
+        probe.run(11, drain=False)
+        assert probe.algorithm.staged_count() == 3
+    result = _assert_identical(make, sim_kwargs=HISTORY_MODES[history])
+    assert not result.drained
+    assert result.packets_undelivered == 7
+    assert result.rounds_executed == 11 + 2 + quiescence_window(N)
+
+
+@pytest.mark.parametrize("run", ("straight", "split"))
+@pytest.mark.parametrize("history", sorted(HISTORY_MODES))
+def test_hpts_drain_cap_hit_mid_phase(history, run):
+    """max_drain_rounds=1 stops an odd-round drain before the phase
+    boundary: the packets stay staged, unaccepted, in both engines."""
+    result = _assert_identical(
+        _hpts_staged_tail(11),
+        sim_kwargs=HISTORY_MODES[history],
+        run_kwargs={"max_drain_rounds": 1},
+        split=run == "split",
+    )
+    assert not result.drained
+    assert result.rounds_executed == 12
+    assert result.max_staged >= 3
+
+
+@pytest.mark.parametrize("algorithm", ("ppts", "hpts"))
+def test_pseudo_kind_lazy_adversary(algorithm):
+    """A streaming adversary bypasses the pattern fast path: packets are
+    built per round through the checked path, HPTS's staged ones included."""
+
+    def make():
+        topology = _make_topology(algorithm)
+        adversary = trickle_adversary(
+            topology, 0.9, 2.0, ROUNDS,
+            destinations=_destinations(algorithm, topology), seed=SEED,
+            stream=True,
+        )
+        return topology, _make_algorithm(algorithm, topology), adversary
+
+    for history in sorted(HISTORY_MODES):
+        for split in (False, True):
+            _assert_identical(make, sim_kwargs=HISTORY_MODES[history],
+                              split=split)
+
+
+@pytest.mark.parametrize("algorithm", ("ppts", "hpts"))
+def test_pseudo_kind_invalid_route_raises_identical_error(algorithm):
+    def make():
+        topology = LineTopology(N)
+        adversary = build_explicit_adversary(
+            topology, rho=1.0, sigma=2.0, rounds=10,
+            routes=[(0, 0, N - 1), (1, 2, 9), (3, 4, 12), (3, 7, 3)],
+        )
+        return topology, _make_algorithm(algorithm, topology), adversary
+
+    _raises_identically(make, TopologyError)
+
+
+def test_pseudo_kind_window_size_does_not_change_results():
+    make = _hpts_variant(16, 2, "default")
+    baseline = _run_batch(make, {}, {}, batch_rounds=64)[1]
+    for batch_rounds in (1, 2, 3, 1024):
+        assert _run_batch(make, {}, {}, batch_rounds=batch_rounds)[1] == baseline
+
+
 # -- refusal surface ---------------------------------------------------------------
 
 
 def test_unbatchable_scenarios_refused_before_side_effects():
+    """An adaptive adversary is refused at construction, before the kernel
+    or the base simulator touches anything."""
     topology = LineTopology(N)
-    adversary = _make_adversary("trickle", "pts", LineTopology(N))
-    from repro.core.hpts import HierarchicalPeakToSink
+    adversary = HotspotAdversary(topology, 0.5, 2.0, 20, [N - 1], seed=SEED)
+    with pytest.raises(UnbatchableScenarioError, match="adaptive"):
+        BatchSimulator(topology, PeakToSink(topology), adversary)
+    assert adversary.cursor() == HotspotAdversary(
+        topology, 0.5, 2.0, 20, [N - 1], seed=SEED
+    ).cursor()
 
-    with pytest.raises(UnbatchableScenarioError):
-        BatchSimulator(
-            topology,
-            HierarchicalPeakToSink(LineTopology(16), levels=2, rho=0.4),
-            adversary,
-        )
+
+@pytest.mark.parametrize("switch", ("activate_pre_bad", "batch_acceptance"))
+def test_hpts_ablations_refused(switch):
+    topology = LineTopology(N)
+    algorithm = HierarchicalPeakToSink(topology, levels=2, **{switch: False})
+    adversary = _make_adversary("trickle", "hpts", LineTopology(N))
+    with pytest.raises(UnbatchableScenarioError, match=switch):
+        BatchSimulator(topology, algorithm, adversary)

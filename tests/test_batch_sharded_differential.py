@@ -271,9 +271,9 @@ def test_injected_crash_fold_recovery_matches():
 
 
 def test_auto_engine_refuses_unbatchable_scenario():
-    """engine=auto on an unbatchable algorithm has no segment engine to fall
-    back to: the batch kernel's refusal comes back verbatim, typed as an
-    unshardable scenario."""
+    """engine=auto on HPTS, which the batch kernel runs single-process only,
+    has no segment engine to fall back to: the refusal names the regular
+    family the segment scans cover, typed as an unshardable scenario."""
     spec = (
         Scenario.line(N)
         .algorithm("hpts", levels=2)

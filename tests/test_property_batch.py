@@ -10,6 +10,10 @@ Two laws, fuzzed over random scenario shapes:
    rounds that land mid-batch-window), snapshotting, and resuming — in any
    engine pairing (batch→delta, delta→batch, batch→batch) — produces the
    same result as the uninterrupted run.
+
+Both laws cover every kernel kind, PPTS and HPTS included; HPTS lines are
+``m ** ell`` long, and a deterministic companion cuts HPTS runs mid-phase,
+with staged packets in flight, in every pairing.
 """
 
 from __future__ import annotations
@@ -17,19 +21,24 @@ from __future__ import annotations
 import os
 import tempfile
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.adversary.generators import trickle_adversary
 from repro.baselines.greedy import GreedyForwarding
 from repro.checkpoint import load_checkpoint, restore_into
+from repro.core.hpts import HierarchicalPeakToSink
 from repro.core.local import DownhillForwarding, LocalThresholdForwarding
 from repro.core.packet import packet_id_scope
+from repro.core.ppts import ParallelPeakToSink
 from repro.core.pts import PeakToSink
 from repro.network.batch import BatchSimulator
 from repro.network.simulator import Simulator
 from repro.network.topology import LineTopology
 
-ALGORITHMS = ("pts", "local", "downhill", "greedy")
+ALGORITHMS = ("pts", "local", "downhill", "greedy", "ppts", "hpts")
+#: ``(n, ell)`` line shapes HPTS accepts (``n = m ** ell``).
+HPTS_SHAPES = ((4, 2), (8, 3), (9, 2), (16, 2), (16, 4), (25, 2), (27, 3))
 
 
 @st.composite
@@ -41,7 +50,10 @@ def scenarios(draw):
     sigma = draw(st.integers(min_value=0, max_value=6))
     rounds = draw(st.integers(min_value=1, max_value=60))
     algorithm = draw(st.sampled_from(ALGORITHMS))
+    # The locality knob doubles as HPTS's level count.
     locality = draw(st.integers(min_value=0, max_value=3))
+    if algorithm == "hpts":
+        n, locality = draw(st.sampled_from(HPTS_SHAPES))
     seed = draw(st.integers(min_value=0, max_value=2**31 - 1))
     return n, rho, float(sigma), rounds, algorithm, locality, seed
 
@@ -49,10 +61,20 @@ def scenarios(draw):
 def _build(scenario, engine, *, batch_rounds=64):
     n, rho, sigma, rounds, algorithm, locality, seed = scenario
     topology = LineTopology(n)
-    adversary = trickle_adversary(
-        topology, rho, sigma, rounds, destination=n - 1, seed=seed
-    )
-    if algorithm == "pts":
+    if algorithm in ("ppts", "hpts"):
+        adversary = trickle_adversary(
+            topology, rho, sigma, rounds,
+            destinations=sorted({n // 2, n - 1}), seed=seed,
+        )
+    else:
+        adversary = trickle_adversary(
+            topology, rho, sigma, rounds, destination=n - 1, seed=seed
+        )
+    if algorithm == "ppts":
+        algo = ParallelPeakToSink(topology)
+    elif algorithm == "hpts":
+        algo = HierarchicalPeakToSink(topology, levels=locality)
+    elif algorithm == "pts":
         algo = PeakToSink(topology, destination=n - 1)
     elif algorithm == "local":
         algo = LocalThresholdForwarding(topology, locality, destination=n - 1)
@@ -106,6 +128,42 @@ def test_checkpoint_resume_equals_straight_run(
             tail = _build(scenario, second, batch_rounds=batch_rounds)
             restore_into(tail, checkpoint)
             resumed = tail.run(rounds)
+    finally:
+        os.unlink(path)
+
+    assert resumed == expected
+
+
+def _hpts_scenario(n, levels):
+    return n, 0.9, 3.0, 40, "hpts", levels, 11
+
+
+@pytest.mark.parametrize(
+    "pairing", (("batch", "delta"), ("delta", "batch"), ("batch", "batch"))
+)
+@pytest.mark.parametrize("n, levels, cut", ((16, 2, 21), (27, 3, 22), (27, 3, 23)))
+def test_hpts_checkpoint_cut_mid_phase_with_staged_packets(n, levels, cut, pairing):
+    """A cut off a phase boundary, with packets staged at the cut, resumes
+    to the uninterrupted result in every engine pairing."""
+    scenario = _hpts_scenario(n, levels)
+    assert cut % levels
+    first, second = pairing
+    with packet_id_scope():
+        expected = _build(scenario, "delta").run(scenario[3])
+
+    fd, path = tempfile.mkstemp(suffix=".ckpt")
+    os.close(fd)
+    try:
+        with packet_id_scope():
+            head = _build(scenario, first, batch_rounds=4)
+            head.run(cut, drain=False)
+            assert head.algorithm.staged_count() > 0
+            head.save_checkpoint(path)
+        checkpoint = load_checkpoint(path)
+        with packet_id_scope():
+            tail = _build(scenario, second, batch_rounds=4)
+            restore_into(tail, checkpoint)
+            resumed = tail.run(scenario[3])
     finally:
         os.unlink(path)
 

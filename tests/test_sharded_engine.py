@@ -32,6 +32,7 @@ from repro.network.errors import (
     UnshardableScenarioError,
     WorkerFailedError,
 )
+from repro.network import sharded as sharded_module
 from repro.network.faults import FaultEvent, FaultPlan
 from repro.network.sharded import (
     ExecutionPolicy,
@@ -58,8 +59,9 @@ def _delta_oracle(spec: ScenarioSpec):
     ).result
 
 
-#: Algorithms the batch kernel refuses, so sharded runs refuse them too.
-UNBATCHABLE = ("ppts", "hpts")
+#: The batch kernel's pseudo-buffer kind: it runs them single-process only,
+#: so sharded runs refuse them.
+UNSHARDABLE = ("ppts", "hpts")
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +213,8 @@ def _refusal_spec(algorithm: str, engine) -> ScenarioSpec:
 
 
 def _runs_sharded(algorithm: str, engine) -> bool:
-    """Only a batchable algorithm on engine batch/auto runs sharded."""
+    """Only an algorithm with a segment scan on engine batch/auto runs
+    sharded."""
     return algorithm == "pts" and engine in ("batch", "auto")
 
 
@@ -232,9 +235,10 @@ def _assert_nothing_left_behind(shm_before: set) -> None:
 @pytest.mark.parametrize("algorithm", sorted(REFUSAL_ALGORITHMS))
 @pytest.mark.parametrize("engine", ENGINES)
 def test_session_refuses_unshardable_engine_or_algorithm(engine, algorithm):
-    """shards > 1 with engine None/"delta", or an algorithm the batch kernel
-    refuses, raises the typed error with its reason; a refused run leaves
-    no worker process and no shared-memory ring behind."""
+    """shards > 1 with engine None/"delta", or an algorithm the segment
+    scans do not cover (PPTS, HPTS), raises the typed error with its reason;
+    a refused run leaves no worker process and no shared-memory ring
+    behind."""
     spec = _refusal_spec(algorithm, engine)
     shm_before = _shm_segments()
     if _runs_sharded(algorithm, engine):
@@ -272,6 +276,20 @@ def test_cli_refuses_unshardable_engine_or_algorithm(
         assert "sharded execution runs only the batch kernel" in captured.err
         assert "Traceback" not in captured.err
     _assert_nothing_left_behind(shm_before)
+
+
+@pytest.mark.parametrize("algorithm", UNSHARDABLE)
+def test_pseudo_buffer_kind_refused_before_any_worker(algorithm, monkeypatch):
+    """The batch kernel runs PPTS/HPTS single-process; the coordinator
+    refuses them sharded before spawning a worker or opening a ring."""
+
+    def spawn(*args, **kwargs):
+        raise AssertionError("a worker was spawned for a refused scenario")
+
+    monkeypatch.setattr(sharded_module, "_spawn_workers", spawn)
+    with pytest.raises(UnshardableScenarioError,
+                       match="outside the regular family"):
+        run_sharded(_refusal_spec(algorithm, "batch"), shards=2)
 
 
 def test_prepared_run_with_shards_is_refused():
@@ -344,7 +362,7 @@ def test_process_transport_matches_single_process(
         .policy(seed=29, engine="batch")
     )
     spec = scenario.build()
-    if algorithm in UNBATCHABLE:
+    if algorithm in UNSHARDABLE:
         with pytest.raises(UnshardableScenarioError, match="batch kernel"):
             run_sharded(spec, shards=2, transport="processes")
         assert multiprocessing.active_children() == []
