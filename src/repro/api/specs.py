@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field, fields
 from typing import Any, Dict, Mapping, Optional, Type, TypeVar
 
@@ -60,6 +61,17 @@ def _normalize_params(params: Optional[Mapping[str, Any]], owner: str) -> Dict[s
 def _require_str(value: Any, what: str) -> None:
     if not isinstance(value, str) or not value:
         raise SpecError(f"{what} must be a non-empty string, got {value!r}")
+
+
+def _require_finite_real(value: Any, what: str) -> float:
+    """``value`` as a float; it must be a finite int or float, not a bool."""
+    if (
+        not isinstance(value, (int, float))
+        or isinstance(value, bool)
+        or not math.isfinite(value)
+    ):
+        raise SpecError(f"{what} must be a finite real number, got {value!r}")
+    return float(value)
 
 
 def _check_keys(payload: Mapping[str, Any], allowed: set, what: str) -> None:
@@ -174,16 +186,18 @@ class AdversarySpec(_SpecBase):
 
     def __post_init__(self) -> None:
         _require_str(self.name, "AdversarySpec.name")
-        if not isinstance(self.rho, (int, float)) or not (0 < float(self.rho) <= 1):
+        rho = _require_finite_real(self.rho, "AdversarySpec.rho")
+        if not 0 < rho <= 1:
             raise SpecError(f"AdversarySpec.rho must be in (0, 1], got {self.rho!r}")
-        if not isinstance(self.sigma, (int, float)) or float(self.sigma) < 0:
+        sigma = _require_finite_real(self.sigma, "AdversarySpec.sigma")
+        if sigma < 0:
             raise SpecError(f"AdversarySpec.sigma must be >= 0, got {self.sigma!r}")
         if not isinstance(self.rounds, int) or isinstance(self.rounds, bool) or self.rounds < 0:
             raise SpecError(
                 f"AdversarySpec.rounds must be a non-negative int, got {self.rounds!r}"
             )
-        object.__setattr__(self, "rho", float(self.rho))
-        object.__setattr__(self, "sigma", float(self.sigma))
+        object.__setattr__(self, "rho", rho)
+        object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "params", _normalize_params(self.params, "adversary"))
 
 

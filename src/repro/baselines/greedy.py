@@ -92,23 +92,11 @@ class GreedyForwarding(ForwardingAlgorithm):
 
     # -- forwarding decisions ------------------------------------------------------
 
-    #: Debug/equivalence switch: ``False`` restores the seed engine's
-    #: all-nodes scan (the index stays maintained either way).
-    use_incremental_selection = True
-
     def select_activations(self, round_number: int) -> List[Activation]:
-        if self.use_incremental_selection:
-            # Only nodes currently holding a packet are visited (the nonempty
-            # index iterates ascending, matching the buffers-dict order).
-            nonempty_nodes = list(self._index.nonempty(_SINGLE_QUEUE))
-        else:
-            nonempty_nodes = [
-                node
-                for node, node_buffer in self.buffers.items()
-                if node_buffer.existing(_SINGLE_QUEUE)
-            ]
         activations: List[Activation] = []
-        for node in nonempty_nodes:
+        # Only nodes currently holding a packet are visited (the nonempty
+        # index iterates ascending, matching the buffers-dict order).
+        for node in self._index.nonempty(_SINGLE_QUEUE):
             pseudo = self.buffers[node].existing(_SINGLE_QUEUE)
             chosen: Optional[Packet] = min(
                 pseudo.packets(),

@@ -115,10 +115,6 @@ class HierarchicalPeakToSink(ForwardingAlgorithm):
             self.branching ** (level + 1) for level in range(self.levels)
         )
 
-    #: Debug/equivalence switch: ``False`` restores the seed engine's
-    #: per-round interval scans (the indices stay maintained either way).
-    use_incremental_selection = True
-
     # -- packet placement --------------------------------------------------------
 
     def classify(self, packet: Packet, node: int) -> Hashable:
@@ -194,14 +190,15 @@ class HierarchicalPeakToSink(ForwardingAlgorithm):
             return offset
         return self.levels - 1 - offset
 
-    def _destination_buckets(self, level: int) -> List[Tuple[int, List[int]]]:
-        """``_level_destinations[level]`` grouped by level-``level`` interval.
+    def _occupied_intervals(self, level: int) -> List[Tuple[int, List[int]]]:
+        """``(rank, destinations)`` per level-``level`` interval holding
+        level-``level`` packets, ranks and destinations ascending.
 
-        Every ``(level, w)`` packet sits in the level-``level`` interval that
+        This is ``_level_destinations[level]`` grouped by interval: every
+        ``(level, w)`` packet sits in the level-``level`` interval that
         contains ``w`` (the virtual sink ``w = n`` belongs to the last one),
         so the interval of rank ``min(w // m**(level+1), last rank)`` is the
-        only one where ``w`` can take part in FormPaths.  Ranks come out
-        ascending, each bucket's destinations ascending.
+        only one where ``w`` can take part in FormPaths.
         """
         size = self._interval_size[level]
         last_rank = self.topology.num_nodes // size - 1
@@ -211,25 +208,6 @@ class HierarchicalPeakToSink(ForwardingAlgorithm):
         for w in sorted(self._level_destinations.get(level, ())):
             buckets.setdefault(min(w // size, last_rank), []).append(w)
         return list(buckets.items())
-
-    def _occupied_intervals(self, level: int) -> List[Tuple[int, List[int]]]:
-        """``(rank, destinations)`` per level-``level`` interval holding
-        level-``level`` packets, ranks and destinations ascending."""
-        if self.use_incremental_selection:
-            return self._destination_buckets(level)
-        occupied = []
-        for rank, (start, end) in enumerate(self.partition.level_partition(level)):
-            destinations = sorted(
-                {
-                    key[1]
-                    for i in range(start, end + 1)
-                    for key in self.buffers[i].nonempty_keys()
-                    if isinstance(key, tuple) and key[0] == level
-                }
-            )
-            if destinations:
-                occupied.append((rank, destinations))
-        return occupied
 
     def _form_paths(
         self,
@@ -246,14 +224,7 @@ class HierarchicalPeakToSink(ForwardingAlgorithm):
         for w in reversed(destinations):
             key = (level, w)
             last = min(frontier - 1, w - 1, end)
-            if self.use_incremental_selection:
-                bad = self._index.leftmost_bad(key, start, last)
-            else:
-                bad = None
-                for i in range(start, last + 1):
-                    if self.buffers[i].load_of(key) >= 2:
-                        bad = i
-                        break
+            bad = self._leftmost_bad(key, start, last)
             if bad is None:
                 continue
             for i in range(bad, last + 1):
@@ -262,6 +233,13 @@ class HierarchicalPeakToSink(ForwardingAlgorithm):
                 activations.append(Activation(node=i, key=key))
                 active[i] = key
             frontier = bad
+
+    def _leftmost_bad(
+        self, key: Tuple[int, int], start: int, last: int
+    ) -> Optional[int]:
+        """The left-most position in ``[start, last]`` whose ``key``
+        pseudo-buffer is bad, or ``None``."""
+        return self._index.leftmost_bad(key, start, last)
 
     def _activate_pre_bad(
         self,

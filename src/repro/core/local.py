@@ -158,16 +158,16 @@ class DownhillForwarding(ForwardingAlgorithm):
 
     def select_activations(self, round_number: int) -> List[Activation]:
         last_buffer = min(self.destination - 1, self.topology.num_nodes - 1)
-        occupancy = self._occupancy
+        buffers = self.buffers
         activations: List[Activation] = []
         for i in range(last_buffer + 1):
-            load = occupancy[i]
+            load = buffers[i].load
             if load == 0:
                 continue
             if i == last_buffer:
                 successor_load = 0
             else:
-                successor_load = occupancy[i + 1]
+                successor_load = buffers[i + 1].load
             if load >= successor_load:
                 activations.append(Activation(node=i, key=self.destination))
         return activations

@@ -70,10 +70,6 @@ class ParallelPeakToSink(ForwardingAlgorithm):
         #: Destinations actually observed among injected packets.
         self._observed_destinations: set = set()
 
-    #: Debug/equivalence switch: ``False`` restores the seed engine's
-    #: per-round linear scans (the indices stay maintained either way).
-    use_incremental_selection = True
-
     # -- ForwardingAlgorithm interface ------------------------------------------
 
     def classify(self, packet: Packet, node: int) -> Hashable:
@@ -81,8 +77,6 @@ class ParallelPeakToSink(ForwardingAlgorithm):
         return packet.destination
 
     def select_activations(self, round_number: int) -> List[Activation]:
-        if not self.use_incremental_selection:
-            return self._select_activations_scan(round_number)
         destinations = self.destinations()
         activations: List[Activation] = []
         # The activation frontier: nothing to its right may be activated for
@@ -100,24 +94,6 @@ class ParallelPeakToSink(ForwardingAlgorithm):
                 continue
             for i in self._index.nonempty_in(w, bad, last):
                 activations.append(Activation(node=i, key=w))
-            frontier = bad
-        return activations
-
-    def _select_activations_scan(self, round_number: int) -> List[Activation]:
-        """The seed engine's O(n * d) selection, kept as the reference path."""
-        destinations = self.destinations()
-        activations: List[Activation] = []
-        frontier = self.topology.num_nodes
-        if destinations:
-            frontier = max(frontier, max(destinations))
-        for w in reversed(destinations):
-            bad = self._leftmost_bad_for(w, frontier)
-            if bad is None:
-                continue
-            last = min(frontier - 1, w - 1, self.topology.num_nodes - 1)
-            for i in range(bad, last + 1):
-                if self.buffers[i].load_of(w) > 0:
-                    activations.append(Activation(node=i, key=w))
             frontier = bad
         return activations
 
@@ -145,13 +121,3 @@ class ParallelPeakToSink(ForwardingAlgorithm):
 
     def restore_checkpoint_state(self, state: dict, packets) -> None:
         self._observed_destinations = set(state["observed"])
-
-    # -- internals ----------------------------------------------------------------
-
-    def _leftmost_bad_for(self, destination: int, frontier: int) -> Optional[int]:
-        """Left-most buffer ``i < frontier`` whose ``destination``-queue is bad."""
-        last = min(frontier - 1, destination - 1, self.topology.num_nodes - 1)
-        for i in range(0, last + 1):
-            if self.buffers[i].load_of(destination) >= 2:
-                return i
-        return None

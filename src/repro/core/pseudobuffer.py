@@ -8,7 +8,9 @@ priority, so the discipline is configurable here.
 
 :class:`PseudoBuffer` is a single queue.  :class:`NodeBuffer` is a node's
 whole buffer: a dictionary of pseudo-buffers keyed by an arbitrary hashable
-key, with helpers for the load/badness quantities the analysis needs.
+key, with helpers for the load/badness quantities the analysis needs.  The
+node's load is the engine's one count of ``|L(i)|``: the forwarding
+algorithm and the simulator read it, and keep no copy of their own.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ class PseudoBuffer:
     on_change:
         Optional listener invoked as ``on_change(key, old_len, new_len)``
         after every mutation.  :class:`NodeBuffer` uses it to keep its cached
-        load/badness counters exact without re-summing.
+        load exact without re-summing.
     """
 
     __slots__ = ("key", "discipline", "_packets", "_on_change")
@@ -144,19 +146,20 @@ class NodeBuffer:
     remark that PPTS need not know the destination set in advance: only
     destinations that actually receive packets ever materialise a queue.
 
-    Load and badness totals (``load``, ``total_bad``) are cached counters,
-    updated by the pseudo-buffers' change notifications on every push / pop /
-    remove, so reading them is O(1) regardless of how many pseudo-buffers the
-    node has accumulated.  An optional ``on_change`` listener receives
-    ``(node, key, old_len, new_len)`` after each mutation — the forwarding
-    algorithm uses it to keep its occupancy delta and bad-buffer indices live.
+    ``load`` is a cached counter, updated by the pseudo-buffers' change
+    notifications on every push / pop / remove, so reading it is O(1)
+    regardless of how many pseudo-buffers the node has accumulated;
+    ``total_bad`` (read only by analyses) is summed on demand.  An optional
+    ``on_change`` listener receives ``(node, key, old_len, new_len)`` after
+    each mutation — the forwarding algorithm uses it to keep its dirty-node
+    set and bad-buffer indices live.
 
     Both buffer classes are slotted: a million-node network materialises one
     :class:`NodeBuffer` per node up front, so the per-instance ``__dict__``
     would dominate the engine's idle footprint.
     """
 
-    __slots__ = ("node", "discipline", "_pseudo", "_load", "_total_bad", "_on_change")
+    __slots__ = ("node", "discipline", "_pseudo", "_load", "_on_change")
 
     def __init__(
         self,
@@ -169,14 +172,10 @@ class NodeBuffer:
         self.discipline = discipline
         self._pseudo: Dict[Hashable, PseudoBuffer] = {}
         self._load = 0
-        self._total_bad = 0
         self._on_change = on_change
 
     def _pseudo_changed(self, key: Hashable, old_len: int, new_len: int) -> None:
         self._load += new_len - old_len
-        self._total_bad += (new_len - 1 if new_len > 1 else 0) - (
-            old_len - 1 if old_len > 1 else 0
-        )
         if self._on_change is not None:
             self._on_change(self.node, key, old_len, new_len)
 
@@ -253,16 +252,12 @@ class NodeBuffer:
 
     @property
     def total_bad(self) -> int:
-        """Total bad packets at this node, over all pseudo-buffers (cached)."""
-        return self._total_bad
+        """Total bad packets at this node, over all pseudo-buffers."""
+        return sum(pb.bad_packet_count for pb in self._pseudo.values())
 
     def recount_load(self) -> int:
         """From-scratch recount of :attr:`load` (tests / debugging only)."""
         return sum(len(pb) for pb in self._pseudo.values())
-
-    def recount_total_bad(self) -> int:
-        """From-scratch recount of :attr:`total_bad` (tests / debugging only)."""
-        return sum(pb.bad_packet_count for pb in self._pseudo.values())
 
     def __len__(self) -> int:
         return self.load

@@ -44,10 +44,6 @@ class PeakToSink(ForwardingAlgorithm):
 
     name = "PTS"
 
-    #: Debug/equivalence switch: ``False`` restores the seed engine's
-    #: per-round linear scans (the indices stay maintained either way).
-    use_incremental_selection = True
-
     def __init__(
         self,
         topology: LineTopology,
@@ -80,8 +76,6 @@ class PeakToSink(ForwardingAlgorithm):
         return self.destination
 
     def select_activations(self, round_number: int) -> List[Activation]:
-        if not self.use_incremental_selection:
-            return self._select_activations_scan(round_number)
         last_buffer = min(self.destination - 1, self.topology.num_nodes - 1)
         leftmost_bad = self._index.leftmost_bad(self.destination, 0, last_buffer)
         if leftmost_bad is None:
@@ -98,29 +92,3 @@ class PeakToSink(ForwardingAlgorithm):
     def theoretical_bound(self, sigma: float) -> float:
         """Proposition 3.1: ``2 + sigma``."""
         return bounds.pts_upper_bound(sigma)
-
-    # -- internals ----------------------------------------------------------------
-
-    def _select_activations_scan(self, round_number: int) -> List[Activation]:
-        """The seed engine's O(n) selection, kept as the reference path."""
-        leftmost_bad = self._leftmost_bad_buffer()
-        if leftmost_bad is None:
-            if not self.work_conserving:
-                return []
-            start = 0
-        else:
-            start = leftmost_bad
-        last_buffer = min(self.destination - 1, self.topology.num_nodes - 1)
-        return [
-            Activation(node=i, key=self.destination)
-            for i in range(start, last_buffer + 1)
-            if self.buffers[i].load_of(self.destination) > 0
-        ]
-
-    def _leftmost_bad_buffer(self) -> Optional[int]:
-        """The left-most buffer holding at least two packets, by full scan."""
-        last_buffer = min(self.destination - 1, self.topology.num_nodes - 1)
-        for i in range(0, last_buffer + 1):
-            if self.buffers[i].load >= 2:
-                return i
-        return None

@@ -19,9 +19,6 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Dict, Hashable, List, Optional, Set
 
-import numpy as np
-
-from ..network.errors import ConfigurationError
 from ..network.topology import Topology
 from .indexset import BufferIndex
 from .packet import Packet
@@ -56,14 +53,14 @@ class ForwardingAlgorithm(ABC):
     packets immediately; algorithms that batch acceptance (HPTS) override
     :meth:`on_inject` and :meth:`staged_count`.
 
-    The base class keeps a *live* occupancy map: every buffer mutation flows
-    through :meth:`_buffer_changed` (wired into the node buffers' change
-    listeners), which updates the per-node load, the total stored count and a
+    Each node's load lives in one place, its :class:`NodeBuffer`.  Every
+    buffer mutation flows through :meth:`_buffer_changed` (wired into the node
+    buffers' change listeners), which updates the total stored count and a
     dirty-node set.  :meth:`occupancy_delta` hands the simulator just the
     nodes whose load changed since the last call, so per-round measurement
     cost is proportional to the number of packets that moved, not to the
-    network size; :meth:`occupancy_vector` remains as the full-snapshot
-    compatibility/debug path.
+    network size; :meth:`occupancy_vector` is the full snapshot that
+    per-round history records and adaptive adversaries read.
 
     The same notifications feed ``self._index``, a
     :class:`~repro.core.indexset.BufferIndex` of sorted nonempty/bad buffer
@@ -86,12 +83,6 @@ class ForwardingAlgorithm(ABC):
     ) -> None:
         self.topology = topology
         self.discipline = discipline
-        self._occupancy: Dict[int, int] = {node: 0 for node in topology.nodes}
-        #: Optional dense (index-addressable) mirror of ``_occupancy``, kept
-        #: exact by :meth:`_buffer_changed`.  Enabled only for bulk-snapshot
-        #: runs (``record_occupancy_vectors``); ``None`` costs nothing on the
-        #: hot path.
-        self._occupancy_dense = None
         self._dirty_nodes: Set[int] = set()
         self._total_stored = 0
         self._index = BufferIndex(bad_threshold)
@@ -110,12 +101,8 @@ class ForwardingAlgorithm(ABC):
     ) -> None:
         delta = new_len - old_len
         if delta:
-            load = self._occupancy[node] + delta
-            self._occupancy[node] = load
             self._total_stored += delta
             self._dirty_nodes.add(node)
-            if self._occupancy_dense is not None:
-                self._occupancy_dense[node] = load
         presence = self._index.update(node, key, old_len, new_len)
         if presence is not None:
             self.on_key_presence_change(key, presence)
@@ -126,7 +113,7 @@ class ForwardingAlgorithm(ABC):
         just emptied (``not present``).
 
         Fires only on those transitions of the key's nonempty position set,
-        after the occupancy map and the position index have been updated —
+        after the node's load and the position index have been updated —
         not on every push/pop.  The default does nothing.
         """
 
@@ -177,15 +164,15 @@ class ForwardingAlgorithm(ABC):
 
     def occupancy(self, node: int) -> int:
         """``|L(node)|`` — packets currently stored (accepted) at ``node``."""
-        return self._occupancy[node]
+        return self.buffers[node].load
 
     def occupancy_vector(self) -> Dict[int, int]:
-        """Occupancy of every node (full snapshot; compatibility/debug path).
+        """Occupancy of every node, in ``topology.nodes`` order.
 
         Does *not* consume the dirty-node set — adaptive adversaries may call
         this mid-round without disturbing the simulator's delta accounting.
         """
-        return dict(self._occupancy)
+        return {node: buffer.load for node, buffer in self.buffers.items()}
 
     def occupancy_delta(self) -> Dict[int, int]:
         """Current load of every node whose load changed since the last call.
@@ -196,44 +183,14 @@ class ForwardingAlgorithm(ABC):
         """
         if not self._dirty_nodes:
             return {}
-        occupancy = self._occupancy
-        delta = {node: occupancy[node] for node in self._dirty_nodes}
+        buffers = self.buffers
+        delta = {node: buffers[node].load for node in self._dirty_nodes}
         self._dirty_nodes.clear()
         return delta
 
-    def enable_dense_occupancy(self) -> None:
-        """Maintain a dense per-node occupancy vector alongside the dict.
-
-        Requires the node set to be the contiguous range ``0..n-1`` (lines).
-        The mirror is a numpy ``int64`` array, which
-        :class:`~repro.network.events.OccupancyTimeline` folds in bulk.
-        Existing loads are copied in, so enabling mid-life (e.g. just before
-        a checkpoint restore replays its stores) is safe.
-        """
-        num_nodes = self.topology.num_nodes
-        nodes = self.topology.nodes
-        if not (isinstance(nodes, range) and nodes == range(num_nodes)):
-            raise ConfigurationError(
-                "dense occupancy needs contiguous node ids 0..n-1 "
-                f"(got {type(self.topology).__name__})"
-            )
-        dense = np.zeros(num_nodes, dtype=np.int64)
-        for node, load in self._occupancy.items():
-            if load:
-                dense[node] = load
-        self._occupancy_dense = dense
-
-    def occupancy_array(self):
-        """The dense occupancy mirror (``enable_dense_occupancy`` first)."""
-        if self._occupancy_dense is None:
-            raise ConfigurationError(
-                "occupancy_array() requires enable_dense_occupancy()"
-            )
-        return self._occupancy_dense
-
     def max_occupancy(self) -> int:
         """The largest buffer occupancy right now."""
-        return max(self._occupancy.values(), default=0)
+        return max((buffer.load for buffer in self.buffers.values()), default=0)
 
     def total_stored(self) -> int:
         """Total packets stored across all buffers (excluding staged packets)."""
@@ -262,7 +219,7 @@ class ForwardingAlgorithm(ABC):
 
         The checkpoint layer (:mod:`repro.checkpoint`) serialises the buffers
         itself (per-node pseudo-buffer keys and packet ids, in queue order)
-        and rebuilds the occupancy map, the :class:`BufferIndex` and any
+        and rebuilds the node loads, the :class:`BufferIndex` and any
         structures maintained through :meth:`on_key_presence_change` by
         replaying the stores.  Algorithms carrying extra mutable state —
         staged packets, discovered destination sets, per-packet bookkeeping —

@@ -49,10 +49,6 @@ class TreePeakToSink(ForwardingAlgorithm):
 
     name = "TreePTS"
 
-    #: Debug/equivalence switch: ``False`` restores the seed engine's
-    #: per-round full-network scans (the indices stay maintained either way).
-    use_incremental_selection = True
-
     def __init__(
         self,
         topology: TreeTopology,
@@ -73,19 +69,12 @@ class TreePeakToSink(ForwardingAlgorithm):
         return self.destination
 
     def select_activations(self, round_number: int) -> List[Activation]:
-        if self.use_incremental_selection:
-            # The bad index iterates ascending, matching the seed engine's
-            # buffers-dict order (node buffers are created in sorted order).
-            bad_nodes = [
-                node for node in self._index.bad(self.destination)
-                if node != self.destination
-            ]
-        else:
-            bad_nodes = [
-                node
-                for node, node_buffer in self.buffers.items()
-                if node_buffer.load >= 2 and node != self.destination
-            ]
+        # The bad index iterates ascending, matching the buffers-dict order
+        # (node buffers are created in sorted order).
+        bad_nodes = [
+            node for node in self._index.bad(self.destination)
+            if node != self.destination
+        ]
         if not bad_nodes:
             return []
         # Activate every node v (other than the destination) whose subtree
@@ -139,10 +128,6 @@ class TreeParallelPeakToSink(ForwardingAlgorithm):
             self._declared_destinations = self._topological_sort(set(destinations))
         self._observed_destinations: set = set()
 
-    #: Debug/equivalence switch: ``False`` restores the seed engine's
-    #: per-round full-network scans (the indices stay maintained either way).
-    use_incremental_selection = True
-
     # -- packet placement --------------------------------------------------------
 
     def classify(self, packet: Packet, node: int) -> Hashable:
@@ -158,19 +143,10 @@ class TreeParallelPeakToSink(ForwardingAlgorithm):
         # Reverse topological order: root-most destinations first, exactly as
         # Algorithm 6 iterates k = d-1 downto 0 over a topologically sorted W.
         for w in reversed(destinations):
-            if self.use_incremental_selection:
-                bad_nodes = [
-                    node for node in self._index.bad(w)
-                    if node != w and self.tree.is_upstream(node, w)
-                ]
-            else:
-                bad_nodes = [
-                    node
-                    for node, node_buffer in self.buffers.items()
-                    if node != w
-                    and node_buffer.load_of(w) >= 2
-                    and self.tree.is_upstream(node, w)
-                ]
+            bad_nodes = [
+                node for node in self._index.bad(w)
+                if node != w and self.tree.is_upstream(node, w)
+            ]
             if not bad_nodes:
                 continue
             minimal_bad = self._minimal_antichain(bad_nodes)

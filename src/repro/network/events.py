@@ -5,7 +5,8 @@ recording is enabled) and a :class:`SimulationResult` summary at the end.
 The naming follows the paper's timing convention: quantities measured "at
 round t" are taken after the injection step and before forwarding (the
 configuration ``L^t``); quantities "at t+" are taken after forwarding
-(``L^{t+}``).
+(``L^{t+}``).  :class:`OccupancyTimeline` folds each round's ``L^t``
+measurement into the running maxima the summary reports.
 """
 
 from __future__ import annotations
@@ -13,8 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, List, Optional, Union
-
-import numpy as np
 
 __all__ = ["HistoryPolicy", "RoundRecord", "SimulationResult", "OccupancyTimeline"]
 
@@ -144,109 +143,40 @@ class SimulationResult:
 class OccupancyTimeline:
     """Incremental tracker of per-node and global occupancy maxima.
 
-    Three feeding modes produce identical maxima:
+    :meth:`observe` folds one measurement: the current load of every node
+    whose load changed since the previous measurement.  A node absent from
+    it had the same load as at the previous measurement, which is already
+    folded into the maxima, so skipping it cannot lose a peak; a full
+    snapshot is just a measurement that names every node.
 
-    * :meth:`observe` folds a *full* occupancy snapshot (the seed engine's
-      path, still used when per-round history is recorded);
-    * :meth:`observe_delta` folds only the nodes whose load changed since the
-      previous measurement.  A node absent from the delta had the same load
-      as at the previous measurement, which is already folded into the
-      maxima, so skipping it cannot lose a peak;
-    * :meth:`observe_bulk` folds a dense per-node numpy load vector with
-      one ``numpy.maximum`` — the vectorized path ``record_occupancy_vectors``
-      runs use, backed by a dense maxima vector when the timeline was built
-      with ``dense_size``.
-
-    However fed, :meth:`per_node_maxima` only ever contains nodes whose load
-    exceeded zero at some measurement (a maximum is recorded only when a load
-    strictly exceeds the running value, which starts at 0).
+    :attr:`max_per_node` only ever contains nodes whose load exceeded zero at
+    some measurement (a maximum is recorded only when a load strictly
+    exceeds the running value, which starts at 0), and :attr:`max_occupancy`
+    is always the largest of its values.
     """
 
-    __slots__ = ("max_occupancy", "max_per_node", "max_staged", "_dense")
+    __slots__ = ("max_occupancy", "max_per_node", "max_staged")
 
-    def __init__(self, dense_size: Optional[int] = None) -> None:
+    def __init__(self) -> None:
         self.max_occupancy = 0
         self.max_per_node: Dict[int, int] = {}
         self.max_staged = 0
-        self._dense = (
-            None if dense_size is None else np.zeros(dense_size, dtype=np.int64)
-        )
 
-    def observe(self, occupancy: Dict[int, int], staged: int = 0) -> None:
-        """Fold one occupancy snapshot into the running maxima."""
-        if self._dense is not None:
-            dense = self._dense
-            for node, load in occupancy.items():
-                if load > dense[node]:
-                    dense[node] = load
-                if load > self.max_occupancy:
-                    self.max_occupancy = load
-            if staged > self.max_staged:
-                self.max_staged = staged
-            return
-        for node, load in occupancy.items():
-            if load > self.max_per_node.get(node, 0):
-                self.max_per_node[node] = load
-            if load > self.max_occupancy:
-                self.max_occupancy = load
+    def observe(self, loads: Dict[int, int], staged: int = 0) -> None:
+        """Fold one measurement ``{node: load}`` into the running maxima."""
         if staged > self.max_staged:
             self.max_staged = staged
-
-    def observe_delta(self, delta: Dict[int, int], staged: int = 0) -> None:
-        """Fold one changed-nodes-only measurement into the running maxima."""
-        if staged > self.max_staged:
-            self.max_staged = staged
-        if not delta:
-            return
-        if self._dense is not None:
-            dense = self._dense
-            for node, load in delta.items():
-                if load > dense[node]:
-                    dense[node] = load
-                    if load > self.max_occupancy:
-                        self.max_occupancy = load
-            return
         max_per_node = self.max_per_node
-        for node, load in delta.items():
+        for node, load in loads.items():
             if load > max_per_node.get(node, 0):
                 max_per_node[node] = load
                 if load > self.max_occupancy:
                     self.max_occupancy = load
 
-    def observe_bulk(self, loads, staged: int = 0) -> None:
-        """Fold a dense per-node load vector into the running maxima.
-
-        ``loads`` must be a numpy array covering every node (length
-        ``dense_size``).  Requires the timeline to have been built with
-        ``dense_size``.
-        """
-        if staged > self.max_staged:
-            self.max_staged = staged
-        dense = self._dense
-        if dense is None:
-            raise ValueError("observe_bulk() requires OccupancyTimeline(dense_size=n)")
-        np.maximum(dense, loads, out=dense)
-        if len(loads):
-            peak = int(loads.max())
-            if peak > self.max_occupancy:
-                self.max_occupancy = peak
-
     def per_node_maxima(self) -> Dict[int, int]:
-        """``{node: max load}`` over all measurements (nodes that exceeded 0).
-
-        This is the read-side API — in dense mode :attr:`max_per_node` stays
-        empty and the dict is materialised from the maxima vector on demand.
-        """
-        dense = self._dense
-        if dense is None:
-            return dict(self.max_per_node)
-        return {int(node): int(dense[node]) for node in np.nonzero(dense)[0]}
+        """``{node: max load}`` over all measurements (nodes that exceeded 0)."""
+        return dict(self.max_per_node)
 
     def load_maxima(self, maxima: Dict[int, int]) -> None:
         """Overwrite the per-node maxima (checkpoint restore)."""
-        if self._dense is None:
-            self.max_per_node = dict(maxima)
-            return
-        self._dense[:] = 0
-        for node, load in maxima.items():
-            self._dense[node] = load
+        self.max_per_node = dict(maxima)

@@ -180,18 +180,7 @@ class Simulator:
         self.packet_store: Optional[PacketStore] = (
             PacketStore() if policy is HistoryPolicy.STREAMING else None
         )
-        #: Bulk-snapshot mode: occupancy-vector runs on contiguous node ids
-        #: fold a dense per-round load vector into a dense maxima vector
-        #: (numpy) instead of walking a dict of n entries.
-        nodes = topology.nodes
-        self._bulk_occupancy = record_occupancy_vectors and (
-            isinstance(nodes, range) and nodes == range(topology.num_nodes)
-        )
-        if self._bulk_occupancy:
-            self._timeline = OccupancyTimeline(dense_size=topology.num_nodes)
-            algorithm.enable_dense_occupancy()
-        else:
-            self._timeline = OccupancyTimeline()
+        self._timeline = OccupancyTimeline()
         self._history: List[RoundRecord] = []
         self._round = 0
         self._injected = 0
@@ -325,26 +314,19 @@ class Simulator:
     def _measure_before_forwarding(self, staged: int) -> Optional[Dict[int, int]]:
         """Record ``L^t`` (after injection, before forwarding).
 
+        Folds the nodes whose load changed since the previous measurement.
         Returns the full occupancy snapshot when per-round history is being
-        recorded (the round record needs it anyway), ``None`` otherwise.
+        recorded (the round record needs it), ``None`` otherwise.
         """
-        if self.record_history:
-            occupancy_before = self.algorithm.occupancy_vector()
-            if self._bulk_occupancy:
-                self._timeline.observe_bulk(self.algorithm.occupancy_array(), staged)
-            else:
-                self._timeline.observe(occupancy_before, staged)
-            return occupancy_before
-        self._timeline.observe_delta(self.algorithm.occupancy_delta(), staged)
-        return None
+        self._timeline.observe(self.algorithm.occupancy_delta(), staged)
+        return self.algorithm.occupancy_vector() if self.record_history else None
 
     def _execute_round(self, round_number: int, *, inject: bool) -> int:
         new_packets = self._materialize_injections(round_number, inject=inject)
 
-        # L^t: after injection, before forwarding.  The hot path folds only
-        # the nodes whose load changed since the previous measurement into
-        # the running maxima; full snapshots are taken only when per-round
-        # history is requested (which needs them anyway).
+        # L^t: after injection, before forwarding.  Only the nodes whose
+        # load changed since the previous measurement are folded into the
+        # running maxima; full snapshots are taken only for round records.
         staged = self.algorithm.staged_count()
         occupancy_before = self._measure_before_forwarding(staged)
 
@@ -371,7 +353,7 @@ class Simulator:
                         occupancy_after.values(), default=0
                     ),
                     staged=staged,
-                    occupancy=dict(occupancy_before)
+                    occupancy=occupancy_before
                     if self.record_occupancy_vectors
                     else None,
                 )
@@ -439,16 +421,8 @@ class Simulator:
                     # only remaining trace; release the object.
                     del self.packets[packet.packet_id]
             else:
-                self._place_packet(packet, next_hop, round_number)
+                self.algorithm.on_arrival(packet, next_hop, round_number)
         return len(moves), delivered
-
-    def _place_packet(self, packet: Packet, next_hop: int, round_number: int) -> None:
-        """Hand a forwarded (undelivered) packet to its next-hop buffer.
-
-        The segment engine overrides this: a packet whose next hop lies past
-        the segment's right edge joins the outgoing hand-off record instead.
-        """
-        self.algorithm.on_arrival(packet, next_hop, round_number)
 
     def _pending(self) -> int:
         return self.algorithm.pending_packets()

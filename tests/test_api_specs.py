@@ -39,6 +39,22 @@ class TestValidation:
         with pytest.raises(SpecError):
             AdversarySpec(sigma=-1)
 
+    @pytest.mark.parametrize("field", ["rho", "sigma"])
+    @pytest.mark.parametrize(
+        "value", [float("nan"), float("inf"), float("-inf"), True],
+        ids=["nan", "inf", "-inf", "bool"],
+    )
+    def test_rho_and_sigma_must_be_finite_non_bool_reals(self, field, value):
+        with pytest.raises(SpecError, match=f"AdversarySpec.{field}"):
+            AdversarySpec(**{field: value})
+
+    def test_non_finite_sigma_in_json_rejected(self):
+        # Python's json parses NaN and Infinity, so a spec file can carry them.
+        payload = json.loads(_full_spec().to_json())
+        payload["adversary"]["sigma"] = float("nan")
+        with pytest.raises(SpecError):
+            ScenarioSpec.from_json(json.dumps(payload))
+
     def test_rounds_must_be_non_negative_int(self):
         with pytest.raises(SpecError):
             AdversarySpec(rounds=-1)

@@ -3,10 +3,16 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.cli import build_parser, main
+
+_SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 
 
 class TestParser:
@@ -152,6 +158,23 @@ class TestSpecAndJsonFlags:
         row = json.loads(capsys.readouterr().out)
         assert row["scenario"] == "from-file"
         assert row["n"] == 24
+
+    @pytest.mark.parametrize("algorithm", ["pts", "ppts"])
+    @pytest.mark.parametrize("sigma", ["nan", "inf"])
+    def test_simulate_non_finite_sigma_exits_2_promptly(self, algorithm, sigma):
+        # Run out of process: before validation, burst traffic with a
+        # non-finite sigma looped forever.
+        completed = subprocess.run(
+            [sys.executable, "-m", "repro", "simulate", "--algorithm", algorithm,
+             "--nodes", "16", "--rounds", "20", "--sigma", sigma],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env={**os.environ, "PYTHONPATH": _SRC_DIR},
+        )
+        assert completed.returncode == 2
+        assert "AdversarySpec.sigma must be a finite real number" in completed.stderr
+        assert "Traceback" not in completed.stderr
 
     def test_simulate_missing_spec_file_is_an_error(self, tmp_path, capsys):
         assert main(["simulate", "--spec", str(tmp_path / "nope.json")]) == 2

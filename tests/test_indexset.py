@@ -188,12 +188,12 @@ class TestNodeBufferCounters:
                 for _ in range(3):
                     node.store(Packet.from_injection(make_injection(0, 0, key)), key)
             assert node.load == node.recount_load() == 6
-            assert node.total_bad == node.recount_total_bad() == 4
+            assert node.total_bad == 4
             for _ in range(3):
                 node.pop_from(3)
             node.drop_empty()
             assert node.load == node.recount_load() == 3
-            assert node.total_bad == node.recount_total_bad() == 2
+            assert node.total_bad == 2
             assert node.keys() == [5]
 
     def test_pop_from_missing_or_empty_key_raises(self):

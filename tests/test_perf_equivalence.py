@@ -3,10 +3,10 @@
 The acceptance bar for the incremental engine is *bit-identical*
 :class:`SimulationResult` values on seeded runs:
 
-* the delta-fed :class:`OccupancyTimeline` (hot path) against the
-  full-snapshot path (used when history recording is on),
-* the incremental ``select_activations`` of PTS / PPTS / HPTS and the tree
-  algorithms against the seed engine's linear scans,
+* summary runs against full-history runs of the same scenario,
+* the index-driven ``select_activations`` of PTS / PPTS / HPTS, greedy and
+  the tree algorithms against their scan oracles
+  (``test_property_incremental.SCAN_ORACLES``),
 * latency / delivery statistics folded in at delivery time against the
   per-packet recomputation.
 """
@@ -17,6 +17,8 @@ import pytest
 
 from repro.api.session import Session
 from repro.api.specs import ScenarioSpec
+from repro.core.packet import packet_id_scope
+from test_property_incremental import as_scan_oracle
 
 
 def _spec(payload):
@@ -109,7 +111,7 @@ def _with_policy(spec, **overrides):
 
 @pytest.mark.parametrize("spec", LINE_SCENARIOS, ids=lambda s: s.label)
 def test_delta_timeline_matches_full_snapshot_path(spec):
-    """History mode uses full snapshots; the hot path uses deltas.  Same result."""
+    """A full-history run reports what a summary run reports."""
     session = Session()
     delta_report = session.run(spec)
     snapshot_report = session.run(_with_policy(spec, record_history=True))
@@ -124,20 +126,60 @@ def test_delta_timeline_matches_full_snapshot_path(spec):
 
 
 @pytest.mark.parametrize("spec", LINE_SCENARIOS, ids=lambda s: s.label)
+def test_occupancy_vector_run_matches_summary_run(spec):
+    """Per-round occupancy vectors change no summary statistic, and each
+    round's vector agrees with that round's record."""
+    session = Session()
+    summary = session.run(spec).result
+    history = session.run(_with_policy(spec, record_history=True)).result
+    vectors = session.run(_with_policy(spec, record_occupancy_vectors=True)).result
+    assert _result_fingerprint(vectors) == _result_fingerprint(summary)
+    assert history.history[0].occupancy is None
+    assert len(vectors.history) == len(history.history)
+    for with_vector, record in zip(vectors.history, history.history):
+        assert with_vector.occupancy is not None
+        assert with_vector.max_occupancy == record.max_occupancy
+        assert max(with_vector.occupancy.values()) == record.max_occupancy
+        assert with_vector.forwarded == record.forwarded
+
+
+def test_full_history_run_drains_the_dirty_set():
+    """History runs fold deltas too: no node is left dirty after the run."""
+    from repro.network.simulator import Simulator
+
+    spec = _with_policy(
+        _spec(
+            {
+                "name": "equiv/ppts-64",
+                "topology": {"kind": "line", "params": {"num_nodes": 64}},
+                "algorithm": {"name": "ppts", "params": {}},
+                "adversary": {"name": "bounded", "rho": 0.9, "sigma": 3.0,
+                              "rounds": 120, "params": {"num_destinations": 6}},
+            }
+        ),
+        seed=11,
+    )
+    with packet_id_scope():
+        prepared = Session().prepare(spec)
+        simulator = Simulator(
+            prepared.topology, prepared.algorithm, prepared.adversary,
+            record_history=True,
+        )
+        result = simulator.run()
+    assert result.history
+    assert prepared.algorithm.occupancy_delta() == {}
+
+
+@pytest.mark.parametrize("spec", LINE_SCENARIOS, ids=lambda s: s.label)
 def test_incremental_engine_matches_seed_scan_engine(spec):
-    """Flip the algorithms back to the seed scan path; results must be identical."""
+    """Run the same scenario on the algorithm's scan oracle; results must be identical."""
     session = Session()
     incremental = session.run(spec)
 
-    scan_session = Session()
-    with_scan = scan_session.prepare(spec)  # outside a scope: ids still scoped below
-    algorithm_type = type(with_scan.algorithm)
-    assert getattr(algorithm_type, "use_incremental_selection", None) is True
-    try:
-        algorithm_type.use_incremental_selection = False
-        scan = scan_session.run(spec)
-    finally:
-        algorithm_type.use_incremental_selection = True
+    with packet_id_scope():
+        prepared = session.prepare(spec)
+        with as_scan_oracle(prepared.algorithm):
+            scan = session.run(prepared)
 
     assert _result_fingerprint(incremental.result) == _result_fingerprint(scan.result)
     assert incremental.within_bound == scan.within_bound
@@ -145,7 +187,6 @@ def test_incremental_engine_matches_seed_scan_engine(spec):
 
 def test_latency_statistics_match_per_packet_recount():
     spec = LINE_SCENARIOS[1]
-    from repro.core.packet import packet_id_scope
     from repro.network.simulator import Simulator
 
     session = Session()

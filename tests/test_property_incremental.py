@@ -3,27 +3,29 @@
 Three layers of cached state must exactly track a from-scratch recount after
 *any* mutation sequence:
 
-* ``NodeBuffer.load`` / ``total_bad`` (updated by pseudo-buffer change
-  notifications),
-* ``ForwardingAlgorithm``'s live occupancy map, dirty-node set and
-  ``total_stored`` counter,
+* ``NodeBuffer.load`` (updated by pseudo-buffer change notifications),
+* ``ForwardingAlgorithm``'s dirty-node set and ``total_stored`` counter,
 * the sorted nonempty/bad position indices (``repro.core.indexset``) the
   peak-to-sink algorithms select activations from, and HPTS's per-level
   destination sets layered on them.
 
-And the incremental ``select_activations`` paths must produce exactly the
-activation lists of the seed engine's linear scans on the same configuration.
+And the index-driven ``select_activations`` of every algorithm must produce
+exactly the activation lists of the seed engine's linear scans on the same
+configuration.  The scans live here, as the ``Scan*`` oracle subclasses
+(:data:`SCAN_ORACLES`), which ``test_perf_equivalence`` also runs end to end.
 """
 
 from __future__ import annotations
 
 import random
+from contextlib import contextmanager
 from typing import Callable, Hashable, List, Optional
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.baselines.greedy import GreedyForwarding
 from repro.core.hpts import HierarchicalPeakToSink
 from repro.core.indexset import BufferIndex, SortedIndexSet
 from repro.core.packet import Packet, make_injection, packet_id_scope
@@ -116,7 +118,6 @@ def _random_node_buffer_ops(seed: int, rounds: int = 300) -> NodeBuffer:
             if rng.random() < 0.05:
                 buffer.drop_empty()
             assert buffer.load == buffer.recount_load()
-            assert buffer.total_bad == buffer.recount_total_bad()
     return buffer
 
 
@@ -124,7 +125,9 @@ def _random_node_buffer_ops(seed: int, rounds: int = 300) -> NodeBuffer:
 def test_node_buffer_cached_counters_track_recount(seed):
     buffer = _random_node_buffer_ops(seed)
     assert buffer.load == buffer.recount_load()
-    assert buffer.total_bad == buffer.recount_total_bad()
+    assert buffer.total_bad == sum(
+        max(len(pseudo) - 1, 0) for pseudo in buffer.pseudo_buffers()
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -167,6 +170,175 @@ def test_occupancy_delta_matches_full_snapshots(seed):
 
 
 # ---------------------------------------------------------------------------
+# Scan oracles: the seed engine's linear-scan selection
+# ---------------------------------------------------------------------------
+
+
+def _first_bad(algorithm, key, start: int, last: int) -> Optional[int]:
+    """The left-most position in ``[start, last]`` whose ``key`` queue is bad."""
+    return next(
+        (i for i in range(start, last + 1) if algorithm.buffers[i].load_of(key) >= 2),
+        None,
+    )
+
+
+class ScanPeakToSink(PeakToSink):
+    """PTS selecting by an O(n) scan of the buffers instead of the index."""
+
+    def select_activations(self, round_number: int) -> List[Activation]:
+        w = self.destination
+        last = min(w - 1, self.topology.num_nodes - 1)
+        start = _first_bad(self, w, 0, last)
+        if start is None:
+            if not self.work_conserving:
+                return []
+            start = 0
+        return [
+            Activation(node=i, key=w)
+            for i in range(start, last + 1)
+            if self.buffers[i].load_of(w) > 0
+        ]
+
+
+class ScanParallelPeakToSink(ParallelPeakToSink):
+    """PPTS selecting by an O(n * d) scan of the buffers."""
+
+    def select_activations(self, round_number: int) -> List[Activation]:
+        destinations = self.destinations()
+        activations: List[Activation] = []
+        frontier = max([self.topology.num_nodes, *destinations])
+        for w in reversed(destinations):
+            last = min(frontier - 1, w - 1, self.topology.num_nodes - 1)
+            bad = _first_bad(self, w, 0, last)
+            if bad is None:
+                continue
+            activations.extend(
+                Activation(node=i, key=w)
+                for i in range(bad, last + 1)
+                if self.buffers[i].load_of(w) > 0
+            )
+            frontier = bad
+        return activations
+
+
+class ScanHierarchicalPeakToSink(HierarchicalPeakToSink):
+    """HPTS finding occupied intervals and bad buffers by interval scans."""
+
+    def _occupied_intervals(self, level: int):
+        occupied = []
+        for rank, (start, end) in enumerate(self.partition.level_partition(level)):
+            destinations = sorted(
+                {
+                    key[1]
+                    for i in range(start, end + 1)
+                    for key in self.buffers[i].nonempty_keys()
+                    if key[0] == level
+                }
+            )
+            if destinations:
+                occupied.append((rank, destinations))
+        return occupied
+
+    def _leftmost_bad(self, key, start: int, last: int) -> Optional[int]:
+        return _first_bad(self, key, start, last)
+
+
+class ScanGreedyForwarding(GreedyForwarding):
+    """Greedy visiting every node's buffer instead of the nonempty index."""
+
+    def select_activations(self, round_number: int) -> List[Activation]:
+        activations: List[Activation] = []
+        for node, node_buffer in self.buffers.items():
+            pseudo = node_buffer.existing("queue")
+            if not pseudo:
+                continue
+            chosen = min(
+                pseudo.packets(),
+                key=lambda packet: self.policy(
+                    packet, self._arrival_round.get(packet.packet_id, 0)
+                ),
+            )
+            activations.append(Activation(node=node, key="queue", packet=chosen))
+        return activations
+
+
+def _activate_paths(algorithm, bad_nodes, w, activated, activations) -> None:
+    """Activate every nonempty ``w`` queue on the paths from ``bad_nodes`` to ``w``."""
+    for bad in bad_nodes:
+        for node in algorithm.tree.path(bad, w)[:-1]:
+            if node in activated:
+                continue
+            activated.add(node)
+            if algorithm.buffers[node].load_of(w) > 0:
+                activations.append(Activation(node=node, key=w))
+
+
+class ScanTreePeakToSink(TreePeakToSink):
+    """Tree PTS finding bad buffers by a full-network scan."""
+
+    def select_activations(self, round_number: int) -> List[Activation]:
+        w = self.destination
+        bad_nodes = [
+            node
+            for node, node_buffer in self.buffers.items()
+            if node_buffer.load >= 2 and node != w
+        ]
+        activations: List[Activation] = []
+        _activate_paths(self, bad_nodes, w, set(), activations)
+        return activations
+
+
+class ScanTreeParallelPeakToSink(TreeParallelPeakToSink):
+    """Tree PPTS finding each destination's bad buffers by a full-network scan."""
+
+    def select_activations(self, round_number: int) -> List[Activation]:
+        activations: List[Activation] = []
+        activated: set = set()
+        for w in reversed(self.destinations()):
+            bad_nodes = [
+                node
+                for node, node_buffer in self.buffers.items()
+                if node != w
+                and node_buffer.load_of(w) >= 2
+                and self.tree.is_upstream(node, w)
+            ]
+            if bad_nodes:
+                _activate_paths(
+                    self, self._minimal_antichain(bad_nodes), w, activated, activations
+                )
+        return activations
+
+
+#: Production algorithm class -> its scan oracle.
+SCAN_ORACLES = {
+    oracle.__mro__[1]: oracle
+    for oracle in (
+        ScanPeakToSink,
+        ScanParallelPeakToSink,
+        ScanHierarchicalPeakToSink,
+        ScanGreedyForwarding,
+        ScanTreePeakToSink,
+        ScanTreeParallelPeakToSink,
+    )
+}
+
+
+@contextmanager
+def as_scan_oracle(algorithm: ForwardingAlgorithm):
+    """Run this one instance as its scan oracle for the block's duration.
+
+    The oracles add no state, so rebinding the instance's class swaps only
+    the selection path; the indices stay maintained either way.
+    """
+    production = type(algorithm)
+    algorithm.__class__ = SCAN_ORACLES[production]
+    try:
+        yield algorithm
+    finally:
+        algorithm.__class__ = production
+
+
+# ---------------------------------------------------------------------------
 # Incremental selection == seed scan selection
 # ---------------------------------------------------------------------------
 
@@ -186,10 +358,9 @@ def _drive_and_compare(
     with packet_id_scope():
         for round_number in range(rounds):
             inject(rng, algorithm, round_number)
-            algorithm.use_incremental_selection = True
             incremental = algorithm.select_activations(round_number)
-            algorithm.use_incremental_selection = False
-            scan = algorithm.select_activations(round_number)
+            with as_scan_oracle(algorithm):
+                scan = algorithm.select_activations(round_number)
             assert incremental == scan, f"round {round_number}: {incremental} != {scan}"
             # Apply the activations the way the simulator would (pop all,
             # then re-store at next hops) so later rounds see evolving state.
@@ -212,7 +383,6 @@ def _drive_and_compare(
             algorithm.on_round_end(round_number)
             if check is not None:
                 check(algorithm)
-        algorithm.use_incremental_selection = True
 
 
 def _line_injector(destinations):
@@ -244,8 +414,6 @@ def test_ppts_incremental_selection_equals_scan(seed):
 
 @pytest.mark.parametrize("seed", range(4))
 def test_greedy_incremental_selection_equals_scan(seed):
-    from repro.baselines.greedy import GreedyForwarding
-
     line = LineTopology(24)
     algorithm = GreedyForwarding(line)
     _drive_and_compare(algorithm, _line_injector([6, 13, 23]), rounds=150, seed=seed)
