@@ -1,17 +1,17 @@
 #!/usr/bin/env python
-"""Engine micro-benchmarks: rounds/sec and end-to-end Session runs.
+"""Engine micro-benchmarks: rounds/sec and peak memory per engine.
 
-This is the perf-regression harness the CI quick job runs (and the one to
+This is the perf-regression harness the CI ``perf`` job runs (and the one to
 run by hand before/after engine changes):
 
-* **engine cases** time the raw round loop — ``Simulator.run`` with a fixed
-  number of injection rounds and no drain — and report rounds/sec;
-* **session cases** time a complete ``Session.run`` (spec resolution,
-  simulation, drain, result assembly) and report runs/sec;
+* **engine cases** time the raw round loop of the delta engine —
+  ``Simulator.run`` with a fixed number of injection rounds and no drain —
+  on line and tree topologies with PTS / PPTS / HPTS / greedy / tree-PPTS at
+  ``n`` in {64, 256};
 * **stream cases** run the memory-lean path (``history="streaming"`` plus a
-  lazy ``stream=True`` adversary) at larger ``n``;
+  lazy ``stream=True`` adversary) at ``n = 4096``;
 * **batch cases** time the vectorized batch-round kernel
-  (:mod:`repro.network.batch`) on the batchable line specs, publishing
+  (:mod:`repro.network.batch`) on the same line specs, publishing
   ``speedup_vs_delta`` next to each row's ``engine/`` twin;
 * **batch_sharded cases** time the batch kernel split across worker
   processes (window mode over shared-memory boundary rings) on a heavy
@@ -19,35 +19,38 @@ run by hand before/after engine changes):
   next to the single-process ``batch/`` twin.  These rows record the
   machine's core count and are gated only where cores >= workers — on a
   single-core runner the workers timeshare one CPU and wall-clock says
-  nothing about the parallel path.
+  nothing about the parallel path;
+* one **checkpoint case** records the snapshot size of the streaming case
+  halfway through its run.
 
-Every engine/stream case also reports **peak memory** (tracemalloc, covering
-topology + algorithm construction and the full run), and ``--check`` gates
-both directions: throughput must not drop more than ``--tolerance`` below
-the baseline, peak memory must not grow more than ``--mem-tolerance`` above
-it.
+Every case is timed :data:`REPEATS` times, each inside the benchmark's
+``HostSpeed`` (``perfbench/tracing.py``): every 50 ms it times a fixed
+deque/dict loop under the same contention as the case, and the repeat's
+seconds are scaled by ``factor()`` into *reference seconds* — the seconds it
+would have taken had the host run at the benchmark's reference speed.  The
+row keeps the repeat with the median reference time.  Rows
+record raw ``rounds_per_sec`` and ``reference_rounds_per_sec``; the gate
+reads the latter, so a busy neighbour on a shared host does not read as a
+regression and the committed baseline does not encode one machine's speed.
 
-Cases cover line and tree topologies with PTS / PPTS / HPTS / greedy across
-``n`` in {64, 1k, 16k} (``--quick`` trims to {64, 256} with shorter horizons
-so CI stays fast).
+Every engine/stream/batch case also reports **peak memory** (tracemalloc,
+covering topology + algorithm construction and the full run), and ``--check``
+gates both directions: reference throughput must not drop more than
+``--tolerance`` below the baseline, peak memory (and the checkpoint size)
+must not grow more than ``--mem-tolerance`` above it.
 
 ``--smoke-mem`` ignores the case table and instead runs the million-node
 streaming smoke: an ``n = 10^6`` line, ``10^4`` injection rounds of the
 trickle adversary under PTS with ``history="streaming"``, asserting the
 process's peak RSS stays under ``--smoke-limit-mb`` (default 2048).
-
-Throughput is also reported *normalized* by a small pure-Python calibration
-loop measured in the same process, so numbers from differently-sized machines
-(a laptop vs a CI runner) are comparable and the committed baseline does not
-encode one machine's clock speed.
+``--smoke-batch-shards`` runs the batch x shards crash-recovery smoke.
 
 Usage::
 
-    python benchmarks/perf/run_perf.py --quick --output BENCH_engine.json
-    python benchmarks/perf/run_perf.py --quick --check benchmarks/perf/baseline.json
+    python benchmarks/perf/run_perf.py --output BENCH_engine.json
+    python benchmarks/perf/run_perf.py --check benchmarks/perf/baseline.json
 
-``--check`` exits non-zero if any case's normalized throughput regressed more
-than ``--tolerance`` (default 30%) below the baseline.
+``--check`` exits non-zero if any case regressed past its gate.
 """
 
 from __future__ import annotations
@@ -58,28 +61,35 @@ import os
 import sys
 import time
 import tracemalloc
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 _REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 if not any(os.path.basename(p) == "src" for p in sys.path):
     sys.path.insert(0, os.path.join(_REPO_ROOT, "src"))
+sys.path.insert(0, os.path.join(_REPO_ROOT, "perfbench"))
 
-from repro.api.session import Session  # noqa: E402
+from repro.api.session import PreparedRun, Session  # noqa: E402
 from repro.api.specs import ScenarioSpec  # noqa: E402
+from repro.core.packet import packet_id_scope  # noqa: E402
+from repro.network.batch import BatchSimulator  # noqa: E402
 from repro.network.simulator import Simulator  # noqa: E402
+from tracing import HostSpeed  # noqa: E402
 
-SCHEMA = "BENCH_engine/v5"
+SCHEMA = "BENCH_engine/v6"
 
-#: (n, engine rounds) per scale tier.  Rounds shrink as n grows so the seed
-#: engine's O(n) rounds stay measurable in bounded time.
-FULL_SIZES = [(64, 4096), (1024, 1024), (16384, 256)]
-QUICK_SIZES = [(64, 1024), (256, 512)]
+#: Timings per case; the median (in reference seconds) is kept.
+REPEATS = 3
 
-#: (n, rounds) for the streaming (memory-lean) cases.  These run the lazy
+#: (n, engine rounds) per case tier.
+SIZES = [(64, 1024), (256, 512)]
+
+#: (n, rounds) of the streaming (memory-lean) case.  It runs the lazy
 #: trickle adversary with ``history="streaming"`` — footprint is dominated by
 #: per-node construction plus packets in flight, not by the horizon.
-FULL_STREAM_SIZES = [(65536, 8192), (262144, 2048)]
-QUICK_STREAM_SIZES = [(4096, 2048)]
+STREAM_SIZE = (4096, 2048)
+
+#: (n, rounds) of the batch x shards cases.
+BATCH_SHARDED_SIZE = (4096, 1024)
 
 #: The million-node smoke scenario (``--smoke-mem``).
 SMOKE_NODES = 1_000_000
@@ -90,31 +100,9 @@ SMOKE_ROUNDS = 10_000
 MEM_GATE_FLOOR_BYTES = 512 * 1024
 
 #: Binary-tree depth giving roughly n nodes (2**(depth+1) - 1).
-TREE_DEPTHS = {64: 5, 256: 7, 1024: 9, 16384: 13}
+TREE_DEPTHS = {64: 5, 256: 7}
 
-
-def _calibrate(iterations: int = 300_000, repeats: int = 3):
-    """Pure-Python ops/sec of this interpreter on this machine, best of N.
-
-    Returns ``(best, spread)`` where ``spread`` is ``(best - worst) / best``
-    over the N samples.  The spread is published in the result JSON: when
-    the ±30% CI gate fires, the first question is whether the *calibration*
-    was stable — a noisy-neighbour burst during calibration rescales every
-    normalized number at once and makes the gate flap with no real
-    regression.  A spread above ~10% means the run should be re-tried, not
-    trusted.
-    """
-    samples = []
-    for _ in range(repeats):
-        accumulator = 0
-        start = time.perf_counter()
-        for i in range(iterations):
-            accumulator += i & 7
-        elapsed = time.perf_counter() - start
-        samples.append(iterations / elapsed)
-    best = max(samples)
-    spread = (best - min(samples)) / best if best > 0 else 0.0
-    return best, spread
+_ENGINES = {"delta": Simulator, "batch": BatchSimulator}
 
 
 def _line_spec(algorithm: str, n: int, rounds: int) -> ScenarioSpec:
@@ -245,151 +233,111 @@ def _batch_sharded_spec(n: int, rounds: int,
     )
 
 
-def _time_batch_sharded(
-    spec: ScenarioSpec, shards: int, repeats: int,
-    batch_rounds_per_sec: Optional[float],
-) -> Dict[str, Any]:
-    """Time the batch kernel split across worker processes (window mode).
-
-    ``speedup_vs_batch`` compares against the single-process batch kernel
-    on the identical spec.  The row records ``cpus`` because the number is
-    only meaningful as a *parallel* speedup when the machine has at least
-    ``shards`` cores: on fewer cores the workers timeshare one CPU and the
-    ring waits dominate, so :func:`check_regression` skips these rows
-    there (the smokes likewise gate memory, never wall-clock).
-    """
-    from repro.network.sharded import run_sharded
-
-    rounds = spec.adversary.rounds
-    elapsed = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        result, extras = run_sharded(spec, shards=shards, transport="processes")
-        elapsed = min(elapsed, time.perf_counter() - start)
-    rounds_per_sec = rounds / elapsed if elapsed > 0 else float("inf")
-    case = {
-        "case": f"batch_sharded{shards}/{spec.label}",
-        "kind": "batch_sharded",
-        "n": result.num_nodes,
-        "algorithm": spec.algorithm.name,
-        "topology": spec.topology.kind,
-        "shards": shards,
-        "cpus": os.cpu_count(),
-        "transport": extras["engine"]["transport"],
-        "rounds": rounds,
-        "repeats": repeats,
-        "elapsed_sec": elapsed,
-        "rounds_per_sec": rounds_per_sec,
-    }
-    if batch_rounds_per_sec:
-        case["speedup_vs_batch"] = rounds_per_sec / batch_rounds_per_sec
-    return case
-
-
-def _specs(sizes: List[tuple]) -> List[ScenarioSpec]:
+def _specs() -> List[ScenarioSpec]:
     specs = []
-    for n, rounds in sizes:
+    for n, rounds in SIZES:
         for algorithm in ("pts", "ppts", "hpts", "greedy"):
             specs.append(_line_spec(algorithm, n, rounds))
         specs.append(_tree_spec(n, rounds))
     return specs
 
 
-def _time_engine(session: Session, spec: ScenarioSpec, repeats: int) -> Dict[str, Any]:
-    """Time the raw round loop: fixed injection rounds, no drain, best of N.
+def _build(session: Session, spec: ScenarioSpec,
+           engine: str = "delta") -> Tuple[PreparedRun, Any]:
+    """Prepare ``spec`` and construct its engine; call inside a
+    ``packet_id_scope`` so every build numbers its packets alike."""
+    prepared = session.prepare(spec)
+    simulator = _ENGINES[engine](
+        prepared.topology, prepared.algorithm, prepared.adversary,
+        history=spec.policy.history,
+    )
+    return prepared, simulator
 
-    Best-of-N (like :func:`_calibrate`) keeps a single GC pause or
-    noisy-neighbor burst on a shared CI runner from reading as a regression.
-    Each repeat rebuilds the run from the spec in a fresh packet-id scope, so
-    every timing measures the identical execution.
+
+def _timed(fn: Callable[..., Any], *args: Any,
+           **kwargs: Any) -> Tuple[Any, Tuple[float, float]]:
+    """Call ``fn`` inside a ``HostSpeed``: its result and the (reference,
+    raw) seconds it took.
+
+    ``factor()`` turns raw seconds into reference seconds.  A call shorter
+    than the 50 ms sampling interval gets the one sample ``HostSpeed`` takes
+    as it exits, right after the call.
     """
-    from repro.core.packet import packet_id_scope
-
-    rounds = spec.adversary.rounds
-    elapsed = float("inf")
-    for _ in range(repeats):
-        with packet_id_scope():
-            prepared = session.prepare(spec)
-            simulator = Simulator(
-                prepared.topology, prepared.algorithm, prepared.adversary,
-                history=spec.policy.history,
-            )
-            start = time.perf_counter()
-            simulator.run(rounds, drain=False)
-            elapsed = min(elapsed, time.perf_counter() - start)
-    return {
-        "case": f"engine/{spec.label}",
-        "kind": "engine",
-        "n": prepared.topology.num_nodes,
-        "algorithm": spec.algorithm.name,
-        "topology": spec.topology.kind,
-        "rounds": rounds,
-        "repeats": repeats,
-        "elapsed_sec": elapsed,
-        "rounds_per_sec": rounds / elapsed if elapsed > 0 else float("inf"),
-    }
-
-
-def _time_batch(session: Session, spec: ScenarioSpec, repeats: int) -> Dict[str, Any]:
-    """Time the vectorized batch kernel on the same no-drain round loop.
-
-    Mirrors :func:`_time_engine` (fresh packet-id scope per repeat, best of
-    N) so ``batch/...`` and ``engine/...`` rows for the same spec are
-    directly comparable — their ratio is the kernel's speedup.
-    """
-    from repro.core.packet import packet_id_scope
-    from repro.network.batch import BatchSimulator
-
-    rounds = spec.adversary.rounds
-    elapsed = float("inf")
-    for _ in range(repeats):
-        with packet_id_scope():
-            prepared = session.prepare(spec)
-            simulator = BatchSimulator(
-                prepared.topology, prepared.algorithm, prepared.adversary,
-                history=spec.policy.history,
-            )
-            start = time.perf_counter()
-            simulator.run(rounds, drain=False)
-            elapsed = min(elapsed, time.perf_counter() - start)
-    return {
-        "case": f"batch/{spec.label}",
-        "kind": "batch",
-        "n": prepared.topology.num_nodes,
-        "algorithm": spec.algorithm.name,
-        "topology": spec.topology.kind,
-        "rounds": rounds,
-        "repeats": repeats,
-        "elapsed_sec": elapsed,
-        "rounds_per_sec": rounds / elapsed if elapsed > 0 else float("inf"),
-    }
-
-
-def _time_session(session: Session, spec: ScenarioSpec, repeats: int) -> Dict[str, Any]:
-    """Time one complete Session.run (resolution + simulation + drain), best of N."""
-    elapsed = float("inf")
-    for _ in range(repeats):
+    with HostSpeed() as speed:
         start = time.perf_counter()
-        report = session.run(spec)
-        elapsed = min(elapsed, time.perf_counter() - start)
+        result = fn(*args, **kwargs)
+        took = time.perf_counter() - start
+    return result, (took * speed.factor(), took)
+
+
+def _row(name: str, kind: str, spec: ScenarioSpec, n: int,
+         timings: List[Tuple[float, float]]) -> Dict[str, Any]:
+    """One timed case, from the repeat with the median reference time.
+
+    Each repeat is scaled by the host speed sampled while it ran.  On a
+    shared 2-CPU host the median scaled repeat varied less from run to run
+    than the fastest scaled repeat, and far less than the fastest raw one.
+    """
+    reference, elapsed = sorted(timings)[len(timings) // 2]
+    rounds = spec.adversary.rounds
     return {
-        "case": f"session/{spec.label}",
-        "kind": "session",
-        "n": report.result.num_nodes,
+        "case": name,
+        "kind": kind,
+        "n": n,
         "algorithm": spec.algorithm.name,
         "topology": spec.topology.kind,
-        "rounds": report.result.rounds_executed,
-        "max_occupancy": report.result.max_occupancy,
-        "repeats": repeats,
+        "rounds": rounds,
         "elapsed_sec": elapsed,
-        "rounds_per_sec": (
-            report.result.rounds_executed / elapsed if elapsed > 0 else float("inf")
-        ),
-        "runs_per_sec": 1.0 / elapsed if elapsed > 0 else float("inf"),
+        "rounds_per_sec": rounds / elapsed,
+        "host_factor": reference / elapsed,
+        "reference_rounds_per_sec": rounds / reference,
     }
 
 
-def _measure_peak_memory(spec: ScenarioSpec, engine: str = "delta") -> int:
+def _time_case(session: Session, spec: ScenarioSpec, engine: str,
+               kind: str) -> Dict[str, Any]:
+    """Time the raw round loop: fixed injection rounds, no drain.
+
+    Each repeat rebuilds the run from the spec in a fresh packet-id scope,
+    so every timing measures the identical execution; ``engine/`` and
+    ``batch/`` rows of one spec differ only in the engine class.
+    """
+    timings = []
+    for _ in range(REPEATS):
+        with packet_id_scope():
+            prepared, simulator = _build(session, spec, engine)
+            _, timing = _timed(simulator.run, spec.adversary.rounds, drain=False)
+            timings.append(timing)
+    prefix = "batch" if engine == "batch" else "engine"
+    return _row(f"{prefix}/{spec.label}", kind, spec,
+                prepared.topology.num_nodes, timings)
+
+
+def _time_batch_sharded(spec: ScenarioSpec, shards: int) -> Dict[str, Any]:
+    """Time the batch kernel split across worker processes (window mode).
+
+    The row records ``cpus`` because its throughput is only meaningful as a
+    *parallel* speedup when the machine has at least ``shards`` cores: on
+    fewer cores the workers timeshare one CPU and the ring waits dominate,
+    so :func:`check_regression` skips these rows there (the smokes likewise
+    gate memory, never wall-clock).
+    """
+    from repro.network.sharded import run_sharded
+
+    timings = []
+    for _ in range(REPEATS):
+        (result, extras), timing = _timed(
+            run_sharded, spec, shards=shards, transport="processes"
+        )
+        timings.append(timing)
+    case = _row(f"batch_sharded{shards}/{spec.label}", "batch_sharded", spec,
+                result.num_nodes, timings)
+    case.update(shards=shards, cpus=os.cpu_count(),
+                transport=extras["engine"]["transport"])
+    return case
+
+
+def _measure_peak_memory(spec: ScenarioSpec, engine: str) -> int:
     """Peak tracemalloc bytes for one prepared run (construction included).
 
     Uses an uncached Session so topology construction — the n-proportional
@@ -397,21 +345,11 @@ def _measure_peak_memory(spec: ScenarioSpec, engine: str = "delta") -> int:
     tracemalloc numbers are Python-allocation counts, so they transfer
     across machines (unlike RSS) and can live in the committed baseline.
     """
-    from repro.core.packet import packet_id_scope
-    from repro.network.batch import BatchSimulator
-
-    simulator_cls = BatchSimulator if engine == "batch" else Simulator
-    session = Session(cache_topologies=False)
-    rounds = spec.adversary.rounds
     tracemalloc.start()
     try:
         with packet_id_scope():
-            prepared = session.prepare(spec)
-            simulator = simulator_cls(
-                prepared.topology, prepared.algorithm, prepared.adversary,
-                history=spec.policy.history,
-            )
-            simulator.run(rounds, drain=False)
+            _, simulator = _build(Session(cache_topologies=False), spec, engine)
+            simulator.run(spec.adversary.rounds, drain=False)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -425,28 +363,19 @@ def _checkpoint_case(spec: ScenarioSpec) -> Dict[str, Any]:
     import tempfile
 
     from repro.checkpoint import load_checkpoint, restore_into
-    from repro.core.packet import packet_id_scope
 
     session = Session(cache_topologies=False)
     rounds = spec.adversary.rounds
     with tempfile.TemporaryDirectory() as scratch:
         path = os.path.join(scratch, "bench.ckpt")
         with packet_id_scope():
-            prepared = session.prepare(spec)
-            simulator = Simulator(
-                prepared.topology, prepared.algorithm, prepared.adversary,
-                history=spec.policy.history,
-            )
+            prepared, simulator = _build(session, spec)
             simulator.run(rounds // 2, drain=False)
             start = time.perf_counter()
             ckpt_bytes = simulator.save_checkpoint(path, spec=spec)
             save_sec = time.perf_counter() - start
         with packet_id_scope():
-            prepared = session.prepare(spec)
-            restored = Simulator(
-                prepared.topology, prepared.algorithm, prepared.adversary,
-                history=spec.policy.history,
-            )
+            _, restored = _build(session, spec)
             start = time.perf_counter()
             restore_into(restored, load_checkpoint(path))
             load_sec = time.perf_counter() - start
@@ -461,114 +390,64 @@ def _checkpoint_case(spec: ScenarioSpec) -> Dict[str, Any]:
     }
 
 
-def run_suite(quick: bool, repeats: int) -> Dict[str, Any]:
-    sizes = QUICK_SIZES if quick else FULL_SIZES
-    stream_sizes = QUICK_STREAM_SIZES if quick else FULL_STREAM_SIZES
-    calibration, calibration_spread = _calibrate()
-    print(f"calibration: {calibration / 1e6:.2f} Mops/s "
-          f"(spread {calibration_spread:.1%} over 3 samples)")
-    if calibration_spread > 0.10:
-        print("calibration: WARNING - spread above 10%; normalized numbers "
-              "from this run are unreliable")
+def _print_row(case: Dict[str, Any], note: str) -> None:
+    print(f"{case['case']:<44} {case['rounds_per_sec']:>8.0f} r/s raw "
+          f"{case['reference_rounds_per_sec']:>8.0f} ref ({note})")
+
+
+def run_suite() -> Dict[str, Any]:
     session = Session()
     cases: List[Dict[str, Any]] = []
-    timed_specs = [(spec, "engine") for spec in _specs(sizes)]
-    timed_specs += [
-        (_stream_spec(n, rounds), "stream") for n, rounds in stream_sizes
-    ]
-    for spec, kind in timed_specs:
-        case = _time_engine(session, spec, repeats)
-        case["kind"] = kind
-        case["normalized_throughput"] = case["rounds_per_sec"] / (calibration / 1e6)
-        case["peak_mem_bytes"] = _measure_peak_memory(spec)
+    timed = [(spec, "engine") for spec in _specs()]
+    timed.append((_stream_spec(*STREAM_SIZE), "stream"))
+    for spec, kind in timed:
+        case = _time_case(session, spec, "delta", kind)
+        case["peak_mem_bytes"] = _measure_peak_memory(spec, "delta")
         cases.append(case)
-        print(
-            f"{case['case']:<40} {case['rounds_per_sec']:>12.0f} rounds/s "
-            f"({case['normalized_throughput']:.1f} norm, "
-            f"{case['peak_mem_bytes'] / 1e6:.1f} MB peak)"
-        )
-    # Batch-kernel cases: the batch kernel on every line spec (the fused
-    # scan for pts/greedy, the pseudo-buffer kind for ppts/hpts), one row
-    # per (algorithm, n) next to its engine/ twin so the speedup is visible
-    # in the JSON and the kernel's throughput is gated like any other case.
+        _print_row(case, f"{case['peak_mem_bytes'] / 1e6:.1f} MB peak")
+    # The batch kernel on every line spec (the fused scan for pts/greedy,
+    # the pseudo-buffer kind for ppts/hpts), one row per (algorithm, n) next
+    # to its engine/ twin so the speedup is visible in the JSON.
     delta_by_case = {case["case"]: case for case in cases}
-    for n, rounds in sizes:
+    for n, rounds in SIZES:
         for algorithm in ("pts", "ppts", "hpts", "greedy"):
             spec = _line_spec(algorithm, n, rounds)
-            case = _time_batch(session, spec, repeats)
-            case["normalized_throughput"] = (
-                case["rounds_per_sec"] / (calibration / 1e6)
+            case = _time_case(session, spec, "batch", "batch")
+            case["peak_mem_bytes"] = _measure_peak_memory(spec, "batch")
+            twin = delta_by_case[f"engine/{spec.label}"]
+            case["speedup_vs_delta"] = (
+                case["reference_rounds_per_sec"] / twin["reference_rounds_per_sec"]
             )
-            case["peak_mem_bytes"] = _measure_peak_memory(spec, engine="batch")
-            twin = delta_by_case.get(f"engine/{spec.label}")
-            speedup = (
-                case["rounds_per_sec"] / twin["rounds_per_sec"] if twin else None
-            )
-            if speedup is not None:
-                case["speedup_vs_delta"] = speedup
             cases.append(case)
-            print(
-                f"{case['case']:<40} {case['rounds_per_sec']:>12.0f} rounds/s "
-                f"({case['normalized_throughput']:.1f} norm, "
-                + (f"{speedup:.1f}x vs engine, " if speedup is not None else "")
-                + f"{case['peak_mem_bytes'] / 1e6:.1f} MB peak)"
-            )
+            _print_row(case, f"{case['speedup_vs_delta']:.1f}x vs engine, "
+                             f"{case['peak_mem_bytes'] / 1e6:.1f} MB peak")
     # Batch x shards: the window-mode engine (k-round free-running workers
     # exchanging boundary blocks over shared-memory rings) on the heavy
-    # n=4096 line/PTS case, next to its single-process batch/ twin.  The
-    # 1-worker row isolates the sharding overhead itself.
-    bs_n = 4096
-    # Full mode needs a horizon long enough that per-round compute (the
-    # parallelizable part) dominates worker spawn; quick mode keeps CI fast
-    # and relies on the baseline-relative gate only.
-    bs_rounds = 1024 if quick else 16384
-    bs_spec = _batch_sharded_spec(bs_n, bs_rounds)
-    bs_twin = _time_batch(session, bs_spec, repeats)
-    bs_twin["normalized_throughput"] = bs_twin["rounds_per_sec"] / (calibration / 1e6)
+    # line/PTS case, next to its single-process batch/ twin.  The 1-worker
+    # row isolates the sharding overhead itself.
+    bs_spec = _batch_sharded_spec(*BATCH_SHARDED_SIZE)
+    bs_twin = _time_case(session, bs_spec, "batch", "batch")
     cases.append(bs_twin)
-    print(
-        f"{bs_twin['case']:<40} {bs_twin['rounds_per_sec']:>12.0f} rounds/s "
-        f"({bs_twin['normalized_throughput']:.1f} norm, 1 process)"
-    )
+    _print_row(bs_twin, "1 process")
     for shards in (1, 2, 4):
-        case = _time_batch_sharded(
-            bs_spec, shards, repeats, bs_twin["rounds_per_sec"]
+        case = _time_batch_sharded(bs_spec, shards)
+        case["speedup_vs_batch"] = (
+            case["reference_rounds_per_sec"] / bs_twin["reference_rounds_per_sec"]
         )
-        case["normalized_throughput"] = case["rounds_per_sec"] / (calibration / 1e6)
         cases.append(case)
-        speedup = case.get("speedup_vs_batch")
-        print(
-            f"{case['case']:<40} {case['rounds_per_sec']:>12.0f} rounds/s "
-            f"({case['normalized_throughput']:.1f} norm, {shards} workers, "
-            + (f"{speedup:.2f}x vs batch, " if speedup is not None else "")
-            + f"{case['transport']} transport)"
-        )
-    # Checkpoint round trip on the smallest streaming tier: snapshot size is
-    # part of the published surface (resume cost scales with it).
-    n_stream, rounds_stream = stream_sizes[0]
-    case = _checkpoint_case(_stream_spec(n_stream, rounds_stream))
+        _print_row(case, f"{shards} workers, {case['speedup_vs_batch']:.2f}x vs "
+                         f"batch, {case['transport']} transport")
+    # Checkpoint round trip on the streaming case: snapshot size is part of
+    # the published surface (resume cost scales with it).
+    case = _checkpoint_case(_stream_spec(*STREAM_SIZE))
     cases.append(case)
     print(
-        f"{case['case']:<40} {case['ckpt_bytes'] / 1e3:>12.1f} KB ckpt  "
+        f"{case['case']:<44} {case['ckpt_bytes'] / 1e3:>8.1f} KB ckpt  "
         f"(save {case['save_sec'] * 1e3:.1f} ms, load {case['load_sec'] * 1e3:.1f} ms)"
     )
-    # End-to-end Session timing on the smallest tier only: it exists to catch
-    # regressions in resolution/drain/result assembly, not to re-time the loop.
-    n0, rounds0 = sizes[0]
-    for algorithm in ("pts", "ppts", "hpts", "greedy"):
-        case = _time_session(session, _line_spec(algorithm, n0, rounds0), repeats)
-        case["normalized_throughput"] = case["rounds_per_sec"] / (calibration / 1e6)
-        cases.append(case)
-        print(
-            f"{case['case']:<40} {case['runs_per_sec']:>12.2f} runs/s   "
-            f"({case['normalized_throughput']:.1f} norm)"
-        )
     return {
         "schema": SCHEMA,
-        "mode": "quick" if quick else "full",
-        "repeats": repeats,
-        "calibration_ops_per_sec": calibration,
-        "calibration_spread": calibration_spread,
+        "repeats": REPEATS,
         "cpus": os.cpu_count(),
         "cases": cases,
     }
@@ -580,11 +459,12 @@ def check_regression(
     tolerance: float,
     mem_tolerance: float = 0.30,
 ) -> List[str]:
-    """Compare normalized throughput and peak memory per case.
+    """Compare reference throughput, peak memory and checkpoint size per case.
 
     Throughput gates downward (slower than baseline - tolerance fails);
     memory gates upward (fatter than baseline + mem_tolerance fails, for
-    cases whose baseline peak exceeds :data:`MEM_GATE_FLOOR_BYTES`).
+    cases whose baseline peak exceeds :data:`MEM_GATE_FLOOR_BYTES`), and so
+    does the checkpoint size.
     """
     with open(baseline_path) as handle:
         baseline = json.load(handle)
@@ -619,16 +499,15 @@ def check_regression(
                         f"{current_speedup:.2f}x < {floor:.2f}x "
                         f"(baseline {reference_speedup:.2f}x - {tolerance:.0%})"
                     )
-        reference_throughput = reference.get("normalized_throughput")
-        current_throughput = case.get("normalized_throughput")
+        reference_throughput = reference.get("reference_rounds_per_sec")
+        current_throughput = case.get("reference_rounds_per_sec")
         if reference_throughput is not None and current_throughput is not None:
             floor = reference_throughput * (1.0 - tolerance)
             if current_throughput < floor:
                 failures.append(
-                    f"{case['case']}: normalized throughput "
-                    f"{current_throughput:.1f} < "
-                    f"{floor:.1f} (baseline {reference_throughput:.1f} "
-                    f"- {tolerance:.0%})"
+                    f"{case['case']}: reference throughput "
+                    f"{current_throughput:.0f} r/s < {floor:.0f} r/s "
+                    f"(baseline {reference_throughput:.0f} r/s - {tolerance:.0%})"
                 )
         # Checkpoint size gates upward like memory: a fatter snapshot is a
         # regression in resume cost.
@@ -684,18 +563,12 @@ def run_smoke(limit_mb: float, nodes: int = SMOKE_NODES,
     import resource
     import tempfile
 
-    from repro.core.packet import packet_id_scope
-
     spec = _stream_spec(nodes, rounds)
     session = Session(cache_topologies=False)
     start = time.perf_counter()
     with packet_id_scope():
-        prepared = session.prepare(spec)
+        prepared, simulator = _build(session, spec)
         build_elapsed = time.perf_counter() - start
-        simulator = Simulator(
-            prepared.topology, prepared.algorithm, prepared.adversary,
-            history=spec.policy.history,
-        )
         result = simulator.run(rounds, drain=False)
     elapsed = time.perf_counter() - start
     in_flight = len(simulator.packets)
@@ -714,11 +587,7 @@ def run_smoke(limit_mb: float, nodes: int = SMOKE_NODES,
         with tempfile.TemporaryDirectory() as scratch:
             path = os.path.join(scratch, "smoke.ckpt")
             with packet_id_scope():
-                prepared = session.prepare(spec)
-                partial = Simulator(
-                    prepared.topology, prepared.algorithm, prepared.adversary,
-                    history=spec.policy.history,
-                )
+                prepared, partial = _build(session, spec)
                 partial.run(rounds // 2, drain=False)
                 ckpt_bytes = partial.save_checkpoint(path, spec=spec)
             del partial, prepared
@@ -839,18 +708,15 @@ def run_smoke_batch_shards(limit_mb: float, nodes: int = 100_000,
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--quick", action="store_true", help="small n, short horizons (CI)")
     parser.add_argument("--output", default="BENCH_engine.json", help="result JSON path")
     parser.add_argument("--check", default=None, metavar="BASELINE",
                         help="fail if throughput or memory regressed vs this baseline JSON")
     parser.add_argument("--tolerance", type=float, default=0.30,
-                        help="allowed fractional throughput regression for --check "
-                             "(default 0.30)")
+                        help="allowed fractional reference-throughput regression "
+                             "for --check (default 0.30)")
     parser.add_argument("--mem-tolerance", type=float, default=0.30,
                         help="allowed fractional peak-memory growth for --check "
                              "(default 0.30)")
-    parser.add_argument("--repeats", type=int, default=None,
-                        help="timings per case, best kept (default: 3 quick, 1 full)")
     parser.add_argument("--smoke-mem", action="store_true",
                         help=f"run the n={SMOKE_NODES} streaming smoke instead of the "
                              f"case table and check its peak RSS")
@@ -867,12 +733,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                              "mid-window, requiring a bit-identical finish "
                              "inside the RSS budget (default limit 768 MB; "
                              "override with --smoke-limit-mb)")
-    parser.add_argument("--min-batch-sharded-speedup", type=float, default=None,
-                        metavar="X",
-                        help="fail unless every 2+-worker batch_sharded case "
-                             "reaches X speedup_vs_batch (skipped, with a "
-                             "note, on machines with fewer cores than "
-                             "workers)")
     parser.add_argument("--smoke-nodes", type=int, default=SMOKE_NODES,
                         help=argparse.SUPPRESS)
     parser.add_argument("--smoke-rounds", type=int, default=SMOKE_ROUNDS,
@@ -889,29 +749,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         return run_smoke(args.smoke_limit_mb, args.smoke_nodes, args.smoke_rounds,
                          checkpoint=args.smoke_checkpoint)
 
-    repeats = args.repeats if args.repeats is not None else (3 if args.quick else 1)
-    if repeats < 1:
-        parser.error(f"--repeats must be >= 1, got {repeats}")
-    results = run_suite(quick=args.quick, repeats=repeats)
+    results = run_suite()
     with open(args.output, "w") as handle:
         json.dump(results, handle, indent=2)
-    print(f"\nwrote {args.output} ({len(results['cases'])} cases, {results['mode']} mode)")
-
-    if args.min_batch_sharded_speedup is not None:
-        floor = args.min_batch_sharded_speedup
-        for case in results["cases"]:
-            if case.get("kind") != "batch_sharded" or case.get("shards", 1) < 2:
-                continue
-            if (case.get("cpus") or 1) < case["shards"]:
-                print(f"note: {case['case']} speedup floor skipped "
-                      f"({case.get('cpus')} cpus < {case['shards']} workers)")
-                continue
-            speedup = case.get("speedup_vs_batch")
-            if speedup is not None and speedup < floor:
-                print(f"\nPERF REGRESSION: {case['case']} reached only "
-                      f"{speedup:.2f}x vs single-process batch "
-                      f"(floor {floor:.2f}x)")
-                return 1
+    print(f"\nwrote {args.output} ({len(results['cases'])} cases)")
 
     if args.check:
         failures = check_regression(

@@ -266,12 +266,13 @@ class RunPolicy(_SpecBase):
         Seconds the coordinator waits for a worker's phase reply before
         declaring it hung (process transport only; ``None`` waits forever).
     engine:
-        Which round engine executes the run: ``None``/``"delta"`` is the
-        object engine (:class:`repro.network.simulator.Simulator`),
-        ``"batch"`` the vectorized flat-array kernel
-        (:mod:`repro.network.batch`), ``"auto"`` tries the batch kernel and
-        falls back to the object engine when the scenario is refused with
-        :class:`~repro.network.errors.UnbatchableScenarioError`.  The engine
+        Which round engine executes the run: ``"auto"`` (default) tries the
+        vectorized flat-array kernel (:mod:`repro.network.batch`) and falls
+        back to the object engine when the scenario is refused with
+        :class:`~repro.network.errors.UnbatchableScenarioError`;
+        ``None``/``"delta"`` is the object engine
+        (:class:`repro.network.simulator.Simulator`, the oracle every other
+        engine is checked against), ``"batch"`` the kernel alone.  The engine
         never changes what the simulation computes — batch results are
         bit-identical to the object engine — so, like the checkpoint and
         sharding fields, both engine fields are excluded from the
@@ -296,7 +297,7 @@ class RunPolicy(_SpecBase):
     recovery: str = "fail"
     max_worker_restarts: int = 3
     heartbeat_timeout: Optional[float] = None
-    engine: Optional[str] = None
+    engine: Optional[str] = "auto"
     batch_rounds: int = 64
 
     def __post_init__(self) -> None:

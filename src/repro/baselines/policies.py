@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
+from ..api.registry import RegistryError
 from ..core.packet import Packet
 
 __all__ = [
@@ -109,7 +110,5 @@ def policy_by_name(name: str) -> GreedyPolicy:
     """Look up a built-in policy by its short name (case-insensitive)."""
     policy: Optional[GreedyPolicy] = _POLICY_INDEX.get(name.upper())
     if policy is None:
-        raise KeyError(
-            f"unknown greedy policy {name!r}; available: {sorted(_POLICY_INDEX)}"
-        )
+        raise RegistryError("greedy policy", name, _POLICY_INDEX)
     return policy

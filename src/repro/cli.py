@@ -162,21 +162,22 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="partition the line into N contiguous segments and run the "
         "batch kernel over each in its own worker process (results are "
-        "bit-identical to a single-process run); needs --engine batch or "
-        "auto and a scenario the batch kernel accepts (line topology, "
-        "non-adaptive adversary, PTS/local/downhill/built-in greedy), "
+        "bit-identical to a single-process run); needs --engine auto (the "
+        "default) or batch and a scenario the batch kernel accepts (line "
+        "topology, non-adaptive adversary, PTS/local/downhill/built-in greedy), "
         "anything else exits with code 2",
     )
     simulate.add_argument(
         "--engine",
         choices=("delta", "batch", "auto"),
         default=None,
-        help="execution engine: 'delta' is the per-round object engine, "
-        "'batch' the vectorized batch-round kernel (line topologies, "
-        "non-adaptive adversaries and PTS/PPTS/HPTS/local/downhill/built-in "
-        "greedy only; anything else exits with code 2), 'auto' tries the "
-        "batch kernel and silently falls back (results are bit-identical "
-        "either way)",
+        help="execution engine (default: the spec's, 'auto' unless a --spec "
+        "file sets one): 'auto' tries the vectorized batch-round kernel and "
+        "silently falls back to the per-round object engine 'delta'; "
+        "'batch' runs the kernel alone (line topologies, non-adaptive "
+        "adversaries and PTS/PPTS/HPTS/local/downhill/built-in greedy only; "
+        "anything else exits with code 2). Results are bit-identical "
+        "either way",
     )
     simulate.add_argument(
         "--batch-rounds",
@@ -420,6 +421,8 @@ def _finish_spec(
 def _build_spec(args: argparse.Namespace) -> ScenarioSpec:
     """Map the flat command-line options onto a declarative scenario spec."""
     if args.algorithm == "hpts":
+        if args.levels < 1:
+            raise ReproError(f"--levels must be >= 1, got {args.levels}")
         branching = max(2, round(args.nodes ** (1.0 / args.levels)))
         num_nodes = branching**args.levels
         kind = args.workload if args.workload in ("hierarchy", "random") else "hierarchy"

@@ -10,6 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
+from ..api.registry import RegistryError
+
 __all__ = ["Experiment", "EXPERIMENTS", "get_experiment", "list_experiments"]
 
 
@@ -119,10 +121,8 @@ def get_experiment(experiment_id: str) -> Experiment:
     """Look up an experiment by id (e.g. ``"E4"``)."""
     try:
         return EXPERIMENTS[experiment_id.upper()]
-    except KeyError as error:
-        raise KeyError(
-            f"unknown experiment {experiment_id!r}; available: {sorted(EXPERIMENTS)}"
-        ) from error
+    except KeyError:
+        raise RegistryError("experiment", experiment_id, EXPERIMENTS) from None
 
 
 def list_experiments() -> List[Experiment]:

@@ -119,7 +119,7 @@ def build_spec(kind, algorithm, algo_params, adversary, rho, sigma,
         adv_params["stream"] = True
     scenario.algorithm(algorithm, **algo_params)
     scenario.adversary(adversary, rho=rho, sigma=sigma, rounds=ROUNDS, **adv_params)
-    scenario.policy(history=history, seed=23)
+    scenario.policy(history=history, seed=23, engine="delta")
     return scenario.build()
 
 
@@ -184,7 +184,8 @@ class TestDifferentialGrid:
             .algorithm("ppts")
             .adversary("bounded", rho=0.8, sigma=3.0, rounds=ROUNDS,
                        num_destinations=3)
-            .policy(record_history=True, record_occupancy_vectors=True, seed=23)
+            .policy(record_history=True, record_occupancy_vectors=True, seed=23,
+                    engine="delta")
             .build()
         )
         assert_resume_equivalent(spec, MID, tmp_path)
@@ -196,7 +197,7 @@ class TestDifferentialGrid:
             .algorithm("ppts")
             .adversary("bounded", rho=0.8, sigma=3.0, rounds=ROUNDS,
                        num_destinations=3)
-            .policy(seed=23)
+            .policy(seed=23, engine="delta")
             .build()
         )
         full = Session().run(spec)

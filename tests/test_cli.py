@@ -45,8 +45,10 @@ class TestExperimentCommands:
         assert "bench_thm_4_1_hpts.py" in output
 
     def test_unknown_experiment_is_an_error(self, capsys):
-        with pytest.raises(KeyError):
-            main(["experiment", "E42"])
+        assert main(["experiment", "E42"]) == 2
+        err = capsys.readouterr().err
+        assert "unknown experiment 'E42'" in err
+        assert "E9" in err
 
 
 class TestSimulateCommand:
@@ -118,6 +120,13 @@ class TestSimulateCommand:
              "--rounds", "40"]
         ) == 0
         assert "Greedy-NTG" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("levels", ["0", "-1"])
+    def test_hpts_levels_below_one_exits_2(self, capsys, levels):
+        assert main(["simulate", "--algorithm", "hpts", "--levels", levels]) == 2
+        err = capsys.readouterr().err
+        assert f"--levels must be >= 1, got {levels}" in err
+        assert "rho" not in err
 
     def test_workload_override(self, capsys):
         assert main(
@@ -317,6 +326,14 @@ def _case_recovery_exhausted(tmp_path):
     )
 
 
+def _case_unknown_greedy_policy(tmp_path):
+    return (
+        ["simulate", "--algorithm", "greedy", "--policy", "BOGUS", "--nodes", "24",
+         "--rounds", "40"],
+        "unknown greedy policy 'BOGUS'; known greedy policy names: FIFO",
+    )
+
+
 def _case_service_unavailable(tmp_path):
     return (
         ["service", "ls", "--data", str(tmp_path / "no-server")],
@@ -342,6 +359,7 @@ TYPED_ERROR_CASES = {
     "ReproError": _case_repro_error,
     "CheckpointSpecMismatchError": _case_checkpoint_mismatch,
     "RecoveryExhaustedError": _case_recovery_exhausted,
+    "RegistryError": _case_unknown_greedy_policy,
     "ServiceUnavailableError": _case_service_unavailable,
     "JobNotFoundError": _case_job_not_found,
 }

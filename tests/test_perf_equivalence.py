@@ -33,7 +33,7 @@ LINE_SCENARIOS = [
             "algorithm": {"name": "pts", "params": {}},
             "adversary": {"name": "single", "rho": 1.0, "sigma": 3.0,
                           "rounds": 220, "params": {}},
-            "policy": {"seed": 11},
+            "policy": {"seed": 11, "engine": "delta"},
         }
     ),
     _spec(
@@ -43,7 +43,7 @@ LINE_SCENARIOS = [
             "algorithm": {"name": "ppts", "params": {}},
             "adversary": {"name": "bounded", "rho": 0.9, "sigma": 3.0,
                           "rounds": 220, "params": {"num_destinations": 6}},
-            "policy": {"seed": 11},
+            "policy": {"seed": 11, "engine": "delta"},
         }
     ),
     _spec(
@@ -53,7 +53,7 @@ LINE_SCENARIOS = [
             "algorithm": {"name": "hpts", "params": {"levels": 2}},
             "adversary": {"name": "bounded", "rho": 0.5, "sigma": 3.0,
                           "rounds": 220, "params": {"num_destinations": 6}},
-            "policy": {"seed": 11},
+            "policy": {"seed": 11, "engine": "delta"},
         }
     ),
     _spec(
@@ -63,7 +63,7 @@ LINE_SCENARIOS = [
             "algorithm": {"name": "greedy", "params": {}},
             "adversary": {"name": "bounded", "rho": 0.9, "sigma": 3.0,
                           "rounds": 220, "params": {"num_destinations": 6}},
-            "policy": {"seed": 11},
+            "policy": {"seed": 11, "engine": "delta"},
         }
     ),
     _spec(
@@ -74,7 +74,7 @@ LINE_SCENARIOS = [
             "algorithm": {"name": "tree-ppts", "params": {}},
             "adversary": {"name": "convergecast", "rho": 0.9, "sigma": 3.0,
                           "rounds": 180, "params": {}},
-            "policy": {"seed": 11},
+            "policy": {"seed": 11, "engine": "delta"},
         }
     ),
 ]
@@ -104,6 +104,7 @@ def _with_policy(spec, **overrides):
         record_occupancy_vectors=spec.policy.record_occupancy_vectors,
         validate_capacity=spec.policy.validate_capacity,
         seed=spec.policy.seed,
+        engine=spec.policy.engine,
     )
     policy.update(overrides)
     return _spec({**spec.to_dict(), "policy": policy})

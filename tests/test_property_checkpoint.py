@@ -46,7 +46,7 @@ def _spec(algorithm: str, seed: int, history: str) -> ScenarioSpec:
         scenario.algorithm("ppts")
         scenario.adversary("bounded", rho=0.8, sigma=3.0, rounds=ROUNDS,
                            num_destinations=3)
-    scenario.policy(history=history, seed=seed)
+    scenario.policy(history=history, seed=seed, engine="delta")
     return scenario.build()
 
 

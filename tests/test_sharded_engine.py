@@ -432,7 +432,7 @@ def test_cli_shards_matches_unsharded_row(capsys):
         "--destinations", "4", "--rho", "0.8", "--sigma", "2.0",
         "--rounds", "30", "--seed", "5", "--json",
     ]
-    main(argv)
+    main(argv + ["--engine", "delta"])
     single_row = json.loads(capsys.readouterr().out)
     main(argv + ["--shards", "3", "--engine", "batch"])
     sharded_row = json.loads(capsys.readouterr().out)

@@ -40,7 +40,7 @@ SEEDED_SCENARIOS = [
             "algorithm": {"name": "pts", "params": {}},
             "adversary": {"name": "single", "rho": 1.0, "sigma": 3.0,
                           "rounds": 200, "params": {}},
-            "policy": {"seed": 11},
+            "policy": {"seed": 11, "engine": "delta"},
         }
     ),
     _spec(
@@ -50,7 +50,7 @@ SEEDED_SCENARIOS = [
             "algorithm": {"name": "ppts", "params": {}},
             "adversary": {"name": "bounded", "rho": 0.9, "sigma": 3.0,
                           "rounds": 200, "params": {"num_destinations": 5}},
-            "policy": {"seed": 11},
+            "policy": {"seed": 11, "engine": "delta"},
         }
     ),
     _spec(
@@ -60,7 +60,7 @@ SEEDED_SCENARIOS = [
             "algorithm": {"name": "hpts", "params": {"levels": 2}},
             "adversary": {"name": "bounded", "rho": 0.5, "sigma": 3.0,
                           "rounds": 200, "params": {"num_destinations": 5}},
-            "policy": {"seed": 11},
+            "policy": {"seed": 11, "engine": "delta"},
         }
     ),
     _spec(
@@ -70,7 +70,7 @@ SEEDED_SCENARIOS = [
             "algorithm": {"name": "pts", "params": {}},
             "adversary": {"name": "trickle", "rho": 1.0, "sigma": 1.0,
                           "rounds": 300, "params": {}},
-            "policy": {"seed": 11},
+            "policy": {"seed": 11, "engine": "delta"},
         }
     ),
 ]
