@@ -326,9 +326,7 @@ def _time_batch_sharded(spec: ScenarioSpec, shards: int) -> Dict[str, Any]:
 
     timings = []
     for _ in range(REPEATS):
-        (result, extras), timing = _timed(
-            run_sharded, spec, shards=shards, transport="processes"
-        )
+        (result, extras), timing = _timed(run_sharded, spec, shards=shards)
         timings.append(timing)
     case = _row(f"batch_sharded{shards}/{spec.label}", "batch_sharded", spec,
                 result.num_nodes, timings)
@@ -655,14 +653,11 @@ def run_smoke_batch_shards(limit_mb: float, nodes: int = 100_000,
             "max_worker_restarts": 2,
         })
         start = time.perf_counter()
-        baseline, base_extras = run_sharded(
-            spec, shards=shards, transport="processes"
-        )
+        baseline, base_extras = run_sharded(spec, shards=shards)
         clean_elapsed = time.perf_counter() - start
         start = time.perf_counter()
         result, extras = run_sharded(
-            spec, shards=shards, transport="processes", faults=plan,
-            clock=time.perf_counter,
+            spec, shards=shards, faults=plan, clock=time.perf_counter,
         )
         elapsed = time.perf_counter() - start
     engine = base_extras["engine"]

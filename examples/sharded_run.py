@@ -77,7 +77,7 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as scratch:
         path = os.path.join(scratch, "sharded.ckpt")
         result, _extras = run_sharded(
-            build_scenario(checkpoint_path=path), shards=3, transport="processes"
+            build_scenario(checkpoint_path=path), shards=3
         )
         assert result == reference
         leftover = sorted(name for name in os.listdir(scratch) if ".seg" in name)

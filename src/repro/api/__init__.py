@@ -23,8 +23,8 @@ Fluent builder (the usual entry point)::
     )
     print(report.max_occupancy, "<=", report.bound)
 
-Batched sweeps share one :class:`Session` (cached topologies, thread-pool
-fan-out, per-run packet-id scoping)::
+Batched sweeps share one :class:`Session` (cached topologies, per-run
+packet-id scoping, an opt-in process pool)::
 
     from repro.api import Scenario, Session
 

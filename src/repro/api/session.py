@@ -7,8 +7,8 @@ A :class:`Session` turns declarative specs into simulations:
   127-node random tree once per sweep, not once per run),
 * every run executes inside a fresh :func:`repro.core.packet.packet_id_scope`,
   so packet ids (and therefore results) are deterministic and independent of
-  what ran before — which also makes :meth:`Session.run_many`'s thread-pool
-  fan-out safe,
+  what ran before — which also makes :meth:`Session.run_many`'s process-pool
+  fan-out return exactly what running in order does,
 * results come back as :class:`RunReport` rows carrying the measured maximum
   occupancy next to the algorithm's closed-form bound.
 """
@@ -16,7 +16,7 @@ A :class:`Session` turns declarative specs into simulations:
 from __future__ import annotations
 
 import inspect
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
@@ -77,9 +77,9 @@ class RunReport:
     #: Engine-routing telemetry: which engine the policy requested
     #: (``"delta"``/``"batch"``/``"auto"``), which one actually ran, the
     #: refusal message when ``"auto"`` fell back to the object engine, and —
-    #: for sharded runs — which boundary transport carried the supersteps
-    #: (``"shm"``, ``"processes"`` or ``"local"``).  Engines are bit-identical
-    #: by construction, so this exists purely to make silent fallbacks
+    #: for sharded runs — the boundary transport, always ``"shm"`` (the
+    #: workers' shared-memory rings).  Engines are bit-identical by
+    #: construction, so this exists purely to make silent fallbacks
     #: diagnosable; surfaced in the CLI's ``--json`` rows.
     engine: Optional[Dict[str, Any]] = None
 
@@ -177,14 +177,12 @@ class Session:
     Parameters
     ----------
     max_workers:
-        Default thread-pool width for :meth:`run_many` (``None`` lets the
-        executor pick).  Simulations are pure-Python and GIL-bound, so the win
-        is overlap of independent runs, not raw parallel speed-up; pass
-        ``max_workers=0`` to force sequential execution.
+        Default process-pool width for ``run_many(use_processes=True)``
+        (``None`` lets the executor pick, ``0`` runs in order in-process).
     cache_topologies:
         Reuse one :class:`Topology` instance per distinct
         :class:`TopologySpec` (topologies are read-only during simulation, so
-        sharing across concurrent runs is safe).
+        sharing across runs is safe).
     """
 
     def __init__(
@@ -283,7 +281,7 @@ class Session:
         ``heartbeat_timeout`` knobs, and ``faults`` optionally threads a
         deterministic :class:`~repro.network.faults.FaultPlan` through the
         supervisor for reproducible chaos runs (sharded specs only — faults
-        describe worker/transport failures, which a single-process run does
+        describe segment-worker failures, which a single-process run does
         not have).
         """
         if isinstance(scenario, ScenarioSpec):
@@ -328,18 +326,19 @@ class Session:
         max_workers: Optional[int] = None,
         use_processes: bool = False,
     ) -> List[RunReport]:
-        """Execute a batch of scenarios, fanned out over a worker pool.
+        """Execute a batch of scenarios; results come back in input order.
 
-        Results come back in input order.  Topologies are constructed up
-        front through the shared cache (so concurrent runs never race on
-        construction); each spec then executes in its own packet-id scope.
-        (:class:`PreparedRun` items carry pre-built, pre-numbered ingredients
-        and run unscoped, exactly as :meth:`run` would execute them.)
+        By default the items run in order in this process, each exactly as
+        :meth:`run` executes it (a spec in its own packet-id scope, a
+        :class:`PreparedRun` unscoped on its pre-numbered ingredients).
+        Simulations are pure-Python and hold the GIL, so a thread pool would
+        only add overhead.
 
         With ``use_processes=True`` the batch runs on a
-        :class:`~concurrent.futures.ProcessPoolExecutor` instead of threads.
-        Simulations are pure-Python and GIL-bound, so this is the option that
-        actually scales CPU-bound sweeps across cores.  Every item must be a
+        :class:`~concurrent.futures.ProcessPoolExecutor` of ``max_workers``
+        processes (default: the session's ``max_workers``; ``0`` runs in
+        order in-process), which does scale CPU-bound sweeps across cores.
+        Every item must then be a
         :class:`ScenarioSpec` (specs are plain picklable data; live
         :class:`PreparedRun` ingredients stay in-process).  Each worker is
         *warmed once* by a pool initializer: the batch's distinct topology
@@ -347,12 +346,11 @@ class Session:
         every worker builds each topology (plus its next-hop table) exactly
         once into a persistent per-worker :class:`Session` — submitting a
         hundred same-topology runs no longer rebuilds the network a hundred
-        times per worker.  Results are identical to the thread path because
+        times per worker.  Results are identical to the in-order run because
         every run is seeded through its spec and executes in a fresh
         packet-id scope either way.
         """
         items: Sequence[Runnable] = list(scenarios)
-        workers = self.max_workers if max_workers is None else max_workers
         if use_processes:
             for position, item in enumerate(items):
                 if not isinstance(item, ScenarioSpec):
@@ -366,30 +364,23 @@ class Session:
                         f"scenario declaratively, or drop use_processes to "
                         f"run live PreparedRun objects in-process."
                     )
-            if workers == 0 or len(items) <= 1:
-                return [self.run(item) for item in items]
-            distinct_topologies: Dict[str, TopologySpec] = {}
-            for item in items:
-                distinct_topologies.setdefault(
-                    item.topology.spec_hash(), item.topology
-                )
-            with ProcessPoolExecutor(
-                max_workers=workers,
-                initializer=_warm_worker,
-                initargs=(
-                    tuple(distinct_topologies.values()),
-                    self.cache_topologies,
-                ),
-            ) as pool:
-                return list(pool.map(_run_spec_in_worker, items))
-        if self.cache_topologies:  # warm the topology cache sequentially
-            for item in items:
-                if isinstance(item, ScenarioSpec):
-                    self.topology(item.topology)
-        if workers == 0 or len(items) <= 1:
-            return [self.run(item) for item in items]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(self.run, items))
+            workers = self.max_workers if max_workers is None else max_workers
+            if workers != 0 and len(items) > 1:
+                distinct_topologies: Dict[str, TopologySpec] = {}
+                for item in items:
+                    distinct_topologies.setdefault(
+                        item.topology.spec_hash(), item.topology
+                    )
+                with ProcessPoolExecutor(
+                    max_workers=workers,
+                    initializer=_warm_worker,
+                    initargs=(
+                        tuple(distinct_topologies.values()),
+                        self.cache_topologies,
+                    ),
+                ) as pool:
+                    return list(pool.map(_run_spec_in_worker, items))
+        return [self.run(item) for item in items]
 
     def resume(
         self,

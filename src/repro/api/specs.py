@@ -252,19 +252,21 @@ class RunPolicy(_SpecBase):
         What the sharded coordinator does when a segment worker dies or
         stops answering: ``"fail"`` (default) raises the typed
         :class:`~repro.network.errors.WorkerFailedError` immediately,
-        ``"restart"`` respawns a replacement worker from the per-segment
-        periodic checkpoints and resumes the superstep loop, ``"fold"``
-        merges the orphaned segment into a neighbouring worker instead of
-        respawning.  Recovery never changes what the simulation computes —
-        results are bit-identical to the fault-free run — so all three
-        recovery fields are excluded from the resume-identity hash.
+        ``"restart"`` respawns every worker from the last consistent cut of
+        per-segment periodic checkpoints (round 0 without one) and replays
+        the windows from there, ``"fold"`` merges the orphaned segment into
+        a neighbouring worker and continues on one segment fewer.  Recovery
+        never changes what the simulation computes — results are
+        bit-identical to the fault-free run — so all three recovery fields
+        are excluded from the resume-identity hash.
     max_worker_restarts:
         Recovery budget: how many worker failures the coordinator absorbs
         before giving up with
         :class:`~repro.network.errors.RecoveryExhaustedError`.
     heartbeat_timeout:
-        Seconds the coordinator waits for a worker's phase reply before
-        declaring it hung (process transport only; ``None`` waits forever).
+        Seconds the coordinator waits for a worker's reply before declaring
+        it hung (``None`` waits forever); the shared-memory rings between
+        workers time out after four times this, and never under 5 s.
     engine:
         Which round engine executes the run: ``"auto"`` (default) tries the
         vectorized flat-array kernel (:mod:`repro.network.batch`) and falls

@@ -60,7 +60,7 @@ from typing import Any, Dict, Optional, Sequence
 
 from .adversary.generators import hierarchy_random_destinations
 from .analysis.tables import format_kv, format_table
-from .api import ScenarioSpec, Session, reports_to_table
+from .api import ScenarioSpec, Session, SpecError, reports_to_table
 from .api.builder import Scenario
 from .core import bounds
 from .experiments.figures import render_figure1, trajectory_table
@@ -69,9 +69,17 @@ from .network.errors import ReproError
 
 __all__ = ["main", "build_parser"]
 
-#: Algorithms selectable from the command line, with the workload family each
-#: one is paired with by default.
-ALGORITHMS = ("pts", "ppts", "hpts", "local", "downhill", "greedy")
+#: Algorithms selectable from the command line, with the ``--workload``
+#: kinds each one accepts; the first kind is its default.
+WORKLOAD_KINDS = {
+    "pts": ("stress", "random"),
+    "ppts": ("round_robin", "nested", "random"),
+    "hpts": ("hierarchy", "random"),
+    "local": ("stress", "random"),
+    "downhill": ("stress", "random"),
+    "greedy": ("round_robin", "nested", "random"),
+}
+ALGORITHMS = tuple(WORKLOAD_KINDS)
 
 
 class _StoreExplicit(argparse.Action):
@@ -418,14 +426,28 @@ def _finish_spec(
     return scenario.build()
 
 
+def _workload_kind(args: argparse.Namespace) -> str:
+    """The workload kind to build: ``--workload`` if the algorithm accepts
+    it, the algorithm's default when it is not given."""
+    kinds = WORKLOAD_KINDS[args.algorithm]
+    if args.workload is None:
+        return kinds[0]
+    if args.workload not in kinds:
+        raise SpecError(
+            f"--workload {args.workload} does not fit --algorithm "
+            f"{args.algorithm}, which accepts: {', '.join(kinds)}"
+        )
+    return args.workload
+
+
 def _build_spec(args: argparse.Namespace) -> ScenarioSpec:
     """Map the flat command-line options onto a declarative scenario spec."""
+    kind = _workload_kind(args)
     if args.algorithm == "hpts":
         if args.levels < 1:
             raise ReproError(f"--levels must be >= 1, got {args.levels}")
         branching = max(2, round(args.nodes ** (1.0 / args.levels)))
         num_nodes = branching**args.levels
-        kind = args.workload if args.workload in ("hierarchy", "random") else "hierarchy"
         rho = args.rho if args.rho_explicit else 1.0 / args.levels
         scenario = Scenario.line(num_nodes).algorithm(
             "hpts", levels=args.levels, branching=branching, rho=rho
@@ -445,7 +467,6 @@ def _build_spec(args: argparse.Namespace) -> ScenarioSpec:
         return _finish_spec(scenario, f"hierarchy/{kind}", args.seed)
 
     if args.algorithm in ("pts", "local", "downhill"):
-        kind = args.workload if args.workload in ("stress", "random") else "stress"
         scenario = Scenario.line(args.nodes)
         if args.algorithm == "pts":
             scenario.algorithm("pts")
@@ -460,11 +481,6 @@ def _build_spec(args: argparse.Namespace) -> ScenarioSpec:
         return _finish_spec(scenario, f"single-dest/{kind}", args.seed)
 
     # ppts / greedy share the multi-destination line setting.
-    kind = (
-        args.workload
-        if args.workload in ("round_robin", "nested", "random")
-        else "round_robin"
-    )
     scenario = Scenario.line(args.nodes)
     if args.algorithm == "greedy":
         scenario.algorithm("greedy", policy=args.policy)

@@ -5,9 +5,8 @@ module; today every execution path funnels into
 :class:`repro.api.session.Session`.  :func:`run_workload` wraps one
 ``(workload, algorithm factory)`` pair as a :class:`repro.api.PreparedRun`
 and :func:`sweep` batches the cartesian product through
-:meth:`Session.run_many` (pass ``max_workers`` to fan the sweep out over a
-thread pool).  The row type (:class:`ExperimentRow`) and table helpers are
-unchanged, so existing callers keep working verbatim.
+:meth:`Session.run_many`, in order.  The row type (:class:`ExperimentRow`)
+and table helpers are unchanged, so existing callers keep working verbatim.
 """
 
 from __future__ import annotations
@@ -119,20 +118,14 @@ def sweep(
     *,
     record_history: bool = False,
     drain: bool = True,
-    max_workers: Optional[int] = 0,
 ) -> List[ExperimentRow]:
-    """Cartesian product of workloads and algorithms, one row per pair.
-
-    ``max_workers=0`` (default) runs sequentially, exactly as before; any
-    other value fans the batch out over :meth:`Session.run_many`'s thread
-    pool.
-    """
+    """Cartesian product of workloads and algorithms, one row per pair."""
     prepared = [
         _prepare(workload, factory, record_history=record_history, drain=drain)
         for workload in workloads
         for _, factory in algorithm_factories.items()
     ]
-    reports = Session().run_many(prepared, max_workers=max_workers)
+    reports = Session().run_many(prepared)
     return [_report_to_row(report, keep_result=False) for report in reports]
 
 

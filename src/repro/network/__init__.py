@@ -13,7 +13,7 @@ from .errors import (
 )
 from .events import HistoryPolicy, OccupancyTimeline, RoundRecord, SimulationResult
 from .forest import ForestTopology, forest_of
-from .sharded import ExecutionPolicy, plan_segments, run_sharded
+from .sharded import plan_segments, run_sharded
 from .simulator import Simulator, run_simulation
 from .topology import (
     LineTopology,
@@ -35,7 +35,6 @@ __all__ = [
     "ShardingProtocolError",
     "TopologyError",
     "UnshardableScenarioError",
-    "ExecutionPolicy",
     "plan_segments",
     "run_sharded",
     "HistoryPolicy",

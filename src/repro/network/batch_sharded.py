@@ -1,28 +1,21 @@
 """Batch×sharded: the flat-array batch kernel driven as a segment engine.
 
-:class:`BatchSegmentSimulator` composes PR 9's fused batch kernel with the
-sharded superstep protocol: each worker advances its contiguous segment
-``[lo, hi]`` of the line on flat int64 state, and the only cross-segment
-facts exchanged per round are (a) a tiny *boundary view* — the prefix's
-leftmost/rightmost bad buffer, whether any suffix buffer is bad, the right
-neighbour's first load — and (b) at most one columnar packet hand-off per
-boundary (the fused scan's carry travels exactly one hop per round, so at
-most one row crosses each segment edge each round).
+:class:`BatchSegmentSimulator` drives the fused batch kernel as a segment
+engine: each worker advances its contiguous segment ``[lo, hi]`` of the line
+on flat int64 state, and the only cross-segment facts exchanged per round
+are (a) a tiny *boundary view* — the prefix's leftmost/rightmost bad buffer,
+whether any suffix buffer is bad, the right neighbour's first load — and (b)
+at most one columnar packet hand-off per boundary (the fused scan's carry
+travels exactly one hop per round, so at most one row crosses each segment
+edge each round).
 
-The engine exposes two drive modes over the same per-round internals
-(:meth:`_begin` / :meth:`_scan` / :meth:`_ingest` / :meth:`_close`):
-
-* **relay mode** — the three-phase superstep
-  (:meth:`begin_round` / :meth:`select_round` / :meth:`finish_round`) that
-  the coordinator in :mod:`repro.network.sharded` drives over either
-  transport.  This is the portable fallback and what the ``"local"``
-  transport uses.
-* **window mode** — :meth:`run_window` free-runs ``k`` rounds, exchanging
-  the per-round boundary facts directly with neighbour workers through
-  :class:`~repro.network.shm.BoundaryRing` shared-memory rings instead of
-  coordinator pipes.  Rounds pipeline along the line as a wavefront: worker
-  ``i`` can be scanning round ``t`` while worker ``i+1`` is still finishing
-  ``t-1`` — there is no global barrier inside a window.
+:meth:`run_window` free-runs ``k`` rounds — each one :meth:`_begin`,
+:meth:`_scan`, :meth:`_ingest`, :meth:`_close` — exchanging the per-round
+boundary facts directly with neighbour workers through
+:class:`~repro.network.shm.BoundaryRing` shared-memory rings.  Rounds
+pipeline along the line as a wavefront: worker ``i`` can be scanning round
+``t`` while worker ``i+1`` is still finishing ``t-1`` — there is no global
+barrier inside a window.
 
 Equivalence to the single-process fused scan (the differential suite in
 ``tests/test_batch_sharded_differential.py`` proves it bit for bit):
@@ -96,8 +89,8 @@ class BatchSegmentSimulator(BatchSimulator):
     Built on the *full* topology and algorithm (same index structures and
     bound parameters as the single-process engines) with a
     :class:`~repro.adversary.segmented.SegmentFilteredAdversary`; only nodes
-    in ``[lo, hi]`` ever hold rows.  The round loop is driven externally —
-    through the superstep phases or through :meth:`run_window`.
+    in ``[lo, hi]`` ever hold rows.  The round loop is driven externally,
+    one :meth:`run_window` at a time.
     """
 
     __slots__ = ()
@@ -121,7 +114,7 @@ class BatchSegmentSimulator(BatchSimulator):
         self._moves: Tuple[int, int] = (0, 0)
         #: Flat log of every ingested hand-off, 6 words per entry
         #: (round, pid, src, dst, injr, arr) — the property suite compares
-        #: this trace byte-for-byte across transports.
+        #: this trace byte-for-byte across window lengths.
         self._handoff_trace = array("q")
         self._kernel_ready = False
         #: Segment-filtered object-free injection rows (fast path).
@@ -161,7 +154,7 @@ class BatchSegmentSimulator(BatchSimulator):
 
     @property
     def needs_reverse_lane(self) -> bool:
-        """Whether window mode needs the right-to-left boundary lane.
+        """Whether the windows need the right-to-left boundary lane.
 
         Downhill decisions read the right neighbour's first load; a
         work-conserving PTS segment must know whether *any* suffix buffer is
@@ -202,13 +195,11 @@ class BatchSegmentSimulator(BatchSimulator):
             while history and history[-1].round >= round_number:
                 history.pop()
 
-    # -- per-round internals (shared by relay phases and window mode) ---------------
+    # -- per-round internals ---------------------------------------------------------
 
-    def _begin(
-        self, round_number: int, inject: bool
-    ) -> Tuple[Dict[str, Any], int]:
-        """Injection + ``L^t`` measurement + boundary view.  Returns
-        ``(view, injected)`` and stashes the round scratch for _close."""
+    def _begin(self, round_number: int, inject: bool) -> Dict[str, Any]:
+        """Injection + ``L^t`` measurement + boundary view.  Returns the
+        view and stashes the round scratch for _close."""
         injected = 0
         if inject:
             fast = self._seg_fast_rows
@@ -303,7 +294,7 @@ class BatchSegmentSimulator(BatchSimulator):
                 while occ[node] < threshold:
                     node -= 1
                 view["rightmost_bad"] = node
-        return view, injected
+        return view
 
     def _scan(
         self,
@@ -603,54 +594,7 @@ class BatchSegmentSimulator(BatchSimulator):
             )
         self._round = round_number + 1
 
-    # -- relay mode: coordinator-driven superstep phases ----------------------------
-
-    def begin_round(self, round_number: int, *, inject: bool) -> Dict[str, Any]:
-        self.ensure_kernel()
-        view, _injected = self._begin(round_number, inject)
-        return {"view": view}
-
-    def select_round(
-        self, round_number: int, views: Sequence[Dict[str, Any]]
-    ) -> Dict[str, Any]:
-        index = self.segment_index
-        prefix_leftmost = -1
-        prefix_rightmost = -1
-        for j in range(index):
-            view = views[j]
-            if prefix_leftmost < 0 and view["leftmost_bad"] >= 0:
-                prefix_leftmost = view["leftmost_bad"]
-            if view["rightmost_bad"] >= 0:
-                prefix_rightmost = view["rightmost_bad"]
-        suffix_any_bad = any(
-            views[j]["any_bad"] for j in range(index + 1, len(views))
-        )
-        right_first_load = (
-            views[index + 1]["first_load"]
-            if index + 1 < len(views)
-            else 0
-        )
-        block, forwarded, delivered = self._scan(
-            round_number, prefix_leftmost, prefix_rightmost,
-            suffix_any_bad, right_first_load,
-        )
-        self._moves = (forwarded, delivered)
-        handoff = None if block is None else {"block": array("q", block)}
-        return {
-            "handoff": handoff,
-            "forwarded": forwarded,
-            "delivered": delivered,
-        }
-
-    def finish_round(
-        self, round_number: int, handoff_in: Optional[Dict[str, array]]
-    ) -> Dict[str, Any]:
-        block = tuple(handoff_in["block"]) if handoff_in else None
-        self._ingest(round_number, block)
-        self._close(round_number)
-        return {"pending": self._stored}
-
-    # -- window mode: free-running rounds over shared-memory rings ------------------
+    # -- windows: free-running rounds over shared-memory rings ----------------------
 
     def run_window(
         self,
@@ -684,8 +628,8 @@ class BatchSegmentSimulator(BatchSimulator):
             if faults is not None:
                 directive = faults.get(round_number)
                 if directive is not None and fault_hook is not None:
-                    fault_hook(directive, round_number)
-            view, _injected = self._begin(round_number, inject)
+                    fault_hook(directive)
+            view = self._begin(round_number, inject)
             suffix_any_bad = False
             right_first_load = 0
             if self.needs_reverse_lane:

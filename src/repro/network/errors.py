@@ -174,7 +174,7 @@ class UnshardableScenarioError(ShardingError):
 
 
 class ShardingProtocolError(ShardingError):
-    """Raised when the coordinator/worker superstep protocol breaks down.
+    """Raised when the coordinator/worker window protocol breaks down.
 
     Examples: a worker process died mid-run, a reply arrived for the wrong
     round, or the per-segment engines disagree on the round counter.
@@ -203,7 +203,7 @@ class WorkerFailedError(ShardingProtocolError):
     the whole run.  The attributes identify which worker failed and where,
     so both the recovery machinery and the final diagnostics can act on it.
 
-    Raised for transport-level failures only (worker process exited, no
+    Raised for worker-level failures only (worker process exited, no
     heartbeat within ``heartbeat_timeout``, send retries exhausted).  A
     *logic* error raised inside a worker is forwarded as its original typed
     exception and is never retried — it would recur deterministically.

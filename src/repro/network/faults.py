@@ -4,11 +4,18 @@ Chaos testing is only useful when a failing run can be replayed exactly, so
 faults here are *data*, not monkey-patching: a :class:`FaultPlan` is a frozen,
 JSON-serializable list of :class:`FaultEvent` records ("crash worker 1 at
 round 7 during the select phase", "drop the next two sends to worker 0",
-"slow worker 2 by 300 ms").  The plan travels through
-:class:`~repro.network.sharded.ExecutionPolicy` — never through the
-:class:`~repro.api.specs.ScenarioSpec` — so a chaos run and its fault-free
-twin share byte-identical specs, spec hashes and checkpoint headers.  That is
-what lets the differential recovery suite compare them bit for bit.
+"slow worker 2 by 300 ms").  The plan travels as the ``faults`` argument of
+:func:`~repro.network.sharded.run_sharded` (and ``Session.run``) — never
+through the :class:`~repro.api.specs.ScenarioSpec` — so a chaos run and its
+fault-free twin share byte-identical specs, spec hashes and checkpoint
+headers.  That is what lets the differential recovery suite compare them bit
+for bit.
+
+Workers run ``batch_rounds``-round windows, so a window carries the
+``begin`` / ``select`` / ``finish`` events of its rounds merged into one
+directive per round, fired at the start of that round: delays add up, and a
+crash in any of the three phases crashes the round.  ``checkpoint`` events
+fire when the worker takes its periodic snapshot.
 
 Plans can be written by hand, loaded from JSON (``FaultPlan.from_json``) or
 drawn reproducibly from a seed (``FaultPlan.sample``), which uses
@@ -16,8 +23,8 @@ drawn reproducibly from a seed (``FaultPlan.sample``), which uses
 
 The mutable side lives in :class:`FaultInjector`: the coordinator consults it
 once per (round, segment, phase) edge.  Crash/slow events fire exactly once
-and stay fired across recovery respawns (a replayed superstep must not
-re-kill the replacement worker); drop events hold a token count that each
+and stay fired across recovery respawns (a replayed round must not re-kill
+the replacement worker); drop events hold a token count that each
 simulated send failure decrements.
 """
 
@@ -39,15 +46,15 @@ __all__ = [
     "FaultInjector",
 ]
 
-#: Supported failure modes.  ``crash`` kills the worker (hard process exit on
-#: the process transport), ``slow`` delays the worker before it serves the
-#: phase (tripping ``heartbeat_timeout`` when the delay exceeds it), and
-#: ``drop`` makes the coordinator's next ``count`` sends to the worker fail,
-#: exercising the bounded retry-with-backoff path.
+#: Supported failure modes.  ``crash`` kills the worker (a hard process
+#: exit), ``slow`` delays the worker before it serves the phase (tripping
+#: ``heartbeat_timeout`` when the delay exceeds it), and ``drop`` makes the
+#: coordinator's next ``count`` sends to the worker fail, exercising the
+#: bounded retry-with-backoff path.
 FAULT_KINDS = ("crash", "slow", "drop")
 
-#: Superstep phases a fault can target; ``checkpoint`` covers the periodic
-#: per-segment snapshot command between supersteps.
+#: Per-round phases a fault can target; ``checkpoint`` covers the periodic
+#: per-segment snapshot command between windows.
 FAULT_PHASES = ("begin", "select", "finish", "checkpoint")
 
 #: Job-lifecycle phases the service layer (:mod:`repro.service`) targets
@@ -88,7 +95,7 @@ class FaultEvent:
             )
         if self.phase not in FAULT_PHASES and self.phase not in SERVICE_FAULT_PHASES:
             raise ConfigurationError(
-                f"unknown fault phase {self.phase!r}; expected a superstep "
+                f"unknown fault phase {self.phase!r}; expected a per-round "
                 f"phase {list(FAULT_PHASES)} or a service job-lifecycle "
                 f"phase {list(SERVICE_FAULT_PHASES)}"
             )
@@ -158,11 +165,10 @@ class FaultEvent:
 class FaultPlan:
     """An immutable, replayable schedule of injected failures.
 
-    Plans are hashable (they ride inside the frozen
-    :class:`~repro.network.sharded.ExecutionPolicy`) and round-trip through
-    JSON unchanged, so a chaos run can be attached to a bug report and
-    replayed byte-identically.  ``seed`` records provenance when the plan was
-    drawn by :meth:`sample`; it does not affect execution.
+    Plans are hashable and round-trip through JSON unchanged, so a chaos run
+    can be attached to a bug report and replayed byte-identically.  ``seed``
+    records provenance when the plan was drawn by :meth:`sample`; it does
+    not affect execution.
     """
 
     events: Tuple[FaultEvent, ...] = ()
@@ -283,7 +289,7 @@ class FaultInjector:
     Lives in the coordinator (one per run, surviving recovery attempts) and
     is consulted at every (round, segment, phase) edge.  Crash and slow
     events are consumed the first time their coordinate is reached — a
-    recovered run that replays the same superstep does not re-fire them.
+    recovered run that replays the same round does not re-fire them.
     Drop events expose per-event token counts through :meth:`drop_next_send`.
     """
 

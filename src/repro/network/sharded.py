@@ -4,9 +4,9 @@ The single-process engine tops out at one core.  This module splits a
 :class:`~repro.network.topology.LineTopology` scenario into ``k`` contiguous
 segments and runs one
 :class:`~repro.network.batch_sharded.BatchSegmentSimulator` — the batch
-kernel restricted to its segment — per worker, so the combined execution is
-**bit-identical** to the single-process run (the differential suites in
-``tests/test_batch_sharded_differential.py`` and
+kernel restricted to its segment — per forked worker process, so the
+combined execution is **bit-identical** to the single-process run (the
+differential suites in ``tests/test_batch_sharded_differential.py`` and
 ``tests/test_sharded_differential.py`` prove it against the delta oracle).
 The batch kernel is the only segment engine, and its segment scans cover
 only its regular family.  PPTS and HPTS (the kernel's pseudo-buffer kind),
@@ -16,22 +16,15 @@ adversary), or a policy that does not ask for the kernel (``engine``
 :class:`~repro.network.errors.UnshardableScenarioError`; the first and the
 last before any worker process or shared-memory ring exists.
 
-Workers advance in one of two modes (see ``docs/SHARDING.md``):
-
-* **relay** — one *superstep* per simulated round, driven by the
-  coordinator over the transport: **begin** (inject this segment's sources —
-  each worker drives the *full* row stream through its own packet-id
-  allocator and keeps only its own sources, see
-  :class:`~repro.adversary.segmented.SegmentFilteredAdversary` — measure
-  ``L^t`` and publish a tiny boundary view), **select** (scan the segment
-  with the merged prefix/suffix facts; at most one packet crosses the right
-  edge as a columnar hand-off block) and **finish** (ingest the left
-  neighbour's hand-off and close the round).  The ``"local"`` transport and
-  the pipe fallback use it.
-* **window** — on the process transport with shared memory, every worker
-  free-runs ``batch_rounds``-round windows and exchanges the same per-round
-  boundary facts with its neighbours through
-  :class:`~repro.network.shm.BoundaryRing` rings.
+Workers free-run ``batch_rounds``-round windows and exchange the per-round
+boundary facts with their neighbours through
+:class:`~repro.network.shm.BoundaryRing` shared-memory rings (see
+``docs/SHARDING.md``).  Each worker drives the *full* injection row stream
+through its own packet-id allocator and keeps only its own sources (see
+:class:`~repro.adversary.segmented.SegmentFilteredAdversary`).  A host where
+the rings cannot be created refuses the run with
+:class:`~repro.network.errors.UnshardableScenarioError`: run it with
+``shards=1``.
 
 The coordinator mirrors the single-process drain loop (same caps, same
 quiescence window, fed by globally summed per-round counters), merges the
@@ -41,20 +34,15 @@ stitches them into a single global checkpoint file
 (:func:`repro.checkpoint.stitch_checkpoints`) that a plain single-process
 ``Session.resume`` continues bit-identically.
 
-Two transports share all of the above: ``"processes"`` (the default — one OS
-process per segment; this is what actually buys multi-core wall-clock) and
-``"local"`` (same workers, same protocol, driven in-process — deterministic,
-fork-free, and what most of the differential test matrix uses).
-
 **Supervision and recovery.**  The coordinator doubles as a worker
-supervisor: every phase reply is awaited under ``RunPolicy.heartbeat_timeout``
-(process transport), transport sends retry with bounded backoff, and a worker
-that dies, hangs or stops answering escalates as the typed
+supervisor: every reply is awaited under ``RunPolicy.heartbeat_timeout``,
+sends retry with bounded backoff, and a worker that dies, hangs or stops
+answering escalates as the typed
 :class:`~repro.network.errors.WorkerFailedError`.  What happens next is
 ``RunPolicy.recovery``'s call: ``"fail"`` (default) propagates immediately;
 ``"restart"`` tears every worker down, respawns the full set from the last
-consistent per-segment checkpoint cut and replays the superstep loop from
-that round; ``"fold"`` merges the orphaned segment into a neighbouring
+consistent per-segment checkpoint cut and replays the windows from that
+round; ``"fold"`` merges the orphaned segment into a neighbouring
 worker (restitching the pair's snapshots via
 :func:`repro.checkpoint.stitch_checkpoints`) and continues on ``k - 1``
 segments.  Because recovery always resumes from checkpoints that are proven
@@ -67,13 +55,11 @@ that, driven by the deterministic fault plans of
 
 from __future__ import annotations
 
-import contextvars
 import multiprocessing
 import os
 import pickle
 import time
 from collections import deque
-from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -96,8 +82,8 @@ from .errors import (
     WorkerFailedError,
 )
 from .events import RoundRecord, SimulationResult
-from .faults import FAULT_PHASES, FaultInjector, FaultPlan
-from .shm import BoundaryRing, shared_memory_available
+from .faults import FaultInjector, FaultPlan
+from .shm import BoundaryRing
 from .simulator import DrainStop
 from .topology import LineTopology
 
@@ -105,7 +91,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..api.specs import ScenarioSpec
 
 __all__ = [
-    "ExecutionPolicy",
     "plan_segments",
     "run_sharded",
 ]
@@ -115,92 +100,18 @@ __all__ = [
 #: (no unwind, no pickled traceback, just a dead pipe).
 _CRASH_EXIT_CODE = 70
 
-#: The superstep phases a window merges into one per-round directive, in
-#: the order the relay path sends them.
+#: The per-round phases a fault plan can name, in round order.  A window
+#: merges them into one directive fired at the start of the round.
 _WINDOW_PHASES = ("begin", "select", "finish")
+
+#: Bounded retry-with-backoff on supervised sends: attempts past the first
+#: before a send that keeps failing marks the worker failed, and the linear
+#: backoff step in seconds.
+_MAX_RETRIES = 2
+_RETRY_BACKOFF = 0.01
 
 #: perfbench/tracing.py reads this name; remove with the next benchmark change.
 SegmentSimulator = BatchSegmentSimulator
-
-
-@dataclass(frozen=True)
-class ExecutionPolicy:
-    """How a sharded run is executed (engine-level, not part of the spec).
-
-    ``shards`` is the requested segment count (clamped to the line length —
-    ``shards > n`` degrades to one node per worker rather than failing);
-    ``transport`` picks worker processes (``"processes"``) or the in-process
-    protocol driver (``"local"``).
-
-    The remaining knobs configure the supervisor.  ``faults`` threads a
-    deterministic :class:`~repro.network.faults.FaultPlan` through the run —
-    it lives here, *not* in the :class:`~repro.api.specs.ScenarioSpec`, so a
-    chaos run and its fault-free twin share identical specs, spec hashes and
-    checkpoint headers.  ``max_retries`` / ``retry_backoff`` bound the
-    retry-with-backoff loop on transport sends.  ``clock`` is an injectable
-    monotonic time source (e.g. ``time.perf_counter``) used only to measure
-    ``recovery_time_s`` for the perf harness; the engine itself never reads
-    wall-clock time, so results stay deterministic with or without one.
-
-    ``shm`` governs the batch×shards boundary transport: ``None`` (default)
-    probes shared memory and uses it when available, ``True`` requires it
-    (failing loudly instead of silently degrading), ``False`` forces the
-    pickled-pipe relay path.  Block *contents* are transport-independent, so
-    the knob can never change results — only wall-clock.
-    """
-
-    shards: int = 1
-    transport: str = "processes"
-    faults: Optional[FaultPlan] = None
-    max_retries: int = 2
-    retry_backoff: float = 0.01
-    clock: Optional[Callable[[], float]] = None
-    shm: Optional[bool] = None
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.shards, int) or self.shards < 1:
-            raise UnshardableScenarioError(
-                f"shards must be an int >= 1, got {self.shards!r}"
-            )
-        if self.transport not in ("processes", "local"):
-            raise UnshardableScenarioError(
-                f"transport must be 'processes' or 'local', got {self.transport!r}"
-            )
-        if self.faults is not None and not isinstance(self.faults, FaultPlan):
-            raise UnshardableScenarioError(
-                f"faults must be None or a FaultPlan, got "
-                f"{type(self.faults).__name__}"
-            )
-        if (
-            not isinstance(self.max_retries, int)
-            or isinstance(self.max_retries, bool)
-            or self.max_retries < 0
-        ):
-            raise UnshardableScenarioError(
-                f"max_retries must be an int >= 0, got {self.max_retries!r}"
-            )
-        if (
-            not isinstance(self.retry_backoff, (int, float))
-            or isinstance(self.retry_backoff, bool)
-            or self.retry_backoff < 0
-        ):
-            raise UnshardableScenarioError(
-                f"retry_backoff must be >= 0 seconds, got {self.retry_backoff!r}"
-            )
-        if self.clock is not None and not callable(self.clock):
-            raise UnshardableScenarioError(
-                f"clock must be None or a zero-argument callable returning "
-                f"seconds, got {self.clock!r}"
-            )
-        if self.shm is not None and not isinstance(self.shm, bool):
-            raise UnshardableScenarioError(
-                f"shm must be None (auto), True or False, got {self.shm!r}"
-            )
-        if self.shm is True and self.transport != "processes":
-            raise UnshardableScenarioError(
-                "shm=True requires transport='processes': the in-process "
-                "driver has no worker boundary to put a ring across"
-            )
 
 
 def plan_segments(num_nodes: int, shards: int) -> List[Tuple[int, int]]:
@@ -224,8 +135,29 @@ def plan_segments(num_nodes: int, shards: int) -> List[Tuple[int, int]]:
 
 
 # ---------------------------------------------------------------------------
-# Worker wrapper (shared by both transports)
+# Worker wrapper
 # ---------------------------------------------------------------------------
+
+
+def _apply_fault(fault: Dict[str, Any]) -> None:
+    """Act out an injected fault directive inside a worker process.
+
+    A crash is ``os._exit``, so it looks exactly like a SIGKILL'd worker.
+    """
+    delay = fault.get("delay", 0.0)
+    if delay > 0:
+        time.sleep(delay)
+    if fault.get("crash"):
+        os._exit(_CRASH_EXIT_CODE)
+
+
+def _no_rings(error: BaseException) -> UnshardableScenarioError:
+    """The refusal for a host where the boundary rings cannot be set up."""
+    return UnshardableScenarioError(
+        f"sharded execution exchanges boundary facts through shared-memory "
+        f"rings, which this host cannot provide ({type(error).__name__}: "
+        f"{error}); run with shards=1"
+    )
 
 
 class _SegmentWorker:
@@ -236,7 +168,7 @@ class _SegmentWorker:
     :func:`repro.checkpoint.restore_into` before serving commands — the same
     restore machinery the resume differential suites prove bit-identical.
     The worker must be built inside a fresh packet-id scope for the restore
-    to renumber correctly (both transports guarantee that).
+    to renumber correctly (:func:`_process_worker_main` opens one).
     """
 
     def __init__(
@@ -282,10 +214,6 @@ class _SegmentWorker:
                 f"sharded execution runs only the batch kernel, which "
                 f"refuses this scenario ({refusal}); run with shards=1"
             ) from refusal
-        #: Whether an injected crash fault should kill the whole process
-        #: (``os._exit``) instead of raising; set by the process transport so
-        #: a chaos crash is indistinguishable from a real worker death.
-        self._hard_crash = False
         if restore_path is not None:
             from ..checkpoint import load_checkpoint, restore_into
 
@@ -293,8 +221,8 @@ class _SegmentWorker:
         # Load the flat kernel after any checkpoint restore so it projects
         # the restored object state, not the empty line.
         self.simulator.ensure_kernel()
-        #: Shared-memory boundary rings attached for window mode, keyed as
-        #: in the coordinator's "rings" payload.
+        #: Shared-memory boundary rings, keyed as in the coordinator's
+        #: "rings" payload.
         self._rings: Dict[str, Any] = {}
 
     def init_info(self) -> Dict[str, Any]:
@@ -306,19 +234,7 @@ class _SegmentWorker:
     def dispatch(self, command: str, payload: Dict[str, Any]) -> Dict[str, Any]:
         fault = payload.get("fault")
         if fault is not None:
-            self._apply_fault(fault, command)
-        if command == "begin":
-            return self.simulator.begin_round(
-                payload["round"], inject=payload["inject"]
-            )
-        if command == "select":
-            return self.simulator.select_round(
-                payload["round"], payload["views"]
-            )
-        if command == "finish":
-            return self.simulator.finish_round(
-                payload["round"], payload["handoff"]
-            )
+            _apply_fault(fault)
         if command == "window":
             return self._run_window(payload)
         if command == "rings":
@@ -344,7 +260,10 @@ class _SegmentWorker:
     def _attach_rings(self, names: Dict[str, str]) -> None:
         """Attach the coordinator-created boundary rings this worker uses."""
         for key, name in names.items():
-            self._rings[key] = BoundaryRing(name=name)
+            try:
+                self._rings[key] = BoundaryRing(name=name)
+            except (OSError, ValueError) as error:
+                raise _no_rings(error) from error
 
     def _run_window(self, payload: Dict[str, Any]) -> Dict[str, Any]:
         """Free-run one k-round window over the shared-memory lanes."""
@@ -358,12 +277,9 @@ class _SegmentWorker:
             right_in=rings.get("right_in"),
             left_out=rings.get("left_out"),
             faults=payload.get("faults"),
-            fault_hook=self._window_fault_hook,
+            fault_hook=_apply_fault,
             ring_timeout=payload.get("ring_timeout", 60.0),
         )
-
-    def _window_fault_hook(self, fault: Dict[str, Any], round_number: int) -> None:
-        self._apply_fault(fault, f"round {round_number}")
 
     def close_rings(self) -> None:
         for ring in self._rings.values():
@@ -372,21 +288,6 @@ class _SegmentWorker:
             except (OSError, BufferError):  # pragma: no cover - best-effort
                 pass
         self._rings = {}
-
-    def _apply_fault(self, fault: Dict[str, Any], command: str) -> None:
-        """Act out an injected fault directive shipped with a phase command."""
-        delay = fault.get("delay", 0.0)
-        if delay > 0:
-            time.sleep(delay)
-        if fault.get("crash"):
-            if self._hard_crash:
-                os._exit(_CRASH_EXIT_CODE)
-            raise WorkerFailedError(
-                f"injected crash in segment worker "
-                f"{self.simulator.segment_index} during {command!r}",
-                segment=self.simulator.segment_index,
-                phase=command,
-            )
 
     def _result_payload(self) -> Dict[str, Any]:
         simulator = self.simulator
@@ -418,50 +319,8 @@ class _SegmentWorker:
 
 
 # ---------------------------------------------------------------------------
-# Transports
+# Worker processes
 # ---------------------------------------------------------------------------
-
-
-class _LocalHandle:
-    """In-process worker: same protocol, no pipes, per-worker id context."""
-
-    def __init__(
-        self, spec_payload, segment_index, segments, restore_path=None
-    ) -> None:
-        self.segment_index = segment_index
-        self._context = contextvars.copy_context()
-
-        def build() -> _SegmentWorker:
-            # Enter a fresh packet-id scope that lives as long as this
-            # context does — each in-process worker numbers the full schedule
-            # independently, exactly like a worker process would.
-            packet_id_scope().__enter__()
-            return _SegmentWorker(
-                spec_payload, segment_index, segments, restore_path
-            )
-
-        self._worker = self._context.run(build)
-        self.init_payload = self._worker.init_info()
-        self._reply: Optional[Dict[str, Any]] = None
-
-    def send(self, command: str, payload: Dict[str, Any]) -> None:
-        self._reply = self._context.run(self._worker.dispatch, command, payload)
-
-    def recv(self, timeout: Optional[float] = None) -> Dict[str, Any]:
-        # ``timeout`` is accepted for handle-interface parity; dispatch ran
-        # synchronously in send(), so an in-process worker can never hang
-        # (injected ``slow`` faults just make send() itself take longer).
-        reply, self._reply = self._reply, None
-        if reply is None:
-            raise ShardingProtocolError("recv() before send() on local worker")
-        return reply
-
-    def kill(self) -> None:
-        self._worker = None
-        self._reply = None
-
-    def close(self) -> None:
-        self._worker = None
 
 
 def _process_worker_main(
@@ -473,7 +332,6 @@ def _process_worker_main(
             worker = _SegmentWorker(
                 spec_payload, segment_index, segments, restore_path
             )
-            worker._hard_crash = True
             connection.send(("ok", worker.init_info()))
             while True:
                 try:
@@ -487,7 +345,7 @@ def _process_worker_main(
                 connection.send(("ok", worker.dispatch(command, payload)))
     except BaseException as error:  # noqa: BLE001 - forwarded to coordinator
         # The pipe is the only channel out of this process; the coordinator's
-        # _recv_checked re-raises whatever arrives, so forwarding is not
+        # _ProcessHandle.recv re-raises whatever arrives, so forwarding is not
         # swallowing.  A worker that cannot forward re-raises instead: its
         # nonzero exit code is then reported by _ProcessHandle.close().
         try:
@@ -525,7 +383,7 @@ class _ProcessHandle:
         self._process.start()
         child_conn.close()
         try:
-            self.init_payload = self._recv_checked()
+            self.init_payload = self.recv()
         except BaseException:
             # A worker that refused its scenario has already exited; reap it
             # so a refused run leaves no process behind.
@@ -542,9 +400,6 @@ class _ProcessHandle:
             ) from error
 
     def recv(self, timeout: Optional[float] = None) -> Dict[str, Any]:
-        return self._recv_checked(timeout)
-
-    def _recv_checked(self, timeout: Optional[float] = None) -> Dict[str, Any]:
         if timeout is not None:
             try:
                 ready = self._conn.poll(timeout)
@@ -621,14 +476,9 @@ class _ProcessHandle:
         return problem
 
 
-def _spawn_workers(transport, spec_payload, segments, restore_paths=None):
+def _spawn_workers(spec_payload, segments, restore_paths=None):
     if restore_paths is None:
         restore_paths = [None] * len(segments)
-    if transport == "local":
-        return [
-            _LocalHandle(spec_payload, index, segments, restore_paths[index])
-            for index in range(len(segments))
-        ]
     methods = multiprocessing.get_all_start_methods()
     # fork is dramatically cheaper than spawn (no interpreter + import replay
     # per worker) and the coordinator is single-threaded at spawn time.
@@ -657,9 +507,9 @@ def _spawn_workers(transport, spec_payload, segments, restore_paths=None):
 
 
 class _ShardedCoordinator:
-    """Drives the superstep loop, supervises the workers and merges results.
+    """Drives the window loop, supervises the workers and merges results.
 
-    The coordinator is also the supervisor: every transport operation runs
+    The coordinator is also the supervisor: every worker command runs
     through :meth:`_send` / :meth:`_recv` (fault directives, bounded retry,
     heartbeat timeout), and :meth:`run` wraps the whole attempt in a
     recovery loop — a :class:`WorkerFailedError` tears all workers down and,
@@ -668,7 +518,13 @@ class _ShardedCoordinator:
     orphaned segment into a neighbour (``"fold"``) before retrying.
     """
 
-    def __init__(self, spec: "ScenarioSpec", execution: ExecutionPolicy) -> None:
+    def __init__(
+        self,
+        spec: "ScenarioSpec",
+        shards: int,
+        faults: Optional[FaultPlan],
+        clock: Optional[Callable[[], float]],
+    ) -> None:
         from ..api.registry import ALGORITHMS
         from ..api.session import build_topology
 
@@ -687,16 +543,12 @@ class _ShardedCoordinator:
         if spec.algorithm.name in ALGORITHMS:
             check_segment_scan(ALGORITHMS.get(spec.algorithm.name))
         self.spec = spec
-        self.execution = execution
         self.num_nodes = topology.num_nodes
-        self.segments = plan_segments(self.num_nodes, execution.shards)
+        self.segments = plan_segments(self.num_nodes, shards)
         self.handles: List[Any] = []
         self._executed = 0
-        # -- engine and ring state ---------------------------------------------
-        #: Engine-routing telemetry for extras["engine"] (built per attempt,
-        #: which is when the transport is decided).
-        self._engine_info: Optional[Dict[str, Any]] = None
-        #: Coordinator ends of the shared-memory boundary rings (window mode).
+        # -- ring state -----------------------------------------------------------
+        #: Coordinator ends of the shared-memory boundary rings.
         self._rings: List[BoundaryRing] = []
         self._ring_timeout = 60.0
         # -- supervisor configuration ------------------------------------------
@@ -704,10 +556,9 @@ class _ShardedCoordinator:
         self._recovery_mode = policy.recovery
         self._max_restarts = policy.max_worker_restarts
         self._heartbeat_timeout = policy.heartbeat_timeout
-        self._injector = (
-            FaultInjector(execution.faults) if execution.faults else None
-        )
-        self._clock = execution.clock
+        self._faults = faults
+        self._injector = FaultInjector(faults) if faults else None
+        self._clock = clock
         #: ``(round, phase rank, event index)`` of every crash/slow event a
         #: window shipped whose window has not been collected yet.
         self._window_fired: List[Tuple[int, int, int]] = []
@@ -746,8 +597,7 @@ class _ShardedCoordinator:
         policy = self.spec.policy
         spec_payload = self.spec.to_dict()
         self.handles = _spawn_workers(
-            self.execution.transport, spec_payload, self.segments,
-            self._restore_paths,
+            spec_payload, self.segments, self._restore_paths
         )
         infos = [handle.init_payload for handle in self.handles]
         horizon = infos[0]["horizon"]
@@ -756,20 +606,8 @@ class _ShardedCoordinator:
                 raise ShardingProtocolError(
                     "segment workers disagree on the adversary horizon"
                 )
-        self._engine_info = {
-            "requested": policy.engine,
-            "selected": "batch",
-            "fallback_reason": None,
-        }
         num_rounds = policy.rounds if policy.rounds is not None else horizon
-        window_mode = (
-            self.execution.transport == "processes"
-            and self.execution.shm is not False
-            and self._setup_rings(infos, policy)
-        )
-        self._engine_info["transport"] = (
-            "shm" if window_mode else self.execution.transport
-        )
+        self._setup_rings(infos, policy)
 
         start_round = self._resume_round
         pending = 0
@@ -780,23 +618,11 @@ class _ShardedCoordinator:
             # loop below is empty and drain needs real counters.
             status = self._broadcast("status", {}, start_round)
             pending = sum(reply["pending"] for reply in status)
-        if window_mode:
-            pending = self._run_windows(start_round, num_rounds, policy, pending)
-            drained = (
-                self._drain_windows(num_rounds, pending, policy)
-                if policy.drain else pending == 0
-            )
-        else:
-            for round_number in range(start_round, num_rounds):
-                _forwarded, pending = self._superstep(round_number, inject=True)
-                if (
-                    policy.checkpoint_every is not None
-                    and (round_number + 1) % policy.checkpoint_every == 0
-                ):
-                    self._checkpoint(policy.checkpoint_path, round_number + 1)
-            drained = self._drain(
-                num_rounds, pending, policy
-            ) if policy.drain else pending == 0
+        pending = self._run_windows(start_round, num_rounds, policy, pending)
+        drained = (
+            self._drain_windows(num_rounds, pending, policy)
+            if policy.drain else pending == 0
+        )
         result, extras = self._collect(drained)
         # Success path: a worker that crashed or hung at shutdown invalidates
         # the clean-run claim, so close diagnostics escalate.
@@ -825,26 +651,23 @@ class _ShardedCoordinator:
         self.handles = []
         self._release_rings()
 
-    # -- batch×shards window mode -------------------------------------------------
+    # -- windows over the boundary rings ------------------------------------------
 
     def _release_rings(self) -> None:
         for ring in self._rings:
             ring.destroy()
         self._rings = []
 
-    def _setup_rings(self, infos: List[Dict[str, Any]], policy) -> bool:
+    def _setup_rings(self, infos: List[Dict[str, Any]], policy) -> None:
         """Create the boundary rings and ship their names to the workers.
 
-        Returns ``False`` (degrading to the pipe relay path) when shared
-        memory is unavailable and the policy did not *require* it.  One
-        left-to-right ring per segment boundary; the right-to-left lane only
-        when some algorithm decision reads suffix facts (downhill's
-        neighbour load, work-conserving PTS's any-bad flag).
+        One left-to-right ring per segment boundary; the right-to-left lane
+        only when some algorithm decision reads suffix facts (downhill's
+        neighbour load, work-conserving PTS's any-bad flag).  A host that
+        cannot create them refuses the run (:func:`_no_rings`); :meth:`run`
+        then tears the spawned workers down.
         """
-        required = self.execution.shm is True
         boundaries = len(self.handles) - 1
-        if boundaries > 0 and not required and not shared_memory_available():
-            return False
         needs_reverse = any(
             info.get("needs_reverse_lane") for info in infos
         )
@@ -859,16 +682,11 @@ class _ShardedCoordinator:
                 reverse.append(
                     BoundaryRing(capacity=capacity) if needs_reverse else None
                 )
-        except Exception as error:
+        except (OSError, ValueError, ImportError) as error:
             for ring in forward + reverse:
                 if ring is not None:
                     ring.destroy()
-            if required:
-                raise UnshardableScenarioError(
-                    f"ExecutionPolicy.shm=True but shared memory is "
-                    f"unavailable: {error}"
-                ) from error
-            return False
+            raise _no_rings(error) from error
         self._rings = [
             ring for ring in forward + reverse if ring is not None
         ]
@@ -889,14 +707,13 @@ class _ShardedCoordinator:
             self._send(handle, "rings", {"names": names}, 0)
         for handle in self.handles:
             self._recv(handle, "rings", 0)
-        return True
 
     def _window_faults(
         self, t0: int, t1: int, segment: int
     ) -> Optional[Dict[int, Dict[str, Any]]]:
         """Collapse per-phase fault directives into per-round window faults.
 
-        Window mode has no per-round coordinator messages to piggyback
+        A window has no per-round coordinator messages to piggyback
         directives on, so the rounds' begin/select/finish directives merge
         into one directive applied at the start of the round inside the
         worker: delays add up, a crash in any phase crashes the round.
@@ -922,33 +739,37 @@ class _ShardedCoordinator:
                 merged[round_number] = {"crash": crash, "delay": delay}
         return merged or None
 
-    def _window_drops(self, t0: int, t1: int, segment: int) -> None:
-        """Consume drop tokens for the window's phases, with the same bounded
-        retry-with-backoff semantics the per-phase relay path applies."""
-        if self._injector is None:
-            return
-        for round_number in range(t0, t1):
-            for phase in _WINDOW_PHASES:
-                attempts = 0
-                while self._injector.drop_next_send(
-                    round_number, segment, phase
-                ):
-                    attempts += 1
-                    if attempts > self.execution.max_retries:
-                        raise WorkerFailedError(
-                            f"send of {phase!r} to segment worker {segment} "
-                            f"(round {round_number}) still failing after "
-                            f"{self.execution.max_retries} retries",
-                            segment=segment,
-                            round_number=round_number,
-                            phase=phase,
-                        )
-                    if self.execution.retry_backoff > 0:
-                        time.sleep(self.execution.retry_backoff * attempts)
+    def _retry_drops(self, round_number: int, segment: int, phase: str) -> None:
+        """Act out the plan's ``drop`` faults on one send.
+
+        Each matching drop token makes one attempt fail; the supervisor
+        retries with linear backoff up to ``_MAX_RETRIES`` times before
+        escalating the worker as failed.  (A *real* dead pipe raises
+        :class:`WorkerFailedError` from the handle directly — retrying a
+        dead worker cannot help, recovery can.)
+        """
+        attempts = 0
+        while self._injector.drop_next_send(round_number, segment, phase):
+            attempts += 1
+            if attempts > _MAX_RETRIES:
+                raise WorkerFailedError(
+                    f"send of {phase!r} to segment worker {segment} "
+                    f"(round {round_number}) still failing after "
+                    f"{_MAX_RETRIES} retries",
+                    segment=segment,
+                    round_number=round_number,
+                    phase=phase,
+                )
+            time.sleep(_RETRY_BACKOFF * attempts)
 
     def _send_window(self, t0: int, t1: int, *, inject: bool) -> None:
         for handle in self.handles:
-            self._window_drops(t0, t1, handle.segment_index)
+            if self._injector is not None:
+                for round_number in range(t0, t1):
+                    for phase in _WINDOW_PHASES:
+                        self._retry_drops(
+                            round_number, handle.segment_index, phase
+                        )
             payload: Dict[str, Any] = {
                 "t0": t0,
                 "t1": t1,
@@ -982,24 +803,21 @@ class _ShardedCoordinator:
             progressed = False
             for index in list(waiting):
                 handle = self.handles[index]
-                connection = getattr(handle, "_conn", None)
-                if connection is not None:
-                    try:
-                        ready = connection.poll(0.02)
-                    except (OSError, EOFError):
-                        ready = True  # dead pipe: let _recv classify it
-                    if not ready:
-                        if budget is not None:
-                            budget -= 0.02
-                        continue
+                try:
+                    ready = handle._conn.poll(0.02)
+                except (OSError, EOFError):
+                    ready = True  # dead pipe: let _recv classify it
+                if not ready:
+                    if budget is not None:
+                        budget -= 0.02
+                    continue
                 replies[index] = self._recv(handle, "window", t0)
                 waiting.remove(index)
                 progressed = True
             if progressed or not waiting:
                 continue
             for index in waiting:
-                process = getattr(self.handles[index], "_process", None)
-                if process is not None and not process.is_alive():
+                if not self.handles[index]._process.is_alive():
                     raise WorkerFailedError(
                         f"segment worker {index} died mid-window at round "
                         f"{t0} (worker process exited)",
@@ -1054,12 +872,13 @@ class _ShardedCoordinator:
         timeout — or earlier, at the failure's own ``(round, phase)`` when
         the supervisor raised it (a send that kept dropping).  Events past
         that point never ran; they are re-armed, so the replay fires them
-        exactly as the relay path, which sends one phase at a time, would.
+        and every event of a plan costs its own restart, whatever the window
+        length.
         """
         shipped, self._window_fired = self._window_fired, []
         if not shipped:
             return
-        events = self.execution.faults.events
+        events = self._faults.events
         timeout = self._heartbeat_timeout
         stops = [
             (round_number, rank)
@@ -1259,7 +1078,7 @@ class _ShardedCoordinator:
                 + self._cut_paths[right + 1:]
             )
 
-    # -- supervised transport ----------------------------------------------------
+    # -- supervised worker commands ------------------------------------------------
 
     def _send(
         self,
@@ -1268,44 +1087,24 @@ class _ShardedCoordinator:
         payload: Dict[str, Any],
         round_number: int,
     ) -> None:
-        """One supervised send: fault directives, simulated-loss retry loop.
+        """One supervised send with the ``checkpoint`` faults of the plan.
 
-        Injected ``drop`` faults model a lossy transport: each matching drop
-        token makes one attempt fail, and the supervisor retries with linear
-        backoff up to ``ExecutionPolicy.max_retries`` before escalating the
-        worker as failed.  (A *real* dead pipe raises
-        :class:`WorkerFailedError` from the handle directly — retrying a
-        dead worker cannot help, recovery can.)
+        The per-round phases' faults travel inside the window payload
+        (:meth:`_send_window`); the periodic snapshot command is the one
+        command a plan targets directly.
         """
-        if self._injector is not None and command in FAULT_PHASES:
+        if self._injector is not None and command == "checkpoint":
             directive = self._injector.directives_for(
                 round_number, handle.segment_index, command
             )
             if directive is not None:
                 payload = dict(payload, fault=directive)
-            attempts = 0
-            while self._injector.drop_next_send(
-                round_number, handle.segment_index, command
-            ):
-                attempts += 1
-                if attempts > self.execution.max_retries:
-                    raise WorkerFailedError(
-                        f"send of {command!r} to segment worker "
-                        f"{handle.segment_index} (round {round_number}) "
-                        f"still failing after "
-                        f"{self.execution.max_retries} retries",
-                        segment=handle.segment_index,
-                        round_number=round_number,
-                        phase=command,
-                    )
-                if self.execution.retry_backoff > 0:
-                    time.sleep(self.execution.retry_backoff * attempts)
+            self._retry_drops(round_number, handle.segment_index, command)
         try:
             handle.send(command, payload)
         except WorkerFailedError as error:
-            # The local transport serves the command synchronously inside
-            # send(), so a failing worker surfaces here rather than in
-            # _recv(); attach the same (segment, round, phase) coordinate.
+            # A dead pipe: attach the (segment, round, phase) coordinate,
+            # as _recv() does.
             raise WorkerFailedError(
                 f"segment worker {handle.segment_index} failed during "
                 f"{command!r} of round {round_number}: {error}",
@@ -1329,8 +1128,6 @@ class _ShardedCoordinator:
                 phase=command,
             ) from error
 
-    # -- superstep ----------------------------------------------------------------
-
     def _broadcast(
         self, command: str, payload: Dict[str, Any], round_number: int
     ) -> List[Dict[str, Any]]:
@@ -1340,50 +1137,6 @@ class _ShardedCoordinator:
             self._recv(handle, command, round_number)
             for handle in self.handles
         ]
-
-    def _superstep(self, round_number: int, *, inject: bool) -> Tuple[int, int]:
-        """One relay round; returns the global ``(forwarded, pending)``."""
-        begin = self._broadcast(
-            "begin", {"round": round_number, "inject": inject}, round_number
-        )
-        views = [reply["view"] for reply in begin]
-        selections = self._broadcast(
-            "select", {"round": round_number, "views": views}, round_number
-        )
-        forwarded = sum(reply["forwarded"] for reply in selections)
-        if selections[-1]["handoff"] is not None:
-            raise ShardingProtocolError(
-                "right-most segment produced a hand-off past the line end"
-            )
-
-        for index, handle in enumerate(self.handles):
-            handoff_in = selections[index - 1]["handoff"] if index > 0 else None
-            self._send(
-                handle,
-                "finish",
-                {"round": round_number, "handoff": handoff_in},
-                round_number,
-            )
-        finishes = [
-            self._recv(handle, "finish", round_number)
-            for handle in self.handles
-        ]
-        pending = sum(reply["pending"] for reply in finishes)
-        self._executed = round_number + 1
-        return forwarded, pending
-
-    # -- drain (mirrors Simulator._drain) ------------------------------------------
-
-    def _drain(self, start_round: int, pending: int, policy) -> bool:
-        # The batch family never stages packets, so quiescence is
-        # ``forwarded == 0``.
-        rule = DrainStop(self.num_nodes, pending, policy.max_drain_rounds)
-        round_number = start_round
-        while pending > 0 and not rule.stopped:
-            forwarded, pending = self._superstep(round_number, inject=False)
-            round_number += 1
-            rule.step(forwarded)
-        return pending == 0
 
     # -- checkpointing ---------------------------------------------------------------
 
@@ -1513,7 +1266,12 @@ class _ShardedCoordinator:
                     self._recovery_seconds if self._clock is not None else None
                 ),
             },
-            "engine": self._engine_info,
+            "engine": {
+                "requested": self.spec.policy.engine,
+                "selected": "batch",
+                "fallback_reason": None,
+                "transport": "shm",
+            },
             "handoff_traces": [
                 reply.get("handoff_trace") for reply in replies
             ],
@@ -1525,39 +1283,48 @@ def run_sharded(
     spec: "ScenarioSpec",
     *,
     shards: Optional[int] = None,
-    transport: str = "processes",
     faults: Optional[FaultPlan] = None,
     clock: Optional[Callable[[], float]] = None,
-    shm: Optional[bool] = None,
 ) -> Tuple[SimulationResult, Dict[str, Any]]:
-    """Execute ``spec`` sharded across segment workers.
+    """Execute ``spec`` sharded across segment worker processes.
 
-    ``shards`` defaults to the spec's ``policy.shards``.  Returns the merged
-    :class:`SimulationResult` — bit-identical to the ``shards=1`` run — plus
-    an extras mapping (the adversary's declared sigma, the segment plan, the
-    engine-routing record, each segment's hand-off trace, and the recovery
-    stats: how many worker restarts the run absorbed and, when a ``clock``
-    was injected, the seconds spent restitching/respawning).
+    ``shards`` defaults to the spec's ``policy.shards`` and is clamped to
+    the line length (``shards > n`` runs one node per worker).  Returns the
+    merged :class:`SimulationResult` — bit-identical to the ``shards=1``
+    run — plus an extras mapping (the adversary's declared sigma, the
+    segment plan, the engine-routing record, each segment's hand-off trace,
+    and the recovery stats: how many worker restarts the run absorbed and,
+    when a ``clock`` was injected, the seconds spent restitching and
+    respawning).
 
     The batch kernel is the only segment engine, so ``spec.policy.engine``
     must be ``"batch"`` or ``"auto"`` and the scenario must be one the
-    kernel accepts; anything else raises
+    kernel accepts; anything else — or a host that cannot create the
+    shared-memory boundary rings — raises
     :class:`~repro.network.errors.UnshardableScenarioError`.
 
     ``faults`` threads a deterministic
     :class:`~repro.network.faults.FaultPlan` through the supervisor for
     chaos runs; it never touches the spec, so results and checkpoints stay
     byte-identical to the fault-free run whenever recovery is enabled
-    (``spec.policy.recovery``).
+    (``spec.policy.recovery``).  ``clock`` is an injectable monotonic time
+    source (e.g. ``time.perf_counter``) used only to measure
+    ``recovery_time_s``; the engine itself never reads wall-clock time, so
+    results stay deterministic with or without one.
     """
     if shards is None:
         shards = spec.policy.shards
-    if not shards or shards < 1:
+    if not isinstance(shards, int) or isinstance(shards, bool) or shards < 1:
         raise UnshardableScenarioError(
             f"run_sharded() needs shards >= 1, got {shards!r}"
         )
-    execution = ExecutionPolicy(
-        shards=shards, transport=transport, faults=faults, clock=clock,
-        shm=shm,
-    )
-    return _ShardedCoordinator(spec, execution).run()
+    if faults is not None and not isinstance(faults, FaultPlan):
+        raise UnshardableScenarioError(
+            f"faults must be None or a FaultPlan, got {type(faults).__name__}"
+        )
+    if clock is not None and not callable(clock):
+        raise UnshardableScenarioError(
+            f"clock must be None or a zero-argument callable returning "
+            f"seconds, got {clock!r}"
+        )
+    return _ShardedCoordinator(spec, shards, faults, clock).run()

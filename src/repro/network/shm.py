@@ -1,12 +1,12 @@
-"""Shared-memory boundary transport for the batch×sharded engine.
+"""Shared-memory boundary rings for the batch×sharded engine.
 
 Adjacent segment workers exchange one fixed-size columnar int64 block per
 round per direction (the merged prefix/suffix view plus at most one packet
-hand-off — see ``docs/SHARDING.md``).  Pickling those through the coordinator
-pipes costs two hops and a serializer per round; this module gives each
-directed segment boundary its own single-producer/single-consumer ring over
+hand-off — see ``docs/SHARDING.md``).  This module gives each directed
+segment boundary its own single-producer/single-consumer ring over
 :class:`multiprocessing.shared_memory.SharedMemory`, so neighbours exchange
-blocks directly with two int64 counter updates and a 96-byte copy.
+blocks directly, without the coordinator, with two int64 counter updates and
+a 96-byte copy.
 
 Layout (all little-endian int64 words)::
 
@@ -23,10 +23,10 @@ process boundary, and x86/arm64 total-store ordering makes the
 write-slot-then-bump-tail sequence a safe publication without extra fences.
 
 The ring is a *transport*, never a scheduler: block contents and ordering are
-fully determined by the superstep protocol, so simulation results cannot
-depend on ring timing.  Timeouts exist only for supervision — a vanished
-neighbour surfaces as :class:`~repro.network.errors.WorkerFailedError`, which
-the coordinator's recovery machinery treats exactly like a dead pipe.
+fully determined by the per-round boundary protocol, so simulation results
+cannot depend on ring timing.  Timeouts exist only for supervision — a
+vanished neighbour surfaces as :class:`~repro.network.errors.WorkerFailedError`,
+which the coordinator's recovery machinery treats exactly like a dead pipe.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from typing import Optional, Sequence, Tuple
 
 from .errors import ShardingProtocolError, WorkerFailedError
 
-__all__ = ["SLOT_WORDS", "BoundaryRing", "shared_memory_available"]
+__all__ = ["SLOT_WORDS", "BoundaryRing"]
 
 #: Words per ring slot: round stamp + 3 view words + hand-off flag + 5
 #: hand-off columns, padded to 12 for a 96-byte (1.5 cache line) slot.
@@ -54,28 +54,6 @@ _SPIN_YIELD = 4096
 _NAP_SECONDS = 0.0005
 
 _DEFAULT_TIMEOUT = 60.0
-
-
-def shared_memory_available(capacity: int = 4) -> bool:
-    """Probe whether POSIX shared memory actually works on this host.
-
-    Containers occasionally mount ``/dev/shm`` read-only or not at all; the
-    coordinator probes once and falls back to the pickled-pipe relay path
-    when the probe fails, keeping the portable transport the default on
-    exotic hosts.
-    """
-    try:
-        ring = BoundaryRing(capacity=capacity)
-    except (OSError, ValueError, ImportError, ShardingProtocolError):
-        return False
-    try:
-        ring.send_block((0,), timeout=1.0)
-        ok = ring.recv_block(timeout=1.0)[0] == 0
-    except (OSError, ValueError, WorkerFailedError):
-        ok = False
-    finally:
-        ring.destroy()
-    return ok
 
 
 class BoundaryRing:

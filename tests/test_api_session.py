@@ -142,7 +142,9 @@ class TestRunManyDeterminism:
     def test_run_many_matches_sequential_runs_under_fixed_seed(self):
         specs = [_random_spec(seed, d=2 + seed % 3) for seed in range(6)]
         sequential = [Session().run(spec) for spec in specs]
-        fanned_out = Session().run_many(specs, max_workers=4)
+        fanned_out = Session().run_many(
+            specs, max_workers=2, use_processes=True
+        )
         assert [r.result.max_occupancy for r in fanned_out] == [
             r.result.max_occupancy for r in sequential
         ]
@@ -152,10 +154,10 @@ class TestRunManyDeterminism:
 
     def test_run_many_is_repeatable(self):
         specs = [_random_spec(9), _random_spec(9)]
-        first, second = Session().run_many(specs, max_workers=2)
+        first, second = Session().run_many(specs)
         assert first.result.packets_injected == second.result.packets_injected
         assert first.result.max_occupancy == second.result.max_occupancy
-        again = Session().run_many(specs, max_workers=0)
+        again = Session().run_many(specs, max_workers=0, use_processes=True)
         assert again[0].result.max_occupancy == first.result.max_occupancy
 
     def test_run_many_preserves_input_order(self):
@@ -166,32 +168,64 @@ class TestRunManyDeterminism:
             .build()
             for n in (8, 16, 32, 64)
         ]
-        reports = Session().run_many(specs, max_workers=4)
-        assert [report.result.num_nodes for report in reports] == [8, 16, 32, 64]
+        for reports in (
+            Session().run_many(specs),
+            Session().run_many(specs, max_workers=2, use_processes=True),
+        ):
+            assert [report.result.num_nodes for report in reports] == [
+                8, 16, 32, 64
+            ]
 
-    def test_run_many_with_processes_matches_thread_pool(self):
+    def test_run_many_without_processes_runs_in_order_in_process(
+        self, monkeypatch
+    ):
+        """max_workers sizes only the process pool: without
+        use_processes the batch runs in order on the calling thread."""
+        import threading
+
+        from repro.api import session as session_module
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("run_many started a pool")
+
+        monkeypatch.setattr(session_module, "ProcessPoolExecutor", no_pool)
+        seen = []
+        original_run = Session.run
+
+        def run(self, scenario, **kwargs):
+            seen.append((threading.get_ident(), scenario.label))
+            return original_run(self, scenario, **kwargs)
+
+        monkeypatch.setattr(Session, "run", run)
+        specs = [_random_spec(seed) for seed in range(3)]
+        reports = Session(max_workers=4).run_many(specs, max_workers=4)
+        assert [label for _thread, label in seen] == [s.label for s in specs]
+        assert {thread for thread, _label in seen} == {threading.get_ident()}
+        assert len(reports) == 3
+
+    def test_run_many_with_processes_matches_in_order_run(self):
         specs = [_random_spec(seed, d=2 + seed % 3) for seed in range(4)]
-        threaded = Session().run_many(specs, max_workers=2)
+        in_order = Session().run_many(specs)
         processed = Session().run_many(specs, max_workers=2, use_processes=True)
-        for thread_report, process_report in zip(threaded, processed):
+        for in_order_report, process_report in zip(in_order, processed):
             assert (
-                thread_report.result.max_occupancy
+                in_order_report.result.max_occupancy
                 == process_report.result.max_occupancy
             )
             assert (
-                thread_report.result.max_occupancy_per_node
+                in_order_report.result.max_occupancy_per_node
                 == process_report.result.max_occupancy_per_node
             )
             assert (
-                thread_report.result.packets_injected
+                in_order_report.result.packets_injected
                 == process_report.result.packets_injected
             )
             assert (
-                thread_report.result.mean_latency
+                in_order_report.result.mean_latency
                 == process_report.result.mean_latency
             )
         assert [r.result.num_nodes for r in processed] == [
-            r.result.num_nodes for r in threaded
+            r.result.num_nodes for r in in_order
         ]
 
     def test_run_many_with_processes_rejects_prepared_runs(self):

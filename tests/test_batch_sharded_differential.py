@@ -6,12 +6,8 @@ sharded engine's, one level up: ``engine="batch"`` with ``shards=k``
 field, including per-round history records and per-node occupancy maxima —
 to the ``shards=1`` delta-engine run, across the whole vectorized family
 ({PTS, work-conserving PTS, local, downhill, greedy} x {trickle, random,
-explicit} x three history modes), on every transport:
-
-* ``local``        — relay mode, in-process (the fast full matrix);
-* ``processes``    + ``shm=False`` — relay mode over real pipes;
-* ``processes``    + ``shm=True``  — window mode over shared-memory rings,
-  the k-round free-running path this PR adds.
+explicit} x three history modes), on worker processes that free-run
+``batch_rounds``-round windows over shared-memory boundary rings.
 
 Beyond the result record, the stitched checkpoint's decoded *packet table*
 (every ``packets/*`` int64 column) must match the single-process
@@ -111,57 +107,52 @@ def _delta_baseline(algorithm: str, adversary: str, history: str,
 
 
 # ---------------------------------------------------------------------------
-# The full matrix on the in-process transport (relay mode)
+# The full matrix
 # ---------------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("adversary", ADVERSARIES)
 @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
-def test_batch_sharded_matrix_local(algorithm, adversary):
+def test_batch_sharded_matrix(algorithm, adversary):
     """engine=batch, shards in {2,3,4} x histories == shards=1 delta."""
     for history in HISTORIES:
         baseline = _delta_baseline(algorithm, adversary, history)
         spec = _build_spec(algorithm, adversary, history)
         for shards in SHARD_COUNTS:
-            sharded, extras = run_sharded(spec, shards=shards,
-                                          transport="local")
+            sharded, extras = run_sharded(spec, shards=shards)
             assert sharded == baseline, (
                 f"{algorithm}/{adversary}/{history} diverged at "
                 f"shards={shards}"
             )
             assert extras["engine"]["selected"] == "batch"
-            assert extras["engine"]["transport"] == "local"
+            assert extras["engine"]["transport"] == "shm"
 
 
 # ---------------------------------------------------------------------------
-# Real worker processes: pipe relay and shared-memory window mode
+# The Session front door and window geometry
 # ---------------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
-def test_processes_transport_both_paths(algorithm):
-    """shm rings (window mode) and pipes (relay) both match the oracle."""
+def test_session_runs_every_algorithm_on_shm_windows(algorithm):
+    """Session.run with policy.shards routes every algorithm of the family
+    to the shared-memory windows and reports the oracle's result."""
     baseline = _delta_baseline(algorithm, "trickle", "full")
-    spec = _build_spec(algorithm, "trickle", "full")
-    for shm, transport_label in ((True, "shm"), (False, "processes")):
-        sharded, extras = run_sharded(
-            spec, shards=3, transport="processes", shm=shm
-        )
-        assert sharded == baseline, (
-            f"{algorithm} diverged on processes transport (shm={shm})"
-        )
-        assert extras["engine"]["transport"] == transport_label
+    spec = _build_spec(algorithm, "trickle", "full", shards=3)
+    report = Session().run(spec)
+    assert report.result == baseline, f"{algorithm} diverged"
+    assert report.engine["transport"] == "shm"
+    assert report.recovery == {"restarts": 0, "recovery_time_s": None}
 
 
-def test_shard_counts_on_shm_transport():
-    """Window mode across every acceptance shard count."""
+def test_shard_counts_with_one_window_spanning_the_horizon():
+    """A window longer than the horizon: the injection loop is a single
+    ragged window and only the drain runs further windows."""
     baseline = _delta_baseline("pts", "random", "summary")
-    spec = _build_spec("pts", "random", "summary")
+    spec = _build_spec("pts", "random", "summary", batch_rounds=4 * ROUNDS)
     for shards in SHARD_COUNTS:
-        sharded, extras = run_sharded(
-            spec, shards=shards, transport="processes", shm=True
-        )
-        assert sharded == baseline, f"shards={shards} diverged over shm"
+        sharded, extras = run_sharded(spec, shards=shards)
+        assert sharded == baseline, f"shards={shards} diverged"
         assert extras["engine"]["transport"] == "shm"
 
 
@@ -188,39 +179,35 @@ def test_stitched_checkpoint_matches_single_process(history, tmp_path):
     baseline = Session().run(baseline_spec).result
 
     spec = _checkpoint_spec(history, sharded_path, "batch")
-    for transport, shm in (("local", None), ("processes", True)):
-        sharded, _ = run_sharded(
-            spec, shards=3, transport=transport, shm=shm
+    sharded, _ = run_sharded(spec, shards=3)
+    assert sharded == baseline
+
+    stitched = load_checkpoint(sharded_path)
+    single = load_checkpoint(single_path)
+    assert stitched.round == single.round
+    for field in ("round", "injected", "delivered", "latency_sum",
+                  "latency_max", "num_nodes"):
+        assert stitched.header["engine"][field] == \
+            single.header["engine"][field]
+    assert stitched.header["next_packet_id"] == \
+        single.header["next_packet_id"]
+    assert set(stitched.sections) == set(single.sections)
+    for name in single.sections:
+        if name.startswith("timeline/"):
+            continue  # row order is stitch-dependent; compared below
+        assert stitched.sections[name] == single.sections[name], (
+            f"checkpoint section {name!r} diverged"
         )
-        assert sharded == baseline
+    # The timeline rows are (node, load) pairs whose order depends on
+    # how segments were stitched (true of the delta stitcher as well);
+    # resume re-aggregates them, so compare as multisets.
+    assert sorted(zip(stitched.section("timeline/nodes"),
+                      stitched.section("timeline/loads"))) == \
+        sorted(zip(single.section("timeline/nodes"),
+                   single.section("timeline/loads")))
 
-        stitched = load_checkpoint(sharded_path)
-        single = load_checkpoint(single_path)
-        assert stitched.round == single.round
-        for field in ("round", "injected", "delivered", "latency_sum",
-                      "latency_max", "num_nodes"):
-            assert stitched.header["engine"][field] == \
-                single.header["engine"][field]
-        assert stitched.header["next_packet_id"] == \
-            single.header["next_packet_id"]
-        assert set(stitched.sections) == set(single.sections)
-        for name in single.sections:
-            if name.startswith("timeline/"):
-                continue  # row order is stitch-dependent; compared below
-            assert stitched.sections[name] == single.sections[name], (
-                f"checkpoint section {name!r} diverged "
-                f"({transport} transport)"
-            )
-        # The timeline rows are (node, load) pairs whose order depends on
-        # how segments were stitched (true of the delta stitcher as well);
-        # resume re-aggregates them, so compare as multisets.
-        assert sorted(zip(stitched.section("timeline/nodes"),
-                          stitched.section("timeline/loads"))) == \
-            sorted(zip(single.section("timeline/nodes"),
-                       single.section("timeline/loads")))
-
-        resumed = Session().resume(sharded_path)
-        assert resumed.result == baseline
+    resumed = Session().resume(sharded_path)
+    assert resumed.result == baseline
 
 
 # ---------------------------------------------------------------------------
@@ -228,29 +215,28 @@ def test_stitched_checkpoint_matches_single_process(history, tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def _crash_plan(round_number: int = 33, segment: int = 1) -> FaultPlan:
+def _crash_plan(round_number: int = 33, segment: int = 1,
+                phase: str = "begin") -> FaultPlan:
     return FaultPlan(events=(
         FaultEvent(kind="crash", round=round_number, segment=segment,
-                   phase="begin"),
+                   phase=phase),
     ))
 
 
-@pytest.mark.parametrize("transport,shm", [("local", None),
-                                           ("processes", True),
-                                           ("processes", False)])
-def test_injected_crash_recovers_bit_identically(transport, shm, tmp_path):
-    """A worker crash mid-window restarts from the checkpoint cut and the
-    run still finishes bit-identical to the fault-free delta oracle."""
+@pytest.mark.parametrize("phase", ["begin", "select", "finish"])
+def test_injected_crash_recovers_bit_identically(phase, tmp_path):
+    """A worker crash mid-window — at the start of round 33, whichever
+    per-round phase the plan names — restarts from the checkpoint cut and
+    the run still finishes bit-identical to the fault-free delta oracle."""
     path = str(tmp_path / "crash.ckpt")
     baseline = _delta_baseline("pts", "random", "full")
     spec = _build_spec("pts", "random", "full", recovery="restart",
                        checkpoint_every=20, checkpoint_path=path)
     sharded, extras = run_sharded(
-        spec, shards=3, transport=transport, shm=shm,
-        faults=_crash_plan(),
+        spec, shards=3, faults=_crash_plan(phase=phase),
     )
     assert sharded == baseline
-    assert extras["recovery"]["restarts"] >= 1
+    assert extras["recovery"]["restarts"] == 1
 
 
 def test_injected_crash_fold_recovery_matches():
@@ -259,7 +245,7 @@ def test_injected_crash_fold_recovery_matches():
     baseline = _delta_baseline("greedy", "trickle", "summary")
     spec = _build_spec("greedy", "trickle", "summary", recovery="fold")
     sharded, extras = run_sharded(
-        spec, shards=3, transport="local", faults=_crash_plan(),
+        spec, shards=3, faults=_crash_plan(),
     )
     assert sharded == baseline
     assert len(extras["segments"]) == 2  # one fold happened
@@ -284,7 +270,7 @@ def test_auto_engine_refuses_unbatchable_scenario():
     )
     with pytest.raises(UnshardableScenarioError,
                        match="outside the regular family"):
-        run_sharded(spec, shards=3, transport="local")
+        run_sharded(spec, shards=3)
 
 
 def test_batch_engine_refuses_unbatchable_scenario():
@@ -297,13 +283,13 @@ def test_batch_engine_refuses_unbatchable_scenario():
         .build()
     )
     with pytest.raises(UnshardableScenarioError, match="batch kernel"):
-        run_sharded(spec, shards=3, transport="local")
+        run_sharded(spec, shards=3)
 
 
 def test_auto_selects_batch_for_regular_family():
     spec = _build_spec("local", "trickle", "summary", engine="auto")
     baseline = _delta_baseline("local", "trickle", "summary")
-    sharded, extras = run_sharded(spec, shards=2, transport="local")
+    sharded, extras = run_sharded(spec, shards=2)
     assert sharded == baseline
     assert extras["engine"]["selected"] == "batch"
     assert extras["engine"]["fallback_reason"] is None
@@ -324,7 +310,7 @@ def test_rounds_override_and_no_drain_cut_windows_cleanly():
     spec = Scenario.from_spec(
         _build_spec("greedy", "random", "summary")
     ).policy(rounds=17, drain=False).build()
-    sharded, _ = run_sharded(spec, shards=3, transport="local")
+    sharded, _ = run_sharded(spec, shards=3)
     assert sharded == baseline
     assert sharded.rounds_executed == 17
 
@@ -333,7 +319,7 @@ def test_batch_rounds_one_degenerates_to_lockstep():
     """batch_rounds=1 must behave exactly like the per-round engine."""
     baseline = _delta_baseline("pts", "random", "full")
     spec = _build_spec("pts", "random", "full", batch_rounds=1)
-    sharded, _ = run_sharded(spec, shards=3, transport="local")
+    sharded, _ = run_sharded(spec, shards=3)
     assert sharded == baseline
 
 
@@ -349,6 +335,6 @@ def test_width_one_segments_batch():
     spec = scenario.build()
     baseline_spec = Scenario.from_spec(spec).policy(engine="delta").build()
     baseline = Session().run(baseline_spec).result
-    sharded, _ = run_sharded(spec, shards=6, transport="local")
+    sharded, _ = run_sharded(spec, shards=6)
     assert sharded == baseline
     assert baseline.drained

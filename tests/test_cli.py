@@ -10,7 +10,7 @@ import sys
 import pytest
 
 import repro
-from repro.cli import build_parser, main
+from repro.cli import WORKLOAD_KINDS, build_parser, main
 
 _SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 
@@ -128,12 +128,21 @@ class TestSimulateCommand:
         assert f"--levels must be >= 1, got {levels}" in err
         assert "rho" not in err
 
-    def test_workload_override(self, capsys):
+    @pytest.mark.parametrize(
+        "algorithm, kind",
+        [(algorithm, kind) for algorithm, kinds in WORKLOAD_KINDS.items()
+         for kind in kinds],
+    )
+    def test_workload_override(self, capsys, algorithm, kind):
+        """Every kind an algorithm accepts is built, never replaced by the
+        algorithm's default."""
         assert main(
-            ["simulate", "--algorithm", "ppts", "--workload", "nested",
-             "--nodes", "32", "--destinations", "4", "--rounds", "40"]
+            ["simulate", "--algorithm", algorithm, "--workload", kind,
+             "--nodes", "32", "--destinations", "4", "--rounds", "40",
+             "--seed", "1", "--json"]
         ) == 0
-        assert "nested" in capsys.readouterr().out
+        row = json.loads(capsys.readouterr().out)
+        assert row["scenario"].endswith(f"/{kind}")
 
 
 class TestSpecAndJsonFlags:
@@ -334,6 +343,24 @@ def _case_unknown_greedy_policy(tmp_path):
     )
 
 
+def _case_workload_unfit_for_pts(tmp_path):
+    return (
+        ["simulate", "--algorithm", "pts", "--workload", "nested",
+         "--nodes", "16", "--rounds", "20"],
+        "--workload nested does not fit --algorithm pts, which accepts: "
+        "stress, random",
+    )
+
+
+def _case_workload_unfit_for_hpts(tmp_path):
+    return (
+        ["simulate", "--algorithm", "hpts", "--workload", "stress",
+         "--nodes", "16", "--rounds", "20"],
+        "--workload stress does not fit --algorithm hpts, which accepts: "
+        "hierarchy, random",
+    )
+
+
 def _case_service_unavailable(tmp_path):
     return (
         ["service", "ls", "--data", str(tmp_path / "no-server")],
@@ -356,6 +383,8 @@ def _case_job_not_found(tmp_path):
 
 TYPED_ERROR_CASES = {
     "SpecError": _case_spec_error,
+    "SpecError-workload-pts": _case_workload_unfit_for_pts,
+    "SpecError-workload-hpts": _case_workload_unfit_for_hpts,
     "ReproError": _case_repro_error,
     "CheckpointSpecMismatchError": _case_checkpoint_mismatch,
     "RecoveryExhaustedError": _case_recovery_exhausted,

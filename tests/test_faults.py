@@ -173,7 +173,7 @@ def test_crash_and_slow_fire_exactly_once():
     assert injector.pending() == 2
     directive = injector.directives_for(4, 1, "begin")
     assert directive == {"crash": True, "delay": 0.5}
-    # A recovered run replaying the same superstep must not re-fire.
+    # A recovered run replaying the same round must not re-fire.
     assert injector.directives_for(4, 1, "begin") is None
     assert injector.pending() == 0
 

@@ -1,17 +1,18 @@
 """Property-based (Hypothesis) checks for the columnar boundary hand-off.
 
 The shared-memory rings are a *transport*: the sequence of ingested
-boundary blocks must be fully determined by the superstep protocol, never
-by ring timing.  Each batch segment worker records every block it ingests
-in a flat int64 trace (6 words per hand-off: round, packet id, source,
+boundary blocks must be fully determined by the per-round boundary
+protocol, never by ring timing or by how the rounds are grouped into
+windows.  Each batch segment worker records every block it ingests in a
+flat int64 trace (6 words per hand-off: round, packet id, source,
 destination, injected round, arrival round), shipped back to the
 coordinator as ``extras["handoff_traces"]``.
 
 Fuzzed law: for random scenario shapes x random segmentations x random
-window lengths — including horizons that tear the last window and drain
-tails that stop mid-window — the per-segment traces from the
-shared-memory window path are byte-identical to the pickled-pipe relay
-path and to the in-process relay, and all three runs produce the same
+window lengths — including horizons that tear the last window, drain
+tails that stop mid-window and checkpoint cuts that clamp windows — the
+per-segment traces are byte-identical to those of one-round windows (the
+lockstep schedule), and every run produces the delta oracle's
 :class:`SimulationResult`.
 """
 
@@ -70,40 +71,41 @@ def _traces(extras):
     return [trace.tolist() for trace in traces]
 
 
+def _delta_oracle(spec):
+    return Session().run(
+        Scenario.from_spec(spec).policy(engine="delta").build()
+    ).result
+
+
 @settings(max_examples=10, deadline=None)
 @given(scenario=scenarios())
-def test_shm_ingested_blocks_byte_identical_to_pipe(scenario):
-    """The satellite law: shm window mode == pipe relay == local relay,
-    block for block and field for field."""
+def test_shm_ingested_blocks_independent_of_window_length(scenario):
+    """The law: any window length ingests the same blocks as one-round
+    windows, block for block and field for field, and both runs match the
+    delta oracle."""
     n, shards, *_ = scenario
     spec = _build_spec(scenario)
+    lockstep_spec = Scenario.from_spec(spec).policy(batch_rounds=1).build()
 
-    local_result, local_extras = run_sharded(
-        spec, shards=shards, transport="local"
-    )
-    pipe_result, pipe_extras = run_sharded(
-        spec, shards=shards, transport="processes", shm=False
-    )
-    shm_result, shm_extras = run_sharded(
-        spec, shards=shards, transport="processes", shm=True
+    result, extras = run_sharded(spec, shards=shards)
+    lockstep_result, lockstep_extras = run_sharded(
+        lockstep_spec, shards=shards
     )
 
-    assert pipe_result == local_result
-    assert shm_result == local_result
-    assert shm_extras["engine"]["transport"] == "shm"
+    oracle = _delta_oracle(spec)
+    assert result == oracle
+    assert lockstep_result == oracle
+    assert extras["engine"]["transport"] == "shm"
 
-    local_traces = _traces(local_extras)
-    pipe_traces = _traces(pipe_extras)
-    shm_traces = _traces(shm_extras)
-    assert pipe_traces == local_traces
-    assert shm_traces == local_traces
+    traces = _traces(extras)
+    assert traces == _traces(lockstep_extras)
 
     # Trace shape sanity: 6-word stride of (round, packet id, source,
     # destination, injected round, arrival round).  Hand-offs only flow
     # left-to-right, so segment 0 (no left neighbour) never ingests.
-    rounds_executed = local_result.rounds_executed
-    assert local_traces[0] == []
-    for trace in local_traces:
+    rounds_executed = result.rounds_executed
+    assert traces[0] == []
+    for trace in traces:
         assert len(trace) % TRACE_WORDS == 0
         for base in range(0, len(trace), TRACE_WORDS):
             round_number, pid, src, dst, injected, arrival = (
@@ -126,35 +128,30 @@ def test_checkpoint_cuts_tear_windows_identically(
     scenario, checkpoint_every, tmp_path_factory
 ):
     """Checkpoint cuts clamp windows mid-flight; the torn windows must
-    ingest the same blocks on every transport, and the stitched cut must
+    ingest the same blocks as the uncut run, and the stitched cut must
     resume to the uninterrupted result."""
     n, shards, *_ = scenario
     directory = tmp_path_factory.mktemp("shm-handoff")
     base_spec = _build_spec(scenario)
+    _uncut_result, uncut_extras = run_sharded(base_spec, shards=shards)
+
+    def checkpointed(path, **policy):
+        return Scenario.from_spec(base_spec).policy(
+            checkpoint_every=checkpoint_every, checkpoint_path=path, **policy
+        ).build()
+
+    delta_path = str(directory / "delta.ckpt")
     uninterrupted = Session().run(
-        Scenario.from_spec(base_spec).policy(engine="delta").build()
+        checkpointed(delta_path, engine="delta")
     ).result
 
-    results = {}
-    for label, transport, shm in (
-        ("pipe", "processes", False),
-        ("shm", "processes", True),
-    ):
-        path = str(directory / f"{label}.ckpt")
-        spec = Scenario.from_spec(base_spec).policy(
-            checkpoint_every=checkpoint_every, checkpoint_path=path,
-        ).build()
-        result, extras = run_sharded(
-            spec, shards=shards, transport=transport, shm=shm
-        )
-        assert result == uninterrupted
-        results[label] = (_traces(extras), path)
-
-    assert results["shm"][0] == results["pipe"][0]
+    shm_path = str(directory / "shm.ckpt")
+    result, extras = run_sharded(checkpointed(shm_path), shards=shards)
+    assert result == uninterrupted
+    assert _traces(extras) == _traces(uncut_extras)
     # A degenerate horizon (no injections, zero rounds executed) writes no
-    # cut on any engine; the transports must at least agree on that.
-    shm_path, pipe_path = results["shm"][1], results["pipe"][1]
-    assert os.path.exists(shm_path) == os.path.exists(pipe_path)
+    # cut on any engine; the sharded run must agree with the oracle on that.
+    assert os.path.exists(shm_path) == os.path.exists(delta_path)
     if os.path.exists(shm_path):
         resumed = Session().resume(shm_path)
         assert resumed.result == uninterrupted

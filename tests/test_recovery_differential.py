@@ -4,18 +4,18 @@ The recovery layer's acceptance claim mirrors the sharded engine's own: a
 chaos run — same spec, plus an injected worker failure — must produce a
 :class:`SimulationResult` equal field-for-field to its fault-free twin,
 *and* the final stitched checkpoint file must be byte-identical.  The fault
-plan lives in :class:`~repro.network.sharded.ExecutionPolicy`, never in the
-spec, so the two runs share specs, spec hashes and checkpoint headers by
-construction; everything that could diverge is the recovery machinery.
+plan is an argument of ``run_sharded``, never part of the spec, so the two
+runs share specs, spec hashes and checkpoint headers by construction;
+everything that could diverge is the recovery machinery.
 
 The matrix covers every bundled line algorithm the batch kernel runs x two
 adversary families x two history modes x both elastic recovery strategies
-(``restart`` respawns the dead worker, ``fold`` merges its segment into a
-neighbour), all on the in-process transport, and checks each fault-free
-twin against the single-process delta oracle as well.  PPTS and HPTS, which
-the batch kernel (the only segment engine) refuses, assert the typed
-refusal instead.  The process-transport crash/heartbeat paths are exercised
-in ``test_sharded_engine.py`` and ``test_batch_sharded_differential.py``.
+(``restart`` respawns the workers, ``fold`` merges the dead segment into a
+neighbour), all on worker processes whose injected crashes are real process
+exits, and checks each fault-free twin against the single-process delta
+oracle as well.  PPTS and HPTS, which the batch kernel (the only segment
+engine) refuses, assert the typed refusal instead.  Heartbeat timeouts and
+dropped sends are exercised in ``test_sharded_engine.py``.
 """
 
 from __future__ import annotations
@@ -107,9 +107,9 @@ def test_recovered_runs_are_bit_identical(algorithm, adversary, tmp_path):
             if algorithm in UNBATCHABLE:
                 with pytest.raises(UnshardableScenarioError,
                                    match="batch kernel"):
-                    run_sharded(spec, transport="local", faults=_crash(11, 1))
+                    run_sharded(spec, faults=_crash(11, 1))
                 continue
-            baseline, _ = run_sharded(spec, transport="local")
+            baseline, _ = run_sharded(spec)
             oracle_spec = Scenario.from_spec(spec).policy(
                 engine="delta", shards=None, checkpoint_every=None,
                 checkpoint_path=None,
@@ -117,7 +117,7 @@ def test_recovered_runs_are_bit_identical(algorithm, adversary, tmp_path):
             assert baseline == Session().run(oracle_spec).result
             baseline_bytes = (tmp_path / f"{algorithm}-{adversary}-{history}-{mode}.ckpt").read_bytes()
             recovered, extras = run_sharded(
-                spec, transport="local", faults=_crash(11, 1)
+                spec, faults=_crash(11, 1)
             )
             label = f"{algorithm}/{adversary}/{history}/{mode}"
             assert extras["recovery"]["restarts"] == 1, label
@@ -131,8 +131,8 @@ def test_fold_recovery_runs_the_tail_on_fewer_segments(tmp_path):
     path = str(tmp_path / "fold.ckpt")
     spec = _build_spec("greedy", "bursty", "summary", recovery="fold",
                        checkpoint_path=path)
-    baseline, base_extras = run_sharded(spec, transport="local")
-    recovered, extras = run_sharded(spec, transport="local",
+    baseline, base_extras = run_sharded(spec)
+    recovered, extras = run_sharded(spec,
                                     faults=_crash(9, 2, "finish"))
     assert recovered == baseline
     assert len(base_extras["segments"]) == SHARDS
@@ -161,16 +161,16 @@ def _small_spec(recovery: str, checkpoint_path: str,
 @pytest.mark.parametrize("mode", MODES)
 def test_crash_at_every_round_recovers(mode, tmp_path):
     """Sweep the crash coordinate over every round (0, mid, the final
-    injection round and the drain tail) and every superstep phase."""
+    injection round and the drain tail) and every per-round phase."""
     path = str(tmp_path / "sweep.ckpt")
     spec = _small_spec(mode, path)
-    baseline, _ = run_sharded(spec, transport="local")
+    baseline, _ = run_sharded(spec)
     baseline_bytes = (tmp_path / "sweep.ckpt").read_bytes()
     drain_tail = 4  # rounds past the horizon still served by workers
     for round_number in range(10 + drain_tail):
         for phase in ("begin", "select", "finish"):
             recovered, extras = run_sharded(
-                spec, transport="local",
+                spec,
                 faults=_crash(round_number, round_number % SHARDS, phase),
             )
             label = f"round {round_number}/{phase}"
@@ -187,10 +187,10 @@ def test_crash_during_checkpoint_phase_falls_back_to_previous_cut(tmp_path):
     one: recovery rewinds to the previous consistent checkpoint."""
     path = str(tmp_path / "midckpt.ckpt")
     spec = _small_spec("restart", path)
-    baseline, _ = run_sharded(spec, transport="local")
+    baseline, _ = run_sharded(spec)
     # checkpoint_every=4 -> checkpoint commands run after rounds 3 and 7.
     recovered, extras = run_sharded(
-        spec, transport="local", faults=_crash(7, 1, "checkpoint")
+        spec, faults=_crash(7, 1, "checkpoint")
     )
     assert recovered == baseline
     assert extras["recovery"]["restarts"] == 1
@@ -208,8 +208,8 @@ def test_crash_without_checkpointing_replays_from_round_zero(tmp_path):
                 engine="batch")
         .build()
     )
-    baseline, _ = run_sharded(spec, transport="local")
-    recovered, extras = run_sharded(spec, transport="local",
+    baseline, _ = run_sharded(spec)
+    recovered, extras = run_sharded(spec,
                                     faults=_crash(8, 1))
     assert recovered == baseline
     assert extras["recovery"]["restarts"] == 1
@@ -229,13 +229,13 @@ def test_sampled_chaos_runs_replay_identically(tmp_path):
                             kinds=("crash", "drop"))
     assert plan == FaultPlan.sample(31, rounds=10, shards=SHARDS, events=2,
                                     kinds=("crash", "drop"))
-    first, first_extras = run_sharded(spec, transport="local", faults=plan)
+    first, first_extras = run_sharded(spec, faults=plan)
     first_bytes = (tmp_path / "replay.ckpt").read_bytes()
-    second, second_extras = run_sharded(spec, transport="local", faults=plan)
+    second, second_extras = run_sharded(spec, faults=plan)
     assert first == second
     assert first_extras["recovery"] == second_extras["recovery"]
     assert (tmp_path / "replay.ckpt").read_bytes() == first_bytes
-    baseline, _ = run_sharded(spec, transport="local")
+    baseline, _ = run_sharded(spec)
     assert first == baseline
 
 
@@ -248,7 +248,7 @@ def test_recovery_budget_exhaustion_raises_typed_error(tmp_path):
         FaultEvent(kind="crash", round=5, segment=1),
     ))
     with pytest.raises(RecoveryExhaustedError, match="max_worker_restarts=1"):
-        run_sharded(spec, transport="local", faults=plan)
+        run_sharded(spec, faults=plan)
 
 
 def test_recovery_fail_mode_propagates_worker_failure(tmp_path):
@@ -257,7 +257,7 @@ def test_recovery_fail_mode_propagates_worker_failure(tmp_path):
     path = str(tmp_path / "failmode.ckpt")
     spec = _small_spec("fail", path)
     with pytest.raises(WorkerFailedError) as excinfo:
-        run_sharded(spec, transport="local", faults=_crash(4, 2))
+        run_sharded(spec, faults=_crash(4, 2))
     assert excinfo.value.segment == 2
     assert excinfo.value.round_number == 4
 
@@ -273,17 +273,17 @@ def test_fold_with_single_segment_exhausts_immediately(tmp_path):
                 engine="batch")
         .build()
     )
-    baseline, _ = run_sharded(spec, transport="local")
+    baseline, _ = run_sharded(spec)
     # First crash folds 2 -> 1; the second cannot fold further.
     plan = FaultPlan(events=(
         FaultEvent(kind="crash", round=2, segment=0),
         FaultEvent(kind="crash", round=5, segment=0),
     ))
     with pytest.raises(RecoveryExhaustedError, match="single segment"):
-        run_sharded(spec, transport="local", faults=plan)
+        run_sharded(spec, faults=plan)
     # A single fold alone still matches the fault-free run.
     recovered, extras = run_sharded(
-        spec, transport="local",
+        spec,
         faults=FaultPlan(events=(FaultEvent(kind="crash", round=2, segment=0),)),
     )
     assert recovered == baseline

@@ -25,7 +25,10 @@ from repro.service import JobService, ServiceClient
 from repro.service.errors import ServiceError, ServiceUnavailableError
 
 N_JOBS = 2
-LONG_ROUNDS = 120_000  # ~3 s of simulation: stays running across a drain
+#: ~0.5 s of simulation: the drain starts within one poll of the lease grant,
+#: while the spawned worker is still starting, so the job is running when
+#: the drain requeues it (the draining cases assert that it was).
+LONG_ROUNDS = 20_000
 
 
 def chaos_spec(seed, rounds=60):
@@ -166,6 +169,13 @@ class TestDifferentialMatrix:
             **svc_kwargs,
         )
         assert_contract(views, twin_rows(LONG_ROUNDS if drain else 60))
+        if drain:
+            # The fault targets job 0's drain: it must have been running.
+            log = tmp_path / "data" / "jobs" / f"{views[0]['job_id']}.log"
+            assert "drained: requeued" in log.read_text(), (
+                "job 0 finished before the drain, so the draining fault "
+                "never fired"
+            )
 
 
 class TestFaultSemantics:

@@ -70,13 +70,13 @@ def test_stitched_checkpoint_resumes_bit_identically(tmp_path, algorithm,
     )
     if algorithm != "greedy":
         with pytest.raises(UnshardableScenarioError, match="batch kernel"):
-            run_sharded(checkpointed, shards=3, transport="local")
+            run_sharded(checkpointed, shards=3)
         assert not os.path.exists(path)
         return
     uninterrupted = Session().run(
         _spec(algorithm, history, engine="delta")
     ).result
-    sharded, _ = run_sharded(checkpointed, shards=3, transport="local")
+    sharded, _ = run_sharded(checkpointed, shards=3)
     assert sharded == uninterrupted
 
     # Only the stitched file survives (per-segment scaffolding is removed
@@ -103,7 +103,7 @@ def test_stitched_checkpoint_resumes_mid_staging_phase(tmp_path):
             engine=engine,
         )
         with pytest.raises(UnshardableScenarioError):
-            run_sharded(checkpointed, shards=4, transport="local")
+            run_sharded(checkpointed, shards=4)
     assert os.listdir(tmp_path) == []
 
 
@@ -112,12 +112,12 @@ def test_stitch_validates_segment_agreement(tmp_path):
     path_b = str(tmp_path / "b.ckpt")
     run_sharded(
         _spec("greedy", "summary", checkpoint_path=path_a, checkpoint_every=7),
-        shards=2, transport="local",
+        shards=2,
     )
     run_sharded(
         _spec("greedy", "summary", checkpoint_path=path_b, checkpoint_every=5,
               seed=99),
-        shards=2, transport="local",
+        shards=2,
     )
     with pytest.raises(CheckpointError):
         stitch_checkpoints([])
@@ -163,7 +163,7 @@ def test_recovery_mode_retains_per_segment_cut(tmp_path):
     spec = Scenario.from_spec(base).policy(
         shards=3, recovery="restart", max_worker_restarts=2
     ).build()
-    sharded, _ = run_sharded(spec, transport="local")
+    sharded, _ = run_sharded(spec)
     assert os.path.exists(path)
     segments = [load_checkpoint(f"{path}.seg{index}") for index in range(3)]
     restitched = stitch_checkpoints(segments)
@@ -188,7 +188,7 @@ def test_resume_hash_ignores_recovery_knobs(tmp_path):
     uninterrupted = Session().run(
         Scenario.from_spec(base).policy(engine="delta").build()
     ).result
-    run_sharded(ckpt_spec, transport="local")
+    run_sharded(ckpt_spec)
     # Resume under the default (recovery='fail') policy: same run.
     assert Session().resume(path).result == uninterrupted
 
@@ -200,7 +200,7 @@ def test_stitched_file_is_a_plain_checkpoint(tmp_path):
     path = str(tmp_path / "plain.ckpt")
     run_sharded(
         _spec("greedy", "streaming", checkpoint_path=path, checkpoint_every=7),
-        shards=3, transport="local",
+        shards=3,
     )
     checkpoint = load_checkpoint(path)
     assert checkpoint.header["adversary"]["kind"] == "StreamingAdversary"

@@ -8,11 +8,10 @@ including per-round history records and per-node occupancy maxima — to the
 single-process delta oracle.  PPTS and HPTS are outside the batch kernel,
 the only segment engine, so their cells assert the typed refusal instead.
 
-The matrix runs on the in-process transport (same segment engines, same
-superstep protocol, no pipes) so it stays fast and deterministic; a
-representative slice re-runs on real worker processes in
-``test_sharded_engine.py``.  The random and trickle adversaries of the
-batch family are covered by ``test_batch_sharded_differential.py``.
+The matrix runs on worker processes exchanging boundary facts through
+shared-memory rings — the path every sharded run takes.  The random and
+trickle adversaries of the batch family are covered by
+``test_batch_sharded_differential.py``.
 """
 
 from __future__ import annotations
@@ -120,12 +119,12 @@ def test_sharded_results_are_bit_identical(algorithm, adversary):
             for shards in SHARD_COUNTS:
                 with pytest.raises(UnshardableScenarioError,
                                    match="batch kernel"):
-                    run_sharded(spec, shards=shards, transport="local")
+                    run_sharded(spec, shards=shards)
             continue
         baseline = _delta_oracle(spec)
         for shards in SHARD_COUNTS:
             sharded, _extras = run_sharded(
-                spec, shards=shards, transport="local"
+                spec, shards=shards
             )
             assert sharded == baseline, (
                 f"{algorithm}/{adversary}/{history} diverged at shards={shards}"
@@ -145,7 +144,7 @@ def test_full_history_with_occupancy_vectors_matches():
     )
     baseline = _delta_oracle(spec)
     for shards in SHARD_COUNTS:
-        sharded, _ = run_sharded(spec, shards=shards, transport="local")
+        sharded, _ = run_sharded(spec, shards=shards)
         assert sharded == baseline
         assert sharded.history[0].occupancy == baseline.history[0].occupancy
 
@@ -167,7 +166,7 @@ def test_policy_rounds_override_and_no_drain_match():
     base = _build_spec("greedy", "bursty", "summary")
     spec = Scenario.from_spec(base).policy(rounds=11, drain=False).build()
     baseline = _delta_oracle(spec)
-    sharded, _ = run_sharded(spec, shards=3, transport="local")
+    sharded, _ = run_sharded(spec, shards=3)
     assert sharded == baseline
     assert sharded.rounds_executed == 11
 
@@ -206,7 +205,7 @@ def test_packets_injected_exactly_at_shard_boundaries():
     spec = _explicit_spec(8, routes)
     baseline = _delta_oracle(spec)
     for shards in (2, 4, 8):
-        sharded, _ = run_sharded(spec, shards=shards, transport="local")
+        sharded, _ = run_sharded(spec, shards=shards)
         assert sharded == baseline
     assert baseline.packets_delivered == len(routes)
 
@@ -216,7 +215,7 @@ def test_width_one_segments():
     routes = [(0, 0, 5), (0, 1, 4), (1, 0, 3), (2, 2, 5), (3, 0, 5)]
     spec = _explicit_spec(6, routes)
     baseline = _delta_oracle(spec)
-    sharded, _ = run_sharded(spec, shards=6, transport="local")
+    sharded, _ = run_sharded(spec, shards=6)
     assert sharded == baseline
     assert baseline.drained
 
@@ -226,7 +225,7 @@ def test_more_shards_than_nodes_degrades_gracefully():
     routes = [(0, 0, 3), (1, 1, 4), (2, 0, 2)]
     spec = _explicit_spec(4, routes)
     baseline = _delta_oracle(spec)
-    sharded, extras = run_sharded(spec, shards=9, transport="local")
+    sharded, extras = run_sharded(spec, shards=9)
     assert sharded == baseline
     assert len(extras["segments"]) == 4
     # And through the Session front door too.

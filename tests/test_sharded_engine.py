@@ -3,8 +3,9 @@
 The bit-identical differential matrix lives in
 ``test_sharded_differential.py``; this file covers the pieces around it: the
 segment planner, the segment-filtered adversary, the typed error family and
-the refusals (the batch kernel is the only segment engine), the process
-transport, Session/CLI integration, and the run_many error fix.
+the refusals (the batch kernel is the only segment engine), worker
+processes and their shared-memory rings, Session/CLI integration, and the
+run_many error fix.
 """
 
 from __future__ import annotations
@@ -34,11 +35,7 @@ from repro.network.errors import (
 )
 from repro.network import sharded as sharded_module
 from repro.network.faults import FaultEvent, FaultPlan
-from repro.network.sharded import (
-    ExecutionPolicy,
-    plan_segments,
-    run_sharded,
-)
+from repro.network.sharded import plan_segments, run_sharded
 from repro.network.topology import LineTopology
 
 
@@ -89,11 +86,17 @@ def test_plan_segments_covers_every_node_exactly_once():
             assert covered == list(range(n))
 
 
-def test_execution_policy_validation():
-    with pytest.raises(UnshardableScenarioError):
-        ExecutionPolicy(shards=0)
-    with pytest.raises(UnshardableScenarioError):
-        ExecutionPolicy(shards=2, transport="carrier-pigeon")
+@pytest.mark.parametrize("shards", [0, -1, True, 2.0, "2"])
+def test_run_sharded_validates_shards(shards, monkeypatch):
+    """A shard count that is not an int >= 1 is refused before any worker
+    starts."""
+
+    def spawn(*args, **kwargs):
+        raise AssertionError("a worker was spawned for an invalid shards")
+
+    monkeypatch.setattr(sharded_module, "_spawn_workers", spawn)
+    with pytest.raises(UnshardableScenarioError, match="shards >= 1"):
+        run_sharded(_line_spec(), shards=shards)
 
 
 # ---------------------------------------------------------------------------
@@ -174,8 +177,10 @@ def test_adaptive_adversary_scenario_is_refused():
         .adversary("hotspot", rho=0.5, sigma=2.0, rounds=10)
         .policy(seed=1, engine="batch")
     )
+    shm_before = _shm_segments()
     with pytest.raises(UnshardableScenarioError):
-        run_sharded(scenario.build(), shards=2, transport="local")
+        Session().run(scenario.policy(shards=2).build())
+    _assert_nothing_left_behind(shm_before)
 
 
 def test_tree_topology_is_refused():
@@ -337,8 +342,47 @@ def test_run_many_use_processes_raises_typed_error_for_live_items():
 
 
 # ---------------------------------------------------------------------------
-# Process transport
+# Worker processes and their shared-memory rings
 # ---------------------------------------------------------------------------
+
+
+class _NoSharedMemoryRing:
+    """Stands in for BoundaryRing on a host without usable shared memory."""
+
+    def __init__(self, *args, **kwargs):
+        raise OSError(38, "Function not implemented: shm_open")
+
+
+def test_ring_creation_failure_refuses_and_reaps_workers(monkeypatch):
+    """When the coordinator cannot create a boundary ring, Session.run
+    raises the typed refusal pointing at shards=1, after tearing down the
+    workers it already spawned; nothing falls back silently."""
+    monkeypatch.setattr(sharded_module, "BoundaryRing", _NoSharedMemoryRing)
+    spec = _line_spec(shards=2)
+    shm_before = _shm_segments()
+    with pytest.raises(UnshardableScenarioError,
+                       match="shared-memory rings.*shards=1") as excinfo:
+        Session().run(spec)
+    assert "OSError" in str(excinfo.value)
+    _assert_nothing_left_behind(shm_before)
+
+
+def test_ring_attach_failure_in_a_worker_is_typed(monkeypatch):
+    """A worker that cannot map a ring the coordinator created reports the
+    same typed refusal (not a raw OSError), and the run leaves no worker
+    and no ring behind."""
+    real_ring = sharded_module.BoundaryRing
+
+    def ring(name=None, **kwargs):
+        if name is not None:
+            raise OSError(13, "Permission denied", name)
+        return real_ring(**kwargs)
+
+    monkeypatch.setattr(sharded_module, "BoundaryRing", ring)
+    shm_before = _shm_segments()
+    with pytest.raises(UnshardableScenarioError, match="shards=1"):
+        run_sharded(_line_spec(), shards=3)
+    _assert_nothing_left_behind(shm_before)
 
 
 @pytest.mark.parametrize(
@@ -364,10 +408,10 @@ def test_process_transport_matches_single_process(
     spec = scenario.build()
     if algorithm in UNSHARDABLE:
         with pytest.raises(UnshardableScenarioError, match="batch kernel"):
-            run_sharded(spec, shards=2, transport="processes")
+            run_sharded(spec, shards=2)
         assert multiprocessing.active_children() == []
         return
-    sharded, _ = run_sharded(spec, shards=2, transport="processes")
+    sharded, _ = run_sharded(spec, shards=2)
     assert sharded == _delta_oracle(spec)
 
 
@@ -379,7 +423,7 @@ def test_worker_build_errors_propagate_across_processes():
         .policy(seed=1, engine="batch")
     )
     with pytest.raises(UnshardableScenarioError):
-        run_sharded(scenario.build(), shards=2, transport="processes")
+        run_sharded(scenario.build(), shards=2)
 
 
 # ---------------------------------------------------------------------------
@@ -455,11 +499,11 @@ def test_cli_shards_matches_unsharded_row(capsys):
 
 def test_extras_carry_segments_and_routing():
     spec = _line_spec()
-    result, extras = run_sharded(spec, shards=3, transport="local")
+    result, extras = run_sharded(spec, shards=3)
     assert extras["segments"] == plan_segments(16, 3)
     assert extras["engine"] == {
         "requested": "batch", "selected": "batch", "fallback_reason": None,
-        "transport": "local",
+        "transport": "shm",
     }
     assert len(extras["handoff_traces"]) == 3
     assert extras["adversary_sigma"] == 3.0
@@ -487,13 +531,16 @@ def _crash_plan(round_number: int, segment: int, phase: str = "begin") -> FaultP
     ))
 
 
-def test_execution_policy_supervisor_validation():
-    with pytest.raises(UnshardableScenarioError):
-        ExecutionPolicy(shards=2, max_retries=-1)
-    with pytest.raises(UnshardableScenarioError):
-        ExecutionPolicy(shards=2, retry_backoff=-0.5)
-    with pytest.raises(UnshardableScenarioError):
-        ExecutionPolicy(shards=2, faults={"events": []})
+def test_run_sharded_validates_faults_and_clock(monkeypatch):
+    def spawn(*args, **kwargs):
+        raise AssertionError("a worker was spawned for invalid arguments")
+
+    monkeypatch.setattr(sharded_module, "_spawn_workers", spawn)
+    spec = _line_spec()
+    with pytest.raises(UnshardableScenarioError, match="FaultPlan"):
+        run_sharded(spec, shards=2, faults={"events": []})
+    with pytest.raises(UnshardableScenarioError, match="clock"):
+        run_sharded(spec, shards=2, clock=12.5)
 
 
 def test_recovery_error_hierarchy():
@@ -508,9 +555,9 @@ def test_process_worker_hard_crash_recovers():
     """A real worker process dying mid-run (os._exit) is detected, respawned
     and the run still matches its fault-free twin."""
     spec = _line_spec(shards=3, recovery="restart", max_worker_restarts=2)
-    baseline, _ = run_sharded(spec, transport="local")
+    baseline, _ = run_sharded(spec)
     recovered, extras = run_sharded(
-        spec, transport="processes", faults=_crash_plan(9, 1, "finish")
+        spec, faults=_crash_plan(9, 1, "finish")
     )
     assert recovered == baseline
     assert extras["recovery"]["restarts"] == 1
@@ -521,24 +568,24 @@ def test_heartbeat_timeout_detects_hung_worker():
     replaced; the injected delay fires only once, so the retry completes."""
     spec = _line_spec(shards=2, recovery="restart", max_worker_restarts=2,
                       heartbeat_timeout=0.25)
-    baseline, _ = run_sharded(spec, transport="local")
+    baseline, _ = run_sharded(spec)
     slow = FaultPlan(events=(
         FaultEvent(kind="slow", round=5, segment=1, phase="begin", delay=5.0),
     ))
-    recovered, extras = run_sharded(spec, transport="processes", faults=slow)
+    recovered, extras = run_sharded(spec, faults=slow)
     assert recovered == baseline
     assert extras["recovery"]["restarts"] == 1
 
 
 def test_dropped_sends_are_retried_without_recovery():
-    """Simulated transport loss within the retry budget is absorbed by
-    backoff alone — no worker restart, identical results."""
+    """Simulated send loss within the retry budget is absorbed by backoff
+    alone — no worker restart, identical results."""
     spec = _line_spec(shards=3, recovery="restart", max_worker_restarts=2)
-    baseline, _ = run_sharded(spec, transport="local")
+    baseline, _ = run_sharded(spec)
     drops = FaultPlan(events=(
         FaultEvent(kind="drop", round=4, segment=0, phase="select", count=2),
     ))
-    recovered, extras = run_sharded(spec, transport="local", faults=drops)
+    recovered, extras = run_sharded(spec, faults=drops)
     assert recovered == baseline
     assert extras["recovery"]["restarts"] == 0
 
@@ -547,14 +594,14 @@ def test_drop_exhaustion_escalates_to_recovery():
     """More consecutive losses than max_retries marks the worker failed;
     the supervisor then recovers instead of looping forever.  count=5 burns
     the full retry budget once (3 attempts), escalates, and leaves the
-    replayed superstep enough tokens to fail twice more before the retry
+    replayed window enough tokens to fail twice more before the retry
     succeeds — one restart, no exhaustion."""
     spec = _line_spec(shards=3, recovery="restart", max_worker_restarts=2)
-    baseline, _ = run_sharded(spec, transport="local")
+    baseline, _ = run_sharded(spec)
     drops = FaultPlan(events=(
         FaultEvent(kind="drop", round=4, segment=0, phase="select", count=5),
     ))
-    recovered, extras = run_sharded(spec, transport="local", faults=drops)
+    recovered, extras = run_sharded(spec, faults=drops)
     assert recovered == baseline
     assert extras["recovery"]["restarts"] == 1
 
@@ -563,20 +610,20 @@ def test_drop_exhaustion_escalates_to_recovery():
     FaultEvent(kind="crash", round=3, segment=0),
     FaultEvent(kind="slow", round=3, segment=1, delay=5.0),
 ], ids=["crash", "hang"])
-@pytest.mark.parametrize("shm", [False, None], ids=["relay", "window"])
-def test_each_failure_in_one_window_costs_its_own_restart(first, shm):
+@pytest.mark.parametrize("batch_rounds", [1, 64],
+                         ids=["one-round-windows", "window"])
+def test_each_failure_in_one_window_costs_its_own_restart(first, batch_rounds):
     """A window ships its rounds' directives before it runs, but the events
     past the first failure never ran: the replay must fire them, so two
-    failures inside one window cost two restarts, as on the relay path."""
+    failures inside one window cost two restarts, as they do when every
+    window is a single round."""
     spec = _line_spec(shards=3, recovery="restart", max_worker_restarts=3,
-                      heartbeat_timeout=0.25)
-    baseline, _ = run_sharded(spec, transport="local")
+                      heartbeat_timeout=0.25, batch_rounds=batch_rounds)
+    baseline, _ = run_sharded(spec)
     plan = FaultPlan(events=(
         first, FaultEvent(kind="crash", round=6, segment=1, phase="finish"),
     ))
-    recovered, extras = run_sharded(
-        spec, transport="processes", shm=shm, faults=plan
-    )
+    recovered, extras = run_sharded(spec, faults=plan)
     assert recovered == baseline
     assert extras["recovery"]["restarts"] == 2
 
@@ -586,18 +633,16 @@ def test_recovery_extras_report_wall_clock_time():
     to assert against (monotonic fake, no real time reads)."""
     ticks = iter(range(100))
     spec = _line_spec(shards=2, recovery="restart", max_worker_restarts=2)
-    baseline, _ = run_sharded(spec, transport="local")
+    baseline, _ = run_sharded(spec)
     recovered, extras = run_sharded(
-        spec, transport="local", faults=_crash_plan(6, 0),
+        spec, faults=_crash_plan(6, 0),
         clock=lambda: float(next(ticks)),
     )
     assert recovered == baseline
     assert extras["recovery"]["restarts"] == 1
     assert extras["recovery"]["recovery_time_s"] == 1.0
     # Without a clock the metric is absent-but-present: explicitly None.
-    _, no_clock_extras = run_sharded(
-        spec, transport="local", faults=_crash_plan(6, 0)
-    )
+    _, no_clock_extras = run_sharded(spec, faults=_crash_plan(6, 0))
     assert no_clock_extras["recovery"]["recovery_time_s"] is None
 
 
