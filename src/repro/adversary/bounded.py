@@ -12,14 +12,15 @@ Two equivalent views are implemented:
   maintained incrementally in O(T n) instead of the naive O(T^2 n)).
 * :class:`TokenBucket` is the constructive counterpart used by every
   bucket-driven generator: per-buffer token levels in one numpy array that
-  tell the generator, one array operation per refill or proposal, whether a
-  route may be emitted in the current round without breaking the bound.
-  Line routes are addressed as slices and pre-checked at their last buffer,
-  so most rejections cost O(1) rather than a walk over the path.
+  tell the generator whether a route may be emitted in the current round
+  without breaking the bound.  Beside the levels it keeps the sorted list of
+  *dry* buffers (fewer than one token), so a line route is refused by one
+  bisection instead of a walk over the path.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -179,16 +180,24 @@ class TokenBucket:
     excess recurrence ``xi_t = max(xi_{t-1} + N_t - rho, 0) <= sigma``.
 
     The levels live in one float64 array, and a route is addressed as a
-    :data:`Span`, so a refill, an admission check and a charge are each one
-    array operation.  Every operation is the same IEEE arithmetic, in the
-    same order per buffer, as the scalar recurrence, so the token levels (and
-    hence every admission decision) do not depend on the representation.
+    :data:`Span`, so a refill and a charge are each one array operation.
+    Every operation is the same IEEE arithmetic, in the same order per
+    buffer, as the scalar recurrence, so the token levels (and hence every
+    admission decision) do not depend on the representation.
+
+    Beside the levels, ``_dry`` lists the buffers with fewer than one token,
+    in increasing order.  A route is refused iff it crosses one of them, so
+    :meth:`admit_line` and :meth:`last_exhausted` answer by bisection.  The
+    list only changes *how* a refusal is found, never whether it happens:
+    it is kept equal to ``flatnonzero(levels < 1.0)`` after every operation.
     """
 
     def __init__(self, num_nodes: int, rho: float, sigma: float) -> None:
-        if rho < 0:
+        # ``not x >= 0`` also refuses NaN, which would make a level neither
+        # dry nor admissible.
+        if not rho >= 0:
             raise ValueError("rho must be non-negative")
-        if sigma < 0:
+        if not sigma >= 0:
             raise ValueError("sigma must be non-negative")
         self.num_nodes = num_nodes
         self.rho = float(rho)
@@ -196,6 +205,7 @@ class TokenBucket:
         self._cap = self.sigma + self.rho
         # tokens[v] = sigma - xi(v): remaining crossings admissible at v.
         self._tokens = np.full(num_nodes, self.sigma, dtype=np.float64)
+        self._dry: List[int] = list(range(num_nodes)) if self.sigma < 1.0 else []
         self._refilled_this_round = False
 
     def start_round(self) -> None:
@@ -204,10 +214,21 @@ class TokenBucket:
         The cap is ``sigma + rho`` rather than ``sigma`` because the excess
         constraint allows ``N_t(v) <= sigma - xi_{t-1}(v) + rho`` crossings in
         round ``t`` (Lemma 2.3, part 2).
+
+        With a cap of at least one, only buffers that were dry can stop
+        being dry: a level of at least one plus ``rho >= 0`` is still at
+        least one, and so is its minimum with the cap.  So the dry list is
+        filtered.  Under a cap below one the refill dries any level restored
+        above the cap, so the list is rebuilt.
         """
-        tokens = self._tokens
+        tokens, dry = self._tokens, self._dry
         np.add(tokens, self.rho, out=tokens)
         np.minimum(tokens, self._cap, out=tokens)
+        if self._cap < 1.0:
+            self._dry = np.flatnonzero(tokens < 1.0).tolist()
+        elif dry:
+            level = tokens.item
+            self._dry = [v for v in dry if level(v) < 1.0]
         self._refilled_this_round = True
 
     def can_inject(self, span: Span) -> bool:
@@ -218,7 +239,15 @@ class TokenBucket:
     def inject(self, span: Span) -> None:
         """Consume one token on every buffer of ``span`` (caller checked
         admissibility; a span never lists a buffer twice)."""
-        self._tokens[span] -= 1.0
+        buffers = np.arange(self.num_nodes)[span]
+        levels = self._tokens[buffers] - 1.0
+        self._tokens[buffers] = levels
+        dried = buffers[levels < 1.0].tolist()
+        dry = self._dry
+        for v in dried:
+            i = bisect_left(dry, v)
+            if i == len(dry) or dry[i] != v:
+                dry.insert(i, v)
 
     def admit(self, span: Span) -> bool:
         """:meth:`can_inject` then :meth:`inject`: whether the packet was admitted."""
@@ -231,24 +260,26 @@ class TokenBucket:
         """:meth:`admit` for the line route ``source -> destination``
         (``0 <= source < destination <= num_nodes``, checked by the caller).
 
-        Every route into ``destination`` crosses buffer ``destination - 1``,
-        so that buffer runs dry first under a destination-concentrated load;
-        reading it before the span rejects most proposals in O(1).  The
-        early exit only skips work: the span check still decides.
+        The route is refused iff a dry buffer lies in ``[source,
+        destination)``: one bisection of the dry list.  An admitted route
+        has no dry buffer, so the buffers it dries form one block of the
+        list, inserted where the bisection landed.
         """
-        tokens = self._tokens
-        if tokens[destination - 1] < 1.0:
+        dry = self._dry
+        i = bisect_left(dry, source)
+        if i < len(dry) and dry[i] < destination:
             return False
-        levels = tokens[source:destination]
-        if levels.min() < 1.0:
-            return False
+        levels = self._tokens[source:destination]
         levels -= 1.0
+        dried = (levels < 1.0).nonzero()[0]
+        if len(dried):
+            dry[i:i] = (dried + source).tolist()
         return True
 
     def last_exhausted(self, stop: int) -> int:
         """The largest buffer ``v < stop`` with less than one token, or -1."""
-        dry = np.flatnonzero(self._tokens[:stop] < 1.0)
-        return int(dry[-1]) if dry.size else -1
+        i = bisect_left(self._dry, stop)
+        return self._dry[i - 1] if i else -1
 
     def available(self, buffer: int) -> float:
         """Remaining tokens at ``buffer`` this round."""
@@ -283,7 +314,10 @@ class TokenBucket:
                 f"token-bucket state has {len(tokens)} buffers, "
                 f"expected {self.num_nodes}"
             )
+        if any(value != value for value in tokens):
+            raise ValueError("token-bucket state holds a NaN level")
         self._tokens = np.array(tokens, dtype=np.float64)
+        self._dry = np.flatnonzero(self._tokens < 1.0).tolist()
         self._refilled_this_round = bool(state.get("refilled", False))
 
 

@@ -92,6 +92,22 @@ def _pick_destinations(
     return sorted(chosen)
 
 
+def _randbelow(getrandbits: Callable[[int], int], n: int) -> int:
+    """A uniform draw from ``range(n)``, ``n >= 1``, bit for bit as
+    ``random.randrange(n)`` and ``random.choice`` of a length-``n`` sequence.
+
+    This is the loop CPython (3.10 to 3.12) runs beneath both: draw
+    ``n.bit_length()`` bits with ``getrandbits`` and retry while the value
+    is out of range.  Calling it skips their argument checks and method
+    dispatch; the RNG consumes exactly the same words.
+    """
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
 def _materialize(
     rows: Iterator[RouteRow], *, rho: float, sigma: float
 ) -> InjectionPattern:
@@ -121,7 +137,7 @@ def _front_end(
 def _validate_envelope(rho: float, sigma: float) -> None:
     if not (0 < rho <= 1):
         raise ConfigurationError(f"rho must be in (0, 1], got {rho}")
-    if sigma < 0:
+    if not sigma >= 0:
         raise ConfigurationError(f"sigma must be >= 0, got {sigma}")
 
 
@@ -187,17 +203,31 @@ class _RandomLineRows(_BucketRows):
         self.proposals_per_round = max(
             4, int(2 * (rho + sigma) * len(self.destinations)) + 4
         )
+        # ``randrange(0, w)`` draws ``w.bit_length()`` bits at a time.
+        self._widths = [w.bit_length() for w in self.destinations]
 
     def row(self, round_number: int) -> RouteRow:
-        rng, bucket = self.rng, self.bucket
-        bucket.start_round()
+        # The hot loop of every bounded line scenario.  ``choice`` and
+        # ``randrange`` are inlined as the ``getrandbits`` loop of
+        # :func:`_randbelow`, so the RNG consumes the same words.
+        random_, getrandbits = self.rng.random, self.rng.getrandbits
+        admit_line, intensity = self.bucket.admit_line, self.intensity
+        destinations, widths = self.destinations, self._widths
+        count = len(destinations)
+        count_bits = count.bit_length()
+        self.bucket.start_round()
         row: RouteRow = []
         for _ in range(self.proposals_per_round):
-            if rng.random() > self.intensity:
+            if random_() > intensity:
                 continue
-            destination = rng.choice(self.destinations)
-            source = rng.randrange(0, destination)
-            if bucket.admit_line(source, destination):
+            r = getrandbits(count_bits)
+            while r >= count:
+                r = getrandbits(count_bits)
+            destination, bits = destinations[r], widths[r]
+            source = getrandbits(bits)
+            while source >= destination:
+                source = getrandbits(bits)
+            if admit_line(source, destination):
                 row.append((source, destination))
         return row
 
@@ -294,6 +324,7 @@ def saturating_line_adversary(
     harshest *feasible* load within the declared bound and is the default
     workload for validating the upper-bound propositions.
     """
+    _validate_envelope(rho, sigma)
     _pick_destinations(topology, num_destinations, random.Random(seed))  # fail fast
     return _front_end(
         lambda: _SaturatingLineRows(
@@ -320,11 +351,12 @@ class _SingleDestinationRows(_BucketRows):
         self.attempts = max(4, int(rho + sigma) + 4)
 
     def row(self, round_number: int) -> RouteRow:
-        rng, bucket, destination = self.rng, self.bucket, self.destination
+        getrandbits, bucket = self.rng.getrandbits, self.bucket
+        destination = self.destination
         bucket.start_round()
         row: RouteRow = []
         for _ in range(self.attempts):
-            source = rng.randrange(0, destination)
+            source = _randbelow(getrandbits, destination)
             if bucket.admit_line(source, destination):
                 row.append((source, destination))
         return row
@@ -345,6 +377,7 @@ def single_destination_adversary(
     This is the PTS setting (Proposition 3.1).  The destination defaults to
     the right end of the line.
     """
+    _validate_envelope(rho, sigma)
     destination = destination if destination is not None else topology.num_nodes - 1
     _validate_destination(topology, destination)
     return _front_end(
@@ -372,7 +405,7 @@ class _BurstyRows(_BucketRows):
         self.burst_period = burst_period
 
     def row(self, round_number: int) -> RouteRow:
-        rng, bucket = self.rng, self.bucket
+        getrandbits, bucket = self.rng.getrandbits, self.bucket
         bucket.start_round()
         row: RouteRow = []
         if round_number % self.burst_period == self.burst_period - 1:
@@ -380,7 +413,7 @@ class _BurstyRows(_BucketRows):
             while progress:
                 progress = False
                 for destination in self.destinations:
-                    source = rng.randrange(0, destination)
+                    source = _randbelow(getrandbits, destination)
                     if bucket.admit_line(source, destination):
                         row.append((source, destination))
                         progress = True
@@ -404,6 +437,7 @@ def bursty_adversary(
     refill toward ``sigma``), then one round injects as much as the budget
     allows.  This exercises the ``+ sigma`` term of every bound.
     """
+    _validate_envelope(rho, sigma)
     if burst_period < 1:
         raise ConfigurationError(f"burst_period must be >= 1, got {burst_period}")
     _pick_destinations(topology, num_destinations, random.Random(seed))  # fail fast
@@ -534,12 +568,14 @@ class _RandomTreeRows(_BucketRows):
         self._spans: Dict[Tuple[int, int], np.ndarray] = {}
 
     def row(self, round_number: int) -> RouteRow:
-        rng, bucket, spans = self.rng, self.bucket, self._spans
+        getrandbits, bucket, spans = self.rng.getrandbits, self.bucket, self._spans
+        destinations, eligible = self.usable_destinations, self.eligible_sources
         bucket.start_round()
         row: RouteRow = []
         for _ in range(self.attempts):
-            destination = rng.choice(self.usable_destinations)
-            source = rng.choice(self.eligible_sources[destination])
+            destination = destinations[_randbelow(getrandbits, len(destinations))]
+            sources = eligible[destination]
+            source = sources[_randbelow(getrandbits, len(sources))]
             span = spans.get((source, destination))
             if span is None:
                 span = spans[source, destination] = tree_span(
@@ -567,11 +603,13 @@ def random_tree_adversary(
     admissions go through a token bucket keyed by node (each packet crossing
     node ``v`` consumes a token at ``v``).
     """
+    _validate_envelope(rho, sigma)
     if destinations is None:
         destinations = [tree.root]
     destinations = list(destinations)
+    nodes = set(tree.nodes)
     for w in destinations:
-        if w not in set(tree.nodes):
+        if w not in nodes:
             raise ConfigurationError(f"destination {w} not in the tree")
     node_index = {v: idx for idx, v in enumerate(tree.nodes)}
     # Precompute, for every destination, the nodes that can send to it.

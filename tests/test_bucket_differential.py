@@ -196,7 +196,24 @@ def test_builder_matches_list_bucket(monkeypatch, builder, rho, sigma):
     assert actual[2] == expected[2]
 
 
-@pytest.mark.parametrize("rho,sigma", ENVELOPES)
+def _assert_dry_list(bucket: TokenBucket) -> None:
+    """The dry list is exactly the buffers with fewer than one token."""
+    assert bucket._dry == np.flatnonzero(bucket._tokens < 1.0).tolist()
+
+
+def _round_trip(bucket, rho, sigma):
+    """A fresh bucket of the same class restored from ``bucket``'s JSON state."""
+    restored = type(bucket)(bucket.num_nodes, rho, sigma)
+    restored.set_state(json.loads(json.dumps(bucket.state())))
+    return restored
+
+
+#: The builders' envelopes plus one whose cap ``sigma + rho`` is below one
+#: token, where every buffer is dry after every refill.
+SEQUENCE_ENVELOPES = ENVELOPES + [(0.25, 0.5)]
+
+
+@pytest.mark.parametrize("rho,sigma", SEQUENCE_ENVELOPES)
 def test_random_operation_sequences(rho, sigma):
     rng = random.Random(f"{rho}/{sigma}")
     n = 24
@@ -205,16 +222,25 @@ def test_random_operation_sequences(rho, sigma):
         if rng.random() < 0.2:
             reference.start_round()
             bucket.start_round()
+        if rng.random() < 0.05:
+            reference = _round_trip(reference, rho, sigma)
+            bucket = _round_trip(bucket, rho, sigma)
+        _assert_dry_list(bucket)
         source = rng.randrange(n)
         destination = rng.randint(source, n)
-        spans = [
-            slice(source, destination),
-            np.array(rng.sample(range(n), rng.randint(1, 5)), dtype=np.intp),
-        ]
+        indices = np.array(rng.sample(range(n), rng.randint(1, 5)), dtype=np.intp)
+        spans = [slice(source, destination), indices]
         for span in spans:
             assert bucket.can_inject(span) == reference.can_inject(span)
             assert bucket.headroom(span) == reference.headroom(span)
             assert bucket.admit(span) == reference.admit(span)
+        # A bare charge by index array, as the tree builders make, then the
+        # line queries that read the dry list it updated.
+        indices = np.array(rng.sample(range(n), rng.randint(1, 5)), dtype=np.intp)
+        if reference.can_inject(indices):
+            reference.inject(indices)
+            bucket.inject(indices)
+        _assert_dry_list(bucket)
         if destination > source:
             assert bucket.admit_line(source, destination) == reference.admit_line(
                 source, destination
@@ -224,6 +250,38 @@ def test_random_operation_sequences(rho, sigma):
         )
         assert bucket.available(source) == reference.available(source)
         assert json.dumps(bucket.state()) == json.dumps(reference.state())
+        _assert_dry_list(bucket)
+
+
+def test_below_one_token_cap_admits_nothing():
+    bucket = TokenBucket(6, 0.25, 0.5)
+    # A restored level above the cap dries at the next refill.
+    bucket.set_state({"tokens": [2.0] * 6})
+    assert bucket.admit_line(0, 6)
+    for _ in range(5):
+        bucket.start_round()
+        assert not bucket.admit_line(0, 6)
+        assert bucket.last_exhausted(6) == 5
+        _assert_dry_list(bucket)
+
+
+@pytest.mark.parametrize(
+    "span",
+    [np.array([-1, 0], dtype=np.intp), [-2, 1], slice(1, 6, 2), slice(-3, None)],
+)
+def test_inject_records_the_buffer_an_index_names(span):
+    # Negative indices and stepped slices name buffers the way numpy does;
+    # the dry list must hold those buffers, not the raw indices.
+    bucket = TokenBucket(6, 0.5, 1.0)
+    bucket.inject(span)
+    _assert_dry_list(bucket)
+    assert bucket.last_exhausted(6) == np.flatnonzero(bucket._tokens < 1.0)[-1]
+
+
+@pytest.mark.parametrize("levels", [[float("nan"), 2.0], [2.0, 3.0, 4.0]])
+def test_set_state_refuses_bad_levels(levels):
+    with pytest.raises(ValueError):
+        TokenBucket(2, 0.5, 1.0).set_state({"tokens": levels})
 
 
 def test_state_is_plain_python_floats():
@@ -280,6 +338,32 @@ def test_stream_resume_mid_run_equals_straight_run(name, rho, sigma):
         resumed.resume(cursor)
         tail = rows(resumed, range(17, 40))
     assert head + tail == straight
+
+
+@pytest.mark.parametrize("resume_at", [1, 13, 29])
+@pytest.mark.parametrize("rho,sigma", ENVELOPES)
+def test_random_line_resumed_stream_equals_eager_rows(rho, sigma, resume_at):
+    line = LineTopology(40)
+
+    def make(stream):
+        return generators.random_line_adversary(
+            line, rho, sigma, 36, 5, seed=11, intensity=0.7, stream=stream
+        )
+
+    def rows(injections):
+        return sorted((p.round, p.source, p.destination) for p in injections)
+
+    with packet_id_scope():
+        eager = rows(make(False).all_injections())
+    with packet_id_scope():
+        first = make(True)
+        head = [p for t in range(resume_at) for p in first.injections_for_round(t)]
+        cursor = json.loads(json.dumps(first.cursor()))
+        resumed = make(True)
+        resumed.resume(cursor)
+        tail = [p for t in range(resume_at, 36) for p in resumed.injections_for_round(t)]
+    assert eager
+    assert rows(head + tail) == eager
 
 
 @pytest.mark.parametrize("route", [(-1, 4), (2, 17)])

@@ -11,8 +11,8 @@ differential fuzzer for the vectorized path.
 If a trial ever violates the bound, the harness greedily *shrinks* the
 pattern (dropping routes while the violation survives), writes the minimal
 counterexample to ``tests/regressions/`` and fails with a pointer.  Files
-in that directory are replayed on every run as pinned regression cases —
-commit the shrunk JSON together with the fix.
+in that directory named ``pts_*.json`` are replayed on every run as pinned
+regression cases — commit the shrunk JSON together with the fix.
 """
 
 from __future__ import annotations
@@ -151,7 +151,7 @@ def test_fuzz_pts_never_exceeds_paper_bound(trial):
 def _regression_cases():
     if not REGRESSION_DIR.is_dir():
         return []
-    return sorted(REGRESSION_DIR.glob("*.json"))
+    return sorted(REGRESSION_DIR.glob("pts_*.json"))
 
 
 @pytest.mark.parametrize("case", _regression_cases(), ids=lambda p: p.stem)

@@ -16,6 +16,11 @@ from repro.network.errors import ConfigurationError
 from repro.network.topology import LineTopology, caterpillar_tree, star_tree
 
 
+#: Envelopes outside Definition 2.1's ``0 < rho <= 1``, ``sigma >= 0``.
+BAD_ENVELOPES = [(2.0, 4.0), (0.0, 4.0), (0.5, -1.0), (float("nan"), 1.0),
+                 (0.5, float("nan"))]
+
+
 class TestRandomLineAdversary:
     def test_generated_pattern_is_bounded(self):
         line = LineTopology(32)
@@ -76,6 +81,11 @@ class TestSaturatingLineAdversary:
         first_round = pattern.injections_for_round(0)
         assert len(first_round) >= 4
 
+    @pytest.mark.parametrize("rho,sigma", BAD_ENVELOPES)
+    def test_invalid_envelope(self, rho, sigma):
+        with pytest.raises(ConfigurationError):
+            saturating_line_adversary(LineTopology(16), rho, sigma, 10, 2, seed=1)
+
 
 class TestSingleDestinationAdversary:
     def test_all_packets_share_destination(self):
@@ -90,6 +100,11 @@ class TestSingleDestinationAdversary:
             line, 0.5, 1, 40, destination=10, seed=8
         )
         assert pattern.destinations() == [10]
+
+    @pytest.mark.parametrize("rho,sigma", BAD_ENVELOPES)
+    def test_invalid_envelope(self, rho, sigma):
+        with pytest.raises(ConfigurationError):
+            single_destination_adversary(LineTopology(16), rho, sigma, 10, seed=1)
 
 
 class TestBurstyAdversary:
@@ -111,6 +126,11 @@ class TestBurstyAdversary:
     def test_invalid_period(self):
         with pytest.raises(ConfigurationError):
             bursty_adversary(LineTopology(8), 0.5, 1, 10, 1, burst_period=0)
+
+    @pytest.mark.parametrize("rho,sigma", BAD_ENVELOPES)
+    def test_invalid_envelope(self, rho, sigma):
+        with pytest.raises(ConfigurationError):
+            bursty_adversary(LineTopology(16), rho, sigma, 10, 2, seed=1)
 
 
 class TestRandomTreeAdversary:
@@ -134,6 +154,11 @@ class TestRandomTreeAdversary:
     def test_unknown_destination_rejected(self):
         with pytest.raises(ConfigurationError):
             random_tree_adversary(star_tree(3), 0.5, 1, 10, destinations=[99])
+
+    @pytest.mark.parametrize("rho,sigma", BAD_ENVELOPES)
+    def test_invalid_envelope(self, rho, sigma):
+        with pytest.raises(ConfigurationError):
+            random_tree_adversary(star_tree(3), rho, sigma, 10, seed=1)
 
     def test_no_eligible_sources_returns_empty(self):
         # A single leaf destination that is itself a leaf has no descendants.
