@@ -94,10 +94,10 @@ class GreedyForwarding(ForwardingAlgorithm):
 
     def select_activations(self, round_number: int) -> List[Activation]:
         activations: List[Activation] = []
-        # Only nodes currently holding a packet are visited (the nonempty
-        # index iterates ascending, matching the buffers-dict order).
-        for node in self._index.nonempty(_SINGLE_QUEUE):
-            pseudo = self.buffers[node].existing(_SINGLE_QUEUE)
+        for node, node_buffer in self.buffers.items():
+            if not node_buffer.load:
+                continue
+            pseudo = node_buffer.existing(_SINGLE_QUEUE)
             chosen: Optional[Packet] = min(
                 pseudo.packets(),
                 key=lambda packet: self.policy(

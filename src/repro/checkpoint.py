@@ -9,8 +9,8 @@ continue a run bit-identically from a round boundary:
 * every retained :class:`~repro.core.packet.Packet` (in-flight only under
   ``history="streaming"``; all packets otherwise), stored columnar,
 * the per-node pseudo-buffer layout — every key in creation order with its
-  packet ids in queue order — from which occupancy maps and the incremental
-  :class:`~repro.core.indexset.BufferIndex` structures are rebuilt by
+  packet ids in queue order — from which the node loads and the incremental
+  :class:`~repro.core.indexset.BufferIndex` bad sets are rebuilt by
   replaying the stores,
 * algorithm-specific extra state (HPTS staged packets, PPTS discovered
   destinations, greedy arrival rounds) via
@@ -611,9 +611,8 @@ def restore_into(simulator: "Simulator", checkpoint: Checkpoint) -> "Simulator":
     packets = _rebuild_packets(checkpoint)
     simulator.packets = packets
 
-    # -- buffers (replaying stores rebuilds occupancy, BufferIndex and any
-    #    on_key_presence_change structures such as HPTS's level-destination
-    #    sets) ----------------------------------------------------------------
+    # -- buffers (replaying stores through NodeBuffer.store rebuilds the node
+    #    loads and the BufferIndex bad sets) ---------------------------------
     buffer_ids = checkpoint.section("buffers/packet_ids")
     position = 0
     for node, entry in checkpoint.header["buffers"]:

@@ -107,9 +107,6 @@ class HierarchicalPeakToSink(ForwardingAlgorithm):
         self.batch_acceptance = batch_acceptance
         #: Packets injected but not yet accepted (phase batching).
         self._staged: List[Packet] = []
-        #: Per hierarchy level, the intermediate destinations with at least
-        #: one nonempty ``(level, w)`` pseudo-buffer somewhere on the line.
-        self._level_destinations: Dict[int, set] = {}
         #: ``m**(j+1)``: the length of every level-``j`` interval.
         self._interval_size: Tuple[int, ...] = tuple(
             self.branching ** (level + 1) for level in range(self.levels)
@@ -119,13 +116,6 @@ class HierarchicalPeakToSink(ForwardingAlgorithm):
 
     def classify(self, packet: Packet, node: int) -> Hashable:
         return self.partition.pseudo_buffer_key(node, packet.destination)
-
-    def on_key_presence_change(self, key: Hashable, present: bool) -> None:
-        level, intermediate = key  # keys are (level, intermediate destination)
-        if present:
-            self._level_destinations.setdefault(level, set()).add(intermediate)
-        else:
-            self._level_destinations[level].discard(intermediate)
 
     def on_inject(self, round_number: int, packets: List[Packet]) -> None:
         if self.batch_acceptance:
@@ -149,9 +139,9 @@ class HierarchicalPeakToSink(ForwardingAlgorithm):
         return len(self._staged)
 
     def checkpoint_state(self) -> Dict:
-        # The per-level destination sets are derived state, rebuilt by
-        # on_key_presence_change while the checkpoint layer replays the buffers;
-        # only the staged (injected-but-unaccepted) packets need recording.
+        # The bad-buffer index is derived state, rebuilt while the checkpoint
+        # layer replays the buffers; only the staged (injected-but-unaccepted)
+        # packets need recording.
         return {"staged": [packet.packet_id for packet in self._staged]}
 
     def restore_checkpoint_state(self, state: Dict, packets) -> None:
@@ -164,7 +154,7 @@ class HierarchicalPeakToSink(ForwardingAlgorithm):
         active: Dict[int, Tuple[int, int]] = {}
         activations: List[Activation] = []
         # Lines 6-8 of Algorithm 3: FormPaths on every level-lambda interval
-        # (intervals holding no level-lambda packet activate nothing).
+        # (intervals holding no bad level-lambda buffer activate nothing).
         size = self._interval_size[current_level]
         for rank, destinations in self._occupied_intervals(current_level):
             start = rank * size
@@ -191,21 +181,25 @@ class HierarchicalPeakToSink(ForwardingAlgorithm):
         return self.levels - 1 - offset
 
     def _occupied_intervals(self, level: int) -> List[Tuple[int, List[int]]]:
-        """``(rank, destinations)`` per level-``level`` interval holding
-        level-``level`` packets, ranks and destinations ascending.
+        """``(rank, destinations)`` per level-``level`` interval where FormPaths
+        can activate anything, ranks and destinations ascending.
 
-        This is ``_level_destinations[level]`` grouped by interval: every
-        ``(level, w)`` packet sits in the level-``level`` interval that
-        contains ``w`` (the virtual sink ``w = n`` belongs to the last one),
-        so the interval of rank ``min(w // m**(level+1), last rank)`` is the
-        only one where ``w`` can take part in FormPaths.
+        These are the destinations ``w`` whose ``(level, w)`` key has a bad
+        buffer, grouped by interval: every ``(level, w)`` packet sits in the
+        level-``level`` interval that contains ``w`` (the virtual sink
+        ``w = n`` belongs to the last one), so the interval of rank
+        ``min(w // m**(level+1), last rank)`` is the only one where ``w`` can
+        take part in FormPaths.  Leaving out the destinations with no bad
+        buffer changes nothing: FormPaths skips them, and the frontier
+        starts at the largest destination, at or right of every ``w - 1``,
+        so only a found bad position ever moves it.
         """
         size = self._interval_size[level]
         last_rank = self.topology.num_nodes // size - 1
         buckets: Dict[int, List[int]] = {}
         # Sorted destinations give non-decreasing ranks, so the dict's
         # insertion order is already the ascending rank order.
-        for w in sorted(self._level_destinations.get(level, ())):
+        for w in sorted(w for j, w in self._index.bad_keys() if j == level):
             buckets.setdefault(min(w // size, last_rank), []).append(w)
         return list(buckets.items())
 

@@ -80,9 +80,8 @@ class LocalThresholdForwarding(ForwardingAlgorithm):
         if threshold < 1:
             raise ConfigurationError(f"threshold must be >= 1, got {threshold}")
         # "Bad" for this rule means load >= threshold (2 recovers the paper's
-        # badness); the base class's index then makes each node's
-        # congestion-window check a single sorted-set lookup instead of an
-        # O(r) scan.
+        # badness), so the base class's index finds the left-most congested
+        # buffer, where the walk in select_activations starts.
         super().__init__(topology, discipline=discipline, bad_threshold=threshold)
         if destination is None:
             destination = topology.num_nodes - 1
@@ -108,10 +107,19 @@ class LocalThresholdForwarding(ForwardingAlgorithm):
 
     def select_activations(self, round_number: int) -> List[Activation]:
         last_buffer = min(self.destination - 1, self.topology.num_nodes - 1)
+        start = self._index.leftmost_bad(self.destination, 0, last_buffer)
+        if start is None:
+            return []
+        # Walk right from the left-most bad buffer, remembering the last bad
+        # one seen: node i is in some bad buffer's view iff that one is.
+        buffers = self.buffers
         activations: List[Activation] = []
-        for i in self._index.nonempty_in(self.destination, 0, last_buffer):
-            window_start = max(0, i - self.locality)
-            if self._index.leftmost_bad(self.destination, window_start, i) is not None:
+        last_bad = start
+        for i in range(start, last_buffer + 1):
+            load = buffers[i].load
+            if load >= self.threshold:
+                last_bad = i
+            if load and i - last_bad <= self.locality:
                 activations.append(Activation(node=i, key=self.destination))
         return activations
 

@@ -79,6 +79,7 @@ class ParallelPeakToSink(ForwardingAlgorithm):
     def select_activations(self, round_number: int) -> List[Activation]:
         destinations = self.destinations()
         activations: List[Activation] = []
+        buffers = self.buffers
         # The activation frontier: nothing to its right may be activated for
         # the remaining (smaller) destinations.  It starts past the largest
         # destination, playing the role of the sentinel "w_d" in Algorithm 2.
@@ -92,8 +93,11 @@ class ParallelPeakToSink(ForwardingAlgorithm):
             bad = self._index.leftmost_bad(w, 0, last)
             if bad is None:
                 continue
-            for i in self._index.nonempty_in(w, bad, last):
-                activations.append(Activation(node=i, key=w))
+            activations.extend(
+                Activation(node=i, key=w)
+                for i in range(bad, last + 1)
+                if buffers[i].load_of(w)
+            )
             frontier = bad
         return activations
 

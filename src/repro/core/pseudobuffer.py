@@ -6,11 +6,14 @@ destination (PPTS, Section 3.2) or by ``(level, intermediate destination)``
 concreteness" (Section 2); the bounds do not depend on the within-queue
 priority, so the discipline is configurable here.
 
-:class:`PseudoBuffer` is a single queue.  :class:`NodeBuffer` is a node's
-whole buffer: a dictionary of pseudo-buffers keyed by an arbitrary hashable
-key, with helpers for the load/badness quantities the analysis needs.  The
-node's load is the engine's one count of ``|L(i)|``: the forwarding
-algorithm and the simulator read it, and keep no copy of their own.
+:class:`PseudoBuffer` is a single queue, read-only to everyone but its node.
+:class:`NodeBuffer` is a node's whole buffer: a dictionary of pseudo-buffers
+keyed by an arbitrary hashable key, with helpers for the load/badness
+quantities the analysis needs.  It is the only thing that changes a buffer:
+:meth:`NodeBuffer.store`, :meth:`NodeBuffer.pop_from` and
+:meth:`NodeBuffer.remove_from` each update the node's load, the engine's one
+count of ``|L(i)|``, and make one ``(node, key, old_len, new_len)`` call into
+the node's change listener.
 """
 
 from __future__ import annotations
@@ -23,9 +26,7 @@ from .packet import Packet
 
 __all__ = ["QueueDiscipline", "PseudoBuffer", "NodeBuffer"]
 
-#: Change listener signature: ``(key, old_len, new_len)`` for pseudo-buffers,
-#: ``(node, key, old_len, new_len)`` for node buffers.
-PseudoChangeListener = Callable[[Hashable, int, int], None]
+#: Change listener signature: ``(node, key, old_len, new_len)``.
 NodeChangeListener = Callable[[int, Hashable, int, int], None]
 
 
@@ -45,26 +46,21 @@ class PseudoBuffer:
         Identifier of this pseudo-buffer within its node (e.g. a destination
         index, or a ``(level, destination)`` pair for HPTS).
     discipline:
-        Queue discipline used when a packet is popped for forwarding.
-    on_change:
-        Optional listener invoked as ``on_change(key, old_len, new_len)``
-        after every mutation.  :class:`NodeBuffer` uses it to keep its cached
-        load exact without re-summing.
+        Queue discipline :meth:`NodeBuffer.pop_from` follows for this queue.
+
+    A pseudo-buffer has no mutators of its own: its :class:`NodeBuffer`
+    changes it, so that the node's load and change notification can never
+    be skipped.
     """
 
-    __slots__ = ("key", "discipline", "_packets", "_on_change")
+    __slots__ = ("key", "discipline", "_packets")
 
     def __init__(
-        self,
-        key: Hashable,
-        discipline: QueueDiscipline = QueueDiscipline.LIFO,
-        *,
-        on_change: Optional[PseudoChangeListener] = None,
+        self, key: Hashable, discipline: QueueDiscipline = QueueDiscipline.LIFO
     ) -> None:
         self.key = key
         self.discipline = discipline
         self._packets: Deque[Packet] = deque()
-        self._on_change = on_change
 
     # -- container protocol ----------------------------------------------------
 
@@ -80,42 +76,13 @@ class PseudoBuffer:
     def __contains__(self, packet: Packet) -> bool:
         return packet in self._packets
 
-    # -- queue operations ------------------------------------------------------
-
-    def push(self, packet: Packet) -> None:
-        """Store a packet (arrival by injection or by forwarding)."""
-        self._packets.append(packet)
-        if self._on_change is not None:
-            new_len = len(self._packets)
-            self._on_change(self.key, new_len - 1, new_len)
-
-    def pop(self) -> Packet:
-        """Remove and return the next packet according to the discipline."""
-        if not self._packets:
-            raise IndexError(f"pop from empty pseudo-buffer {self.key!r}")
-        if self.discipline is QueueDiscipline.LIFO:
-            packet = self._packets.pop()
-        else:
-            packet = self._packets.popleft()
-        if self._on_change is not None:
-            new_len = len(self._packets)
-            self._on_change(self.key, new_len + 1, new_len)
-        return packet
-
     def peek(self) -> Optional[Packet]:
-        """Return the packet that :meth:`pop` would return, without removing it."""
+        """Return the packet that :meth:`NodeBuffer.pop_from` would pop next."""
         if not self._packets:
             return None
         if self.discipline is QueueDiscipline.LIFO:
             return self._packets[-1]
         return self._packets[0]
-
-    def remove(self, packet: Packet) -> None:
-        """Remove a specific packet (used by schedulers with custom priority)."""
-        self._packets.remove(packet)
-        if self._on_change is not None:
-            new_len = len(self._packets)
-            self._on_change(self.key, new_len + 1, new_len)
 
     def packets(self) -> List[Packet]:
         """Snapshot of the stored packets, oldest first."""
@@ -146,13 +113,13 @@ class NodeBuffer:
     remark that PPTS need not know the destination set in advance: only
     destinations that actually receive packets ever materialise a queue.
 
-    ``load`` is a cached counter, updated by the pseudo-buffers' change
-    notifications on every push / pop / remove, so reading it is O(1)
-    regardless of how many pseudo-buffers the node has accumulated;
-    ``total_bad`` (read only by analyses) is summed on demand.  An optional
-    ``on_change`` listener receives ``(node, key, old_len, new_len)`` after
-    each mutation — the forwarding algorithm uses it to keep its dirty-node
-    set and bad-buffer indices live.
+    ``load`` is a cached counter, updated by :meth:`store`, :meth:`pop_from`
+    and :meth:`remove_from` (the only methods that change a pseudo-buffer),
+    so reading it is O(1) regardless of how many pseudo-buffers the node has
+    accumulated; ``total_bad`` (read only by analyses) is summed on demand.
+    An optional ``on_change`` listener receives ``(node, key, old_len,
+    new_len)`` after each of those calls — the forwarding algorithm uses it
+    to keep its dirty-node set and bad-buffer index live.
 
     Both buffer classes are slotted: a million-node network materialises one
     :class:`NodeBuffer` per node up front, so the per-instance ``__dict__``
@@ -174,18 +141,13 @@ class NodeBuffer:
         self._load = 0
         self._on_change = on_change
 
-    def _pseudo_changed(self, key: Hashable, old_len: int, new_len: int) -> None:
-        self._load += new_len - old_len
-        if self._on_change is not None:
-            self._on_change(self.node, key, old_len, new_len)
-
     # -- pseudo-buffer management ----------------------------------------------
 
     def pseudo_buffer(self, key: Hashable) -> PseudoBuffer:
         """Return (creating if necessary) the pseudo-buffer for ``key``."""
         pb = self._pseudo.get(key)
         if pb is None:
-            pb = PseudoBuffer(key, self.discipline, on_change=self._pseudo_changed)
+            pb = PseudoBuffer(key, self.discipline)
             self._pseudo[key] = pb
         return pb
 
@@ -211,15 +173,46 @@ class NodeBuffer:
     # -- packet operations -----------------------------------------------------
 
     def store(self, packet: Packet, key: Hashable) -> None:
-        """Store ``packet`` under pseudo-buffer ``key``."""
-        self.pseudo_buffer(key).push(packet)
+        """Store ``packet`` under pseudo-buffer ``key`` (arrival by injection
+        or by forwarding)."""
+        packets = self.pseudo_buffer(key)._packets
+        packets.append(packet)
+        self._load += 1
+        if self._on_change is not None:
+            new_len = len(packets)
+            self._on_change(self.node, key, new_len - 1, new_len)
 
     def pop_from(self, key: Hashable) -> Packet:
-        """Pop the next packet from pseudo-buffer ``key``."""
+        """Pop the next packet from pseudo-buffer ``key``, by its discipline."""
         pb = self._pseudo.get(key)
         if pb is None or not pb:
             raise IndexError(f"node {self.node}: pseudo-buffer {key!r} is empty")
-        return pb.pop()
+        packets = pb._packets
+        if pb.discipline is QueueDiscipline.LIFO:
+            packet = packets.pop()
+        else:
+            packet = packets.popleft()
+        self._load -= 1
+        if self._on_change is not None:
+            new_len = len(packets)
+            self._on_change(self.node, key, new_len + 1, new_len)
+        return packet
+
+    def remove_from(self, key: Hashable, packet: Packet) -> None:
+        """Remove the specific ``packet`` from pseudo-buffer ``key`` (for
+        schedulers whose priority is not the queue discipline).
+
+        Raises :class:`ValueError` if the packet is not stored there.
+        """
+        pb = self._pseudo.get(key)
+        if pb is None:
+            raise ValueError(f"node {self.node}: no pseudo-buffer {key!r}")
+        packets = pb._packets
+        packets.remove(packet)
+        self._load -= 1
+        if self._on_change is not None:
+            new_len = len(packets)
+            self._on_change(self.node, key, new_len + 1, new_len)
 
     def all_packets(self) -> List[Packet]:
         """All packets stored at this node, grouped by pseudo-buffer."""

@@ -84,9 +84,13 @@ class PeakToSink(ForwardingAlgorithm):
             start = 0
         else:
             start = leftmost_bad
+        # Single destination: a node's load is its one queue's length.
+        buffers = self.buffers
+        w = self.destination
         return [
-            Activation(node=i, key=self.destination)
-            for i in self._index.nonempty_in(self.destination, start, last_buffer)
+            Activation(node=i, key=w)
+            for i in range(start, last_buffer + 1)
+            if buffers[i].load
         ]
 
     def theoretical_bound(self, sigma: float) -> float:

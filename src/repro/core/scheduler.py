@@ -53,22 +53,20 @@ class ForwardingAlgorithm(ABC):
     packets immediately; algorithms that batch acceptance (HPTS) override
     :meth:`on_inject` and :meth:`staged_count`.
 
-    Each node's load lives in one place, its :class:`NodeBuffer`.  Every
-    buffer mutation flows through :meth:`_buffer_changed` (wired into the node
-    buffers' change listeners), which updates the total stored count and a
+    Each node's load lives in one place, its :class:`NodeBuffer`, and only
+    the node buffer changes its pseudo-buffers.  Every store, pop and remove
+    makes one call into :meth:`_buffer_changed` (wired in as the node
+    buffers' change listener), which updates the total stored count and a
     dirty-node set.  :meth:`occupancy_delta` hands the simulator just the
     nodes whose load changed since the last call, so per-round measurement
     cost is proportional to the number of packets that moved, not to the
     network size; :meth:`occupancy_vector` is the full snapshot that
     per-round history records and adaptive adversaries read.
 
-    The same notifications feed ``self._index``, a
-    :class:`~repro.core.indexset.BufferIndex` of sorted nonempty/bad buffer
-    positions per pseudo-buffer key, which the peak-to-sink algorithms
-    select activations from in O(log n).  Subclasses keeping per-key
-    structures on top of it override :meth:`on_key_presence_change`, which
-    fires only when a key's nonempty set turns empty or nonempty (e.g.
-    HPTS's per-level destination sets).
+    The same call feeds ``self._index``, a
+    :class:`~repro.core.indexset.BufferIndex` of sorted bad buffer positions
+    per pseudo-buffer key, from which the peak-to-sink algorithms find the
+    left-most bad buffer in O(log n).
     """
 
     #: Human-readable identifier used in result tables.
@@ -99,23 +97,9 @@ class ForwardingAlgorithm(ABC):
     def _buffer_changed(
         self, node: int, key: Hashable, old_len: int, new_len: int
     ) -> None:
-        delta = new_len - old_len
-        if delta:
-            self._total_stored += delta
-            self._dirty_nodes.add(node)
-        presence = self._index.update(node, key, old_len, new_len)
-        if presence is not None:
-            self.on_key_presence_change(key, presence)
-
-    def on_key_presence_change(self, key: Hashable, present: bool) -> None:
-        """Hook: the ``key`` pseudo-buffers just turned nonempty at some node
-        while empty at every other (``present``), or the last nonempty one
-        just emptied (``not present``).
-
-        Fires only on those transitions of the key's nonempty position set,
-        after the node's load and the position index have been updated —
-        not on every push/pop.  The default does nothing.
-        """
+        self._total_stored += new_len - old_len
+        self._dirty_nodes.add(node)
+        self._index.update(node, key, old_len, new_len)
 
     # -- packet placement --------------------------------------------------------
 
@@ -219,9 +203,8 @@ class ForwardingAlgorithm(ABC):
 
         The checkpoint layer (:mod:`repro.checkpoint`) serialises the buffers
         itself (per-node pseudo-buffer keys and packet ids, in queue order)
-        and rebuilds the node loads, the :class:`BufferIndex` and any
-        structures maintained through :meth:`on_key_presence_change` by
-        replaying the stores.  Algorithms carrying extra mutable state —
+        and rebuilds the node loads and the :class:`BufferIndex` by replaying
+        the stores.  Algorithms carrying extra mutable state —
         staged packets, discovered destination sets, per-packet bookkeeping —
         override this pair of hooks to round-trip it.  The returned mapping must be
         JSON-serialisable; packets are referenced by id.

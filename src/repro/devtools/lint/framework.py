@@ -149,7 +149,8 @@ class LintConfig:
         "on_inject",
         "on_arrival",
         "on_round_end",
-        "on_key_presence_change",
+        # HPTS's bad-key grouping feeds FormPaths (repro/core/hpts.py).
+        "_occupied_intervals",
         "injections_for_round",
         "directives_for",
         "drop_next_send",

@@ -554,11 +554,11 @@ class BatchSimulator(Simulator):
                 packets[col_pid[row]] = packet
                 row_packet[row] = packet
         for node_buffer in algorithm.buffers.values():
-            pseudos = list(node_buffer.pseudo_buffers())
-            for pseudo_buffer in pseudos:
-                while pseudo_buffer:
-                    pseudo_buffer.pop()
-            if pseudos:
+            keys = node_buffer.keys()
+            for key in keys:
+                for _ in range(node_buffer.load_of(key)):
+                    node_buffer.pop_from(key)
+            if keys:
                 node_buffer.drop_empty()
         for node, key, rows in placements:
             node_buffer = algorithm.buffers[node]

@@ -387,17 +387,16 @@ class Simulator:
         moves: List[Tuple[Packet, int]] = []
         for activation in activations:
             node_buffer = self.algorithm.buffers[activation.node]
-            pseudo = node_buffer.existing(activation.key)
-            if pseudo is None or not pseudo:
+            if not node_buffer.load_of(activation.key):
                 # The paper's wording is "each nonempty activated buffer
                 # forwards": an activation of an empty pseudo-buffer is a
                 # silent no-op, not an error.
                 continue
             if activation.packet is not None:
-                pseudo.remove(activation.packet)
+                node_buffer.remove_from(activation.key, activation.packet)
                 packet = activation.packet
             else:
-                packet = pseudo.pop()
+                packet = node_buffer.pop_from(activation.key)
             next_hop = self._next_hop.get(activation.node)
             if next_hop is None:
                 raise SchedulingError(

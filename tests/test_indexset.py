@@ -56,9 +56,8 @@ class TestSortedIndexSet:
 
     def test_first_and_range_queries_on_empty_set(self):
         index_set = SortedIndexSet()
-        assert index_set.first() is None
         assert index_set.first_in(0, 100) is None
-        assert list(index_set.range_iter(0, 100)) == []
+        assert list(index_set) == []
 
     def test_first_in_respects_both_bounds(self):
         index_set = SortedIndexSet()
@@ -74,34 +73,41 @@ class TestSortedIndexSet:
 class TestBufferIndex:
     def test_update_for_never_seen_key_going_empty_is_a_noop(self):
         index = BufferIndex()
-        # A pseudo-buffer that was already empty "changes" 0 -> 0 (e.g. a
-        # no-op remove path): neither table may materialise an entry.
+        # A pseudo-buffer that was already empty "changes" 0 -> 0, and a
+        # never-bad one drops from 1 to 0: no entry may materialise.
         index.update(node=4, key="w", old_len=0, new_len=0)
-        assert not index.nonempty("w")
+        index.update(node=4, key="w", old_len=1, new_len=0)
         assert not index.bad("w")
+        assert index.bad_keys() == []
 
     def test_threshold_crossings_in_both_directions(self):
         index = BufferIndex()
         index.update(0, "w", 0, 1)
-        assert list(index.nonempty("w")) == [0]
         assert not index.bad("w")
         index.update(0, "w", 1, 2)
         assert list(index.bad("w")) == [0]
+        assert index.bad_keys() == ["w"]
+        index.update(0, "w", 2, 3)
+        assert list(index.bad("w")) == [0]
+        index.update(0, "w", 3, 2)
+        assert list(index.bad("w")) == [0]
         index.update(0, "w", 2, 1)
         assert not index.bad("w")
-        assert list(index.nonempty("w")) == [0]
-        index.update(0, "w", 1, 0)
-        assert not index.nonempty("w")
+        # The key's last bad position went, so the key goes too.
+        assert index.bad_keys() == []
 
     def test_jump_across_both_thresholds_at_once(self):
         # HPTS phase acceptance can push an empty queue straight to k >= 2.
         index = BufferIndex()
         index.update(3, "w", 0, 4)
-        assert list(index.nonempty("w")) == [3]
         assert list(index.bad("w")) == [3]
+        index.update(5, "w", 0, 2)
+        assert list(index.bad("w")) == [3, 5]
         index.update(3, "w", 4, 0)
-        assert not index.nonempty("w")
+        assert list(index.bad("w")) == [5]
+        index.update(5, "w", 2, 0)
         assert not index.bad("w")
+        assert index.bad_keys() == []
 
     def test_leftmost_bad_after_interleaved_gc(self):
         """drop_empty on a NodeBuffer must leave the owning index exact."""
@@ -119,7 +125,7 @@ class TestBufferIndex:
             assert index.leftmost_bad(9, 0, 8) == 1
             wired.pop_from(9)
             wired.pop_from(9)
-            # The queue is empty (not bad, not nonempty) but still allocated.
+            # The queue is empty (not bad) but still allocated.
             assert index.leftmost_bad(9, 0, 8) is None
             wired.drop_empty()
             assert wired.existing(9) is None

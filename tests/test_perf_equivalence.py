@@ -56,6 +56,25 @@ LINE_SCENARIOS = [
             "policy": {"seed": 11, "engine": "delta"},
         }
     ),
+    # The E9 ablation switches; the first two make ``auto`` fall back to
+    # delta, the only HPTS traffic delta still runs.
+    *(
+        _spec(
+            {
+                "name": f"equiv/hpts-{label}",
+                "topology": {"kind": "line", "params": {"num_nodes": 64}},
+                "algorithm": {"name": "hpts", "params": {"levels": 2, **params}},
+                "adversary": {"name": "bounded", "rho": 0.5, "sigma": 3.0,
+                              "rounds": 220, "params": {"num_destinations": 6}},
+                "policy": {"seed": 11, "engine": "delta"},
+            }
+        )
+        for label, params in (
+            ("no-pre-bad", {"activate_pre_bad": False}),
+            ("immediate", {"batch_acceptance": False}),
+            ("ascending", {"level_schedule": "ascending"}),
+        )
+    ),
     _spec(
         {
             "name": "equiv/greedy",

@@ -11,9 +11,8 @@ the algorithm family; for every example:
   an untouched restored engine is **byte-identical** to the file it was
   loaded from (snapshot idempotence: restoring is lossless and the format is
   deterministic);
-* the incremental :class:`~repro.core.indexset.BufferIndex` sets — and,
-  for HPTS, the per-level destination sets layered on them — match a
-  from-scratch recomputation over the buffers after random traffic, after
+* the incremental :class:`~repro.core.indexset.BufferIndex` bad sets match
+  a from-scratch recomputation over the buffers after random traffic, after
   empty-queue GC and after a restore, position for position and in sorted
   order.
 """
@@ -63,42 +62,20 @@ def _build_simulator(session: Session, spec: ScenarioSpec) -> Simulator:
 
 
 def _index_views(algorithm):
-    """(nonempty, bad) as ``{key: sorted positions}``, from the live index,
-    plus HPTS's ``{level: sorted destinations}`` (``{}`` for the others)."""
-    index = algorithm._index
-    nonempty = {key: list(s) for key, s in index._nonempty.items() if len(s)}
-    bad = {key: list(s) for key, s in index._bad.items() if len(s)}
-    level_destinations = {
-        level: sorted(destinations)
-        for level, destinations in getattr(
-            algorithm, "_level_destinations", {}
-        ).items()
-        if destinations
-    }
-    return nonempty, bad, level_destinations
+    """The live bad sets as ``{key: sorted positions}``."""
+    return {key: list(positions) for key, positions in algorithm._index._bad.items()}
 
 
 def _index_from_scratch(algorithm):
-    """The same views, recomputed from the buffer contents alone."""
+    """The same view, recomputed from the buffer contents alone."""
     threshold = algorithm._index.bad_threshold
-    nonempty, bad = {}, {}
+    bad = {}
     for node, node_buffer in algorithm.buffers.items():
         for key in node_buffer.keys():
-            load = node_buffer.load_of(key)
-            if load >= 1:
-                nonempty.setdefault(key, []).append(node)
-            if load >= threshold:
+            if node_buffer.load_of(key) >= threshold:
                 bad.setdefault(key, []).append(node)
     # Buffers iterate in node order, so the lists arrive sorted.
-    level_destinations = {}
-    if hasattr(algorithm, "_level_destinations"):
-        # HPTS keys are (level, intermediate destination).
-        for level, destination in nonempty:
-            level_destinations.setdefault(level, []).append(destination)
-    return nonempty, bad, {
-        level: sorted(destinations)
-        for level, destinations in level_destinations.items()
-    }
+    return bad
 
 
 @settings(max_examples=25, deadline=None)

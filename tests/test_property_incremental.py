@@ -3,11 +3,11 @@
 Three layers of cached state must exactly track a from-scratch recount after
 *any* mutation sequence:
 
-* ``NodeBuffer.load`` (updated by pseudo-buffer change notifications),
+* ``NodeBuffer.load`` (updated by ``store``/``pop_from``/``remove_from``),
 * ``ForwardingAlgorithm``'s dirty-node set and ``total_stored`` counter,
-* the sorted nonempty/bad position indices (``repro.core.indexset``) the
-  peak-to-sink algorithms select activations from, and HPTS's per-level
-  destination sets layered on them.
+* the sorted bad position sets (``repro.core.indexset``) the peak-to-sink
+  algorithms start their selection from, and HPTS's grouping of the keys
+  with a bad buffer by interval.
 
 And the index-driven ``select_activations`` of every algorithm must produce
 exactly the activation lists of the seed engine's linear scans on the same
@@ -57,11 +57,8 @@ def test_sorted_index_set_matches_reference_set(operations):
         assert len(index) == len(reference)
         for probe in (0, 7, 29):
             assert (probe in index) == (probe in reference)
-    expected_first = min(reference) if reference else None
-    assert index.first() == expected_first
     in_window = [v for v in sorted(reference) if 5 <= v <= 20]
     assert index.first_in(5, 20) == (in_window[0] if in_window else None)
-    assert list(index.range_iter(5, 20)) == in_window
 
 
 @given(
@@ -71,7 +68,7 @@ def test_sorted_index_set_matches_reference_set(operations):
     )
 )
 def test_buffer_index_matches_recount(length_changes):
-    """Feed arbitrary length transitions; indices must match a recount."""
+    """Feed arbitrary length transitions; the bad sets must match a recount."""
     index = BufferIndex()
     lengths = {}
     for node, key, new_len in length_changes:
@@ -80,14 +77,13 @@ def test_buffer_index_matches_recount(length_changes):
         index.update(node, key, old_len, new_len)
     keys = {key for _, key in lengths}
     for key in keys:
-        expected_nonempty = sorted(
-            node for (node, k), length in lengths.items() if k == key and length >= 1
-        )
         expected_bad = sorted(
             node for (node, k), length in lengths.items() if k == key and length >= 2
         )
-        assert list(index.nonempty(key)) == expected_nonempty
         assert list(index.bad(key)) == expected_bad
+    assert sorted(index.bad_keys()) == sorted(
+        {key for (_, key), length in lengths.items() if length >= 2}
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -114,7 +110,7 @@ def _random_node_buffer_ops(seed: int, rounds: int = 300) -> NodeBuffer:
                 stored.remove((key, popped))
             else:
                 key, packet = stored.pop(rng.randrange(len(stored)))
-                buffer.pseudo_buffer(key).remove(packet)
+                buffer.remove_from(key, packet)
             if rng.random() < 0.05:
                 buffer.drop_empty()
             assert buffer.load == buffer.recount_load()
@@ -244,7 +240,7 @@ class ScanHierarchicalPeakToSink(HierarchicalPeakToSink):
 
 
 class ScanGreedyForwarding(GreedyForwarding):
-    """Greedy visiting every node's buffer instead of the nonempty index."""
+    """Greedy reading every node's queue, not the node's cached load."""
 
     def select_activations(self, round_number: int) -> List[Activation]:
         activations: List[Activation] = []
@@ -366,14 +362,14 @@ def _drive_and_compare(
             # then re-store at next hops) so later rounds see evolving state.
             moves = []
             for activation in incremental:
-                pseudo = algorithm.buffers[activation.node].existing(activation.key)
-                if pseudo is None or not pseudo:
+                node_buffer = algorithm.buffers[activation.node]
+                if not node_buffer.load_of(activation.key):
                     continue
                 if activation.packet is not None:
-                    pseudo.remove(activation.packet)
+                    node_buffer.remove_from(activation.key, activation.packet)
                     packet = activation.packet
                 else:
-                    packet = pseudo.pop()
+                    packet = node_buffer.pop_from(activation.key)
                 next_hop = algorithm.topology.next_hop(activation.node)
                 moves.append((packet, next_hop))
             for packet, next_hop in moves:
@@ -456,18 +452,24 @@ def test_tree_ppts_incremental_selection_equals_scan(seed):
     )
 
 
-def _check_level_destinations(algorithm) -> None:
-    """HPTS's per-level destination sets equal a recount from the buffers."""
-    recount = {}
-    for node_buffer in algorithm.buffers.values():
-        for level, destination in node_buffer.nonempty_keys():
-            recount.setdefault(level, set()).add(destination)
-    live = {
-        level: destinations
-        for level, destinations in algorithm._level_destinations.items()
-        if destinations
-    }
-    assert live == recount
+def _check_bad_key_grouping(algorithm) -> None:
+    """HPTS groups exactly the keys with a bad buffer: the scan oracle's
+    grouping by nonempty buffers, less the destinations with none bad."""
+    last = algorithm.topology.num_nodes - 1
+    for level in range(algorithm.levels):
+        grouping = algorithm._occupied_intervals(level)
+        with as_scan_oracle(algorithm):
+            by_nonempty = algorithm._occupied_intervals(level)
+        expected = []
+        for rank, destinations in by_nonempty:
+            bad = [
+                w
+                for w in destinations
+                if _first_bad(algorithm, (level, w), 0, last) is not None
+            ]
+            if bad:
+                expected.append((rank, bad))
+        assert grouping == expected
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -481,37 +483,5 @@ def test_hpts_incremental_selection_equals_scan(seed, levels, branching):
         _line_injector(list(range(1, line.num_nodes + 1))),
         rounds=150,
         seed=seed,
-        check=_check_level_destinations,
+        check=_check_bad_key_grouping,
     )
-
-
-@pytest.mark.parametrize("seed", range(5))
-def test_hpts_level_destinations_track_random_stores_and_pops(seed):
-    """The destination sets change only when a key's nonempty set turns
-    empty or nonempty; random stores, pops, removes and GC (which strand no
-    packets, unlike forwarding) must keep them equal to a recount."""
-    rng = random.Random(seed)
-    line = LineTopology(27)
-    algorithm = HierarchicalPeakToSink(line, 3, 3)
-    stored: List[tuple] = []  # (node, key, packet)
-    with packet_id_scope():
-        for _ in range(400):
-            action = rng.random()
-            if action < 0.5 or not stored:
-                destination = rng.randrange(1, line.num_nodes + 1)  # incl. sink
-                node = rng.randrange(destination)
-                packet = Packet.from_injection(make_injection(0, node, destination))
-                key = algorithm.classify(packet, node)
-                algorithm.buffers[node].store(packet, key)
-                stored.append((node, key, packet))
-            elif action < 0.8:
-                node, key, _ = stored[rng.randrange(len(stored))]
-                popped = algorithm.buffers[node].pop_from(key)
-                stored.remove((node, key, popped))
-            else:
-                node, key, packet = stored.pop(rng.randrange(len(stored)))
-                algorithm.buffers[node].pseudo_buffer(key).remove(packet)
-            if rng.random() < 0.05:
-                for node_buffer in algorithm.buffers.values():
-                    node_buffer.drop_empty()
-            _check_level_destinations(algorithm)

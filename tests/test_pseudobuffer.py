@@ -13,64 +13,87 @@ def _packet(destination: int = 5, source: int = 0) -> Packet:
 
 
 class TestPseudoBuffer:
+    """A pseudo-buffer changes only through its node buffer's methods."""
+
     def test_push_pop_lifo(self):
-        buffer = PseudoBuffer(key=5, discipline=QueueDiscipline.LIFO)
+        node = NodeBuffer(node=0, discipline=QueueDiscipline.LIFO)
         first, second = _packet(), _packet()
-        buffer.push(first)
-        buffer.push(second)
-        assert buffer.pop() is second
-        assert buffer.pop() is first
+        node.store(first, key=5)
+        node.store(second, key=5)
+        assert node.pop_from(5) is second
+        assert node.pop_from(5) is first
 
     def test_push_pop_fifo(self):
-        buffer = PseudoBuffer(key=5, discipline=QueueDiscipline.FIFO)
+        node = NodeBuffer(node=0, discipline=QueueDiscipline.FIFO)
         first, second = _packet(), _packet()
-        buffer.push(first)
-        buffer.push(second)
-        assert buffer.pop() is first
-        assert buffer.pop() is second
+        node.store(first, key=5)
+        node.store(second, key=5)
+        assert node.pop_from(5) is first
+        assert node.pop_from(5) is second
 
     def test_pop_empty_raises(self):
+        node = NodeBuffer(node=0)
+        node.pseudo_buffer(0)
         with pytest.raises(IndexError):
-            PseudoBuffer(key=0).pop()
+            node.pop_from(0)
 
     def test_peek_matches_pop_without_removing(self):
-        buffer = PseudoBuffer(key=1)
+        node = NodeBuffer(node=0)
         first, second = _packet(), _packet()
-        buffer.push(first)
-        buffer.push(second)
+        node.store(first, key=1)
+        node.store(second, key=1)
+        buffer = node.existing(1)
         assert buffer.peek() is second
         assert len(buffer) == 2
+        assert node.pop_from(1) is second
 
     def test_peek_empty_returns_none(self):
         assert PseudoBuffer(key=0).peek() is None
 
     def test_badness_definition(self):
-        buffer = PseudoBuffer(key=3)
+        node = NodeBuffer(node=0)
+        buffer = node.pseudo_buffer(3)
         assert not buffer.is_bad
         assert buffer.bad_packet_count == 0
-        buffer.push(_packet())
+        node.store(_packet(), key=3)
         assert not buffer.is_bad
         assert buffer.bad_packet_count == 0
-        buffer.push(_packet())
+        node.store(_packet(), key=3)
         assert buffer.is_bad
         assert buffer.bad_packet_count == 1
-        buffer.push(_packet())
+        node.store(_packet(), key=3)
         assert buffer.bad_packet_count == 2
 
     def test_remove_specific_packet(self):
-        buffer = PseudoBuffer(key=0)
+        node = NodeBuffer(node=0)
         keep, remove = _packet(), _packet()
-        buffer.push(keep)
-        buffer.push(remove)
-        buffer.remove(remove)
-        assert buffer.packets() == [keep]
+        node.store(keep, key=0)
+        node.store(remove, key=0)
+        node.remove_from(0, remove)
+        assert node.existing(0).packets() == [keep]
+        assert node.load == 1
+
+    def test_remove_absent_packet_raises(self):
+        node = NodeBuffer(node=0)
+        with pytest.raises(ValueError):
+            node.remove_from(0, _packet())
+        node.store(_packet(), key=0)
+        with pytest.raises(ValueError):
+            node.remove_from(0, _packet())
+        assert node.load == 1
 
     def test_contains_and_iteration(self):
-        buffer = PseudoBuffer(key=0)
+        node = NodeBuffer(node=0)
         packet = _packet()
-        buffer.push(packet)
+        node.store(packet, key=0)
+        buffer = node.existing(0)
         assert packet in buffer
         assert list(buffer) == [packet]
+
+    def test_has_no_public_mutators(self):
+        buffer = PseudoBuffer(key=0)
+        for name in ("push", "pop", "remove"):
+            assert not hasattr(buffer, name)
 
 
 class TestNodeBuffer:
@@ -133,6 +156,17 @@ class TestNodeBuffer:
         node = NodeBuffer(node=0)
         node.store(_packet(destination=2), key=2)
         assert len(node) == node.load == 1
+
+    def test_every_change_makes_one_notification(self):
+        events = []
+        node = NodeBuffer(node=2, on_change=lambda *event: events.append(event))
+        first, second = _packet(), _packet()
+        node.store(first, key=4)
+        node.store(second, key=4)
+        node.remove_from(4, first)
+        node.pop_from(4)
+        assert events == [(2, 4, 0, 1), (2, 4, 1, 2), (2, 4, 2, 1), (2, 4, 1, 0)]
+        assert node.load == 0
 
     def test_discipline_propagates_to_pseudo_buffers(self):
         node = NodeBuffer(node=0, discipline=QueueDiscipline.FIFO)
