@@ -16,8 +16,10 @@ and never retained).
 
 from __future__ import annotations
 
+import numbers
 from abc import ABC, abstractmethod
 from array import array
+from itertools import islice
 from typing import (
     Any,
     Callable,
@@ -31,8 +33,8 @@ from typing import (
     Tuple,
 )
 
-from ..core.packet import Injection, PacketStore, make_injection
-from ..network.errors import CheckpointError
+from ..core.packet import Injection, PacketStore, current_allocator, make_injection
+from ..network.errors import CheckpointError, ConfigurationError
 from ..network.topology import Topology
 
 __all__ = [
@@ -59,6 +61,29 @@ def encode_rng_state(state: tuple) -> list:
 def decode_rng_state(data: Sequence) -> tuple:
     """Inverse of :func:`encode_rng_state` (feed to ``Random.setstate``)."""
     return (data[0], tuple(data[1]), data[2])
+
+
+def _route_triple(route: Any) -> Tuple[int, int, int]:
+    """A ``(round, source, destination)`` route from outside input, as ints.
+
+    Refuses, with :class:`ConfigurationError`, anything but exactly three
+    integers: a ``bool``, float or string is not silently coerced.
+    """
+    try:
+        values = tuple(route)
+    except TypeError:
+        values = ()
+    if len(values) != 3 or isinstance(route, (str, bytes)):
+        raise ConfigurationError(
+            f"route {route!r} is not a (round, source, destination) triple"
+        )
+    for value in values:
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ConfigurationError(
+                f"route {route!r} holds {value!r}, which is not an integer"
+            )
+    round_number, source, destination = (int(value) for value in values)
+    return round_number, source, destination
 
 
 class ResumableRows:
@@ -176,7 +201,8 @@ class InjectionPattern(Adversary):
     arrays, insertion order) plus two lightweight indices: per-round row ids
     (insertion order within the round — the order the simulator feeds packets
     to the algorithm) and a globally sorted row order matching
-    :class:`Injection`'s lexicographic comparison.  ``Injection`` objects are
+    :class:`Injection`'s lexicographic comparison, built on first use (only
+    :meth:`all_injections` and iteration read it).  ``Injection`` objects are
     materialised on demand and never retained.
 
     Parameters
@@ -188,6 +214,9 @@ class InjectionPattern(Adversary):
         The declared ``(rho, sigma)`` bound, if known.  Use
         :func:`repro.adversary.bounded.check_bounded` to verify the claim or
         :func:`repro.adversary.bounded.tightest_bound` to measure it.
+
+    :meth:`from_rows` and :meth:`from_tuples` build a pattern straight into
+    the columns, with no ``Injection`` per packet.
     """
 
     def __init__(
@@ -212,11 +241,76 @@ class InjectionPattern(Adversary):
             if rows is None:
                 rows = by_round[injection.round] = array("q")
             rows.append(row)
+        self._adopt(store, by_round, rho, sigma)
+
+    def _adopt(
+        self,
+        store: PacketStore,
+        by_round: Mapping[int, Sequence[int]],
+        rho: Optional[float],
+        sigma: Optional[float],
+    ) -> None:
         self._store = store
+        #: round -> its rows in injection order (an ``array``, ``list`` or
+        #: ``range``); only rounds that inject are keys.
         self._by_round = by_round
-        self._sorted = array("q", sorted(range(len(store)), key=store.sort_key))
+        self._sorted: Optional[array] = None
         self.rho = rho
         self.sigma = sigma
+
+    @classmethod
+    def from_rows(
+        cls,
+        rows: Iterable[Tuple[int, Iterable[Tuple[int, int]]]],
+        *,
+        rho: Optional[float] = None,
+        sigma: Optional[float] = None,
+    ) -> "InjectionPattern":
+        """The columnar builder: ``(round, routes)`` groups straight into the
+        store's columns.
+
+        ``routes`` are ``(source, destination)`` pairs of ints, injected in
+        the given order; a round may appear in several groups.  The packets
+        get one block of consecutive ids from the current allocator, in
+        insertion order: the ids a :func:`make_injection` call per packet
+        would have handed out.  A negative round is a
+        :class:`~repro.network.errors.ConfigurationError` (the check
+        ``Injection`` makes); the routes are trusted (:meth:`from_tuples`
+        validates outside input).
+        """
+        rounds, sources, destinations = array("q"), array("q"), array("q")
+        by_round: Dict[int, Sequence[int]] = {}
+        add_source, add_destination = sources.append, destinations.append
+        for round_number, routes in rows:
+            start = len(sources)
+            for source, destination in routes:
+                add_source(source)
+                add_destination(destination)
+            stop = len(sources)
+            if stop == start:
+                continue
+            if round_number < 0:
+                raise ConfigurationError(
+                    f"injection round must be non-negative, got {round_number}"
+                )
+            rounds.extend([round_number] * (stop - start))
+            held = by_round.get(round_number)
+            if held is None:
+                by_round[round_number] = range(start, stop)
+            elif isinstance(held, range) and held.stop == start:
+                by_round[round_number] = range(held.start, stop)
+            else:  # a round split by other rounds' routes (from_tuples)
+                if isinstance(held, range):
+                    held = by_round[round_number] = list(held)
+                held.extend(range(start, stop))  # type: ignore[attr-defined]
+        first = current_allocator().take(len(sources))
+        ids = array("q", range(first, first + len(sources)))
+        pattern = cls.__new__(cls)
+        pattern._adopt(
+            PacketStore.adopt(rounds, sources, destinations, ids), by_round,
+            rho, sigma,
+        )
+        return pattern
 
     # -- Adversary interface -----------------------------------------------------
 
@@ -233,9 +327,18 @@ class InjectionPattern(Adversary):
             return 0
         return max(self._by_round) + 1
 
+    def _order(self) -> array:
+        """The rows in :class:`Injection` lexicographic order (cached)."""
+        if self._sorted is None:
+            store = self._store
+            self._sorted = array(
+                "q", sorted(range(len(store)), key=store.sort_key)
+            )
+        return self._sorted
+
     def all_injections(self) -> List[Injection]:
         injection = self._store.injection
-        return [injection(row) for row in self._sorted]
+        return [injection(row) for row in self._order()]
 
     # -- container conveniences -----------------------------------------------------
 
@@ -244,7 +347,7 @@ class InjectionPattern(Adversary):
 
     def __iter__(self) -> Iterator[Injection]:
         injection = self._store.injection
-        for row in self._sorted:
+        for row in self._order():
             yield injection(row)
 
     def __contains__(self, injection: Injection) -> bool:
@@ -323,14 +426,23 @@ class InjectionPattern(Adversary):
     @classmethod
     def from_tuples(
         cls,
-        tuples: Sequence[tuple],
+        tuples: Iterable[Sequence[int]],
         *,
         rho: Optional[float] = None,
         sigma: Optional[float] = None,
     ) -> "InjectionPattern":
-        """Build a pattern from ``(round, source, destination)`` tuples."""
-        injections = [make_injection(t, src, dst) for (t, src, dst) in tuples]
-        return cls(injections, rho=rho, sigma=sigma)
+        """Build a pattern from ``(round, source, destination)`` tuples.
+
+        The tuples are outside input: each must hold exactly three integers
+        (a ``bool`` is not one) with a non-negative round, or the call raises
+        :class:`~repro.network.errors.ConfigurationError`.  Packets keep the
+        given order and are numbered in it, as by :meth:`from_rows`.
+        """
+        return cls.from_rows(
+            ((round_number, ((source, destination),))
+             for round_number, source, destination in map(_route_triple, tuples)),
+            rho=rho, sigma=sigma,
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -496,21 +608,22 @@ class StreamingAdversary(Adversary):
         self._next_round = next_round
 
     def materialize(self) -> InjectionPattern:
-        """Drain a *fresh* stream into an eager :class:`InjectionPattern`."""
+        """Drain a *fresh* stream into an eager :class:`InjectionPattern`.
+
+        This is the one eager path: the generators' eager front end is a
+        fresh stream materialised here, through :meth:`InjectionPattern.from_rows`.
+        """
         if self._rows is not None or self._next_round:
             raise RuntimeError(
                 "stream already consumed; materialize() is only valid before "
                 "the first injections_for_round() call"
             )
-        injections: List[Injection] = []
-        for t, row in enumerate(self._factory()):
-            if t >= self._horizon:
-                break
-            injections.extend(
-                make_injection(t, source, destination) for source, destination in row
-            )
+        pattern = InjectionPattern.from_rows(
+            enumerate(islice(self._factory(), self._horizon)),
+            rho=self.rho, sigma=self.sigma,
+        )
         self._next_round = self._horizon  # the ids are spent; refuse reuse
-        return InjectionPattern(injections, rho=self.rho, sigma=self.sigma)
+        return pattern
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -160,9 +160,10 @@ def tightest_sigma(
     return tightest_bound(pattern, topology, rho)
 
 
-#: The buffers a route crosses: a ``slice`` for a line route
-#: (``slice(source, destination)``) or an index array / list for a tree route.
-Span = Union[slice, Sequence[int], np.ndarray]
+#: The buffers a route crosses, as bucket indices in ``[0, num_nodes)``, none
+#: twice: a tuple for a tree route (:func:`tree_span`).  A line route is
+#: addressed by its endpoints instead (:meth:`TokenBucket.admit_line`).
+Span = Sequence[int]
 
 
 class TokenBucket:
@@ -179,11 +180,13 @@ class TokenBucket:
     steady stream at exactly rate ``rho`` is admissible.  This matches the
     excess recurrence ``xi_t = max(xi_{t-1} + N_t - rho, 0) <= sigma``.
 
-    The levels live in one float64 array, and a route is addressed as a
-    :data:`Span`, so a refill and a charge are each one array operation.
+    The levels live in one float64 array, so a refill is one array
+    operation, and so is the charge of a line route (a slice).  A tree route
+    is a short :data:`Span` tuple, checked and charged buffer by buffer.
     Every operation is the same IEEE arithmetic, in the same order per
-    buffer, as the scalar recurrence, so the token levels (and hence every
-    admission decision) do not depend on the representation.
+    buffer, as the scalar recurrence (``x - 1.0`` for a charge), so the
+    token levels (and hence every admission decision) do not depend on the
+    representation.
 
     Beside the levels, ``_dry`` lists the buffers with fewer than one token,
     in increasing order.  A route is refused iff it crosses one of them, so
@@ -233,21 +236,24 @@ class TokenBucket:
 
     def can_inject(self, span: Span) -> bool:
         """Whether one more packet crossing ``span`` is admissible."""
-        levels = self._tokens[span]
-        return levels.size == 0 or bool(levels.min() >= 1.0)
+        level = self._tokens.item
+        for v in span:
+            if level(v) < 1.0:
+                return False
+        return True
 
     def inject(self, span: Span) -> None:
-        """Consume one token on every buffer of ``span`` (caller checked
-        admissibility; a span never lists a buffer twice)."""
-        buffers = np.arange(self.num_nodes)[span]
-        levels = self._tokens[buffers] - 1.0
-        self._tokens[buffers] = levels
-        dried = buffers[levels < 1.0].tolist()
-        dry = self._dry
-        for v in dried:
-            i = bisect_left(dry, v)
-            if i == len(dry) or dry[i] != v:
-                dry.insert(i, v)
+        """Consume one token on every buffer of ``span`` (the caller checked
+        admissibility)."""
+        tokens, dry = self._tokens, self._dry
+        level = tokens.item
+        for v in span:
+            left = level(v) - 1.0
+            tokens[v] = left
+            if left < 1.0:
+                i = bisect_left(dry, v)
+                if i == len(dry) or dry[i] != v:
+                    dry.insert(i, v)
 
     def admit(self, span: Span) -> bool:
         """:meth:`can_inject` then :meth:`inject`: whether the packet was admitted."""
@@ -287,10 +293,10 @@ class TokenBucket:
 
     def headroom(self, span: Span) -> int:
         """How many more packets with this route are admissible right now."""
-        levels = self._tokens[span]
-        if levels.size == 0:
+        if not span:
             return 0
-        return int(levels.min())
+        level = self._tokens.item
+        return int(min(level(v) for v in span))
 
     # -- checkpoint support -------------------------------------------------------
 
@@ -323,12 +329,10 @@ class TokenBucket:
 
 def tree_span(
     tree: Topology, node_index: Dict[int, int], source: int, destination: int
-) -> np.ndarray:
+) -> Tuple[int, ...]:
     """The bucket indices of the buffers the tree route ``source ->
     destination`` crosses: every node on its path except the destination."""
-    return np.array(
-        [node_index[v] for v in tree.path(source, destination)[:-1]], dtype=np.intp
-    )
+    return tuple(node_index[v] for v in tree.path(source, destination)[:-1])
 
 
 def injections_crossings(

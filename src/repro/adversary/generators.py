@@ -16,9 +16,10 @@ Each generator is written as a *row source* — a
 ``(source, destination)`` routes at a time — consumed by two interchangeable
 front ends:
 
-* the **eager** path materialises every round into an
-  :class:`~repro.adversary.base.InjectionPattern` (what analyses and most
-  tests want), exactly as the seed library did;
+* the **eager** path drains a fresh stream, round by round, straight into
+  the columns of an :class:`~repro.adversary.base.InjectionPattern` (what
+  analyses and most tests want) with
+  :meth:`~repro.adversary.base.StreamingAdversary.materialize`;
 * the **lazy** path (``stream=True``) wraps the same iterator in a
   :class:`~repro.adversary.base.StreamingAdversary`, so a ``T``-round
   schedule is produced round by round and a horizon-scale run never holds
@@ -40,10 +41,7 @@ from typing import (
     Any, Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union,
 )
 
-import numpy as np
-
 from ..api.registry import register_adversary
-from ..core.packet import Injection, make_injection
 from ..network.errors import ConfigurationError
 from ..network.topology import LineTopology, TreeTopology
 from .base import (
@@ -108,18 +106,6 @@ def _randbelow(getrandbits: Callable[[int], int], n: int) -> int:
     return r
 
 
-def _materialize(
-    rows: Iterator[RouteRow], *, rho: float, sigma: float
-) -> InjectionPattern:
-    """Drain a row generator into an eager :class:`InjectionPattern`."""
-    injections: List[Injection] = []
-    for t, row in enumerate(rows):
-        injections.extend(
-            make_injection(t, source, destination) for source, destination in row
-        )
-    return InjectionPattern(injections, rho=rho, sigma=sigma)
-
-
 def _front_end(
     factory: Callable[[], Iterator[RouteRow]],
     num_rounds: int,
@@ -128,10 +114,10 @@ def _front_end(
     sigma: float,
     stream: bool,
 ) -> BoundedAdversary:
-    """The shared eager/lazy fork every generator goes through."""
-    if stream:
-        return StreamingAdversary(factory, num_rounds, rho=rho, sigma=sigma)
-    return _materialize(factory(), rho=rho, sigma=sigma)
+    """The shared eager/lazy fork every generator goes through: the eager
+    pattern is the stream, materialised before its first round."""
+    adversary = StreamingAdversary(factory, num_rounds, rho=rho, sigma=sigma)
+    return adversary if stream else adversary.materialize()
 
 
 def _validate_envelope(rho: float, sigma: float) -> None:
@@ -211,11 +197,16 @@ class _RandomLineRows(_BucketRows):
         # ``randrange`` are inlined as the ``getrandbits`` loop of
         # :func:`_randbelow`, so the RNG consumes the same words.
         random_, getrandbits = self.rng.random, self.rng.getrandbits
-        admit_line, intensity = self.bucket.admit_line, self.intensity
+        bucket, intensity = self.bucket, self.intensity
+        admit_line, last_exhausted = bucket.admit_line, bucket.last_exhausted
         destinations, widths = self.destinations, self._widths
         count = len(destinations)
         count_bits = count.bit_length()
-        self.bucket.start_round()
+        bucket.start_round()
+        # last[r]: the largest dry buffer below destinations[r].  The route
+        # [source, w) crosses a dry buffer, and is refused, iff that buffer
+        # is >= source; only an admission dries buffers within a round.
+        last = [last_exhausted(w) for w in destinations]
         row: RouteRow = []
         for _ in range(self.proposals_per_round):
             if random_() > intensity:
@@ -227,8 +218,11 @@ class _RandomLineRows(_BucketRows):
             source = getrandbits(bits)
             while source >= destination:
                 source = getrandbits(bits)
+            if source <= last[r]:
+                continue
             if admit_line(source, destination):
                 row.append((source, destination))
+                last = [last_exhausted(w) for w in destinations]
         return row
 
 
@@ -565,7 +559,7 @@ class _RandomTreeRows(_BucketRows):
         self.eligible_sources = eligible_sources
         self.node_index = node_index
         self.attempts = max(4, int(rho + sigma) * len(usable_destinations) + 4)
-        self._spans: Dict[Tuple[int, int], np.ndarray] = {}
+        self._spans: Dict[Tuple[int, int], Tuple[int, ...]] = {}
 
     def row(self, round_number: int) -> RouteRow:
         getrandbits, bucket, spans = self.rng.getrandbits, self.bucket, self._spans
@@ -619,13 +613,12 @@ def random_tree_adversary(
     }
     usable_destinations = [w for w in destinations if eligible_sources[w]]
     if not usable_destinations:
-        if stream:
-            # An empty-but-resumable stream, so the degenerate case stays
-            # checkpointable like every other generator.
-            return StreamingAdversary(
-                lambda: _EmptyRows(num_rounds), num_rounds, rho=rho, sigma=sigma
-            )
-        return InjectionPattern([], rho=rho, sigma=sigma)
+        # An empty-but-resumable stream, so the degenerate case stays
+        # checkpointable like every other generator.
+        return _front_end(
+            lambda: _EmptyRows(num_rounds),
+            num_rounds, rho=rho, sigma=sigma, stream=stream,
+        )
     return _front_end(
         lambda: _RandomTreeRows(
             tree, rho, sigma, num_rounds, usable_destinations, eligible_sources,
@@ -666,20 +659,17 @@ def build_explicit_adversary(
     Makes hand-crafted deterministic patterns addressable from specs (tests,
     regression pinning, sharded boundary cases) without registering a new
     builder.  ``rho``/``sigma`` are taken as declared; use
-    :func:`~repro.adversary.bounded.check_bounded` to audit the claim.
+    :func:`~repro.adversary.bounded.check_bounded` to audit the claim.  A
+    route that is not three integers, or whose round is negative or past
+    ``rounds``, raises :class:`ConfigurationError`.
     """
-    injections = []
-    for route in routes:
-        round_number, source, destination = route
-        if int(round_number) >= rounds:
-            raise ConfigurationError(
-                f"explicit route {route!r} is injected at round "
-                f"{round_number}, past the declared horizon {rounds}"
-            )
-        injections.append(
-            make_injection(int(round_number), int(source), int(destination))
+    pattern = InjectionPattern.from_tuples(routes, rho=rho, sigma=sigma)
+    if pattern.horizon > rounds:
+        raise ConfigurationError(
+            f"explicit routes inject at round {pattern.horizon - 1}, past the "
+            f"declared horizon {rounds}"
         )
-    return InjectionPattern(injections, rho=rho, sigma=sigma)
+    return pattern
 
 
 @register_adversary("bounded", aliases=("random",))

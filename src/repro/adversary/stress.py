@@ -169,13 +169,12 @@ def nested_route_stress(
     wave = list(zip(sources, destinations))
     # The wave's routes tile [0, w_d) edge-disjointly, so admitting the whole
     # wave atomically (which preserves the nested structure) is admitting one
-    # packet across the tiled span.
-    tiled = slice(0, destinations[-1])
+    # packet across the tiled route 0 -> w_d.
     bucket = TokenBucket(topology.num_nodes, rho, sigma)
     injections: List[Injection] = []
     for t in range(num_rounds):
         bucket.start_round()
-        while bucket.admit(tiled):
+        while bucket.admit_line(0, destinations[-1]):
             for src, dst in wave:
                 injections.append(make_injection(t, src, dst))
     return InjectionPattern(injections, rho=rho, sigma=sigma)

@@ -12,8 +12,9 @@ insertions shift the underlying list, but the sets track only bad positions
 so they stay small, and updates happen only when the threshold is actually
 crossed — O(packets moved), not O(n), per round).
 :class:`BufferIndex` keeps one such set per pseudo-buffer key.
-:meth:`repro.core.scheduler.ForwardingAlgorithm._buffer_changed` feeds it
-every pseudo-buffer length change, once.
+The forwarding algorithm's change listener
+(``repro.core.scheduler._BufferChanges``) feeds it every pseudo-buffer
+length change, once.
 """
 
 from __future__ import annotations

@@ -60,6 +60,16 @@ class PacketIdAllocator:
         self._next = value + 1
         return value
 
+    def take(self, count: int) -> int:
+        """Consume a block of ``count`` consecutive ids; returns the first.
+
+        The block holds exactly the ids ``count`` :meth:`next_id` calls
+        would return, in the same order.
+        """
+        first = self._next
+        self._next = first + count
+        return first
+
     @property
     def next_value(self) -> int:
         """The id the next :meth:`next_id` call will return (not consumed)."""
@@ -346,14 +356,28 @@ class PacketStore:
         arrays would mutate the loaded checkpoint in place (breaking a second
         restore from the same object).
         """
+        return cls.adopt(
+            array("q", rounds), array("q", sources), array("q", destinations),
+            array("q", ids),
+        )
+
+    @classmethod
+    def adopt(
+        cls, rounds: array, sources: array, destinations: array, ids: array
+    ) -> "PacketStore":
+        """A store *owning* four equal-length ``array('q')`` columns, uncopied.
+
+        For a builder that filled the columns itself and keeps no other
+        reference to them.
+        """
         lengths = {len(rounds), len(sources), len(destinations), len(ids)}
         if len(lengths) != 1:
             raise ValueError(f"PacketStore columns disagree on length: {lengths}")
         store = cls()
-        store._rounds = array("q", rounds)
-        store._sources = array("q", sources)
-        store._destinations = array("q", destinations)
-        store._ids = array("q", ids)
+        store._rounds = rounds
+        store._sources = sources
+        store._destinations = destinations
+        store._ids = ids
         return store
 
     # -- column views (read-only by convention) ---------------------------------

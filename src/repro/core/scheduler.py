@@ -27,6 +27,30 @@ from .pseudobuffer import NodeBuffer, QueueDiscipline
 __all__ = ["Activation", "ForwardingAlgorithm"]
 
 
+class _BufferChanges:
+    """The node buffers' change listener: the total stored count, the
+    dirty-node set and the bad-position index that every store, pop and
+    remove updates.
+
+    It is its own object, not a method of the algorithm, so the algorithm's
+    node buffers hold no reference back to the algorithm: with none, a
+    finished run's buffers and packets are freed as soon as the run is
+    dropped, not at the cyclic collector's next full pass.
+    """
+
+    __slots__ = ("total", "dirty", "index")
+
+    def __init__(self, index: BufferIndex) -> None:
+        self.total = 0
+        self.dirty: Set[int] = set()
+        self.index = index
+
+    def changed(self, node: int, key: Hashable, old_len: int, new_len: int) -> None:
+        self.total += new_len - old_len
+        self.dirty.add(node)
+        self.index.update(node, key, old_len, new_len)
+
+
 @dataclass(frozen=True, slots=True)
 class Activation:
     """One activated pseudo-buffer: node ``node`` forwards from queue ``key``.
@@ -55,8 +79,8 @@ class ForwardingAlgorithm(ABC):
 
     Each node's load lives in one place, its :class:`NodeBuffer`, and only
     the node buffer changes its pseudo-buffers.  Every store, pop and remove
-    makes one call into :meth:`_buffer_changed` (wired in as the node
-    buffers' change listener), which updates the total stored count and a
+    makes one call into the node buffers' change listener
+    (``_BufferChanges.changed``), which updates the total stored count and a
     dirty-node set.  :meth:`occupancy_delta` hands the simulator just the
     nodes whose load changed since the last call, so per-round measurement
     cost is proportional to the number of packets that moved, not to the
@@ -81,25 +105,18 @@ class ForwardingAlgorithm(ABC):
     ) -> None:
         self.topology = topology
         self.discipline = discipline
-        self._dirty_nodes: Set[int] = set()
-        self._total_stored = 0
         self._index = BufferIndex(bad_threshold)
+        self._changes = _BufferChanges(self._index)
         #: Empty pseudo-buffers are garbage-collected every ``_gc_interval``
         #: rounds (multi-destination runs otherwise leak one queue per
         #: destination per node over a long horizon).
         self._gc_interval = max(topology.num_nodes, 1)
         self._rounds_until_gc = self._gc_interval
+        changed = self._changes.changed
         self.buffers: Dict[int, NodeBuffer] = {
-            node: NodeBuffer(node, discipline, on_change=self._buffer_changed)
+            node: NodeBuffer(node, discipline, on_change=changed)
             for node in topology.nodes
         }
-
-    def _buffer_changed(
-        self, node: int, key: Hashable, old_len: int, new_len: int
-    ) -> None:
-        self._total_stored += new_len - old_len
-        self._dirty_nodes.add(node)
-        self._index.update(node, key, old_len, new_len)
 
     # -- packet placement --------------------------------------------------------
 
@@ -165,11 +182,12 @@ class ForwardingAlgorithm(ABC):
         running occupancy maxima: a node absent from the delta has the same
         load it had at the previous measurement, which is already folded in.
         """
-        if not self._dirty_nodes:
+        dirty = self._changes.dirty
+        if not dirty:
             return {}
         buffers = self.buffers
-        delta = {node: buffers[node].load for node in self._dirty_nodes}
-        self._dirty_nodes.clear()
+        delta = {node: buffers[node].load for node in dirty}
+        dirty.clear()
         return delta
 
     def max_occupancy(self) -> int:
@@ -178,7 +196,7 @@ class ForwardingAlgorithm(ABC):
 
     def total_stored(self) -> int:
         """Total packets stored across all buffers (excluding staged packets)."""
-        return self._total_stored
+        return self._changes.total
 
     def staged_count(self) -> int:
         """Packets injected but not yet accepted (0 for immediate-accept algorithms)."""

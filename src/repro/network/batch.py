@@ -73,7 +73,7 @@ from __future__ import annotations
 
 from array import array
 from collections import deque
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -249,7 +249,7 @@ class BatchSimulator(Simulator):
         # the hot loop injects straight from the pattern's columnar store.
         self._routes_prevalidated = False
         self._dests_prevalidated = False
-        self._fast_rows: Optional[Dict[int, array]] = None
+        self._fast_rows: Optional[Mapping[int, Sequence[int]]] = None
         self._pat_src: Optional[array] = None
         self._pat_dst: Optional[array] = None
         self._pat_ids: Optional[array] = None

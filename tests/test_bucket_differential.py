@@ -3,11 +3,12 @@
 :class:`ListTokenBucket` is the scalar, per-buffer implementation of
 :class:`~repro.adversary.bounded.TokenBucket` that the generators used to
 run on: a Python list of floats refilled with ``min(t + rho, cap)`` and
-walked buffer by buffer on every proposal.  It exposes the same span API so
-every bucket-driven builder can run on either bucket.  The builders must
-emit identical rows, and the two buckets identical ``json.dumps(state())``
-at every round boundary, for dyadic and non-dyadic ``(rho, sigma)`` alike
-(a non-dyadic rate exposes any change in the order of float operations).
+walked buffer by buffer on every proposal.  It exposes the same API (tuple
+spans for tree routes, endpoints for line routes) so every bucket-driven
+builder can run on either bucket.  The builders must emit identical rows,
+and the two buckets identical ``json.dumps(state())`` at every round
+boundary, for dyadic and non-dyadic ``(rho, sigma)`` alike (a non-dyadic
+rate exposes any change in the order of float operations).
 """
 
 from __future__ import annotations
@@ -27,12 +28,6 @@ from repro.network.errors import ConfigurationError
 from repro.network.topology import LineTopology, binary_tree
 
 ENVELOPES = [(1.0, 4.0), (0.5, 4.0), (0.3, 2.5), (0.7, 1.0)]
-
-
-def _buffers(span) -> List[int]:
-    if isinstance(span, slice):
-        return list(range(span.start or 0, span.stop))
-    return [int(v) for v in span]
 
 
 class ListTokenBucket:
@@ -55,10 +50,10 @@ class ListTokenBucket:
         self._refilled_this_round = True
 
     def can_inject(self, span) -> bool:
-        return all(self._tokens[v] >= 1.0 for v in _buffers(span))
+        return all(self._tokens[v] >= 1.0 for v in span)
 
     def inject(self, span) -> None:
-        for v in _buffers(span):
+        for v in span:
             self._tokens[v] -= 1.0
 
     def admit(self, span) -> bool:
@@ -68,7 +63,7 @@ class ListTokenBucket:
         return True
 
     def admit_line(self, source: int, destination: int) -> bool:
-        return self.admit(slice(source, destination))
+        return self.admit(tuple(range(source, destination)))
 
     def last_exhausted(self, stop: int) -> int:
         exhausted = [v for v in range(stop) if self._tokens[v] < 1.0]
@@ -78,10 +73,9 @@ class ListTokenBucket:
         return self._tokens[buffer]
 
     def headroom(self, span) -> int:
-        buffers = _buffers(span)
-        if not buffers:
+        if not span:
             return 0
-        return int(min(self._tokens[v] for v in buffers))
+        return int(min(self._tokens[v] for v in span))
 
     def state(self) -> dict:
         return {"tokens": list(self._tokens), "refilled": self._refilled_this_round}
@@ -196,6 +190,34 @@ def test_builder_matches_list_bucket(monkeypatch, builder, rho, sigma):
     assert actual[2] == expected[2]
 
 
+@pytest.mark.parametrize("rho,sigma", ENVELOPES)
+@pytest.mark.parametrize("num_destinations", (1, 3, 8))
+def test_random_line_threshold_passes_only_admissible_routes(
+    monkeypatch, rho, sigma, num_destinations
+):
+    # The random-line rows refuse a proposal whose source is at or below the
+    # largest dry buffer under its destination without asking the bucket.
+    # That is exact only if every proposal they do pass is admitted: a
+    # threshold that is off by one or stale after an admission lets a
+    # refused route through to admit_line.  (One that is too strict drops
+    # a route and fails the golden rows.)
+    answers: List[bool] = []
+
+    class Recording(TokenBucket):
+        def admit_line(self, source: int, destination: int) -> bool:
+            admitted = super().admit_line(source, destination)
+            answers.append(admitted)
+            return admitted
+
+    monkeypatch.setattr(generators, "TokenBucket", Recording)
+    with packet_id_scope():
+        pattern = generators.random_line_adversary(
+            LineTopology(33), rho, sigma, 48, num_destinations, seed=3
+        )
+    assert len(answers) == len(pattern) > 0
+    assert all(answers)
+
+
 def _assert_dry_list(bucket: TokenBucket) -> None:
     """The dry list is exactly the buffers with fewer than one token."""
     assert bucket._dry == np.flatnonzero(bucket._tokens < 1.0).tolist()
@@ -228,18 +250,17 @@ def test_random_operation_sequences(rho, sigma):
         _assert_dry_list(bucket)
         source = rng.randrange(n)
         destination = rng.randint(source, n)
-        indices = np.array(rng.sample(range(n), rng.randint(1, 5)), dtype=np.intp)
-        spans = [slice(source, destination), indices]
-        for span in spans:
-            assert bucket.can_inject(span) == reference.can_inject(span)
-            assert bucket.headroom(span) == reference.headroom(span)
-            assert bucket.admit(span) == reference.admit(span)
-        # A bare charge by index array, as the tree builders make, then the
-        # line queries that read the dry list it updated.
-        indices = np.array(rng.sample(range(n), rng.randint(1, 5)), dtype=np.intp)
-        if reference.can_inject(indices):
-            reference.inject(indices)
-            bucket.inject(indices)
+        # Tree spans list their buffers in path order, not sorted.
+        span = tuple(rng.sample(range(n), rng.randint(1, 5)))
+        assert bucket.can_inject(span) == reference.can_inject(span)
+        assert bucket.headroom(span) == reference.headroom(span)
+        assert bucket.admit(span) == reference.admit(span)
+        # A bare charge, then the line queries that read the dry list it
+        # updated.
+        span = tuple(rng.sample(range(n), rng.randint(1, 5)))
+        if reference.can_inject(span):
+            reference.inject(span)
+            bucket.inject(span)
         _assert_dry_list(bucket)
         if destination > source:
             assert bucket.admit_line(source, destination) == reference.admit_line(
@@ -265,17 +286,15 @@ def test_below_one_token_cap_admits_nothing():
         _assert_dry_list(bucket)
 
 
-@pytest.mark.parametrize(
-    "span",
-    [np.array([-1, 0], dtype=np.intp), [-2, 1], slice(1, 6, 2), slice(-3, None)],
-)
+@pytest.mark.parametrize("span", [(5, 0), (4, 2, 1), (1, 3, 5), (3,)])
 def test_inject_records_the_buffer_an_index_names(span):
-    # Negative indices and stepped slices name buffers the way numpy does;
-    # the dry list must hold those buffers, not the raw indices.
+    # A tree span lists its buffers leaf to root, in any index order; the
+    # dry list must hold exactly those buffers, sorted.
     bucket = TokenBucket(6, 0.5, 1.0)
     bucket.inject(span)
     _assert_dry_list(bucket)
-    assert bucket.last_exhausted(6) == np.flatnonzero(bucket._tokens < 1.0)[-1]
+    assert bucket._dry == sorted(span)
+    assert bucket.last_exhausted(6) == max(span)
 
 
 @pytest.mark.parametrize("levels", [[float("nan"), 2.0], [2.0, 3.0, 4.0]])

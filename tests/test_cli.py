@@ -381,7 +381,43 @@ def _case_job_not_found(tmp_path):
     )
 
 
+def _explicit_route_case(route, fragment):
+    """A spec whose ``explicit`` adversary holds one malformed route."""
+
+    def case(tmp_path):
+        import json
+
+        spec = tmp_path / "explicit.json"
+        spec.write_text(json.dumps({
+            "name": "explicit",
+            "topology": {"kind": "line", "params": {"num_nodes": 8}},
+            "algorithm": {"name": "pts", "params": {}},
+            "adversary": {
+                "name": "explicit", "rho": 1.0, "sigma": 2.0, "rounds": 4,
+                "params": {"routes": [[0, 0, 7], route]},
+            },
+        }))
+        return ["simulate", "--spec", str(spec)], fragment
+
+    return case
+
+
 TYPED_ERROR_CASES = {
+    "ConfigurationError-explicit-bool": _explicit_route_case(
+        [True, 0, 7], "holds True, which is not an integer"
+    ),
+    "ConfigurationError-explicit-float": _explicit_route_case(
+        [0, 0.9, 7], "holds 0.9, which is not an integer"
+    ),
+    "ConfigurationError-explicit-string": _explicit_route_case(
+        [0, 0, "7"], "holds '7', which is not an integer"
+    ),
+    "ConfigurationError-explicit-negative-round": _explicit_route_case(
+        [-1, 0, 7], "round must be non-negative, got -1"
+    ),
+    "ConfigurationError-explicit-two-items": _explicit_route_case(
+        [0, 7], "is not a (round, source, destination) triple"
+    ),
     "SpecError": _case_spec_error,
     "SpecError-workload-pts": _case_workload_unfit_for_pts,
     "SpecError-workload-hpts": _case_workload_unfit_for_hpts,

@@ -156,7 +156,10 @@ def test_randbelow_matches_choice_and_randrange(n, seed):
 
 
 class _ProposalLog:
-    """A bucket that refuses every route and logs what it was offered."""
+    """A bucket that refuses every route and logs what it was offered.
+
+    With no dry buffer to report, the rows' refusal threshold lets every
+    proposal through to :meth:`admit_line`, so the log holds every draw."""
 
     log: List[tuple] = []
 
@@ -165,6 +168,9 @@ class _ProposalLog:
 
     def start_round(self) -> None:
         pass
+
+    def last_exhausted(self, stop) -> int:
+        return -1
 
     def admit_line(self, source, destination) -> bool:
         self.proposals.append((source, destination))

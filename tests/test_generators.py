@@ -2,18 +2,27 @@
 
 from __future__ import annotations
 
+from itertools import islice
+
+import numpy as np
 import pytest
 
+from repro.adversary import generators
+from repro.adversary.base import InjectionPattern
 from repro.adversary.bounded import check_bounded
 from repro.adversary.generators import (
+    build_explicit_adversary,
     bursty_adversary,
     random_line_adversary,
     random_tree_adversary,
     saturating_line_adversary,
     single_destination_adversary,
 )
+from repro.core.packet import current_allocator, make_injection, packet_id_scope
 from repro.network.errors import ConfigurationError
-from repro.network.topology import LineTopology, caterpillar_tree, star_tree
+from repro.network.topology import (
+    LineTopology, binary_tree, caterpillar_tree, star_tree,
+)
 
 
 #: Envelopes outside Definition 2.1's ``0 < rho <= 1``, ``sigma >= 0``.
@@ -165,3 +174,123 @@ class TestRandomTreeAdversary:
         tree = star_tree(3)
         pattern = random_tree_adversary(tree, 0.5, 1, 10, destinations=[1], seed=1)
         assert len(pattern) == 0
+
+
+class TestExplicitRoutes:
+    def _build(self, routes, rounds=4):
+        return build_explicit_adversary(
+            LineTopology(8), rho=1.0, sigma=2.0, rounds=rounds, routes=routes
+        )
+
+    @pytest.mark.parametrize(
+        "route",
+        [
+            (True, 0, 5),  # a bool is not round 1
+            (0, 0.9, 5),  # a float is not source 0
+            (0, 0, "5"),  # a string is not destination 5
+            (0, 0, 5.0),
+            (-1, 0, 5),  # a negative round
+            (0, 5),  # two items
+            (0, 0, 5, 1),  # four items
+            5,  # not a sequence
+            "015",  # a string of three characters
+            (4, 0, 5),  # past the declared horizon
+        ],
+    )
+    def test_malformed_route_is_a_configuration_error(self, route):
+        with pytest.raises(ConfigurationError):
+            self._build([(0, 0, 7), route])
+
+    def test_routes_keep_their_order_and_ids(self):
+        routes = [(2, 1, 7), (0, 0, 7), (2, 0, 5), (1, 3, 4), (2, 2, 3)]
+        with packet_id_scope() as ids:
+            pattern = self._build(routes + [(np.int64(0), np.int64(4), 6)])
+            assert ids.next_value == 6
+        assert [
+            (p.round, p.source, p.destination, p.packet_id)
+            for t in range(3)
+            for p in pattern.injections_for_round(t)
+        ] == [(0, 0, 7, 1), (0, 4, 6, 5), (1, 3, 4, 3),
+              (2, 1, 7, 0), (2, 0, 5, 2), (2, 2, 3, 4)]
+        assert pattern.horizon == 3
+        assert [p.packet_id for p in pattern] == [1, 5, 3, 2, 0, 4]
+
+
+def _registered(seed):
+    """Every registered bounded generator, as ``stream -> adversary``."""
+    line, tree = LineTopology(40), binary_tree(4)
+    cases = {}
+    for d in (1, 3, 8):
+        cases[f"bounded-line/d{d}"] = lambda stream, d=d: (
+            generators.build_bounded_adversary(
+                line, rho=0.5, sigma=3.0, rounds=60, seed=seed,
+                num_destinations=d, stream=stream,
+            )
+        )
+    cases["bounded-tree"] = lambda stream: generators.build_bounded_adversary(
+        tree, rho=0.7, sigma=2.0, rounds=60, seed=seed,
+        destinations=[tree.root, 1, 2], stream=stream,
+    )
+    cases["single"] = lambda stream: generators.build_single_destination_adversary(
+        line, rho=1.0, sigma=4.0, rounds=60, seed=seed, stream=stream
+    )
+    cases["saturating"] = lambda stream: generators.build_saturating_adversary(
+        line, rho=0.3, sigma=2.5, rounds=60, num_destinations=3, seed=seed,
+        stream=stream,
+    )
+    cases["bursty"] = lambda stream: generators.build_bursty_adversary(
+        line, rho=0.5, sigma=4.0, rounds=60, num_destinations=3, burst_period=7,
+        seed=seed, stream=stream,
+    )
+    cases["trickle"] = lambda stream: generators.build_trickle_adversary(
+        line, rho=0.7, sigma=1.0, rounds=60, destinations=[9, 25, 39],
+        seed=seed, stream=stream,
+    )
+    return cases
+
+
+EQUIVALENCE_CASES = {
+    f"{name}/seed{seed}": build
+    for seed in (1, 2)
+    for name, build in _registered(seed).items()
+}
+
+
+def _object_build(build):
+    """The pattern as built before the columnar path: one ``make_injection``
+    per packet, in draw order, into ``InjectionPattern(...)``."""
+    stream = build(True)
+    rows = islice(stream._factory(), stream.horizon)
+    injections = [
+        make_injection(t, source, destination)
+        for t, row in enumerate(rows)
+        for source, destination in row
+    ]
+    return InjectionPattern(injections, rho=stream.rho, sigma=stream.sigma)
+
+
+class TestColumnarMatchesObjectBuild:
+    @pytest.mark.parametrize("case", sorted(EQUIVALENCE_CASES))
+    def test_eager_and_streamed_patterns_match_reference(self, case):
+        build = EQUIVALENCE_CASES[case]
+        with packet_id_scope(7):
+            reference = _object_build(build)
+            reference_next = current_allocator().next_value
+        with packet_id_scope(7):
+            pattern = build(False)
+            assert current_allocator().next_value == reference_next
+        with packet_id_scope(7):
+            stream = build(True)
+            streamed = [stream.injections_for_round(t) for t in range(60)]
+            assert current_allocator().next_value == reference_next
+        assert len(reference) > 0, "the case injected nothing; it tests nothing"
+        assert len(pattern) == len(reference)
+        assert pattern.horizon == reference.horizon
+        for t in range(62):
+            expected = reference.injections_for_round(t)
+            assert pattern.injections_for_round(t) == expected
+            if t < 60:
+                assert streamed[t] == expected
+        assert pattern.all_injections() == reference.all_injections()
+        assert list(pattern) == list(reference)
+        assert (pattern.rho, pattern.sigma) == (reference.rho, reference.sigma)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
 from typing import Hashable, List
 
 import pytest
@@ -67,6 +69,39 @@ class TestForwardingAlgorithmDefaults:
 
     def test_no_bound_by_default(self):
         assert MinimalAlgorithm(LineTopology(4)).theoretical_bound(2) is None
+
+    @pytest.mark.parametrize(
+        "algorithm,engine", [("pts", "delta"), ("hpts", "delta"), ("hpts", "batch")]
+    )
+    def test_finished_run_is_freed_without_the_cyclic_collector(
+        self, algorithm, engine
+    ):
+        # The node buffers' change listener holds no reference back to the
+        # algorithm, so a dropped run frees its buffers and packets at once
+        # instead of piling up until the collector's next full pass.
+        from repro.api import Scenario
+        from repro.api.session import Session
+
+        builder = Scenario.line(16).algorithm(
+            algorithm, **({"levels": 2} if algorithm == "hpts" else {})
+        )
+        spec = builder.adversary(
+            "bounded", rho=0.5, sigma=2.0, rounds=40,
+            num_destinations=1 if algorithm == "pts" else 3,
+        ).policy(engine=engine, seed=3).build()
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            session = Session()
+            prepared = session.prepare(spec)
+            report = session.run(prepared)
+            assert report.result.packets_injected > 0
+            freed = weakref.ref(prepared.algorithm)
+            del prepared, report
+            assert freed() is None
+        finally:
+            if enabled:
+                gc.enable()
 
     def test_activation_is_frozen(self):
         activation = Activation(node=3, key="q")
