@@ -107,7 +107,13 @@ def build_parser() -> argparse.ArgumentParser:
     simulate = subparsers.add_parser("simulate", help="run one scenario spec")
     simulate.add_argument("--algorithm", choices=ALGORITHMS, default="ppts")
     simulate.add_argument("--nodes", type=int, default=64, help="line length n")
-    simulate.add_argument("--destinations", type=int, default=8, help="number of destinations d")
+    simulate.add_argument(
+        "--destinations",
+        type=int,
+        default=8,
+        action=_StoreExplicit,
+        help="number of destinations d (default 8, at most nodes - 1)",
+    )
     simulate.add_argument(
         "--rho",
         type=float,
@@ -116,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="adversary rate (default 1.0; 1/levels for --algorithm hpts, "
         "the largest rate Theorem 4.1 allows)",
     )
-    simulate.set_defaults(rho_explicit=False)
+    simulate.set_defaults(rho_explicit=False, destinations_explicit=False)
     simulate.add_argument("--sigma", type=float, default=2.0)
     simulate.add_argument("--rounds", type=int, default=200)
     simulate.add_argument("--levels", type=int, default=2, help="HPTS hierarchy levels")
@@ -487,9 +493,15 @@ def _build_spec(args: argparse.Namespace) -> ScenarioSpec:
     else:
         scenario.algorithm("ppts")
     adversary = {"round_robin": "round-robin", "nested": "nested", "random": "bounded"}[kind]
+    # The default fits short lines; an explicit count is taken as given.
+    num_destinations = (
+        args.destinations
+        if args.destinations_explicit
+        else min(args.destinations, args.nodes - 1)
+    )
     scenario.adversary(
         adversary, rho=args.rho, sigma=args.sigma, rounds=args.rounds,
-        num_destinations=args.destinations,
+        num_destinations=num_destinations,
     )
     return _finish_spec(scenario, f"multi-dest/{kind}", args.seed)
 

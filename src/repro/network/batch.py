@@ -22,8 +22,9 @@ order, which is injection order — only at batch boundaries.
 
 The columns and maxima live in flat ``array('q')`` buffers — already the
 int64 layout numpy wants — and numpy views them zero-copy
-(``numpy.frombuffer``) for the batch-level work: whole-pattern
-route/destination pre-validation and the batch-boundary maxima folds.
+(``numpy.frombuffer``, once per kernel load) for whole-pattern
+route/destination pre-validation, PTS's bad-buffer search, the folds of
+shifted PTS segments and the batch-boundary maxima scan.
 
 Forwarding is a single fused left-to-right scan per round: each active node
 pops its own packet *before* the carry from its predecessor lands, so the
@@ -32,6 +33,24 @@ engine's pop-all-then-place-all two-phase round.  Every round runs this one
 scan — injection rounds, drain rounds and full-history rounds alike; a
 full-history run builds each :class:`~repro.network.events.RoundRecord` from
 O(n) load snapshots taken around the scan.
+
+PTS scans by segments, not nodes.  Its active nodes run from the left-most
+bad buffer (under work-conserving PTS with no bad buffer, from node 0) to
+``last``, and between two bad buffers every node holds at most one packet.
+So each bad buffer pops by the queue discipline and takes the incoming
+carry, and each segment ``[lo, hi]`` between them forwards as one shift:
+``queues[hi]``'s packet leaves as the carry, ``queues[hi]`` is deleted from
+the queue list and reinserted, empty, at ``lo``, ``occ[lo+1:hi+1] =
+occ[lo:hi]`` moves the loads, and the incoming carry lands at ``lo``.  Both
+moves are C memmoves.  This is exact because forwarding never makes a buffer
+bad: a segment node sends its own packet and receives at most one, and a
+bad buffer pops one and receives at most one, so the bad set found before
+the round (one ``nonzero`` over the loads) only shrinks during it.  A
+shifted segment's nodes are maxima candidates, but they are folded at the
+*next* measurement (one ``numpy.maximum`` over the span of the round's
+segments), never at the shift: the loads a run's final round leaves behind
+are not a measurement in any engine.  The global maximum is then read off
+the per-node maxima at sync.
 
 Scope (everything else raises :class:`UnbatchableScenarioError`, which
 ``RunPolicy.engine="auto"`` catches to fall back to the object engine):
@@ -257,6 +276,8 @@ class BatchSimulator(Simulator):
         # Kernel state (populated by _load_kernel at the start of each run).
         self._occ = array("q")
         self._mx = array("q")
+        self._occ_v = np.frombuffer(self._occ, dtype=np.int64)
+        self._mx_v = np.frombuffer(self._mx, dtype=np.int64)
         self._queues: List[deque] = []
         self._col_pid = array("q")
         self._col_src = array("q")
@@ -266,6 +287,7 @@ class BatchSimulator(Simulator):
         self._col_dlv = array("q")
         self._row_packet: List[Optional[Packet]] = []
         self._touch: List[int] = []
+        self._touch_ranges: List[Tuple[int, int]] = []
         self._stored = 0
         self._num_bad = 0
         self._gmax = 0
@@ -368,6 +390,10 @@ class BatchSimulator(Simulator):
         zeros = bytes(8 * n)
         self._occ = occ = array("q", zeros)
         self._mx = mx = array("q", zeros)
+        # Zero-copy numpy views, made once per load: a drain calls _window
+        # once per round.  Neither buffer is ever resized.
+        self._occ_v = np.frombuffer(occ, dtype=np.int64)
+        self._mx_v = np.frombuffer(mx, dtype=np.int64)
         self._queues = queues = [deque() for _ in range(n)]
         self._col_pid = array("q")
         self._col_src = array("q")
@@ -377,6 +403,7 @@ class BatchSimulator(Simulator):
         self._col_dlv = array("q")
         self._row_packet = []
         self._touch = touch = []
+        self._touch_ranges = []
         self._stored = 0
         self._num_bad = 0
         self._gmax = self._timeline.max_occupancy
@@ -580,13 +607,14 @@ class BatchSimulator(Simulator):
         elif pseudo:
             algorithm._observed_destinations = set(self._observed)
         self._timeline.max_staged = self._max_staged
-        # Timeline maxima: numpy views the flat maxima buffer zero-copy for
-        # the nonzero scan.
-        view = np.frombuffer(self._mx, dtype=np.int64)
+        # Timeline maxima: the nonzero scan runs on the maxima view.  Shifted
+        # ranges still pending their fold are not measured loads yet.
+        view = self._mx_v
         self._timeline.load_maxima(
             {int(node): int(view[node]) for node in np.nonzero(view)[0]}
         )
-        self._timeline.max_occupancy = self._gmax
+        # The kernels fold only per-node maxima; the global one is their top.
+        self._timeline.max_occupancy = max(self._gmax, int(view.max(initial=0)))
         # GC cadence: the object engine decrements once per executed round
         # and resets (dropping empty pseudo-buffers) at zero.
         interval = algorithm._gc_interval
@@ -671,10 +699,13 @@ class BatchSimulator(Simulator):
         pops its own packet *before* the carry from its predecessor lands,
         so the carry moves exactly one hop per round — the same per-queue
         outcome as the object engine's pop-all-then-place-all round, with no
-        activation or move lists and no per-move column writes.  Only nodes
-        whose load *grew* since the previous measurement (carry landings on
-        a new node, injection sites) are maxima candidates, so the fold
-        touches O(moves), not O(n).
+        activation or move lists and no per-move column writes.  PTS takes
+        the pass a segment at a time (see the module docstring): one step
+        per bad buffer and one queue-list and load shift per segment between
+        them.  Only nodes whose load *grew* since the previous measurement
+        are maxima candidates: carry landings on a new node and injection
+        sites, folded one by one, and PTS's shifted segments, folded as one
+        numpy span at the next measurement.
 
         ``inject=False`` runs drain rounds: nothing is injected, even where
         the pattern still has rows (a run stopped short of its horizon).
@@ -692,11 +723,16 @@ class BatchSimulator(Simulator):
         kind = self._kind
         occ = self._occ
         mx = self._mx
+        occ_v = self._occ_v
+        mx_v = self._mx_v
         queues = self._queues
         touch = self._touch
+        ranges = self._touch_ranges
+        ranges_append = ranges.append
         row_packet = self._row_packet
         lifo = self._lifo
         last = self._last
+        end = last + 1
         n = self._n
         threshold = self._bad_threshold
         bad_minus = threshold - 1
@@ -721,7 +757,6 @@ class BatchSimulator(Simulator):
         pat_dst = self._pat_dst
         pat_ids = self._pat_ids
         packet_store = self.packet_store
-        gmax = self._gmax
         num_bad = self._num_bad
         stored = self._stored
         record = self.record_history
@@ -773,9 +808,15 @@ class BatchSimulator(Simulator):
                         load = occ[node]
                         if load > mx[node]:
                             mx[node] = load
-                            if load > gmax:
-                                gmax = load
                     del touch[:]
+                if ranges:
+                    # The last round's shifted segments, as one span: a node
+                    # outside every candidate set cannot exceed its maximum,
+                    # so folding the bad nodes between them changes nothing.
+                    span = slice(ranges[0][0], ranges[-1][1])
+                    peaks = mx_v[span]
+                    np.maximum(peaks, occ_v[span], out=peaks)
+                    del ranges[:]
                 if record:
                     before = occ.tolist()
                     delivered_before = self._delivered
@@ -784,27 +825,48 @@ class BatchSimulator(Simulator):
                 if moved:
                     carry = -1
                     if kind == _PTS:
-                        start = 0
+                        # Segment shift: between two bad buffers every node
+                        # holds at most one packet, so the segment forwards
+                        # by moving its queues one node to the right.
                         if num_bad:
-                            while occ[start] < threshold:
-                                start += 1
-                        for v in range(start, last + 1):
-                            load = occ[v]
-                            if load:
-                                queue = queues[v]
-                                row = queue.pop() if lifo else queue.popleft()
+                            bad = (occ_v[:end] >= threshold).nonzero()[0].tolist()
+                            lo = bad[0]
+                        else:
+                            bad = []
+                            lo = 0
+                        bad.append(end)
+                        for b in bad:
+                            if lo < b:
+                                # The segment [lo, b): its last queue's packet
+                                # leaves, every other queue moves one node
+                                # right, and the carry lands at lo.
+                                hi = b - 1
+                                queue = queues[hi]
+                                row = queue.pop() if occ[hi] else -1
+                                if lo < hi:
+                                    del queues[hi]
+                                    queues.insert(lo, queue)
+                                    occ[lo + 1:b] = occ[lo:hi]
                                 if carry >= 0:
                                     queue.append(carry)
+                                    occ[lo] = 1
                                 else:
-                                    occ[v] = load - 1
-                                    if load == threshold:
-                                        num_bad -= 1
+                                    occ[lo] = 0
+                                ranges_append((lo, b))
                                 carry = row
-                            elif carry >= 0:
-                                queues[v].append(carry)
-                                occ[v] = 1
-                                touch_append(v)
-                                carry = -1
+                            if b == end:
+                                break
+                            queue = queues[b]
+                            row = queue.pop() if lifo else queue.popleft()
+                            if carry >= 0:
+                                queue.append(carry)
+                            else:
+                                load = occ[b]
+                                occ[b] = load - 1
+                                if load == threshold:
+                                    num_bad -= 1
+                            carry = row
+                            lo = b + 1
                     elif kind == _LOCAL:
                         # Pass 1: the active set from the pristine loads (the
                         # r-neighbourhood test must not see this round's moves).
@@ -940,7 +1002,6 @@ class BatchSimulator(Simulator):
                     self._record_round(rn, injected, before, delivered_before)
                 self._round = rn + 1
         finally:
-            self._gmax = gmax
             self._num_bad = num_bad
             self._stored = stored
         return moved
@@ -1005,7 +1066,6 @@ class BatchSimulator(Simulator):
         pat_ids = self._pat_ids
         packet_store = self.packet_store
         record = self.record_history
-        gmax = self._gmax
         max_staged = self._max_staged
         stored = self._stored
         delivered = self._delivered
@@ -1057,8 +1117,6 @@ class BatchSimulator(Simulator):
                         load = occ[node]
                         if load > mx[node]:
                             mx[node] = load
-                            if load > gmax:
-                                gmax = load
                     del touch[:]
                 num_staged = len(staged)
                 if num_staged > max_staged:
@@ -1140,7 +1198,6 @@ class BatchSimulator(Simulator):
                     )
                 self._round = rn + 1
         finally:
-            self._gmax = gmax
             self._max_staged = max_staged
             self._stored = stored
             self._delivered = delivered

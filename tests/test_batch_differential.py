@@ -12,9 +12,13 @@ x three history modes, each run straight and split into
 historically break lockstep engines: round-0 injections, drain tails (a run
 stopped short of its pattern, a drain cap hit mid-drain, a drain that ends
 on the quiescence window), the minimal line, the error paths (invalid
-routes, wrong destinations), and for the pseudo-buffer kind: HPTS with one,
-two and three levels and each of its variants, PPTS with a declared
-destination set, and drains that stop with HPTS packets still staged.
+routes, wrong destinations), PTS's segment shift (several, adjacent and
+last-node bad buffers in one round, both PTS flavours and disciplines, an
+interior destination and the virtual sink) with its maxima folded at the
+next measurement, never at the shift (``run(h, drain=False)`` and checkpoint
+cuts), and for the pseudo-buffer kind: HPTS with one, two and three levels
+and each of its variants, PPTS with a declared destination set, and drains
+that stop with HPTS packets still staged.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from __future__ import annotations
 import pytest
 
 from repro.adversary.adaptive import HotspotAdversary
+from repro.adversary.bounded import check_bounded
 from repro.adversary.generators import (
     build_explicit_adversary,
     random_line_adversary,
@@ -29,6 +34,7 @@ from repro.adversary.generators import (
 )
 from repro.baselines.greedy import GreedyForwarding
 from repro.baselines.policies import ALL_POLICIES
+from repro.checkpoint import load_checkpoint, restore_into
 from repro.core.hpts import HierarchicalPeakToSink
 from repro.core.local import DownhillForwarding, LocalThresholdForwarding
 from repro.core.packet import packet_id_scope
@@ -390,6 +396,170 @@ def test_greedy_policies(policy):
         return topology, algorithm, _make_adversary("trickle", "greedy", topology)
 
     _assert_identical(make)
+
+
+# -- PTS segment shift: bad buffers in every arrangement, deferred maxima ----------
+
+
+SHIFT_N = 12
+SHIFT_SIGMA = 6.0
+
+
+def _shift_routes(last, w):
+    """A (1, 6)-bounded burst: round 0 makes 1, 2 and ``last`` bad at once
+    (two of them adjacent), then one packet a round, with a four-round pause
+    that saves the tokens for a second burst of adjacent bad buffers."""
+    routes = [(0, 1, w)] * 2 + [(0, 2, w)] * 2 + [(0, last, w)] * 2 + [(0, 5, w)]
+    for t in range(1, 30):
+        if 10 <= t < 14:
+            continue
+        if t == 14:
+            routes += [(t, 3, w)] * 2 + [(t, 4, w)] * 2 + [(t, last, w)]
+        else:
+            routes.append((t, (3 * t) % (last + 1), w))
+    return routes
+
+
+def _pts_shift(work_conserving, discipline, destination):
+    """PTS on ``SHIFT_N`` nodes against :func:`_shift_routes`; ``destination``
+    is ``"interior"`` (``w < n - 1``) or ``"sink"`` (the virtual sink)."""
+
+    def make():
+        sink = destination == "sink"
+        topology = LineTopology(SHIFT_N, allow_virtual_sink=sink)
+        w = SHIFT_N if sink else SHIFT_N - 3
+        last = min(w - 1, SHIFT_N - 1)
+        algorithm = PeakToSink(
+            topology, destination=w, work_conserving=work_conserving,
+            discipline=discipline,
+        )
+        adversary = build_explicit_adversary(
+            topology, rho=1.0, sigma=SHIFT_SIGMA, rounds=30,
+            routes=_shift_routes(last, w),
+        )
+        return topology, algorithm, adversary
+
+    return make
+
+
+def test_shift_routes_are_bounded_and_reach_every_bad_arrangement():
+    """The shift cases below rest on this: the pattern is a real (1, 6)
+    adversary, and one measured round holds several bad buffers, two of
+    them adjacent, and one at ``last``."""
+    for destination in ("interior", "sink"):
+        topology, algorithm, adversary = _pts_shift(
+            False, QueueDiscipline.LIFO, destination
+        )()
+        assert check_bounded(adversary, topology, 1.0, SHIFT_SIGMA).bounded
+        last = min(algorithm.destination - 1, SHIFT_N - 1)
+        with packet_id_scope():
+            result = Simulator(
+                topology, algorithm, adversary,
+                record_history=True, record_occupancy_vectors=True,
+            ).run()
+        bad_sets = [
+            [v for v, load in record.occupancy.items() if load >= 2]
+            for record in result.history
+        ]
+        assert any(
+            len(bad) >= 3
+            and last in bad
+            and any(v + 1 in bad for v in bad)
+            for bad in bad_sets
+        )
+
+
+@pytest.mark.parametrize("batch_rounds", (1, 7, 64))
+@pytest.mark.parametrize("destination", ("interior", "sink"))
+@pytest.mark.parametrize("discipline", tuple(QueueDiscipline), ids=lambda d: d.name)
+@pytest.mark.parametrize("work_conserving", (True, False), ids=("wc", "plain"))
+def test_pts_segment_shift(work_conserving, discipline, destination, batch_rounds):
+    """Several, adjacent and last-node bad buffers in one round, under both
+    PTS flavours and disciplines, straight and split, with full history."""
+    make = _pts_shift(work_conserving, discipline, destination)
+    for split in (False, True):
+        result = _assert_identical(
+            make, sim_kwargs=HISTORY_MODES["full"],
+            batch_rounds=batch_rounds, split=split,
+        )
+    assert result.packets_delivered > 0
+
+
+def _six_node_wc():
+    """Work-conserving PTS on six nodes: round 0 makes node 0 bad, later
+    rounds inject one packet each."""
+    topology = LineTopology(6)
+    adversary = build_explicit_adversary(
+        topology, rho=1.0, sigma=2.0, rounds=3,
+        routes=[(0, 0, 5), (0, 0, 5), (1, 2, 5), (2, 1, 5)],
+    )
+    return topology, PeakToSink(topology, work_conserving=True), adversary
+
+
+def _maxima(simulator):
+    timeline = simulator._timeline
+    return timeline.max_occupancy, timeline.per_node_maxima()
+
+
+@pytest.mark.parametrize("batch_rounds", (1, 64))
+def test_six_node_line_measures_every_shifted_node(batch_rounds):
+    """No packet is injected at nodes 3 and 4: their maxima come from
+    shifted segments alone, including the one that ends at ``last``."""
+    result = _assert_identical(
+        _six_node_wc, sim_kwargs=HISTORY_MODES["full"], batch_rounds=batch_rounds
+    )
+    assert result.max_occupancy_per_node == {0: 2, 1: 2, 2: 1, 3: 1, 4: 1}
+
+
+@pytest.mark.parametrize("horizon", (1, 2, 3))
+def test_last_round_loads_are_not_measured(horizon):
+    """``run(h, drain=False)`` stops after round ``h - 1``'s forwarding, whose
+    loads no engine measures: the batch kernel folds shifted segments at
+    the next measurement, never at the shift."""
+    with packet_id_scope():
+        delta = Simulator(*_six_node_wc())
+        expected = delta.run(horizon, drain=False)
+    for batch_rounds in (1, 64):
+        with packet_id_scope():
+            batch = BatchSimulator(*_six_node_wc(), batch_rounds=batch_rounds)
+            result = batch.run(horizon, drain=False)
+        assert result == expected
+        assert _maxima(batch) == _maxima(delta)
+    if horizon == 1:
+        assert _maxima(delta) == (2, {0: 2})
+
+
+@pytest.mark.parametrize("horizon, cut", ((2, 1), (3, 1), (3, 2)))
+def test_last_round_loads_are_not_measured_across_a_checkpoint(
+    tmp_path, horizon, cut
+):
+    """The same at a checkpoint cut: the snapshot holds only measured loads,
+    and the resumed run agrees."""
+    engines = {"delta": Simulator, "batch": BatchSimulator}
+    saved = {}
+    tails = {}
+    for name, engine in engines.items():
+        path = str(tmp_path / f"{name}.ckpt")
+        with packet_id_scope():
+            head = engine(*_six_node_wc())
+            head.run(cut, drain=False)
+            head.save_checkpoint(path)
+        checkpoint = load_checkpoint(path)
+        saved[name] = (
+            checkpoint.header["timeline"],
+            list(checkpoint.section("timeline/nodes")),
+            list(checkpoint.section("timeline/loads")),
+        )
+        with packet_id_scope():
+            tail = engine(*_six_node_wc())
+            restore_into(tail, checkpoint)
+            result = tail.run(horizon, drain=False)
+        tails[name] = (result, _maxima(tail))
+    assert saved["batch"] == saved["delta"]
+    assert tails["batch"] == tails["delta"]
+    with packet_id_scope():
+        straight = Simulator(*_six_node_wc())
+        assert tails["delta"][0] == straight.run(horizon, drain=False)
 
 
 # -- error-path parity -------------------------------------------------------------

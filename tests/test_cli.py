@@ -103,6 +103,28 @@ class TestSimulateCommand:
         ) == 2
         assert "rho * ell <= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("algorithm", ["ppts", "greedy"])
+    def test_default_destinations_fit_a_short_line(self, capsys, algorithm):
+        # --destinations defaults to 8, which an 8-node line cannot place;
+        # without the flag the count is capped at nodes - 1.
+        assert main(
+            [
+                "simulate", "--algorithm", algorithm, "--nodes", "8",
+                "--rounds", "20", "--json",
+            ]
+        ) == 0
+        assert json.loads(capsys.readouterr().out)["num_destinations"] == 7
+
+    @pytest.mark.parametrize("algorithm", ["ppts", "greedy"])
+    def test_explicit_destinations_too_many_exit_2(self, capsys, algorithm):
+        assert main(
+            [
+                "simulate", "--algorithm", algorithm, "--nodes", "8",
+                "--destinations", "8", "--rounds", "20",
+            ]
+        ) == 2
+        assert "cannot place 8 destinations on 8 nodes" in capsys.readouterr().err
+
     def test_local_and_downhill_runs(self, capsys):
         assert main(
             ["simulate", "--algorithm", "local", "--locality", "3", "--nodes", "24",
