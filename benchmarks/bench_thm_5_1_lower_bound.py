@@ -4,7 +4,8 @@ Regenerates the lower-bound result: build the Section 5 construction for a
 grid of (m, ell, rho), run several very different forwarding protocols
 (the paper's PPTS plus greedy baselines) against it, and report the largest
 buffer occupancy each protocol was forced into, next to the theoretical floor
-``((ell+1) rho - 1) / (2 ell) * n^(1/ell)``.
+``((ell+1) rho - 1) / (2 ell) * n^(1/ell)`` at the rate the construction
+injects, ``floor(rho m) / m``.
 
 Expected shape: every protocol's measured occupancy is at least the floor, and
 the forced occupancy grows with ``n^(1/ell)`` as the construction scales.
@@ -20,7 +21,9 @@ from repro.adversary.lower_bound import LowerBoundConstruction
 from repro.analysis.tables import format_table
 from repro.api import Scenario, Session
 
-#: (branching m, levels ell, rho) grid; rho > 1/(ell+1) keeps the bound positive.
+#: (branching m, levels ell, rho) grid.  The injected rate floor(rho m) / m
+#: must exceed 1/(ell+1) for a positive floor: (3, 2, 0.5) injects at 1/3,
+#: the threshold, so its floor is 0; (3, 3, 0.5) injects at 1/3 too.
 GRID = [
     (3, 2, 0.5),
     (4, 2, 0.5),

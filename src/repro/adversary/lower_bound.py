@@ -185,12 +185,21 @@ class LowerBoundConstruction:
         return front_position(round_number, self.branching, self.levels)
 
     def theoretical_bound(self) -> float:
-        """The Theorem 5.1 buffer-space lower bound for these parameters."""
-        coefficient = (self.levels + 1) * self.rho - 1
-        if coefficient <= 0:
+        """The Theorem 5.1 buffer-space lower bound for these parameters.
+
+        The theorem's ``((ell + 1) * rho - 1) / (2 * ell) * n**(1/ell)`` at
+        the rate the construction injects, ``packets_per_type /
+        phase_length = floor(rho * m) / m``, which is below the nominal
+        ``rho`` whenever ``rho * m`` is not an integer.  The sign test is
+        exact, on integers: ``(m, ell, rho) = (3, 2, 0.5)`` injects at 1/3,
+        right at the threshold, and forces nothing.
+        """
+        excess = (self.levels + 1) * self.packets_per_type - self.phase_length
+        if excess <= 0:
             return 0.0
         return (
-            coefficient
+            excess
+            / self.phase_length
             / (2.0 * self.levels)
             * self.num_nodes ** (1.0 / self.levels)
         )

@@ -70,15 +70,31 @@ Scope (everything else raises :class:`UnbatchableScenarioError`, which
   mechanisms on (``activate_pre_bad`` and ``batch_acceptance``; either
   ablation switch off is refused).
 
-The pseudo-buffer kind has its own round (:meth:`BatchSimulator._pseudo_window`):
-each node keeps one row stack per pseudo-buffer under a flat integer key
-``level * (n + 1) + w`` (PPTS is the one-level case, ``key == w``), each key
-keeps the set of nodes where its stack is bad, and each level the set of
-destinations with a nonempty stack somewhere.  A round selects from the
-state before the round (FormPaths, then the ``ActivatePreBad`` cascade),
-pops every activated nonempty stack, then places the packets.  Every node
+The pseudo-buffer kind has its own round (:meth:`BatchSimulator._pseudo_window`)
+and stores its stacks key by key.  A pseudo-buffer's flat integer key is
+``level * (n + 1) + w`` (PPTS is the one-level case, ``key == w``), and a
+key's rows only ever sit in ``[base, w)``, the part of its level's interval
+left of ``w``.  Each key keeps, over that span, a list of row stacks in push
+order, an ``array('q')`` of their loads and the set of nodes where its stack
+is bad; each level keeps the set of destinations with a bad stack.  A round
+selects from the state before the round — FormPaths, then the
+``ActivatePreBad`` cascade, as disjoint ``(lo, hi, key)`` node ranges — and
+forwards the ranges right to left, each by segments as PTS does: between
+two of the key's bad stacks every stack holds at most one row, so the
+segment moves one node right with one ``del``/``insert`` on the key's stack
+list and one on its load array.  ``occ`` sums every key at a node, so it
+changes only where the key's load changes along the segment, and only the
+row leaving a range's last node can be delivered or re-keyed.  Every node
 pops at most one packet and receives at most one, so each stack's order is
-the object engine's.
+the object engine's.  The nodes whose load rose are folded into the maxima
+at the next measurement.
+
+A drain stops after :func:`~repro.network.simulator.quiescence_window`
+rounds that forward nothing.  The kernel runs them only until ``ell`` quiet
+rounds in a row (one for the fused family) prove the configuration a fixed
+point, then counts the rest of the window, or of the drain cap, at once;
+under full history it appends their round records, alike but for the round
+number.
 
 Object state (``Simulator.packets``, the algorithm's buffers, the occupancy
 timeline) is materialised only at *batch boundaries* — end of run and
@@ -149,6 +165,11 @@ _POLICY_CODES = {
 # Sentinel values for the per-row delivery column: live / synced-away.
 _LIVE, _SYNCED = -1, -2
 
+# One pseudo-buffer key's state over its interval ``[base, w)``: the node
+# index ``base``, the row stacks (``None`` until a row first lands), their
+# loads, and the nodes where the stack is bad.
+_KeySpan = Tuple[int, List[Optional[deque]], array, set]
+
 
 class BatchSimulator(Simulator):
     """A :class:`~repro.network.simulator.Simulator` with a flat-array core.
@@ -158,7 +179,11 @@ class BatchSimulator(Simulator):
     the object engine instead.  All run-policy parameters and the public API
     (``run``, ``save_checkpoint``, ``from_checkpoint``) are inherited; the
     engines produce bit-identical :class:`SimulationResult` values, round
-    records, streamed injection logs and checkpoint payloads.
+    records and streamed injection logs, and a checkpoint cut by either
+    engine resumes under the other to the same result.  The checkpoint
+    bytes may differ: the object engine lists a pseudo-buffer that emptied
+    until its GC round, and the pseudo-buffer kind lists each node's
+    buffers in key order (ROADMAP item 5).
 
     Parameters beyond the base class:
 
@@ -301,10 +326,8 @@ class BatchSimulator(Simulator):
         self._allowed: Optional[frozenset] = None
         if kind == _PSEUDO:
             self._configure_pseudo(algorithm)
-        self._stacks: List[Dict[int, deque]] = []
-        self._bad_nodes: Dict[int, set] = {}
-        self._holders: Dict[int, int] = {}
-        self._present: List[set] = []
+        self._spans: Dict[int, _KeySpan] = {}
+        self._bad_dests: List[set] = []
         self._staged_rows: List[int] = []
         self._observed: set = set()
         self._max_staged = 0
@@ -451,17 +474,17 @@ class BatchSimulator(Simulator):
                 touch.append(node)
 
     def _load_pseudo(self) -> None:
-        """The pseudo-buffer kind's half of :meth:`_load_kernel`: row stacks
-        per ``(node, key)``, bad nodes per key, present destinations per
-        level, HPTS's staged rows and PPTS's observed destinations."""
+        """The pseudo-buffer kind's half of :meth:`_load_kernel`: each key's
+        row stacks and loads over its interval (see :meth:`_key_span`), the
+        destinations with a bad stack per level, HPTS's staged rows and
+        PPTS's observed destinations."""
         n = self._n
         stride = n + 1
         algorithm = self.algorithm
-        self._stacks = stacks = [{} for _ in range(n)]
-        self._bad_nodes = {}
-        self._holders = {}
-        self._present = [set() for _ in range(self._ell)]
+        self._spans = {}
+        self._bad_dests = [set() for _ in range(self._ell)]
         self._staged_rows = []
+        key_span = self._key_span
 
         def add_row(packet: Packet) -> int:
             accepted = packet.accepted_round
@@ -476,12 +499,15 @@ class BatchSimulator(Simulator):
                     continue
                 key = pseudo.key
                 flat = key[0] * stride + key[1] if type(key) is tuple else key
+                base, stacks, loads, bad = key_span(flat)
                 stack = deque(add_row(packet) for packet in pseudo.packets())
-                stacks[node][flat] = stack
+                stacks[node - base] = stack
+                loads[node - base] = len(stack)
                 load += len(stack)
-                self._claim(flat)
                 if len(stack) >= 2:
-                    self._bad_nodes.setdefault(flat, set()).add(node)
+                    if not bad:
+                        self._bad_dests[flat // stride].add(flat % stride)
+                    bad.add(node)
             if load:
                 self._occ[node] = load
                 self._stored += load
@@ -490,6 +516,26 @@ class BatchSimulator(Simulator):
             self._staged_rows = [add_row(packet) for packet in algorithm._staged]
         else:
             self._observed = set(algorithm._observed_destinations)
+
+    def _key_span(self, key: int) -> _KeySpan:
+        """The state of flat ``key`` over its interval, made on first use.
+
+        A ``(level, w)`` row only ever sits in ``[base, w)``, where ``base``
+        starts the level's interval holding ``w`` (the virtual sink
+        ``w = n`` belongs to the last one): the row's position agrees with
+        ``w`` on every digit above ``level``.  PPTS's one interval is the
+        line, so its keys span ``[0, w)``.
+        """
+        span = self._spans.get(key)
+        if span is None:
+            n = self._n
+            level, w = divmod(key, n + 1)
+            size = self._interval_size[level]
+            base = min(w, n - 1) // size * size
+            width = w - base
+            span = (base, [None] * width, array("q", bytes(8 * width)), set())
+            self._spans[key] = span
+        return span
 
     def _sync_objects(self) -> None:
         """Materialise kernel state back into the object world.
@@ -506,14 +552,24 @@ class BatchSimulator(Simulator):
         pseudo = self._kind == _PSEUDO
         # (node, object-world key, rows in queue order) per nonempty queue.
         if pseudo:
+            # Node by node, keys ascending within a node: a deterministic
+            # order, but not the object engine's (see the class docstring).
             stride = n + 1
             hierarchical = self._hierarchical
-            placements = [
-                (node, (key // stride, key % stride) if hierarchical else key, rows)
-                for node in range(n)
-                for key, rows in self._stacks[node].items()
+            spans = self._spans
+            placements = []
+            for node, key in sorted(
+                (base + index, key)
+                for key, (base, stacks, _loads, _bad) in spans.items()
+                for index, rows in enumerate(stacks)
                 if rows
-            ]
+            ):
+                base, stacks = spans[key][:2]
+                placements.append((
+                    node,
+                    (key // stride, key % stride) if hierarchical else key,
+                    stacks[node - base],
+                ))
         else:
             store_key = self._store_key
             placements = [
@@ -688,7 +744,32 @@ class BatchSimulator(Simulator):
                 len(staged),
             )
             round_number += 1
+            if rule.quiet >= self._ell and not rule.stopped:
+                # The quiet tail.  A drain round injects nothing, and ``ell``
+                # quiet rounds span a phase boundary, which accepts every
+                # staged row and so changes the staged count unless none is
+                # staged: nothing is, nothing moved, and the state is what
+                # it was.  Every level has selected on it and moved nothing
+                # (a round's level is its residue mod ``ell``), so every
+                # later round repeats one of these until the rule stops.
+                tail = min(rule.window - rule.quiet, rule.cap - rule.rounds)
+                self._quiet_rounds(round_number, tail)
+                rule.quiet += tail
+                rule.rounds += tail
+                rule.stopped = True
         return self._stored + len(staged) == 0
+
+    def _quiet_rounds(self, first: int, count: int) -> None:
+        """Count ``count`` drain rounds from ``first`` that move nothing on a
+        fixed configuration, without running them (see :meth:`_kernel_drain`);
+        under full history each appends its :class:`RoundRecord`, all alike
+        but for the round number."""
+        if self.record_history:
+            before = self._occ.tolist()
+            delivered = self._delivered
+            for round_number in range(first, first + count):
+                self._record_round(round_number, 0, before, delivered, 0, 0)
+        self._round = first + count
 
     # -- the fused scan (every round runs here) --------------------------------------
 
@@ -1018,13 +1099,27 @@ class BatchSimulator(Simulator):
            ``t % ell == 0`` (drain rounds included);
         2. measurement — ``L^t`` into the maxima, the staged count into
            ``max_staged``;
-        3. selection (:meth:`_select_pseudo`) on the state before the round;
-        4. forwarding — every activated nonempty stack pops and its row is
-           delivered or placed at ``v + 1``, under a new key only where it
-           reaches its segment's intermediate destination.  The activated
-           ranges are disjoint and run right to left, so every node pops
+        3. selection (:meth:`_select_pseudo`) on the state before the round:
+           disjoint ``(lo, hi, key)`` node ranges, right to left;
+        4. forwarding, a range at a time, right to left, so every node pops
            before its predecessor's packet lands: the same stacks as the
            object engine's pop-all-then-place-all round.
+
+        A range forwards by segments, as PTS does (see the module
+        docstring), on its key's own stacks and loads (:meth:`_key_span`):
+        between two of the key's bad stacks every stack holds at most one
+        row, so each bad stack pops by the queue discipline and takes the
+        incoming carry, and each segment ``[a, b)`` between them moves one
+        node right as one ``del``/``insert`` of the key's stack list and
+        one of its load array.  ``occ`` changes only where the key's load
+        changes along the segment (a node holds other keys too), at the
+        ends of its runs of occupied stacks; a fully occupied segment moves
+        only its first node's load.  Only the row leaving the range's last
+        node can finish its segment: it is delivered, or re-keyed where it
+        reaches the key's intermediate destination ``w`` (HPTS only; a PPTS
+        key is the destination), or lands under the same key.  A node whose
+        load rose — just past a run, or where that row lands — is a maxima
+        candidate, folded at the next measurement, never at the shift.
 
         Returns how many packets the last round forwarded — the drain's
         quiet-round signal.
@@ -1035,19 +1130,16 @@ class BatchSimulator(Simulator):
         mx = self._mx
         touch = self._touch
         touch_append = touch.append
-        stacks = self._stacks
-        bad_nodes = self._bad_nodes
-        holders = self._holders
-        present = self._present
+        spans = self._spans
+        bad_dests = self._bad_dests
         staged = self._staged_rows
         hierarchical = self._hierarchical
         ell = self._ell
         pop = deque.pop if self._lifo else deque.popleft
         pseudo_key = self._pseudo_key
-        accept_row = self._accept_row
+        key_span = self._key_span
+        accept_rows = self._accept_rows
         deliver_row = self._deliver_row
-        claim = self._claim
-        release = self._release
         select = self._select_pseudo
         col_dst = self._col_dst
         col_injr = self._col_injr
@@ -1101,15 +1193,15 @@ class BatchSimulator(Simulator):
                 if hierarchical:
                     if staged and rn % ell == 0:
                         waiting = [row for row in staged if col_injr[row] >= rn]
-                        for row in staged:
-                            if col_injr[row] < rn:
-                                accept_row(row, rn)
-                        stored += len(staged) - len(waiting)
-                        staged[:] = waiting
+                        if len(waiting) < len(staged):
+                            accept_rows(
+                                [row for row in staged if col_injr[row] < rn], rn
+                            )
+                            stored += len(staged) - len(waiting)
+                            staged[:] = waiting
                     staged.extend(new_rows)
-                else:
-                    for row in new_rows:
-                        accept_row(row, rn)
+                elif new_rows:
+                    accept_rows(new_rows, rn)
                     stored += len(new_rows)
                 # -- measurement (L^t, after injection) -----------------------
                 if touch:
@@ -1125,71 +1217,115 @@ class BatchSimulator(Simulator):
                     before = occ.tolist()
                     delivered_before = delivered
                 # -- selection, then forwarding right to left -----------------
-                # ``popped`` is the last node that popped, its occupancy
-                # decrement deferred: when its left neighbour's packet lands
-                # there, its load is unchanged (no update, no maxima
-                # candidate).  A stack that empties and the one its packet
-                # starts under the same key likewise leave the key's holder
-                # count unchanged.
                 forwarded = 0
-                popped = -1
-                for lo, hi, key in select(rn) if stored else ():
-                    intermediate = key % stride
-                    for node in range(hi, lo - 1, -1):
-                        stack = stacks[node].get(key)
-                        if not stack:
-                            continue
-                        row = pop(stack)
-                        left = len(stack)
-                        if left == 1:
-                            bad_nodes[key].discard(node)
-                        forwarded += 1
-                        receiver = node + 1
-                        destination = col_dst[row]
-                        if receiver == destination:
-                            deliver_row(row, rn)
-                            delivered += 1
-                            stored -= 1
-                            if not left:
-                                release(key)
-                        else:
-                            landing = key
-                            if receiver == intermediate:
-                                # The segment ends here: re-key (HPTS only; a
-                                # PPTS key is the destination, where rows
-                                # deliver).
-                                landing = pseudo_key(receiver, destination)
-                            node_stacks = stacks[receiver]
-                            stack = node_stacks.get(landing)
-                            if stack is None:
-                                node_stacks[landing] = stack = deque()
-                            stack.append(row)
-                            load = len(stack)
-                            if landing != key:
-                                if not left:
-                                    release(key)
-                                if load == 1:
-                                    claim(landing)
-                            elif load == 1:
-                                if left:
-                                    claim(key)
-                            elif not left:
-                                release(key)
-                            if load == 2:
-                                bad = bad_nodes.get(landing)
-                                if bad is None:
-                                    bad_nodes[landing] = bad = set()
-                                bad.add(receiver)
-                            if receiver == popped:
-                                popped = -1
+                ranges = select(rn) if stored else ()
+                for lo, hi, key in ranges:
+                    base, stacks, loads, bad = spans[key]
+                    w = key % stride
+                    if hi >= w:
+                        # A cascade range may reach w, where the key holds no
+                        # stack.
+                        hi = w - 1
+                    end = hi + 1
+                    # The range's bad stacks, then its end.
+                    if len(bad) > 1:
+                        marks = sorted([b for b in bad if lo <= b <= hi])
+                        marks.append(end)
+                    elif bad:
+                        (b,) = bad
+                        marks = [b, end] if lo <= b <= hi else [end]
+                    else:
+                        marks = [end]
+                    carry = -1
+                    a = lo
+                    for b in marks:
+                        if a < b:
+                            # The segment [a, b): every stack holds at most
+                            # one row.  occ moves where the key's load does:
+                            # down where a run of occupied stacks starts, up
+                            # (a maxima candidate) just after one ends.
+                            i0 = a - base
+                            i1 = b - 1 - base
+                            segment = loads[i0:i1 + 1]
+                            flag = 1 if carry >= 0 else 0
+                            if 0 in segment:
+                                prev = flag
+                                v = a
+                                for load in segment:
+                                    if load != prev:
+                                        if prev:
+                                            occ[v] += 1
+                                            touch_append(v)
+                                        else:
+                                            occ[v] -= 1
+                                        prev = load
+                                    v += 1
+                                forwarded += segment.count(1)
                             else:
-                                occ[receiver] += 1
-                                touch_append(receiver)
-                        if popped >= 0:
-                            occ[popped] -= 1
-                        popped = node
-                if popped >= 0:
-                    occ[popped] -= 1
+                                # Full: only the first node's load can move.
+                                prev = 1
+                                forwarded += i1 + 1 - i0
+                                if not flag:
+                                    occ[a] -= 1
+                            stack = stacks[i1]
+                            row = stack.pop() if prev else -1
+                            if i0 < i1:
+                                del stacks[i1]
+                                stacks.insert(i0, stack)
+                                del loads[i1]
+                                loads.insert(i0, flag)
+                            else:
+                                loads[i0] = flag
+                            if flag:
+                                if stack is None:
+                                    stacks[i0] = stack = deque()
+                                stack.append(carry)
+                            carry = row
+                        if b == end:
+                            break
+                        # The bad stack at b pops one and takes the carry.
+                        i = b - base
+                        stack = stacks[i]
+                        row = pop(stack)
+                        if carry >= 0:
+                            stack.append(carry)
+                        else:
+                            load = loads[i] - 1
+                            loads[i] = load
+                            occ[b] -= 1
+                            if load == 1:
+                                bad.discard(b)
+                                if not bad:
+                                    bad_dests[key // stride].discard(w)
+                        forwarded += 1
+                        carry = row
+                        a = b + 1
+                    if carry < 0:
+                        continue
+                    # The row leaving the range: delivered, re-keyed at w, or
+                    # landing under the same key.
+                    destination = col_dst[carry]
+                    if end == destination:
+                        deliver_row(carry, rn)
+                        delivered += 1
+                        stored -= 1
+                        continue
+                    if end == w:
+                        key = pseudo_key(end, destination)
+                        base, stacks, loads, bad = spans.get(key) or key_span(key)
+                    i = end - base
+                    stack = stacks[i]
+                    if stack is None:
+                        stacks[i] = stack = deque()
+                    stack.append(carry)
+                    load = loads[i] + 1
+                    loads[i] = load
+                    occ[end] += 1
+                    touch_append(end)
+                    if load == 2:
+                        if not bad:
+                            bad_dests[key // stride].add(key % stride)
+                        bad.add(end)
                 if record:
                     self._delivered = delivered
                     self._record_round(
@@ -1203,89 +1339,92 @@ class BatchSimulator(Simulator):
             self._delivered = delivered
         return forwarded
 
-    def _accept_row(self, row: int, round_number: int) -> None:
-        """Store one injected (PPTS) or staged (HPTS) row at its source.
+    def _accept_rows(self, rows: Sequence[int], round_number: int) -> None:
+        """Store injected (PPTS) or staged (HPTS) rows at their sources.
 
-        The caller counts the row into ``stored``."""
-        source = self._col_src[row]
-        destination = self._col_dst[row]
-        self._col_arr[row] = round_number
-        packet = self._row_packet[row]
-        if packet is not None:
-            packet.accept(round_number)
-        if not self._hierarchical:
-            self._observed.add(destination)
-        key = self._pseudo_key(source, destination)
-        node_stacks = self._stacks[source]
-        stack = node_stacks.get(key)
-        if stack is None:
-            node_stacks[key] = stack = deque()
-        stack.append(row)
-        load = len(stack)
-        if load == 1:
-            self._claim(key)
-        elif load == 2:
-            self._bad_nodes.setdefault(key, set()).add(source)
-        self._occ[source] += 1
-        self._touch.append(source)
-
-    def _claim(self, key: int) -> None:
-        """One more node holds a nonempty ``key`` stack."""
-        count = self._holders.get(key, 0) + 1
-        self._holders[key] = count
-        if count == 1:
-            stride = self._n + 1
-            self._present[key // stride].add(key % stride)
-
-    def _release(self, key: int) -> None:
-        """One node fewer holds a nonempty ``key`` stack."""
-        count = self._holders[key] - 1
-        self._holders[key] = count
-        if not count:
-            stride = self._n + 1
-            self._present[key // stride].discard(key % stride)
+        The caller counts the rows into ``stored``.  Each source's maximum
+        is folded here, not at the measurement: acceptance is the round's
+        first step, and loads only rise until the measurement that follows
+        it, so the last fold sees the measured load."""
+        occ = self._occ
+        mx = self._mx
+        col_src = self._col_src
+        col_dst = self._col_dst
+        col_arr = self._col_arr
+        row_packet = self._row_packet
+        spans = self._spans
+        pseudo_key = self._pseudo_key
+        key_span = self._key_span
+        observed = None if self._hierarchical else self._observed
+        stride = self._n + 1
+        for row in rows:
+            source = col_src[row]
+            destination = col_dst[row]
+            col_arr[row] = round_number
+            packet = row_packet[row]
+            if packet is not None:
+                packet.accept(round_number)
+            if observed is not None:
+                observed.add(destination)
+            key = pseudo_key(source, destination)
+            base, stacks, loads, bad = spans.get(key) or key_span(key)
+            i = source - base
+            stack = stacks[i]
+            if stack is None:
+                stacks[i] = stack = deque()
+            stack.append(row)
+            load = loads[i] + 1
+            loads[i] = load
+            if load == 2:
+                if not bad:
+                    self._bad_dests[key // stride].add(key % stride)
+                bad.add(source)
+            load = occ[source] + 1
+            occ[source] = load
+            if load > mx[source]:
+                mx[source] = load
 
     def _select_pseudo(self, round_number: int) -> List[Tuple[int, int, int]]:
         """The round's activations as disjoint ``(lo, hi, flat key)`` node
         ranges, right to left, read from the state before the round.
 
         FormPaths runs on every interval of the round's level that holds a
-        destination, each interval's destinations descending (the intervals
-        are disjoint, so their order does not matter): a key's bad stacks
-        all lie in its destination's interval, left of the destination, so
-        its leftmost bad node is ``min`` of its bad set, and ``[bad, last]``
-        is activated whole (HPTS's empty activations count as active in the
-        cascade; they pop nothing).  Then HPTS's ``ActivatePreBad`` cascade
-        runs down the lower levels.  PPTS is the one-level case with one
-        interval and no cascade; packets for a destination outside its
-        declared set never move.
+        destination with a bad stack, each interval's destinations
+        descending (the intervals are disjoint, so their order does not
+        matter): a key's bad stacks all lie in its destination's interval,
+        left of the destination, so its leftmost bad node is ``min`` of its
+        bad set, and ``[bad, last]`` is activated whole (HPTS's empty
+        activations count as active in the cascade; they pop nothing).
+        Destinations with no bad stack are left out: FormPaths skips them,
+        and the frontier starts at an interval's largest destination, right
+        of every ``w - 1`` in it.  Then HPTS's ``ActivatePreBad`` cascade
+        runs.  PPTS is the one-level case with one interval and no cascade;
+        packets for a destination outside its declared set never move.
         """
         n = self._n
         stride = n + 1
         ell = self._ell
         offset = round_number % ell
         level = offset if self._ascending else ell - 1 - offset
+        destinations = self._bad_dests[level]
+        if not destinations:
+            return []
         size = self._interval_size[level]
         base = level * stride
-        bad_nodes = self._bad_nodes
+        spans = self._spans
         allowed = self._allowed
         ranges: List[Tuple[int, int, int]] = []
-        present: set = self._present[level]
-        destinations = sorted(present)
-        if allowed is not None:
-            destinations = [w for w in destinations if w in allowed]
         rank = -1
         frontier = 0
-        for w in reversed(destinations):
+        for w in sorted(destinations, reverse=True):
+            if allowed is not None and w not in allowed:
+                continue
             # The virtual sink w = n belongs to the last interval.
             w_rank = (w if w < n else n - 1) // size
             if w_rank != rank:
                 rank = w_rank
                 frontier = w
-            bad = bad_nodes.get(base + w)
-            if not bad:
-                continue
-            leftmost = min(bad)
+            leftmost = min(spans[base + w][3])
             last = (frontier if frontier < w else w) - 1
             if leftmost > last:
                 continue
@@ -1293,51 +1432,60 @@ class BatchSimulator(Simulator):
             # disjoint, and the frontier keeps ranges apart.
             ranges.append((leftmost, last, base + w))
             frontier = leftmost
-        if level:
-            self._activate_pre_bad(level, ranges)
+        if level and ranges:
+            self._activate_pre_bad(ranges)
         ranges.sort(reverse=True)
         return ranges
 
-    def _activate_pre_bad(
-        self, level: int, ranges: List[Tuple[int, int, int]]
-    ) -> None:
-        """HPTS's ``ActivatePreBad`` cascade (Algorithm 5) below ``level``,
-        appending its ranges to the round's FormPaths ``ranges``."""
-        n = self._n
-        stride = n + 1
-        active: Dict[int, int] = {}
-        for lo, hi, key in ranges:
-            for v in range(lo, hi + 1):
-                active[v] = key
-        stacks = self._stacks
+    def _activate_pre_bad(self, ranges: List[Tuple[int, int, int]]) -> None:
+        """HPTS's ``ActivatePreBad`` cascade (Algorithm 5), appending its
+        ranges to the round's FormPaths ``ranges``.
+
+        Definition 4.6 asks for an inactive node ``s`` whose active
+        predecessor's outgoing packet ends its segment at ``s`` and joins an
+        occupied stack of a lower level there.  A range never reaches past
+        its key's intermediate destination ``w``, so the predecessor ends a
+        range whose key has ``w == s``: each candidate is the node after
+        such a range.  ``s`` starts an interval of the new key's level (that
+        key's level is below the range's, and ``s`` is a multiple of the
+        range's block), and the new range runs from ``s`` while nodes are
+        inactive, up to the new key's ``w'``, which lies inside that
+        interval.  So a new range ends at ``w'`` or just before an active
+        node, and never hands on in turn: walking the FormPaths ranges finds
+        every cascade range.  They are Algorithm 5's, which it finds level
+        by level down every interval start: a new range lies inside one
+        interval of its level, where no range of a higher level starts and
+        no range reaches in from the left but the one that handed on.
+        """
+        stride = self._n + 1
+        spans = self._spans
+        sizes = self._interval_size
         col_dst = self._col_dst
         lifo = self._lifo
-        for lower in range(level - 1, -1, -1):
-            size = self._interval_size[lower]
-            for start in range(size, n, size):
-                if start in active:
-                    continue
-                # Definition 4.6: the active predecessor's outgoing packet
-                # ends its segment here and joins an occupied level-``lower``
-                # stack.
-                predecessor_key = active.get(start - 1)
-                if predecessor_key is None or predecessor_key % stride != start:
-                    continue
-                stack = stacks[start - 1].get(predecessor_key)
-                if not stack:
-                    continue
-                destination = col_dst[stack[-1] if lifo else stack[0]]
-                if destination == start:
-                    continue
-                key = self._pseudo_key(start, destination)
-                if key // stride != lower or not stacks[start].get(key):
-                    continue
-                limit = min(key % stride, start + size - 1)
-                v = start
-                while v <= limit and v not in active:
-                    active[v] = key
-                    v += 1
-                ranges.append((start, v - 1, key))
+        pseudo_key = self._pseudo_key
+        for _lo, hi, key in tuple(ranges):
+            start = hi + 1
+            if key % stride != start:
+                continue
+            base, stacks = spans[key][:2]
+            stack = stacks[hi - base]
+            if not stack:
+                continue
+            destination = col_dst[stack[-1] if lifo else stack[0]]
+            if destination == start:
+                continue
+            lower = pseudo_key(start, destination)
+            span = spans.get(lower)
+            if span is None or not span[2][start - span[0]]:
+                continue
+            limit = min(lower % stride, start + sizes[lower // stride] - 1)
+            for lo, other_hi, _key in ranges:
+                if lo <= start <= other_hi:
+                    break
+                if start < lo <= limit:
+                    limit = lo - 1
+            else:
+                ranges.append((start, limit, lower))
 
     def _record_round(
         self,

@@ -17,11 +17,18 @@ last-node bad buffers in one round, both PTS flavours and disciplines, an
 interior destination and the virtual sink) with its maxima folded at the
 next measurement, never at the shift (``run(h, drain=False)`` and checkpoint
 cuts), and for the pseudo-buffer kind: HPTS with one, two and three levels
-and each of its variants, PPTS with a declared destination set, and drains
-that stop with HPTS packets still staged.
+and each of its variants, PPTS with a declared destination set, drains
+that stop with HPTS packets still staged, the key-major segment shift
+(the same arrangements of PPTS and HPTS stacks, HPTS re-keying and
+cascading, both disciplines, every horizon with ``drain=False``, and
+checkpoint cuts in all four engine pairings), and the quiet drain tail
+the kernel counts instead of running (it must wait for every HPTS level
+and stop at a cap inside it).
 """
 
 from __future__ import annotations
+
+import random
 
 import pytest
 
@@ -753,6 +760,267 @@ def test_pseudo_kind_window_size_does_not_change_results():
     baseline = _run_batch(make, {}, {}, batch_rounds=64)[1]
     for batch_rounds in (1, 2, 3, 1024):
         assert _run_batch(make, {}, {}, batch_rounds=batch_rounds)[1] == baseline
+
+
+# -- pseudo-buffer segment shift: PPTS and HPTS stacks shifted by key ---------------
+
+
+PSEUDO_N = 16
+PSEUDO_ROUNDS = 40
+
+
+def _dense_routes(seed, destinations):
+    """Seeded random routes on ``PSEUDO_N`` nodes with the virtual sink: six
+    packets every ninth round, one in the others, each for one of
+    ``destinations`` (``None``: any node right of its source).  Enough
+    traffic that a round holds several bad stacks of one key, adjacent
+    ones, one at the end of its range, and empty stacks between occupied
+    ones."""
+    rng = random.Random(seed)
+    routes = []
+    for t in range(PSEUDO_ROUNDS):
+        for _ in range(6 if t % 9 == 0 else 1):
+            if destinations is None:
+                source = rng.randrange(PSEUDO_N)
+                destination = rng.randrange(source + 1, PSEUDO_N + 1)
+            else:
+                destination = rng.choice(destinations)
+                source = rng.randrange(destination)
+            routes.append((t, source, destination))
+    return routes
+
+
+def _pseudo_shift(algorithm, discipline):
+    """PPTS (three destinations, the sink among them) or HPTS (two levels of
+    four, any destination) against :func:`_dense_routes`."""
+
+    def make():
+        topology = LineTopology(PSEUDO_N, allow_virtual_sink=True)
+        if algorithm == "hpts":
+            algo = HierarchicalPeakToSink(topology, levels=2, discipline=discipline)
+        else:
+            algo = ParallelPeakToSink(topology, discipline=discipline)
+        adversary = build_explicit_adversary(
+            topology, rho=1.0, sigma=8.0, rounds=PSEUDO_ROUNDS,
+            routes=_dense_routes(
+                SEED, None if algorithm == "hpts" else (6, 11, PSEUDO_N)
+            ),
+        )
+        return topology, algo, adversary
+
+    return make
+
+
+def _pseudo_arrangements(make):
+    """What the object engine's activations meet, round by round: the
+    stacks of each activated key from its first activated node to its last
+    (PPTS activates only nonempty stacks, HPTS the whole range), read
+    before the round moves."""
+    topology, algorithm, adversary = make()
+    seen = set()
+    select = algorithm.select_activations
+
+    def observed(round_number):
+        activations = select(round_number)
+        by_key = {}
+        for activation in activations:
+            by_key.setdefault(activation.key, []).append(activation.node)
+        level = (
+            algorithm._level_for_round(round_number)
+            if isinstance(algorithm, HierarchicalPeakToSink)
+            else 0
+        )
+        for key, nodes in by_key.items():
+            w = key[1] if isinstance(key, tuple) else key
+            if isinstance(key, tuple) and key[0] < level:
+                seen.add("cascade")
+            span = range(min(nodes), min(max(nodes), w - 1) + 1)
+            loads = {v: algorithm.buffers[v].load_of(key) for v in span}
+            bad = [v for v in span if loads[v] >= 2]
+            single = [loads[v] for v in span if loads[v] < 2]
+            if len(bad) >= 2:
+                seen.add("several bad")
+            if any(v + 1 in bad for v in bad):
+                seen.add("adjacent bad")
+            if w - 1 in bad:
+                seen.add("bad at range end")
+            if 0 in single and 1 in single:
+                seen.add("empty between occupied")
+            if w - 1 in span and loads[w - 1]:
+                top = algorithm.buffers[w - 1].existing(key).peek()
+                seen.add("delivery" if top.destination == w else "re-key")
+        return activations
+
+    algorithm.select_activations = observed
+    with packet_id_scope():
+        Simulator(topology, algorithm, adversary).run()
+    return seen
+
+
+SHIFT_ARRANGEMENTS = {
+    "several bad", "adjacent bad", "bad at range end", "empty between occupied",
+    "delivery",
+}
+
+
+@pytest.mark.parametrize("discipline", tuple(QueueDiscipline), ids=lambda d: d.name)
+@pytest.mark.parametrize("algorithm", ("ppts", "hpts"))
+def test_pseudo_shift_routes_reach_every_arrangement(algorithm, discipline):
+    """The shift cases below rest on this: HPTS also re-keys at an interval
+    end and cascades."""
+    expected = SHIFT_ARRANGEMENTS | (
+        {"re-key", "cascade"} if algorithm == "hpts" else set()
+    )
+    assert expected <= _pseudo_arrangements(_pseudo_shift(algorithm, discipline))
+
+
+@pytest.mark.parametrize("batch_rounds", (1, 7, 64))
+@pytest.mark.parametrize("discipline", tuple(QueueDiscipline), ids=lambda d: d.name)
+@pytest.mark.parametrize("algorithm", ("ppts", "hpts"))
+def test_pseudo_segment_shift(algorithm, discipline, batch_rounds):
+    """Every arrangement above, straight and split, with full history."""
+    make = _pseudo_shift(algorithm, discipline)
+    for split in (False, True):
+        result = _assert_identical(
+            make, sim_kwargs=HISTORY_MODES["full"],
+            batch_rounds=batch_rounds, split=split,
+        )
+    assert result.packets_delivered > 0
+
+
+@pytest.mark.parametrize("algorithm", ("ppts", "hpts"))
+def test_pseudo_last_round_loads_are_not_measured(algorithm):
+    """``run(h, drain=False)`` for every horizon: the loads a shift leaves
+    are folded at the next measurement, which the last round never has."""
+    make = _pseudo_shift(algorithm, QueueDiscipline.LIFO)
+    for horizon in range(1, PSEUDO_ROUNDS + 1):
+        with packet_id_scope():
+            delta = Simulator(*make())
+            expected = delta.run(horizon, drain=False)
+        with packet_id_scope():
+            batch = BatchSimulator(*make(), batch_rounds=7)
+            result = batch.run(horizon, drain=False)
+        assert result == expected
+        assert _maxima(batch) == _maxima(delta)
+
+
+ENGINES = {"delta": Simulator, "batch": BatchSimulator}
+
+
+@pytest.mark.parametrize(
+    "pairing", [(a, b) for a in ENGINES for b in ENGINES], ids="-".join
+)
+@pytest.mark.parametrize("algorithm", ("ppts", "hpts"))
+def test_pseudo_checkpoint_cuts(tmp_path, algorithm, pairing):
+    """Cut with ``run(cut, drain=False)`` (odd cuts are mid-phase for HPTS),
+    resume under either engine with ``run(h, drain=False)``: the straight
+    run's result and maxima."""
+    make = _pseudo_shift(algorithm, QueueDiscipline.FIFO)
+    horizon = 30
+    with packet_id_scope():
+        straight = Simulator(*make())
+        expected = (straight.run(horizon, drain=False), _maxima(straight))
+    first, second = (ENGINES[name] for name in pairing)
+    options = {BatchSimulator: {"batch_rounds": 7}, Simulator: {}}
+    for cut in (7, 13, 20):
+        path = str(tmp_path / f"{cut}.ckpt")
+        with packet_id_scope():
+            head = first(*make(), **options[first])
+            head.run(cut, drain=False)
+            head.save_checkpoint(path)
+        with packet_id_scope():
+            tail = second(*make(), **options[second])
+            restore_into(tail, load_checkpoint(path))
+            result = tail.run(horizon, drain=False)
+        assert (result, _maxima(tail)) == expected
+
+
+# -- the quiet drain tail: counted, not run -------------------------------------------
+
+
+QUIET_HISTORY_MODES = {
+    **HISTORY_MODES,
+    "full-no-vectors": {"record_history": True},
+}
+
+
+def _hpts3_late_move():
+    """HPTS with three levels of three: two packets for node 2 enter at node
+    0 in round 0 and are accepted in round 3.  Run to ``h = 4``, the drain
+    starts at round 4, which serves level 1 and moves nothing; round 5
+    serves level 0 and moves one of them, after which nothing is bad."""
+
+    def make():
+        topology = LineTopology(27)
+        algorithm = HierarchicalPeakToSink(topology, levels=3)
+        adversary = build_explicit_adversary(
+            topology, rho=1.0, sigma=2.0, rounds=4, routes=[(0, 0, 2)] * 2
+        )
+        return topology, algorithm, adversary
+
+    return make
+
+
+@pytest.mark.parametrize("history", sorted(QUIET_HISTORY_MODES))
+def test_quiet_tail_waits_for_every_level(history):
+    """A quiet round at one level, then a moving one at another: the tail
+    starts only after ``ell`` quiet rounds."""
+    make = _hpts3_late_move()
+    with packet_id_scope():
+        oracle = Simulator(*make(), record_history=True).run(4)
+    assert [record.forwarded for record in oracle.history[4:7]] == [0, 1, 0]
+    result = _assert_identical(
+        make, sim_kwargs=QUIET_HISTORY_MODES[history], run_kwargs={"num_rounds": 4}
+    )
+    assert result.rounds_executed == 6 + quiescence_window(27)
+    assert result.packets_undelivered == 2
+
+
+@pytest.mark.parametrize("history", sorted(QUIET_HISTORY_MODES))
+def test_quiet_tail_stops_at_a_cap_inside_it(history):
+    """The tail starts after drain round 8 (rounds 6-8 are quiet); a cap
+    of ten drain rounds ends it five rounds later."""
+    result = _assert_identical(
+        _hpts3_late_move(),
+        sim_kwargs=QUIET_HISTORY_MODES[history],
+        run_kwargs={"num_rounds": 4, "max_drain_rounds": 10},
+    )
+    assert not result.drained
+    assert result.rounds_executed == 4 + 10
+
+
+def _stranded(algorithm):
+    """PTS or local with three packets stranded below the threshold."""
+
+    def make():
+        topology = _make_topology(algorithm)
+        w = _destinations(algorithm, topology)[0]
+        adversary = build_explicit_adversary(
+            topology, rho=1.0, sigma=2.0, rounds=4,
+            routes=[(0, 2, w), (0, 5, w), (1, 9, w)],
+        )
+        return topology, _make_algorithm(algorithm, topology), adversary
+
+    return make
+
+
+@pytest.mark.parametrize("cap", (None, 1, 2, 7))
+@pytest.mark.parametrize("history", sorted(QUIET_HISTORY_MODES))
+@pytest.mark.parametrize("algorithm", ("pts", "local"))
+def test_fused_quiet_tail(algorithm, history, cap):
+    """The fused family's tail starts after one quiet round and ends on the
+    window or on a cap inside it."""
+    make = _stranded(algorithm)
+    result = _assert_identical(
+        make,
+        sim_kwargs=QUIET_HISTORY_MODES[history],
+        run_kwargs={"max_drain_rounds": cap},
+    )
+    drained_for = quiescence_window(N) if cap is None else cap
+    assert result.rounds_executed == make()[2].horizon + drained_for
+    assert result.packets_undelivered == 3
+    if history.startswith("full"):
+        assert len(result.history) == result.rounds_executed
 
 
 # -- refusal surface ---------------------------------------------------------------

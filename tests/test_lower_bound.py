@@ -72,8 +72,26 @@ class TestStructure:
         assert len(plan.routes) == construction.levels + 1
 
     def test_theoretical_bound_positive_above_threshold(self):
-        assert LowerBoundConstruction(3, 2, 0.5).theoretical_bound() > 0
+        assert LowerBoundConstruction(4, 2, 0.5).theoretical_bound() > 0
         assert LowerBoundConstruction(3, 2, 0.3).theoretical_bound() == 0.0
+
+    def test_theoretical_bound_uses_the_injected_rate(self):
+        """The floor is taken at floor(rho * m) / m, the rate the pattern
+        injects, not at the nominal rho."""
+        silent = LowerBoundConstruction(2, 3, 1 / 3)
+        assert silent.packets_per_type == 0
+        assert len(silent.build_pattern()) == 0
+        assert silent.theoretical_bound() == 0.0
+        # Nominal 0.5 > 1/3, but three rounds carry one packet per type:
+        # exactly the threshold rate.
+        threshold = LowerBoundConstruction(3, 2, 0.5)
+        assert threshold.packets_per_type == 1
+        assert threshold.theoretical_bound() == 0.0
+        exact = LowerBoundConstruction(4, 2, 0.5)
+        assert exact.packets_per_type == 2
+        assert exact.theoretical_bound() == pytest.approx(
+            (3 * 0.5 - 1) / 4 * exact.num_nodes ** 0.5
+        )
 
 
 class TestPattern:
