@@ -558,8 +558,11 @@ def run_smoke(limit_mb: float, nodes: int = SMOKE_NODES,
     save/restore round trip — run to the halfway round, snapshot, rebuild
     from the file, finish — asserting the resumed ``SimulationResult`` is
     identical to the uninterrupted one and that the whole exercise stays
-    inside the same RSS budget.  The snapshot size is reported.
+    inside the same RSS budget.  The batch kernel then writes the same
+    halfway snapshot, which must be byte-identical to the delta engine's.
+    The snapshot size is reported.
     """
+    import filecmp
     import gc
     import resource
     import tempfile
@@ -594,6 +597,14 @@ def run_smoke(limit_mb: float, nodes: int = SMOKE_NODES,
             del partial, prepared
             gc.collect()
             resumed = Session(cache_topologies=False).resume(path)
+            batch_path = os.path.join(scratch, "smoke-batch.ckpt")
+            with packet_id_scope():
+                prepared, partial = _build(session, spec, engine="batch")
+                partial.run(rounds // 2, drain=False)
+                partial.save_checkpoint(batch_path, spec=spec)
+            del partial, prepared
+            gc.collect()
+            same_bytes = filecmp.cmp(path, batch_path, shallow=False)
         print(f"smoke: checkpoint round trip at round {rounds // 2}, "
               f"{ckpt_bytes / 1e6:.1f} MB snapshot")
         if resumed.result != result:
@@ -602,6 +613,12 @@ def run_smoke(limit_mb: float, nodes: int = SMOKE_NODES,
             roundtrip_failed = True
         else:
             print("smoke: resumed result is identical to the uninterrupted run")
+        if not same_bytes:
+            print("SMOKE FAILURE: the batch kernel's halfway snapshot differs "
+                  "from the delta engine's")
+            roundtrip_failed = True
+        else:
+            print("smoke: batch and delta halfway snapshots are byte-identical")
 
     # ru_maxrss is kilobytes on Linux but bytes on macOS.
     rss_divisor = 1024.0 ** 2 if sys.platform == "darwin" else 1024.0

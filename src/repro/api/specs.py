@@ -280,9 +280,11 @@ class RunPolicy(_SpecBase):
         sharding fields, both engine fields are excluded from the
         resume-identity hash.
     batch_rounds:
-        How many injection rounds the batch kernel advances per array sweep
-        before syncing back to object state (checkpoint cadence clamps a
-        sweep early so saves still land on exact round boundaries).
+        How many rounds the batch kernel advances per window.  Results do not
+        depend on it: the single-process kernel syncs back to object state
+        only at checkpoint cuts (which end a window early, so saves land on
+        exact round boundaries) and at the end of the run; sharded workers
+        run one window between boundary exchanges.
     """
 
     rounds: Optional[int] = None

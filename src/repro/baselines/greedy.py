@@ -69,7 +69,8 @@ class GreedyForwarding(ForwardingAlgorithm):
         # Arrival rounds drive the FIFO/LIFO-by-arrival policies, but only
         # for packets still stored somewhere: entries for delivered packets
         # can never be queried again, so the snapshot stays O(packets in
-        # flight) no matter how long the run has been going.
+        # flight) no matter how long the run has been going.  Listed by
+        # packet id, so the snapshot does not depend on arrival order.
         live = {
             packet.packet_id
             for node_buffer in self.buffers.values()
@@ -77,9 +78,9 @@ class GreedyForwarding(ForwardingAlgorithm):
         }
         return {
             "arrival": [
-                [packet_id, round_number]
-                for packet_id, round_number in self._arrival_round.items()
-                if packet_id in live
+                [packet_id, self._arrival_round[packet_id]]
+                for packet_id in sorted(live)
+                if packet_id in self._arrival_round
             ]
         }
 

@@ -8,7 +8,7 @@ continue a run bit-identically from a round boundary:
   maxima,
 * every retained :class:`~repro.core.packet.Packet` (in-flight only under
   ``history="streaming"``; all packets otherwise), stored columnar,
-* the per-node pseudo-buffer layout — every key in creation order with its
+* the per-node pseudo-buffer layout — every nonempty key, sorted, with its
   packet ids in queue order — from which the node loads and the incremental
   :class:`~repro.core.indexset.BufferIndex` bad sets are rebuilt by
   replaying the stores,
@@ -26,6 +26,9 @@ continue a run bit-identically from a round boundary:
 * optionally, the originating :class:`~repro.api.specs.ScenarioSpec`, so
   :meth:`repro.api.session.Session.resume` can rebuild the run's ingredients
   without being told anything else.
+
+The layout is a function of that state alone: the same configuration gives
+the same bytes whichever engine wrote it.
 
 File layout (all integers little-endian; see ``docs/CHECKPOINT.md``)::
 
@@ -113,6 +116,17 @@ _HISTORY_COLUMNS = (
     "rounds", "injected", "forwarded", "delivered", "max_occupancy",
     "max_occupancy_after", "staged",
 )
+#: The fields :func:`restore_into` reads from each header block.
+_BLOCK_FIELDS: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
+    ("engine", (
+        "round", "injected", "delivered", "latency_sum", "latency_max",
+        "num_nodes", "history_policy", "record_history",
+        "record_occupancy_vectors", "validate_capacity",
+    )),
+    ("algorithm", ("name", "state")),
+    ("timeline", ("max_occupancy", "max_staged")),
+    ("adversary", ("kind", "cursor")),
+)
 
 
 # ---------------------------------------------------------------------------
@@ -199,27 +213,29 @@ def _snapshot(
         columns["hops"].append(packet.hops)
     sections.extend((f"packets/{name}", columns[name]) for name in _PACKET_COLUMNS)
 
-    # -- buffer layout -----------------------------------------------------------
+    # -- buffer layout: nonempty pseudo-buffers only, each node's keys sorted
+    #    (tuples as their JSON lists), so equal state gives equal bytes
+    #    whichever engine, and whichever order of creation and garbage
+    #    collection, produced it -------------------------------------------------
     buffer_directory: List[List[Any]] = []
     buffer_ids = array("q")
     for node, node_buffer in algorithm.buffers.items():
-        keys = node_buffer.keys()
+        keys = node_buffer.nonempty_keys()
         if not keys:
             continue
         entry: List[Any] = []
-        for key in keys:
-            pseudo = node_buffer.existing(key)
-            packets = pseudo.packets()  # oldest first == queue order
+        for key in sorted(keys, key=_encode_key):
+            packets = node_buffer.existing(key).packets()  # queue order
             entry.append([_encode_key(key), len(packets)])
             buffer_ids.extend(packet.packet_id for packet in packets)
         buffer_directory.append([node, entry])
     sections.append(("buffers/packet_ids", buffer_ids))
 
-    # -- timeline maxima ---------------------------------------------------------
+    # -- timeline maxima, by node ------------------------------------------------
     timeline = simulator._timeline
     timeline_nodes = array("q")
     timeline_loads = array("q")
-    for node, load in timeline.per_node_maxima().items():
+    for node, load in sorted(timeline.per_node_maxima().items()):
         timeline_nodes.append(node)
         timeline_loads.append(load)
     sections.append(("timeline/nodes", timeline_nodes))
@@ -305,7 +321,6 @@ def _snapshot(
         "algorithm": {
             "name": algorithm.name,
             "state": algorithm.checkpoint_state(),
-            "rounds_until_gc": algorithm._rounds_until_gc,
         },
         "buffers": buffer_directory,
         "adversary": {
@@ -433,16 +448,12 @@ def _decode(data: bytes, source: str) -> Checkpoint:
                 f"{source}: header field {field!r} is missing or not a "
                 f"{expected.__name__}"
             )
-    engine = header["engine"]
-    for field in (
-        "round", "injected", "delivered", "latency_sum", "latency_max",
-        "num_nodes", "history_policy", "record_history",
-        "record_occupancy_vectors", "validate_capacity",
-    ):
-        if field not in engine:
-            raise CheckpointFormatError(
-                f"{source}: header engine block is missing {field!r}"
-            )
+    for block, fields in _BLOCK_FIELDS:
+        for field in fields:
+            if field not in header[block]:
+                raise CheckpointFormatError(
+                    f"{source}: header {block} block is missing {field!r}"
+                )
     directory = header.get("sections")
     if not isinstance(directory, list):
         raise CheckpointFormatError(f"{source}: header has no section directory")
@@ -622,11 +633,9 @@ def restore_into(simulator: "Simulator", checkpoint: Checkpoint) -> "Simulator":
                 f"checkpoint references node {node} absent from the topology"
             )
         for key_data, count in entry:
+            # Files written before the layout was canonical may list an
+            # emptied pseudo-buffer (count 0); it restores nothing.
             key = _decode_key(key_data)
-            # Materialise the pseudo-buffer even when empty: creation order
-            # determines dict iteration order, which the reference (scan)
-            # selection paths and repr output observe.
-            node_buffer.pseudo_buffer(key)
             for _ in range(count):
                 packet_id = buffer_ids[position]
                 position += 1
@@ -645,10 +654,11 @@ def restore_into(simulator: "Simulator", checkpoint: Checkpoint) -> "Simulator":
         )
 
     # -- algorithm extra state -----------------------------------------------------
+    # (Older files also carry ``algorithm.rounds_until_gc``, a countdown the
+    # round number now determines; it is ignored.)
     algorithm.restore_checkpoint_state(
         checkpoint.header["algorithm"]["state"], packets
     )
-    algorithm._rounds_until_gc = checkpoint.header["algorithm"]["rounds_until_gc"]
 
     # -- engine counters and running statistics ------------------------------------
     simulator._round = engine["round"]
@@ -842,9 +852,6 @@ def stitch_checkpoints(checkpoints: List[Checkpoint]) -> Checkpoint:
     )
     algorithm_headers = [c.header["algorithm"] for c in checkpoints]
     _require_equal([a["name"] for a in algorithm_headers], "algorithm name")
-    _require_equal(
-        [a["rounds_until_gc"] for a in algorithm_headers], "gc countdown"
-    )
     adversary_headers = [c.header["adversary"] for c in checkpoints]
     _require_equal([a["kind"] for a in adversary_headers], "adversary kind")
     # Every segment advanced the same underlying row stream, so the cursors
@@ -869,24 +876,13 @@ def stitch_checkpoints(checkpoints: List[Checkpoint]) -> Checkpoint:
         buffer_ids.extend(checkpoint.section("buffers/packet_ids"))
     sections.append(("buffers/packet_ids", buffer_ids))
 
-    # Per-segment maxima arrive in observation order, which depends on the
-    # segmentation; re-sort by node id so the stitched bytes are canonical
-    # (segment node ranges are disjoint, so the key is unique).
-    timeline_pairs: List[Tuple[int, int]] = []
-    for checkpoint in checkpoints:
-        timeline_pairs.extend(
-            zip(
-                checkpoint.section("timeline/nodes"),
-                checkpoint.section("timeline/loads"),
-            )
-        )
-    timeline_pairs.sort(key=lambda pair: pair[0])
-    sections.append(
-        ("timeline/nodes", array("q", (node for node, _ in timeline_pairs)))
-    )
-    sections.append(
-        ("timeline/loads", array("q", (load for _, load in timeline_pairs)))
-    )
+    # Each segment lists its maxima by node and the segments come in line
+    # order, so the concatenation is already by node.
+    for name in ("timeline/nodes", "timeline/loads"):
+        column = array("q")
+        for checkpoint in checkpoints:
+            column.extend(checkpoint.section(name))
+        sections.append((name, column))
 
     if first.history_policy is HistoryPolicy.STREAMING:
         store = _concat_sorted_rows(checkpoints, "store", _STORE_COLUMNS, "ids")
@@ -964,7 +960,6 @@ def stitch_checkpoints(checkpoints: List[Checkpoint]) -> Checkpoint:
             "state": _merge_algorithm_states(
                 [a["state"] for a in algorithm_headers]
             ),
-            "rounds_until_gc": algorithm_headers[0]["rounds_until_gc"],
         },
         "buffers": buffer_directory,
         "adversary": {

@@ -199,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="K",
         help="rounds advanced per batch window for --engine batch/auto "
-        "(a sync cadence only — results do not depend on it)",
+        "(results do not depend on it)",
     )
     simulate.add_argument(
         "--recovery",

@@ -111,7 +111,6 @@ class ForwardingAlgorithm(ABC):
         #: rounds (multi-destination runs otherwise leak one queue per
         #: destination per node over a long horizon).
         self._gc_interval = max(topology.num_nodes, 1)
-        self._rounds_until_gc = self._gc_interval
         changed = self._changes.changed
         self.buffers: Dict[int, NodeBuffer] = {
             node: NodeBuffer(node, discipline, on_change=changed)
@@ -150,14 +149,13 @@ class ForwardingAlgorithm(ABC):
     def on_round_end(self, round_number: int) -> None:
         """Hook called after the forwarding step completes.
 
-        The default periodically garbage-collects empty pseudo-buffers (about
-        once every ``num_nodes`` rounds); subclasses overriding this hook
-        should call ``super().on_round_end(round_number)`` to keep long
-        multi-destination runs from leaking empty queues.
+        The default garbage-collects empty pseudo-buffers once every
+        ``num_nodes`` rounds, a function of the round number alone;
+        subclasses overriding this hook should call
+        ``super().on_round_end(round_number)`` to keep long multi-destination
+        runs from leaking empty queues.
         """
-        self._rounds_until_gc -= 1
-        if self._rounds_until_gc <= 0:
-            self._rounds_until_gc = self._gc_interval
+        if (round_number + 1) % self._gc_interval == 0:
             for buffer in self.buffers.values():
                 buffer.drop_empty()
 

@@ -18,7 +18,8 @@ at all when the adversary is a pre-validated eager
 :class:`~repro.adversary.base.InjectionPattern`: injections append column
 rows straight from the pattern's own columnar store, deliveries record the
 round in the ``dlv`` column, and the objects are materialised — in row
-order, which is injection order — only at batch boundaries.
+order, which is injection order — only at checkpoint cuts and at the end of
+the run.
 
 The columns and maxima live in flat ``array('q')`` buffers — already the
 int64 layout numpy wants — and numpy views them zero-copy
@@ -97,11 +98,11 @@ under full history it appends their round records, alike but for the round
 number.
 
 Object state (``Simulator.packets``, the algorithm's buffers, the occupancy
-timeline) is materialised only at *batch boundaries* — end of run and
-checkpoint cuts.  ``run(checkpoint_every=...)`` clamps each batch window to
-the checkpoint cadence, so a cut never lands mid-batch and the existing
-checkpoint layer (:mod:`repro.checkpoint`) serialises the engine unchanged;
-a checkpoint taken by either engine resumes under the other.
+timeline) is materialised only at the end of a run and at checkpoint cuts.
+``run(checkpoint_every=...)`` clamps each batch window to the checkpoint
+cadence, so a cut never lands mid-batch and the existing checkpoint layer
+(:mod:`repro.checkpoint`) serialises the engine unchanged, to the same
+bytes the object engine writes at that cut.
 """
 
 from __future__ import annotations
@@ -129,7 +130,7 @@ from ..network.errors import (
     UnbatchableScenarioError,
 )
 from ..network.events import HistoryPolicy, RoundRecord
-from ..network.simulator import DrainStop, Simulator
+from ..network.simulator import DrainStop, Simulator, check_checkpoint_every
 from ..network.topology import LineTopology, Topology
 
 __all__ = ["BatchSimulator", "DEFAULT_BATCH_ROUNDS"]
@@ -179,18 +180,15 @@ class BatchSimulator(Simulator):
     the object engine instead.  All run-policy parameters and the public API
     (``run``, ``save_checkpoint``, ``from_checkpoint``) are inherited; the
     engines produce bit-identical :class:`SimulationResult` values, round
-    records and streamed injection logs, and a checkpoint cut by either
-    engine resumes under the other to the same result.  The checkpoint
-    bytes may differ: the object engine lists a pseudo-buffer that emptied
-    until its GC round, and the pseudo-buffer kind lists each node's
-    buffers in key order (ROADMAP item 5).
+    records and streamed injection logs, and byte-identical checkpoints
+    (either engine's resumes under the other to the same result).
 
     Parameters beyond the base class:
 
     batch_rounds:
-        Rounds advanced per batch window (>= 1).  Purely a sync cadence —
-        results do not depend on it; ``batch_rounds=1`` degenerates to
-        per-round syncing.
+        Rounds advanced per kernel window (>= 1).  Results do not depend on
+        it: the kernel syncs the object world only at checkpoint cuts and
+        at the end of :meth:`run`.
     """
 
     __slots__ = ()
@@ -541,9 +539,10 @@ class BatchSimulator(Simulator):
         """Materialise kernel state back into the object world.
 
         After this, ``self.packets``, the algorithm's buffers/occupancy/
-        indices, the occupancy timeline and the GC counter are exactly what
-        the object engine would hold at the same round boundary, so the
-        checkpoint layer (and any post-run inspection) sees one engine.
+        indices and the occupancy timeline hold what the object engine would
+        hold at the same round boundary (less any emptied pseudo-buffer it
+        has not yet collected), so the checkpoint layer (and any post-run
+        inspection) sees one engine.
         """
         algorithm = self.algorithm
         queues = self._queues
@@ -552,24 +551,18 @@ class BatchSimulator(Simulator):
         pseudo = self._kind == _PSEUDO
         # (node, object-world key, rows in queue order) per nonempty queue.
         if pseudo:
-            # Node by node, keys ascending within a node: a deterministic
-            # order, but not the object engine's (see the class docstring).
             stride = n + 1
             hierarchical = self._hierarchical
-            spans = self._spans
-            placements = []
-            for node, key in sorted(
-                (base + index, key)
-                for key, (base, stacks, _loads, _bad) in spans.items()
+            placements = [
+                (
+                    base + index,
+                    (key // stride, key % stride) if hierarchical else key,
+                    rows,
+                )
+                for key, (base, stacks, _loads, _bad) in self._spans.items()
                 for index, rows in enumerate(stacks)
                 if rows
-            ):
-                base, stacks = spans[key][:2]
-                placements.append((
-                    node,
-                    (key // stride, key % stride) if hierarchical else key,
-                    stacks[node - base],
-                ))
+            ]
         else:
             store_key = self._store_key
             placements = [
@@ -671,11 +664,6 @@ class BatchSimulator(Simulator):
         )
         # The kernels fold only per-node maxima; the global one is their top.
         self._timeline.max_occupancy = max(self._gmax, int(view.max(initial=0)))
-        # GC cadence: the object engine decrements once per executed round
-        # and resets (dropping empty pseudo-buffers) at zero.
-        interval = algorithm._gc_interval
-        remainder = self._round % interval
-        algorithm._rounds_until_gc = interval - remainder if remainder else interval
 
     # -- run loop --------------------------------------------------------------------
 
@@ -689,15 +677,7 @@ class BatchSimulator(Simulator):
         checkpoint_path: Optional[str] = None,
         checkpoint_spec: Optional[object] = None,
     ):
-        if checkpoint_every is not None:
-            if checkpoint_every < 1:
-                raise ConfigurationError(
-                    f"checkpoint_every must be >= 1, got {checkpoint_every}"
-                )
-            if checkpoint_path is None:
-                raise ConfigurationError(
-                    "checkpoint_every requires a checkpoint_path"
-                )
+        check_checkpoint_every(checkpoint_every, checkpoint_path)
         horizon = num_rounds if num_rounds is not None else self.adversary.horizon
         self._load_kernel()
         window = self._pseudo_window if self._kind == _PSEUDO else self._window

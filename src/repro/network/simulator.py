@@ -35,6 +35,7 @@ __all__ = [
     "DrainStop",
     "HistoryPolicy",
     "Simulator",
+    "check_checkpoint_every",
     "run_simulation",
     "default_max_drain_rounds",
     "quiescence_window",
@@ -51,6 +52,20 @@ def default_max_drain_rounds(num_nodes: int, pending: int) -> int:
     agree bit for bit on how long a drain may run.
     """
     return (pending + 1) * (num_nodes + 2) + 64
+
+
+def check_checkpoint_every(
+    checkpoint_every: Optional[int], checkpoint_path: Optional[str]
+) -> None:
+    """Every engine's ``run`` check of its periodic-checkpoint arguments."""
+    if checkpoint_every is None:
+        return
+    if checkpoint_every < 1:
+        raise ConfigurationError(
+            f"checkpoint_every must be >= 1, got {checkpoint_every}"
+        )
+    if checkpoint_path is None:
+        raise ConfigurationError("checkpoint_every requires a checkpoint_path")
 
 
 def quiescence_window(num_nodes: int) -> int:
@@ -229,15 +244,7 @@ class Simulator:
             Optional :class:`~repro.api.specs.ScenarioSpec` embedded into the
             periodic checkpoints so ``Session.resume`` can rebuild the run.
         """
-        if checkpoint_every is not None:
-            if checkpoint_every < 1:
-                raise ConfigurationError(
-                    f"checkpoint_every must be >= 1, got {checkpoint_every}"
-                )
-            if checkpoint_path is None:
-                raise ConfigurationError(
-                    "checkpoint_every requires a checkpoint_path"
-                )
+        check_checkpoint_every(checkpoint_every, checkpoint_path)
         horizon = num_rounds if num_rounds is not None else self.adversary.horizon
         for t in range(self._round, horizon):
             self._execute_round(t, inject=True)

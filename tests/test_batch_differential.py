@@ -540,23 +540,19 @@ def test_last_round_loads_are_not_measured(horizon):
 def test_last_round_loads_are_not_measured_across_a_checkpoint(
     tmp_path, horizon, cut
 ):
-    """The same at a checkpoint cut: the snapshot holds only measured loads,
-    and the resumed run agrees."""
+    """The same at a checkpoint cut: the snapshot holds only measured loads
+    (both engines write the same bytes), and the resumed run agrees."""
     engines = {"delta": Simulator, "batch": BatchSimulator}
     saved = {}
     tails = {}
     for name, engine in engines.items():
-        path = str(tmp_path / f"{name}.ckpt")
+        path = tmp_path / f"{name}.ckpt"
         with packet_id_scope():
             head = engine(*_six_node_wc())
             head.run(cut, drain=False)
-            head.save_checkpoint(path)
-        checkpoint = load_checkpoint(path)
-        saved[name] = (
-            checkpoint.header["timeline"],
-            list(checkpoint.section("timeline/nodes")),
-            list(checkpoint.section("timeline/loads")),
-        )
+            head.save_checkpoint(str(path))
+        saved[name] = path.read_bytes()
+        checkpoint = load_checkpoint(str(path))
         with packet_id_scope():
             tail = engine(*_six_node_wc())
             restore_into(tail, checkpoint)

@@ -171,8 +171,9 @@ def _checkpoint_spec(history: str, path: str, engine: str) -> ScenarioSpec:
 @pytest.mark.parametrize("history", HISTORIES)
 def test_stitched_checkpoint_matches_single_process(history, tmp_path):
     """The stitched cut equals the single-process checkpoint: same engine
-    counters, same decoded ``packets/*`` columns (the packet table), and a
-    resume from it finishes bit-identically."""
+    counters, every section equal in order (the packet table and the
+    timeline maxima by node), and a resume from it finishes
+    bit-identically."""
     single_path = str(tmp_path / "single.ckpt")
     sharded_path = str(tmp_path / "sharded.ckpt")
     baseline_spec = _checkpoint_spec(history, single_path, "delta")
@@ -193,18 +194,9 @@ def test_stitched_checkpoint_matches_single_process(history, tmp_path):
         single.header["next_packet_id"]
     assert set(stitched.sections) == set(single.sections)
     for name in single.sections:
-        if name.startswith("timeline/"):
-            continue  # row order is stitch-dependent; compared below
         assert stitched.sections[name] == single.sections[name], (
             f"checkpoint section {name!r} diverged"
         )
-    # The timeline rows are (node, load) pairs whose order depends on
-    # how segments were stitched (true of the delta stitcher as well);
-    # resume re-aggregates them, so compare as multisets.
-    assert sorted(zip(stitched.section("timeline/nodes"),
-                      stitched.section("timeline/loads"))) == \
-        sorted(zip(single.section("timeline/nodes"),
-                   single.section("timeline/loads")))
 
     resumed = Session().resume(sharded_path)
     assert resumed.result == baseline

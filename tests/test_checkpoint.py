@@ -12,27 +12,38 @@ against bounded / trickle / stress / adaptive traffic under all three
 history policies, plus the round-0 and final-round checkpoint edge cases.
 
 Also here: the checkpoint-format fuzz/negative tests (truncation, version
-mismatch, spec mismatch — each a typed error, exercised through the CLI with
-non-zero exit codes) and the :class:`StreamingAdversary` packet-id alignment
-regression around empty rounds.
+mismatch, spec mismatch, a header missing a field the restore reads — each a
+typed error, exercised through the CLI with non-zero exit codes), the
+:class:`StreamingAdversary` packet-id alignment regression around empty
+rounds, and a file written before the layout was canonical, which must
+still load and resume on both engines.
 """
 
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
-from repro.adversary.generators import bursty_adversary, trickle_adversary
+from repro.adversary.generators import (
+    build_explicit_adversary,
+    bursty_adversary,
+    trickle_adversary,
+)
 from repro.api import Scenario, ScenarioSpec, Session
 from repro.checkpoint import (
     FORMAT_VERSION,
+    _encode,
     load_checkpoint,
+    restore_into,
     resume_spec_hash,
     save_checkpoint,
 )
 from repro.cli import main as cli_main
 from repro.core.packet import current_allocator, packet_id_scope
+from repro.core.pts import PeakToSink
+from repro.network.batch import BatchSimulator
 from repro.network.errors import (
     CheckpointError,
     CheckpointFormatError,
@@ -359,6 +370,33 @@ class TestFormatNegative:
         with pytest.raises(CheckpointSpecMismatchError):
             Session().resume(path, spec=other)
 
+    @pytest.mark.parametrize("block, field", [
+        ("algorithm", "name"),
+        ("algorithm", "state"),
+        ("timeline", "max_occupancy"),
+        ("timeline", "max_staged"),
+        ("adversary", "kind"),
+        ("adversary", "cursor"),
+    ])
+    def test_missing_header_field_raises_format_error(self, tmp_path, block,
+                                                      field):
+        """A CRC-valid file whose header lacks a field ``restore_into``
+        reads is refused at load, naming the field."""
+        checkpoint = load_checkpoint(_make_checkpoint(tmp_path))
+        header = {
+            key: value for key, value in checkpoint.header.items()
+            if key not in ("version", "sections")
+        }
+        header[block] = dict(header[block])
+        del header[block][field]
+        sections = [
+            (entry["name"], checkpoint.sections[entry["name"]])
+            for entry in checkpoint.header["sections"]
+        ]
+        (tmp_path / "field.ckpt").write_bytes(_encode(header, sections))
+        with pytest.raises(CheckpointFormatError, match=f"{block}.*{field!r}"):
+            load_checkpoint(str(tmp_path / "field.ckpt"))
+
     def test_restore_under_wrong_ingredients_is_refused(self, tmp_path):
         path = _make_checkpoint(tmp_path)
         checkpoint = load_checkpoint(path)
@@ -578,3 +616,52 @@ class TestEngineApi:
             assert rows == expected
             restored.run(ROUNDS)
             assert len(restored.packet_store) == restored._injected
+
+
+# -- files written before the layout was canonical ----------------------------------
+
+#: Written by the delta engine before checkpoints were a function of state
+#: alone: work-conserving PTS on six nodes cut after ``run(2, drain=False)``.
+#: Its header carries the pseudo-buffer GC countdown ``rounds_until_gc`` and
+#: lists node 0's emptied pseudo-buffer.
+PRE_CANONICAL = (
+    Path(__file__).parent / "regressions" / "checkpoint_pre_canonical_six_node_pts.ckpt"
+)
+
+
+def _six_node_wc():
+    topology = LineTopology(6)
+    adversary = build_explicit_adversary(
+        topology, rho=1.0, sigma=2.0, rounds=3,
+        routes=[(0, 0, 5), (0, 0, 5), (1, 2, 5), (2, 1, 5)],
+    )
+    return topology, PeakToSink(topology, work_conserving=True), adversary
+
+
+class TestPreCanonicalFile:
+    def test_fixture_has_the_old_layout(self):
+        checkpoint = load_checkpoint(str(PRE_CANONICAL))
+        assert checkpoint.round == 2
+        assert "rounds_until_gc" in checkpoint.header["algorithm"]
+        assert checkpoint.header["buffers"][0] == [0, [[5, 0]]]
+
+    @pytest.mark.parametrize(
+        "engine", (Simulator, BatchSimulator), ids=("delta", "batch")
+    )
+    def test_loads_and_resumes_to_the_uninterrupted_result(self, engine,
+                                                           tmp_path):
+        with packet_id_scope():
+            expected = Simulator(*_six_node_wc()).run()
+        with packet_id_scope():
+            cut = Simulator(*_six_node_wc())
+            cut.run(2, drain=False)
+            canonical = str(tmp_path / "canonical.ckpt")
+            cut.save_checkpoint(canonical)
+        with packet_id_scope():
+            resumed = engine(*_six_node_wc())
+            restore_into(resumed, load_checkpoint(str(PRE_CANONICAL)))
+            # Re-saved, the old file becomes today's layout of the same cut.
+            resaved = str(tmp_path / "resaved.ckpt")
+            resumed.save_checkpoint(resaved)
+            assert Path(resaved).read_bytes() == Path(canonical).read_bytes()
+            assert resumed.run() == expected

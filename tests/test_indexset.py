@@ -160,7 +160,6 @@ class TestDropEmptyWithIncrementalSelection:
             )
             algorithm = ParallelPeakToSink(line)
             algorithm._gc_interval = 1  # drop empty queues after every round
-            algorithm._rounds_until_gc = 1
             aggressive = Simulator(line, algorithm, pattern).run()
         assert reference.max_occupancy == aggressive.max_occupancy
         assert reference.max_occupancy_per_node == aggressive.max_occupancy_per_node

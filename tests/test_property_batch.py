@@ -1,17 +1,22 @@
 """Property-based (Hypothesis) checks for the batch-round kernel.
 
-Two laws, fuzzed over random scenario shapes:
+Three laws, fuzzed over random scenario shapes:
 
-1. **Degenerate window**: with ``batch_rounds=1`` the batch engine performs
-   one sync per round, so it must equal the per-round object engine exactly
-   — for any (n, rho, sigma, rounds, algorithm) the full results agree.
+1. **Degenerate window**: with ``batch_rounds=1`` the batch engine advances
+   one round per window, and it must equal the per-round object engine
+   exactly — for any (n, rho, sigma, rounds, algorithm) the full results
+   agree.
 
 2. **Checkpoint interchange**: cutting a run at a random round (including
    rounds that land mid-batch-window), snapshotting, and resuming — in any
    engine pairing (batch→delta, delta→batch, batch→batch) — produces the
    same result as the uninterrupted run.
 
-Both laws cover every kernel kind, PPTS and HPTS included; HPTS lines are
+3. **Checkpoint bytes**: at a random injection-round cut, taken by
+   ``save_checkpoint`` or by ``checkpoint_every``, the two engines write the
+   same file, under every history mode.
+
+All three laws cover every kernel kind, PPTS and HPTS included; HPTS lines are
 ``m ** ell`` long, and a deterministic companion cuts HPTS runs mid-phase,
 with staged packets in flight, in every pairing.
 """
@@ -42,14 +47,14 @@ HPTS_SHAPES = ((4, 2), (8, 3), (9, 2), (16, 2), (16, 4), (25, 2), (27, 3))
 
 
 @st.composite
-def scenarios(draw):
+def scenarios(draw, algorithms=ALGORITHMS):
     n = draw(st.integers(min_value=2, max_value=24))
     rho = draw(
         st.floats(min_value=0.1, max_value=1.0, allow_nan=False, allow_infinity=False)
     )
     sigma = draw(st.integers(min_value=0, max_value=6))
     rounds = draw(st.integers(min_value=1, max_value=60))
-    algorithm = draw(st.sampled_from(ALGORITHMS))
+    algorithm = draw(st.sampled_from(algorithms))
     # The locality knob doubles as HPTS's level count.
     locality = draw(st.integers(min_value=0, max_value=3))
     if algorithm == "hpts":
@@ -58,7 +63,7 @@ def scenarios(draw):
     return n, rho, float(sigma), rounds, algorithm, locality, seed
 
 
-def _build(scenario, engine, *, batch_rounds=64):
+def _build(scenario, engine, *, batch_rounds=64, **history):
     n, rho, sigma, rounds, algorithm, locality, seed = scenario
     topology = LineTopology(n)
     if algorithm in ("ppts", "hpts"):
@@ -83,8 +88,10 @@ def _build(scenario, engine, *, batch_rounds=64):
     else:
         algo = GreedyForwarding(topology)
     if engine == "delta":
-        return Simulator(topology, algo, adversary)
-    return BatchSimulator(topology, algo, adversary, batch_rounds=batch_rounds)
+        return Simulator(topology, algo, adversary, **history)
+    return BatchSimulator(
+        topology, algo, adversary, batch_rounds=batch_rounds, **history
+    )
 
 
 @settings(max_examples=40, deadline=None)
@@ -168,3 +175,50 @@ def test_hpts_checkpoint_cut_mid_phase_with_staged_packets(n, levels, cut, pairi
         os.unlink(path)
 
     assert resumed == expected
+
+
+HISTORY_MODES = {
+    "summary": {},
+    "full": {"record_history": True, "record_occupancy_vectors": True},
+    "streaming": {"history": "streaming"},
+}
+
+
+@pytest.mark.parametrize("periodic", (False, True), ids=("save", "every"))
+@pytest.mark.parametrize("history", sorted(HISTORY_MODES))
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+@settings(max_examples=8, deadline=None)
+@given(
+    data=st.data(),
+    batch_rounds=st.integers(min_value=1, max_value=16),
+    cut_fraction=st.floats(min_value=0.0, max_value=1.0),
+)
+def test_checkpoint_bytes_do_not_depend_on_the_engine(
+    algorithm, history, periodic, data, batch_rounds, cut_fraction
+):
+    """A checkpoint is a function of the configuration: cut at a random
+    injection round — by ``run(cut, drain=False)`` and ``save_checkpoint``,
+    or as the last file ``checkpoint_every=cut`` writes — the delta engine
+    and the batch kernel write the same bytes."""
+    scenario = data.draw(scenarios((algorithm,)))
+    rounds = scenario[3]
+    cut = min(rounds, int(round(cut_fraction * rounds)))
+    blobs = {}
+    with tempfile.TemporaryDirectory() as scratch:
+        for engine in ("delta", "batch"):
+            path = os.path.join(scratch, f"{engine}.ckpt")
+            with packet_id_scope():
+                simulator = _build(
+                    scenario, engine, batch_rounds=batch_rounds,
+                    **HISTORY_MODES[history],
+                )
+                if periodic:
+                    simulator.run(
+                        rounds, checkpoint_every=max(cut, 1), checkpoint_path=path
+                    )
+                else:
+                    simulator.run(cut, drain=False)
+                    simulator.save_checkpoint(path)
+            with open(path, "rb") as handle:
+                blobs[engine] = handle.read()
+    assert blobs["batch"] == blobs["delta"]
