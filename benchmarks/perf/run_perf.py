@@ -43,7 +43,7 @@ must not grow more than ``--mem-tolerance`` above it.
 streaming smoke: an ``n = 10^6`` line, ``10^4`` injection rounds of the
 trickle adversary under PTS with ``history="streaming"``, asserting the
 process's peak RSS stays under ``--smoke-limit-mb`` (default 2048).
-``--smoke-batch-shards`` runs the batch x shards crash-recovery smoke.
+``--smoke-batch-shards`` runs the batch x shards worker-failure smoke.
 
 Usage::
 
@@ -636,73 +636,76 @@ def run_smoke(limit_mb: float, nodes: int = SMOKE_NODES,
 def run_smoke_batch_shards(limit_mb: float, nodes: int = 100_000,
                            rounds: int = 2_000, shards: int = 2) -> int:
     """The batch x shards smoke: a streaming n=1e5 line split across batch
-    segment workers, one injected crash mid-window, bit-identical finish.
+    segment workers, one of which is killed mid-window.
 
-    Runs the greedy/trickle streaming workload with ``engine="batch"``
-    (window mode over shared-memory rings where the host supports it), then
-    repeats it with a ``crash`` fault landing *inside* a window — not on a
-    checkpoint cut — so recovery has to rewind to the previous cut and
-    re-run the torn window.  Gates: exactly one restart, a recovered result
-    identical to the fault-free run, and the whole-tree peak-RSS estimate
+    Runs the greedy/trickle streaming workload with ``engine="batch"`` on
+    ``shards`` workers, with ``BatchSegmentSimulator.run_window`` patched
+    before the workers fork so that segment 0 exits hard (``os._exit``, as a
+    SIGKILL'd or OOM-killed worker would) at round 780, inside the window
+    [768, 832).  Gates: the run raises the typed ``WorkerFailedError``
+    naming segment 0, no worker process survives it, no shared-memory ring
+    is left in ``/dev/shm``, and the whole-tree peak-RSS estimate
     (coordinator + ``shards`` x largest worker: ``ru_maxrss`` for children
     reports the max over reaped workers, not a sum, so the gate
-    conservatively assumes every worker hit that max at once) under
+    conservatively assumes every worker hit that max at once) stays under
     ``limit_mb``.
     """
+    import multiprocessing
     import resource
-    import tempfile
 
-    from repro.network.faults import FaultEvent, FaultPlan
+    from repro.network.batch_sharded import BatchSegmentSimulator
+    from repro.network.errors import WorkerFailedError
     from repro.network.sharded import run_sharded
 
-    # checkpoint_every=500 and batch_rounds=64: cuts at 500, 1000, ... land
-    # mid-window (500 % 64 != 0) and the crash at round 780 lands mid-window
-    # too ([768, 832) clamped to the cut at 1000), so the torn-window rewind
-    # path is exercised, not just the clean-cut one.
-    crash_round = 780
-    plan = FaultPlan(events=(
-        FaultEvent(kind="crash", round=crash_round, segment=0, phase="begin"),
-    ))
-    with tempfile.TemporaryDirectory() as scratch:
-        spec = _sharded_smoke_spec(nodes, rounds, {
-            "engine": "batch",
-            "batch_rounds": 64,
-            "checkpoint_every": 500,
-            "checkpoint_path": os.path.join(scratch, "batch-shards.ckpt"),
-            "recovery": "restart",
-            "max_worker_restarts": 2,
-        })
-        start = time.perf_counter()
-        baseline, base_extras = run_sharded(spec, shards=shards)
-        clean_elapsed = time.perf_counter() - start
-        start = time.perf_counter()
-        result, extras = run_sharded(
-            spec, shards=shards, faults=plan, clock=time.perf_counter,
-        )
-        elapsed = time.perf_counter() - start
-    engine = base_extras["engine"]
-    recovery = extras["recovery"]
-    print(f"batch-shards smoke: n={nodes} rounds={rounds} shards={shards} "
-          f"engine={engine['selected']} transport={engine['transport']}")
-    print(f"batch-shards smoke: injected={baseline.packets_injected} "
-          f"delivered={baseline.packets_delivered} "
-          f"max_occupancy={baseline.max_occupancy}")
-    print(f"batch-shards smoke: clean {clean_elapsed:.1f}s, with 1 kill at "
-          f"round {crash_round} {elapsed:.1f}s "
-          f"(restarts={recovery['restarts']}, "
-          f"recovery {recovery['recovery_time_s']:.2f}s)")
-    if engine["selected"] != "batch":
-        print("SMOKE FAILURE: batch engine was not selected")
+    def shm_names() -> set:
+        try:
+            return set(os.listdir("/dev/shm"))
+        except OSError:
+            return set()
+
+    kill_round, kill_segment = 780, 0
+    real_run_window = BatchSegmentSimulator.run_window
+
+    def run_window(simulator, t0, t1, **kwargs):
+        if simulator.segment_index == kill_segment and t0 <= kill_round < t1:
+            real_run_window(simulator, t0, kill_round, **kwargs)
+            os._exit(70)
+        return real_run_window(simulator, t0, t1, **kwargs)
+
+    spec = _sharded_smoke_spec(nodes, rounds, {"engine": "batch",
+                                               "batch_rounds": 64})
+    shm_before = shm_names()
+    failure: Optional[WorkerFailedError] = None
+    BatchSegmentSimulator.run_window = run_window
+    start = time.perf_counter()
+    try:
+        run_sharded(spec, shards=shards)
+    except WorkerFailedError as error:
+        failure = error
+    finally:
+        BatchSegmentSimulator.run_window = real_run_window
+    elapsed = time.perf_counter() - start
+    survivors = multiprocessing.active_children()
+    leaked = shm_names() - shm_before
+    print(f"batch-shards smoke: n={nodes} rounds={rounds} shards={shards}, "
+          f"segment {kill_segment} killed at round {kill_round}, "
+          f"run ended after {elapsed:.1f}s")
+    if failure is None:
+        print("SMOKE FAILURE: the run did not raise WorkerFailedError")
         return 1
-    if recovery["restarts"] != 1:
-        print(f"SMOKE FAILURE: expected exactly 1 worker restart, got "
-              f"{recovery['restarts']}")
+    print(f"batch-shards smoke: WorkerFailedError: {failure}")
+    if failure.segment != kill_segment:
+        print(f"SMOKE FAILURE: the error names segment {failure.segment}, "
+              f"not the killed segment {kill_segment}")
         return 1
-    if result != baseline:
-        print("SMOKE FAILURE: recovered result differs from the fault-free run")
+    if survivors:
+        print(f"SMOKE FAILURE: worker processes survived: {survivors}")
         return 1
-    print("batch-shards smoke: recovered result is identical to the "
-          "fault-free run")
+    if leaked:
+        print(f"SMOKE FAILURE: shared-memory rings left behind: "
+              f"{sorted(leaked)}")
+        return 1
+    print("batch-shards smoke: no worker and no ring survived the failure")
 
     rss_divisor = 1024.0 ** 2 if sys.platform == "darwin" else 1024.0
     peak_self = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / rss_divisor
@@ -717,7 +720,8 @@ def run_smoke_batch_shards(limit_mb: float, nodes: int = 100_000,
         print("SMOKE FAILURE: estimated whole-tree peak RSS exceeds the "
               "documented memory bound")
         return 1
-    print("smoke ok: batch x shards run stayed within the memory bound")
+    print("smoke ok: a dead batch x shards worker fails the run cleanly "
+          "within the memory bound")
     return 0
 
 
@@ -744,10 +748,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--smoke-batch-shards", action="store_true",
                         help="run the batch x shards smoke instead of the case "
                              "table: an n=1e5 streaming line on 2 batch "
-                             "segment workers with one injected crash "
-                             "mid-window, requiring a bit-identical finish "
-                             "inside the RSS budget (default limit 768 MB; "
-                             "override with --smoke-limit-mb)")
+                             "segment workers, one killed mid-window, "
+                             "requiring a typed WorkerFailedError with no "
+                             "surviving worker or ring, inside the RSS "
+                             "budget (default limit 768 MB; override with "
+                             "--smoke-limit-mb)")
     parser.add_argument("--smoke-nodes", type=int, default=SMOKE_NODES,
                         help=argparse.SUPPRESS)
     parser.add_argument("--smoke-rounds", type=int, default=SMOKE_ROUNDS,

@@ -11,10 +11,7 @@ property is *bit-identical results*: ``shards=k`` computes exactly what
 
 1. runs a multi-destination streaming scenario single-process,
 2. re-runs it with ``shards=2`` and ``shards=4`` — same spec, one policy
-   field — and verifies every result is identical,
-3. takes a mid-run checkpoint *per segment*, shows the coordinator stitch
-   it into one global snapshot, and resumes that snapshot in-process,
-   again bit-identically.
+   field — and verifies every result is identical.
 
 The same switch is available from the shell::
 
@@ -28,14 +25,11 @@ Run with::
 
 from __future__ import annotations
 
-import os
-import tempfile
-
 from repro import Scenario, Session
-from repro.network.sharded import plan_segments, run_sharded
+from repro.network.sharded import plan_segments
 
 
-def build_scenario(shards: int | None = None, checkpoint_path: str | None = None):
+def build_scenario(shards: int | None = None):
     """A streaming greedy run with enough traffic to keep rounds busy."""
     scenario = (
         Scenario.line(2048)
@@ -49,8 +43,6 @@ def build_scenario(shards: int | None = None, checkpoint_path: str | None = None
     )
     if shards is not None:
         scenario.policy(shards=shards)
-    if checkpoint_path is not None:
-        scenario.policy(checkpoint_every=400, checkpoint_path=checkpoint_path)
     return scenario.build()
 
 
@@ -72,22 +64,6 @@ def main() -> None:
               f"identical={identical}")
         assert identical
     print("    sharded results are bit-identical to the single-process run")
-
-    print("=== 3. per-segment checkpoints stitch into one global snapshot ===")
-    with tempfile.TemporaryDirectory() as scratch:
-        path = os.path.join(scratch, "sharded.ckpt")
-        result, _extras = run_sharded(
-            build_scenario(checkpoint_path=path), shards=3
-        )
-        assert result == reference
-        leftover = sorted(name for name in os.listdir(scratch) if ".seg" in name)
-        print(f"    stitched global snapshot: {os.path.basename(path)} "
-              f"({os.path.getsize(path) / 1e3:.1f} KB); "
-              f"per-segment scaffolding cleaned up: {not leftover}")
-        resumed = Session().resume(path)
-        assert resumed.result == reference
-        print("    resumed from the stitched snapshot: "
-              "bit-identical to the uninterrupted run")
 
 
 if __name__ == "__main__":

@@ -13,13 +13,9 @@ is what the per-buffer push order depends on.
 The wrapper is deliberately thin:
 
 * ``injections_for_round`` delegates and filters;
-* everything else (``cursor``/``resume``/``rho``/``sigma``/...) is forwarded
-  to the wrapped adversary via ``__getattr__``, so a streaming adversary's
-  ``(round, cursor)`` resume API keeps working — a worker restored from a
-  segment checkpoint repositions its full row stream exactly like the
-  single-process engine does;
-* ``checkpoint_kind`` reports the *wrapped* type, so segment snapshots
-  stitch into files that a plain single-process resume accepts.
+* everything else (``horizon``/``rho``/``sigma``/...) is forwarded to the
+  wrapped adversary, so the engine probes exactly what the wrapped
+  adversary offers.
 
 Adaptive adversaries are refused: their injections observe the global
 configuration, which no single segment can reproduce.
@@ -85,16 +81,9 @@ class SegmentFilteredAdversary(Adversary):
     def sigma(self):
         return self.base.sigma
 
-    @property
-    def checkpoint_kind(self) -> str:
-        """Masquerade as the wrapped adversary in checkpoint headers."""
-        return getattr(
-            self.base, "checkpoint_kind", type(self.base).__name__
-        )
-
     def __getattr__(self, name: str):
-        # Forward cursor()/resume()/... so hasattr-based protocol probes
-        # (checkpointing) see exactly what the wrapped adversary offers.
+        # Forward everything else so hasattr-based protocol probes see
+        # exactly what the wrapped adversary offers.
         if name == "base":  # guard: unpickling probes before __init__ runs
             raise AttributeError(name)
         return getattr(self.base, name)

@@ -24,6 +24,7 @@ from typing import (
     Dict,
     Iterable,
     List,
+    Mapping,
     Optional,
     Sequence,
     Tuple,
@@ -32,7 +33,6 @@ from typing import (
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..checkpoint import Checkpoint
-    from ..network.faults import FaultPlan
 
 from ..analysis.metrics import check_against_bound
 from ..analysis.tables import format_table
@@ -67,13 +67,6 @@ class RunReport:
     params: Dict[str, Any] = field(default_factory=dict)
     #: The originating spec (``None`` for compatibility-layer runs).
     spec: Optional[ScenarioSpec] = None
-    #: Recovery telemetry from the sharded supervisor (``None`` for
-    #: single-process runs): ``restarts`` counts worker respawns the run
-    #: absorbed and ``recovery_time_s`` the wall clock spent restitching
-    #: (``None`` unless a clock was injected).  Surfaced in the CLI's
-    #: ``--json`` rows so a run that survived faults is distinguishable from
-    #: one that never saw any — their results are bit-identical by design.
-    recovery: Optional[Dict[str, Any]] = None
     #: Engine-routing telemetry: which engine the policy requested
     #: (``"delta"``/``"batch"``/``"auto"``), which one actually ran, the
     #: refusal message when ``"auto"`` fell back to the object engine, and —
@@ -163,6 +156,24 @@ def _coerce_discipline(params: Dict[str, Any]) -> Dict[str, Any]:
                 f"expected one of {[d.name for d in QueueDiscipline]}"
             ) from None
     return params
+
+
+def unsharded(payload: Mapping[str, Any]) -> Dict[str, Any]:
+    """A spec payload with ``policy.shards`` dropped.
+
+    Resuming always continues in one process: sharding is outside the
+    resume-identity hash (results are proven identical), and restore targets
+    one engine.  Dropping it before :meth:`ScenarioSpec.from_dict` also lets
+    a checkpoint whose spec combined ``shards > 1`` with
+    ``checkpoint_every`` (one the sharded engine used to write) resume.
+    """
+    payload = dict(payload)
+    policy = payload.get("policy")
+    if isinstance(policy, Mapping):
+        payload["policy"] = {
+            key: value for key, value in policy.items() if key != "shards"
+        }
+    return payload
 
 
 def build_topology(spec: TopologySpec) -> Topology:
@@ -267,39 +278,22 @@ class Session:
 
     # -- execution --------------------------------------------------------------
 
-    def run(
-        self, scenario: Runnable, *, faults: Optional["FaultPlan"] = None
-    ) -> RunReport:
+    def run(self, scenario: Runnable) -> RunReport:
         """Execute one scenario and report the measured-vs-bound outcome.
 
         A spec whose policy sets ``shards > 1`` routes to the sharded batch
         kernel (:mod:`repro.network.sharded`; ``engine`` must be
         ``"batch"`` or ``"auto"``) — the report is built from the merged
-        result, which is bit-identical to ``shards=1``.
-        Sharded runs are supervised: worker failures are handled per the
-        spec's ``policy.recovery`` / ``max_worker_restarts`` /
-        ``heartbeat_timeout`` knobs, and ``faults`` optionally threads a
-        deterministic :class:`~repro.network.faults.FaultPlan` through the
-        supervisor for reproducible chaos runs (sharded specs only — faults
-        describe segment-worker failures, which a single-process run does
-        not have).
+        result, which is bit-identical to ``shards=1``.  A sharded run is
+        one attempt: a dead worker raises
+        :class:`~repro.network.errors.WorkerFailedError`.
         """
         if isinstance(scenario, ScenarioSpec):
             if scenario.policy.shards is not None and scenario.policy.shards > 1:
-                return self._run_sharded(scenario, faults=faults)
-            if faults is not None:
-                raise SpecError(
-                    "faults describe segment-worker failures and need a "
-                    "sharded run; set policy.shards > 1 to use a FaultPlan"
-                )
+                return self._run_sharded(scenario)
             with packet_id_scope():
                 prepared = self.prepare(scenario)
                 return self._execute(prepared, spec=scenario)
-        if faults is not None:
-            raise SpecError(
-                "faults require a ScenarioSpec with policy.shards > 1, "
-                f"got {type(scenario).__name__}"
-            )
         if isinstance(scenario, PreparedRun):
             if (
                 scenario.policy.shards is not None
@@ -407,32 +401,23 @@ class Session:
             if isinstance(checkpoint, Checkpoint)
             else load_checkpoint(checkpoint)
         )
+        payload = loaded.spec
         if spec is not None:
             verify_spec(loaded, spec)
-        elif loaded.spec is None:
+            payload = spec.to_dict()
+        elif payload is None:
             raise CheckpointError(
                 "checkpoint carries no embedded scenario spec; pass the "
                 "originating ScenarioSpec to Session.resume()"
             )
-        else:
-            spec = ScenarioSpec.from_dict(loaded.spec)
-        if spec.policy.shards is not None and spec.policy.shards > 1:
-            # Resuming always continues in-process: sharding is outside the
-            # resume-identity hash (results are proven identical), and
-            # restore targets one engine.  A stitched sharded checkpoint
-            # therefore resumes exactly like a single-process one.
-            payload = spec.to_dict()
-            payload["policy"] = dict(payload["policy"], shards=None)
-            spec = ScenarioSpec.from_dict(payload)
+        spec = ScenarioSpec.from_dict(unsharded(payload))
         with packet_id_scope():
             prepared = self.prepare(spec)
             return self._execute(prepared, spec=spec, checkpoint=loaded)
 
     # -- internals ---------------------------------------------------------------
 
-    def _run_sharded(
-        self, spec: ScenarioSpec, faults: Optional["FaultPlan"] = None
-    ) -> RunReport:
+    def _run_sharded(self, spec: ScenarioSpec) -> RunReport:
         """Execute a spec on the sharded engine and assemble the report.
 
         The merged :class:`SimulationResult` comes back from the segment
@@ -442,7 +427,7 @@ class Session:
         """
         from ..network.sharded import run_sharded
 
-        result, extras = run_sharded(spec, faults=faults)
+        result, extras = run_sharded(spec)
         topology = self.topology(spec.topology)
         algorithm_builder = ALGORITHMS.get(spec.algorithm.name)
         algorithm = algorithm_builder(
@@ -464,7 +449,6 @@ class Session:
             within_bound=within,
             params=self._report_params(spec, topology),
             spec=spec,
-            recovery=extras.get("recovery"),
             # A sharded run always routed (engine="batch"/"auto"), so its
             # routing telemetry always surfaces, as in _execute.
             engine=extras["engine"],

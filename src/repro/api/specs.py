@@ -43,6 +43,17 @@ class SpecError(ConfigurationError):
 
 _SpecT = TypeVar("_SpecT", bound="_SpecBase")
 
+#: Policy keys retired with sharded-worker recovery, each with the one value
+#: a file may still carry: its old default.  :meth:`RunPolicy.from_dict`
+#: drops them, and :func:`repro.checkpoint.resume_spec_hash` hashes them at
+#: these values, so spec files, checkpoints and service journals written
+#: before the retirement still load and verify.
+RETIRED_POLICY_FIELDS: Dict[str, Any] = {
+    "recovery": "fail",
+    "max_worker_restarts": 3,
+    "heartbeat_timeout": None,
+}
+
 
 def _normalize_params(params: Optional[Mapping[str, Any]], owner: str) -> Dict[str, Any]:
     """Copy ``params`` through JSON: validates serialisability and makes the
@@ -244,29 +255,13 @@ class RunPolicy(_SpecBase):
         batch kernel over each in its own worker process
         (:mod:`repro.network.sharded`); ``engine`` must then be ``"batch"``
         or ``"auto"``, and neither PPTS, HPTS nor a scenario the batch
-        kernel refuses can be sharded.  ``None`` or ``1`` means single-process.  Sharding never
-        changes what the simulation computes — results are bit-identical
-        to ``shards=1`` — so, like the checkpoint fields, it is excluded
-        from the resume-identity hash.
-    recovery:
-        What the sharded coordinator does when a segment worker dies or
-        stops answering: ``"fail"`` (default) raises the typed
-        :class:`~repro.network.errors.WorkerFailedError` immediately,
-        ``"restart"`` respawns every worker from the last consistent cut of
-        per-segment periodic checkpoints (round 0 without one) and replays
-        the windows from there, ``"fold"`` merges the orphaned segment into
-        a neighbouring worker and continues on one segment fewer.  Recovery
-        never changes what the simulation computes — results are
-        bit-identical to the fault-free run — so all three recovery fields
-        are excluded from the resume-identity hash.
-    max_worker_restarts:
-        Recovery budget: how many worker failures the coordinator absorbs
-        before giving up with
-        :class:`~repro.network.errors.RecoveryExhaustedError`.
-    heartbeat_timeout:
-        Seconds the coordinator waits for a worker's reply before declaring
-        it hung (``None`` waits forever); the shared-memory rings between
-        workers time out after four times this, and never under 5 s.
+        kernel refuses can be sharded.  ``None`` or ``1`` means
+        single-process.  A sharded run is one attempt: a worker failure
+        raises :class:`~repro.network.errors.WorkerFailedError` and nothing
+        is retried, so ``shards > 1`` takes no ``checkpoint_every``.
+        Sharding never changes what the simulation computes — results are
+        bit-identical to ``shards=1`` — so, like the checkpoint fields, it
+        is excluded from the resume-identity hash.
     engine:
         Which round engine executes the run: ``"auto"`` (default) tries the
         vectorized flat-array kernel (:mod:`repro.network.batch`) and falls
@@ -298,9 +293,6 @@ class RunPolicy(_SpecBase):
     checkpoint_every: Optional[int] = None
     checkpoint_path: Optional[str] = None
     shards: Optional[int] = None
-    recovery: str = "fail"
-    max_worker_restarts: int = 3
-    heartbeat_timeout: Optional[float] = None
     engine: Optional[str] = "auto"
     batch_rounds: int = 64
 
@@ -350,28 +342,16 @@ class RunPolicy(_SpecBase):
             raise SpecError(
                 f"RunPolicy.shards must be None or int >= 1, got {self.shards!r}"
             )
-        if self.recovery not in ("fail", "restart", "fold"):
-            raise SpecError(
-                f"RunPolicy.recovery must be 'fail', 'restart' or 'fold', "
-                f"got {self.recovery!r}"
-            )
         if (
-            not isinstance(self.max_worker_restarts, int)
-            or isinstance(self.max_worker_restarts, bool)
-            or self.max_worker_restarts < 0
+            self.shards is not None
+            and self.shards > 1
+            and self.checkpoint_every is not None
         ):
             raise SpecError(
-                f"RunPolicy.max_worker_restarts must be an int >= 0, "
-                f"got {self.max_worker_restarts!r}"
-            )
-        if self.heartbeat_timeout is not None and (
-            not isinstance(self.heartbeat_timeout, (int, float))
-            or isinstance(self.heartbeat_timeout, bool)
-            or self.heartbeat_timeout <= 0
-        ):
-            raise SpecError(
-                f"RunPolicy.heartbeat_timeout must be None or a number > 0 "
-                f"seconds, got {self.heartbeat_timeout!r}"
+                f"RunPolicy.shards={self.shards} cannot be combined with "
+                f"RunPolicy.checkpoint_every={self.checkpoint_every}: a "
+                f"sharded run writes no checkpoints; set shards=1 to "
+                f"checkpoint"
             )
         if self.engine is not None and self.engine not in ("delta", "batch", "auto"):
             raise SpecError(
@@ -404,6 +384,25 @@ class RunPolicy(_SpecBase):
                     f"record_history/record_occupancy_vectors require "
                     f"history='full', got history={self.history!r}"
                 )
+
+    @classmethod
+    def from_dict(cls, payload: Mapping[str, Any]) -> "RunPolicy":
+        """Build from a dict, dropping retired keys that hold their old
+        default (:data:`RETIRED_POLICY_FIELDS`); any other value of one is a
+        :class:`SpecError` naming the field."""
+        if isinstance(payload, Mapping):
+            payload = dict(payload)
+            for name, default in RETIRED_POLICY_FIELDS.items():
+                if name not in payload:
+                    continue
+                value = payload.pop(name)
+                if type(value) is not type(default) or value != default:
+                    raise SpecError(
+                        f"RunPolicy.{name} was retired with sharded-worker "
+                        f"recovery; only its old default {default!r} is "
+                        f"accepted (and ignored), got {value!r}"
+                    )
+        return super().from_dict(payload)
 
 
 @dataclass(frozen=True)

@@ -51,6 +51,7 @@ the hash: *where* snapshots are written does not change the execution).
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import struct
@@ -59,7 +60,7 @@ import tempfile
 import zlib
 from array import array
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict, Hashable, List, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Hashable, List, Optional, Tuple
 
 from .core.packet import Injection, Packet, PacketState, PacketStore, current_allocator
 from .network.errors import (
@@ -86,8 +87,6 @@ __all__ = [
     "restore_simulator",
     "resume_spec_hash",
     "verify_spec",
-    "stitch_checkpoints",
-    "save_stitched",
 ]
 
 MAGIC = b"REPROCKPT"
@@ -165,28 +164,28 @@ def resume_spec_hash(spec: "ScenarioSpec") -> str:
     where snapshots land, not what the simulation computes, so a run resumed
     with different checkpointing settings is still the same run.  ``shards``
     is cleared for the same reason — the sharded engine is proven
-    bit-identical to the single-process one, so a checkpoint taken sharded
-    may be resumed unsharded (and vice versa).  The recovery knobs
-    (``recovery`` / ``max_worker_restarts`` / ``heartbeat_timeout``) are
-    normalized to their defaults too: worker supervision only decides how a
-    run survives process failures, never what it computes, so a checkpoint
-    taken under one recovery policy resumes under any other.  ``engine`` /
-    ``batch_rounds`` are likewise cleared — the batch kernel is proven
-    bit-identical to the object engine, so a checkpoint taken by either
-    engine (at any batch cadence) resumes under the other.
+    bit-identical to the single-process one.  ``engine`` / ``batch_rounds``
+    are likewise cleared — the batch kernel is proven bit-identical to the
+    object engine, so a checkpoint taken by either engine (at any batch
+    cadence) resumes under the other.  The retired recovery keys
+    (:data:`~repro.api.specs.RETIRED_POLICY_FIELDS`) are hashed at their old
+    defaults, so checkpoints written while they existed still verify.
     """
+    from .api.specs import RETIRED_POLICY_FIELDS
+
     payload = spec.to_dict()
     policy = dict(payload.get("policy") or {})
     policy["checkpoint_every"] = None
     policy["checkpoint_path"] = None
     policy["shards"] = None
-    policy["recovery"] = "fail"
-    policy["max_worker_restarts"] = 3
-    policy["heartbeat_timeout"] = None
     policy["engine"] = None
     policy["batch_rounds"] = 64
     payload["policy"] = policy
-    return type(spec).from_dict(payload).spec_hash()
+    canonical = type(spec).from_dict(payload).to_dict()
+    canonical["policy"].update(RETIRED_POLICY_FIELDS)
+    return hashlib.sha256(
+        json.dumps(canonical, sort_keys=True, separators=(",", ":")).encode()
+    ).hexdigest()[:16]
 
 
 def _snapshot(
@@ -324,14 +323,7 @@ def _snapshot(
         },
         "buffers": buffer_directory,
         "adversary": {
-            # Wrappers (the sharded engine's segment filter) masquerade as
-            # their wrapped adversary via ``checkpoint_kind``, so a segment
-            # snapshot stitches into a file a plain single-process resume
-            # accepts.
-            "kind": getattr(
-                simulator.adversary, "checkpoint_kind",
-                type(simulator.adversary).__name__,
-            ),
+            "kind": type(simulator.adversary).__name__,
             "cursor": adversary_cursor,
             "realized_in_sections": realized_in_sections,
         },
@@ -725,9 +717,7 @@ def restore_into(simulator: "Simulator", checkpoint: Checkpoint) -> "Simulator":
         ]
         cursor = dict(cursor)
         cursor["realized"] = [list(row) for row in zip(*realized_columns)]
-    offered_kind = getattr(
-        adversary, "checkpoint_kind", type(adversary).__name__
-    )
+    offered_kind = type(adversary).__name__
     if cursor is not None:
         recorded_kind = checkpoint.header["adversary"]["kind"]
         if offered_kind != recorded_kind:
@@ -750,243 +740,6 @@ def restore_into(simulator: "Simulator", checkpoint: Checkpoint) -> "Simulator":
             f"from round 0 would diverge"
         )
     return simulator
-
-
-# ---------------------------------------------------------------------------
-# Stitching: per-segment snapshots -> one global checkpoint
-# ---------------------------------------------------------------------------
-
-
-def _require_equal(values: List[Any], what: str) -> Any:
-    """All per-segment values must agree; the disagreement is a *format*
-    error (typed :class:`CheckpointFormatError`, a :class:`CheckpointError`
-    subclass) so recovery code can distinguish "these segment files are not
-    a consistent cut" — e.g. a crash mid-checkpoint left one segment a round
-    behind — from logical misuse, and fall back to an older consistent cut
-    instead of failing the run."""
-    first = values[0]
-    for value in values[1:]:
-        if value != first:
-            raise CheckpointFormatError(
-                f"segment checkpoints disagree on {what}: {first!r} != {value!r}"
-            )
-    return first
-
-
-def _merge_algorithm_states(states: List[Dict[str, Any]]) -> Dict[str, Any]:
-    """Merge per-segment :meth:`ForwardingAlgorithm.checkpoint_state` payloads.
-
-    Convention (documented on ``checkpoint_state``): list-valued entries are
-    element-disjoint-or-duplicated across segments and order-insensitive up
-    to sorting — they merge by concat + sort + dedupe (HPTS staged packet
-    ids sort into global injection order because ids are allocated in round-
-    major row order; PPTS observed destinations dedupe to the union; greedy
-    arrival pairs are keyed by unique packet ids).  Non-list entries must be
-    identical in every segment.
-    """
-    keys: List[str] = []
-    for state in states:
-        for key in state:
-            if key not in keys:
-                keys.append(key)
-    merged: Dict[str, Any] = {}
-    for key in keys:
-        values = [state[key] for state in states if key in state]
-        if all(isinstance(value, list) for value in values):
-            combined: List[Any] = []
-            for value in values:
-                combined.extend(value)
-            combined.sort(key=lambda item: (isinstance(item, (list, tuple)), item))
-            deduped: List[Any] = []
-            for item in combined:
-                if not deduped or deduped[-1] != item:
-                    deduped.append(item)
-            merged[key] = deduped
-        else:
-            merged[key] = _require_equal(values, f"algorithm state {key!r}")
-    return merged
-
-
-def _concat_sorted_rows(
-    checkpoints: List[Checkpoint], prefix: str, columns: Tuple[str, ...], sort_by: str
-) -> Dict[str, array]:
-    """Concatenate per-segment int64 row tables, re-sorted by one column."""
-    combined = {name: array("q") for name in columns}
-    for checkpoint in checkpoints:
-        for name in columns:
-            combined[name].extend(checkpoint.section(f"{prefix}/{name}"))
-    order = sorted(
-        range(len(combined[sort_by])), key=combined[sort_by].__getitem__
-    )
-    return {
-        name: array("q", (column[row] for row in order))
-        for name, column in combined.items()
-    }
-
-
-def stitch_checkpoints(checkpoints: List[Checkpoint]) -> Checkpoint:
-    """Merge per-segment snapshots of one sharded run into a global checkpoint.
-
-    ``checkpoints`` must be the segments of a single
-    :mod:`repro.network.sharded` run, in line order, all taken at the same
-    round boundary.  The result is a normal single-engine checkpoint: packet
-    and injection-log tables are concatenated and re-sorted into packet-id
-    order, buffer directories (already node-ascending per segment) are
-    concatenated, counters are summed and maxima maxed, and per-round history
-    records are merged element-wise.
-
-    The stitched checkpoint resumes bit-identically in a single-process
-    engine (:meth:`repro.api.session.Session.resume`).
-    """
-    if not checkpoints:
-        raise CheckpointError("stitch_checkpoints() needs at least one segment")
-    engines = [checkpoint.header["engine"] for checkpoint in checkpoints]
-    for field in (
-        "round", "num_nodes", "history_policy", "record_history",
-        "record_occupancy_vectors", "validate_capacity",
-    ):
-        _require_equal([engine[field] for engine in engines], f"engine {field!r}")
-    _require_equal([c.spec_hash for c in checkpoints], "spec hash")
-    _require_equal(
-        [c.header["next_packet_id"] for c in checkpoints], "next packet id"
-    )
-    algorithm_headers = [c.header["algorithm"] for c in checkpoints]
-    _require_equal([a["name"] for a in algorithm_headers], "algorithm name")
-    adversary_headers = [c.header["adversary"] for c in checkpoints]
-    _require_equal([a["kind"] for a in adversary_headers], "adversary kind")
-    # Every segment advanced the same underlying row stream, so the cursors
-    # (RNG / bucket state and position) must be interchangeable.
-    _require_equal([a["cursor"] for a in adversary_headers], "adversary cursor")
-    if any(a.get("realized_in_sections") for a in adversary_headers):
-        raise CheckpointError(
-            "adaptive adversaries cannot run sharded; refusing to stitch "
-            "segment checkpoints carrying realized-injection sections"
-        )
-
-    first = checkpoints[0]
-    sections: List[Tuple[str, array]] = []
-
-    packets = _concat_sorted_rows(checkpoints, "packets", _PACKET_COLUMNS, "ids")
-    sections.extend((f"packets/{name}", packets[name]) for name in _PACKET_COLUMNS)
-
-    buffer_directory: List[List[Any]] = []
-    buffer_ids = array("q")
-    for checkpoint in checkpoints:
-        buffer_directory.extend(checkpoint.header["buffers"])
-        buffer_ids.extend(checkpoint.section("buffers/packet_ids"))
-    sections.append(("buffers/packet_ids", buffer_ids))
-
-    # Each segment lists its maxima by node and the segments come in line
-    # order, so the concatenation is already by node.
-    for name in ("timeline/nodes", "timeline/loads"):
-        column = array("q")
-        for checkpoint in checkpoints:
-            column.extend(checkpoint.section(name))
-        sections.append((name, column))
-
-    if first.history_policy is HistoryPolicy.STREAMING:
-        store = _concat_sorted_rows(checkpoints, "store", _STORE_COLUMNS, "ids")
-        sections.extend((f"store/{name}", store[name]) for name in _STORE_COLUMNS)
-
-    history_occupancy: Optional[List[Optional[List[List[int]]]]] = None
-    if engines[0]["record_history"]:
-        length = _require_equal(
-            [len(c.section("history/rounds")) for c in checkpoints],
-            "history length",
-        )
-        merged_history = {name: array("q") for name in _HISTORY_COLUMNS}
-        for row in range(length):
-            _require_equal(
-                [c.section("history/rounds")[row] for c in checkpoints],
-                f"history round at row {row}",
-            )
-            merged_history["rounds"].append(first.section("history/rounds")[row])
-            for name in ("injected", "forwarded", "delivered", "staged"):
-                merged_history[name].append(
-                    sum(c.section(f"history/{name}")[row] for c in checkpoints)
-                )
-            for name in ("max_occupancy", "max_occupancy_after"):
-                merged_history[name].append(
-                    max(c.section(f"history/{name}")[row] for c in checkpoints)
-                )
-        sections.extend(
-            (f"history/{name}", merged_history[name]) for name in _HISTORY_COLUMNS
-        )
-        if engines[0]["record_occupancy_vectors"]:
-            history_occupancy = []
-            per_segment = [c.header.get("history_occupancy") for c in checkpoints]
-            for row in range(length):
-                rows = [
-                    occupancy[row] if occupancy is not None else None
-                    for occupancy in per_segment
-                ]
-                if all(entry is None for entry in rows):
-                    history_occupancy.append(None)
-                else:
-                    combined_row: List[List[int]] = []
-                    for entry in rows:
-                        combined_row.extend(entry or [])
-                    combined_row.sort(key=lambda pair: pair[0])
-                    history_occupancy.append(combined_row)
-
-    latency_maxima = [
-        engine["latency_max"] for engine in engines
-        if engine["latency_max"] is not None
-    ]
-    header: Dict[str, Any] = {
-        "format": "repro-checkpoint",
-        "spec": first.spec,
-        "spec_hash": first.spec_hash,
-        "engine": dict(
-            engines[0],
-            injected=sum(engine["injected"] for engine in engines),
-            delivered=sum(engine["delivered"] for engine in engines),
-            latency_sum=sum(engine["latency_sum"] for engine in engines),
-            latency_max=max(latency_maxima) if latency_maxima else None,
-        ),
-        "timeline": {
-            "max_occupancy": max(
-                checkpoint.header["timeline"]["max_occupancy"]
-                for checkpoint in checkpoints
-            ),
-            "max_staged": max(
-                checkpoint.header["timeline"]["max_staged"]
-                for checkpoint in checkpoints
-            ),
-        },
-        "next_packet_id": first.header["next_packet_id"],
-        "algorithm": {
-            "name": algorithm_headers[0]["name"],
-            "state": _merge_algorithm_states(
-                [a["state"] for a in algorithm_headers]
-            ),
-        },
-        "buffers": buffer_directory,
-        "adversary": {
-            "kind": adversary_headers[0]["kind"],
-            "cursor": adversary_headers[0]["cursor"],
-            "realized_in_sections": False,
-        },
-        "history_occupancy": history_occupancy,
-    }
-    blob = _encode(header, sections)
-    return _decode(blob, source="<stitched>")
-
-
-def save_stitched(checkpoints: List[Checkpoint], path: str) -> int:
-    """Stitch per-segment snapshots and write the global checkpoint to ``path``."""
-    stitched = stitch_checkpoints(checkpoints)
-    blob = _encode(
-        {
-            key: value
-            for key, value in stitched.header.items()
-            if key not in ("version", "sections")
-        },
-        [(entry["name"], stitched.sections[entry["name"]])
-         for entry in stitched.header["sections"]],
-    )
-    _atomic_write(path, blob)
-    return len(blob)
 
 
 def restore_simulator(

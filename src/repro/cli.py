@@ -62,6 +62,7 @@ from .adversary.generators import hierarchy_random_destinations
 from .analysis.tables import format_kv, format_table
 from .api import ScenarioSpec, Session, SpecError, reports_to_table
 from .api.builder import Scenario
+from .api.session import unsharded
 from .core import bounds
 from .experiments.figures import render_figure1, trajectory_table
 from .experiments.registry import get_experiment, list_experiments
@@ -179,7 +180,8 @@ def build_parser() -> argparse.ArgumentParser:
         "bit-identical to a single-process run); needs --engine auto (the "
         "default) or batch and a scenario the batch kernel accepts (line "
         "topology, non-adaptive adversary, PTS/local/downhill/built-in greedy), "
-        "anything else exits with code 2",
+        "anything else exits with code 2; a sharded run writes no "
+        "checkpoints, and a worker that dies ends it (exit code 2)",
     )
     simulate.add_argument(
         "--engine",
@@ -201,41 +203,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="rounds advanced per batch window for --engine batch/auto "
         "(results do not depend on it)",
     )
-    simulate.add_argument(
-        "--recovery",
-        choices=("fail", "restart", "fold"),
-        default=None,
-        help="what the sharded coordinator does when a worker dies: "
-        "'fail' aborts (default), 'restart' respawns a replacement and "
-        "resumes from the last consistent checkpoint cut, 'fold' merges "
-        "the dead segment into a neighbour (results stay bit-identical "
-        "in every mode)",
-    )
-    simulate.add_argument(
-        "--max-worker-restarts",
-        type=int,
-        default=None,
-        metavar="N",
-        help="recovery budget: after N worker failures the run aborts "
-        "with RecoveryExhaustedError (exit code 2)",
-    )
-    simulate.add_argument(
-        "--heartbeat-timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="per-phase reply deadline for sharded workers; a worker that "
-        "stays silent longer is declared failed and recovery kicks in",
-    )
-    simulate.add_argument(
-        "--faults",
-        metavar="FILE",
-        default=None,
-        help="inject a deterministic FaultPlan (JSON, see docs/FAULTS.md) "
-        "into the sharded run; requires --shards > 1 (or a spec with "
-        "policy.shards > 1) and cannot be combined with --resume",
-    )
-
     bounds_cmd = subparsers.add_parser("bounds", help="print the closed-form bounds")
     bounds_cmd.add_argument("--nodes", type=int, default=64)
     bounds_cmd.add_argument("--destinations", type=int, default=8)
@@ -507,23 +474,18 @@ def _build_spec(args: argparse.Namespace) -> ScenarioSpec:
 
 
 def _with_checkpoint_policy(spec: ScenarioSpec, args: argparse.Namespace) -> ScenarioSpec:
-    """Fold the checkpoint/sharding/recovery/engine flags into the spec's policy.
+    """Fold the checkpoint/sharding/engine flags into the spec's policy.
 
-    Applied identically to fresh and resumed runs (all of these fields are
-    outside the resume-identity hash, so this never trips the spec check).
+    Applied to fresh and resumed runs alike (all of these fields are
+    outside the resume-identity hash, so this never trips the spec check),
+    except ``--shards``: a resumed run continues in one process.
     """
     overrides = {}
     if args.checkpoint_every is not None:
         overrides["checkpoint_every"] = args.checkpoint_every
         overrides["checkpoint_path"] = args.checkpoint
-    if args.shards is not None:
+    if args.shards is not None and args.resume is None:
         overrides["shards"] = args.shards
-    if args.recovery is not None:
-        overrides["recovery"] = args.recovery
-    if args.max_worker_restarts is not None:
-        overrides["max_worker_restarts"] = args.max_worker_restarts
-    if args.heartbeat_timeout is not None:
-        overrides["heartbeat_timeout"] = args.heartbeat_timeout
     if args.engine is not None:
         overrides["engine"] = args.engine
     if args.batch_rounds is not None:
@@ -536,17 +498,6 @@ def _with_checkpoint_policy(spec: ScenarioSpec, args: argparse.Namespace) -> Sce
 def _command_simulate(args: argparse.Namespace) -> int:
     if args.checkpoint_every is not None and args.checkpoint is None:
         raise ReproError("--checkpoint-every requires --checkpoint FILE")
-    faults = None
-    if args.faults is not None:
-        if args.resume is not None:
-            raise ReproError(
-                "--faults cannot be combined with --resume: fault plans "
-                "describe a full run from round 0"
-            )
-        from .network.faults import FaultPlan
-
-        with open(args.faults, "r", encoding="utf-8") as handle:
-            faults = FaultPlan.from_json(handle.read())
     spec = None
     if args.spec is not None:
         with open(args.spec, "r", encoding="utf-8") as handle:
@@ -559,7 +510,7 @@ def _command_simulate(args: argparse.Namespace) -> int:
 
         loaded = load_checkpoint(args.resume)
         if spec is None and loaded.spec is not None:
-            spec = ScenarioSpec.from_dict(loaded.spec)
+            spec = ScenarioSpec.from_dict(unsharded(loaded.spec))
         if spec is None and args.checkpoint_every is not None:
             raise ReproError(
                 "--checkpoint-every with --resume needs a scenario: the "
@@ -571,15 +522,9 @@ def _command_simulate(args: argparse.Namespace) -> int:
     else:
         if spec is None:
             spec = _build_spec(args)
-        report = Session().run(_with_checkpoint_policy(spec, args), faults=faults)
+        report = Session().run(_with_checkpoint_policy(spec, args))
     if args.json:
         row = report.as_row()
-        if report.recovery is not None:
-            # Sharded runs surface their recovery telemetry (worker restarts
-            # absorbed, seconds spent restitching) next to the result, so a
-            # run that survived faults is distinguishable from one that never
-            # saw any — the results themselves are bit-identical.
-            row["recovery"] = report.recovery
         if report.engine is not None:
             # Engine routing telemetry: which engine ran and, for
             # --engine auto, why a batch refusal fell back to delta — silent

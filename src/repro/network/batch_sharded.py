@@ -167,9 +167,9 @@ class BatchSegmentSimulator(BatchSimulator):
     def ensure_kernel(self) -> None:
         """Load the flat kernel from object state exactly once.
 
-        Called after construction (and after a checkpoint restore); later
-        :meth:`sync_for_snapshot` projections leave the kernel authoritative,
-        matching the single-process ``run()`` loop's sync-and-continue.
+        Called after construction; later :meth:`sync_for_snapshot`
+        projections leave the kernel authoritative, matching the
+        single-process ``run()`` loop's sync-and-continue.
         """
         if not self._kernel_ready:
             self._load_kernel()
@@ -606,8 +606,6 @@ class BatchSegmentSimulator(BatchSimulator):
         right_out=None,
         right_in=None,
         left_out=None,
-        faults: Optional[Dict[int, Dict[str, Any]]] = None,
-        fault_hook=None,
         ring_timeout: float = 60.0,
     ) -> Dict[str, array]:
         """Free-run rounds ``t0 .. t1-1``, exchanging boundary facts directly.
@@ -625,10 +623,6 @@ class BatchSegmentSimulator(BatchSimulator):
         trace_forwarded = array("q")
         trace_stored = array("q")
         for round_number in range(t0, t1):
-            if faults is not None:
-                directive = faults.get(round_number)
-                if directive is not None and fault_hook is not None:
-                    fault_hook(directive)
             view = self._begin(round_number, inject)
             suffix_any_bad = False
             right_first_load = 0

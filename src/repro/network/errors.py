@@ -23,7 +23,6 @@ __all__ = [
     "UnshardableScenarioError",
     "ShardingProtocolError",
     "WorkerFailedError",
-    "RecoveryExhaustedError",
     "BatchingError",
     "UnbatchableScenarioError",
 ]
@@ -194,19 +193,15 @@ def _rebuild_worker_failed(
 
 
 class WorkerFailedError(ShardingProtocolError):
-    """Raised when one segment worker dies, hangs or stops answering.
+    """Raised when one segment worker dies or its pipe breaks.
 
-    This is the *recoverable* member of the sharding family: the supervisor
-    in :class:`~repro.network.sharded._ShardedCoordinator` catches it and —
-    depending on ``RunPolicy.recovery`` — restitches the per-segment
-    checkpoints and respawns (or folds) the dead worker instead of failing
-    the whole run.  The attributes identify which worker failed and where,
-    so both the recovery machinery and the final diagnostics can act on it.
+    The sharded coordinator tears every worker and boundary ring down and
+    raises this; nothing is retried.  The attributes identify which worker
+    failed and where (``segment``, ``round_number``, ``phase``).
 
-    Raised for worker-level failures only (worker process exited, no
-    heartbeat within ``heartbeat_timeout``, send retries exhausted).  A
-    *logic* error raised inside a worker is forwarded as its original typed
-    exception and is never retried — it would recur deterministically.
+    Raised for worker-level failures only (the worker process exited, its
+    pipe closed).  A *logic* error raised inside a worker is forwarded as
+    its original typed exception.
     """
 
     def __init__(
@@ -251,15 +246,4 @@ class UnbatchableScenarioError(BatchingError):
 
     ``RunPolicy.engine="auto"`` catches this error and falls back to the
     object engine; ``engine="batch"`` propagates it.
-    """
-
-
-class RecoveryExhaustedError(ShardingError):
-    """Raised when worker recovery gives up.
-
-    Either the restart budget (``RunPolicy.max_worker_restarts``) ran out,
-    or the configured mode cannot apply (folding a single-segment run).  The
-    message carries the last underlying :class:`WorkerFailedError` and the
-    knob to turn, so the failure is actionable; the original failure is
-    chained as ``__cause__``.
     """

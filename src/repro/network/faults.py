@@ -1,68 +1,46 @@
-"""Deterministic fault injection for the sharded runtime.
+"""Deterministic fault injection for the job service.
 
 Chaos testing is only useful when a failing run can be replayed exactly, so
 faults here are *data*, not monkey-patching: a :class:`FaultPlan` is a frozen,
-JSON-serializable list of :class:`FaultEvent` records ("crash worker 1 at
-round 7 during the select phase", "drop the next two sends to worker 0",
-"slow worker 2 by 300 ms").  The plan travels as the ``faults`` argument of
-:func:`~repro.network.sharded.run_sharded` (and ``Session.run``) — never
-through the :class:`~repro.api.specs.ScenarioSpec` — so a chaos run and its
-fault-free twin share byte-identical specs, spec hashes and checkpoint
-headers.  That is what lets the differential recovery suite compare them bit
-for bit.
+JSON-serializable list of :class:`FaultEvent` records ("crash the worker of
+job 1 on its first attempt while it checkpoints", "lose the submit reply of
+job 0", "stall job 2's worker by 300 ms").  :mod:`repro.service` reads the
+plan given to ``repro service serve --faults``; events target
+``(round=attempt, segment=admission index, phase)`` with the job-lifecycle
+phases of :data:`SERVICE_FAULT_PHASES` (docs/SERVICE.md gives the semantics
+of each (kind, phase) pair).
 
-Workers run ``batch_rounds``-round windows, so a window carries the
-``begin`` / ``select`` / ``finish`` events of its rounds merged into one
-directive per round, fired at the start of that round: delays add up, and a
-crash in any of the three phases crashes the round.  ``checkpoint`` events
-fire when the worker takes its periodic snapshot.
+Plans can be written by hand or loaded from JSON (``FaultPlan.from_json``).
 
-Plans can be written by hand, loaded from JSON (``FaultPlan.from_json``) or
-drawn reproducibly from a seed (``FaultPlan.sample``), which uses
-``random.Random(seed)`` only — the module never touches global RNG state.
-
-The mutable side lives in :class:`FaultInjector`: the coordinator consults it
-once per (round, segment, phase) edge.  Crash/slow events fire exactly once
-and stay fired across recovery respawns (a replayed round must not re-kill
-the replacement worker); drop events hold a token count that each
-simulated send failure decrements.
+The mutable side lives in :class:`FaultInjector`: the server consults it at
+every (attempt, job, phase) edge.  Crash/slow events fire exactly once; drop
+events hold a token count that each simulated send failure decrements.
 """
 
 from __future__ import annotations
 
 import json
-import random
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from .errors import ConfigurationError
 
 __all__ = [
     "FAULT_KINDS",
-    "FAULT_PHASES",
     "SERVICE_FAULT_PHASES",
     "FaultEvent",
     "FaultPlan",
     "FaultInjector",
 ]
 
-#: Supported failure modes.  ``crash`` kills the worker (a hard process
-#: exit), ``slow`` delays the worker before it serves the phase (tripping
-#: ``heartbeat_timeout`` when the delay exceeds it), and ``drop`` makes the
-#: coordinator's next ``count`` sends to the worker fail, exercising the
-#: bounded retry-with-backoff path.
+#: Supported failure modes.  ``crash`` kills the process (a hard exit),
+#: ``slow`` stalls it before it serves the phase, and ``drop`` loses the
+#: next ``count`` sends of the phase.
 FAULT_KINDS = ("crash", "slow", "drop")
 
-#: Per-round phases a fault can target; ``checkpoint`` covers the periodic
-#: per-segment snapshot command between windows.
-FAULT_PHASES = ("begin", "select", "finish", "checkpoint")
-
-#: Job-lifecycle phases the service layer (:mod:`repro.service`) targets
-#: with the same plan machinery.  Coordinates there read differently —
+#: Job-lifecycle phases a fault can target (:mod:`repro.service`):
 #: ``segment`` is the job's admission index and ``round`` the attempt
-#: number — but the algebra (fire-once crash/slow, token-counted drop,
-#: JSON round-trip, seeded sampling) is shared.  ``FaultPlan.sample`` only
-#: draws from :data:`FAULT_PHASES`; service plans are written explicitly.
+#: number.
 SERVICE_FAULT_PHASES = ("queued", "running", "checkpointing", "draining")
 
 _PLAN_VERSION = 1
@@ -72,16 +50,14 @@ _PLAN_VERSION = 1
 class FaultEvent:
     """One injected failure, pinned to a (round, segment, phase) coordinate.
 
-    ``segment`` indexes the *current* segment plan: after a ``fold`` recovery
-    merges two segments, surviving workers are renumbered and later events
-    target the new indices.  Events whose coordinate never occurs (round past
-    the horizon, segment out of range) simply never fire.
+    Events whose coordinate never occurs (an attempt that never runs, an
+    admission index never reached) simply never fire.
     """
 
     kind: str
     round: int
     segment: int
-    phase: str = "begin"
+    phase: str
     #: ``slow`` only: seconds the worker sleeps before serving the phase.
     delay: float = 0.0
     #: ``drop`` only: how many consecutive send attempts fail.
@@ -93,11 +69,10 @@ class FaultEvent:
                 f"unknown fault kind {self.kind!r}; expected one of "
                 f"{list(FAULT_KINDS)}"
             )
-        if self.phase not in FAULT_PHASES and self.phase not in SERVICE_FAULT_PHASES:
+        if self.phase not in SERVICE_FAULT_PHASES:
             raise ConfigurationError(
-                f"unknown fault phase {self.phase!r}; expected a per-round "
-                f"phase {list(FAULT_PHASES)} or a service job-lifecycle "
-                f"phase {list(SERVICE_FAULT_PHASES)}"
+                f"unknown fault phase {self.phase!r}; expected a service "
+                f"job-lifecycle phase {list(SERVICE_FAULT_PHASES)}"
             )
         if not isinstance(self.round, int) or isinstance(self.round, bool) \
                 or self.round < 0:
@@ -146,7 +121,7 @@ class FaultEvent:
             raise ConfigurationError(
                 f"fault event has unknown keys {sorted(unknown)}"
             )
-        for required in ("kind", "round", "segment"):
+        for required in ("kind", "round", "segment", "phase"):
             if required not in payload:
                 raise ConfigurationError(
                     f"fault event is missing required key {required!r}"
@@ -155,7 +130,7 @@ class FaultEvent:
             kind=payload["kind"],
             round=payload["round"],
             segment=payload["segment"],
-            phase=payload.get("phase", "begin"),
+            phase=payload["phase"],
             delay=payload.get("delay", 0.0),
             count=payload.get("count", 1),
         )
@@ -167,8 +142,8 @@ class FaultPlan:
 
     Plans are hashable and round-trip through JSON unchanged, so a chaos run
     can be attached to a bug report and replayed byte-identically.  ``seed``
-    records provenance when the plan was drawn by :meth:`sample`; it does
-    not affect execution.
+    is an optional provenance label (say, the seed a test drew the plan
+    from); it does not affect execution.
     """
 
     events: Tuple[FaultEvent, ...] = ()
@@ -236,61 +211,14 @@ class FaultPlan:
             ) from error
         return cls.from_dict(payload)
 
-    @classmethod
-    def sample(
-        cls,
-        seed: int,
-        *,
-        rounds: int,
-        shards: int,
-        events: int = 3,
-        kinds: Sequence[str] = FAULT_KINDS,
-        max_delay: float = 0.05,
-    ) -> "FaultPlan":
-        """Draw a reproducible random plan: same seed, same plan, always.
-
-        Uses a private ``random.Random(seed)`` stream (never the global RNG)
-        so sampling a plan cannot perturb anything else, and the plan is a
-        pure function of its arguments.
-        """
-        if rounds < 1 or shards < 1:
-            raise ConfigurationError(
-                f"FaultPlan.sample needs rounds >= 1 and shards >= 1, got "
-                f"rounds={rounds}, shards={shards}"
-            )
-        for kind in kinds:
-            if kind not in FAULT_KINDS:
-                raise ConfigurationError(
-                    f"unknown fault kind {kind!r}; expected a subset of "
-                    f"{list(FAULT_KINDS)}"
-                )
-        rng = random.Random(seed)
-        drawn: List[FaultEvent] = []
-        for _ in range(events):
-            kind = rng.choice(list(kinds))
-            drawn.append(
-                FaultEvent(
-                    kind=kind,
-                    round=rng.randrange(rounds),
-                    segment=rng.randrange(shards),
-                    phase=rng.choice(list(FAULT_PHASES)),
-                    delay=(
-                        rng.uniform(0.001, max_delay) if kind == "slow" else 0.0
-                    ),
-                    count=rng.randint(1, 2) if kind == "drop" else 1,
-                )
-            )
-        return cls(events=tuple(drawn), seed=seed)
-
 
 class FaultInjector:
-    """Mutable coordinator-side cursor over a :class:`FaultPlan`.
+    """Mutable server-side cursor over a :class:`FaultPlan`.
 
-    Lives in the coordinator (one per run, surviving recovery attempts) and
-    is consulted at every (round, segment, phase) edge.  Crash and slow
-    events are consumed the first time their coordinate is reached — a
-    recovered run that replays the same round does not re-fire them.
-    Drop events expose per-event token counts through :meth:`drop_next_send`.
+    Lives in the server (one per plan, surviving job retries) and is
+    consulted at every (attempt, job, phase) edge.  Crash and slow events are
+    consumed the first time their coordinate is reached.  Drop events expose
+    per-event token counts through :meth:`drop_next_send`.
     """
 
     __slots__ = ("_events", "_remaining")
@@ -303,19 +231,12 @@ class FaultInjector:
         ]
 
     def directives_for(
-        self,
-        round_number: int,
-        segment: int,
-        phase: str,
-        fired: Optional[List[int]] = None,
+        self, round_number: int, segment: int, phase: str
     ) -> Optional[Dict[str, Any]]:
-        """Worker-bound directives (crash / slow) for one phase command.
+        """The crash / slow directive for one coordinate.
 
-        Returns ``None`` when nothing fires, else a payload dict shipped to
-        the worker inside the phase command.  Matching events are consumed;
-        their plan indices are appended to ``fired`` when it is given, so a
-        caller that ships directives ahead of execution can :meth:`rearm`
-        the ones that never ran.
+        Returns ``None`` when nothing fires, else ``{"crash": bool,
+        "delay": seconds}``.  Matching events are consumed.
         """
         crash = False
         delay = 0.0
@@ -325,8 +246,6 @@ class FaultInjector:
             if (event.round == round_number and event.segment == segment
                     and event.phase == phase):
                 self._remaining[index] = 0
-                if fired is not None:
-                    fired.append(index)
                 if event.kind == "crash":
                     crash = True
                 else:
@@ -334,11 +253,6 @@ class FaultInjector:
         if not crash and delay == 0.0:
             return None
         return {"crash": crash, "delay": delay}
-
-    def rearm(self, indices: Iterable[int]) -> None:
-        """Make consumed crash / slow events fire again at their coordinate."""
-        for index in indices:
-            self._remaining[index] = 1
 
     def drop_next_send(
         self, round_number: int, segment: int, phase: str

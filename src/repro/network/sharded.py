@@ -27,62 +27,32 @@ the rings cannot be created refuses the run with
 ``shards=1``.
 
 The coordinator mirrors the single-process drain loop (same caps, same
-quiescence window, fed by globally summed per-round counters), merges the
-per-segment statistics into one :class:`SimulationResult`, and — when the
-run policy asks for periodic checkpoints — saves per-segment snapshots and
-stitches them into a single global checkpoint file
-(:func:`repro.checkpoint.stitch_checkpoints`) that a plain single-process
-``Session.resume`` continues bit-identically.
+quiescence window, fed by globally summed per-round counters) and merges the
+per-segment statistics into one :class:`SimulationResult`.
 
-**Supervision and recovery.**  The coordinator doubles as a worker
-supervisor: every reply is awaited under ``RunPolicy.heartbeat_timeout``,
-sends retry with bounded backoff, and a worker that dies, hangs or stops
-answering escalates as the typed
-:class:`~repro.network.errors.WorkerFailedError`.  What happens next is
-``RunPolicy.recovery``'s call: ``"fail"`` (default) propagates immediately;
-``"restart"`` tears every worker down, respawns the full set from the last
-consistent per-segment checkpoint cut and replays the windows from that
-round; ``"fold"`` merges the orphaned segment into a neighbouring
-worker (restitching the pair's snapshots via
-:func:`repro.checkpoint.stitch_checkpoints`) and continues on ``k - 1``
-segments.  Because recovery always resumes from checkpoints that are proven
-bit-identical to the single-process run, a recovered run's results and
-checkpoint files are byte-identical to the fault-free run — the differential
-recovery suite (``tests/test_recovery_differential.py``) asserts exactly
-that, driven by the deterministic fault plans of
-:mod:`repro.network.faults`.
+A sharded run is one attempt.  A worker that dies surfaces as the typed
+:class:`~repro.network.errors.WorkerFailedError` naming its segment, a
+broken window protocol as
+:class:`~repro.network.errors.ShardingProtocolError`; either way every
+worker and ring is torn down first, and nothing is retried.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-import os
 import pickle
-import time
 from collections import deque
-from typing import (
-    TYPE_CHECKING,
-    Any,
-    Callable,
-    Dict,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
 from ..core.packet import packet_id_scope
 from .batch_sharded import BatchSegmentSimulator, check_segment_scan
 from .errors import (
-    CheckpointError,
-    RecoveryExhaustedError,
     ShardingProtocolError,
     UnbatchableScenarioError,
     UnshardableScenarioError,
     WorkerFailedError,
 )
 from .events import RoundRecord, SimulationResult
-from .faults import FaultInjector, FaultPlan
 from .shm import BoundaryRing
 from .simulator import DrainStop
 from .topology import LineTopology
@@ -94,21 +64,6 @@ __all__ = [
     "plan_segments",
     "run_sharded",
 ]
-
-#: Hard exit code an injected ``crash`` fault uses in a worker process —
-#: ``os._exit`` so the failure looks exactly like a SIGKILL'd/OOM'd worker
-#: (no unwind, no pickled traceback, just a dead pipe).
-_CRASH_EXIT_CODE = 70
-
-#: The per-round phases a fault plan can name, in round order.  A window
-#: merges them into one directive fired at the start of the round.
-_WINDOW_PHASES = ("begin", "select", "finish")
-
-#: Bounded retry-with-backoff on supervised sends: attempts past the first
-#: before a send that keeps failing marks the worker failed, and the linear
-#: backoff step in seconds.
-_MAX_RETRIES = 2
-_RETRY_BACKOFF = 0.01
 
 #: perfbench/tracing.py reads this name; remove with the next benchmark change.
 SegmentSimulator = BatchSegmentSimulator
@@ -139,18 +94,6 @@ def plan_segments(num_nodes: int, shards: int) -> List[Tuple[int, int]]:
 # ---------------------------------------------------------------------------
 
 
-def _apply_fault(fault: Dict[str, Any]) -> None:
-    """Act out an injected fault directive inside a worker process.
-
-    A crash is ``os._exit``, so it looks exactly like a SIGKILL'd worker.
-    """
-    delay = fault.get("delay", 0.0)
-    if delay > 0:
-        time.sleep(delay)
-    if fault.get("crash"):
-        os._exit(_CRASH_EXIT_CODE)
-
-
 def _no_rings(error: BaseException) -> UnshardableScenarioError:
     """The refusal for a host where the boundary rings cannot be set up."""
     return UnshardableScenarioError(
@@ -163,12 +106,8 @@ def _no_rings(error: BaseException) -> UnshardableScenarioError:
 class _SegmentWorker:
     """Builds one segment's scenario ingredients and dispatches commands.
 
-    ``restore_path`` (recovery respawns only) points at a per-segment
-    checkpoint; the freshly built engine is fast-forwarded through
-    :func:`repro.checkpoint.restore_into` before serving commands — the same
-    restore machinery the resume differential suites prove bit-identical.
-    The worker must be built inside a fresh packet-id scope for the restore
-    to renumber correctly (:func:`_process_worker_main` opens one).
+    The worker must be built inside a fresh packet-id scope, so its ids are
+    the single-process run's (:func:`_process_worker_main` opens one).
     """
 
     def __init__(
@@ -176,7 +115,6 @@ class _SegmentWorker:
         spec_payload: Dict[str, Any],
         segment_index: int,
         segments: Sequence[Tuple[int, int]],
-        restore_path: Optional[str] = None,
     ) -> None:
         from ..api.session import Session
         from ..api.specs import ScenarioSpec
@@ -194,7 +132,6 @@ class _SegmentWorker:
         lo, hi = segments[segment_index]
         adversary = SegmentFilteredAdversary(prepared.adversary, lo, hi)
         policy = spec.policy
-        self.spec = spec
         self.base_adversary = prepared.adversary
         try:
             self.simulator = BatchSegmentSimulator(
@@ -214,12 +151,6 @@ class _SegmentWorker:
                 f"sharded execution runs only the batch kernel, which "
                 f"refuses this scenario ({refusal}); run with shards=1"
             ) from refusal
-        if restore_path is not None:
-            from ..checkpoint import load_checkpoint, restore_into
-
-            restore_into(self.simulator, load_checkpoint(restore_path))
-        # Load the flat kernel after any checkpoint restore so it projects
-        # the restored object state, not the empty line.
         self.simulator.ensure_kernel()
         #: Shared-memory boundary rings, keyed as in the coordinator's
         #: "rings" payload.
@@ -232,9 +163,6 @@ class _SegmentWorker:
         }
 
     def dispatch(self, command: str, payload: Dict[str, Any]) -> Dict[str, Any]:
-        fault = payload.get("fault")
-        if fault is not None:
-            _apply_fault(fault)
         if command == "window":
             return self._run_window(payload)
         if command == "rings":
@@ -243,15 +171,6 @@ class _SegmentWorker:
         if command == "truncate":
             self.simulator.truncate_to(payload["round"])
             return {"round": payload["round"]}
-        if command == "checkpoint":
-            self.simulator.sync_for_snapshot()
-            size = self.simulator.save_checkpoint(payload["path"], spec=self.spec)
-            return {"bytes": size}
-        if command == "status":
-            # Queried after a recovery respawn: the restored engines know
-            # their pending counts, the (new) coordinator does not.
-            self.simulator.sync_for_snapshot()
-            return {"pending": self.simulator._pending()}
         if command == "result":
             self.simulator.sync_for_snapshot()
             return self._result_payload()
@@ -276,9 +195,6 @@ class _SegmentWorker:
             right_out=rings.get("right_out"),
             right_in=rings.get("right_in"),
             left_out=rings.get("left_out"),
-            faults=payload.get("faults"),
-            fault_hook=_apply_fault,
-            ring_timeout=payload.get("ring_timeout", 60.0),
         )
 
     def close_rings(self) -> None:
@@ -324,14 +240,12 @@ class _SegmentWorker:
 
 
 def _process_worker_main(
-    connection, spec_payload, segment_index, segments, restore_path=None
+    connection, spec_payload, segment_index, segments
 ) -> None:
     """Worker-process entry point: build the segment engine, serve commands."""
     try:
         with packet_id_scope():
-            worker = _SegmentWorker(
-                spec_payload, segment_index, segments, restore_path
-            )
+            worker = _SegmentWorker(spec_payload, segment_index, segments)
             connection.send(("ok", worker.init_info()))
             while True:
                 try:
@@ -369,15 +283,12 @@ def _process_worker_main(
 class _ProcessHandle:
     """One worker process plus its pipe."""
 
-    def __init__(
-        self, context, spec_payload, segment_index, segments, restore_path=None
-    ) -> None:
+    def __init__(self, context, spec_payload, segment_index, segments) -> None:
         self.segment_index = segment_index
         self._conn, child_conn = context.Pipe(duplex=True)
         self._process = context.Process(
             target=_process_worker_main,
-            args=(child_conn, spec_payload, segment_index, segments,
-                  restore_path),
+            args=(child_conn, spec_payload, segment_index, segments),
             daemon=True,
         )
         self._process.start()
@@ -399,31 +310,16 @@ class _ProcessHandle:
                 segment=self.segment_index,
             ) from error
 
-    def recv(self, timeout: Optional[float] = None) -> Dict[str, Any]:
-        if timeout is not None:
-            try:
-                ready = self._conn.poll(timeout)
-            except (OSError, EOFError):
-                # A dead pipe is "ready": fall through and let recv() below
-                # classify the death precisely.
-                ready = True
-            if not ready:
-                raise WorkerFailedError(
-                    f"segment worker {self.segment_index} sent no reply "
-                    f"within heartbeat_timeout={timeout:g}s; treating it as "
-                    f"hung",
-                    segment=self.segment_index,
-                )
+    def recv(self) -> Dict[str, Any]:
         try:
             status, payload = self._conn.recv()
         except (EOFError, OSError):
             # EOFError for a clean hangup, OSError (ECONNRESET) when the
             # worker died with bytes still in flight — either way the worker
-            # is gone and the supervisor owns what happens next.
+            # is gone.
             raise WorkerFailedError(
                 f"segment worker {self.segment_index} died without replying "
-                f"(worker process exited; exit code appears in the shutdown "
-                f"diagnostics)",
+                f"(worker process exited)",
                 segment=self.segment_index,
             ) from None
         if status == "error":
@@ -435,8 +331,9 @@ class _ProcessHandle:
         return payload
 
     def kill(self) -> None:
-        """Fast teardown for recovery: no close handshake (the worker may be
-        dead or hung), just drop the pipe and make sure the process is gone."""
+        """Fast teardown after a failure: no close handshake (the worker may
+        be dead or blocked on a ring), just drop the pipe and make sure the
+        process is gone."""
         try:
             self._conn.close()
         except OSError:  # pragma: no cover - pipe already torn down
@@ -476,9 +373,7 @@ class _ProcessHandle:
         return problem
 
 
-def _spawn_workers(spec_payload, segments, restore_paths=None):
-    if restore_paths is None:
-        restore_paths = [None] * len(segments)
+def _spawn_workers(spec_payload, segments):
     methods = multiprocessing.get_all_start_methods()
     # fork is dramatically cheaper than spawn (no interpreter + import replay
     # per worker) and the coordinator is single-threaded at spawn time.
@@ -487,10 +382,7 @@ def _spawn_workers(spec_payload, segments, restore_paths=None):
     try:
         for index in range(len(segments)):
             handles.append(
-                _ProcessHandle(
-                    context, spec_payload, index, segments,
-                    restore_paths[index],
-                )
+                _ProcessHandle(context, spec_payload, index, segments)
             )
     except BaseException:
         # A mid-list spawn failure (fd exhaustion, a worker refusing the
@@ -507,24 +399,13 @@ def _spawn_workers(spec_payload, segments, restore_paths=None):
 
 
 class _ShardedCoordinator:
-    """Drives the window loop, supervises the workers and merges results.
+    """Drives the window loop over the workers and merges their results.
 
-    The coordinator is also the supervisor: every worker command runs
-    through :meth:`_send` / :meth:`_recv` (fault directives, bounded retry,
-    heartbeat timeout), and :meth:`run` wraps the whole attempt in a
-    recovery loop — a :class:`WorkerFailedError` tears all workers down and,
-    when ``RunPolicy.recovery`` allows, rewinds to the last consistent
-    per-segment checkpoint cut and respawns (``"restart"``) or folds the
-    orphaned segment into a neighbour (``"fold"``) before retrying.
+    :meth:`run` is one attempt: any failure tears every worker and ring
+    down and propagates.
     """
 
-    def __init__(
-        self,
-        spec: "ScenarioSpec",
-        shards: int,
-        faults: Optional[FaultPlan],
-        clock: Optional[Callable[[], float]],
-    ) -> None:
+    def __init__(self, spec: "ScenarioSpec", shards: int) -> None:
         from ..api.registry import ALGORITHMS
         from ..api.session import build_topology
 
@@ -547,89 +428,41 @@ class _ShardedCoordinator:
         self.segments = plan_segments(self.num_nodes, shards)
         self.handles: List[Any] = []
         self._executed = 0
-        # -- ring state -----------------------------------------------------------
         #: Coordinator ends of the shared-memory boundary rings.
         self._rings: List[BoundaryRing] = []
-        self._ring_timeout = 60.0
-        # -- supervisor configuration ------------------------------------------
-        policy = spec.policy
-        self._recovery_mode = policy.recovery
-        self._max_restarts = policy.max_worker_restarts
-        self._heartbeat_timeout = policy.heartbeat_timeout
-        self._faults = faults
-        self._injector = FaultInjector(faults) if faults else None
-        self._clock = clock
-        #: ``(round, phase rank, event index)`` of every crash/slow event a
-        #: window shipped whose window has not been collected yet.
-        self._window_fired: List[Tuple[int, int, int]] = []
-        # -- recovery state -----------------------------------------------------
-        self._restarts = 0
-        self._recovery_seconds = 0.0
-        self._resume_round = 0
-        self._restore_paths: Optional[List[Optional[str]]] = None
-        #: The last *complete* per-segment checkpoint cut: rounds executed
-        #: and one restore file per current segment (kept aligned with
-        #: ``self.segments`` even across folds).
-        self._cut_rounds: Optional[int] = None
-        self._cut_paths: List[str] = []
-        #: Recovery scaffolding currently on disk (per-segment snapshots and
-        #: fold merges); refreshed — and stale members unlinked — at every
-        #: successful checkpoint.
-        self._disk_paths: set = set()
 
     # -- lifecycle ---------------------------------------------------------------
 
     def run(self) -> Tuple[SimulationResult, Dict[str, Any]]:
-        while True:
-            try:
-                return self._run_attempt()
-            except WorkerFailedError as failure:
-                self._teardown()
-                self._rearm_unrun_faults(failure)
-                self._plan_recovery(failure)
-            except BaseException:
-                # An error is already propagating — close best-effort and let
-                # it through; shutdown diagnostics must not mask the fault.
-                self._teardown()
-                raise
-
-    def _run_attempt(self) -> Tuple[SimulationResult, Dict[str, Any]]:
         policy = self.spec.policy
-        spec_payload = self.spec.to_dict()
-        self.handles = _spawn_workers(
-            spec_payload, self.segments, self._restore_paths
-        )
-        infos = [handle.init_payload for handle in self.handles]
-        horizon = infos[0]["horizon"]
-        for info in infos[1:]:
-            if info["horizon"] != horizon:
-                raise ShardingProtocolError(
-                    "segment workers disagree on the adversary horizon"
-                )
-        num_rounds = policy.rounds if policy.rounds is not None else horizon
-        self._setup_rings(infos, policy)
-
-        start_round = self._resume_round
-        pending = 0
-        if start_round:
-            # Restored engines know their pending counts; the coordinator's
-            # were lost with the failed attempt.  Matters when the cut sits
-            # exactly at the horizon (crash during drain): the injection
-            # loop below is empty and drain needs real counters.
-            status = self._broadcast("status", {}, start_round)
-            pending = sum(reply["pending"] for reply in status)
-        pending = self._run_windows(start_round, num_rounds, policy, pending)
-        drained = (
-            self._drain_windows(num_rounds, pending, policy)
-            if policy.drain else pending == 0
-        )
-        result, extras = self._collect(drained)
-        # Success path: a worker that crashed or hung at shutdown invalidates
-        # the clean-run claim, so close diagnostics escalate.
-        self._shutdown(strict=True)
+        try:
+            self.handles = _spawn_workers(self.spec.to_dict(), self.segments)
+            infos = [handle.init_payload for handle in self.handles]
+            horizon = infos[0]["horizon"]
+            for info in infos[1:]:
+                if info["horizon"] != horizon:
+                    raise ShardingProtocolError(
+                        "segment workers disagree on the adversary horizon"
+                    )
+            num_rounds = policy.rounds if policy.rounds is not None else horizon
+            self._setup_rings(infos, policy)
+            pending = self._run_windows(num_rounds, policy)
+            drained = (
+                self._drain_windows(num_rounds, pending, policy)
+                if policy.drain else pending == 0
+            )
+            result, extras = self._collect(drained)
+            self._shutdown()
+        except BaseException:
+            # An error is already propagating — close best-effort and let
+            # it through; shutdown diagnostics must not mask the fault.
+            self._teardown()
+            raise
         return result, extras
 
-    def _shutdown(self, *, strict: bool) -> None:
+    def _shutdown(self) -> None:
+        """Success-path shutdown: a worker that crashed or hung at close
+        invalidates the clean-run claim, so close diagnostics escalate."""
         problems: List[str] = []
         for handle in self.handles:
             problem = handle.close()
@@ -637,15 +470,15 @@ class _ShardedCoordinator:
                 problems.append(problem)
         self.handles = []
         self._release_rings()
-        if strict and problems:
+        if problems:
             raise ShardingProtocolError(
                 "worker shutdown failed after a completed run: "
                 + "; ".join(problems)
             )
 
     def _teardown(self) -> None:
-        """Recovery-path shutdown: no close handshake — peers of the failed
-        worker may be mid-phase and a handshake could hang on them."""
+        """Failure-path shutdown: no close handshake — peers of a failed
+        worker may be blocked on a ring and a handshake could hang on them."""
         for handle in self.handles:
             handle.kill()
         self.handles = []
@@ -690,10 +523,6 @@ class _ShardedCoordinator:
         self._rings = [
             ring for ring in forward + reverse if ring is not None
         ]
-        self._ring_timeout = (
-            60.0 if self._heartbeat_timeout is None
-            else max(5.0, self._heartbeat_timeout * 4)
-        )
         for index, handle in enumerate(self.handles):
             names: Dict[str, str] = {}
             if index > 0:
@@ -708,78 +537,11 @@ class _ShardedCoordinator:
         for handle in self.handles:
             self._recv(handle, "rings", 0)
 
-    def _window_faults(
-        self, t0: int, t1: int, segment: int
-    ) -> Optional[Dict[int, Dict[str, Any]]]:
-        """Collapse per-phase fault directives into per-round window faults.
-
-        A window has no per-round coordinator messages to piggyback
-        directives on, so the rounds' begin/select/finish directives merge
-        into one directive applied at the start of the round inside the
-        worker: delays add up, a crash in any phase crashes the round.
-        """
-        if self._injector is None:
-            return None
-        merged: Dict[int, Dict[str, Any]] = {}
-        for round_number in range(t0, t1):
-            crash = False
-            delay = 0.0
-            for rank, phase in enumerate(_WINDOW_PHASES):
-                fired: List[int] = []
-                directive = self._injector.directives_for(
-                    round_number, segment, phase, fired
-                )
-                self._window_fired.extend(
-                    (round_number, rank, index) for index in fired
-                )
-                if directive is not None:
-                    crash = crash or directive.get("crash", False)
-                    delay += directive.get("delay", 0.0)
-            if crash or delay > 0:
-                merged[round_number] = {"crash": crash, "delay": delay}
-        return merged or None
-
-    def _retry_drops(self, round_number: int, segment: int, phase: str) -> None:
-        """Act out the plan's ``drop`` faults on one send.
-
-        Each matching drop token makes one attempt fail; the supervisor
-        retries with linear backoff up to ``_MAX_RETRIES`` times before
-        escalating the worker as failed.  (A *real* dead pipe raises
-        :class:`WorkerFailedError` from the handle directly — retrying a
-        dead worker cannot help, recovery can.)
-        """
-        attempts = 0
-        while self._injector.drop_next_send(round_number, segment, phase):
-            attempts += 1
-            if attempts > _MAX_RETRIES:
-                raise WorkerFailedError(
-                    f"send of {phase!r} to segment worker {segment} "
-                    f"(round {round_number}) still failing after "
-                    f"{_MAX_RETRIES} retries",
-                    segment=segment,
-                    round_number=round_number,
-                    phase=phase,
-                )
-            time.sleep(_RETRY_BACKOFF * attempts)
-
     def _send_window(self, t0: int, t1: int, *, inject: bool) -> None:
         for handle in self.handles:
-            if self._injector is not None:
-                for round_number in range(t0, t1):
-                    for phase in _WINDOW_PHASES:
-                        self._retry_drops(
-                            round_number, handle.segment_index, phase
-                        )
-            payload: Dict[str, Any] = {
-                "t0": t0,
-                "t1": t1,
-                "inject": inject,
-                "ring_timeout": self._ring_timeout,
-            }
-            faults = self._window_faults(t0, t1, handle.segment_index)
-            if faults is not None:
-                payload["faults"] = faults
-            self._send(handle, "window", payload, t0)
+            self._send(
+                handle, "window", {"t0": t0, "t1": t1, "inject": inject}, t0
+            )
 
     def _window_replies(self, t0: int) -> List[Dict[str, Any]]:
         """Collect one window reply per worker, blaming failures precisely.
@@ -788,17 +550,11 @@ class _ShardedCoordinator:
         rings, so a crashed worker starves its neighbours too.  Receiving in
         fixed order would blame whichever innocent neighbour happens to be
         polled first; instead sweep all pipes and, when nothing progresses,
-        look for an actually-dead worker process before declaring a hang.
+        look for an actually-dead worker process.
         """
         count = len(self.handles)
         replies: List[Optional[Dict[str, Any]]] = [None] * count
         waiting = list(range(count))
-        # Clock-free supervision: charge each not-ready poll its nominal
-        # blocking time against the heartbeat budget instead of reading a
-        # wall clock (RPR001 scope).  The effective timeout is a floor on
-        # time actually spent blocked, which is exactly what "the worker
-        # sent nothing while we waited" means.
-        budget = self._heartbeat_timeout
         while waiting:
             progressed = False
             for index in list(waiting):
@@ -808,8 +564,6 @@ class _ShardedCoordinator:
                 except (OSError, EOFError):
                     ready = True  # dead pipe: let _recv classify it
                 if not ready:
-                    if budget is not None:
-                        budget -= 0.02
                     continue
                 replies[index] = self._recv(handle, "window", t0)
                 waiting.remove(index)
@@ -825,16 +579,6 @@ class _ShardedCoordinator:
                         round_number=t0,
                         phase="window",
                     )
-            if budget is not None and budget <= 0:
-                index = waiting[0]
-                raise WorkerFailedError(
-                    f"segment worker {index} sent no window reply within "
-                    f"heartbeat_timeout={self._heartbeat_timeout:g}s; "
-                    f"treating it as hung",
-                    segment=index,
-                    round_number=t0,
-                    phase="window",
-                )
         return replies  # type: ignore[return-value]
 
     def _collect_window(self, t0: int, t1: int) -> Tuple[int, List[int], List[int]]:
@@ -857,45 +601,8 @@ class _ShardedCoordinator:
             for j in range(width)
         ]
         self._executed = t1
-        self._window_fired = [
-            record for record in self._window_fired if record[0] >= t1
-        ]
         pending = stored[-1] if stored else 0
         return pending, forwarded, stored
-
-    def _rearm_unrun_faults(self, failure: WorkerFailedError) -> None:
-        """Give back the crash/slow events of windows that never ran.
-
-        A window's directives are consumed when the window is sent, up to
-        two windows ahead of execution, but the workers stop at the first
-        disruptive event: a crash, or a delay that outlasts the heartbeat
-        timeout — or earlier, at the failure's own ``(round, phase)`` when
-        the supervisor raised it (a send that kept dropping).  Events past
-        that point never ran; they are re-armed, so the replay fires them
-        and every event of a plan costs its own restart, whatever the window
-        length.
-        """
-        shipped, self._window_fired = self._window_fired, []
-        if not shipped:
-            return
-        events = self._faults.events
-        timeout = self._heartbeat_timeout
-        stops = [
-            (round_number, rank)
-            for round_number, rank, index in shipped
-            if events[index].kind == "crash"
-            or (timeout is not None and events[index].delay >= timeout)
-        ]
-        if failure.phase in _WINDOW_PHASES and failure.round_number is not None:
-            stops.append(
-                (failure.round_number, _WINDOW_PHASES.index(failure.phase))
-            )
-        if stops:
-            stop = min(stops)
-            self._injector.rearm(
-                index for round_number, rank, index in shipped
-                if (round_number, rank) > stop
-            )
 
     def _truncate(self, to_round: int) -> None:
         """Rewind every worker's drain overshoot to ``to_round``."""
@@ -905,35 +612,18 @@ class _ShardedCoordinator:
             self._recv(handle, "truncate", to_round)
         self._executed = to_round
 
-    def _run_windows(
-        self, start_round: int, num_rounds: int, policy, pending: int
-    ) -> int:
-        """The injection loop in k-round windows, pipelined two deep.
-
-        Windows are clamped to checkpoint cuts, and a cut drains the
-        pipeline (a checkpoint needs every worker parked at the same round
-        boundary) before the per-segment snapshot protocol runs unchanged.
-        """
-        every = policy.checkpoint_every
-        windows: List[Tuple[int, int]] = []
-        t = start_round
-        while t < num_rounds:
-            t1 = min(num_rounds, t + policy.batch_rounds)
-            if every is not None:
-                t1 = min(t1, (t // every + 1) * every)
-            windows.append((t, t1))
-            t = t1
+    def _run_windows(self, num_rounds: int, policy) -> int:
+        """The injection loop in k-round windows, pipelined two deep."""
+        pending = 0
         outstanding: deque = deque()
-        for t0, t1 in windows:
+        for t0 in range(0, num_rounds, policy.batch_rounds):
+            t1 = min(num_rounds, t0 + policy.batch_rounds)
             self._send_window(t0, t1, inject=True)
             outstanding.append((t0, t1))
-            cut = every is not None and t1 % every == 0
-            while outstanding and (cut or len(outstanding) >= 2):
+            if len(outstanding) >= 2:
                 pending, _forwarded, _stored = self._collect_window(
                     *outstanding.popleft()
                 )
-            if cut:
-                self._checkpoint(policy.checkpoint_path, t1)
         while outstanding:
             pending, _forwarded, _stored = self._collect_window(
                 *outstanding.popleft()
@@ -968,117 +658,7 @@ class _ShardedCoordinator:
             t += executed
         return pending == 0
 
-    # -- recovery ----------------------------------------------------------------
-
-    def _plan_recovery(self, failure: WorkerFailedError) -> None:
-        """Decide how the next attempt runs, or re-raise if recovery is off
-        the table.  On return, ``self.segments`` / ``self._restore_paths`` /
-        ``self._resume_round`` describe the next attempt."""
-        if self._recovery_mode == "fail":
-            raise failure
-        if self._restarts >= self._max_restarts:
-            who = (
-                f"segment worker {failure.segment}"
-                if failure.segment is not None else "a segment worker"
-            )
-            raise RecoveryExhaustedError(
-                f"worker recovery budget exhausted: {self._restarts} "
-                f"restart(s) already used and {who} failed again "
-                f"(max_worker_restarts={self._max_restarts}).  Last failure: "
-                f"{failure}.  Raise RunPolicy.max_worker_restarts, or "
-                f"investigate why workers keep dying."
-            ) from failure
-        if self._recovery_mode == "fold" and len(self.segments) == 1:
-            raise RecoveryExhaustedError(
-                f"cannot fold after the failure of segment worker "
-                f"{failure.segment}: the run is down to a single segment, "
-                f"so there is no neighbouring worker to absorb it.  Use "
-                f"recovery='restart' or start with more shards."
-            ) from failure
-        started = self._clock() if self._clock is not None else None
-        self._restarts += 1
-        cut = self._load_consistent_cut()
-        if self._recovery_mode == "fold" and failure.segment is not None:
-            self._fold_segment(failure.segment, cut)
-        if cut is None:
-            # No checkpointing configured, no cut taken yet, or the cut was
-            # torn by the failure (e.g. mid-checkpoint crash): replay from
-            # round 0 with fresh workers.  Deterministic, just slower.
-            self._resume_round = 0
-            self._restore_paths = None
-            self._executed = 0
-        else:
-            self._resume_round = self._cut_rounds or 0
-            self._restore_paths = list(self._cut_paths)
-            self._executed = self._resume_round
-        if started is not None:
-            self._recovery_seconds += self._clock() - started
-
-    def _load_consistent_cut(self) -> Optional[List[Any]]:
-        """Load and validate the last per-segment checkpoint cut.
-
-        Returns the loaded :class:`~repro.checkpoint.Checkpoint` objects (in
-        segment order, aligned with ``self.segments``) or ``None`` when no
-        usable cut exists.  Validation reuses
-        :func:`~repro.checkpoint.stitch_checkpoints`: the files must agree on
-        round, spec hash, allocator position and adversary cursor — a
-        mismatch (now a typed
-        :class:`~repro.network.errors.CheckpointFormatError`) means the
-        failure tore the cut, and recovery falls back to round 0 rather than
-        resuming from inconsistent state.
-        """
-        from ..checkpoint import load_checkpoint, stitch_checkpoints
-
-        if self._cut_rounds is None or not self._cut_paths:
-            return None
-        try:
-            checkpoints = [load_checkpoint(path) for path in self._cut_paths]
-            stitched = stitch_checkpoints(checkpoints)
-        except (OSError, CheckpointError):
-            self._forget_cut()
-            return None
-        if stitched.round != self._cut_rounds:
-            self._forget_cut()
-            return None
-        return checkpoints
-
-    def _forget_cut(self) -> None:
-        self._cut_rounds = None
-        self._cut_paths = []
-
-    def _fold_segment(self, dead: int, cut: Optional[List[Any]]) -> None:
-        """Merge the dead worker's segment into a neighbour (k -> k-1).
-
-        The left neighbour absorbs it (the right one for segment 0).  With a
-        usable cut, the pair's snapshots are restitched into one merge file
-        the widened worker restores from; without one, the merged plan simply
-        replays from round 0.  The cut bookkeeping is updated in the same
-        step so it stays aligned with ``self.segments``.
-        """
-        from ..checkpoint import save_stitched
-
-        if not 0 <= dead < len(self.segments):
-            # The failure could not name its segment (or named a stale one);
-            # there is nothing to fold, so keep the plan and just respawn.
-            return
-        neighbour = dead - 1 if dead > 0 else dead + 1
-        left, right = sorted((dead, neighbour))
-        merged = (self.segments[left][0], self.segments[right][1])
-        self.segments = (
-            self.segments[:left] + [merged] + self.segments[right + 1:]
-        )
-        if cut is not None:
-            merge_path = (
-                f"{self.spec.policy.checkpoint_path}.segfold{self._restarts}"
-            )
-            save_stitched([cut[left], cut[right]], merge_path)
-            self._disk_paths.add(merge_path)
-            self._cut_paths = (
-                self._cut_paths[:left] + [merge_path]
-                + self._cut_paths[right + 1:]
-            )
-
-    # -- supervised worker commands ------------------------------------------------
+    # -- worker commands -------------------------------------------------------------
 
     def _send(
         self,
@@ -1087,19 +667,7 @@ class _ShardedCoordinator:
         payload: Dict[str, Any],
         round_number: int,
     ) -> None:
-        """One supervised send with the ``checkpoint`` faults of the plan.
-
-        The per-round phases' faults travel inside the window payload
-        (:meth:`_send_window`); the periodic snapshot command is the one
-        command a plan targets directly.
-        """
-        if self._injector is not None and command == "checkpoint":
-            directive = self._injector.directives_for(
-                round_number, handle.segment_index, command
-            )
-            if directive is not None:
-                payload = dict(payload, fault=directive)
-            self._retry_drops(round_number, handle.segment_index, command)
+        """One send; a dead pipe names the segment, round and command."""
         try:
             handle.send(command, payload)
         except WorkerFailedError as error:
@@ -1116,9 +684,9 @@ class _ShardedCoordinator:
     def _recv(
         self, handle: Any, command: str, round_number: int
     ) -> Dict[str, Any]:
-        """One supervised receive: heartbeat timeout + failure context."""
+        """One receive; a dead worker names the segment, round and command."""
         try:
-            return handle.recv(timeout=self._heartbeat_timeout)
+            return handle.recv()
         except WorkerFailedError as error:
             raise WorkerFailedError(
                 f"segment worker {handle.segment_index} failed during "
@@ -1137,63 +705,6 @@ class _ShardedCoordinator:
             self._recv(handle, command, round_number)
             for handle in self.handles
         ]
-
-    # -- checkpointing ---------------------------------------------------------------
-
-    def _checkpoint(self, path: str, rounds_done: int) -> None:
-        from ..checkpoint import load_checkpoint, save_stitched
-
-        keep = self._recovery_mode != "fail"
-        round_number = rounds_done - 1  # the round this checkpoint follows
-        segment_paths = [
-            f"{path}.seg{index}" for index in range(len(self.handles))
-        ]
-        # Two-phase cut when recovery needs the per-segment files: workers
-        # write to *.new staging names, and only after every worker replied
-        # does the coordinator rename the whole set into place.  A worker
-        # that crashes mid-checkpoint therefore tears the *new* cut, never
-        # the previous consistent one.
-        write_paths = (
-            [f"{p}.new" for p in segment_paths] if keep else segment_paths
-        )
-        for handle, write_path in zip(self.handles, write_paths):
-            self._send(
-                handle, "checkpoint", {"path": write_path}, round_number
-            )
-        for handle in self.handles:
-            self._recv(handle, "checkpoint", round_number)
-        if keep:
-            for write_path, segment_path in zip(write_paths, segment_paths):
-                os.replace(write_path, segment_path)
-        save_stitched(
-            [load_checkpoint(segment_path) for segment_path in segment_paths],
-            path,
-        )
-        if keep:
-            # The per-segment snapshots ARE the recovery cut: retain them,
-            # record the coordinator state a rewind must restore, and drop
-            # whatever scaffolding the previous cut left behind (stale
-            # higher-index files after a fold, fold merge files).
-            stale = self._disk_paths - set(segment_paths)
-            for stale_path in stale:
-                try:
-                    os.unlink(stale_path)
-                except OSError:  # pragma: no cover - best-effort cleanup
-                    pass
-            self._disk_paths = set(segment_paths)
-            self._cut_rounds = rounds_done
-            self._cut_paths = list(segment_paths)
-            return
-        # The stitched file is the product; the per-segment snapshots are
-        # scaffolding.  Remove them so periodic checkpointing does not k-fold
-        # the on-disk footprint (and a later run with fewer shards cannot
-        # leave stale higher-index files behind).  Kept only if stitching
-        # raised above — then they are the debugging evidence.
-        for segment_path in segment_paths:
-            try:
-                os.unlink(segment_path)
-            except OSError:  # pragma: no cover - best-effort cleanup
-                pass
 
     # -- result merge -----------------------------------------------------------------
 
@@ -1260,12 +771,6 @@ class _ShardedCoordinator:
         extras = {
             "adversary_sigma": replies[0]["adversary_sigma"],
             "segments": list(self.segments),
-            "recovery": {
-                "restarts": self._restarts,
-                "recovery_time_s": (
-                    self._recovery_seconds if self._clock is not None else None
-                ),
-            },
             "engine": {
                 "requested": self.spec.policy.engine,
                 "selected": "batch",
@@ -1280,11 +785,7 @@ class _ShardedCoordinator:
 
 
 def run_sharded(
-    spec: "ScenarioSpec",
-    *,
-    shards: Optional[int] = None,
-    faults: Optional[FaultPlan] = None,
-    clock: Optional[Callable[[], float]] = None,
+    spec: "ScenarioSpec", *, shards: Optional[int] = None
 ) -> Tuple[SimulationResult, Dict[str, Any]]:
     """Execute ``spec`` sharded across segment worker processes.
 
@@ -1292,25 +793,16 @@ def run_sharded(
     the line length (``shards > n`` runs one node per worker).  Returns the
     merged :class:`SimulationResult` — bit-identical to the ``shards=1``
     run — plus an extras mapping (the adversary's declared sigma, the
-    segment plan, the engine-routing record, each segment's hand-off trace,
-    and the recovery stats: how many worker restarts the run absorbed and,
-    when a ``clock`` was injected, the seconds spent restitching and
-    respawning).
+    segment plan, the engine-routing record and each segment's hand-off
+    trace).
 
     The batch kernel is the only segment engine, so ``spec.policy.engine``
     must be ``"batch"`` or ``"auto"`` and the scenario must be one the
     kernel accepts; anything else — or a host that cannot create the
     shared-memory boundary rings — raises
-    :class:`~repro.network.errors.UnshardableScenarioError`.
-
-    ``faults`` threads a deterministic
-    :class:`~repro.network.faults.FaultPlan` through the supervisor for
-    chaos runs; it never touches the spec, so results and checkpoints stay
-    byte-identical to the fault-free run whenever recovery is enabled
-    (``spec.policy.recovery``).  ``clock`` is an injectable monotonic time
-    source (e.g. ``time.perf_counter``) used only to measure
-    ``recovery_time_s``; the engine itself never reads wall-clock time, so
-    results stay deterministic with or without one.
+    :class:`~repro.network.errors.UnshardableScenarioError`.  A worker that
+    dies raises :class:`~repro.network.errors.WorkerFailedError` after every
+    worker and ring is gone.
     """
     if shards is None:
         shards = spec.policy.shards
@@ -1318,13 +810,4 @@ def run_sharded(
         raise UnshardableScenarioError(
             f"run_sharded() needs shards >= 1, got {shards!r}"
         )
-    if faults is not None and not isinstance(faults, FaultPlan):
-        raise UnshardableScenarioError(
-            f"faults must be None or a FaultPlan, got {type(faults).__name__}"
-        )
-    if clock is not None and not callable(clock):
-        raise UnshardableScenarioError(
-            f"clock must be None or a zero-argument callable returning "
-            f"seconds, got {clock!r}"
-        )
-    return _ShardedCoordinator(spec, shards, faults, clock).run()
+    return _ShardedCoordinator(spec, shards).run()

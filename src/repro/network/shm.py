@@ -24,9 +24,9 @@ write-slot-then-bump-tail sequence a safe publication without extra fences.
 
 The ring is a *transport*, never a scheduler: block contents and ordering are
 fully determined by the per-round boundary protocol, so simulation results
-cannot depend on ring timing.  Timeouts exist only for supervision — a
-vanished neighbour surfaces as :class:`~repro.network.errors.WorkerFailedError`,
-which the coordinator's recovery machinery treats exactly like a dead pipe.
+cannot depend on ring timing.  Timeouts exist only to surface a vanished
+neighbour, as :class:`~repro.network.errors.WorkerFailedError`, which the
+coordinator treats exactly like a dead pipe.
 """
 
 from __future__ import annotations
@@ -151,7 +151,7 @@ class BoundaryRing:
         return block
 
     def _wait(self, ready, timeout: float, what: str) -> None:
-        # Clock-free supervision: the budget is decremented by the nominal
+        # Clock-free timeout: the budget is decremented by the nominal
         # nap length, so the effective timeout is a floor on slept wall-clock
         # rather than an exact deadline.  Precision is irrelevant here — the
         # timeout only exists to surface a vanished neighbour — and avoiding

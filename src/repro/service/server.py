@@ -703,7 +703,13 @@ class JobService:
                 f"submit needs a 'spec' JSON object (a ScenarioSpec), got "
                 f"{type(spec_payload).__name__}"
             )
-        ScenarioSpec.from_dict(spec_payload)  # typed validation before admission
+        spec = ScenarioSpec.from_dict(spec_payload)  # typed validation before admission
+        if spec.policy.shards is not None and spec.policy.shards > 1:
+            raise SpecError(
+                f"RunPolicy.shards={spec.policy.shards}: the service "
+                f"checkpoints every job and a sharded run writes no "
+                f"checkpoints; submit the spec with shards=1"
+            )
         tenant = request.get("tenant", "default")
         if not isinstance(tenant, str) or not tenant:
             raise SpecError(f"tenant must be a non-empty string, got {tenant!r}")

@@ -57,10 +57,7 @@ def canonical_result_row(report: Any) -> Dict[str, Any]:
     the differential crash suite compares byte-for-byte between a faulted
     run and its crash-free twin.
     """
-    row = report.as_row()
-    if report.recovery is not None:
-        row["recovery"] = report.recovery
-    return row
+    return report.as_row()
 
 
 def _atomic_json(path: str, payload: Dict[str, Any]) -> None:

@@ -8,11 +8,6 @@ to the ``shards=1`` delta-engine run, across the whole vectorized family
 ({PTS, work-conserving PTS, local, downhill, greedy} x {trickle, random,
 explicit} x three history modes), on worker processes that free-run
 ``batch_rounds``-round windows over shared-memory boundary rings.
-
-Beyond the result record, the stitched checkpoint's decoded *packet table*
-(every ``packets/*`` int64 column) must match the single-process
-checkpoint's bit for bit, and an injected worker crash mid-window must
-recover to the identical result.
 """
 
 from __future__ import annotations
@@ -20,15 +15,13 @@ from __future__ import annotations
 import pytest
 
 from repro.api import Scenario, ScenarioSpec, Session
-from repro.checkpoint import load_checkpoint
 from repro.network.errors import UnshardableScenarioError
-from repro.network.faults import FaultEvent, FaultPlan
 from repro.network.sharded import run_sharded
 
 N = 16
 ROUNDS = 60
 #: Small enough that a 60-round horizon spans several windows plus a
-#: ragged drain tail; coprime with the checkpoint cadence used below.
+#: ragged drain tail.
 BATCH_ROUNDS = 13
 SHARD_COUNTS = (2, 3, 4)
 HISTORIES = ("summary", "streaming", "full")
@@ -142,7 +135,6 @@ def test_session_runs_every_algorithm_on_shm_windows(algorithm):
     report = Session().run(spec)
     assert report.result == baseline, f"{algorithm} diverged"
     assert report.engine["transport"] == "shm"
-    assert report.recovery == {"restarts": 0, "recovery_time_s": None}
 
 
 def test_shard_counts_with_one_window_spanning_the_horizon():
@@ -154,93 +146,6 @@ def test_shard_counts_with_one_window_spanning_the_horizon():
         sharded, extras = run_sharded(spec, shards=shards)
         assert sharded == baseline, f"shards={shards} diverged"
         assert extras["engine"]["transport"] == "shm"
-
-
-# ---------------------------------------------------------------------------
-# Stitched checkpoints: resume equality and the decoded packet table
-# ---------------------------------------------------------------------------
-
-
-def _checkpoint_spec(history: str, path: str, engine: str) -> ScenarioSpec:
-    return _build_spec(
-        "pts", "random", history, engine=engine,
-        checkpoint_every=20, checkpoint_path=path,
-    )
-
-
-@pytest.mark.parametrize("history", HISTORIES)
-def test_stitched_checkpoint_matches_single_process(history, tmp_path):
-    """The stitched cut equals the single-process checkpoint: same engine
-    counters, every section equal in order (the packet table and the
-    timeline maxima by node), and a resume from it finishes
-    bit-identically."""
-    single_path = str(tmp_path / "single.ckpt")
-    sharded_path = str(tmp_path / "sharded.ckpt")
-    baseline_spec = _checkpoint_spec(history, single_path, "delta")
-    baseline = Session().run(baseline_spec).result
-
-    spec = _checkpoint_spec(history, sharded_path, "batch")
-    sharded, _ = run_sharded(spec, shards=3)
-    assert sharded == baseline
-
-    stitched = load_checkpoint(sharded_path)
-    single = load_checkpoint(single_path)
-    assert stitched.round == single.round
-    for field in ("round", "injected", "delivered", "latency_sum",
-                  "latency_max", "num_nodes"):
-        assert stitched.header["engine"][field] == \
-            single.header["engine"][field]
-    assert stitched.header["next_packet_id"] == \
-        single.header["next_packet_id"]
-    assert set(stitched.sections) == set(single.sections)
-    for name in single.sections:
-        assert stitched.sections[name] == single.sections[name], (
-            f"checkpoint section {name!r} diverged"
-        )
-
-    resumed = Session().resume(sharded_path)
-    assert resumed.result == baseline
-
-
-# ---------------------------------------------------------------------------
-# Injected worker crash mid-window
-# ---------------------------------------------------------------------------
-
-
-def _crash_plan(round_number: int = 33, segment: int = 1,
-                phase: str = "begin") -> FaultPlan:
-    return FaultPlan(events=(
-        FaultEvent(kind="crash", round=round_number, segment=segment,
-                   phase=phase),
-    ))
-
-
-@pytest.mark.parametrize("phase", ["begin", "select", "finish"])
-def test_injected_crash_recovers_bit_identically(phase, tmp_path):
-    """A worker crash mid-window — at the start of round 33, whichever
-    per-round phase the plan names — restarts from the checkpoint cut and
-    the run still finishes bit-identical to the fault-free delta oracle."""
-    path = str(tmp_path / "crash.ckpt")
-    baseline = _delta_baseline("pts", "random", "full")
-    spec = _build_spec("pts", "random", "full", recovery="restart",
-                       checkpoint_every=20, checkpoint_path=path)
-    sharded, extras = run_sharded(
-        spec, shards=3, faults=_crash_plan(phase=phase),
-    )
-    assert sharded == baseline
-    assert extras["recovery"]["restarts"] == 1
-
-
-def test_injected_crash_fold_recovery_matches():
-    """Fold recovery (no checkpoint: merge the dead segment into a
-    neighbour and restitch) also preserves bit-identity in batch mode."""
-    baseline = _delta_baseline("greedy", "trickle", "summary")
-    spec = _build_spec("greedy", "trickle", "summary", recovery="fold")
-    sharded, extras = run_sharded(
-        spec, shards=3, faults=_crash_plan(),
-    )
-    assert sharded == baseline
-    assert len(extras["segments"]) == 2  # one fold happened
 
 
 # ---------------------------------------------------------------------------

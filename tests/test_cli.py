@@ -340,20 +340,32 @@ def _case_checkpoint_mismatch(tmp_path):
     )
 
 
-def _case_recovery_exhausted(tmp_path):
-    from repro.network.faults import FaultEvent, FaultPlan
+def _case_retired_recovery_key(tmp_path):
+    from repro.api import Scenario
 
-    plan = tmp_path / "plan.json"
-    plan.write_text(
-        FaultPlan(events=(FaultEvent(kind="crash", round=2, segment=0),)).to_json()
+    payload = (
+        Scenario.line(16)
+        .algorithm("pts")
+        .adversary("burst", rho=1.0, sigma=2, rounds=30)
+        .build()
+        .to_dict()
     )
+    payload["policy"]["recovery"] = "restart"
+    spec = tmp_path / "retired.json"
+    spec.write_text(json.dumps(payload))
+    return (
+        ["simulate", "--spec", str(spec)],
+        "RunPolicy.recovery was retired",
+    )
+
+
+def _case_sharded_checkpointing(tmp_path):
     return (
         ["simulate", "--algorithm", "pts", "--nodes", "16", "--rounds", "20",
-         "--shards", "2", "--engine", "batch",
-         "--recovery", "restart", "--max-worker-restarts", "0",
-         "--checkpoint-every", "5", "--checkpoint", str(tmp_path / "s.ckpt"),
-         "--faults", str(plan)],
-        "max_worker_restarts=0",
+         "--shards", "2", "--checkpoint-every", "5",
+         "--checkpoint", str(tmp_path / "s.ckpt")],
+        "RunPolicy.shards=2 cannot be combined with "
+        "RunPolicy.checkpoint_every=5",
     )
 
 
@@ -445,7 +457,8 @@ TYPED_ERROR_CASES = {
     "SpecError-workload-hpts": _case_workload_unfit_for_hpts,
     "ReproError": _case_repro_error,
     "CheckpointSpecMismatchError": _case_checkpoint_mismatch,
-    "RecoveryExhaustedError": _case_recovery_exhausted,
+    "SpecError-retired-recovery-key": _case_retired_recovery_key,
+    "SpecError-sharded-checkpointing": _case_sharded_checkpointing,
     "RegistryError": _case_unknown_greedy_policy,
     "ServiceUnavailableError": _case_service_unavailable,
     "JobNotFoundError": _case_job_not_found,
@@ -472,23 +485,12 @@ class TestTypedErrorsExitTwo:
                 cleanup()
 
 
-class TestServiceRecoveryTelemetry:
-    def test_sharded_json_row_carries_recovery(self, capsys):
-        import json
-
-        assert main(
-            ["simulate", "--algorithm", "pts", "--nodes", "16", "--rounds",
-             "30", "--shards", "2", "--engine", "batch", "--json"]
-        ) == 0
-        row = json.loads(capsys.readouterr().out)
-        assert "recovery" in row
-        assert row["recovery"]["restarts"] == 0
-
-    def test_single_process_json_row_has_no_recovery_key(self, capsys):
-        import json
-
-        assert main(
-            ["simulate", "--algorithm", "pts", "--nodes", "16", "--rounds",
-             "30", "--json"]
-        ) == 0
-        assert "recovery" not in json.loads(capsys.readouterr().out)
+@pytest.mark.parametrize("extra", [[], ["--shards", "2", "--engine", "batch"]],
+                         ids=["single-process", "sharded"])
+def test_json_row_has_no_recovery_key(capsys, extra):
+    """Sharded runs are one attempt: no row reports worker restarts."""
+    assert main(
+        ["simulate", "--algorithm", "pts", "--nodes", "16", "--rounds",
+         "30", "--json"] + extra
+    ) == 0
+    assert "recovery" not in json.loads(capsys.readouterr().out)

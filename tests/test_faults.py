@@ -1,9 +1,9 @@
 """Unit tests for the deterministic fault-injection subsystem.
 
-Fault plans are pure data: frozen, validated at construction, JSON
-round-trippable, and reproducibly samplable from a seed.  The injector is
-the only mutable piece, and its contract — crash/slow events fire exactly
-once, drop events hold a token count — is what makes chaos runs replayable.
+Fault plans are pure data: frozen, validated at construction and JSON
+round-trippable.  The injector is the only mutable piece, and its contract —
+crash/slow events fire exactly once, drop events hold a token count — is
+what makes the job service's chaos runs replayable.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import pytest
 from repro.network.errors import ConfigurationError
 from repro.network.faults import (
     FAULT_KINDS,
-    FAULT_PHASES,
     SERVICE_FAULT_PHASES,
     FaultEvent,
     FaultInjector,
@@ -28,7 +27,7 @@ from repro.network.faults import (
 
 def test_event_accepts_every_kind_and_phase():
     for kind in FAULT_KINDS:
-        for phase in FAULT_PHASES + SERVICE_FAULT_PHASES:
+        for phase in SERVICE_FAULT_PHASES:
             event = FaultEvent(
                 kind=kind, round=0, segment=0, phase=phase,
                 delay=0.1 if kind == "slow" else 0.0,
@@ -36,42 +35,36 @@ def test_event_accepts_every_kind_and_phase():
             assert event.kind == kind and event.phase == phase
 
 
-def test_service_phases_are_disjoint_from_engine_phases():
-    # Job-service plans reuse FaultEvent with lifecycle phases; the two
-    # namespaces must never collide or a plan becomes ambiguous.
-    assert set(FAULT_PHASES).isdisjoint(SERVICE_FAULT_PHASES)
+@pytest.mark.parametrize("phase", ["begin", "select", "finish", "checkpoint"])
+def test_retired_engine_phase_names_the_service_phases(phase):
+    """The per-round phases of sharded-worker fault plans are gone; naming
+    one is a typed error that lists what a plan may target."""
     assert SERVICE_FAULT_PHASES == ("queued", "running", "checkpointing",
                                     "draining")
-
-
-def test_unknown_phase_error_names_both_phase_lists():
     with pytest.raises(ConfigurationError) as excinfo:
-        FaultEvent(kind="crash", round=0, segment=0, phase="warmup")
+        FaultEvent(kind="crash", round=0, segment=0, phase=phase)
     message = str(excinfo.value)
-    for phase in FAULT_PHASES + SERVICE_FAULT_PHASES:
-        assert phase in message
-
-
-def test_sample_never_draws_service_phases():
-    # FaultPlan.sample targets the sharded engine; service plans are always
-    # written explicitly (docs/SERVICE.md).
-    plan = FaultPlan.sample(7, rounds=50, shards=4, events=12)
-    assert all(event.phase in FAULT_PHASES for event in plan.events)
+    for service_phase in SERVICE_FAULT_PHASES:
+        assert service_phase in message
 
 
 @pytest.mark.parametrize(
     "kwargs",
     [
-        {"kind": "explode", "round": 0, "segment": 0},
+        {"kind": "explode", "round": 0, "segment": 0, "phase": "running"},
         {"kind": "crash", "round": 0, "segment": 0, "phase": "warmup"},
-        {"kind": "crash", "round": -1, "segment": 0},
-        {"kind": "crash", "round": True, "segment": 0},
-        {"kind": "crash", "round": 1.5, "segment": 0},
-        {"kind": "crash", "round": 0, "segment": -2},
-        {"kind": "slow", "round": 0, "segment": 0},  # delay defaults to 0
-        {"kind": "slow", "round": 0, "segment": 0, "delay": -0.5},
-        {"kind": "drop", "round": 0, "segment": 0, "count": 0},
-        {"kind": "drop", "round": 0, "segment": 0, "count": True},
+        {"kind": "crash", "round": -1, "segment": 0, "phase": "running"},
+        {"kind": "crash", "round": True, "segment": 0, "phase": "running"},
+        {"kind": "crash", "round": 1.5, "segment": 0, "phase": "running"},
+        {"kind": "crash", "round": 0, "segment": -2, "phase": "running"},
+        # delay defaults to 0
+        {"kind": "slow", "round": 0, "segment": 0, "phase": "running"},
+        {"kind": "slow", "round": 0, "segment": 0, "phase": "running",
+         "delay": -0.5},
+        {"kind": "drop", "round": 0, "segment": 0, "phase": "queued",
+         "count": 0},
+        {"kind": "drop", "round": 0, "segment": 0, "phase": "queued",
+         "count": True},
     ],
 )
 def test_event_rejects_bad_coordinates(kwargs):
@@ -82,10 +75,13 @@ def test_event_rejects_bad_coordinates(kwargs):
 def test_event_from_dict_rejects_unknown_and_missing_keys():
     with pytest.raises(ConfigurationError, match="unknown keys"):
         FaultEvent.from_dict(
-            {"kind": "crash", "round": 1, "segment": 0, "severity": 9}
+            {"kind": "crash", "round": 1, "segment": 0, "phase": "running",
+             "severity": 9}
         )
     with pytest.raises(ConfigurationError, match="missing required key"):
         FaultEvent.from_dict({"kind": "crash", "round": 1})
+    with pytest.raises(ConfigurationError, match="'phase'"):
+        FaultEvent.from_dict({"kind": "crash", "round": 1, "segment": 0})
     with pytest.raises(ConfigurationError, match="JSON object"):
         FaultEvent.from_dict(["crash", 1, 0])  # type: ignore[arg-type]
 
@@ -96,7 +92,9 @@ def test_event_from_dict_rejects_unknown_and_missing_keys():
 
 
 def test_plan_coerces_event_lists_and_rejects_non_events():
-    plan = FaultPlan(events=[FaultEvent(kind="crash", round=2, segment=1)])
+    plan = FaultPlan(
+        events=[FaultEvent(kind="crash", round=2, segment=1, phase="running")]
+    )
     assert isinstance(plan.events, tuple)
     with pytest.raises(ConfigurationError, match="FaultEvent"):
         FaultPlan(events=({"kind": "crash"},))  # type: ignore[arg-type]
@@ -104,7 +102,9 @@ def test_plan_coerces_event_lists_and_rejects_non_events():
 
 def test_plan_truthiness_and_hashability():
     assert not FaultPlan()
-    plan = FaultPlan(events=(FaultEvent(kind="drop", round=0, segment=0),))
+    plan = FaultPlan(
+        events=(FaultEvent(kind="drop", round=0, segment=0, phase="queued"),)
+    )
     assert plan
     assert hash(plan) == hash(FaultPlan(events=plan.events))
 
@@ -112,9 +112,10 @@ def test_plan_truthiness_and_hashability():
 def test_plan_json_round_trip_is_exact():
     plan = FaultPlan(
         events=(
-            FaultEvent(kind="crash", round=7, segment=1, phase="select"),
-            FaultEvent(kind="slow", round=3, segment=0, delay=0.25),
-            FaultEvent(kind="drop", round=9, segment=2, phase="finish",
+            FaultEvent(kind="crash", round=7, segment=1, phase="running"),
+            FaultEvent(kind="slow", round=3, segment=0, phase="draining",
+                       delay=0.25),
+            FaultEvent(kind="drop", round=9, segment=2, phase="queued",
                        count=2),
         ),
         seed=99,
@@ -133,29 +134,6 @@ def test_plan_from_json_rejects_garbage_and_bad_versions():
         FaultPlan.from_dict({"events": "crash"})
 
 
-def test_sample_is_a_pure_function_of_its_arguments():
-    first = FaultPlan.sample(42, rounds=50, shards=4)
-    second = FaultPlan.sample(42, rounds=50, shards=4)
-    other = FaultPlan.sample(43, rounds=50, shards=4)
-    assert first == second
-    assert first != other
-    assert first.seed == 42
-    assert len(first.events) == 3
-    for event in first.events:
-        assert 0 <= event.round < 50
-        assert 0 <= event.segment < 4
-
-
-def test_sample_validates_bounds_and_kinds():
-    with pytest.raises(ConfigurationError):
-        FaultPlan.sample(1, rounds=0, shards=2)
-    with pytest.raises(ConfigurationError):
-        FaultPlan.sample(1, rounds=5, shards=2, kinds=("crash", "meteor"))
-    crashes_only = FaultPlan.sample(7, rounds=5, shards=2, events=5,
-                                    kinds=("crash",))
-    assert all(event.kind == "crash" for event in crashes_only.events)
-
-
 # ---------------------------------------------------------------------------
 # FaultInjector consumption semantics
 # ---------------------------------------------------------------------------
@@ -164,44 +142,48 @@ def test_sample_validates_bounds_and_kinds():
 def test_crash_and_slow_fire_exactly_once():
     plan = FaultPlan(
         events=(
-            FaultEvent(kind="crash", round=4, segment=1, phase="begin"),
-            FaultEvent(kind="slow", round=4, segment=1, phase="begin",
+            FaultEvent(kind="crash", round=4, segment=1, phase="running"),
+            FaultEvent(kind="slow", round=4, segment=1, phase="running",
                        delay=0.5),
         )
     )
     injector = FaultInjector(plan)
     assert injector.pending() == 2
-    directive = injector.directives_for(4, 1, "begin")
+    directive = injector.directives_for(4, 1, "running")
     assert directive == {"crash": True, "delay": 0.5}
-    # A recovered run replaying the same round must not re-fire.
-    assert injector.directives_for(4, 1, "begin") is None
+    # Reaching the same coordinate again must not re-fire.
+    assert injector.directives_for(4, 1, "running") is None
     assert injector.pending() == 0
 
 
 def test_directives_ignore_non_matching_coordinates():
     injector = FaultInjector(
-        FaultPlan(events=(FaultEvent(kind="crash", round=2, segment=0),))
+        FaultPlan(events=(
+            FaultEvent(kind="crash", round=2, segment=0, phase="running"),
+        ))
     )
-    assert injector.directives_for(2, 1, "begin") is None
-    assert injector.directives_for(3, 0, "begin") is None
-    assert injector.directives_for(2, 0, "select") is None
+    assert injector.directives_for(2, 1, "running") is None
+    assert injector.directives_for(3, 0, "running") is None
+    assert injector.directives_for(2, 0, "checkpointing") is None
     assert injector.pending() == 1
 
 
 def test_drop_tokens_burn_one_per_failed_send():
     injector = FaultInjector(
         FaultPlan(events=(
-            FaultEvent(kind="drop", round=6, segment=2, phase="select",
+            FaultEvent(kind="drop", round=6, segment=2, phase="queued",
                        count=2),
         ))
     )
-    assert injector.drop_next_send(6, 2, "select") is True
-    assert injector.drop_next_send(6, 2, "select") is True
-    assert injector.drop_next_send(6, 2, "select") is False
+    assert injector.drop_next_send(6, 2, "queued") is True
+    assert injector.drop_next_send(6, 2, "queued") is True
+    assert injector.drop_next_send(6, 2, "queued") is False
     assert injector.pending() == 0
     # Drops never surface through the crash/slow channel.
     fresh = FaultInjector(
-        FaultPlan(events=(FaultEvent(kind="drop", round=1, segment=0),))
+        FaultPlan(events=(
+            FaultEvent(kind="drop", round=1, segment=0, phase="queued"),
+        ))
     )
-    assert fresh.directives_for(1, 0, "begin") is None
+    assert fresh.directives_for(1, 0, "queued") is None
     assert fresh.pending() == 1

@@ -9,16 +9,13 @@ destination, injected round, arrival round), shipped back to the
 coordinator as ``extras["handoff_traces"]``.
 
 Fuzzed law: for random scenario shapes x random segmentations x random
-window lengths — including horizons that tear the last window, drain
-tails that stop mid-window and checkpoint cuts that clamp windows — the
-per-segment traces are byte-identical to those of one-round windows (the
+window lengths — including horizons that tear the last window and drain
+tails that stop mid-window — the per-segment traces are byte-identical to those of one-round windows (the
 lockstep schedule), and every run produces the delta oracle's
 :class:`SimulationResult`.
 """
 
 from __future__ import annotations
-
-import os
 
 from hypothesis import given, settings, strategies as st
 
@@ -117,41 +114,3 @@ def test_shm_ingested_blocks_independent_of_window_length(scenario):
             assert 0 <= dst <= n
             assert 0 <= injected <= round_number
             assert 0 <= arrival <= round_number
-
-
-@settings(max_examples=6, deadline=None)
-@given(
-    scenario=scenarios(),
-    checkpoint_every=st.integers(min_value=1, max_value=12),
-)
-def test_checkpoint_cuts_tear_windows_identically(
-    scenario, checkpoint_every, tmp_path_factory
-):
-    """Checkpoint cuts clamp windows mid-flight; the torn windows must
-    ingest the same blocks as the uncut run, and the stitched cut must
-    resume to the uninterrupted result."""
-    n, shards, *_ = scenario
-    directory = tmp_path_factory.mktemp("shm-handoff")
-    base_spec = _build_spec(scenario)
-    _uncut_result, uncut_extras = run_sharded(base_spec, shards=shards)
-
-    def checkpointed(path, **policy):
-        return Scenario.from_spec(base_spec).policy(
-            checkpoint_every=checkpoint_every, checkpoint_path=path, **policy
-        ).build()
-
-    delta_path = str(directory / "delta.ckpt")
-    uninterrupted = Session().run(
-        checkpointed(delta_path, engine="delta")
-    ).result
-
-    shm_path = str(directory / "shm.ckpt")
-    result, extras = run_sharded(checkpointed(shm_path), shards=shards)
-    assert result == uninterrupted
-    assert _traces(extras) == _traces(uncut_extras)
-    # A degenerate horizon (no injections, zero rounds executed) writes no
-    # cut on any engine; the sharded run must agree with the oracle on that.
-    assert os.path.exists(shm_path) == os.path.exists(delta_path)
-    if os.path.exists(shm_path):
-        resumed = Session().resume(shm_path)
-        assert resumed.result == uninterrupted

@@ -142,6 +142,37 @@ class TestAdmission:
         finally:
             service.stop()
 
+    def test_retired_policy_keys_at_their_defaults_run(self, tmp_path):
+        """A spec written while RunPolicy had recovery knobs is journaled
+        as submitted and still runs: the worker drops the retired keys."""
+        from repro.api.specs import RETIRED_POLICY_FIELDS
+
+        spec = tiny_spec(name="legacy")
+        spec["policy"].update(RETIRED_POLICY_FIELDS)
+        service = make_service(tmp_path).start()
+        try:
+            client = ServiceClient(service.socket_path)
+            view = client.wait(client.submit(spec)["job"], timeout=90)
+            assert view["state"] == "done"
+            assert view["result"]["scenario"] == "legacy"
+        finally:
+            service.stop()
+
+    def test_sharded_spec_is_rejected_before_admission(self, tmp_path):
+        """Every job checkpoints and a sharded run writes no checkpoints."""
+        from repro.api.specs import SpecError
+
+        spec = tiny_spec()
+        spec["policy"]["shards"] = 2
+        service = make_service(tmp_path).start()
+        try:
+            client = ServiceClient(service.socket_path)
+            with pytest.raises(SpecError, match="shards=1"):
+                client.submit(spec)
+            assert client.ls() == []
+        finally:
+            service.stop()
+
 
 class TestTypedWorkerFailure:
     def test_deterministic_failure_is_not_retried(self, tmp_path):

@@ -26,15 +26,14 @@ from repro.api import (
 )
 from repro.api.session import build_topology
 from repro.core.packet import packet_id_scope
+from repro.network.batch_sharded import BatchSegmentSimulator
 from repro.network.errors import (
-    RecoveryExhaustedError,
     ReproError,
     ShardingError,
     UnshardableScenarioError,
     WorkerFailedError,
 )
 from repro.network import sharded as sharded_module
-from repro.network.faults import FaultEvent, FaultPlan
 from repro.network.sharded import plan_segments, run_sharded
 from repro.network.topology import LineTopology
 
@@ -144,7 +143,6 @@ def test_segment_filter_delegates_envelope_and_cursor():
         assert wrapped.rho == prepared.adversary.rho
         assert wrapped.sigma == prepared.adversary.sigma
         assert wrapped.horizon == prepared.adversary.horizon
-        assert wrapped.checkpoint_kind == "StreamingAdversary"
         wrapped.injections_for_round(0)
         assert wrapped.cursor() == prepared.adversary.cursor()
 
@@ -322,6 +320,16 @@ def test_run_policy_shards_validation():
     assert round_tripped == RunPolicy(shards=4)
 
 
+def test_sharded_policy_refuses_checkpointing():
+    """A sharded run writes no checkpoints: the combination is refused when
+    the policy is built, naming both fields."""
+    with pytest.raises(SpecError) as excinfo:
+        RunPolicy(shards=2, checkpoint_every=5, checkpoint_path="run.ckpt")
+    assert "shards" in str(excinfo.value)
+    assert "checkpoint_every" in str(excinfo.value)
+    assert RunPolicy(shards=1, checkpoint_every=5, checkpoint_path="run.ckpt")
+
+
 def test_run_many_use_processes_raises_typed_error_for_live_items():
     """Satellite fix: a clear, typed (ReproError) message — never a bare
     ValueError — when live PreparedRun items meet use_processes=True."""
@@ -480,16 +488,10 @@ def test_cli_shards_matches_unsharded_row(capsys):
     single_row = json.loads(capsys.readouterr().out)
     main(argv + ["--shards", "3", "--engine", "batch"])
     sharded_row = json.loads(capsys.readouterr().out)
-    # Sharded rows additionally surface the supervisor's recovery telemetry
-    # (a fault-free run reports zero restarts) and the engine routing
-    # record; the result itself must stay bit-identical to the
-    # single-process delta row.
-    assert sharded_row.pop("recovery") == {
-        "restarts": 0, "recovery_time_s": None
-    }
+    # Sharded rows additionally surface the engine routing record; the
+    # result itself must stay bit-identical to the single-process delta row.
     assert sharded_row.pop("engine")["selected"] == "batch"
     assert sharded_row == single_row
-    assert "recovery" not in single_row
 
 
 # ---------------------------------------------------------------------------
@@ -520,207 +522,62 @@ def test_topology_is_built_once_per_worker_not_shared():
 
 
 # ---------------------------------------------------------------------------
-# Supervision: heartbeats, retries, recovery on real worker processes
+# A dead worker: one typed error, nothing left behind
 # ---------------------------------------------------------------------------
 
 
-def _crash_plan(round_number: int, segment: int, phase: str = "begin") -> FaultPlan:
-    return FaultPlan(events=(
-        FaultEvent(kind="crash", round=round_number, segment=segment,
-                   phase=phase),
-    ))
+def _exit_at(monkeypatch, segment: int, round_number: int) -> None:
+    """Make ``segment``'s worker exit hard (``os._exit``, as a SIGKILL'd or
+    OOM-killed process would) when its window reaches ``round_number``.
+    The patch is in place before ``run_sharded`` forks, so workers inherit
+    it."""
+    real = BatchSegmentSimulator.run_window
+
+    def run_window(self, t0, t1, **kwargs):
+        if self.segment_index == segment and t0 <= round_number < t1:
+            real(self, t0, round_number, **kwargs)
+            os._exit(70)
+        return real(self, t0, t1, **kwargs)
+
+    monkeypatch.setattr(BatchSegmentSimulator, "run_window", run_window)
 
 
-def test_run_sharded_validates_faults_and_clock(monkeypatch):
-    def spawn(*args, **kwargs):
-        raise AssertionError("a worker was spawned for invalid arguments")
-
-    monkeypatch.setattr(sharded_module, "_spawn_workers", spawn)
-    spec = _line_spec()
-    with pytest.raises(UnshardableScenarioError, match="FaultPlan"):
-        run_sharded(spec, shards=2, faults={"events": []})
-    with pytest.raises(UnshardableScenarioError, match="clock"):
-        run_sharded(spec, shards=2, clock=12.5)
-
-
-def test_recovery_error_hierarchy():
+def test_error_family():
     assert issubclass(WorkerFailedError, ShardingError)
-    assert issubclass(RecoveryExhaustedError, ShardingError)
     assert issubclass(WorkerFailedError, ReproError)
-    error = WorkerFailedError("boom", segment=2, round_number=5, phase="begin")
-    assert (error.segment, error.round_number, error.phase) == (2, 5, "begin")
+    error = WorkerFailedError("boom", segment=2, round_number=5, phase="window")
+    assert (error.segment, error.round_number, error.phase) == (2, 5, "window")
 
 
-def test_process_worker_hard_crash_recovers():
-    """A real worker process dying mid-run (os._exit) is detected, respawned
-    and the run still matches its fault-free twin."""
-    spec = _line_spec(shards=3, recovery="restart", max_worker_restarts=2)
+@pytest.mark.parametrize(
+    "segment, round_number",
+    [(1, 12), (2, 29)],
+    ids=["injection-window", "drain-window"],
+)
+def test_dead_worker_raises_typed_error_and_leaves_nothing(
+    segment, round_number, monkeypatch
+):
+    """A worker that dies mid-window ends the run with WorkerFailedError
+    naming its segment; every worker and boundary ring is gone after."""
+    spec = _line_spec(shards=3, batch_rounds=8)
+    horizon = spec.adversary.rounds
     baseline, _ = run_sharded(spec)
-    recovered, extras = run_sharded(
-        spec, faults=_crash_plan(9, 1, "finish")
-    )
-    assert recovered == baseline
-    assert extras["recovery"]["restarts"] == 1
+    # Windows are [0, 8), [8, 16), ... while injecting and [25, 33), ...
+    # while draining: round 12 is mid-injection, round 29 mid-drain.
+    assert 8 < 12 < 16 <= horizon < 29 < baseline.rounds_executed
+    shm_before = _shm_segments()
+    _exit_at(monkeypatch, segment, round_number)
+    with pytest.raises(WorkerFailedError) as excinfo:
+        run_sharded(spec)
+    assert excinfo.value.segment == segment
+    assert f"segment worker {segment}" in str(excinfo.value)
+    _assert_nothing_left_behind(shm_before)
 
 
-def test_heartbeat_timeout_detects_hung_worker():
-    """A worker stalled well past heartbeat_timeout is declared failed and
-    replaced; the injected delay fires only once, so the retry completes."""
-    spec = _line_spec(shards=2, recovery="restart", max_worker_restarts=2,
-                      heartbeat_timeout=0.25)
-    baseline, _ = run_sharded(spec)
-    slow = FaultPlan(events=(
-        FaultEvent(kind="slow", round=5, segment=1, phase="begin", delay=5.0),
-    ))
-    recovered, extras = run_sharded(spec, faults=slow)
-    assert recovered == baseline
-    assert extras["recovery"]["restarts"] == 1
-
-
-def test_dropped_sends_are_retried_without_recovery():
-    """Simulated send loss within the retry budget is absorbed by backoff
-    alone — no worker restart, identical results."""
-    spec = _line_spec(shards=3, recovery="restart", max_worker_restarts=2)
-    baseline, _ = run_sharded(spec)
-    drops = FaultPlan(events=(
-        FaultEvent(kind="drop", round=4, segment=0, phase="select", count=2),
-    ))
-    recovered, extras = run_sharded(spec, faults=drops)
-    assert recovered == baseline
-    assert extras["recovery"]["restarts"] == 0
-
-
-def test_drop_exhaustion_escalates_to_recovery():
-    """More consecutive losses than max_retries marks the worker failed;
-    the supervisor then recovers instead of looping forever.  count=5 burns
-    the full retry budget once (3 attempts), escalates, and leaves the
-    replayed window enough tokens to fail twice more before the retry
-    succeeds — one restart, no exhaustion."""
-    spec = _line_spec(shards=3, recovery="restart", max_worker_restarts=2)
-    baseline, _ = run_sharded(spec)
-    drops = FaultPlan(events=(
-        FaultEvent(kind="drop", round=4, segment=0, phase="select", count=5),
-    ))
-    recovered, extras = run_sharded(spec, faults=drops)
-    assert recovered == baseline
-    assert extras["recovery"]["restarts"] == 1
-
-
-@pytest.mark.parametrize("first", [
-    FaultEvent(kind="crash", round=3, segment=0),
-    FaultEvent(kind="slow", round=3, segment=1, delay=5.0),
-], ids=["crash", "hang"])
-@pytest.mark.parametrize("batch_rounds", [1, 64],
-                         ids=["one-round-windows", "window"])
-def test_each_failure_in_one_window_costs_its_own_restart(first, batch_rounds):
-    """A window ships its rounds' directives before it runs, but the events
-    past the first failure never ran: the replay must fire them, so two
-    failures inside one window cost two restarts, as they do when every
-    window is a single round."""
-    spec = _line_spec(shards=3, recovery="restart", max_worker_restarts=3,
-                      heartbeat_timeout=0.25, batch_rounds=batch_rounds)
-    baseline, _ = run_sharded(spec)
-    plan = FaultPlan(events=(
-        first, FaultEvent(kind="crash", round=6, segment=1, phase="finish"),
-    ))
-    recovered, extras = run_sharded(spec, faults=plan)
-    assert recovered == baseline
-    assert extras["recovery"]["restarts"] == 2
-
-
-def test_recovery_extras_report_wall_clock_time():
-    """An injected clock makes recovery_time_s observable and deterministic
-    to assert against (monotonic fake, no real time reads)."""
-    ticks = iter(range(100))
-    spec = _line_spec(shards=2, recovery="restart", max_worker_restarts=2)
-    baseline, _ = run_sharded(spec)
-    recovered, extras = run_sharded(
-        spec, faults=_crash_plan(6, 0),
-        clock=lambda: float(next(ticks)),
-    )
-    assert recovered == baseline
-    assert extras["recovery"]["restarts"] == 1
-    assert extras["recovery"]["recovery_time_s"] == 1.0
-    # Without a clock the metric is absent-but-present: explicitly None.
-    _, no_clock_extras = run_sharded(spec, faults=_crash_plan(6, 0))
-    assert no_clock_extras["recovery"]["recovery_time_s"] is None
-
-
-def test_session_threads_faults_and_recovers(tmp_path):
-    """Session.run(spec, faults=...) reaches the sharded supervisor."""
-    spec = _line_spec(shards=3, recovery="restart", max_worker_restarts=2)
-    baseline = Session().run(spec)
-    recovered = Session().run(spec, faults=_crash_plan(7, 2))
-    assert recovered.result == baseline.result
-    assert recovered.bound == baseline.bound
-
-
-def test_session_rejects_faults_without_sharding():
-    spec = _line_spec()
-    with pytest.raises(SpecError, match="shards"):
-        Session().run(spec, faults=_crash_plan(1, 0))
-
-
-def test_cli_recovery_flags_and_fault_plan(tmp_path, capsys):
-    import json
-
-    from repro.cli import main
-
-    spec = _line_spec()
-    spec_path = tmp_path / "spec.json"
-    spec_path.write_text(spec.to_json())
-    base_argv = [
-        "simulate", "--spec", str(spec_path), "--shards", "3", "--json",
-    ]
-    assert main(base_argv) in (0, 1)
-    baseline_row = json.loads(capsys.readouterr().out)
-
-    plan_path = tmp_path / "plan.json"
-    plan_path.write_text(_crash_plan(8, 1, "select").to_json())
-    chaos_argv = base_argv + [
-        "--recovery", "restart", "--max-worker-restarts", "2",
-        "--heartbeat-timeout", "30", "--faults", str(plan_path),
-    ]
-    assert main(chaos_argv) in (0, 1)
-    chaos_row = json.loads(capsys.readouterr().out)
-    # The recovery telemetry is exactly what distinguishes the two runs —
-    # one absorbed restart — while the result row stays bit-identical.
-    assert baseline_row.pop("recovery")["restarts"] == 0
-    assert chaos_row.pop("recovery")["restarts"] == 1
-    assert chaos_row == baseline_row
-
-
-def test_cli_exhausted_recovery_budget_exits_2(tmp_path, capsys):
-    from repro.cli import main
-
-    spec = _line_spec()
-    spec_path = tmp_path / "spec.json"
-    spec_path.write_text(spec.to_json())
-    plan_path = tmp_path / "plan.json"
-    plan = FaultPlan(events=(
-        FaultEvent(kind="crash", round=3, segment=0),
-        FaultEvent(kind="crash", round=6, segment=1),
-    ))
-    plan_path.write_text(plan.to_json())
-    exit_code = main([
-        "simulate", "--spec", str(spec_path), "--shards", "3",
-        "--recovery", "restart", "--max-worker-restarts", "1",
-        "--faults", str(plan_path),
-    ])
-    captured = capsys.readouterr()
-    assert exit_code == 2
-    assert "recovery budget exhausted" in captured.err
-
-
-def test_cli_faults_with_resume_is_refused(tmp_path, capsys):
-    from repro.cli import main
-
-    plan_path = tmp_path / "plan.json"
-    plan_path.write_text(_crash_plan(1, 0).to_json())
-    exit_code = main([
-        "simulate", "--resume", str(tmp_path / "missing.ckpt"),
-        "--faults", str(plan_path),
-    ])
-    captured = capsys.readouterr()
-    assert exit_code == 2
-    assert "--resume" in captured.err
+def test_session_run_propagates_the_dead_worker(monkeypatch):
+    spec = _line_spec(shards=2, batch_rounds=8)
+    shm_before = _shm_segments()
+    _exit_at(monkeypatch, 0, 5)
+    with pytest.raises(WorkerFailedError, match="segment worker 0"):
+        Session().run(spec)
+    _assert_nothing_left_behind(shm_before)
