@@ -369,6 +369,31 @@ def _case_sharded_checkpointing(tmp_path):
     )
 
 
+def _case_dead_worker(tmp_path):
+    """A sharded run whose worker 0 exits mid-window (patched before the
+    workers fork) exits 2 naming the segment."""
+    from repro.network.batch_sharded import BatchSegmentSimulator
+
+    real = BatchSegmentSimulator.run_window
+
+    def run_window(self, t0, t1, **kwargs):
+        if self.segment_index == 0 and t0 <= 5 < t1:
+            os._exit(70)
+        return real(self, t0, t1, **kwargs)
+
+    BatchSegmentSimulator.run_window = run_window
+
+    def restore():
+        BatchSegmentSimulator.run_window = real
+
+    return (
+        ["simulate", "--algorithm", "pts", "--nodes", "16", "--rounds", "20",
+         "--shards", "2", "--engine", "batch"],
+        "segment worker 0",
+        restore,
+    )
+
+
 def _case_unknown_greedy_policy(tmp_path):
     return (
         ["simulate", "--algorithm", "greedy", "--policy", "BOGUS", "--nodes", "24",
@@ -460,6 +485,7 @@ TYPED_ERROR_CASES = {
     "SpecError-retired-recovery-key": _case_retired_recovery_key,
     "SpecError-sharded-checkpointing": _case_sharded_checkpointing,
     "RegistryError": _case_unknown_greedy_policy,
+    "WorkerFailedError": _case_dead_worker,
     "ServiceUnavailableError": _case_service_unavailable,
     "JobNotFoundError": _case_job_not_found,
 }

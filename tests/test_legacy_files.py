@@ -2,7 +2,7 @@
 
 ``RunPolicy`` used to carry ``recovery``, ``max_worker_restarts`` and
 ``heartbeat_timeout``, and the sharded engine used to stitch per-segment
-snapshots into one checkpoint.  Both fixtures under ``tests/regressions/``
+snapshots into one checkpoint.  The fixtures under ``tests/regressions/``
 were written by that code:
 
 * ``spec_retired_recovery_keys.json`` — a two-shard PTS spec whose policy
@@ -10,7 +10,9 @@ were written by that code:
 * ``checkpoint_stitched_two_segments.ckpt`` — the stitched cut at round 30
   of the same scenario run with ``checkpoint_every=15`` on two workers; its
   embedded spec combines ``shards=2`` with ``checkpoint_every``, which a
-  policy built today refuses.
+  policy built today refuses;
+* ``checkpoint_stitched_{pts,greedy}_{history}.ckpt`` — stitched cuts of
+  three-worker runs in the other history modes (see ``STITCHED_MATRIX``).
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.api import RunPolicy, ScenarioSpec, Session, SpecError
+from repro.api import RunPolicy, Scenario, ScenarioSpec, Session, SpecError
 from repro.api.specs import RETIRED_POLICY_FIELDS
 from repro.checkpoint import load_checkpoint, resume_spec_hash, verify_spec
 from repro.cli import main
@@ -130,3 +132,104 @@ def test_cli_resumes_the_stitched_checkpoint(stitched, capsys, extra):
     assert row["packets"] == expected["packets"]
     assert row["delivered"] == expected["delivered"]
     assert row["max_latency"] == expected["max_latency"]
+
+
+# -- stitched checkpoints of every history mode ---------------------------------------
+
+#: Stitched cuts written the same way on three workers (``shards=3`` and
+#: ``checkpoint_every`` in the embedded policy), one per history mode the old
+#: stitcher re-sorted differently: PTS under a single-destination adversary
+#: (60 rounds, a cut every 20, ``batch_rounds=13``) and greedy under a
+#: three-destination one (30 rounds, a cut every 7).
+STITCHED_MATRIX = {
+    f"{algorithm}-{history}": (
+        REGRESSIONS / f"checkpoint_stitched_{algorithm}_{history}.ckpt",
+        cut,
+        cadence,
+    )
+    for algorithm, cut, cadence in (("pts", 60, 20), ("greedy", 28, 7))
+    for history in ("summary", "streaming", "full")
+    if (algorithm, history) != ("pts", "summary")
+}
+
+
+def _embedded_single_process(checkpoint) -> ScenarioSpec:
+    """The embedded spec of a stitched cut as one uninterrupted process."""
+    payload = json.loads(json.dumps(checkpoint.spec))
+    for name in ("shards", "checkpoint_every", "checkpoint_path"):
+        payload["policy"][name] = None
+    return ScenarioSpec.from_dict(payload)
+
+
+@pytest.fixture(params=sorted(STITCHED_MATRIX))
+def stitched_cell(request, tmp_path, monkeypatch):
+    """(copied path, cut round, cadence) of one matrix fixture, in a temporary
+    working directory (the embedded ``checkpoint_path`` is relative)."""
+    source, cut, cadence = STITCHED_MATRIX[request.param]
+    monkeypatch.chdir(tmp_path)
+    return str(shutil.copy(source, tmp_path / source.name)), cut, cadence
+
+
+def test_stitched_matrix_fixture_is_what_a_policy_now_refuses(stitched_cell):
+    path, cut, cadence = stitched_cell
+    checkpoint = load_checkpoint(path)
+    assert checkpoint.round == cut
+    policy = checkpoint.spec["policy"]
+    assert (policy["shards"], policy["checkpoint_every"]) == (3, cadence)
+    for name, default in RETIRED_POLICY_FIELDS.items():
+        assert policy[name] == default
+    with pytest.raises(SpecError, match="shards.*checkpoint_every"):
+        ScenarioSpec.from_dict(checkpoint.spec)
+
+
+def test_stitched_matrix_resume_hash_verifies(stitched_cell):
+    checkpoint = load_checkpoint(stitched_cell[0])
+    spec = _embedded_single_process(checkpoint)
+    assert resume_spec_hash(spec) == checkpoint.spec_hash
+    verify_spec(checkpoint, spec)
+
+
+@pytest.mark.parametrize("explicit", [False, True], ids=["embedded", "explicit"])
+def test_stitched_matrix_resumes_bit_identically(stitched_cell, explicit):
+    path = stitched_cell[0]
+    spec = _embedded_single_process(load_checkpoint(path))
+    uninterrupted = Session().run(spec).result
+    resumed = Session().resume(path, spec=spec if explicit else None)
+    assert resumed.result == uninterrupted
+
+
+def test_stitched_matrix_equals_a_single_process_cut(stitched_cell, tmp_path):
+    """The stitched file holds, section by section, what one process writes
+    today at the same cut: the engine counters, the packet table, the
+    buffers, the timeline and (streaming) the injection store."""
+    path, cut, cadence = stitched_cell
+    stitched = load_checkpoint(path)
+    single_path = str(tmp_path / "single.ckpt")
+    spec = Scenario.from_spec(_embedded_single_process(stitched)).policy(
+        engine="delta", checkpoint_every=cadence, checkpoint_path=single_path,
+    ).build()
+    Session().run(spec)
+    single = load_checkpoint(single_path)
+    assert single.round == stitched.round == cut
+    for field in ("round", "injected", "delivered", "latency_sum",
+                  "latency_max", "num_nodes"):
+        assert stitched.header["engine"][field] == \
+            single.header["engine"][field]
+    assert stitched.header["next_packet_id"] == single.header["next_packet_id"]
+    assert set(stitched.sections) == set(single.sections)
+    for name in single.sections:
+        assert stitched.sections[name] == single.sections[name], name
+
+
+@pytest.mark.parametrize("algorithm", ["pts", "greedy"])
+def test_stitched_streaming_file_is_a_plain_checkpoint(algorithm):
+    """A stitched streaming cut names the streaming adversary (no segment
+    wrapper) and keeps its packet table and injection store in global id
+    order, as a single-process file does."""
+    checkpoint = load_checkpoint(
+        REGRESSIONS / f"checkpoint_stitched_{algorithm}_streaming.ckpt"
+    )
+    assert checkpoint.header["adversary"]["kind"] == "StreamingAdversary"
+    for section in ("packets/ids", "store/ids"):
+        ids = list(checkpoint.section(section))
+        assert ids and ids == sorted(ids), section
