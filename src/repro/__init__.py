@@ -4,8 +4,9 @@ A from-scratch reproduction of *"With Great Speed Come Small Buffers:
 Space-Bandwidth Tradeoffs for Routing"* (Miller, Patt-Shamir, Rosenbaum,
 PODC 2019 / arXiv:1902.08069): an executable Adversarial Queuing Theory
 simulator, the paper's PTS / PPTS / HPTS forwarding algorithms and their tree
-variants, the Section 5 lower-bound adversary, greedy baselines, and an
-experiment harness that regenerates every bound as a measured-vs-theory table.
+variants, the Section 5 lower-bound adversary and greedy baselines.  The
+``benchmarks/bench_*.py`` scripts regenerate every bound as a
+measured-vs-theory table through the scenario API below.
 
 Quickstart
 ----------
@@ -82,16 +83,7 @@ from .core import (
     bounds,
     make_injection,
 )
-from .experiments import (
-    EXPERIMENTS,
-    get_experiment,
-    hierarchical_workload,
-    lower_bound_workload,
-    multi_destination_workload,
-    run_workload,
-    single_destination_workload,
-    tree_workload,
-)
+from .experiments import EXPERIMENTS, get_experiment
 from .network import (
     ForestTopology,
     LineTopology,
@@ -158,12 +150,6 @@ __all__ = [
     "make_injection",
     "EXPERIMENTS",
     "get_experiment",
-    "hierarchical_workload",
-    "lower_bound_workload",
-    "multi_destination_workload",
-    "run_workload",
-    "single_destination_workload",
-    "tree_workload",
     "ForestTopology",
     "LineTopology",
     "SimulationResult",

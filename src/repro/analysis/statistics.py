@@ -3,8 +3,8 @@
 Benchmarks and examples usually report a single deterministic run per
 parameter point; for randomized adversaries it is often more informative to
 aggregate several seeds.  These helpers compute the usual summary statistics
-(numpy-backed) and confidence-style spreads over a collection of
-:class:`~repro.experiments.harness.ExperimentRow` or plain numbers, grouped by
+(numpy-backed) and confidence-style spreads over a collection of dict rows
+(such as :meth:`repro.api.RunReport.as_row`) or plain numbers, grouped by
 arbitrary parameter keys.
 """
 

@@ -5,7 +5,7 @@ adversary x forwarding algorithm x run policy*.  This package makes that
 quadruple a first-class, serialisable object (:class:`ScenarioSpec`) and
 provides one engine (:class:`Session`) that executes it, replacing the
 hand-wired constructor plumbing previously duplicated across the CLI,
-benchmarks, examples and the experiment harness.
+benchmarks and examples.
 
 Quickstart
 ----------
@@ -24,7 +24,7 @@ Fluent builder (the usual entry point)::
     print(report.max_occupancy, "<=", report.bound)
 
 Batched sweeps share one :class:`Session` (cached topologies, per-run
-packet-id scoping, an opt-in process pool)::
+packet-id scoping; the batch runs in order in this process)::
 
     from repro.api import Scenario, Session
 
@@ -52,7 +52,9 @@ A :class:`ScenarioSpec` round-trips through ``to_dict``/``from_dict`` and
                     "rounds": 300, "params": {"num_destinations": 8}},
       "policy":    {"rounds": null, "drain": true, "max_drain_rounds": null,
                     "record_history": false, "record_occupancy_vectors": false,
-                    "validate_capacity": true, "seed": null}
+                    "history": null, "validate_capacity": true, "seed": null,
+                    "checkpoint_every": null, "checkpoint_path": null,
+                    "shards": null, "engine": "auto", "batch_rounds": 64}
     }
 
 * ``topology.kind`` selects a :data:`TOPOLOGIES` entry.  Built-ins:
@@ -70,9 +72,14 @@ A :class:`ScenarioSpec` round-trips through ``to_dict``/``from_dict`` and
   ``"hierarchy"``, ``"bounded"`` (alias ``random``), ``"single"``,
   ``"bursty"``, ``"convergecast"``, ``"hotspot"``, ``"blocking"``,
   ``"lower-bound"``.
-* ``policy`` drives the engine: injection-round override, drain behaviour,
-  history recording, capacity validation, and the per-run RNG ``seed``
-  (forwarded to adversary builders that accept one).
+* ``policy`` (:class:`RunPolicy`, every field optional) drives the engine:
+  injection-round override, drain behaviour and its cap, history recording
+  (``history``: ``"full"`` / ``"summary"`` / ``"streaming"``), capacity
+  validation, the per-run RNG ``seed`` (forwarded to adversary builders that
+  accept one), periodic snapshots (``checkpoint_every`` rounds to
+  ``checkpoint_path``), line partitioning over worker processes
+  (``shards``), the round engine (``engine``: ``"auto"`` / ``"batch"`` /
+  ``"delta"``) and the batch kernel's window size (``batch_rounds``).
 
 Extension points
 ----------------

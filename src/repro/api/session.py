@@ -7,8 +7,7 @@ A :class:`Session` turns declarative specs into simulations:
   127-node random tree once per sweep, not once per run),
 * every run executes inside a fresh :func:`repro.core.packet.packet_id_scope`,
   so packet ids (and therefore results) are deterministic and independent of
-  what ran before — which also makes :meth:`Session.run_many`'s process-pool
-  fan-out return exactly what running in order does,
+  what ran before,
 * results come back as :class:`RunReport` rows carrying the measured maximum
   occupancy next to the algorithm's closed-form bound.
 """
@@ -16,7 +15,6 @@ A :class:`Session` turns declarative specs into simulations:
 from __future__ import annotations
 
 import inspect
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
@@ -26,8 +24,6 @@ from typing import (
     List,
     Mapping,
     Optional,
-    Sequence,
-    Tuple,
     Union,
 )
 
@@ -65,7 +61,7 @@ class RunReport:
     within_bound: bool
     #: Scenario parameters worth reporting (merged topology/adversary/algorithm).
     params: Dict[str, Any] = field(default_factory=dict)
-    #: The originating spec (``None`` for compatibility-layer runs).
+    #: The originating spec (``None`` for a run of a :class:`PreparedRun`).
     spec: Optional[ScenarioSpec] = None
     #: Engine-routing telemetry: which engine the policy requested
     #: (``"delta"``/``"batch"``/``"auto"``), which one actually ran, the
@@ -103,9 +99,9 @@ class RunReport:
 class PreparedRun:
     """A scenario with its three ingredients already constructed.
 
-    The compatibility layer (:func:`repro.experiments.harness.run_workload`,
-    hand-built objects in tests) funnels through this so every execution path
-    shares one engine: :meth:`Session.run`.
+    :meth:`Session.prepare` builds one from a spec; hand-built objects (tests,
+    perf tracing) run through :meth:`Session.run` on the same engine.  The
+    bound is computed from the adversary's own ``sigma`` attribute.
     """
 
     topology: Topology
@@ -115,11 +111,6 @@ class PreparedRun:
     name: str = "prepared"
     #: Reporting params merged into the resulting row.
     params: Dict[str, Any] = field(default_factory=dict)
-    #: Declared burst envelope used for the bound comparison; ``None`` falls
-    #: back to the adversary's own ``sigma`` attribute (which equals the
-    #: spec-declared value for every registered builder except the
-    #: lower-bound construction, which intentionally claims no bound).
-    sigma: Optional[float] = None
 
 
 Runnable = Union[ScenarioSpec, PreparedRun]
@@ -187,39 +178,24 @@ class Session:
 
     Parameters
     ----------
-    max_workers:
-        Default process-pool width for ``run_many(use_processes=True)``
-        (``None`` lets the executor pick, ``0`` runs in order in-process).
     cache_topologies:
         Reuse one :class:`Topology` instance per distinct
         :class:`TopologySpec` (topologies are read-only during simulation, so
         sharing across runs is safe).
     """
 
-    def __init__(
-        self,
-        *,
-        max_workers: Optional[int] = None,
-        cache_topologies: bool = True,
-    ) -> None:
-        self.max_workers = max_workers
+    def __init__(self, *, cache_topologies: bool = True) -> None:
         self.cache_topologies = cache_topologies
         self._topology_cache: Dict[str, Topology] = {}
-        #: How many topologies this session has actually constructed (cache
-        #: misses included, hits excluded).  The process-pool warm-up test
-        #: uses this to prove workers stop rebuilding per run.
-        self.topology_builds = 0
 
     # -- construction -----------------------------------------------------------
 
     def topology(self, spec: TopologySpec) -> Topology:
         """The (cached) topology for ``spec``."""
         if not self.cache_topologies:
-            self.topology_builds += 1
             return build_topology(spec)
         key = spec.spec_hash()
         if key not in self._topology_cache:
-            self.topology_builds += 1
             self._topology_cache[key] = build_topology(spec)
         return self._topology_cache[key]
 
@@ -313,68 +289,14 @@ class Session:
             f"got {type(scenario).__name__}"
         )
 
-    def run_many(
-        self,
-        scenarios: Iterable[Runnable],
-        *,
-        max_workers: Optional[int] = None,
-        use_processes: bool = False,
-    ) -> List[RunReport]:
-        """Execute a batch of scenarios; results come back in input order.
+    def run_many(self, scenarios: Iterable[Runnable]) -> List[RunReport]:
+        """Execute a batch of scenarios in order; one report per item.
 
-        By default the items run in order in this process, each exactly as
-        :meth:`run` executes it (a spec in its own packet-id scope, a
-        :class:`PreparedRun` unscoped on its pre-numbered ingredients).
-        Simulations are pure-Python and hold the GIL, so a thread pool would
-        only add overhead.
-
-        With ``use_processes=True`` the batch runs on a
-        :class:`~concurrent.futures.ProcessPoolExecutor` of ``max_workers``
-        processes (default: the session's ``max_workers``; ``0`` runs in
-        order in-process), which does scale CPU-bound sweeps across cores.
-        Every item must then be a
-        :class:`ScenarioSpec` (specs are plain picklable data; live
-        :class:`PreparedRun` ingredients stay in-process).  Each worker is
-        *warmed once* by a pool initializer: the batch's distinct topology
-        specs are pickled a single time into the initializer arguments, and
-        every worker builds each topology (plus its next-hop table) exactly
-        once into a persistent per-worker :class:`Session` — submitting a
-        hundred same-topology runs no longer rebuilds the network a hundred
-        times per worker.  Results are identical to the in-order run because
-        every run is seeded through its spec and executes in a fresh
-        packet-id scope either way.
+        Each item runs exactly as :meth:`run` executes it (a spec in its own
+        packet-id scope, a :class:`PreparedRun` unscoped on its pre-numbered
+        ingredients), sharing this session's topology cache.
         """
-        items: Sequence[Runnable] = list(scenarios)
-        if use_processes:
-            for position, item in enumerate(items):
-                if not isinstance(item, ScenarioSpec):
-                    # A typed, actionable error (SpecError -> ReproError), not
-                    # a bare ValueError: live PreparedRun ingredients cannot
-                    # cross a process boundary.
-                    raise SpecError(
-                        f"run_many(use_processes=True) requires every item to "
-                        f"be a ScenarioSpec (plain picklable data); item "
-                        f"{position} is a {type(item).__name__}.  Describe the "
-                        f"scenario declaratively, or drop use_processes to "
-                        f"run live PreparedRun objects in-process."
-                    )
-            workers = self.max_workers if max_workers is None else max_workers
-            if workers != 0 and len(items) > 1:
-                distinct_topologies: Dict[str, TopologySpec] = {}
-                for item in items:
-                    distinct_topologies.setdefault(
-                        item.topology.spec_hash(), item.topology
-                    )
-                with ProcessPoolExecutor(
-                    max_workers=workers,
-                    initializer=_warm_worker,
-                    initargs=(
-                        tuple(distinct_topologies.values()),
-                        self.cache_topologies,
-                    ),
-                ) as pool:
-                    return list(pool.map(_run_spec_in_worker, items))
-        return [self.run(item) for item in items]
+        return [self.run(item) for item in scenarios]
 
     def resume(
         self,
@@ -513,9 +435,7 @@ class Session:
             checkpoint_path=policy.checkpoint_path,
             checkpoint_spec=spec,
         )
-        sigma = prepared.sigma
-        if sigma is None:
-            sigma = getattr(prepared.adversary, "sigma", None)
+        sigma = getattr(prepared.adversary, "sigma", None)
         bound = (
             prepared.algorithm.theoretical_bound(sigma) if sigma is not None else None
         )
@@ -530,44 +450,6 @@ class Session:
             spec=spec,
             engine=engine_info,
         )
-
-
-#: The per-worker Session installed by :func:`_warm_worker`.  Lives for the
-#: whole worker process, so its topology cache persists across submitted runs.
-_WORKER_SESSION: Optional[Session] = None
-
-
-def _warm_worker(
-    topology_specs: Tuple[TopologySpec, ...], cache_topologies: bool = True
-) -> None:
-    """Process-pool initializer: warm one persistent Session per worker.
-
-    Runs once per worker process.  Builds every distinct topology of the
-    batch (the specs are pickled once, in the initializer arguments, not per
-    submitted run) and precomputes its next-hop table, so the per-run cost in
-    the worker is simulation only.  With ``cache_topologies=False`` there is
-    nowhere to keep the warm objects, so the pre-build is skipped — each run
-    then constructs its own topology, exactly as that configuration asks.
-    """
-    global _WORKER_SESSION
-    session = Session(cache_topologies=cache_topologies)
-    if cache_topologies:
-        for spec in topology_specs:
-            session.topology(spec).next_hop_table()
-    _WORKER_SESSION = session
-
-
-def _run_spec_in_worker(spec: ScenarioSpec, *, cache_topologies: bool = True) -> RunReport:
-    """Process-pool entry point: execute one spec in the worker's Session.
-
-    Module-level so it pickles by reference.  Uses the warm per-worker
-    session installed by :func:`_warm_worker`; falls back to a throwaway
-    Session when called outside a warmed pool.
-    """
-    session = _WORKER_SESSION
-    if session is None:
-        session = Session(cache_topologies=cache_topologies)
-    return session.run(spec)
 
 
 def reports_to_table(

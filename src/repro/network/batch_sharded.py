@@ -59,6 +59,7 @@ from .batch import (
 )
 from .errors import ShardingProtocolError, UnshardableScenarioError
 from .events import RoundRecord
+from .shm import RING_TIMEOUT
 
 __all__ = ["BatchSegmentSimulator", "HANDOFF_WORDS", "check_segment_scan"]
 
@@ -606,7 +607,7 @@ class BatchSegmentSimulator(BatchSimulator):
         right_out=None,
         right_in=None,
         left_out=None,
-        ring_timeout: float = 60.0,
+        ring_timeout: float = RING_TIMEOUT,
     ) -> Dict[str, array]:
         """Free-run rounds ``t0 .. t1-1``, exchanging boundary facts directly.
 

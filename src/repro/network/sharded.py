@@ -30,7 +30,8 @@ The coordinator mirrors the single-process drain loop (same caps, same
 quiescence window, fed by globally summed per-round counters) and merges the
 per-segment statistics into one :class:`SimulationResult`.
 
-A sharded run is one attempt.  A worker that dies surfaces as the typed
+A sharded run is one attempt.  A worker that dies, or hangs past the ring
+time-out, surfaces as the typed
 :class:`~repro.network.errors.WorkerFailedError` naming its segment, a
 broken window protocol as
 :class:`~repro.network.errors.ShardingProtocolError`; either way every
@@ -53,7 +54,7 @@ from .errors import (
     WorkerFailedError,
 )
 from .events import RoundRecord, SimulationResult
-from .shm import BoundaryRing
+from .shm import RING_TIMEOUT, BoundaryRing
 from .simulator import DrainStop
 from .topology import LineTopology
 
@@ -177,10 +178,13 @@ class _SegmentWorker:
         raise ShardingProtocolError(f"unknown worker command {command!r}")
 
     def _attach_rings(self, names: Dict[str, str]) -> None:
-        """Attach the coordinator-created boundary rings this worker uses."""
+        """Attach the coordinator-created boundary rings this worker uses,
+        each labelled with the neighbour at its other end."""
+        index = self.simulator.segment_index
         for key, name in names.items():
+            peer = index - 1 if key.startswith("left") else index + 1
             try:
-                self._rings[key] = BoundaryRing(name=name)
+                self._rings[key] = BoundaryRing(name=name, peer=peer)
             except (OSError, ValueError) as error:
                 raise _no_rings(error) from error
 
@@ -242,7 +246,12 @@ class _SegmentWorker:
 def _process_worker_main(
     connection, spec_payload, segment_index, segments
 ) -> None:
-    """Worker-process entry point: build the segment engine, serve commands."""
+    """Worker-process entry point: build the segment engine, serve commands.
+
+    The rings' views are released on every way out, so no ``SharedMemory``
+    finalizer meets an exported buffer as the process exits.
+    """
+    worker: Optional[_SegmentWorker] = None
     try:
         with packet_id_scope():
             worker = _SegmentWorker(spec_payload, segment_index, segments)
@@ -254,7 +263,6 @@ def _process_worker_main(
                     return  # coordinator went away
                 command, payload = message
                 if command == "close":
-                    worker.close_rings()
                     return
                 connection.send(("ok", worker.dispatch(command, payload)))
     except BaseException as error:  # noqa: BLE001 - forwarded to coordinator
@@ -277,6 +285,8 @@ def _process_worker_main(
         except OSError:
             raise error
     finally:
+        if worker is not None:
+            worker.close_rings()
         connection.close()
 
 
@@ -309,6 +319,14 @@ class _ProcessHandle:
                 f"segment worker {self.segment_index} is gone: {error}",
                 segment=self.segment_index,
             ) from error
+
+    def ready(self, timeout: float) -> bool:
+        """Whether the pipe holds a reply, or the end-of-file of a dead
+        worker, within ``timeout`` seconds."""
+        try:
+            return self._conn.poll(timeout)
+        except (OSError, EOFError):
+            return True  # dead pipe: recv() classifies it
 
     def recv(self) -> Dict[str, Any]:
         try:
@@ -549,37 +567,52 @@ class _ShardedCoordinator:
         Workers finish a window in line order but stall on each other's
         rings, so a crashed worker starves its neighbours too.  Receiving in
         fixed order would blame whichever innocent neighbour happens to be
-        polled first; instead sweep all pipes and, when nothing progresses,
-        look for an actually-dead worker process.
+        polled first; instead sweep all pipes and read whatever arrives.  A
+        dead worker's pipe reads as end-of-file, and a neighbour's forwarded
+        ring time-out names the segment it waited on (:meth:`_recv`), so
+        the pipes alone say who failed.  Once every other worker has
+        replied, no neighbour may be left to time out on the last one
+        (greedy's left segment never reads from its right neighbour), so
+        :meth:`_await_last` gives it the ring time-out.
         """
         count = len(self.handles)
         replies: List[Optional[Dict[str, Any]]] = [None] * count
         waiting = list(range(count))
-        while waiting:
-            progressed = False
+        while len(waiting) > 1:
             for index in list(waiting):
                 handle = self.handles[index]
-                try:
-                    ready = handle._conn.poll(0.02)
-                except (OSError, EOFError):
-                    ready = True  # dead pipe: let _recv classify it
-                if not ready:
-                    continue
-                replies[index] = self._recv(handle, "window", t0)
-                waiting.remove(index)
-                progressed = True
-            if progressed or not waiting:
-                continue
-            for index in waiting:
-                if not self.handles[index]._process.is_alive():
-                    raise WorkerFailedError(
-                        f"segment worker {index} died mid-window at round "
-                        f"{t0} (worker process exited)",
-                        segment=index,
-                        round_number=t0,
-                        phase="window",
-                    )
+                if handle.ready(0.02):
+                    replies[index] = self._recv(handle, "window", t0)
+                    waiting.remove(index)
+        for index in waiting:
+            self._await_last(self.handles[index], t0)
+            replies[index] = self._recv(self.handles[index], "window", t0)
         return replies  # type: ignore[return-value]
+
+    def _await_last(self, handle: Any, t0: int) -> None:
+        """Wait for the last reply of a window, for at most the ring time-out.
+
+        A healthy worker replies within the first blocking poll; only a
+        silent one goes on to the rings' own clock-free wait (through the
+        :class:`BoundaryRing` of this coordinator), after which it is
+        reported failed and :meth:`run` tears it down.
+        """
+        if handle.ready(1.0):
+            return
+        try:
+            self._rings[0]._wait(
+                lambda: handle.ready(0), RING_TIMEOUT,
+                "no window reply after every other worker replied",
+            )
+        except WorkerFailedError:
+            raise WorkerFailedError(
+                f"segment worker {handle.segment_index} timed out in the "
+                f"window at round {t0}: no reply within the ring time-out "
+                f"after every other worker replied",
+                segment=handle.segment_index,
+                round_number=t0,
+                phase="window",
+            ) from None
 
     def _collect_window(self, t0: int, t1: int) -> Tuple[int, List[int], List[int]]:
         """Await one window from every worker; return global per-round sums."""
@@ -684,14 +717,23 @@ class _ShardedCoordinator:
     def _recv(
         self, handle: Any, command: str, round_number: int
     ) -> Dict[str, Any]:
-        """One receive; a dead worker names the segment, round and command."""
+        """One receive; a dead worker names the segment, round and command.
+
+        A worker that forwards its ring time-out reports the neighbour it
+        waited on, and that neighbour is the one named.
+        """
         try:
             return handle.recv()
         except WorkerFailedError as error:
+            segment = handle.segment_index
+            reporter = ""
+            if error.segment is not None and error.segment != segment:
+                segment = error.segment
+                reporter = f" (reported by segment worker {handle.segment_index})"
             raise WorkerFailedError(
-                f"segment worker {handle.segment_index} failed during "
-                f"{command!r} of round {round_number}: {error}",
-                segment=handle.segment_index,
+                f"segment worker {segment} failed during {command!r} of "
+                f"round {round_number}{reporter}: {error}",
+                segment=segment,
                 round_number=round_number,
                 phase=command,
             ) from error

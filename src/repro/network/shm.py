@@ -25,8 +25,9 @@ write-slot-then-bump-tail sequence a safe publication without extra fences.
 The ring is a *transport*, never a scheduler: block contents and ordering are
 fully determined by the per-round boundary protocol, so simulation results
 cannot depend on ring timing.  Timeouts exist only to surface a vanished
-neighbour, as :class:`~repro.network.errors.WorkerFailedError`, which the
-coordinator treats exactly like a dead pipe.
+neighbour, as :class:`~repro.network.errors.WorkerFailedError` naming the
+segment at the other end of the ring (:attr:`BoundaryRing.peer`), which the
+coordinator treats exactly like a dead pipe of that segment.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from typing import Optional, Sequence, Tuple
 
 from .errors import ShardingProtocolError, WorkerFailedError
 
-__all__ = ["SLOT_WORDS", "BoundaryRing"]
+__all__ = ["SLOT_WORDS", "RING_TIMEOUT", "BoundaryRing"]
 
 #: Words per ring slot: round stamp + 3 view words + hand-off flag + 5
 #: hand-off columns, padded to 12 for a 96-byte (1.5 cache line) slot.
@@ -53,7 +54,8 @@ _SPIN_FAST = 512
 _SPIN_YIELD = 4096
 _NAP_SECONDS = 0.0005
 
-_DEFAULT_TIMEOUT = 60.0
+#: Seconds a ring end waits on its neighbour before giving up.
+RING_TIMEOUT = 60.0
 
 
 class BoundaryRing:
@@ -62,12 +64,17 @@ class BoundaryRing:
     Exactly one process writes (:meth:`send_block`) and exactly one process
     reads (:meth:`recv_block`); the coordinator creates one ring per directed
     segment boundary and hands each end to its owning worker by name.
+    ``peer`` is the segment index of the worker at the other end, as seen by
+    the attaching worker; a time-out names it as the failed segment.
     """
 
-    __slots__ = ("_shm", "_words", "_capacity", "_owner", "_closed")
+    __slots__ = ("_shm", "_words", "_capacity", "_owner", "_closed", "peer")
 
     def __init__(
-        self, name: Optional[str] = None, capacity: int = 256
+        self,
+        name: Optional[str] = None,
+        capacity: int = 256,
+        peer: Optional[int] = None,
     ) -> None:
         from multiprocessing import shared_memory
 
@@ -103,6 +110,7 @@ class BoundaryRing:
         else:
             self._capacity = (len(self._words) - _HEADER_WORDS) // SLOT_WORDS
         self._closed = False
+        self.peer = peer
 
     @property
     def name(self) -> str:
@@ -113,7 +121,7 @@ class BoundaryRing:
         return self._capacity
 
     def send_block(
-        self, words: Sequence[int], timeout: float = _DEFAULT_TIMEOUT
+        self, words: Sequence[int], timeout: float = RING_TIMEOUT
     ) -> None:
         """Publish one block, blocking while the ring is full.
 
@@ -138,7 +146,7 @@ class BoundaryRing:
             view[base + index] = 0
         view[_TAIL] = tail + 1
 
-    def recv_block(self, timeout: float = _DEFAULT_TIMEOUT) -> Tuple[int, ...]:
+    def recv_block(self, timeout: float = RING_TIMEOUT) -> Tuple[int, ...]:
         """Consume the next block, blocking while the ring is empty."""
         view = self._words
         head = view[_HEAD]
@@ -171,7 +179,8 @@ class BoundaryRing:
             if remaining <= 0:
                 raise WorkerFailedError(
                     f"shared-memory hand-off timed out after {timeout:.1f}s "
-                    f"({what})"
+                    f"({what})",
+                    segment=self.peer,
                 )
 
     def close(self) -> None:

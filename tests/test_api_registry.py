@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.adversary.bounded import check_bounded
 from repro.api import (
     ADVERSARIES,
     ALGORITHMS,
@@ -128,3 +129,90 @@ class TestCustomRegistration:
                 .adversary("burst", rounds=10)
                 .build()
             )
+
+
+def _assert_bounded_at_declared_envelope(prepared, rho, sigma):
+    adversary = prepared.adversary
+    assert adversary.rho == rho
+    assert adversary.sigma >= sigma
+    report = check_bounded(
+        adversary, prepared.topology, adversary.rho, adversary.sigma
+    )
+    assert report.bounded, report
+
+
+class TestRegisteredAdversariesKeepTheirEnvelope:
+    """A run's bound is computed from the ``sigma`` its adversary declares,
+    so every oblivious adversary that a spec names must build a pattern that
+    is bounded at the envelope it declares, once the registry has translated
+    the spec's parameters for its generator.  The declared envelope keeps the
+    spec's ``rho`` and never undercuts its ``sigma`` (``trickle`` raises a
+    ``sigma`` of 0 to 1)."""
+
+    @pytest.mark.parametrize(
+        "scenario, rho, sigma",
+        [
+            (Scenario.line(24), 1.0, 2),
+            (Scenario.line(24), 0.5, 0),
+        ],
+        ids=["rho1-sigma2", "rho0.5-sigma0"],
+    )
+    @pytest.mark.parametrize(
+        "name, params",
+        [
+            ("burst", {}),
+            ("single", {"seed": 1}),
+            ("bounded", {"seed": 1}),
+            ("bounded", {"seed": 2, "num_destinations": 6}),
+            ("round-robin", {"num_destinations": 6}),
+            ("nested", {"num_destinations": 6}),
+            ("saturating", {"seed": 3, "num_destinations": 4}),
+            ("bursty", {"seed": 4, "num_destinations": 4, "burst_period": 8}),
+            ("trickle", {"seed": 5}),
+        ],
+        ids=["burst", "single", "bounded", "bounded-multi", "round-robin",
+             "nested", "saturating", "bursty", "trickle"],
+    )
+    def test_line_adversary_is_bounded_at_the_spec_envelope(
+        self, scenario, rho, sigma, name, params
+    ):
+        spec = scenario.algorithm("ppts").adversary(
+            name, rho=rho, sigma=sigma, rounds=60, **params
+        ).build()
+        prepared = Session().prepare(spec)
+        _assert_bounded_at_declared_envelope(prepared, rho, sigma)
+
+    def test_hierarchy_adversary_is_bounded_at_the_spec_envelope(self):
+        spec = (
+            Scenario.line(64)
+            .algorithm("hpts", levels=3, branching=4, rho=1 / 3)
+            .adversary("hierarchy", rho=1 / 3, sigma=2, rounds=90,
+                       branching=4, levels=3)
+            .build()
+        )
+        prepared = Session().prepare(spec)
+        assert prepared.topology.num_nodes == 64
+        _assert_bounded_at_declared_envelope(prepared, 1 / 3, 2)
+
+    @pytest.mark.parametrize("name", ["convergecast", "bounded"])
+    def test_tree_adversary_is_bounded_at_the_spec_envelope(self, name):
+        session = Session()
+        root_only = (
+            Scenario.tree("caterpillar", spine_length=5, legs_per_node=1)
+            .algorithm("tree-pts")
+            .adversary(name, rho=1.0, sigma=1, rounds=40)
+            .build()
+        )
+        tree = session.topology(root_only.topology)
+        spine = [v for v in tree.nodes if tree.children(v)]
+        spec = (
+            Scenario.tree("caterpillar", spine_length=5, legs_per_node=1)
+            .algorithm("tree-ppts", destinations=spine)
+            .adversary(name, rho=1.0, sigma=1, rounds=40, destinations=spine)
+            .seed(3)
+            .build()
+        )
+        for candidate in (root_only, spec):
+            _assert_bounded_at_declared_envelope(session.prepare(candidate), 1.0, 1)
+        destinations = session.prepare(spec).adversary.destinations()
+        assert destinations and set(destinations) <= set(spine)

@@ -6,7 +6,6 @@ import pytest
 
 from repro.api import RunPolicy, Scenario, Session, TopologySpec
 from repro.api.session import PreparedRun
-from repro.api.specs import SpecError
 from repro.adversary.base import InjectionPattern
 from repro.core.packet import make_injection, packet_id_scope
 from repro.core.pts import PeakToSink
@@ -72,17 +71,18 @@ class TestRun:
 
 
 class TestBoundComputation:
-    def test_compat_layer_uses_the_workload_declared_sigma(self):
-        # The lower-bound pattern declares sigma=None (no claim); the workload
-        # declares 2.0 — the harness row must keep the pre-API behaviour of
-        # computing the bound from the workload's sigma.
-        from repro.core.ppts import ParallelPeakToSink
-        from repro.experiments.harness import run_workload
-        from repro.experiments.workloads import lower_bound_workload
-
-        workload = lower_bound_workload(3, 2, rho=0.5, num_phases=4)
-        row = run_workload(workload, lambda w: ParallelPeakToSink(w.topology))
-        assert row.bound is not None
+    def test_adversary_claiming_no_envelope_gets_no_bound(self):
+        # The lower-bound pattern declares sigma=None (no claim), so the run
+        # compares against no bound, whatever sigma the spec carries.
+        report = (
+            Scenario.line(27)
+            .algorithm("ppts")
+            .adversary("lower-bound", rho=0.5, sigma=2, rounds=1,
+                       branching=3, levels=2, num_phases=4)
+            .run()
+        )
+        assert report.bound is None
+        assert report.result.packets_injected > 0
 
     def test_exact_boundary_occupancy_counts_as_within_bound(self):
         # hpts_upper_bound(64, 3, 2) is 14.999999999999998 through floating
@@ -142,13 +142,11 @@ class TestRunManyDeterminism:
     def test_run_many_matches_sequential_runs_under_fixed_seed(self):
         specs = [_random_spec(seed, d=2 + seed % 3) for seed in range(6)]
         sequential = [Session().run(spec) for spec in specs]
-        fanned_out = Session().run_many(
-            specs, max_workers=2, use_processes=True
-        )
-        assert [r.result.max_occupancy for r in fanned_out] == [
+        batched = Session().run_many(specs)
+        assert [r.result.max_occupancy for r in batched] == [
             r.result.max_occupancy for r in sequential
         ]
-        assert [r.result.packets_injected for r in fanned_out] == [
+        assert [r.result.packets_injected for r in batched] == [
             r.result.packets_injected for r in sequential
         ]
 
@@ -157,8 +155,6 @@ class TestRunManyDeterminism:
         first, second = Session().run_many(specs)
         assert first.result.packets_injected == second.result.packets_injected
         assert first.result.max_occupancy == second.result.max_occupancy
-        again = Session().run_many(specs, max_workers=0, use_processes=True)
-        assert again[0].result.max_occupancy == first.result.max_occupancy
 
     def test_run_many_preserves_input_order(self):
         specs = [
@@ -168,27 +164,12 @@ class TestRunManyDeterminism:
             .build()
             for n in (8, 16, 32, 64)
         ]
-        for reports in (
-            Session().run_many(specs),
-            Session().run_many(specs, max_workers=2, use_processes=True),
-        ):
-            assert [report.result.num_nodes for report in reports] == [
-                8, 16, 32, 64
-            ]
+        reports = Session().run_many(specs)
+        assert [report.result.num_nodes for report in reports] == [8, 16, 32, 64]
 
-    def test_run_many_without_processes_runs_in_order_in_process(
-        self, monkeypatch
-    ):
-        """max_workers sizes only the process pool: without
-        use_processes the batch runs in order on the calling thread."""
+    def test_run_many_runs_in_order_on_the_calling_thread(self, monkeypatch):
         import threading
 
-        from repro.api import session as session_module
-
-        def no_pool(*args, **kwargs):
-            raise AssertionError("run_many started a pool")
-
-        monkeypatch.setattr(session_module, "ProcessPoolExecutor", no_pool)
         seen = []
         original_run = Session.run
 
@@ -198,101 +179,82 @@ class TestRunManyDeterminism:
 
         monkeypatch.setattr(Session, "run", run)
         specs = [_random_spec(seed) for seed in range(3)]
-        reports = Session(max_workers=4).run_many(specs, max_workers=4)
+        reports = Session().run_many(specs)
         assert [label for _thread, label in seen] == [s.label for s in specs]
         assert {thread for thread, _label in seen} == {threading.get_ident()}
         assert len(reports) == 3
 
-    def test_run_many_with_processes_matches_in_order_run(self):
-        specs = [_random_spec(seed, d=2 + seed % 3) for seed in range(4)]
-        in_order = Session().run_many(specs)
-        processed = Session().run_many(specs, max_workers=2, use_processes=True)
-        for in_order_report, process_report in zip(in_order, processed):
-            assert (
-                in_order_report.result.max_occupancy
-                == process_report.result.max_occupancy
-            )
-            assert (
-                in_order_report.result.max_occupancy_per_node
-                == process_report.result.max_occupancy_per_node
-            )
-            assert (
-                in_order_report.result.packets_injected
-                == process_report.result.packets_injected
-            )
-            assert (
-                in_order_report.result.mean_latency
-                == process_report.result.mean_latency
-            )
-        assert [r.result.num_nodes for r in processed] == [
-            r.result.num_nodes for r in in_order
-        ]
-
-    def test_run_many_with_processes_rejects_prepared_runs(self):
+    def test_run_many_mixes_specs_and_prepared_runs(self):
         line = LineTopology(8)
         prepared = PreparedRun(
             topology=line,
             algorithm=PeakToSink(line),
             adversary=InjectionPattern.from_tuples([(0, 0, 7)]),
+            name="hand-built",
         )
-        with pytest.raises(SpecError):
-            Session().run_many([prepared], use_processes=True)
+        spec_report, prepared_report = Session().run_many(
+            [_random_spec(4), prepared]
+        )
+        assert spec_report.spec is not None
+        assert prepared_report.name == "hand-built"
+        assert prepared_report.spec is None
+        assert prepared_report.result.packets_injected == 1
 
 
-class TestProcessPoolWarmup:
-    """The pool initializer must build each worker's topologies exactly once.
-
-    The seed behaviour rebuilt the topology for every submitted run (a fresh
-    Session per run); these tests drive the worker lifecycle in-process —
-    ``_warm_worker`` once, then ``_run_spec_in_worker`` per run — and count
-    constructions through ``Session.topology_builds``.
-    """
-
-    def _install_worker(self, topology_specs):
-        from repro.api import session as session_module
-
-        session_module._warm_worker(tuple(topology_specs), True)
-        return session_module._WORKER_SESSION
-
-    def _uninstall_worker(self):
-        from repro.api import session as session_module
-
-        session_module._WORKER_SESSION = None
-
-    def test_worker_builds_each_topology_once_across_runs(self):
-        from repro.api.session import _run_spec_in_worker
-
-        specs = [_random_spec(seed) for seed in range(5)]
-        worker_session = self._install_worker({s.topology for s in specs})
-        try:
-            assert worker_session.topology_builds == 1  # one distinct topology
-            reports = [_run_spec_in_worker(spec) for spec in specs]
-            # Regression guard: five submitted runs, still one construction.
-            assert worker_session.topology_builds == 1
-        finally:
-            self._uninstall_worker()
-        sequential = [Session().run(spec) for spec in specs]
-        assert [r.result.max_occupancy for r in reports] == [
-            r.result.max_occupancy for r in sequential
+    def test_run_many_over_an_algorithm_by_destinations_grid(self):
+        grid = [
+            (algorithm, d)
+            for d in (2, 4)
+            for algorithm in ("ppts", "hpts")
         ]
+        reports = Session().run_many(
+            Scenario.line(24)
+            .algorithm(name, **({"levels": 1, "branching": 24}
+                                if name == "hpts" else {}))
+            .adversary("bounded", rho=1.0, sigma=1, rounds=40, seed=d,
+                       num_destinations=d)
+            .build()
+            for name, d in grid
+        )
+        assert [(r.algorithm, r.params["num_destinations"]) for r in reports] == [
+            ("PPTS", 2), ("HPTS", 2), ("PPTS", 4), ("HPTS", 4)
+        ]
+        assert all(r.within_bound for r in reports if r.algorithm == "PPTS")
 
-    def test_unwarmed_worker_falls_back_to_fresh_session(self):
-        from repro.api.session import _run_spec_in_worker
 
-        self._uninstall_worker()
-        report = _run_spec_in_worker(_random_spec(3))
-        assert report.result.packets_injected > 0
+class TestReportsToTable:
+    def test_title_header_and_one_line_per_report(self):
+        from repro.api.session import reports_to_table
 
-    def test_session_topology_builds_counts_cache_misses_only(self):
-        session = Session()
-        spec = _random_spec(0)
-        session.topology(spec.topology)
-        session.topology(spec.topology)
-        assert session.topology_builds == 1
-        uncached = Session(cache_topologies=False)
-        uncached.topology(spec.topology)
-        uncached.topology(spec.topology)
-        assert uncached.topology_builds == 2
+        reports = Session().run_many(
+            Scenario.line(16)
+            .algorithm(name)
+            .adversary("burst", rho=1.0, sigma=1, rounds=30)
+            .build()
+            for name in ("pts", "ppts")
+        )
+        lines = reports_to_table(reports, title="E1").splitlines()
+        assert lines[0] == "E1"
+        assert [cell.strip() for cell in lines[1].split(" | ")[:2]] == [
+            "scenario", "algorithm"
+        ]
+        assert len(lines) == 3 + len(reports)  # title, header, separator, rows
+        assert "PTS" in lines[3] and "PPTS" in lines[4]
+
+    def test_columns_select_and_order_the_report_fields(self):
+        from repro.api.session import reports_to_table
+
+        report = (
+            Scenario.line(16)
+            .algorithm("pts")
+            .adversary("burst", rho=1.0, sigma=1, rounds=30)
+            .run()
+        )
+        header, _separator, row = reports_to_table(
+            [report], ["max_occupancy", "algorithm"]
+        ).splitlines()
+        assert header.split() == ["max_occupancy", "|", "algorithm"]
+        assert row.split() == [str(report.max_occupancy), "|", "PTS"]
 
 
 class TestSeedPropagation:

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import textwrap
 
 import pytest
 
@@ -128,6 +130,19 @@ class TestRoundTrip:
         assert payload["topology"] == {"kind": "line", "params": {"num_nodes": 64}}
         assert payload["adversary"]["rho"] == pytest.approx(1 / 3)
         assert payload["policy"]["seed"] == 7
+
+    def test_documented_schema_lists_every_policy_field(self):
+        """The JSON layout in the repro.api docstring parses, and its policy
+        block is the serialised default RunPolicy: every field, no other."""
+        import repro.api
+
+        after = repro.api.__doc__.split("The JSON layout::", 1)[1]
+        block = textwrap.dedent(after.lstrip("\n").split("\n\n", 1)[0])
+        documented = json.loads(block)["policy"]
+        assert list(documented) == [
+            field.name for field in dataclasses.fields(RunPolicy)
+        ]
+        assert documented == ScenarioSpec().to_dict()["policy"]
 
     def test_invalid_json_raises_spec_error(self):
         with pytest.raises(SpecError):

@@ -1,117 +1,11 @@
-"""Unit tests for workloads, the harness, figure data and the registry."""
+"""Unit tests for figure data and the experiment registry."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.adversary.bounded import check_bounded
-from repro.core.hpts import HierarchicalPeakToSink
-from repro.core.ppts import ParallelPeakToSink
-from repro.core.pts import PeakToSink
-from repro.core.tree import TreeParallelPeakToSink
 from repro.experiments.figures import figure1_data, render_figure1, trajectory_table
-from repro.experiments.harness import rows_to_table, run_workload, sweep
 from repro.experiments.registry import EXPERIMENTS, get_experiment, list_experiments
-from repro.experiments.workloads import (
-    hierarchical_workload,
-    lower_bound_workload,
-    multi_destination_workload,
-    single_destination_workload,
-    tree_workload,
-)
-from repro.network.errors import ConfigurationError
-from repro.network.topology import caterpillar_tree
-
-
-class TestWorkloads:
-    def test_single_destination_stress_and_random(self):
-        for kind in ("stress", "random"):
-            workload = single_destination_workload(
-                24, rho=1.0, sigma=2, num_rounds=60, kind=kind, seed=1
-            )
-            assert check_bounded(workload.pattern, workload.topology, 1.0, 2).bounded
-            assert workload.params["kind"] == kind
-
-    def test_multi_destination_kinds(self):
-        for kind in ("round_robin", "nested", "random"):
-            workload = multi_destination_workload(
-                32, 6, rho=1.0, sigma=2, num_rounds=60, kind=kind, seed=2
-            )
-            assert check_bounded(workload.pattern, workload.topology, 1.0, 2).bounded
-        with pytest.raises(ConfigurationError):
-            multi_destination_workload(32, 6, 1.0, 2, 60, kind="bogus")
-
-    def test_hierarchical_workload(self):
-        workload = hierarchical_workload(4, 3, rho=1 / 3, sigma=2, num_rounds=90)
-        assert workload.params["n"] == 64
-        assert check_bounded(workload.pattern, workload.topology, 1 / 3, 2).bounded
-
-    def test_tree_workload_default_and_custom(self):
-        workload = tree_workload(None, rho=1.0, sigma=1, num_rounds=40)
-        assert workload.params["d_prime"] >= 1
-        tree = caterpillar_tree(5, 1)
-        spine = [v for v in tree.nodes if tree.children(v)]
-        custom = tree_workload(
-            tree, rho=1.0, sigma=1, num_rounds=40, destinations=spine, kind="random",
-            seed=3,
-        )
-        assert custom.params["d_prime"] == len(spine)
-
-    def test_lower_bound_workload(self):
-        workload = lower_bound_workload(3, 2, rho=0.5, num_phases=4)
-        assert workload.params["n"] == 27
-        assert workload.params["theoretical_bound"] >= 0
-
-
-class TestHarness:
-    def test_run_workload_produces_row(self):
-        workload = single_destination_workload(16, 1.0, 2, 50)
-        row = run_workload(workload, lambda w: PeakToSink(w.topology))
-        assert row.algorithm == "PTS"
-        assert row.within_bound
-        assert row.max_occupancy <= row.bound
-        assert row.params["n"] == 16
-
-    def test_keep_result_attaches_simulation_result(self):
-        workload = single_destination_workload(16, 1.0, 1, 30)
-        row = run_workload(
-            workload, lambda w: PeakToSink(w.topology), keep_result=True
-        )
-        assert row.result is not None
-        assert row.result.max_occupancy == row.max_occupancy
-
-    def test_sweep_cartesian_product(self):
-        workloads = [
-            multi_destination_workload(24, d, 1.0, 1, 40) for d in (2, 4)
-        ]
-        rows = sweep(
-            workloads,
-            {
-                "ppts": lambda w: ParallelPeakToSink(w.topology),
-                "hpts": lambda w: HierarchicalPeakToSink(
-                    w.topology, levels=1, branching=w.topology.num_nodes
-                ),
-            },
-        )
-        assert len(rows) == 4
-        assert all(row.within_bound for row in rows if row.algorithm == "PPTS")
-
-    def test_rows_to_table_renders(self):
-        workload = single_destination_workload(16, 1.0, 1, 30)
-        row = run_workload(workload, lambda w: PeakToSink(w.topology))
-        text = rows_to_table([row], title="E1")
-        assert text.splitlines()[0] == "E1"
-        assert "PTS" in text
-
-    def test_tree_factory_in_harness(self):
-        workload = tree_workload(None, 1.0, 1, 30)
-        row = run_workload(
-            workload,
-            lambda w: TreeParallelPeakToSink(
-                w.topology, destinations=w.params["destinations"]
-            ),
-        )
-        assert row.within_bound
 
 
 class TestFigures:

@@ -4,14 +4,16 @@ The bit-identical differential matrix lives in
 ``test_sharded_differential.py``; this file covers the pieces around it: the
 segment planner, the segment-filtered adversary, the typed error family and
 the refusals (the batch kernel is the only segment engine), worker
-processes and their shared-memory rings, Session/CLI integration, and the
-run_many error fix.
+processes and their shared-memory rings, and Session/CLI integration.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -35,6 +37,7 @@ from repro.network.errors import (
 )
 from repro.network import sharded as sharded_module
 from repro.network.sharded import plan_segments, run_sharded
+from repro.network.shm import BoundaryRing
 from repro.network.topology import LineTopology
 
 
@@ -168,17 +171,16 @@ def test_sharding_errors_are_repro_errors():
     assert issubclass(UnshardableScenarioError, ShardingError)
 
 
-def test_adaptive_adversary_scenario_is_refused():
+def test_adaptive_adversary_scenario_is_refused(ring_names):
     scenario = (
         Scenario.line(16)
         .algorithm("greedy")
         .adversary("hotspot", rho=0.5, sigma=2.0, rounds=10)
         .policy(seed=1, engine="batch")
     )
-    shm_before = _shm_segments()
     with pytest.raises(UnshardableScenarioError):
         Session().run(scenario.policy(shards=2).build())
-    _assert_nothing_left_behind(shm_before)
+    _assert_nothing_left_behind(ring_names)
 
 
 def test_tree_topology_is_refused():
@@ -221,29 +223,44 @@ def _runs_sharded(algorithm: str, engine) -> bool:
     return algorithm == "pts" and engine in ("batch", "auto")
 
 
-def _shm_segments() -> set:
-    """Names in /dev/shm (where BoundaryRing segments live), if any."""
-    try:
-        return set(os.listdir("/dev/shm"))
-    except OSError:
-        return set()
+@pytest.fixture
+def ring_names(monkeypatch):
+    """The names of the boundary rings created in this process during the
+    test.  Only these are checked for leaks, so shared memory that other
+    processes create meanwhile cannot fail the check."""
+    names = []
+    real_init = BoundaryRing.__init__
+
+    def init(self, name=None, capacity=256, peer=None):
+        real_init(self, name, capacity, peer)
+        if name is None:
+            names.append(self.name)
+
+    monkeypatch.setattr(BoundaryRing, "__init__", init)
+    return names
 
 
-def _assert_nothing_left_behind(shm_before: set) -> None:
+def _assert_nothing_left_behind(ring_names) -> None:
+    """No worker process is alive and no ring the run created is left in
+    /dev/shm (where BoundaryRing segments live)."""
     assert multiprocessing.active_children() == []
-    leaked = _shm_segments() - shm_before
-    assert not leaked, f"shared-memory segments left behind: {sorted(leaked)}"
+    leaked = [
+        name for name in ring_names
+        if os.path.exists(os.path.join("/dev/shm", name))
+    ]
+    assert not leaked, f"shared-memory segments left behind: {leaked}"
 
 
 @pytest.mark.parametrize("algorithm", sorted(REFUSAL_ALGORITHMS))
 @pytest.mark.parametrize("engine", ENGINES)
-def test_session_refuses_unshardable_engine_or_algorithm(engine, algorithm):
+def test_session_refuses_unshardable_engine_or_algorithm(
+    engine, algorithm, ring_names
+):
     """shards > 1 with engine None/"delta", or an algorithm the segment
     scans do not cover (PPTS, HPTS), raises the typed error with its reason;
     a refused run leaves no worker process and no shared-memory ring
     behind."""
     spec = _refusal_spec(algorithm, engine)
-    shm_before = _shm_segments()
     if _runs_sharded(algorithm, engine):
         report = Session().run(spec)
         assert report.result == _delta_oracle(spec)
@@ -256,20 +273,19 @@ def test_session_refuses_unshardable_engine_or_algorithm(engine, algorithm):
             assert f"engine={engine!r}" in message
         else:
             assert "batch kernel" in message
-    _assert_nothing_left_behind(shm_before)
+    _assert_nothing_left_behind(ring_names)
 
 
 @pytest.mark.parametrize("algorithm", sorted(REFUSAL_ALGORITHMS))
 @pytest.mark.parametrize("engine", ENGINES)
 def test_cli_refuses_unshardable_engine_or_algorithm(
-    engine, algorithm, tmp_path, capsys
+    engine, algorithm, tmp_path, capsys, ring_names
 ):
     """`repro simulate --shards 2` exits 2 with the refusal on stderr."""
     from repro.cli import main
 
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(_refusal_spec(algorithm, engine).to_json())
-    shm_before = _shm_segments()
     exit_code = main(["simulate", "--spec", str(spec_path), "--shards", "2"])
     captured = capsys.readouterr()
     if _runs_sharded(algorithm, engine):
@@ -278,7 +294,7 @@ def test_cli_refuses_unshardable_engine_or_algorithm(
         assert exit_code == 2
         assert "sharded execution runs only the batch kernel" in captured.err
         assert "Traceback" not in captured.err
-    _assert_nothing_left_behind(shm_before)
+    _assert_nothing_left_behind(ring_names)
 
 
 @pytest.mark.parametrize("algorithm", UNSHARDABLE)
@@ -330,25 +346,6 @@ def test_sharded_policy_refuses_checkpointing():
     assert RunPolicy(shards=1, checkpoint_every=5, checkpoint_path="run.ckpt")
 
 
-def test_run_many_use_processes_raises_typed_error_for_live_items():
-    """Satellite fix: a clear, typed (ReproError) message — never a bare
-    ValueError — when live PreparedRun items meet use_processes=True."""
-    spec = _line_spec()
-    with packet_id_scope():
-        ingredients = Session(cache_topologies=False).prepare(spec)
-    prepared = PreparedRun(
-        topology=ingredients.topology,
-        algorithm=ingredients.algorithm,
-        adversary=ingredients.adversary,
-    )
-    with pytest.raises(SpecError) as excinfo:
-        Session().run_many([spec, prepared], use_processes=True)
-    assert not isinstance(excinfo.value, ValueError)
-    assert isinstance(excinfo.value, ReproError)
-    assert "ScenarioSpec" in str(excinfo.value)
-    assert "item 1" in str(excinfo.value)
-
-
 # ---------------------------------------------------------------------------
 # Worker processes and their shared-memory rings
 # ---------------------------------------------------------------------------
@@ -361,21 +358,20 @@ class _NoSharedMemoryRing:
         raise OSError(38, "Function not implemented: shm_open")
 
 
-def test_ring_creation_failure_refuses_and_reaps_workers(monkeypatch):
+def test_ring_creation_failure_refuses_and_reaps_workers(monkeypatch, ring_names):
     """When the coordinator cannot create a boundary ring, Session.run
     raises the typed refusal pointing at shards=1, after tearing down the
     workers it already spawned; nothing falls back silently."""
     monkeypatch.setattr(sharded_module, "BoundaryRing", _NoSharedMemoryRing)
     spec = _line_spec(shards=2)
-    shm_before = _shm_segments()
     with pytest.raises(UnshardableScenarioError,
                        match="shared-memory rings.*shards=1") as excinfo:
         Session().run(spec)
     assert "OSError" in str(excinfo.value)
-    _assert_nothing_left_behind(shm_before)
+    _assert_nothing_left_behind(ring_names)
 
 
-def test_ring_attach_failure_in_a_worker_is_typed(monkeypatch):
+def test_ring_attach_failure_in_a_worker_is_typed(ring_names, monkeypatch):
     """A worker that cannot map a ring the coordinator created reports the
     same typed refusal (not a raw OSError), and the run leaves no worker
     and no ring behind."""
@@ -387,10 +383,9 @@ def test_ring_attach_failure_in_a_worker_is_typed(monkeypatch):
         return real_ring(**kwargs)
 
     monkeypatch.setattr(sharded_module, "BoundaryRing", ring)
-    shm_before = _shm_segments()
     with pytest.raises(UnshardableScenarioError, match="shards=1"):
         run_sharded(_line_spec(), shards=3)
-    _assert_nothing_left_behind(shm_before)
+    _assert_nothing_left_behind(ring_names)
 
 
 @pytest.mark.parametrize(
@@ -555,7 +550,7 @@ def test_error_family():
     ids=["injection-window", "drain-window"],
 )
 def test_dead_worker_raises_typed_error_and_leaves_nothing(
-    segment, round_number, monkeypatch
+    segment, round_number, monkeypatch, ring_names
 ):
     """A worker that dies mid-window ends the run with WorkerFailedError
     naming its segment; every worker and boundary ring is gone after."""
@@ -565,19 +560,78 @@ def test_dead_worker_raises_typed_error_and_leaves_nothing(
     # Windows are [0, 8), [8, 16), ... while injecting and [25, 33), ...
     # while draining: round 12 is mid-injection, round 29 mid-drain.
     assert 8 < 12 < 16 <= horizon < 29 < baseline.rounds_executed
-    shm_before = _shm_segments()
     _exit_at(monkeypatch, segment, round_number)
     with pytest.raises(WorkerFailedError) as excinfo:
         run_sharded(spec)
     assert excinfo.value.segment == segment
     assert f"segment worker {segment}" in str(excinfo.value)
-    _assert_nothing_left_behind(shm_before)
+    _assert_nothing_left_behind(ring_names)
 
 
-def test_session_run_propagates_the_dead_worker(monkeypatch):
+def test_session_run_propagates_the_dead_worker(monkeypatch, ring_names):
     spec = _line_spec(shards=2, batch_rounds=8)
-    shm_before = _shm_segments()
     _exit_at(monkeypatch, 0, 5)
     with pytest.raises(WorkerFailedError, match="segment worker 0"):
         Session().run(spec)
-    _assert_nothing_left_behind(shm_before)
+    _assert_nothing_left_behind(ring_names)
+
+
+#: Runs ``repro simulate`` with segment 1 failing in the window holding
+#: round 12 (argv: failure, spec path): ``exit`` dies hard, ``hang`` sleeps
+#: with every ring wait shortened to 0.5 s, so its neighbour times out and
+#: exits through the error path.
+_FAILING_CLI = textwrap.dedent("""
+    import os, sys, time
+    from repro.network.batch_sharded import BatchSegmentSimulator
+    from repro.network.shm import BoundaryRing
+    from repro.cli import main
+
+    failure, spec_path = sys.argv[1:]
+    real_window = BatchSegmentSimulator.run_window
+    real_wait = BoundaryRing._wait
+
+    def run_window(self, t0, t1, **kwargs):
+        if self.segment_index == 1 and t0 <= 12 < t1:
+            if failure == "hang":
+                time.sleep(600)
+            os._exit(70)
+        return real_window(self, t0, t1, **kwargs)
+
+    def short_wait(self, ready, timeout, what):
+        return real_wait(self, ready, min(timeout, 0.5), what)
+
+    BatchSegmentSimulator.run_window = run_window
+    BoundaryRing._wait = short_wait
+    sys.exit(main(["simulate", "--spec", spec_path, "--shards", "2"]))
+""")
+
+
+@pytest.mark.parametrize("failure", ["exit", "hang"])
+def test_cli_failed_sharded_run_writes_no_buffer_error(failure, tmp_path):
+    """A failing `simulate --shards 2` reports the failed segment and
+    nothing else: no exiting worker prints a `SharedMemory` finalizer's
+    BufferError about ring views it still exported."""
+    spec = (
+        Scenario.line(16)
+        .algorithm("pts", work_conserving=True)
+        .adversary("single", rho=0.8, sigma=3.0, rounds=30)
+        .policy(seed=17, engine="batch", batch_rounds=8)
+        .build()
+    )
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(spec.to_json())
+    src_dir = os.path.dirname(os.path.dirname(os.path.abspath(
+        sys.modules["repro"].__file__)))
+    completed = subprocess.run(
+        [sys.executable, "-c", _FAILING_CLI, failure, str(spec_path)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": src_dir},
+    )
+    assert completed.returncode == 2, completed.stderr
+    assert completed.stderr.startswith("error: segment worker 1 "), (
+        completed.stderr
+    )
+    assert "BufferError" not in completed.stderr
+    assert "Exception ignored" not in completed.stderr

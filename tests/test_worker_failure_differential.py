@@ -25,7 +25,7 @@ import pytest
 from test_sharded_engine import (
     _assert_nothing_left_behind,
     _exit_at,
-    _shm_segments,
+    ring_names,
 )
 
 from repro.api import Scenario, ScenarioSpec, Session
@@ -86,18 +86,17 @@ def _delta_oracle(spec: ScenarioSpec):
     ).result
 
 
-def _assert_death_is_typed(spec, monkeypatch, segment: int,
+def _assert_death_is_typed(spec, monkeypatch, ring_names, segment: int,
                            round_number: int) -> WorkerFailedError:
     """Kill ``segment`` at ``round_number``; the run must raise the typed
     error naming it and leave no worker or ring behind."""
-    shm_before = _shm_segments()
     with monkeypatch.context() as patch:
         _exit_at(patch, segment, round_number)
         with pytest.raises(WorkerFailedError) as excinfo:
             run_sharded(spec)
     assert excinfo.value.segment == segment, str(excinfo.value)
     assert f"segment worker {segment}" in str(excinfo.value)
-    _assert_nothing_left_behind(shm_before)
+    _assert_nothing_left_behind(ring_names)
     return excinfo.value
 
 
@@ -109,21 +108,20 @@ def _assert_death_is_typed(spec, monkeypatch, segment: int,
 @pytest.mark.parametrize("adversary", ADVERSARIES)
 @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
 def test_dead_worker_is_typed_in_every_scenario(algorithm, adversary,
-                                                monkeypatch):
+                                                monkeypatch, ring_names):
     """The fault-free sharded run == the delta oracle; the same run with
     the middle worker killed mid-window raises WorkerFailedError naming it
     and leaves nothing behind."""
     for history in HISTORIES:
         spec = _build_spec(algorithm, adversary, history)
         if algorithm in UNBATCHABLE:
-            shm_before = _shm_segments()
             with pytest.raises(UnshardableScenarioError, match="batch kernel"):
                 run_sharded(spec)
-            _assert_nothing_left_behind(shm_before)
+            _assert_nothing_left_behind(ring_names)
             continue
         baseline, _ = run_sharded(spec)
         assert baseline == _delta_oracle(spec), f"{algorithm}/{history}"
-        _assert_death_is_typed(spec, monkeypatch, 1, 11)
+        _assert_death_is_typed(spec, monkeypatch, ring_names, 1, 11)
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +130,7 @@ def test_dead_worker_is_typed_in_every_scenario(algorithm, adversary,
 
 
 @pytest.mark.parametrize("segment", range(SHARDS))
-def test_death_in_any_window_is_typed(segment, monkeypatch):
+def test_death_in_any_window_is_typed(segment, monkeypatch, ring_names):
     """A death one round into each window the run executes — injection
     windows and drain windows alike — names the dead segment and the
     window it was in (or the next one, whose send found the pipe gone)."""
@@ -141,7 +139,7 @@ def test_death_in_any_window_is_typed(segment, monkeypatch):
     assert baseline.rounds_executed > ROUNDS + BATCH_ROUNDS  # drain windows
     for t0 in range(0, baseline.rounds_executed, BATCH_ROUNDS):
         death = t0 + 1
-        error = _assert_death_is_typed(spec, monkeypatch, segment, death)
+        error = _assert_death_is_typed(spec, monkeypatch, ring_names, segment, death)
         assert error.round_number in (t0, t0 + BATCH_ROUNDS), (
             death, str(error)
         )
@@ -149,14 +147,15 @@ def test_death_in_any_window_is_typed(segment, monkeypatch):
 
 @pytest.mark.parametrize("batch_rounds", [1, 4 * ROUNDS],
                          ids=["one-round-windows", "window"])
-def test_dead_worker_in_windows_of_any_length(batch_rounds, monkeypatch):
+def test_dead_worker_in_windows_of_any_length(batch_rounds, monkeypatch,
+                                              ring_names):
     """One-round windows (every round is a pipe round trip) and one window
     spanning the whole horizon report the same typed failure."""
     spec = _build_spec("greedy", "saturating", "summary",
                        batch_rounds=batch_rounds)
     baseline, _ = run_sharded(spec)
     assert baseline == _delta_oracle(spec)
-    _assert_death_is_typed(spec, monkeypatch, 2, 11)
+    _assert_death_is_typed(spec, monkeypatch, ring_names, 2, 11)
 
 
 # ---------------------------------------------------------------------------
@@ -164,32 +163,23 @@ def test_dead_worker_in_windows_of_any_length(batch_rounds, monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize(
-    "algorithm, params, hung",
-    [
-        ("greedy", {}, 0),
-        ("pts", {"work_conserving": True}, 1),
-    ],
-    ids=["forward-lane-starves", "reverse-lane-starves"],
-)
-def test_hung_worker_times_out_through_its_neighbours_ring(
-    algorithm, params, hung, monkeypatch
-):
-    """A worker that stops producing starves the neighbour reading its
-    ring; the neighbour's ring wait times out (shortened here from its
-    fixed default), and the run ends with WorkerFailedError with the hung
-    worker terminated and every ring destroyed.  Greedy's right segment
-    reads the forward lane from the hung left one; work-conserving PTS's
-    left segment reads the reverse lane from the hung right one."""
+def _hung_spec(algorithm: str, params) -> ScenarioSpec:
     scenario = Scenario.line(N).algorithm(algorithm, **params)
     if algorithm == "greedy":
         scenario.adversary("bounded", rho=0.8, sigma=3.0, rounds=ROUNDS,
                            num_destinations=3)
     else:
         scenario.adversary("single", rho=0.8, sigma=3.0, rounds=ROUNDS)
-    spec = scenario.policy(
+    return scenario.policy(
         seed=17, shards=2, engine="batch", batch_rounds=BATCH_ROUNDS
     ).build()
+
+
+def _assert_hang_is_named(spec, hung: int, monkeypatch, ring_names) -> None:
+    """Hang ``hung`` in the window holding round 12, with every ring wait
+    shortened from its fixed default to 0.5 s: the run must end quickly in
+    WorkerFailedError naming the hung segment with the time-out diagnosis,
+    and leave no worker or ring behind."""
     baseline, _ = run_sharded(spec)
     assert baseline == _delta_oracle(spec)
 
@@ -204,11 +194,45 @@ def test_hung_worker_times_out_through_its_neighbours_ring(
             time.sleep(600)
         return real_window(self, t0, t1, **kwargs)
 
-    shm_before = _shm_segments()
     monkeypatch.setattr(BoundaryRing, "_wait", short_wait)
     monkeypatch.setattr(BatchSegmentSimulator, "run_window", run_window)
     started = time.monotonic()
-    with pytest.raises(WorkerFailedError):
+    with pytest.raises(WorkerFailedError) as excinfo:
         run_sharded(spec)
     assert time.monotonic() - started < 30
-    _assert_nothing_left_behind(shm_before)
+    message = str(excinfo.value)
+    assert excinfo.value.segment == hung, message
+    assert message.startswith(f"segment worker {hung} "), message
+    assert "timed out" in message
+    _assert_nothing_left_behind(ring_names)
+
+
+@pytest.mark.parametrize(
+    "algorithm, params, hung",
+    [
+        ("greedy", {}, 0),
+        ("pts", {"work_conserving": True}, 1),
+    ],
+    ids=["forward-lane-starves", "reverse-lane-starves"],
+)
+def test_hung_worker_times_out_through_its_neighbours_ring(
+    algorithm, params, hung, monkeypatch, ring_names
+):
+    """A worker that stops producing starves the neighbour reading its
+    ring; the neighbour's ring wait times out and reports the segment at the
+    ring's other end, so the error names the hung worker, not the one that
+    noticed.  Greedy's right segment reads the forward lane from the hung
+    left one; work-conserving PTS's left segment reads the reverse lane from
+    the hung right one."""
+    _assert_hang_is_named(
+        _hung_spec(algorithm, params), hung, monkeypatch, ring_names
+    )
+
+
+def test_hung_worker_no_neighbour_reads_from_times_out(monkeypatch,
+                                                       ring_names):
+    """Greedy's left segment reads nothing from its right neighbour, so a
+    hung right segment starves no ring and the left one replies to every
+    window.  The coordinator then gives the last silent worker the ring
+    time-out and names it."""
+    _assert_hang_is_named(_hung_spec("greedy", {}), 1, monkeypatch, ring_names)
