@@ -263,6 +263,11 @@ class Session:
         result, which is bit-identical to ``shards=1``.  A sharded run is
         one attempt: a dead worker raises
         :class:`~repro.network.errors.WorkerFailedError`.
+
+        A :class:`PreparedRun` runs once: its algorithm keeps the packets a
+        run leaves undelivered, so running it again while any are left
+        raises :class:`~repro.network.errors.SpentAlgorithmError` (a run
+        that drained them all may run again, to the same result).
         """
         if isinstance(scenario, ScenarioSpec):
             if scenario.policy.shards is not None and scenario.policy.shards > 1:
@@ -383,6 +388,7 @@ class Session:
         spec: Optional[ScenarioSpec],
         checkpoint: Optional["Checkpoint"] = None,
     ) -> RunReport:
+        prepared.algorithm.check_unspent("Session.run")
         policy = prepared.policy
         simulator: Optional[Simulator] = None
         engine_info: Optional[Dict[str, Any]] = None

@@ -62,7 +62,7 @@ from array import array
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Dict, Hashable, List, Optional, Tuple
 
-from .core.packet import Injection, Packet, PacketState, PacketStore, current_allocator
+from .core.packet import Packet, PacketState, PacketStore, current_allocator
 from .network.errors import (
     CheckpointError,
     CheckpointFormatError,
@@ -555,24 +555,21 @@ def _rebuild_packets(checkpoint: Checkpoint) -> Dict[int, Packet]:
         name: checkpoint.section(f"packets/{name}") for name in _PACKET_COLUMNS
     }
     packets: Dict[int, Packet] = {}
-    for row in range(len(columns["ids"])):
-        injection = Injection(
-            columns["injected_rounds"][row],
-            columns["sources"][row],
-            columns["destinations"][row],
-            columns["ids"][row],
+    for (
+        packet_id, source, destination, injected, location, state, accepted,
+        delivered, hops,
+    ) in zip(*(columns[name] for name in _PACKET_COLUMNS)):
+        if injected < 0:
+            raise CheckpointFormatError(
+                f"packet {packet_id} has negative injection round {injected}"
+            )
+        packets[packet_id] = Packet.from_row(
+            packet_id, source, destination, injected, location,
+            _CODE_STATES[state],
+            None if accepted < 0 else accepted,
+            None if delivered < 0 else delivered,
+            hops,
         )
-        accepted = columns["accepted_rounds"][row]
-        delivered = columns["delivered_rounds"][row]
-        packet = Packet(
-            injection,
-            location=columns["locations"][row],
-            state=_CODE_STATES[columns["states"][row]],
-            accepted_round=None if accepted < 0 else accepted,
-            delivered_round=None if delivered < 0 else delivered,
-            hops=columns["hops"][row],
-        )
-        packets[packet.packet_id] = packet
     return packets
 
 
@@ -583,7 +580,10 @@ def restore_into(simulator: "Simulator", checkpoint: Checkpoint) -> "Simulator":
     structurally; buffers, indices and occupancy maps are rebuilt by
     replaying the recorded stores, the adversary is fast-forwarded via its
     cursor, and the packet-id allocator of the current scope is positioned so
-    post-resume ids continue exactly where the checkpointed run stopped.
+    post-resume ids continue exactly where the checkpointed run stopped.  An
+    algorithm still holding packets from an earlier run raises
+    :class:`~repro.network.errors.SpentAlgorithmError`, as
+    :meth:`repro.api.session.Session.run` does.
     """
     engine = checkpoint.header["engine"]
     algorithm = simulator.algorithm
@@ -591,8 +591,7 @@ def restore_into(simulator: "Simulator", checkpoint: Checkpoint) -> "Simulator":
 
     if simulator._round or simulator._injected or simulator.packets:
         raise CheckpointError("restore_into() requires a freshly built simulator")
-    if algorithm.pending_packets():
-        raise CheckpointError("restore_into() requires a never-run algorithm")
+    algorithm.check_unspent("restore_into()")
     if simulator.topology.num_nodes != engine["num_nodes"]:
         raise CheckpointSpecMismatchError(
             f"checkpoint was taken on {engine['num_nodes']} nodes, the given "

@@ -240,6 +240,37 @@ class Packet:
         state = PacketState.STAGED if staged else PacketState.IN_TRANSIT
         return cls(injection, injection.source, state)
 
+    @classmethod
+    def from_row(
+        cls,
+        packet_id: int,
+        source: int,
+        destination: int,
+        injected_round: int,
+        location: int,
+        state: PacketState,
+        accepted_round: Optional[int],
+        delivered_round: Optional[int],
+        hops: int,
+    ) -> "Packet":
+        """A packet from one row of column data, its slots in order.
+
+        Sets the slots directly, with no intermediate :class:`Injection`:
+        the batch kernel and checkpoint restore build packets from int
+        columns by the thousand.
+        """
+        packet = object.__new__(cls)
+        packet.packet_id = packet_id
+        packet.source = source
+        packet.destination = destination
+        packet.injected_round = injected_round
+        packet.location = location
+        packet.state = state
+        packet.accepted_round = accepted_round
+        packet.delivered_round = delivered_round
+        packet.hops = hops
+        return packet
+
     # -- convenience accessors ------------------------------------------------
 
     @property

@@ -19,6 +19,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Dict, Hashable, List, Optional, Set
 
+from ..network.errors import SpentAlgorithmError
 from ..network.topology import Topology
 from .indexset import BufferIndex
 from .packet import Packet
@@ -203,6 +204,20 @@ class ForwardingAlgorithm(ABC):
     def pending_packets(self) -> int:
         """All undelivered packets this algorithm is responsible for."""
         return self.total_stored() + self.staged_count()
+
+    def check_unspent(self, action: str) -> None:
+        """Refuse ``action`` if an earlier run left packets in this algorithm.
+
+        Raises :class:`~repro.network.errors.SpentAlgorithmError`; an
+        algorithm that holds no packet (never run, or drained) passes.
+        """
+        pending = self.pending_packets()
+        if pending:
+            raise SpentAlgorithmError(
+                f"{action} needs an algorithm holding no packets, but this "
+                f"{self.name} still holds {pending} from an earlier run; "
+                f"build fresh ingredients"
+            )
 
     def theoretical_bound(self, sigma: float) -> Optional[float]:
         """The paper's space bound for this algorithm, if one applies.

@@ -160,10 +160,12 @@ class LintConfig:
         # per-level destination sets feed FormPaths and the cascade.
         "_select_pseudo",
         "_activate_pre_bad",
-        # ... its acceptance pushes rows in stack order, and its sync lists
-        # each node's stacks in the order the checkpoint writes them.
+        # ... its acceptance pushes rows in stack order, its sync lists
+        # each node's stacks in the order the checkpoint writes them, and
+        # its publish enters rows in the packet table's insertion order.
         "_accept_rows",
         "_sync_objects",
+        "_publish",
         # Boundary-ring transport: block layout and publish order feed the
         # hand-off protocol directly (repro/network/shm.py).
         "send_block",

@@ -17,9 +17,10 @@ dict-and-object machinery.  The state layout is:
 at all when the adversary is a pre-validated eager
 :class:`~repro.adversary.base.InjectionPattern`: injections append column
 rows straight from the pattern's own columnar store, deliveries record the
-round in the ``dlv`` column, and the objects are materialised — in row
-order, which is injection order — only at checkpoint cuts and at the end of
-the run.
+round in the ``dlv`` column, and only the rows still live get objects, at
+checkpoint cuts and at the end of a run.  A delivered row becomes a
+:class:`~repro.core.packet.Packet` only when ``simulator.packets`` is first
+read after it (see :attr:`BatchSimulator.packets`).
 
 The columns and maxima live in flat ``array('q')`` buffers — already the
 int64 layout numpy wants — and numpy views them zero-copy
@@ -97,12 +98,13 @@ point, then counts the rest of the window, or of the drain cap, at once;
 under full history it appends their round records, alike but for the round
 number.
 
-Object state (``Simulator.packets``, the algorithm's buffers, the occupancy
-timeline) is materialised only at the end of a run and at checkpoint cuts.
-``run(checkpoint_every=...)`` clamps each batch window to the checkpoint
-cadence, so a cut never lands mid-batch and the existing checkpoint layer
-(:mod:`repro.checkpoint`) serialises the engine unchanged, to the same
-bytes the object engine writes at that cut.
+The kernel is loaded from object state once per simulator, and object
+state (the algorithm's buffers, the occupancy timeline) is synced back only
+at the end of each ``run()`` and at checkpoint cuts; a later ``run()`` goes
+on from the kernel.  ``run(checkpoint_every=...)`` clamps each batch window
+to the checkpoint cadence, so a cut never lands mid-batch and the existing
+checkpoint layer (:mod:`repro.checkpoint`) serialises the engine unchanged,
+to the same bytes the object engine writes at that cut.
 """
 
 from __future__ import annotations
@@ -163,8 +165,9 @@ _POLICY_CODES = {
     "FTG": _POL_FTG,
 }
 
-# Sentinel values for the per-row delivery column: live / synced-away.
-_LIVE, _SYNCED = -1, -2
+# Sentinel values for the per-row delivery column (a delivered row holds its
+# delivery round): live / handed to the next segment (sharded runs).
+_LIVE, _HANDED_OFF = -1, -2
 
 # One pseudo-buffer key's state over its interval ``[base, w)``: the node
 # index ``base``, the row stacks (``None`` until a row first lands), their
@@ -189,6 +192,14 @@ class BatchSimulator(Simulator):
         Rounds advanced per kernel window (>= 1).  Results do not depend on
         it: the kernel syncs the object world only at checkpoint cuts and
         at the end of :meth:`run`.
+
+    A sync builds a :class:`~repro.core.packet.Packet` for each live row
+    that has none yet and stores it in the algorithm's buffers, so those
+    always hold what the object engine's would.  The packet table is built
+    lazily: the first read of :attr:`packets` after a sync enters the rows
+    since the last read, in row order, delivered ones built from the
+    kernel's columns.  A run whose packets nobody reads builds none for a
+    delivered row.
     """
 
     __slots__ = ()
@@ -329,6 +340,66 @@ class BatchSimulator(Simulator):
         self._staged_rows: List[int] = []
         self._observed: set = set()
         self._max_staged = 0
+        self._kernel_ready = False
+        #: Rows below this one are published to the packet table (see
+        #: :attr:`packets`).
+        self._published = 0
+
+    # -- the packet table, published on read ------------------------------------------
+
+    @property
+    def packets(self) -> Dict[int, Packet]:  # type: ignore[override]
+        """Every packet the simulator is tracking, keyed by packet id.
+
+        The table the object engine keeps, in the same order with the same
+        fields: a run's packets in injection order, delivered ones only
+        when :attr:`retain_packets`.  The rows entered since the last read
+        are published on this read (see :meth:`_publish`); a live packet is
+        the very object the algorithm's buffers hold.
+        """
+        if self._published < len(self._row_packet):
+            self._publish()
+        return self._packets
+
+    @packets.setter
+    def packets(self, table: Dict[int, Packet]) -> None:
+        self._packets = table
+
+    def _publish(self) -> None:
+        """Enter the rows from ``_published`` on into the packet table, in
+        row order, which is injection order.
+
+        Valid between runs: a sync has given every live row its packet,
+        which goes in as it is (a packet delivered since keeps its place,
+        unless streaming dropped it).  A delivered row with no packet is
+        built from the columns, exactly as the object engine's delivery
+        leaves it, when the run retains delivered packets.
+        """
+        table = self._packets
+        row_packet = self._row_packet
+        total = len(row_packet)
+        retain = self.retain_packets
+        col_pid = self._col_pid
+        col_src = self._col_src
+        col_dst = self._col_dst
+        col_injr = self._col_injr
+        col_accepted = self._col_arr if self._kind == _PSEUDO else col_injr
+        dlv = self._col_dlv
+        from_row = Packet.from_row
+        delivered = PacketState.DELIVERED
+        for row in range(self._published, total):
+            packet = row_packet[row]
+            if packet is not None:
+                table[packet.packet_id] = packet
+            elif retain and dlv[row] >= 0:
+                source = col_src[row]
+                destination = col_dst[row]
+                table[col_pid[row]] = from_row(
+                    col_pid[row], source, destination, col_injr[row],
+                    destination, delivered, col_accepted[row], dlv[row],
+                    destination - source,
+                )
+        self._published = total
 
     # -- batch-level pre-validation ------------------------------------------------
 
@@ -400,12 +471,25 @@ class BatchSimulator(Simulator):
 
     # -- kernel state <-> object state ---------------------------------------------
 
+    def ensure_kernel(self) -> None:
+        """Load the flat kernel from object state, once per simulator.
+
+        Later syncs (:meth:`_sync_objects`) leave the kernel authoritative,
+        so a later ``run()`` goes on from it, as a run does after a
+        checkpoint cut.
+        """
+        if not self._kernel_ready:
+            self._load_kernel()
+            self._published = len(self._row_packet)
+            self._kernel_ready = True
+
     def _load_kernel(self) -> None:
         """Extract flat kernel state from the object world.
 
-        Valid on a fresh simulator, after a checkpoint restore, or between
-        ``run()`` calls — whatever the object engine (or the checkpoint
-        layer) left in the buffers is the kernel's starting configuration.
+        Runs once, from :meth:`ensure_kernel`, on a fresh simulator or after
+        a checkpoint restore: whatever the checkpoint layer left in the
+        buffers is the kernel's starting configuration, and the loaded
+        rows' packets are already in the table.
         """
         n = self._n
         zeros = bytes(8 * n)
@@ -538,11 +622,15 @@ class BatchSimulator(Simulator):
     def _sync_objects(self) -> None:
         """Materialise kernel state back into the object world.
 
-        After this, ``self.packets``, the algorithm's buffers/occupancy/
-        indices and the occupancy timeline hold what the object engine would
-        hold at the same round boundary (less any emptied pseudo-buffer it
-        has not yet collected), so the checkpoint layer (and any post-run
-        inspection) sees one engine.
+        Built here: a :class:`Packet` for each live row (stored, or staged
+        by HPTS) that has none yet, the algorithm's buffers in queue order,
+        its extra state and the occupancy timeline — what the object engine
+        holds at the same round boundary (less any emptied pseudo-buffer it
+        has not yet collected), so the checkpoint layer and any post-run
+        inspection see one engine.  The cost follows the live rows, not the
+        rows the run has held.  Not built here: the packet table, which
+        :attr:`packets` publishes on its next read, delivered rows
+        included.
         """
         algorithm = self.algorithm
         queues = self._queues
@@ -568,67 +656,31 @@ class BatchSimulator(Simulator):
             placements = [
                 (node, store_key, queues[node]) for node in range(n) if queues[node]
             ]
-        total_rows = len(row_packet)
-        if total_rows:
-            # Deferred rows materialise in row order — injection order — so
-            # ``self.packets`` keeps the object engine's insertion order.
-            live_node: Dict[int, int] = {
-                row: node for node, _key, rows in placements for row in rows
-            }
-            packets = self.packets
-            retain = self.retain_packets
-            col_pid = self._col_pid
-            col_src = self._col_src
-            col_dst = self._col_dst
-            col_injr = self._col_injr
-            # Staged HPTS rows wait unaccepted at their source; the pseudo
-            # kind records acceptance rounds (-1 = staged) in the arr column.
-            for row in self._staged_rows:
-                live_node[row] = col_src[row]
-            col_accepted = self._col_arr if pseudo else col_injr
-            dlv = self._col_dlv
-            for row in range(total_rows):
-                if row_packet[row] is not None:
-                    continue
-                delivered_round = dlv[row]
-                if delivered_round == _SYNCED:
-                    continue
-                if delivered_round >= 0:
-                    dlv[row] = _SYNCED
-                    if retain:
-                        # A streamed run already dropped the delivered
-                        # packet; a retaining run keeps it, mutated exactly
-                        # like the object engine's delivery.
-                        destination = col_dst[row]
-                        packet = Packet(
-                            Injection(
-                                col_injr[row],
-                                col_src[row],
-                                destination,
-                                col_pid[row],
-                            ),
-                            destination,
-                            PacketState.DELIVERED,
-                            accepted_round=col_accepted[row],
-                            delivered_round=delivered_round,
-                            hops=destination - col_src[row],
-                        )
-                        packets[col_pid[row]] = packet
-                        row_packet[row] = packet
-                    continue
-                node = live_node[row]
+        col_pid = self._col_pid
+        col_src = self._col_src
+        col_dst = self._col_dst
+        col_injr = self._col_injr
+        # The pseudo kind records acceptance rounds (-1 = staged) in the arr
+        # column; the fused family accepts at injection.
+        col_accepted = self._col_arr if pseudo else col_injr
+        from_row = Packet.from_row
+        in_transit = PacketState.IN_TRANSIT
+
+        def live_packet(row: int, node: int) -> Packet:
+            packet = row_packet[row]
+            if packet is None:
+                source = col_src[row]
                 accepted = col_accepted[row]
-                packet = Packet(
-                    Injection(
-                        col_injr[row], col_src[row], col_dst[row], col_pid[row]
-                    ),
-                    node,
-                    PacketState.IN_TRANSIT,
-                    accepted_round=accepted if accepted >= 0 else None,
-                    hops=node - col_src[row],
+                packet = row_packet[row] = from_row(
+                    col_pid[row], source, col_dst[row], col_injr[row], node,
+                    in_transit, accepted if accepted >= 0 else None, None,
+                    node - source,
                 )
-                packets[col_pid[row]] = packet
-                row_packet[row] = packet
+            else:
+                packet.location = node
+                packet.hops = node - packet.source
+            return packet
+
         for node_buffer in algorithm.buffers.values():
             keys = node_buffer.keys()
             for key in keys:
@@ -637,14 +689,10 @@ class BatchSimulator(Simulator):
             if keys:
                 node_buffer.drop_empty()
         for node, key, rows in placements:
-            node_buffer = algorithm.buffers[node]
+            store = algorithm.buffers[node].store
             for row in rows:
-                packet = row_packet[row]
-                packet.location = node
-                packet.hops = node - packet.source
-                node_buffer.store(packet, key)
+                store(live_packet(row, node), key)
         if self._kind == _GREEDY:
-            col_pid = self._col_pid
             col_arr = self._col_arr
             algorithm._arrival_round = {
                 col_pid[row]: col_arr[row]
@@ -652,7 +700,10 @@ class BatchSimulator(Simulator):
                 for row in queue
             }
         elif self._hierarchical:
-            algorithm._staged = [row_packet[row] for row in self._staged_rows]
+            # Staged rows wait unaccepted at their source.
+            algorithm._staged = [
+                live_packet(row, col_src[row]) for row in self._staged_rows
+            ]
         elif pseudo:
             algorithm._observed_destinations = set(self._observed)
         self._timeline.max_staged = self._max_staged
@@ -679,7 +730,7 @@ class BatchSimulator(Simulator):
     ):
         check_checkpoint_every(checkpoint_every, checkpoint_path)
         horizon = num_rounds if num_rounds is not None else self.adversary.horizon
-        self._load_kernel()
+        self.ensure_kernel()
         window = self._pseudo_window if self._kind == _PSEUDO else self._window
         try:
             t = self._round
@@ -1516,6 +1567,7 @@ class BatchSimulator(Simulator):
         latency_max = self._latency_max
         if latency_max is None or latency > latency_max:
             self._latency_max = latency
+        self._col_dlv[row] = round_number
         packet = self._row_packet[row]
         if packet is not None:
             destination = self._col_dst[row]
@@ -1523,12 +1575,11 @@ class BatchSimulator(Simulator):
             packet.hops = destination - packet.source
             packet.state = PacketState.DELIVERED
             packet.delivered_round = round_number
-            self._row_packet[row] = None
-            self._col_dlv[row] = _SYNCED
             if not self.retain_packets:
-                del self.packets[self._col_pid[row]]
-        else:
-            self._col_dlv[row] = round_number
+                # Streaming drops the packet, whether or not the table has
+                # published it yet.
+                self._row_packet[row] = None
+                self._packets.pop(packet.packet_id, None)
 
     def _inject_round(self, round_number: int) -> int:
         """Inject one round through the adversary's API; returns the count."""
@@ -1586,7 +1637,7 @@ class BatchSimulator(Simulator):
         n = self._n
         max_dest = self._max_dest
         check_routes = not self._routes_prevalidated
-        packets = self.packets
+        packets = self._packets
         packet_store = self.packet_store
         created: List[Tuple[Injection, Packet]] = []
         for injection in injections:

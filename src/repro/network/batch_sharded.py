@@ -45,6 +45,7 @@ from ..adversary.segmented import SegmentFilteredAdversary
 from .batch import (
     _DOWNHILL,
     _GREEDY,
+    _HANDED_OFF,
     _KERNEL_KINDS,
     _LIVE,
     _LOCAL,
@@ -117,7 +118,6 @@ class BatchSegmentSimulator(BatchSimulator):
         #: (round, pid, src, dst, injr, arr) — the property suite compares
         #: this trace byte-for-byte across window lengths.
         self._handoff_trace = array("q")
-        self._kernel_ready = False
         #: Segment-filtered object-free injection rows (fast path).
         self._seg_fast_rows: Optional[Dict[int, array]] = None
         self._prevalidate_segment_pattern()
@@ -164,17 +164,6 @@ class BatchSegmentSimulator(BatchSimulator):
         return self._kind == _DOWNHILL or (
             self._kind == _PTS and self._work_conserving
         )
-
-    def ensure_kernel(self) -> None:
-        """Load the flat kernel from object state exactly once.
-
-        Called after construction; later :meth:`sync_for_snapshot`
-        projections leave the kernel authoritative, matching the
-        single-process ``run()`` loop's sync-and-continue.
-        """
-        if not self._kernel_ready:
-            self._load_kernel()
-            self._kernel_ready = True
 
     def sync_for_snapshot(self) -> None:
         """Project kernel state into the object world at a round boundary."""
@@ -524,10 +513,11 @@ class BatchSegmentSimulator(BatchSimulator):
                 packet = self._row_packet[carry]
                 if packet is not None:
                     # Ownership transfers with the row: the right neighbour
-                    # stores the packet (and keeps its delivered record).
-                    del self.packets[packet.packet_id]
+                    # stores the packet (and keeps its delivered record),
+                    # whether or not this table has published it yet.
+                    self._packets.pop(packet.packet_id, None)
                     self._row_packet[carry] = None
-                self._col_dlv[carry] = -2  # _SYNCED: row left this segment
+                self._col_dlv[carry] = _HANDED_OFF
                 self._stored -= 1
         return handoff, forwarded, delivered
 

@@ -15,6 +15,7 @@ __all__ = [
     "BoundednessViolationError",
     "SchedulingError",
     "ConfigurationError",
+    "SpentAlgorithmError",
     "CheckpointError",
     "CheckpointFormatError",
     "CheckpointVersionError",
@@ -102,6 +103,18 @@ class ConfigurationError(ReproError):
     Examples: ``rho * ell > 1`` for HPTS, ``n`` not of the form ``m**ell`` for
     the hierarchical partition, or a sweep that asks for more destinations
     than there are nodes.
+    """
+
+
+class SpentAlgorithmError(ReproError):
+    """Raised when a run would start on an algorithm an earlier run left
+    holding packets.
+
+    A forwarding algorithm owns its buffers, so a second run of the same
+    ingredients (a spent :class:`~repro.api.session.PreparedRun`, or a
+    checkpoint restored into a used algorithm) would start from the first
+    run's undelivered packets and report different numbers.  A run that
+    drained every packet leaves nothing behind and may run again.
     """
 
 

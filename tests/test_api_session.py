@@ -10,6 +10,7 @@ from repro.adversary.base import InjectionPattern
 from repro.core.packet import make_injection, packet_id_scope
 from repro.core.pts import PeakToSink
 from repro.adversary.stress import pts_burst_stress
+from repro.network.errors import SpentAlgorithmError
 from repro.network.topology import LineTopology
 
 
@@ -200,6 +201,46 @@ class TestRunManyDeterminism:
         assert prepared_report.spec is None
         assert prepared_report.result.packets_injected == 1
 
+
+    @pytest.mark.parametrize("engine", ("delta", "batch"))
+    def test_spent_prepared_run_with_pending_packets_is_refused(self, engine):
+        """A second run would start from the first run's undelivered
+        packets and report different numbers; it raises instead."""
+        spec = (
+            Scenario.line(32)
+            .algorithm("pts")
+            .adversary("bounded", rho=1.0, sigma=2, rounds=60)
+            .seed(3)
+            .policy(engine=engine)
+            .build()
+        )
+        session = Session()
+        with packet_id_scope():
+            prepared = session.prepare(spec)
+            first = session.run(prepared)
+            assert first.result.packets_undelivered > 0
+            pending = prepared.algorithm.pending_packets()
+            with pytest.raises(SpentAlgorithmError, match="still holds"):
+                session.run(prepared)
+        # The refusal leaves the spent ingredients as they were.
+        assert prepared.algorithm.pending_packets() == pending
+
+    @pytest.mark.parametrize("engine", ("delta", "batch"))
+    def test_drained_prepared_run_reruns_to_the_same_result(self, engine):
+        spec = (
+            Scenario.line(32)
+            .algorithm("greedy")
+            .adversary("bounded", rho=1.0, sigma=2, rounds=60)
+            .seed(3)
+            .policy(engine=engine)
+            .build()
+        )
+        session = Session()
+        with packet_id_scope():
+            prepared = session.prepare(spec)
+            first = session.run(prepared)
+            assert first.result.drained
+            assert session.run(prepared).result == first.result
 
     def test_run_many_over_an_algorithm_by_destinations_grid(self):
         grid = [

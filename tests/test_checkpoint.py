@@ -49,6 +49,7 @@ from repro.network.errors import (
     CheckpointFormatError,
     CheckpointSpecMismatchError,
     CheckpointVersionError,
+    SpentAlgorithmError,
 )
 from repro.network.simulator import Simulator
 from repro.network.topology import LineTopology
@@ -542,6 +543,23 @@ class TestEngineApi:
             )
             resumed = restored.run(ROUNDS)
         assert resumed == full
+
+    @pytest.mark.parametrize("engine", (Simulator, BatchSimulator))
+    def test_restore_refuses_an_algorithm_holding_packets(self, tmp_path, engine):
+        """The refusal ``Session.run`` makes of a spent PreparedRun."""
+        checkpoint = load_checkpoint(_make_checkpoint(tmp_path))
+        with packet_id_scope():
+            topology = LineTopology(N)
+            algorithm = PeakToSink(topology)
+            adversary = build_explicit_adversary(
+                topology, rho=1.0, sigma=2.0, rounds=4,
+                routes=[(0, 0, N - 1), (0, 0, N - 1)],
+            )
+            Simulator(topology, algorithm, adversary).run(drain=False)
+            assert algorithm.pending_packets()
+            fresh = engine(topology, algorithm, adversary)
+            with pytest.raises(SpentAlgorithmError, match="restore_into"):
+                restore_into(fresh, checkpoint)
 
     def test_loaded_checkpoint_survives_a_resume(self, tmp_path):
         """Resuming must not mutate the loaded Checkpoint: a second restore
