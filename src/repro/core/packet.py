@@ -220,9 +220,6 @@ class Packet:
         injection: Injection,
         location: int,
         state: PacketState = PacketState.IN_TRANSIT,
-        accepted_round: Optional[int] = None,
-        delivered_round: Optional[int] = None,
-        hops: int = 0,
     ) -> None:
         self.packet_id = injection.packet_id
         self.source = injection.source
@@ -230,15 +227,27 @@ class Packet:
         self.injected_round = injection.round
         self.location = location
         self.state = state
-        self.accepted_round = accepted_round
-        self.delivered_round = delivered_round
-        self.hops = hops
+        self.accepted_round = None
+        self.delivered_round = None
+        self.hops = 0
 
     @classmethod
     def from_injection(cls, injection: Injection, *, staged: bool = False) -> "Packet":
-        """Create an in-flight packet at its injection site."""
-        state = PacketState.STAGED if staged else PacketState.IN_TRANSIT
-        return cls(injection, injection.source, state)
+        """Create an in-flight packet at its injection site.
+
+        Sets the slots directly, as :meth:`from_row` does: the delta engine
+        builds one per injection.
+        """
+        packet = object.__new__(cls)
+        packet.packet_id = injection.packet_id
+        packet.source = packet.location = injection.source
+        packet.destination = injection.destination
+        packet.injected_round = injection.round
+        packet.state = PacketState.STAGED if staged else PacketState.IN_TRANSIT
+        packet.accepted_round = None
+        packet.delivered_round = None
+        packet.hops = 0
+        return packet
 
     @classmethod
     def from_row(

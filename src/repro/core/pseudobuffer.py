@@ -10,10 +10,10 @@ priority, so the discipline is configurable here.
 :class:`NodeBuffer` is a node's whole buffer: a dictionary of pseudo-buffers
 keyed by an arbitrary hashable key, with helpers for the load/badness
 quantities the analysis needs.  It is the only thing that changes a buffer:
-:meth:`NodeBuffer.store`, :meth:`NodeBuffer.pop_from` and
-:meth:`NodeBuffer.remove_from` each update the node's load, the engine's one
-count of ``|L(i)|``, and make one ``(node, key, old_len, new_len)`` call into
-the node's change listener.
+:meth:`NodeBuffer.store` and :meth:`NodeBuffer.take` (which
+:meth:`NodeBuffer.pop_from` and :meth:`NodeBuffer.remove_from` call) each
+update the node's load, the engine's one count of ``|L(i)|``, and make one
+``(node, key, old_len, new_len)`` call into the node's change listener.
 """
 
 from __future__ import annotations
@@ -113,8 +113,8 @@ class NodeBuffer:
     remark that PPTS need not know the destination set in advance: only
     destinations that actually receive packets ever materialise a queue.
 
-    ``load`` is a cached counter, updated by :meth:`store`, :meth:`pop_from`
-    and :meth:`remove_from` (the only methods that change a pseudo-buffer),
+    ``load`` is a cached counter, updated by :meth:`store` and :meth:`take`
+    (the only methods that change a pseudo-buffer),
     so reading it is O(1) regardless of how many pseudo-buffers the node has
     accumulated; ``total_bad`` (read only by analyses) is summed on demand.
     An optional ``on_change`` listener receives ``(node, key, old_len,
@@ -144,7 +144,11 @@ class NodeBuffer:
     # -- pseudo-buffer management ----------------------------------------------
 
     def pseudo_buffer(self, key: Hashable) -> PseudoBuffer:
-        """Return (creating if necessary) the pseudo-buffer for ``key``."""
+        """Return (creating if necessary) the pseudo-buffer for ``key``.
+
+        The node's own methods read ``_pseudo`` and the queues' deques
+        directly: they run once per packet moved.
+        """
         pb = self._pseudo.get(key)
         if pb is None:
             pb = PseudoBuffer(key, self.discipline)
@@ -161,34 +165,48 @@ class NodeBuffer:
 
     def nonempty_keys(self) -> List[Hashable]:
         """Keys of pseudo-buffers currently holding at least one packet."""
-        return [key for key, pb in self._pseudo.items() if pb]
+        return [key for key, pb in self._pseudo.items() if pb._packets]
 
     def pseudo_buffers(self) -> Iterable[PseudoBuffer]:
         return self._pseudo.values()
 
     def drop_empty(self) -> None:
         """Garbage-collect empty pseudo-buffers (keeps long runs lean)."""
-        self._pseudo = {k: pb for k, pb in self._pseudo.items() if pb}
+        self._pseudo = {k: pb for k, pb in self._pseudo.items() if pb._packets}
 
     # -- packet operations -----------------------------------------------------
 
     def store(self, packet: Packet, key: Hashable) -> None:
         """Store ``packet`` under pseudo-buffer ``key`` (arrival by injection
         or by forwarding)."""
-        packets = self.pseudo_buffer(key)._packets
+        pb = self._pseudo.get(key)
+        if pb is None:
+            pb = self._pseudo[key] = PseudoBuffer(key, self.discipline)
+        packets = pb._packets
         packets.append(packet)
         self._load += 1
         if self._on_change is not None:
             new_len = len(packets)
             self._on_change(self.node, key, new_len - 1, new_len)
 
-    def pop_from(self, key: Hashable) -> Packet:
-        """Pop the next packet from pseudo-buffer ``key``, by its discipline."""
+    def take(self, key: Hashable, packet: Optional[Packet] = None) -> Optional[Packet]:
+        """Take the next packet from pseudo-buffer ``key``, by its discipline,
+        or the specific ``packet`` when given; ``None`` if the queue is empty.
+
+        The forwarding step's one read of an activated pseudo-buffer (the
+        paper's "each nonempty activated buffer forwards"), and the one
+        removal path :meth:`pop_from` and :meth:`remove_from` share.  Raises
+        :class:`ValueError` if ``packet`` is not stored in a nonempty queue.
+        """
         pb = self._pseudo.get(key)
-        if pb is None or not pb:
-            raise IndexError(f"node {self.node}: pseudo-buffer {key!r} is empty")
+        if pb is None:
+            return None
         packets = pb._packets
-        if pb.discipline is QueueDiscipline.LIFO:
+        if not packets:
+            return None
+        if packet is not None:
+            packets.remove(packet)
+        elif pb.discipline is QueueDiscipline.LIFO:
             packet = packets.pop()
         else:
             packet = packets.popleft()
@@ -198,21 +216,24 @@ class NodeBuffer:
             self._on_change(self.node, key, new_len + 1, new_len)
         return packet
 
+    def pop_from(self, key: Hashable) -> Packet:
+        """Pop the next packet from pseudo-buffer ``key``, by its discipline."""
+        packet = self.take(key)
+        if packet is None:
+            raise IndexError(f"node {self.node}: pseudo-buffer {key!r} is empty")
+        return packet
+
     def remove_from(self, key: Hashable, packet: Packet) -> None:
         """Remove the specific ``packet`` from pseudo-buffer ``key`` (for
         schedulers whose priority is not the queue discipline).
 
         Raises :class:`ValueError` if the packet is not stored there.
         """
-        pb = self._pseudo.get(key)
-        if pb is None:
-            raise ValueError(f"node {self.node}: no pseudo-buffer {key!r}")
-        packets = pb._packets
-        packets.remove(packet)
-        self._load -= 1
-        if self._on_change is not None:
-            new_len = len(packets)
-            self._on_change(self.node, key, new_len + 1, new_len)
+        if self.take(key, packet) is None:
+            raise ValueError(
+                f"node {self.node}: packet {packet.packet_id} is not in "
+                f"pseudo-buffer {key!r}"
+            )
 
     def all_packets(self) -> List[Packet]:
         """All packets stored at this node, grouped by pseudo-buffer."""
@@ -231,7 +252,7 @@ class NodeBuffer:
     def load_of(self, key: Hashable) -> int:
         """``|L_k(i)|`` for pseudo-buffer ``key`` (0 if it does not exist)."""
         pb = self._pseudo.get(key)
-        return len(pb) if pb is not None else 0
+        return len(pb._packets) if pb is not None else 0
 
     def bad_count(self, key: Hashable) -> int:
         """``beta_k(i)`` — bad packets in pseudo-buffer ``key``."""
@@ -250,11 +271,11 @@ class NodeBuffer:
 
     def recount_load(self) -> int:
         """From-scratch recount of :attr:`load` (tests / debugging only)."""
-        return sum(len(pb) for pb in self._pseudo.values())
+        return sum(len(pb._packets) for pb in self._pseudo.values())
 
     def __len__(self) -> int:
         return self.load
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        loads = {k: len(pb) for k, pb in self._pseudo.items() if pb}
+        loads = {k: len(pb._packets) for k, pb in self._pseudo.items() if pb._packets}
         return f"NodeBuffer(node={self.node}, load={self.load}, pseudo={loads})"

@@ -16,8 +16,7 @@ forward simultaneously — maps onto :class:`Activation` records returned by
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
-from typing import Dict, Hashable, List, Optional, Set
+from typing import Dict, Hashable, List, NamedTuple, Optional, Set
 
 from ..network.errors import SpentAlgorithmError
 from ..network.topology import Topology
@@ -39,29 +38,34 @@ class _BufferChanges:
     dropped, not at the cyclic collector's next full pass.
     """
 
-    __slots__ = ("total", "dirty", "index")
+    __slots__ = ("total", "dirty", "index", "threshold")
 
     def __init__(self, index: BufferIndex) -> None:
         self.total = 0
         self.dirty: Set[int] = set()
         self.index = index
+        self.threshold = index.bad_threshold
 
     def changed(self, node: int, key: Hashable, old_len: int, new_len: int) -> None:
         self.total += new_len - old_len
         self.dirty.add(node)
-        self.index.update(node, key, old_len, new_len)
+        # Most changes stay on one side of the bad threshold, and those
+        # leave the index as it is.
+        threshold = self.threshold
+        if (old_len < threshold) != (new_len < threshold):
+            self.index.update(node, key, old_len, new_len)
 
 
-@dataclass(frozen=True, slots=True)
-class Activation:
+class Activation(NamedTuple):
     """One activated pseudo-buffer: node ``node`` forwards from queue ``key``.
 
     ``packet`` optionally names the exact packet to forward (used by greedy
     baselines whose priority is not the pseudo-buffer's own discipline);
     when ``None`` the pseudo-buffer pops according to its queue discipline.
-    Slotted: peak-to-sink algorithms allocate one per activated buffer per
-    round, which on long backlogs is the hottest allocation site after
-    packets themselves.
+    A named tuple: immutable and dict-free, and built without the frozen
+    dataclass's guarded ``__setattr__``, because peak-to-sink algorithms
+    allocate one per activated buffer per round, the hottest allocation
+    site after packets themselves.
     """
 
     node: int

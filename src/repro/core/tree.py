@@ -20,13 +20,13 @@ of ``v``"), under which:
 
 from __future__ import annotations
 
-from typing import Hashable, List, Optional, Sequence
+from typing import Dict, Hashable, List, Optional, Sequence, Set
 
 from ..api.registry import register_algorithm
 from ..network.errors import ConfigurationError, SchedulingError
 from ..network.topology import TreeTopology
 from .packet import Packet
-from .pseudobuffer import QueueDiscipline
+from .pseudobuffer import NodeBuffer, QueueDiscipline
 from .scheduler import Activation, ForwardingAlgorithm
 from . import bounds
 
@@ -58,6 +58,7 @@ class TreePeakToSink(ForwardingAlgorithm):
     ) -> None:
         super().__init__(topology, discipline=discipline)
         self.tree = topology
+        self._parent = topology.next_hop_table()
         self.destination = destination if destination is not None else topology.root
 
     def classify(self, packet: Packet, node: int) -> Hashable:
@@ -71,23 +72,14 @@ class TreePeakToSink(ForwardingAlgorithm):
     def select_activations(self, round_number: int) -> List[Activation]:
         # The bad index iterates ascending, matching the buffers-dict order
         # (node buffers are created in sorted order).
-        bad_nodes = [
-            node for node in self._index.bad(self.destination)
-            if node != self.destination
-        ]
+        w = self.destination
+        bad_nodes = [node for node in self._index.bad(w) if node != w]
         if not bad_nodes:
             return []
         # Activate every node v (other than the destination) whose subtree
         # contains a bad buffer, i.e. the union of bad-to-destination paths.
         activations: List[Activation] = []
-        activated = set()
-        for bad in bad_nodes:
-            for node in self.tree.path(bad, self.destination)[:-1]:
-                if node in activated:
-                    continue
-                activated.add(node)
-                if self.buffers[node].load_of(self.destination) > 0:
-                    activations.append(Activation(node=node, key=self.destination))
+        _activate_paths(self._parent, self.buffers, bad_nodes, w, set(), activations)
         return activations
 
     def theoretical_bound(self, sigma: float) -> float:
@@ -119,6 +111,7 @@ class TreeParallelPeakToSink(ForwardingAlgorithm):
     ) -> None:
         super().__init__(topology, discipline=discipline)
         self.tree = topology
+        self._parent = topology.next_hop_table()
         self._declared_destinations: Optional[List[int]] = None
         if destinations is not None:
             node_set = set(topology.nodes)
@@ -126,37 +119,39 @@ class TreeParallelPeakToSink(ForwardingAlgorithm):
                 if w not in node_set:
                     raise ConfigurationError(f"destination {w} is not a tree node")
             self._declared_destinations = self._topological_sort(set(destinations))
-        self._observed_destinations: set = set()
+        self._observed_destinations: Set[int] = set()
+        #: :meth:`destinations` reversed (root-most first), cached until
+        #: :meth:`classify` first sees a destination or a restore replaces
+        #: the set.
+        self._root_first_cache: Optional[List[int]] = None
 
     # -- packet placement --------------------------------------------------------
 
     def classify(self, packet: Packet, node: int) -> Hashable:
-        self._observed_destinations.add(packet.destination)
-        return packet.destination
+        w = packet.destination
+        if w not in self._observed_destinations:
+            self._observed_destinations.add(w)
+            self._root_first_cache = None
+        return w
 
     # -- forwarding decisions ------------------------------------------------------
 
     def select_activations(self, round_number: int) -> List[Activation]:
-        destinations = self.destinations()
         activations: List[Activation] = []
-        activated = set()
+        activated: Set[int] = set()
+        is_upstream = self.tree.is_upstream
         # Reverse topological order: root-most destinations first, exactly as
         # Algorithm 6 iterates k = d-1 downto 0 over a topologically sorted W.
-        for w in reversed(destinations):
+        for w in self._root_first():
             bad_nodes = [
                 node for node in self._index.bad(w)
-                if node != w and self.tree.is_upstream(node, w)
+                if node != w and is_upstream(node, w)
             ]
-            if not bad_nodes:
-                continue
-            minimal_bad = self._minimal_antichain(bad_nodes)
-            for bad in minimal_bad:
-                for node in self.tree.path(bad, w)[:-1]:
-                    if node in activated:
-                        continue
-                    activated.add(node)
-                    if self.buffers[node].load_of(w) > 0:
-                        activations.append(Activation(node=node, key=w))
+            if bad_nodes:
+                _activate_paths(
+                    self._parent, self.buffers, self._minimal_antichain(bad_nodes, w),
+                    w, activated, activations,
+                )
         return activations
 
     def theoretical_bound(self, sigma: float) -> Optional[float]:
@@ -189,6 +184,7 @@ class TreeParallelPeakToSink(ForwardingAlgorithm):
 
     def restore_checkpoint_state(self, state: dict, packets) -> None:
         self._observed_destinations = set(state["observed"])
+        self._root_first_cache = None
 
     # -- internals ----------------------------------------------------------------
 
@@ -196,14 +192,51 @@ class TreeParallelPeakToSink(ForwardingAlgorithm):
         """Sort so that ``w_i`` upstream of ``w_j`` implies ``i < j`` (by depth, descending)."""
         return sorted(destinations, key=lambda w: (-self.tree.depth(w), w))
 
-    def _minimal_antichain(self, nodes: List[int]) -> List[int]:
-        """The low-antichain ``min(B)``: nodes with no other bad node strictly below them."""
-        result = []
-        for candidate in nodes:
-            has_lower = any(
-                other != candidate and self.tree.is_upstream(other, candidate)
-                for other in nodes
-            )
-            if not has_lower:
-                result.append(candidate)
-        return result
+    def _root_first(self) -> List[int]:
+        """The destinations root-most first (cached :meth:`destinations`, reversed)."""
+        order = self._root_first_cache
+        if order is None:
+            order = self._root_first_cache = self.destinations()[::-1]
+        return order
+
+    def _minimal_antichain(self, nodes: List[int], w: int) -> List[int]:
+        """The low-antichain ``min(B)`` of ``nodes`` (bad nodes strictly below
+        ``w``): those with no other bad node strictly below them, in order.
+
+        Marks the strict ancestors of each bad node up to ``w``; a walk stops
+        at the first node already marked, whose ancestors an earlier walk
+        marked, so each node is marked once.
+        """
+        parent = self._parent
+        above_bad: Set[int] = set()
+        for bad in nodes:
+            node = parent[bad]
+            while node != w and node not in above_bad:
+                above_bad.add(node)
+                node = parent[node]
+        return [bad for bad in nodes if bad not in above_bad]
+
+
+def _activate_paths(
+    parent: Dict[int, Optional[int]],
+    buffers: Dict[int, NodeBuffer],
+    starts: List[int],
+    w: int,
+    activated: Set[int],
+    activations: List[Activation],
+) -> None:
+    """Activate every nonempty ``w`` queue on the paths from ``starts`` up to
+    ``w`` (exclusive), skipping nodes in ``activated``.
+
+    Each walk follows parent pointers up to the first node already
+    activated.  That is exact: the walk that activated it, for ``w`` or for
+    a destination processed earlier, activated its whole path to that
+    destination, and a destination processed earlier is ``w`` itself or a
+    root-ward ancestor of ``w`` whenever both lie above one node.
+    """
+    for node in starts:
+        while node != w and node not in activated:
+            activated.add(node)
+            if buffers[node].load_of(w):
+                activations.append(Activation(node, w))
+            node = parent[node]

@@ -391,28 +391,26 @@ class Simulator:
         self, activations: List[Activation], round_number: int
     ) -> Tuple[int, int]:
         """Pop all activated packets simultaneously, then place them."""
+        buffers = self.algorithm.buffers
+        next_hops = self._next_hop
         moves: List[Tuple[Packet, int]] = []
-        for activation in activations:
-            node_buffer = self.algorithm.buffers[activation.node]
-            if not node_buffer.load_of(activation.key):
-                # The paper's wording is "each nonempty activated buffer
-                # forwards": an activation of an empty pseudo-buffer is a
-                # silent no-op, not an error.
+        for node, key, chosen in activations:
+            # The paper's wording is "each nonempty activated buffer
+            # forwards": an activation of an empty pseudo-buffer is a silent
+            # no-op, not an error.
+            packet = buffers[node].take(key, chosen)
+            if packet is None:
                 continue
-            if activation.packet is not None:
-                node_buffer.remove_from(activation.key, activation.packet)
-                packet = activation.packet
-            else:
-                packet = node_buffer.pop_from(activation.key)
-            next_hop = self._next_hop.get(activation.node)
+            next_hop = next_hops.get(node)
             if next_hop is None:
                 raise SchedulingError(
-                    f"round {round_number}: node {activation.node} has no outgoing edge"
+                    f"round {round_number}: node {node} has no outgoing edge"
                 )
             moves.append((packet, next_hop))
 
         delivered = 0
         retain = self.retain_packets
+        on_arrival = self.algorithm.on_arrival
         for packet, next_hop in moves:
             packet.advance(next_hop)
             if next_hop == packet.destination:
@@ -427,7 +425,7 @@ class Simulator:
                     # only remaining trace; release the object.
                     del self.packets[packet.packet_id]
             else:
-                self.algorithm.on_arrival(packet, next_hop, round_number)
+                on_arrival(packet, next_hop, round_number)
         return len(moves), delivered
 
     def _pending(self) -> int:

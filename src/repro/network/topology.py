@@ -12,8 +12,9 @@ interface used by the simulator and the forwarding algorithms:
 * ``is_upstream(u, v)``             — the partial order ``u \\preceq v``.
 
 Trees are backed by :mod:`networkx` so random tree generation and drawing are
-easy, but the hot-path queries (``next_hop``, ``path_contains``) are answered
-from precomputed parent pointers and depths, not graph traversals.
+easy, but the hot-path queries (``next_hop``, ``path_contains``,
+``is_upstream``, ``validate_route``) are answered from precomputed parent
+pointers and DFS entry/exit stamps in O(1), not graph traversals.
 """
 
 from __future__ import annotations
@@ -237,20 +238,34 @@ class TreeTopology(Topology):
         self._children: Dict[int, List[int]] = {v: [] for v in self._nodes}
         for child, p in cleaned.items():
             self._children[p].append(child)
-        self._depth = self._compute_depths()
+        self._depth: Dict[int, int] = {}
+        #: DFS entry and exit stamps: ``u \preceq v`` iff ``v``'s interval
+        #: ``[_entry[v], _exit[v])`` contains ``_entry[u]``.
+        self._entry: Dict[int, int] = {}
+        self._exit: Dict[int, int] = {}
+        self._stamp()
         self._validate_acyclic()
 
     # -- construction helpers ----------------------------------------------------
 
-    def _compute_depths(self) -> Dict[int, int]:
-        depth = {self.root: 0}
-        frontier = [self.root]
-        while frontier:
-            node = frontier.pop()
-            for child in self._children[node]:
+    def _stamp(self) -> None:
+        """One iterative DFS from the root: depths and entry/exit stamps."""
+        depth, entry, exit_ = self._depth, self._entry, self._exit
+        children = self._children
+        depth[self.root] = 0
+        clock = 0
+        stack = [(self.root, False)]
+        while stack:
+            node, done = stack.pop()
+            if done:
+                exit_[node] = clock
+                continue
+            entry[node] = clock
+            clock += 1
+            stack.append((node, True))
+            for child in children[node]:
                 depth[child] = depth[node] + 1
-                frontier.append(child)
-        return depth
+                stack.append((child, False))
 
     def _validate_acyclic(self) -> None:
         if len(self._depth) != len(self._nodes):
@@ -290,9 +305,7 @@ class TreeTopology(Topology):
         return self.is_upstream(buffer, destination)
 
     def validate_route(self, source: int, destination: int) -> None:
-        self._check_node(source)
-        self._check_node(destination)
-        if source == destination or not self.is_upstream(source, destination):
+        if not self.is_upstream(source, destination) or source == destination:
             raise TopologyError(
                 f"no directed route from {source} to {destination} "
                 f"(destination must be a strict ancestor of the source)"
@@ -302,7 +315,12 @@ class TreeTopology(Topology):
 
     def _check_node(self, node: int) -> None:
         if node not in self._node_set:
-            raise TopologyError(f"node {node} is not in the tree")
+            raise self._unknown(node)
+
+    def _unknown(self, *nodes: int) -> TopologyError:
+        """The error for the first of ``nodes`` that is not in the tree."""
+        missing = next(node for node in nodes if node not in self._node_set)
+        return TopologyError(f"node {missing} is not in the tree")
 
     def parent(self, node: int) -> Optional[int]:
         """The parent of ``node`` (``None`` for the root)."""
@@ -329,15 +347,18 @@ class TreeTopology(Topology):
         return [v for v in self._nodes if not self._children[v]]
 
     def is_upstream(self, u: int, v: int) -> bool:
-        """The partial order ``u \\preceq v``: is ``v`` on the path from ``u`` to root?"""
-        self._check_node(u)
-        self._check_node(v)
-        node: Optional[int] = u
-        while node is not None:
-            if node == v:
-                return True
-            node = self._parent[node]
-        return False
+        """The partial order ``u \\preceq v``: is ``v`` on the path from ``u`` to root?
+
+        O(1): ``u`` lies in the subtree of ``v`` exactly when ``u`` was
+        entered during ``v``'s DFS interval.
+        """
+        entry = self._entry
+        try:
+            entered = entry[u]
+            start = entry[v]
+        except KeyError:
+            raise self._unknown(u, v) from None
+        return start <= entered < self._exit[v]
 
     def subtree(self, v: int) -> List[int]:
         """All nodes ``u`` with ``u \\preceq v`` (the subtree rooted at ``v``)."""

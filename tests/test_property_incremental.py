@@ -29,12 +29,18 @@ from repro.baselines.greedy import GreedyForwarding
 from repro.core.hpts import HierarchicalPeakToSink
 from repro.core.indexset import BufferIndex, SortedIndexSet
 from repro.core.packet import Packet, make_injection, packet_id_scope
-from repro.core.pseudobuffer import NodeBuffer
+from repro.core.pseudobuffer import NodeBuffer, QueueDiscipline
 from repro.core.pts import PeakToSink
 from repro.core.ppts import ParallelPeakToSink
 from repro.core.scheduler import Activation, ForwardingAlgorithm
 from repro.core.tree import TreeParallelPeakToSink, TreePeakToSink
-from repro.network.topology import LineTopology, random_tree
+from repro.network.topology import (
+    LineTopology,
+    binary_tree,
+    caterpillar_tree,
+    random_tree,
+    star_tree,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -284,8 +290,22 @@ class ScanTreePeakToSink(TreePeakToSink):
         return activations
 
 
+def _definition_antichain(tree, bad_nodes) -> List[int]:
+    """``min(B)`` by its definition: the bad nodes with no other bad node
+    strictly below them, in the order given."""
+    return [
+        candidate
+        for candidate in bad_nodes
+        if not any(
+            other != candidate and tree.is_upstream(other, candidate)
+            for other in bad_nodes
+        )
+    ]
+
+
 class ScanTreeParallelPeakToSink(TreeParallelPeakToSink):
-    """Tree PPTS finding each destination's bad buffers by a full-network scan."""
+    """Tree PPTS finding each destination's bad buffers by a full-network
+    scan, its antichain by the definition and its paths by ``tree.path``."""
 
     def select_activations(self, round_number: int) -> List[Activation]:
         activations: List[Activation] = []
@@ -300,7 +320,8 @@ class ScanTreeParallelPeakToSink(TreeParallelPeakToSink):
             ]
             if bad_nodes:
                 _activate_paths(
-                    self, self._minimal_antichain(bad_nodes), w, activated, activations
+                    self, _definition_antichain(self.tree, bad_nodes), w,
+                    activated, activations,
                 )
         return activations
 
@@ -435,21 +456,66 @@ def _tree_injector(tree, destinations):
     return inject
 
 
-@pytest.mark.parametrize("seed", range(4))
-def test_tree_pts_incremental_selection_equals_scan(seed):
-    tree = random_tree(20, seed=seed)
-    algorithm = TreePeakToSink(tree)
+#: Tree families for the scan-oracle comparisons: deep and shallow, narrow
+#: and wide, with several possible destinations on most of them.
+TREES = {
+    "random": lambda seed: random_tree(30, seed=seed),
+    "caterpillar": lambda seed: caterpillar_tree(8, 2),
+    "star": lambda seed: star_tree(12),
+    "binary": lambda seed: binary_tree(4),
+}
+DISCIPLINES = [QueueDiscipline.LIFO, QueueDiscipline.FIFO]
+
+
+def _tree_destinations(tree, seed: int) -> List[int]:
+    """Up to five nodes that have a strict descendant, the root among them."""
+    interior = [node for node in tree.nodes if tree.children(node)]
+    others = [node for node in interior if node != tree.root]
+    rng = random.Random(seed)
+    return [tree.root] + rng.sample(others, min(4, len(others)))
+
+
+@pytest.mark.parametrize("discipline", DISCIPLINES, ids=lambda d: d.value)
+@pytest.mark.parametrize("family", sorted(TREES))
+@pytest.mark.parametrize("seed", range(2))
+def test_tree_pts_incremental_selection_equals_scan(seed, family, discipline):
+    tree = TREES[family](seed)
+    algorithm = TreePeakToSink(tree, discipline=discipline)
     _drive_and_compare(algorithm, _tree_injector(tree, [tree.root]), rounds=120, seed=seed)
 
 
-@pytest.mark.parametrize("seed", range(4))
-def test_tree_ppts_incremental_selection_equals_scan(seed):
-    tree = random_tree(20, seed=seed)
-    interior = [node for node in tree.nodes if tree.children(node)]
-    algorithm = TreeParallelPeakToSink(tree)
-    _drive_and_compare(
-        algorithm, _tree_injector(tree, interior[:3] or [tree.root]), rounds=120, seed=seed
+@pytest.mark.parametrize("declared", [False, True], ids=["discovered", "declared"])
+@pytest.mark.parametrize("discipline", DISCIPLINES, ids=lambda d: d.value)
+@pytest.mark.parametrize("family", sorted(TREES))
+@pytest.mark.parametrize("seed", range(3))
+def test_tree_ppts_incremental_selection_equals_scan(seed, family, discipline, declared):
+    tree = TREES[family](seed)
+    destinations = _tree_destinations(tree, seed)
+    algorithm = TreeParallelPeakToSink(
+        tree, destinations if declared else None, discipline=discipline
     )
+    _drive_and_compare(
+        algorithm, _tree_injector(tree, destinations), rounds=160, seed=seed
+    )
+
+
+def test_tree_ppts_restore_replaces_the_cached_destination_order():
+    """A restored destination set is what the next selection walks, not the
+    order cached before the restore."""
+    tree = caterpillar_tree(6, 1)  # spine 5 -> 4 -> ... -> 0; leaf 11 hangs off 5
+    algorithm = TreeParallelPeakToSink(tree)
+    leaf, spine_top, spine_mid = 11, 0, 3
+    with packet_id_scope():
+        for _ in range(2):
+            algorithm.on_inject(0, [Packet.from_injection(make_injection(0, leaf, spine_top))])
+        assert algorithm.select_activations(0)
+        algorithm.restore_checkpoint_state({"observed": [spine_mid]}, {})
+        assert algorithm.destinations() == [spine_mid]
+        # The two root-bound packets are no longer in the destination set.
+        assert algorithm.select_activations(1) == []
+        for _ in range(2):
+            algorithm.on_inject(1, [Packet.from_injection(make_injection(1, leaf, spine_mid))])
+        assert [a.key for a in algorithm.select_activations(2)] == [spine_mid]
 
 
 def _check_bad_key_grouping(algorithm) -> None:

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.network.errors import TopologyError
 from repro.network.topology import (
@@ -71,6 +73,74 @@ class TestStructureQueries:
         tree = TreeTopology({0: None, 1: 0, 2: 1})
         assert tree.next_hop(2) == 1
         assert tree.next_hop(0) is None
+
+
+def _walk_is_upstream(tree: TreeTopology, u: int, v: int) -> bool:
+    """``u \\preceq v`` by its definition: ``v`` is on ``u``'s parent chain."""
+    node = u
+    while node is not None:
+        if node == v:
+            return True
+        node = tree.parent(node)
+    return False
+
+
+#: The four tree families, relabelled by an offset so node ids need not
+#: start at 0 or be contiguous with the probes outside the tree.
+TREE_FAMILIES = st.tuples(
+    st.one_of(
+        st.builds(random_tree, st.integers(1, 40), st.integers(0, 2**16)),
+        st.builds(caterpillar_tree, st.integers(1, 8), st.integers(0, 3)),
+        st.builds(star_tree, st.integers(1, 15)),
+        st.builds(binary_tree, st.integers(0, 4)),
+    ),
+    st.sampled_from([0, 7]),
+).map(
+    lambda pair: TreeTopology(
+        {
+            node + pair[1]: None if pair[0].parent(node) is None
+            else pair[0].parent(node) + pair[1]
+            for node in pair[0].nodes
+        }
+    )
+)
+
+
+class TestStampedAncestry:
+    """``is_upstream`` answers from DFS stamps; the parent walk is the spec."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(TREE_FAMILIES)
+    def test_is_upstream_equals_parent_walk_on_every_pair(self, tree):
+        for u in tree.nodes:
+            for v in tree.nodes:
+                assert tree.is_upstream(u, v) is _walk_is_upstream(tree, u, v), (u, v)
+                if u != v and _walk_is_upstream(tree, u, v):
+                    tree.validate_route(u, v)
+                    path = tree.path(u, v)
+                    assert path[0] == u and path[-1] == v
+                else:
+                    with pytest.raises(TopologyError):
+                        tree.validate_route(u, v)
+
+    @settings(max_examples=40, deadline=None)
+    @given(TREE_FAMILIES, st.sampled_from([-1, 1000, 6]))
+    def test_nodes_outside_the_tree_raise(self, tree, outside):
+        if outside in tree.nodes:
+            outside = max(tree.nodes) + 1
+        inside = tree.nodes[0]
+        for call in (
+            lambda: tree.is_upstream(outside, inside),
+            lambda: tree.is_upstream(inside, outside),
+            lambda: tree.is_upstream(outside, outside),
+            lambda: tree.path(outside, tree.root),
+            lambda: tree.path(inside, outside),
+            lambda: tree.validate_route(outside, tree.root),
+            lambda: tree.validate_route(inside, outside),
+            lambda: tree.validate_route(outside, outside),
+        ):
+            with pytest.raises(TopologyError, match=f"node {outside} is not in the tree"):
+                call()
 
 
 class TestRouting:
