@@ -13,8 +13,8 @@ so they stay small, and updates happen only when the threshold is actually
 crossed — O(packets moved), not O(n), per round).
 :class:`BufferIndex` keeps one such set per pseudo-buffer key.
 The forwarding algorithm's change listener
-(``repro.core.scheduler._BufferChanges``) feeds it every pseudo-buffer
-length change, once.
+(``repro.core.scheduler._BufferChanges``) feeds it each pseudo-buffer
+length change that crosses the threshold, once.
 """
 
 from __future__ import annotations
@@ -79,11 +79,12 @@ class SortedIndexSet:
 class BufferIndex:
     """Per-key sorted bad positions for one forwarding algorithm.
 
-    ``update`` is a no-op unless the length change crossed the bad
-    threshold; when it did, the insort/delete costs O(s) worst case in the
-    size ``s`` of the affected set (the backing list shifts).  Queries are
-    O(log s).  A key whose last bad position goes is dropped, so
-    :meth:`bad_keys` names exactly the keys that have a bad buffer.
+    ``update`` sets one position's membership from its new length, so it
+    is idempotent; the engine's listener calls it only when a change
+    crosses the bad threshold, and then the insort/delete costs O(s) worst
+    case in the size ``s`` of the affected set (the backing list shifts).
+    Queries are O(log s).  A key whose last bad position goes is dropped,
+    so :meth:`bad_keys` names exactly the keys that have a bad buffer.
     """
 
     __slots__ = ("bad_threshold", "_bad")
@@ -93,15 +94,18 @@ class BufferIndex:
         self._bad: Dict[Hashable, SortedIndexSet] = {}
 
     def update(self, node: int, key: Hashable, old_len: int, new_len: int) -> None:
-        """Fold one pseudo-buffer length change into the bad sets."""
-        threshold = self.bad_threshold
-        if old_len < threshold:
-            if new_len >= threshold:
-                index_set = self._bad.get(key)
-                if index_set is None:
-                    index_set = self._bad[key] = SortedIndexSet()
-                index_set.add(node)
-        elif new_len < threshold:
+        """Fold one pseudo-buffer length change into the bad sets: ``node``
+        is in ``key``'s set exactly when ``new_len`` reaches the threshold.
+
+        Takes a node buffer's change-listener arguments; ``old_len`` is not
+        needed, since adding and discarding are idempotent.
+        """
+        if new_len >= self.bad_threshold:
+            index_set = self._bad.get(key)
+            if index_set is None:
+                index_set = self._bad[key] = SortedIndexSet()
+            index_set.add(node)
+        else:
             index_set = self._bad.get(key)
             if index_set is not None:
                 index_set.discard(node)

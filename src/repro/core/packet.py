@@ -233,21 +233,9 @@ class Packet:
 
     @classmethod
     def from_injection(cls, injection: Injection, *, staged: bool = False) -> "Packet":
-        """Create an in-flight packet at its injection site.
-
-        Sets the slots directly, as :meth:`from_row` does: the delta engine
-        builds one per injection.
-        """
-        packet = object.__new__(cls)
-        packet.packet_id = injection.packet_id
-        packet.source = packet.location = injection.source
-        packet.destination = injection.destination
-        packet.injected_round = injection.round
-        packet.state = PacketState.STAGED if staged else PacketState.IN_TRANSIT
-        packet.accepted_round = None
-        packet.delivered_round = None
-        packet.hops = 0
-        return packet
+        """Create an in-flight packet at its injection site."""
+        state = PacketState.STAGED if staged else PacketState.IN_TRANSIT
+        return cls(injection, injection.source, state)
 
     @classmethod
     def from_row(

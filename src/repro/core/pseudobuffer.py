@@ -146,13 +146,16 @@ class NodeBuffer:
     def pseudo_buffer(self, key: Hashable) -> PseudoBuffer:
         """Return (creating if necessary) the pseudo-buffer for ``key``.
 
-        The node's own methods read ``_pseudo`` and the queues' deques
-        directly: they run once per packet moved.
+        For analyses and tests; the node's own methods read ``_pseudo`` and
+        the queues' deques directly, since they run once per packet moved.
         """
         pb = self._pseudo.get(key)
         if pb is None:
-            pb = PseudoBuffer(key, self.discipline)
-            self._pseudo[key] = pb
+            pb = self._new_queue(key)
+        return pb
+
+    def _new_queue(self, key: Hashable) -> PseudoBuffer:
+        pb = self._pseudo[key] = PseudoBuffer(key, self.discipline)
         return pb
 
     def existing(self, key: Hashable) -> Optional[PseudoBuffer]:
@@ -181,7 +184,7 @@ class NodeBuffer:
         or by forwarding)."""
         pb = self._pseudo.get(key)
         if pb is None:
-            pb = self._pseudo[key] = PseudoBuffer(key, self.discipline)
+            pb = self._new_queue(key)
         packets = pb._packets
         packets.append(packet)
         self._load += 1
@@ -217,7 +220,11 @@ class NodeBuffer:
         return packet
 
     def pop_from(self, key: Hashable) -> Packet:
-        """Pop the next packet from pseudo-buffer ``key``, by its discipline."""
+        """Pop the next packet from pseudo-buffer ``key``, by its discipline.
+
+        The raising form of :meth:`take`, for callers that know the queue
+        is nonempty (the batch kernel's end-of-run sync).
+        """
         packet = self.take(key)
         if packet is None:
             raise IndexError(f"node {self.node}: pseudo-buffer {key!r} is empty")
@@ -227,7 +234,9 @@ class NodeBuffer:
         """Remove the specific ``packet`` from pseudo-buffer ``key`` (for
         schedulers whose priority is not the queue discipline).
 
-        Raises :class:`ValueError` if the packet is not stored there.
+        The raising form of ``take(key, packet)``, kept for callers outside
+        the forwarding step.  Raises :class:`ValueError` if the packet is
+        not stored there.
         """
         if self.take(key, packet) is None:
             raise ValueError(

@@ -49,8 +49,8 @@ class _BufferChanges:
     def changed(self, node: int, key: Hashable, old_len: int, new_len: int) -> None:
         self.total += new_len - old_len
         self.dirty.add(node)
-        # Most changes stay on one side of the bad threshold, and those
-        # leave the index as it is.
+        # The crossing test lives here, not in the index: most changes stay
+        # on one side of the bad threshold, and those need no index call.
         threshold = self.threshold
         if (old_len < threshold) != (new_len < threshold):
             self.index.update(node, key, old_len, new_len)
