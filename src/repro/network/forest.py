@@ -77,13 +77,16 @@ class ForestTopology(Topology):
 
     def path_contains(self, source: int, destination: int, buffer: int) -> bool:
         component = self._component(source)
-        if destination not in set(component.nodes) or buffer not in set(component.nodes):
+        component_of = self._component_of
+        if component_of.get(destination) is not component or (
+            component_of.get(buffer) is not component
+        ):
             return False
         return component.path_contains(source, destination, buffer)
 
     def validate_route(self, source: int, destination: int) -> None:
         component = self._component(source)
-        if destination not in set(component.nodes):
+        if self._component_of.get(destination) is not component:
             raise TopologyError(
                 f"no route from {source} to {destination}: the nodes lie in "
                 f"different forest components"
@@ -129,7 +132,7 @@ class ForestTopology(Topology):
     def is_upstream(self, u: int, v: int) -> bool:
         """``u \\preceq v`` — always false across components."""
         component = self._component(u)
-        if v not in set(component.nodes):
+        if self._component_of.get(v) is not component:
             return False
         return component.is_upstream(u, v)
 
@@ -145,17 +148,13 @@ class ForestTopology(Topology):
     def destination_depth(self, destinations: Iterable[int]) -> int:
         """``d'`` over the whole forest: the max component-wise destination depth."""
         destination_list = list(destinations)
+        component_of = self._component_of
+        missing = [w for w in destination_list if w not in component_of]
+        if missing:
+            raise TopologyError(f"destinations {missing} are not forest nodes")
         best = 0
         for tree in self._trees:
-            component_nodes = set(tree.nodes)
-            local = [w for w in destination_list if w in component_nodes]
-            missing = [
-                w
-                for w in destination_list
-                if w not in self._component_of
-            ]
-            if missing:
-                raise TopologyError(f"destinations {missing} are not forest nodes")
+            local = [w for w in destination_list if component_of[w] is tree]
             if local:
                 best = max(best, tree.destination_depth(local))
         return best

@@ -11,22 +11,25 @@ interface used by the simulator and the forwarding algorithms:
 * ``path_contains(u, w, v)``        — whether ``v`` lies on ``Path(u, w)``,
 * ``is_upstream(u, v)``             — the partial order ``u \\preceq v``.
 
-Trees are backed by :mod:`networkx` so random tree generation and drawing are
-easy, but the hot-path queries (``next_hop``, ``path_contains``,
-``is_upstream``, ``validate_route``) are answered from precomputed parent
-pointers and DFS entry/exit stamps in O(1), not graph traversals.
+Trees are parent pointers plus DFS entry/exit stamps, so the hot-path queries
+(``next_hop``, ``path_contains``, ``is_upstream``, ``validate_route``) are
+answered in O(1), not by graph traversals; :func:`random_tree` draws with
+:mod:`random`.  :mod:`networkx` is imported only by the export and import
+helpers (``to_networkx`` / ``from_networkx``), so running a scenario never
+loads it.
 """
 
 from __future__ import annotations
 
 import random
 from abc import ABC, abstractmethod
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..api.registry import register_topology
 from .errors import TopologyError
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = [
     "Topology",
@@ -195,7 +198,12 @@ class LineTopology(Topology):
         return range(source, destination)
 
     def to_networkx(self) -> nx.DiGraph:
-        """Export as a :class:`networkx.DiGraph` (for drawing / analysis)."""
+        """Export as a :class:`networkx.DiGraph` (for drawing / analysis).
+
+        :mod:`networkx` is imported here, on first use, not with the module.
+        """
+        import networkx as nx
+
         graph = nx.DiGraph()
         graph.add_nodes_from(self.nodes)
         graph.add_edges_from(self.edges)
@@ -390,7 +398,12 @@ class TreeTopology(Topology):
         return best
 
     def to_networkx(self) -> nx.DiGraph:
-        """Export as a :class:`networkx.DiGraph` with edges toward the root."""
+        """Export as a :class:`networkx.DiGraph` with edges toward the root.
+
+        :mod:`networkx` is imported here, on first use, not with the module.
+        """
+        import networkx as nx
+
         graph = nx.DiGraph()
         graph.add_nodes_from(self.nodes)
         graph.add_edges_from(self.edges)
@@ -398,7 +411,11 @@ class TreeTopology(Topology):
 
     @classmethod
     def from_networkx(cls, graph: nx.DiGraph) -> "TreeTopology":
-        """Build from a DiGraph whose edges already point toward the root."""
+        """Build from a DiGraph whose edges already point toward the root.
+
+        Only the graph's ``nodes`` and ``edges`` are read; :mod:`networkx` is
+        needed solely to build ``graph`` and is not imported here.
+        """
         parent: Dict[int, Optional[int]] = {}
         for u, v in graph.edges:
             if u in parent:

@@ -75,6 +75,115 @@ class TestRouting:
         assert not forest.path_contains(2, 0, 11)
 
 
+def _three_component_forest() -> ForestTopology:
+    """A chain 2 -> 1 -> 0, a star {4, 5} -> 3 and a tree 9 -> 7 -> 6 <- 8."""
+    return forest_of(
+        [
+            {0: None, 1: 0, 2: 1},
+            {3: None, 4: 3, 5: 3},
+            {6: None, 7: 6, 8: 6, 9: 7},
+        ]
+    )
+
+
+class _SetReference:
+    """The forest queries answered by building each component's node set,
+    with the same results and ``TopologyError`` messages the forest gives."""
+
+    def __init__(self, forest: ForestTopology) -> None:
+        self.forest = forest
+
+    def is_upstream(self, u: int, v: int) -> bool:
+        component = self.forest.component(u)
+        if v not in set(component.nodes):
+            return False
+        return component.is_upstream(u, v)
+
+    def path_contains(self, source: int, destination: int, buffer: int) -> bool:
+        component = self.forest.component(source)
+        nodes = set(component.nodes)
+        if destination not in nodes or buffer not in nodes:
+            return False
+        return component.path_contains(source, destination, buffer)
+
+    def validate_route(self, source: int, destination: int) -> None:
+        component = self.forest.component(source)
+        if destination not in set(component.nodes):
+            raise TopologyError(
+                f"no route from {source} to {destination}: the nodes lie in "
+                f"different forest components"
+            )
+        component.validate_route(source, destination)
+
+    def destination_depth(self, destinations) -> int:
+        known = set(self.forest.nodes)
+        missing = [w for w in destinations if w not in known]
+        if missing:
+            raise TopologyError(f"destinations {missing} are not forest nodes")
+        best = 0
+        for tree in self.forest.trees:
+            local = [w for w in destinations if w in set(tree.nodes)]
+            if local:
+                best = max(best, tree.destination_depth(local))
+        return best
+
+
+def _outcome(query, *args):
+    try:
+        return ("value", query(*args))
+    except TopologyError as error:
+        return ("error", str(error))
+
+
+class TestQueriesMatchSetReference:
+    """Component membership by identity answers exactly what set membership
+    did, unknown ids -1 and ``num_nodes`` included."""
+
+    forest = _three_component_forest()
+    reference = _SetReference(forest)
+    ids = [-1, *forest.nodes, forest.num_nodes]
+
+    def test_every_pair(self):
+        for u in self.ids:
+            for v in self.ids:
+                for name in ("is_upstream", "validate_route"):
+                    assert _outcome(getattr(self.forest, name), u, v) == _outcome(
+                        getattr(self.reference, name), u, v
+                    ), (name, u, v)
+                assert _outcome(self.forest.destination_depth, [u, v]) == _outcome(
+                    self.reference.destination_depth, [u, v]
+                ), ("destination_depth", u, v)
+
+    def test_every_triple(self):
+        for source in self.ids:
+            for destination in self.ids:
+                for buffer in self.ids:
+                    args = (source, destination, buffer)
+                    assert _outcome(self.forest.path_contains, *args) == _outcome(
+                        self.reference.path_contains, *args
+                    ), args
+
+    def test_unknown_and_cross_component_route_errors(self):
+        forest = self.forest
+        with pytest.raises(TopologyError, match=r"^node -1 is not in the forest$"):
+            forest.validate_route(-1, 0)
+        with pytest.raises(TopologyError, match=r"^node 10 is not in the forest$"):
+            forest.is_upstream(10, 0)
+        for source, destination in ((2, 3), (0, 10), (9, -1)):
+            with pytest.raises(
+                TopologyError,
+                match=rf"^no route from {source} to {destination}: the nodes lie in "
+                r"different forest components$",
+            ):
+                forest.validate_route(source, destination)
+        with pytest.raises(
+            TopologyError, match=r"^destinations \[-1, 10\] are not forest nodes$"
+        ):
+            forest.destination_depth([0, -1, 3, 10])
+        assert not forest.is_upstream(2, 10)
+        assert not forest.path_contains(2, 0, -1)
+
+
 class TestTreeQuerySurface:
     def test_leaves_depth_subtree(self):
         forest = _two_component_forest()
