@@ -25,8 +25,9 @@ read after it (see :attr:`BatchSimulator.packets`).
 The columns and maxima live in flat ``array('q')`` buffers — already the
 int64 layout numpy wants — and numpy views them zero-copy
 (``numpy.frombuffer``, once per kernel load) for whole-pattern
-route/destination pre-validation, PTS's bad-buffer search, the folds of
-shifted PTS segments and the batch-boundary maxima scan.
+route/destination pre-validation, PTS's bad-buffer scan when a window
+starts, the folds of shifted PTS segments and the batch-boundary maxima
+scan.
 
 Forwarding is a single fused left-to-right scan per round: each active node
 pops its own packet *before* the carry from its predecessor lands, so the
@@ -46,13 +47,18 @@ the queue list and reinserted, empty, at ``lo``, ``occ[lo+1:hi+1] =
 occ[lo:hi]`` moves the loads, and the incoming carry lands at ``lo``.  Both
 moves are C memmoves.  This is exact because forwarding never makes a buffer
 bad: a segment node sends its own packet and receives at most one, and a
-bad buffer pops one and receives at most one, so the bad set found before
-the round (one ``nonzero`` over the loads) only shrinks during it.  A
+bad buffer pops one and receives at most one, so the bad set before the
+round only shrinks during it.  The bad set is therefore kept, not searched
+for: one ``nonzero`` over the loads when a window starts, then a sorted
+list that only injections grow and pops below the threshold shrink.  A
 shifted segment's nodes are maxima candidates, but they are folded at the
 *next* measurement (one ``numpy.maximum`` over the span of the round's
 segments), never at the shift: the loads a run's final round leaves behind
-are not a measurement in any engine.  The global maximum is then read off
-the per-node maxima at sync.
+are not a measurement in any engine.  The fold stops while every node
+from the first one with a nonzero maximum to ``last`` has one: it could
+only raise a maximum of 0, right of that node (see
+:meth:`BatchSimulator._maxima_settled`).  The global maximum is then read
+off the per-node maxima at sync.
 
 Scope (everything else raises :class:`UnbatchableScenarioError`, which
 ``RunPolicy.engine="auto"`` catches to fall back to the object engine):
@@ -91,10 +97,12 @@ pops at most one packet and receives at most one, so each stack's order is
 the object engine's.  The nodes whose load rose are folded into the maxima
 at the next measurement.
 
-A drain stops after :func:`~repro.network.simulator.quiescence_window`
-rounds that forward nothing.  The kernel runs them only until ``ell`` quiet
-rounds in a row (one for the fused family) prove the configuration a fixed
-point, then counts the rest of the window, or of the drain cap, at once;
+A drain is one window call that steps the
+:class:`~repro.network.simulator.DrainStop` rule every round.  The rule
+stops after :func:`~repro.network.simulator.quiescence_window` rounds that
+forward nothing; the window runs them only until ``ell`` quiet rounds in a
+row (one for the fused family) prove the configuration a fixed point, and
+the drain then counts the rest of the window, or of the drain cap, at once;
 under full history it appends their round records, alike but for the round
 number.
 
@@ -110,6 +118,7 @@ to the same bytes the object engine writes at that cut.
 from __future__ import annotations
 
 from array import array
+from bisect import insort
 from collections import deque
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -495,8 +504,8 @@ class BatchSimulator(Simulator):
         zeros = bytes(8 * n)
         self._occ = occ = array("q", zeros)
         self._mx = mx = array("q", zeros)
-        # Zero-copy numpy views, made once per load: a drain calls _window
-        # once per round.  Neither buffer is ever resized.
+        # Zero-copy numpy views, made once per load, not once per window
+        # call.  Neither buffer is ever resized.
         self._occ_v = np.frombuffer(occ, dtype=np.int64)
         self._mx_v = np.frombuffer(mx, dtype=np.int64)
         self._queues = queues = [deque() for _ in range(n)]
@@ -760,41 +769,39 @@ class BatchSimulator(Simulator):
     def _kernel_drain(
         self, start_round: int, max_drain_rounds: Optional[int]
     ) -> bool:
-        # Simulator._drain's rule on kernel counts: pending is stored plus
-        # staged (HPTS only; the fused-scan family never stages, so its
-        # quiet test degenerates to "forwarded nothing").
+        """Simulator._drain's rule on kernel counts, in one window call.
+
+        Pending is stored plus staged (HPTS only; the fused-scan family
+        never stages, so its quiet test degenerates to "forwarded
+        nothing").  The window steps the rule every round and returns when
+        it stops, when nothing is pending, or after ``ell`` quiet rounds.
+        """
         window = self._pseudo_window if self._kind == _PSEUDO else self._window
         staged = self._staged_rows
         rule = DrainStop(
             self._n, self._stored + len(staged), max_drain_rounds, len(staged)
         )
-        round_number = start_round
-        while self._stored + len(staged) > 0 and not rule.stopped:
-            rule.step(
-                window(round_number, round_number + 1, inject=False),
-                len(staged),
+        if self._stored + len(staged) > 0 and not rule.stopped:
+            window(start_round, start_round + rule.cap, rule)
+        if not rule.stopped and rule.quiet >= self._ell:
+            # The quiet tail.  A drain round injects nothing, and ``ell``
+            # quiet rounds span a phase boundary, which accepts every staged
+            # row and so changes the staged count unless none is staged:
+            # nothing is, nothing moved, and the state is what it was.
+            # Every level has selected on it and moved nothing (a round's
+            # level is its residue mod ``ell``), so every later round
+            # repeats one of these until the rule stops.
+            self._quiet_rounds(
+                self._round,
+                min(rule.window - rule.quiet, rule.cap - rule.rounds),
             )
-            round_number += 1
-            if rule.quiet >= self._ell and not rule.stopped:
-                # The quiet tail.  A drain round injects nothing, and ``ell``
-                # quiet rounds span a phase boundary, which accepts every
-                # staged row and so changes the staged count unless none is
-                # staged: nothing is, nothing moved, and the state is what
-                # it was.  Every level has selected on it and moved nothing
-                # (a round's level is its residue mod ``ell``), so every
-                # later round repeats one of these until the rule stops.
-                tail = min(rule.window - rule.quiet, rule.cap - rule.rounds)
-                self._quiet_rounds(round_number, tail)
-                rule.quiet += tail
-                rule.rounds += tail
-                rule.stopped = True
         return self._stored + len(staged) == 0
 
     def _quiet_rounds(self, first: int, count: int) -> None:
-        """Count ``count`` drain rounds from ``first`` that move nothing on a
-        fixed configuration, without running them (see :meth:`_kernel_drain`);
-        under full history each appends its :class:`RoundRecord`, all alike
-        but for the round number."""
+        """Count the drain's quiet tail: ``count`` rounds from ``first`` that
+        move nothing on a fixed configuration, without running them (see
+        :meth:`_kernel_drain`); under full history each appends its
+        :class:`RoundRecord`, all alike but for the round number."""
         if self.record_history:
             before = self._occ.tolist()
             delivered = self._delivered
@@ -804,7 +811,9 @@ class BatchSimulator(Simulator):
 
     # -- the fused scan (every round runs here) --------------------------------------
 
-    def _window(self, t0: int, t1: int, *, inject: bool = True) -> bool:
+    def _window(
+        self, t0: int, t1: int, drain: Optional[DrainStop] = None
+    ) -> None:
         """Advance rounds ``t0 .. t1-1`` on flat state, one fused scan each.
 
         Selection and forwarding run in a single left-to-right pass: a node
@@ -814,23 +823,30 @@ class BatchSimulator(Simulator):
         activation or move lists and no per-move column writes.  PTS takes
         the pass a segment at a time (see the module docstring): one step
         per bad buffer and one queue-list and load shift per segment between
-        them.  Only nodes whose load *grew* since the previous measurement
-        are maxima candidates: carry landings on a new node and injection
-        sites, folded one by one, and PTS's shifted segments, folded as one
-        numpy span at the next measurement.
+        them.  Its bad buffers are found with one scan when the call starts
+        and then kept as a sorted list: an injection that raises a load to
+        the threshold inserts its node, a bad buffer that pops below it with
+        no carry landing leaves, and a round injected through the checked
+        path (a streaming adversary) is rescanned when it made a buffer bad.
+        Only nodes whose load *grew* since the previous measurement are
+        maxima candidates: carry landings on a new node and injection sites,
+        folded one by one, and PTS's shifted segments, folded as one numpy
+        span at the next measurement unless :meth:`_maxima_settled` holds,
+        tested when the call starts and after each fold while it does not
+        (and again once an injection gives a node its first packet).
 
-        ``inject=False`` runs drain rounds: nothing is injected, even where
-        the pattern still has rows (a run stopped short of its horizon).
-        Under ``record_history`` each round also appends its
+        A ``drain`` rule makes these drain rounds: nothing is injected, even
+        where the pattern still has rows (a run stopped short of its
+        horizon), the rule is stepped after every round, and the call
+        returns once the rule stops, nothing is stored, or a round forwarded
+        nothing (``ell`` is 1 here; :meth:`_kernel_drain` counts the quiet
+        tail).  A round forwards nothing exactly when the scan is skipped:
+        nothing is stored, or no buffer is bad under local-threshold or
+        non-work-conserving PTS.  Otherwise something pops: a bad buffer
+        (PTS, local), every nonempty buffer (greedy, work-conserving PTS),
+        or the rightmost nonempty buffer, whose successor is empty
+        (downhill).  Under ``record_history`` each round also appends its
         :class:`RoundRecord` (see :meth:`_record_round`).
-
-        Returns whether the last round forwarded any packet — the drain's
-        quiet-round signal.  A round forwards nothing exactly when the scan
-        is skipped: nothing is stored, or no buffer is bad under
-        local-threshold or non-work-conserving PTS.  Otherwise something
-        pops: a bad buffer (PTS, local), every nonempty buffer (greedy,
-        work-conserving PTS), or the rightmost nonempty buffer, whose
-        successor is empty (downhill).
         """
         kind = self._kind
         occ = self._occ
@@ -875,7 +891,11 @@ class BatchSimulator(Simulator):
         idle_unless_bad = kind == _LOCAL or (
             kind == _PTS and not work_conserving
         )
-        moved = False
+        inject = drain is None
+        pts = kind == _PTS
+        bad_nodes = self._bad_nodes() if pts and num_bad else []
+        end_mark = [end]
+        settled = pts and self._maxima_settled()
         try:
             for rn in range(t0, t1):
                 # -- injection ----------------------------------------------
@@ -900,6 +920,8 @@ class BatchSimulator(Simulator):
                             touch_append(source)
                             if load == threshold:
                                 num_bad += 1
+                                if pts:
+                                    insort(bad_nodes, source)
                         injected = len(rows_in)
                         stored += injected
                         self._injected += injected
@@ -913,21 +935,31 @@ class BatchSimulator(Simulator):
                     self._num_bad = num_bad
                     injected = self._inject_round(rn)
                     stored = self._stored
+                    if pts and self._num_bad != num_bad:
+                        bad_nodes = self._bad_nodes()
                     num_bad = self._num_bad
                 # -- measurement fold (L^t, after injection) ----------------
                 if touch:
                     for node in touch:
                         load = occ[node]
-                        if load > mx[node]:
+                        peak = mx[node]
+                        if load > peak:
                             mx[node] = load
+                            if not peak:
+                                # A first packet, maybe left of every
+                                # earlier one: test again after a fold.
+                                settled = False
                     del touch[:]
                 if ranges:
-                    # The last round's shifted segments, as one span: a node
-                    # outside every candidate set cannot exceed its maximum,
-                    # so folding the bad nodes between them changes nothing.
-                    span = slice(ranges[0][0], ranges[-1][1])
-                    peaks = mx_v[span]
-                    np.maximum(peaks, occ_v[span], out=peaks)
+                    if not settled:
+                        # The last round's shifted segments, as one span: a
+                        # node outside every candidate set cannot exceed its
+                        # maximum, so folding the bad nodes between them
+                        # changes nothing.
+                        span = slice(ranges[0][0], ranges[-1][1])
+                        peaks = mx_v[span]
+                        np.maximum(peaks, occ_v[span], out=peaks)
+                        settled = self._maxima_settled()
                     del ranges[:]
                 if record:
                     before = occ.tolist()
@@ -940,14 +972,8 @@ class BatchSimulator(Simulator):
                         # Segment shift: between two bad buffers every node
                         # holds at most one packet, so the segment forwards
                         # by moving its queues one node to the right.
-                        if num_bad:
-                            bad = (occ_v[:end] >= threshold).nonzero()[0].tolist()
-                            lo = bad[0]
-                        else:
-                            bad = []
-                            lo = 0
-                        bad.append(end)
-                        for b in bad:
+                        lo = bad_nodes[0] if bad_nodes else 0
+                        for b in bad_nodes + end_mark:
                             if lo < b:
                                 # The segment [lo, b): its last queue's packet
                                 # leaves, every other queue moves one node
@@ -964,7 +990,8 @@ class BatchSimulator(Simulator):
                                     occ[lo] = 1
                                 else:
                                     occ[lo] = 0
-                                ranges_append((lo, b))
+                                if not settled:
+                                    ranges_append((lo, b))
                                 carry = row
                             if b == end:
                                 break
@@ -977,6 +1004,7 @@ class BatchSimulator(Simulator):
                                 occ[b] = load - 1
                                 if load == threshold:
                                     num_bad -= 1
+                                    bad_nodes.remove(b)
                             carry = row
                             lo = b + 1
                     elif kind == _LOCAL:
@@ -1113,14 +1141,40 @@ class BatchSimulator(Simulator):
                 if record:
                     self._record_round(rn, injected, before, delivered_before)
                 self._round = rn + 1
+                if drain is not None:
+                    drain.step(moved)
+                    if drain.stopped or drain.quiet or not stored:
+                        break
         finally:
             self._num_bad = num_bad
             self._stored = stored
-        return moved
+
+    def _maxima_settled(self) -> bool:
+        """Whether no shifted PTS segment can raise a maximum: every node
+        from the first one with a nonzero maximum to ``last`` has one.
+
+        A segment node holds at most one packet, so a fold can only raise a
+        maximum of 0, at a node that took its left neighbour's packet; that
+        neighbour was measured holding it, so the node lies right of the
+        first node with a nonzero maximum.  Only an injection can give a
+        node left of that one its first packet, and the window then tests
+        again after its next fold.  Maxima never fall, so otherwise the
+        answer stays true.
+        """
+        visited = self._mx_v[: self._last + 1] != 0
+        return bool(visited[visited.argmax():].all())
+
+    def _bad_nodes(self) -> List[int]:
+        """PTS's bad buffers, sorted: one scan over the loads left of ``w``,
+        where every stored packet sits."""
+        end = self._last + 1
+        return (self._occ_v[:end] >= self._bad_threshold).nonzero()[0].tolist()
 
     # -- the pseudo-buffer kind (PPTS, HPTS) -----------------------------------------
 
-    def _pseudo_window(self, t0: int, t1: int, *, inject: bool = True) -> int:
+    def _pseudo_window(
+        self, t0: int, t1: int, drain: Optional[DrainStop] = None
+    ) -> None:
         """Advance rounds ``t0 .. t1-1`` of PPTS or HPTS on flat state.
 
         Per round, in the object engine's order:
@@ -1152,8 +1206,11 @@ class BatchSimulator(Simulator):
         load rose — just past a run, or where that row lands — is a maxima
         candidate, folded at the next measurement, never at the shift.
 
-        Returns how many packets the last round forwarded — the drain's
-        quiet-round signal.
+        A ``drain`` rule makes these drain rounds, as in :meth:`_window`:
+        nothing is injected, the rule is stepped after every round with the
+        packets it forwarded and the staged count, and the call returns
+        once the rule stops, nothing is pending, or after ``ell`` quiet
+        rounds (:meth:`_kernel_drain` counts the quiet tail).
         """
         n = self._n
         stride = n + 1
@@ -1192,7 +1249,7 @@ class BatchSimulator(Simulator):
         max_staged = self._max_staged
         stored = self._stored
         delivered = self._delivered
-        forwarded = 0
+        inject = drain is None
         try:
             for rn in range(t0, t1):
                 # -- injection and acceptance ---------------------------------
@@ -1364,11 +1421,16 @@ class BatchSimulator(Simulator):
                         forwarded, num_staged,
                     )
                 self._round = rn + 1
+                if drain is not None:
+                    drain.step(forwarded, len(staged))
+                    if drain.stopped or drain.quiet >= ell or not (
+                        stored or staged
+                    ):
+                        break
         finally:
             self._max_staged = max_staged
             self._stored = stored
             self._delivered = delivered
-        return forwarded
 
     def _accept_rows(self, rows: Sequence[int], round_number: int) -> None:
         """Store injected (PPTS) or staged (HPTS) rows at their sources.

@@ -16,14 +16,16 @@ routes, wrong destinations), PTS's segment shift (several, adjacent and
 last-node bad buffers in one round, both PTS flavours and disciplines, an
 interior destination and the virtual sink) with its maxima folded at the
 next measurement, never at the shift (``run(h, drain=False)`` and checkpoint
-cuts), and for the pseudo-buffer kind: HPTS with one, two and three levels
+cuts), PTS's kept bad-buffer list under a streaming adversary, whose rows
+take the checked injection path, and for the pseudo-buffer kind: HPTS with one, two and three levels
 and each of its variants, PPTS with a declared destination set, drains
 that stop with HPTS packets still staged, the key-major segment shift
 (the same arrangements of PPTS and HPTS stacks, HPTS re-keying and
 cascading, both disciplines, every horizon with ``drain=False``, and
 checkpoint cuts in all four engine pairings), and the quiet drain tail
 the kernel counts instead of running (it must wait for every HPTS level
-and stop at a cap inside it).
+and stop at a cap inside it; the drain's window returns after ``ell`` quiet
+rounds).
 """
 
 from __future__ import annotations
@@ -518,6 +520,26 @@ def test_six_node_line_measures_every_shifted_node(batch_rounds):
     assert result.max_occupancy_per_node == {0: 2, 1: 2, 2: 1, 3: 1, 4: 1}
 
 
+@pytest.mark.parametrize("batch_rounds", (1, 64))
+def test_first_injection_left_of_every_measured_node(batch_rounds):
+    """Nodes 3 and 4 hold packets first, which settles the shifted-segment
+    fold; a later first packet at node 0 must restart it, or the maxima of
+    nodes 1 and 2, which only that packet's shifts reach, stay 0."""
+
+    def make():
+        topology = LineTopology(6)
+        adversary = build_explicit_adversary(
+            topology, rho=1.0, sigma=2.0, rounds=8,
+            routes=[(0, 3, 5), (1, 3, 5), (5, 0, 5)],
+        )
+        return topology, PeakToSink(topology, work_conserving=True), adversary
+
+    result = _assert_identical(
+        make, sim_kwargs=HISTORY_MODES["full"], batch_rounds=batch_rounds
+    )
+    assert result.max_occupancy_per_node == {0: 1, 1: 1, 2: 1, 3: 1, 4: 1}
+
+
 @pytest.mark.parametrize("horizon", (1, 2, 3))
 def test_last_round_loads_are_not_measured(horizon):
     """``run(h, drain=False)`` stops after round ``h - 1``'s forwarding, whose
@@ -563,6 +585,73 @@ def test_last_round_loads_are_not_measured_across_a_checkpoint(
     with packet_id_scope():
         straight = Simulator(*_six_node_wc())
         assert tails["delta"][0] == straight.run(horizon, drain=False)
+
+
+def _pts_stream(work_conserving, discipline):
+    """PTS against a streaming bounded adversary that saves up its budget
+    (low intensity) for bursts that make bad buffers all through the run:
+    every row goes through the checked injection path."""
+
+    def make():
+        topology = LineTopology(N)
+        algorithm = PeakToSink(
+            topology, work_conserving=work_conserving, discipline=discipline
+        )
+        adversary = random_line_adversary(
+            topology, 1.0, 8.0, ROUNDS, seed=SEED, intensity=0.1, stream=True
+        )
+        return topology, algorithm, adversary
+
+    return make
+
+
+@pytest.mark.parametrize("batch_rounds", (1, 7, 64))
+@pytest.mark.parametrize("discipline", tuple(QueueDiscipline), ids=lambda d: d.name)
+@pytest.mark.parametrize("work_conserving", (True, False), ids=("wc", "plain"))
+def test_pts_streaming_adversary(
+    tmp_path, monkeypatch, work_conserving, discipline, batch_rounds
+):
+    """The window keeps PTS's bad buffers as a list; a round injected through
+    the checked path must update it.  Straight, split and resumed from a
+    checkpoint cut while a burst holds a bad buffer, under every history
+    mode."""
+    make = _pts_stream(work_conserving, discipline)
+    opened_bad = []
+    real_window = BatchSimulator._window
+
+    def window(simulator, t0, t1, drain=None):
+        opened_bad.append(simulator._num_bad > 0)
+        return real_window(simulator, t0, t1, drain)
+
+    monkeypatch.setattr(BatchSimulator, "_window", window)
+    with packet_id_scope():
+        probe = Simulator(*make(), record_history=True).run()
+    cut = 1 + next(
+        record.round
+        for record in probe.history
+        if record.round >= ROUNDS // 3 and record.max_occupancy_after_forwarding >= 2
+    )
+    for history, sim_kwargs in sorted(HISTORY_MODES.items()):
+        for split in (False, True):
+            _assert_identical(
+                make, sim_kwargs=sim_kwargs, batch_rounds=batch_rounds,
+                split=split,
+            )
+        path = str(tmp_path / f"{history}.ckpt")
+        with packet_id_scope():
+            head = BatchSimulator(*make(), batch_rounds=batch_rounds, **sim_kwargs)
+            head.run(cut, drain=False)
+            head.save_checkpoint(path)
+        with packet_id_scope():
+            tail = BatchSimulator(*make(), batch_rounds=batch_rounds, **sim_kwargs)
+            restore_into(tail, load_checkpoint(path))
+            resumed = tail.run()
+        with packet_id_scope():
+            straight = Simulator(*make(), **sim_kwargs)
+            assert resumed == straight.run()
+        assert _maxima(tail) == _maxima(straight)
+    assert probe.max_occupancy >= 3
+    assert any(opened_bad)
 
 
 # -- error-path parity -------------------------------------------------------------
@@ -1017,6 +1106,35 @@ def test_fused_quiet_tail(algorithm, history, cap):
     assert result.packets_undelivered == 3
     if history.startswith("full"):
         assert len(result.history) == result.rounds_executed
+
+
+@pytest.mark.parametrize(
+    "make, horizon, n, first, ell",
+    (
+        # The pattern ends after round 1 and drain round 2 is quiet: the
+        # tail starts at round 3.
+        (_stranded("pts"), None, N, 3, 1),
+        (_stranded("local"), None, N, 3, 1),
+        # Round 5 moves, rounds 6-8 are quiet: the tail starts at round 9.
+        (_hpts3_late_move(), 4, 27, 9, 3),
+    ),
+    ids=("pts", "local", "hpts3"),
+)
+def test_drain_window_returns_after_ell_quiet_rounds(
+    monkeypatch, make, horizon, n, first, ell
+):
+    """The drain's window call runs only until ``ell`` quiet rounds; the
+    rest of the quiescence window is counted, not run."""
+    tails = []
+    real_quiet_rounds = BatchSimulator._quiet_rounds
+
+    def quiet_rounds(simulator, start, count):
+        tails.append((start, count))
+        return real_quiet_rounds(simulator, start, count)
+
+    monkeypatch.setattr(BatchSimulator, "_quiet_rounds", quiet_rounds)
+    _assert_identical(make, run_kwargs={"num_rounds": horizon})
+    assert tails == [(first, quiescence_window(n) - ell)]
 
 
 # -- refusal surface ---------------------------------------------------------------
