@@ -9,9 +9,9 @@ continue a run bit-identically from a round boundary:
 * every retained :class:`~repro.core.packet.Packet` (in-flight only under
   ``history="streaming"``; all packets otherwise), stored columnar,
 * the per-node pseudo-buffer layout — every nonempty key, sorted, with its
-  packet ids in queue order — from which the node loads and the incremental
-  :class:`~repro.core.indexset.BufferIndex` bad sets are rebuilt by
-  replaying the stores,
+  packet ids in queue order — which one bulk placement sets back, rebuilding
+  the node loads and the incremental
+  :class:`~repro.core.indexset.BufferIndex` bad sets once,
 * algorithm-specific extra state (HPTS staged packets, PPTS discovered
   destinations, greedy arrival rounds) via
   :meth:`~repro.core.scheduler.ForwardingAlgorithm.checkpoint_state`,
@@ -59,8 +59,9 @@ import sys
 import tempfile
 import zlib
 from array import array
+from collections import Counter
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict, Hashable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Hashable, Iterator, List, Optional, Tuple
 
 from .core.packet import Packet, PacketState, PacketStore, current_allocator
 from .network.errors import (
@@ -573,12 +574,56 @@ def _rebuild_packets(checkpoint: Checkpoint) -> Dict[int, Packet]:
     return packets
 
 
+def _buffer_placements(
+    checkpoint: Checkpoint,
+    algorithm: "ForwardingAlgorithm",
+    packets: Dict[int, Packet],
+) -> Iterator[Tuple[int, Hashable, List[Packet]]]:
+    """The buffer directory as ``(node, key, packets in queue order)``,
+    checked as it is read: every node must be in the topology, every id a
+    known packet listed once, and the directory must consume the whole id
+    section.
+
+    A generator, so each queue's list is freed once placed: a list of them
+    all keeps two objects per queue alive, and over thousands of queues
+    that sets off full passes of the cyclic collector.
+    """
+    buffer_ids = checkpoint.section("buffers/packet_ids")
+    if len(set(buffer_ids)) != len(buffer_ids):
+        twice = Counter(buffer_ids).most_common(1)[0][0]
+        raise CheckpointFormatError(
+            f"buffer directory lists packet {twice} more than once"
+        )
+    try:
+        stored = list(map(packets.__getitem__, buffer_ids))
+    except KeyError as unknown:
+        raise CheckpointFormatError(
+            f"buffer directory references unknown packet {unknown.args[0]}"
+        ) from None
+    position = 0
+    for node, entry in checkpoint.header["buffers"]:
+        if node not in algorithm.buffers:
+            raise CheckpointSpecMismatchError(
+                f"checkpoint references node {node} absent from the topology"
+            )
+        for key_data, count in entry:
+            # Files written before the layout was canonical may list an
+            # emptied pseudo-buffer (count 0); it restores nothing.
+            yield node, _decode_key(key_data), stored[position:position + count]
+            position += count
+    if position != len(buffer_ids):
+        raise CheckpointFormatError(
+            f"buffer directory consumed {position} packet ids, section has "
+            f"{len(buffer_ids)}"
+        )
+
+
 def restore_into(simulator: "Simulator", checkpoint: Checkpoint) -> "Simulator":
     """Load ``checkpoint`` into a freshly built (never-run) simulator.
 
     The simulator's topology/algorithm/adversary must match the snapshot
-    structurally; buffers, indices and occupancy maps are rebuilt by
-    replaying the recorded stores, the adversary is fast-forwarded via its
+    structurally; one bulk placement sets the buffers and rebuilds their
+    loads and indices, the adversary is fast-forwarded via its
     cursor, and the packet-id allocator of the current scope is positioned so
     post-resume ids continue exactly where the checkpointed run stopped.  An
     algorithm still holding packets from an earlier run raises
@@ -613,36 +658,9 @@ def restore_into(simulator: "Simulator", checkpoint: Checkpoint) -> "Simulator":
     packets = _rebuild_packets(checkpoint)
     simulator.packets = packets
 
-    # -- buffers (replaying stores through NodeBuffer.store rebuilds the node
-    #    loads and the BufferIndex bad sets) ---------------------------------
-    buffer_ids = checkpoint.section("buffers/packet_ids")
-    position = 0
-    for node, entry in checkpoint.header["buffers"]:
-        node_buffer = algorithm.buffers.get(node)
-        if node_buffer is None:
-            raise CheckpointSpecMismatchError(
-                f"checkpoint references node {node} absent from the topology"
-            )
-        for key_data, count in entry:
-            # Files written before the layout was canonical may list an
-            # emptied pseudo-buffer (count 0); it restores nothing.
-            key = _decode_key(key_data)
-            for _ in range(count):
-                packet_id = buffer_ids[position]
-                position += 1
-                try:
-                    packet = packets[packet_id]
-                except KeyError:
-                    raise CheckpointFormatError(
-                        f"buffer at node {node} references unknown packet "
-                        f"{packet_id}"
-                    ) from None
-                node_buffer.store(packet, key)
-    if position != len(buffer_ids):
-        raise CheckpointFormatError(
-            f"buffer directory consumed {position} packet ids, section has "
-            f"{len(buffer_ids)}"
-        )
+    # -- buffers (one placement rebuilds the node loads and the BufferIndex
+    #    bad sets) --------------------------------------------------------------
+    algorithm.place_buffers(_buffer_placements(checkpoint, algorithm, packets))
 
     # -- algorithm extra state -----------------------------------------------------
     # (Older files also carry ``algorithm.rounds_until_gc``, a countdown the

@@ -139,8 +139,8 @@ class HierarchicalPeakToSink(ForwardingAlgorithm):
         return len(self._staged)
 
     def checkpoint_state(self) -> Dict:
-        # The bad-buffer index is derived state, rebuilt while the checkpoint
-        # layer replays the buffers; only the staged (injected-but-unaccepted)
+        # The bad-buffer index is derived state, rebuilt when the checkpoint
+        # layer places the buffers; only the staged (injected-but-unaccepted)
         # packets need recording.
         return {"staged": [packet.packet_id for packet in self._staged]}
 

@@ -112,6 +112,10 @@ class BufferIndex:
                 if not index_set:
                     del self._bad[key]
 
+    def clear(self) -> None:
+        """Forget every bad position, before a bulk rebuild."""
+        self._bad.clear()
+
     # -- queries ----------------------------------------------------------------
 
     def bad(self, key: Hashable) -> SortedIndexSet:

@@ -10,17 +10,22 @@ priority, so the discipline is configurable here.
 :class:`NodeBuffer` is a node's whole buffer: a dictionary of pseudo-buffers
 keyed by an arbitrary hashable key, with helpers for the load/badness
 quantities the analysis needs.  It is the only thing that changes a buffer:
-:meth:`NodeBuffer.store` and :meth:`NodeBuffer.take` (which
-:meth:`NodeBuffer.pop_from` and :meth:`NodeBuffer.remove_from` call) each
-update the node's load, the engine's one count of ``|L(i)|``, and make one
-``(node, key, old_len, new_len)`` call into the node's change listener.
+:meth:`NodeBuffer.store` and :meth:`NodeBuffer.take` each update the node's
+load, the engine's one count of ``|L(i)|``, and make one ``(node, key,
+old_len, new_len)`` call into the node's change listener;
+:meth:`NodeBuffer.clear` and :meth:`NodeBuffer.place`, which empty a node and
+set a whole queue at once, call no listener: their one caller,
+:meth:`~repro.core.scheduler.ForwardingAlgorithm.place_buffers`, rebuilds
+the counts.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from enum import Enum
-from typing import Callable, Deque, Dict, Hashable, Iterable, Iterator, List, Optional
+from typing import (
+    Callable, Deque, Dict, Hashable, Iterable, Iterator, List, Optional, Sequence,
+)
 
 from .packet import Packet
 
@@ -46,7 +51,7 @@ class PseudoBuffer:
         Identifier of this pseudo-buffer within its node (e.g. a destination
         index, or a ``(level, destination)`` pair for HPTS).
     discipline:
-        Queue discipline :meth:`NodeBuffer.pop_from` follows for this queue.
+        Queue discipline :meth:`NodeBuffer.take` follows for this queue.
 
     A pseudo-buffer has no mutators of its own: its :class:`NodeBuffer`
     changes it, so that the node's load and change notification can never
@@ -77,7 +82,7 @@ class PseudoBuffer:
         return packet in self._packets
 
     def peek(self) -> Optional[Packet]:
-        """Return the packet that :meth:`NodeBuffer.pop_from` would pop next."""
+        """Return the packet that :meth:`NodeBuffer.take` would take next."""
         if not self._packets:
             return None
         if self.discipline is QueueDiscipline.LIFO:
@@ -113,13 +118,13 @@ class NodeBuffer:
     remark that PPTS need not know the destination set in advance: only
     destinations that actually receive packets ever materialise a queue.
 
-    ``load`` is a cached counter, updated by :meth:`store` and :meth:`take`
-    (the only methods that change a pseudo-buffer),
-    so reading it is O(1) regardless of how many pseudo-buffers the node has
-    accumulated; ``total_bad`` (read only by analyses) is summed on demand.
+    ``load`` is a cached counter, updated by :meth:`store`, :meth:`take`,
+    :meth:`clear` and :meth:`place` (the only methods that change a
+    pseudo-buffer), so reading it is O(1) regardless of how many
+    pseudo-buffers the node has accumulated; ``total_bad`` (read only by analyses) is summed on demand.
     An optional ``on_change`` listener receives ``(node, key, old_len,
-    new_len)`` after each of those calls — the forwarding algorithm uses it
-    to keep its dirty-node set and bad-buffer index live.
+    new_len)`` after each :meth:`store` and :meth:`take` — the forwarding
+    algorithm uses it to keep its dirty-node set and bad-buffer index live.
 
     Both buffer classes are slotted: a million-node network materialises one
     :class:`NodeBuffer` per node up front, so the per-instance ``__dict__``
@@ -198,8 +203,8 @@ class NodeBuffer:
 
         The forwarding step's one read of an activated pseudo-buffer (the
         paper's "each nonempty activated buffer forwards"), and the one
-        removal path :meth:`pop_from` and :meth:`remove_from` share.  Raises
-        :class:`ValueError` if ``packet`` is not stored in a nonempty queue.
+        removal path.  Raises :class:`ValueError` if ``packet`` is not
+        stored in a nonempty queue.
         """
         pb = self._pseudo.get(key)
         if pb is None:
@@ -219,30 +224,24 @@ class NodeBuffer:
             self._on_change(self.node, key, new_len + 1, new_len)
         return packet
 
-    def pop_from(self, key: Hashable) -> Packet:
-        """Pop the next packet from pseudo-buffer ``key``, by its discipline.
+    def clear(self) -> None:
+        """Empty this node at once, with no listener call (see :meth:`place`)."""
+        self._pseudo.clear()
+        self._load = 0
 
-        The raising form of :meth:`take`, for callers that know the queue
-        is nonempty (the batch kernel's end-of-run sync).
+    def place(self, key: Hashable, packets: Sequence[Packet]) -> int:
+        """Append the nonempty ``packets``, in queue order, to pseudo-buffer
+        ``key`` and return its new length: the bulk form of :meth:`store`,
+        with no listener call.  Like :meth:`clear`, it is called only by
+        :meth:`~repro.core.scheduler.ForwardingAlgorithm.place_buffers`,
+        which rebuilds the counts and the index itself.
         """
-        packet = self.take(key)
-        if packet is None:
-            raise IndexError(f"node {self.node}: pseudo-buffer {key!r} is empty")
-        return packet
-
-    def remove_from(self, key: Hashable, packet: Packet) -> None:
-        """Remove the specific ``packet`` from pseudo-buffer ``key`` (for
-        schedulers whose priority is not the queue discipline).
-
-        The raising form of ``take(key, packet)``, kept for callers outside
-        the forwarding step.  Raises :class:`ValueError` if the packet is
-        not stored there.
-        """
-        if self.take(key, packet) is None:
-            raise ValueError(
-                f"node {self.node}: packet {packet.packet_id} is not in "
-                f"pseudo-buffer {key!r}"
-            )
+        pb = self._pseudo.get(key)
+        if pb is None:
+            pb = self._pseudo[key] = PseudoBuffer(key, self.discipline)
+        pb._packets.extend(packets)
+        self._load += len(packets)
+        return len(pb._packets)
 
     def all_packets(self) -> List[Packet]:
         """All packets stored at this node, grouped by pseudo-buffer."""

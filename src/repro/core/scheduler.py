@@ -16,7 +16,9 @@ forward simultaneously — maps onto :class:`Activation` records returned by
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Dict, Hashable, List, NamedTuple, Optional, Set
+from typing import (
+    Dict, Hashable, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple,
+)
 
 from ..network.errors import SpentAlgorithmError
 from ..network.topology import Topology
@@ -29,8 +31,8 @@ __all__ = ["Activation", "ForwardingAlgorithm"]
 
 class _BufferChanges:
     """The node buffers' change listener: the total stored count, the
-    dirty-node set and the bad-position index that every store, pop and
-    remove updates.
+    dirty-node set and the bad-position index that every store and take
+    updates.
 
     It is its own object, not a method of the algorithm, so the algorithm's
     node buffers hold no reference back to the algorithm: with none, a
@@ -83,10 +85,13 @@ class ForwardingAlgorithm(ABC):
     :meth:`on_inject` and :meth:`staged_count`.
 
     Each node's load lives in one place, its :class:`NodeBuffer`, and only
-    the node buffer changes its pseudo-buffers.  Every store, pop and remove
-    makes one call into the node buffers' change listener
+    the node buffer changes its pseudo-buffers.  Every per-move store and
+    take makes one call into the node buffers' change listener
     (``_BufferChanges.changed``), which updates the total stored count and a
-    dirty-node set.  :meth:`occupancy_delta` hands the simulator just the
+    dirty-node set.  The one bulk writer is :meth:`place_buffers`, not the
+    listener: it sets every node's queues at once (the batch kernel's sync,
+    checkpoint restore) and rebuilds the count, the set and the index once.
+    :meth:`occupancy_delta` hands the simulator just the
     nodes whose load changed since the last call, so per-round measurement
     cost is proportional to the number of packets that moved, not to the
     network size; :meth:`occupancy_vector` is the full snapshot that
@@ -144,6 +149,38 @@ class ForwardingAlgorithm(ABC):
     def on_arrival(self, packet: Packet, node: int, round_number: int) -> None:
         """Handle a packet forwarded into ``node`` (not its destination)."""
         self.buffers[node].store(packet, self.classify(packet, node))
+
+    def place_buffers(
+        self, placements: Iterable[Tuple[int, Hashable, Sequence[Packet]]]
+    ) -> None:
+        """Set every node's pseudo-buffers from ``(node, key, packets in queue
+        order)`` triples, read once; a node named by none is emptied.
+
+        Leaves the state that taking every packet and then storing each
+        placed packet in turn would: each node's keys in the order given,
+        no empty pseudo-buffer, every node filled or emptied marked dirty,
+        the total stored count and the bad-position index rebuilt from the
+        new queues.  Staged packets are not touched.
+        """
+        changes = self._changes
+        dirty = changes.dirty
+        buffers = self.buffers
+        for node, buffer in buffers.items():
+            if buffer.load:
+                dirty.add(node)
+            buffer.clear()
+        index = self._index
+        index.clear()
+        threshold = changes.threshold
+        total = 0
+        for node, key, packets in placements:
+            if packets:
+                length = buffers[node].place(key, packets)
+                dirty.add(node)
+                total += len(packets)
+                if length >= threshold:
+                    index.update(node, key, 0, length)
+        changes.total = total
 
     # -- forwarding decisions ------------------------------------------------------
 
@@ -238,8 +275,9 @@ class ForwardingAlgorithm(ABC):
 
         The checkpoint layer (:mod:`repro.checkpoint`) serialises the buffers
         itself (per-node pseudo-buffer keys and packet ids, in queue order)
-        and rebuilds the node loads and the :class:`BufferIndex` by replaying
-        the stores.  Algorithms carrying extra mutable state —
+        and sets them back with :meth:`place_buffers`, which rebuilds the
+        node loads and the :class:`BufferIndex`.  Algorithms carrying extra
+        mutable state —
         staged packets, discovered destination sets, per-packet bookkeeping —
         override this pair of hooks to round-trip it.  The returned mapping must be
         JSON-serialisable; packets are referenced by id.

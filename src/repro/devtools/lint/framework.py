@@ -166,6 +166,9 @@ class LintConfig:
         "_accept_rows",
         "_sync_objects",
         "_publish",
+        # The one bulk buffer writer (repro/core/scheduler.py): its
+        # iteration sets each node's queue and key order.
+        "place_buffers",
         # Boundary-ring transport: block layout and publish order feed the
         # hand-off protocol directly (repro/network/shm.py).
         "send_block",

@@ -560,8 +560,8 @@ class BatchSimulator(Simulator):
                 if load >= bad_threshold:
                     self._num_bad += 1
                 # The restored object engine's dirty set covers every stored
-                # node (the checkpoint replay marks them); fold the same
-                # candidates at the first measurement.
+                # node (placing the checkpoint's buffers marks them); fold the
+                # same candidates at the first measurement.
                 touch.append(node)
 
     def _load_pseudo(self) -> None:
@@ -636,10 +636,11 @@ class BatchSimulator(Simulator):
         its extra state and the occupancy timeline — what the object engine
         holds at the same round boundary (less any emptied pseudo-buffer it
         has not yet collected), so the checkpoint layer and any post-run
-        inspection see one engine.  The cost follows the live rows, not the
-        rows the run has held.  Not built here: the packet table, which
-        :attr:`packets` publishes on its next read, delivered rows
-        included.
+        inspection see one engine.  The buffers are set in one
+        :meth:`~repro.core.scheduler.ForwardingAlgorithm.place_buffers`
+        call, so the cost follows the live rows, not the rows the run has
+        held.  Not built here: the packet table, which :attr:`packets`
+        publishes on its next read, delivered rows included.
         """
         algorithm = self.algorithm
         queues = self._queues
@@ -690,17 +691,10 @@ class BatchSimulator(Simulator):
                 packet.hops = node - packet.source
             return packet
 
-        for node_buffer in algorithm.buffers.values():
-            keys = node_buffer.keys()
-            for key in keys:
-                for _ in range(node_buffer.load_of(key)):
-                    node_buffer.pop_from(key)
-            if keys:
-                node_buffer.drop_empty()
-        for node, key, rows in placements:
-            store = algorithm.buffers[node].store
-            for row in rows:
-                store(live_packet(row, node), key)
+        algorithm.place_buffers(
+            (node, key, [live_packet(row, node) for row in rows])
+            for node, key, rows in placements
+        )
         if self._kind == _GREEDY:
             col_arr = self._col_arr
             algorithm._arrival_round = {

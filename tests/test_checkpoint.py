@@ -12,8 +12,9 @@ against bounded / trickle / stress / adaptive traffic under all three
 history policies, plus the round-0 and final-round checkpoint edge cases.
 
 Also here: the checkpoint-format fuzz/negative tests (truncation, version
-mismatch, spec mismatch, a header missing a field the restore reads — each a
-typed error, exercised through the CLI with non-zero exit codes), the
+mismatch, spec mismatch, a header missing a field the restore reads, a
+buffer directory listing one packet twice — each a typed error, exercised
+through the CLI with non-zero exit codes), the
 :class:`StreamingAdversary` packet-id alignment regression around empty
 rounds, and a file written before the layout was canonical, which must
 still load and resume on both engines.
@@ -22,6 +23,7 @@ still load and resume on both engines.
 from __future__ import annotations
 
 import json
+from array import array
 from pathlib import Path
 
 import pytest
@@ -326,6 +328,20 @@ def _make_checkpoint(tmp_path) -> str:
     return path
 
 
+def _header_and_sections(checkpoint):
+    """The header (less what ``_encode`` adds) and sections of a loaded
+    checkpoint, to edit and write back with ``_encode``."""
+    header = {
+        key: value for key, value in checkpoint.header.items()
+        if key not in ("version", "sections")
+    }
+    sections = [
+        (entry["name"], checkpoint.sections[entry["name"]])
+        for entry in checkpoint.header["sections"]
+    ]
+    return header, sections
+
+
 class TestFormatNegative:
     def test_truncated_file_raises_typed_error(self, tmp_path):
         path = _make_checkpoint(tmp_path)
@@ -384,19 +400,30 @@ class TestFormatNegative:
         """A CRC-valid file whose header lacks a field ``restore_into``
         reads is refused at load, naming the field."""
         checkpoint = load_checkpoint(_make_checkpoint(tmp_path))
-        header = {
-            key: value for key, value in checkpoint.header.items()
-            if key not in ("version", "sections")
-        }
+        header, sections = _header_and_sections(checkpoint)
         header[block] = dict(header[block])
         del header[block][field]
-        sections = [
-            (entry["name"], checkpoint.sections[entry["name"]])
-            for entry in checkpoint.header["sections"]
-        ]
         (tmp_path / "field.ckpt").write_bytes(_encode(header, sections))
         with pytest.raises(CheckpointFormatError, match=f"{block}.*{field!r}"):
             load_checkpoint(str(tmp_path / "field.ckpt"))
+
+    def test_packet_listed_twice_in_buffers_raises_format_error(self, tmp_path):
+        """A CRC-valid file whose buffer directory lists one packet id at
+        two places is refused at restore, naming the packet."""
+        checkpoint = load_checkpoint(_make_checkpoint(tmp_path))
+        header, sections = _header_and_sections(checkpoint)
+        ids = array("q", checkpoint.section("buffers/packet_ids"))
+        assert len(set(ids)) == len(ids) >= 2
+        twice = ids[-1] = ids[0]
+        sections = [
+            (name, ids if name == "buffers/packet_ids" else column)
+            for name, column in sections
+        ]
+        path = tmp_path / "twice.ckpt"
+        path.write_bytes(_encode(header, sections))
+        with pytest.raises(CheckpointFormatError,
+                           match=f"packet {twice} more than once"):
+            Session().resume(str(path))
 
     def test_restore_under_wrong_ingredients_is_refused(self, tmp_path):
         path = _make_checkpoint(tmp_path)

@@ -123,8 +123,8 @@ class TestBufferIndex:
             wired.store(first, 9)
             wired.store(second, 9)
             assert index.leftmost_bad(9, 0, 8) == 1
-            wired.pop_from(9)
-            wired.pop_from(9)
+            wired.take(9)
+            wired.take(9)
             # The queue is empty (not bad) but still allocated.
             assert index.leftmost_bad(9, 0, 8) is None
             wired.drop_empty()
@@ -195,16 +195,15 @@ class TestNodeBufferCounters:
             assert node.load == node.recount_load() == 6
             assert node.total_bad == 4
             for _ in range(3):
-                node.pop_from(3)
+                node.take(3)
             node.drop_empty()
             assert node.load == node.recount_load() == 3
             assert node.total_bad == 2
             assert node.keys() == [5]
 
-    def test_pop_from_missing_or_empty_key_raises(self):
+    def test_take_from_missing_or_empty_key_returns_none(self):
         node = NodeBuffer(0)
-        with pytest.raises(IndexError):
-            node.pop_from("nope")
+        assert node.take("nope") is None
         node.pseudo_buffer("empty")
-        with pytest.raises(IndexError):
-            node.pop_from("empty")
+        assert node.take("empty") is None
+        assert node.load == node.recount_load() == 0

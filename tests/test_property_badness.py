@@ -129,7 +129,7 @@ class TestLemma34SingleStep:
         moved = []
         for i in range(a, b + 1):
             if buffers[i].load_of(destination) > 0:
-                moved.append((i, buffers[i].pop_from(destination)))
+                moved.append((i, buffers[i].take(destination)))
         for i, packet in moved:
             if i + 1 < destination:
                 packet.location = i + 1

@@ -3,7 +3,7 @@
 Three layers of cached state must exactly track a from-scratch recount after
 *any* mutation sequence:
 
-* ``NodeBuffer.load`` (updated by ``store``/``pop_from``/``remove_from``),
+* ``NodeBuffer.load`` (updated by ``store``/``take``),
 * ``ForwardingAlgorithm``'s dirty-node set and ``total_stored`` counter,
 * the sorted bad position sets (``repro.core.indexset``) the peak-to-sink
   algorithms start their selection from, and HPTS's grouping of the keys
@@ -112,11 +112,11 @@ def _random_node_buffer_ops(seed: int, rounds: int = 300) -> NodeBuffer:
             elif action < 0.8:
                 keys = [k for k, _ in stored]
                 key = rng.choice(keys)
-                popped = buffer.pop_from(key)
+                popped = buffer.take(key)
                 stored.remove((key, popped))
             else:
                 key, packet = stored.pop(rng.randrange(len(stored)))
-                buffer.remove_from(key, packet)
+                buffer.take(key, packet)
             if rng.random() < 0.05:
                 buffer.drop_empty()
             assert buffer.load == buffer.recount_load()
@@ -163,7 +163,7 @@ def test_occupancy_delta_matches_full_snapshots(seed):
             nonempty = [n for n, load in algorithm.occupancy_vector().items() if load]
             if nonempty and rng.random() < 0.7:
                 node = rng.choice(nonempty)
-                algorithm.buffers[node].pop_from("q")
+                algorithm.buffers[node].take("q")
             delta = algorithm.occupancy_delta()
             shadow.update(delta)
             assert shadow == algorithm.occupancy_vector()
@@ -386,11 +386,7 @@ def _drive_and_compare(
                 node_buffer = algorithm.buffers[activation.node]
                 if not node_buffer.load_of(activation.key):
                     continue
-                if activation.packet is not None:
-                    node_buffer.remove_from(activation.key, activation.packet)
-                    packet = activation.packet
-                else:
-                    packet = node_buffer.pop_from(activation.key)
+                packet = node_buffer.take(activation.key, activation.packet)
                 next_hop = algorithm.topology.next_hop(activation.node)
                 moves.append((packet, next_hop))
             for packet, next_hop in moves:

@@ -20,22 +20,24 @@ class TestPseudoBuffer:
         first, second = _packet(), _packet()
         node.store(first, key=5)
         node.store(second, key=5)
-        assert node.pop_from(5) is second
-        assert node.pop_from(5) is first
+        assert node.take(5) is second
+        assert node.take(5) is first
 
     def test_push_pop_fifo(self):
         node = NodeBuffer(node=0, discipline=QueueDiscipline.FIFO)
         first, second = _packet(), _packet()
         node.store(first, key=5)
         node.store(second, key=5)
-        assert node.pop_from(5) is first
-        assert node.pop_from(5) is second
+        assert node.take(5) is first
+        assert node.take(5) is second
 
-    def test_pop_empty_raises(self):
-        node = NodeBuffer(node=0)
+    def test_take_from_empty_returns_none(self):
+        events = []
+        node = NodeBuffer(node=0, on_change=lambda *event: events.append(event))
         node.pseudo_buffer(0)
-        with pytest.raises(IndexError):
-            node.pop_from(0)
+        assert node.take(0) is None
+        assert node.load == 0
+        assert events == []
 
     def test_peek_matches_pop_without_removing(self):
         node = NodeBuffer(node=0)
@@ -45,7 +47,7 @@ class TestPseudoBuffer:
         buffer = node.existing(1)
         assert buffer.peek() is second
         assert len(buffer) == 2
-        assert node.pop_from(1) is second
+        assert node.take(1) is second
 
     def test_peek_empty_returns_none(self):
         assert PseudoBuffer(key=0).peek() is None
@@ -64,22 +66,23 @@ class TestPseudoBuffer:
         node.store(_packet(), key=3)
         assert buffer.bad_packet_count == 2
 
-    def test_remove_specific_packet(self):
+    def test_take_specific_packet(self):
         node = NodeBuffer(node=0)
         keep, remove = _packet(), _packet()
         node.store(keep, key=0)
         node.store(remove, key=0)
-        node.remove_from(0, remove)
+        assert node.take(0, remove) is remove
         assert node.existing(0).packets() == [keep]
         assert node.load == 1
 
-    def test_remove_absent_packet_raises(self):
+    def test_take_absent_packet(self):
+        """An empty or missing queue gives ``None``; a packet not stored in
+        a nonempty queue raises ``ValueError`` and leaves the load as is."""
         node = NodeBuffer(node=0)
-        with pytest.raises(ValueError):
-            node.remove_from(0, _packet())
+        assert node.take(0, _packet()) is None
         node.store(_packet(), key=0)
         with pytest.raises(ValueError):
-            node.remove_from(0, _packet())
+            node.take(0, _packet())
         assert node.load == 1
 
     def test_contains_and_iteration(self):
@@ -130,15 +133,15 @@ class TestNodeBuffer:
             node.store(_packet(destination=6), key=6)
         assert node.total_bad == (3 - 1) + (2 - 1)
 
-    def test_pop_from_missing_key_raises(self):
+    def test_take_from_missing_key_returns_none(self):
         node = NodeBuffer(node=0)
-        with pytest.raises(IndexError):
-            node.pop_from(5)
+        assert node.take(5) is None
+        assert node.keys() == []
 
     def test_nonempty_keys_and_drop_empty(self):
         node = NodeBuffer(node=0)
         node.store(_packet(destination=4), key=4)
-        popped = node.pop_from(4)
+        popped = node.take(4)
         assert popped is not None
         assert node.nonempty_keys() == []
         assert node.keys() == [4]
@@ -163,8 +166,8 @@ class TestNodeBuffer:
         first, second = _packet(), _packet()
         node.store(first, key=4)
         node.store(second, key=4)
-        node.remove_from(4, first)
-        node.pop_from(4)
+        node.take(4, first)
+        node.take(4)
         assert events == [(2, 4, 0, 1), (2, 4, 1, 2), (2, 4, 2, 1), (2, 4, 1, 0)]
         assert node.load == 0
 
@@ -173,4 +176,4 @@ class TestNodeBuffer:
         first, second = _packet(destination=4), _packet(destination=4)
         node.store(first, key=4)
         node.store(second, key=4)
-        assert node.pop_from(4) is first
+        assert node.take(4) is first
